@@ -20,6 +20,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> benchmark package: its own tests, then one seed-2022 flash-day pass"
+# perfbench/ is a package of its own, outside the workspace's cargo test.
+# The pass checks the pinned flash-day fingerprint (power cycles
+# included), so a miscounted power cycle shows up as "failed":1.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+bench_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload flash-day --rounds 1)" || true
+echo "$bench_out"
+echo "$bench_out" | tail -n 1 | grep -q '"failed":0' || {
+    echo "flash-day benchmark pass failed its correctness gate"; exit 1; }
+
 echo "==> fault-injection smoke run (examples/faults_crash.json)"
 out="$(cargo run --release -q -p microfaas-cli -- faults \
     --plan examples/faults_crash.json --invocations 2 --seed 7)"

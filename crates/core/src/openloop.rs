@@ -1370,9 +1370,7 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
         joules_per_function: report.joules_per_function().unwrap_or(f64::NAN),
         mean_powered_on: powered_on.time_average(end),
         offered_per_second: arrived as f64 / config.duration.as_secs_f64(),
-        power_cycles: (0..config.workers)
-            .map(|w| gpio.power_on_count(w) as u64)
-            .sum(),
+        power_cycles: gpio.power_cycles(),
         faults_injected,
         tenants: tenant_tracker.summaries(),
         cache_hits: cache_stats.hits,
@@ -2066,6 +2064,7 @@ mod tests {
         DEFAULT_KEEP_ALIVE_TIMEOUT, DEFAULT_WARM_POOL_ALPHA, DEFAULT_WARM_POOL_HEADROOM,
     };
     use microfaas_sim::faults::{FaultPlan, FaultSpec, FaultTrigger};
+    use microfaas_sim::trace::TraceSink;
 
     fn config(arrival: ArrivalProcess, scheduler: SchedulerPolicy, seed: u64) -> OpenLoopConfig {
         OpenLoopConfig {
@@ -2260,11 +2259,9 @@ mod tests {
         assert!(run.mean_power_w >= 60.0, "never below the idle floor");
     }
 
-    #[test]
-    fn scheduled_crash_recovers_and_nothing_is_lost() {
-        // Saturating load keeps every node executing, so crashes at
-        // t=30 s and t=90 s land mid-invocation; the re-queued jobs
-        // complete after recovery and the drain still finishes clean.
+    /// Saturating load keeps every node executing, so crashes at
+    /// t=30 s and t=90 s land mid-invocation.
+    fn crashing() -> OpenLoopConfig {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
             SchedulerPolicy::LeastLoaded,
@@ -2285,7 +2282,14 @@ mod tests {
                 },
             ],
         });
-        let run = run_open_loop(&cfg);
+        cfg
+    }
+
+    #[test]
+    fn scheduled_crash_recovers_and_nothing_is_lost() {
+        // The re-queued jobs complete after recovery and the drain
+        // still finishes clean.
+        let run = run_open_loop(&crashing());
         // A crash scheduled while the target happens to be powered off
         // or rebooting is a no-op, so only a lower bound is guaranteed.
         assert!(run.faults_injected >= 1, "at least one crash must land");
@@ -2428,6 +2432,59 @@ mod tests {
             assert_eq!(a.mean_power_w, b.mean_power_w, "{governor:?}");
             assert_eq!(a.mean_latency_s, b.mean_latency_s, "{governor:?}");
             assert_eq!(a.power_cycles, b.power_cycles, "{governor:?}");
+        }
+    }
+
+    /// Counts the trace's `WakeRequested` records: the audit record of
+    /// every power-on the GPIO bank actuated.
+    #[derive(Default)]
+    struct WakeCounter(u64);
+
+    impl TraceSink for WakeCounter {
+        fn record(&mut self, _at: SimTime, event: TraceEvent) {
+            if matches!(event, TraceEvent::WakeRequested { .. }) {
+                self.0 += 1;
+            }
+        }
+    }
+
+    /// Runs `cfg` with a [`WakeCounter`] attached; returns the run and
+    /// the number of wakes the trace saw.
+    fn count_wakes<L: LatencyAccum>(cfg: &OpenLoopConfig, latencies: L) -> (OpenLoopRun, u64) {
+        let mut wakes = WakeCounter::default();
+        let (run, _, _) = run_open_loop_core(
+            cfg,
+            &mut TypedObserver::new(&mut wakes),
+            latencies,
+            &mut NullSink,
+            budget_attributor(cfg),
+        );
+        (run, wakes.0)
+    }
+
+    #[test]
+    fn power_cycles_equal_the_traced_wakes() {
+        let governed_runs = GovernorKind::ALL.map(|g| governed(1.0, g, 71));
+        for cfg in governed_runs.iter().chain([&crashing()]) {
+            let label = format!(
+                "{:?}, {} faults",
+                cfg.governor,
+                cfg.faults.plan.faults.len()
+            );
+            let (exact, wakes) = count_wakes(cfg, Samples::new());
+            assert!(wakes > 0, "{label}: the run never woke a node");
+            assert_eq!(exact.power_cycles, wakes, "{label}: exact path");
+            let (streamed, streamed_wakes) = count_wakes(cfg, StreamingLatency::new());
+            assert_eq!(
+                streamed.power_cycles, streamed_wakes,
+                "{label}: streaming path"
+            );
+            assert_eq!(streamed_wakes, wakes, "{label}: streaming vs exact");
+            if !cfg.faults.plan.faults.is_empty() {
+                // Recovery reboots the node without pressing PWR_BUT,
+                // so a landed crash adds no wake and no power cycle.
+                assert!(exact.faults_injected >= 1, "{label}: no crash landed");
+            }
         }
     }
 

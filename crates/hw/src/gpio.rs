@@ -3,8 +3,11 @@
 //!
 //! Electrically, the orchestrator pulls a worker's power-button line low
 //! for a debounce interval to toggle it on or off. The model captures the
-//! two things the simulator cares about: the actuation latency and an
-//! auditable log of every power action taken.
+//! two things the simulator cares about: the actuation latency and a
+//! running count of power-ons per line, kept in O(1) per actuation. The
+//! audit record of individual actions is the engines' trace stream, not
+//! this type: `WakeRequested` marks every power-on and
+//! `WorkerStateChange { state: Off }` every power-off.
 
 use std::fmt;
 
@@ -28,17 +31,6 @@ impl fmt::Display for PowerAction {
     }
 }
 
-/// One recorded actuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PowerEvent {
-    /// When the pin was asserted.
-    pub at: SimTime,
-    /// Which worker's pin.
-    pub worker: usize,
-    /// The requested action.
-    pub action: PowerAction,
-}
-
 /// The orchestrator's bank of GPIO lines, one per worker.
 ///
 /// # Examples
@@ -50,20 +42,22 @@ pub struct PowerEvent {
 /// let mut gpio = PowerController::new(10);
 /// let effective = gpio.actuate(SimTime::ZERO, 3, PowerAction::On);
 /// assert!(effective > SimTime::ZERO, "debounce takes non-zero time");
-/// assert_eq!(gpio.log().len(), 1);
+/// gpio.actuate(effective, 3, PowerAction::Off);
+/// assert_eq!(gpio.power_on_count(3), 1);
+/// assert_eq!(gpio.power_cycles(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PowerController {
-    workers: usize,
-    log: Vec<PowerEvent>,
+    power_ons: Vec<u64>,
+    power_cycles: u64,
 }
 
 impl PowerController {
     /// A controller wired to `workers` PWR_BUT pins.
     pub fn new(workers: usize) -> Self {
         PowerController {
-            workers,
-            log: Vec::new(),
+            power_ons: vec![0; workers],
+            power_cycles: 0,
         }
     }
 
@@ -80,29 +74,25 @@ impl PowerController {
     /// Panics if `worker` is not wired to this controller.
     pub fn actuate(&mut self, now: SimTime, worker: usize, action: PowerAction) -> SimTime {
         assert!(
-            worker < self.workers,
+            worker < self.power_ons.len(),
             "worker {worker} is not wired (controller has {} lines)",
-            self.workers
+            self.power_ons.len()
         );
-        self.log.push(PowerEvent {
-            at: now,
-            worker,
-            action,
-        });
+        if action == PowerAction::On {
+            self.power_ons[worker] += 1;
+            self.power_cycles += 1;
+        }
         now + self.debounce()
     }
 
-    /// Every actuation so far, in order.
-    pub fn log(&self) -> &[PowerEvent] {
-        &self.log
+    /// Count of power-on actuations for one worker.
+    pub fn power_on_count(&self, worker: usize) -> u64 {
+        self.power_ons[worker]
     }
 
-    /// Count of power-on actuations for one worker.
-    pub fn power_on_count(&self, worker: usize) -> usize {
-        self.log
-            .iter()
-            .filter(|e| e.worker == worker && e.action == PowerAction::On)
-            .count()
+    /// Count of power-on actuations over every worker.
+    pub fn power_cycles(&self) -> u64 {
+        self.power_cycles
     }
 }
 
@@ -111,18 +101,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn actuation_is_logged_with_latency() {
+    fn actuation_is_counted_with_latency() {
         let mut gpio = PowerController::new(2);
         let effective = gpio.actuate(SimTime::from_secs(1), 0, PowerAction::On);
         assert_eq!(effective, SimTime::from_secs(1) + gpio.debounce());
-        assert_eq!(
-            gpio.log(),
-            &[PowerEvent {
-                at: SimTime::from_secs(1),
-                worker: 0,
-                action: PowerAction::On
-            }]
-        );
+        assert_eq!(gpio.power_on_count(0), 1);
+        assert_eq!(gpio.power_on_count(1), 0);
+        assert_eq!(gpio.power_cycles(), 1);
     }
 
     #[test]
@@ -135,6 +120,7 @@ mod tests {
         assert_eq!(gpio.power_on_count(1), 2);
         assert_eq!(gpio.power_on_count(2), 1);
         assert_eq!(gpio.power_on_count(0), 0);
+        assert_eq!(gpio.power_cycles(), 3);
     }
 
     #[test]
