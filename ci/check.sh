@@ -20,16 +20,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> benchmark package: its own tests, then one seed-2022 flash-day pass"
+echo "==> benchmark package: its own tests, then one seed-2022 pass of flash-day and observed-1m"
 # perfbench/ is a package of its own, outside the workspace's cargo test.
-# The pass checks the pinned flash-day fingerprint (power cycles
-# included), so a miscounted power cycle shows up as "failed":1.
+# Each pass checks its workload's pinned fingerprint: flash-day's counts
+# power cycles, so a miscounted one shows up as "failed":1; observed-1m
+# checks that its energy ledger conserves and pins the ledger's picojoule
+# total, so attribution that loses or invents joules fails the same way.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-bench_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
-    --workload flash-day --rounds 1)" || true
-echo "$bench_out"
-echo "$bench_out" | tail -n 1 | grep -q '"failed":0' || {
-    echo "flash-day benchmark pass failed its correctness gate"; exit 1; }
+for workload in flash-day observed-1m; do
+    bench_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --rounds 1)" || true
+    echo "$bench_out"
+    echo "$bench_out" | tail -n 1 | grep -q '"failed":0' || {
+        echo "$workload benchmark pass failed its correctness gate"; exit 1; }
+done
 
 echo "==> fault-injection smoke run (examples/faults_crash.json)"
 out="$(cargo run --release -q -p microfaas-cli -- faults \

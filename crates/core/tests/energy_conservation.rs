@@ -1,4 +1,4 @@
-//! The energy-attribution subsystem's two contracts (docs/ENERGY.md):
+//! The energy-attribution subsystem's contracts (docs/ENERGY.md):
 //!
 //! 1. **Conservation is bit-exact.** For arbitrary seeds, traffic
 //!    shapes, placements, governors, and idle policies, the sum of
@@ -10,17 +10,23 @@
 //!    byte-identical to the attributed run's aggregates: attribution
 //!    observes the engine, it never perturbs it. Fanning attributed
 //!    runs over 1 or 8 threads renders byte-identical ledger CSV.
+//! 3. **Ledger bytes are pinned.** Four engine runs that reach every
+//!    attribution path — a crash that parks a job, the shared host's
+//!    n-way split, budget shedding, two tenants under keep-alive — keep
+//!    their CSV and Prometheus renderings byte for byte.
 
+use microfaas::cache::{fnv1a_extend, FNV_OFFSET};
 use microfaas::openloop::{
     run_open_loop, run_open_loop_attributed, run_open_loop_conventional,
     run_open_loop_conventional_attributed, run_open_loop_streaming_attributed, ArrivalProcess,
     NullSink, OpenLoopConfig,
 };
-use microfaas::Popularity;
-use microfaas_energy::attribution::IdlePolicy;
+use microfaas::{FaultsConfig, Popularity, TenantClass};
+use microfaas_energy::attribution::{EnergyLedger, IdlePolicy};
 use microfaas_sched::{BudgetAction, GovernorKind, PlacementKind};
 use microfaas_sim::exec::par_map_indexed;
-use microfaas_sim::{Jobs, SimDuration};
+use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+use microfaas_sim::{Jobs, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// The governor menu the proptest samples from — every node policy
@@ -188,4 +194,115 @@ fn conventional_attribution_conserves_and_is_inert() {
     let meter_j = attributed.joules_per_function * attributed.completed as f64;
     let err = (ledger.total_joules() - meter_j).abs();
     assert!(err < 1e-6 * meter_j.max(1.0), "ledger vs meter: {err}");
+}
+
+/// One number for a ledger's exported bytes: FNV-1a over its CSV
+/// followed by its Prometheus exposition.
+fn ledger_fingerprint(ledger: &EnergyLedger) -> u64 {
+    let hash = fnv1a_extend(FNV_OFFSET, ledger.to_csv().as_bytes());
+    fnv1a_extend(hash, ledger.render_prometheus().as_bytes())
+}
+
+/// Ten scheduled crashes, round-robin over four saturated workers: the
+/// ones that land pull a job off its channel mid-execution, and the job
+/// restarts on that worker after recovery.
+fn crash_config() -> OpenLoopConfig {
+    let mut config = config(12, 0, 1, 0);
+    config.arrival = ArrivalProcess::Poisson { per_second: 2.0 };
+    config.faults = FaultsConfig::with_plan(FaultPlan {
+        seed: 12,
+        faults: (0..10u64)
+            .map(|i| FaultSpec {
+                kind: FaultKind::Crash,
+                worker: Some(i as usize % 4),
+                trigger: FaultTrigger::At(SimTime::from_secs(7 + 11 * i)),
+            })
+            .collect(),
+    });
+    config
+}
+
+/// A binding energy budget that sheds arrivals.
+fn budget_config() -> OpenLoopConfig {
+    let mut config = config(7, 0, 0, 0);
+    config.arrival = ArrivalProcess::Poisson { per_second: 2.0 };
+    config.governor = GovernorKind::EnergyBudget {
+        cap_w: 0.5,
+        burst_j: 5.0,
+        action: BudgetAction::Shed,
+    };
+    config
+}
+
+/// Two tenants on keep-alive nodes: standby draw lands in the idle
+/// pool and the per-tenant rows split the completed work.
+fn two_tenant_config() -> OpenLoopConfig {
+    let mut config = config(2022, 0, 0, 1);
+    config.tenants = vec![
+        TenantClass {
+            name: "paid".to_string(),
+            weight: 1.0,
+            slo_latency_s: 2.5,
+        },
+        TenantClass {
+            name: "free".to_string(),
+            weight: 4.0,
+            slo_latency_s: 30.0,
+        },
+    ];
+    config
+}
+
+/// The ledgers' exported bytes, pinned per run and idle policy (in
+/// `IdlePolicy::ALL` order: none, equal, usage-weighted). A change to
+/// how joules are split or stored must leave every one of them as is.
+#[test]
+fn ledger_goldens_are_unchanged() {
+    let crash = crash_config();
+    let (run, _) = run_open_loop_attributed(&crash, IdlePolicy::None);
+    assert_eq!(run.faults_injected, 5, "crashes that landed mid-job");
+    let budget = budget_config();
+    let (run, _) = run_open_loop_attributed(&budget, IdlePolicy::None);
+    let arrived = (run.offered_per_second * budget.duration.as_secs_f64()).round() as u64;
+    assert!(run.completed < arrived, "the budget sheds arrivals");
+
+    let conventional = config(31, 0, 0, 0);
+    let tenants = two_tenant_config();
+    type Ledger<'a> = Box<dyn Fn(IdlePolicy) -> EnergyLedger + 'a>;
+    let cases: [(&str, Ledger, [u64; 3]); 4] = [
+        (
+            "crash",
+            Box::new(|p| run_open_loop_attributed(&crash, p).1),
+            [0xadc4a24dca19f1df, 0xa680c21deb914163, 0x656694745c61749d],
+        ),
+        (
+            "conventional-8vm",
+            Box::new(|p| run_open_loop_conventional_attributed(&conventional, 8, p).1),
+            [0x6852ba52942d8130, 0x8cef0c14a0c34977, 0x65f408a8a063023d],
+        ),
+        (
+            "budget-shed",
+            Box::new(|p| run_open_loop_attributed(&budget, p).1),
+            [0x75265e90138d9c33, 0x7dc7c77277328d97, 0x77ea71a189250f2f],
+        ),
+        (
+            "keep-alive-two-tenant",
+            Box::new(|p| run_open_loop_attributed(&tenants, p).1),
+            [0x6f61e18bea3b733a, 0x9a18188d246ac729, 0xb3cc7b739b154bd0],
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, ledger_under, pinned) in &cases {
+        for (policy, &want) in IdlePolicy::ALL.into_iter().zip(pinned) {
+            let ledger = ledger_under(policy);
+            assert!(ledger.conserves(), "{name} under {policy}");
+            let got = ledger_fingerprint(&ledger);
+            if got != want {
+                mismatches.push(format!(
+                    "{name} {policy}: {got:#018x} (pinned {want:#018x})"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

@@ -178,15 +178,17 @@ struct ChannelState {
     /// True between `boot_started` and `boot_done`: segments route to
     /// the boot pool, credited to the next job the channel runs.
     booting: bool,
-    /// Jobs currently drawing on this channel (the SBC engine keeps at
-    /// most one; the shared conventional channel holds many).
-    active: Vec<u64>,
+    /// Accumulators of the jobs currently drawing on this channel,
+    /// credited in place by every settle (the SBC engine keeps at most
+    /// one; the shared conventional channel holds many).
+    active: Vec<JobAcc>,
     /// Boot joules waiting to be claimed by the next job, in pJ.
     pending_boot_pj: u128,
 }
 
 #[derive(Debug, Clone)]
 struct JobAcc {
+    job: u64,
     func: usize,
     tenant: usize,
     phase: Phase,
@@ -194,6 +196,10 @@ struct JobAcc {
 }
 
 impl JobAcc {
+    fn credit(&mut self, pj: u128) {
+        self.phase_pj[self.phase.index()] += pj;
+    }
+
     fn total_pj(&self) -> u128 {
         self.phase_pj.iter().sum()
     }
@@ -203,8 +209,11 @@ impl JobAcc {
 ///
 /// Mirror every `EnergyMeter::set_power` call with [`Attributor::set_power`]
 /// and mark job lifecycle edges as they happen; [`Attributor::finalize`]
-/// then yields the conserving [`EnergyLedger`]. The attributor consumes
-/// no randomness and allocates only per in-flight job, so running one
+/// then yields the conserving [`EnergyLedger`]. Each channel carries the
+/// accumulators of the jobs drawing on it (one slot on an SBC), so a
+/// power change or job edge touches only that channel and hashes no job
+/// id; only a job pulled off a crashed channel waits in a map until it
+/// restarts. The attributor consumes no randomness, so running one
 /// alongside an engine leaves simulated results bit-identical.
 #[derive(Debug, Clone)]
 pub struct Attributor {
@@ -212,7 +221,9 @@ pub struct Attributor {
     functions: Vec<String>,
     tenants: Vec<String>,
     channels: Vec<ChannelState>,
-    inflight: HashMap<u64, JobAcc>,
+    /// Accumulators of [`Attributor::interrupted`] jobs, keyed by job id,
+    /// until they restart or finish. Empty in a fault-free run.
+    parked: HashMap<u64, JobAcc>,
     /// Completed-job attribution per function: `[func][phase]` pJ.
     func_pj: Vec<[u128; 5]>,
     func_completions: Vec<u64>,
@@ -247,7 +258,7 @@ impl Attributor {
             functions,
             tenants,
             channels: Vec::new(),
-            inflight: HashMap::new(),
+            parked: HashMap::new(),
             func_pj: vec![[0; 5]; nf],
             func_completions: vec![0; nf],
             tenant_pj: vec![0; nt],
@@ -291,18 +302,19 @@ impl Attributor {
         self.total_pj += seg;
         if state.booting {
             state.pending_boot_pj += seg;
-        } else if state.active.is_empty() {
-            self.idle_pj += seg;
-        } else {
-            let n = state.active.len() as u128;
-            let share = seg / n;
-            self.idle_pj += seg % n;
-            for &job in &state.active {
-                let acc = self
-                    .inflight
-                    .get_mut(&job)
-                    .expect("active job has an in-flight accumulator");
-                acc.phase_pj[acc.phase.index()] += share;
+            return;
+        }
+        match state.active.as_mut_slice() {
+            [] => self.idle_pj += seg,
+            // A lone job draws the whole segment: seg / 1 == seg exactly.
+            [acc] => acc.credit(seg),
+            accs => {
+                let n = accs.len() as u128;
+                let share = seg / n;
+                self.idle_pj += seg % n;
+                for acc in accs {
+                    acc.credit(share);
+                }
             }
         }
     }
@@ -343,23 +355,30 @@ impl Attributor {
     /// job that was [`Attributor::interrupted`] resumes its accumulator.
     pub fn job_started(&mut self, ch: usize, at: SimTime, job: u64, func: usize, tenant: usize) {
         self.settle(ch, at.as_micros());
-        let pending = std::mem::take(&mut self.channels[ch].pending_boot_pj);
-        let acc = self.inflight.entry(job).or_insert(JobAcc {
+        let mut acc = self.unpark(job).unwrap_or(JobAcc {
+            job,
             func,
             tenant,
             phase: Phase::Exec,
             phase_pj: [0; 5],
         });
+        let state = &mut self.channels[ch];
         acc.phase = Phase::Exec;
-        acc.phase_pj[Phase::Boot.index()] += pending;
-        self.channels[ch].active.push(job);
+        acc.phase_pj[Phase::Boot.index()] += std::mem::take(&mut state.pending_boot_pj);
+        if state.active.capacity() == 0 {
+            // One slot per SBC channel, not the four a first push takes.
+            state.active.reserve_exact(1);
+        }
+        state.active.push(acc);
     }
 
     /// Execution finished; the job's remaining draw on the channel is
     /// response-transfer energy.
     pub fn response_started(&mut self, ch: usize, at: SimTime, job: u64) {
         self.settle(ch, at.as_micros());
-        if let Some(acc) = self.inflight.get_mut(&job) {
+        // A parked job draws nothing and restarts in `Exec`, so only the
+        // channel's own jobs can be in their response phase.
+        if let Some(acc) = self.channels[ch].active.iter_mut().find(|a| a.job == job) {
             acc.phase = Phase::Response;
         }
     }
@@ -369,8 +388,7 @@ impl Attributor {
     /// governors).
     pub fn job_finished(&mut self, ch: usize, at: SimTime, job: u64) -> u64 {
         self.settle(ch, at.as_micros());
-        self.channels[ch].active.retain(|&j| j != job);
-        let Some(acc) = self.inflight.remove(&job) else {
+        let Some(acc) = self.take_active(ch, job).or_else(|| self.unpark(job)) else {
             return 0;
         };
         let total = acc.total_pj();
@@ -388,7 +406,28 @@ impl Attributor {
     /// keeps its accumulated joules for when it restarts elsewhere.
     pub fn interrupted(&mut self, ch: usize, at: SimTime, job: u64) {
         self.settle(ch, at.as_micros());
-        self.channels[ch].active.retain(|&j| j != job);
+        if let Some(acc) = self.take_active(ch, job) {
+            self.parked.insert(job, acc);
+        }
+    }
+
+    /// Removes `job`'s accumulator from channel `ch`. Every active job
+    /// on a channel draws the same share, so the order `swap_remove`
+    /// leaves behind cannot change a result.
+    fn take_active(&mut self, ch: usize, job: u64) -> Option<JobAcc> {
+        let active = &mut self.channels[ch].active;
+        let i = active.iter().position(|a| a.job == job)?;
+        Some(active.swap_remove(i))
+    }
+
+    /// Takes an interrupted job's accumulator back out of the map, which
+    /// is never hashed into while it is empty.
+    fn unpark(&mut self, job: u64) -> Option<JobAcc> {
+        if self.parked.is_empty() {
+            None
+        } else {
+            self.parked.remove(&job)
+        }
     }
 
     /// Records a completion that consumed no cluster energy — a result
@@ -420,7 +459,13 @@ impl Attributor {
         }
         // Jobs the horizon cut off never completed: their partial
         // joules stay unattributed so completed rows mean what they say.
-        let orphans: u128 = self.inflight.values().map(JobAcc::total_pj).sum();
+        let orphans: u128 = self
+            .channels
+            .iter()
+            .flat_map(|state| &state.active)
+            .chain(self.parked.values())
+            .map(JobAcc::total_pj)
+            .sum();
         self.idle_pj += orphans;
 
         let nf = self.functions.len();
@@ -480,8 +525,33 @@ fn split_weighted(shares: &mut [u128], weights: &[u128], pool: u128) {
         return;
     }
     for (slot, &w) in shares.iter_mut().zip(weights) {
-        *slot = pool * w / total;
+        *slot = mul_div(pool, w, total);
     }
+}
+
+/// `floor(a * b / d)` exactly, for `b <= d` (so the quotient is at most
+/// `a`). Long runs push `a * b` past `u128::MAX` — a 30 h, 200 W segment
+/// and its 30 h idle tail already do — so the product is formed in 256
+/// bits and divided by shift-and-subtract.
+fn mul_div(a: u128, b: u128, d: u128) -> u128 {
+    debug_assert!(b <= d, "weight exceeds the weight total");
+    let (lo, hi) = a.carrying_mul(b, 0);
+    // b <= d makes a * b < 2^128 * d, so hi < d and every quotient bit
+    // lands in the low word.
+    let mut rem = hi;
+    let mut quot = 0u128;
+    for i in (0..128).rev() {
+        let carry = rem >> 127;
+        rem = (rem << 1) | ((lo >> i) & 1);
+        quot <<= 1;
+        // With the carry set the true remainder is 2^128 + rem >= d, and
+        // the wrapped subtraction yields its exact difference.
+        if carry == 1 || rem >= d {
+            rem = rem.wrapping_sub(d);
+            quot |= 1;
+        }
+    }
+    quot
 }
 
 /// The finalized attribution: per-function and per-tenant joule rows,
@@ -834,6 +904,51 @@ mod tests {
         assert!(ledger.conserves());
         assert_eq!(ledger.function_idle_pj(0), 3 * PJ_PER_J / 2);
         assert_eq!(ledger.function_idle_pj(1), PJ_PER_J / 2);
+    }
+
+    #[test]
+    fn usage_weighted_split_survives_a_product_past_u128() {
+        // 200 W for 30 h, then 30 h idle: 2.16e19 pJ attributed and an
+        // equal idle pool, whose product (4.7e38) exceeds u128::MAX.
+        let mut a = attr(IdlePolicy::UsageWeighted);
+        let ch = a.add_channel();
+        let thirty_h = SimTime::from_secs(30 * 3600);
+        a.set_power(ch, SimTime::ZERO, 200.0);
+        a.job_started(ch, SimTime::ZERO, 1, 0, 0);
+        a.job_finished(ch, thirty_h, 1);
+        let ledger = a.finalize(SimTime::from_secs(60 * 3600));
+        let pool = ledger.idle_pj();
+        assert_eq!(pool, 200 * 1_000_000 * 30 * 3600 * 1_000_000);
+        assert!(pool.checked_mul(ledger.function_attributed_pj(0)).is_none());
+        assert!(ledger.conserves());
+        // The sole function and the sole tenant take the whole pool.
+        assert_eq!(ledger.function_idle_pj(0), pool);
+        assert_eq!(ledger.tenant_idle_pj(0), pool);
+        let shares: u128 = (0..ledger.functions().len())
+            .map(|f| ledger.function_idle_pj(f))
+            .sum();
+        assert!(shares >= pool - ledger.functions().len() as u128);
+    }
+
+    #[test]
+    fn mul_div_is_exact_at_the_edges() {
+        let max = u128::MAX;
+        assert_eq!(mul_div(max, max, max), max);
+        assert_eq!(mul_div(max, 1, max), 1);
+        assert_eq!(mul_div(max, max - 1, max), max - 1);
+        assert_eq!(mul_div(max - 1, max - 1, max), max - 2);
+        assert_eq!(mul_div(0, 5, 7), 0);
+        assert_eq!(mul_div(10, 3, 7), 4);
+        // Agrees with the plain expression wherever that fits.
+        for (a, b, d) in [
+            (1u128 << 100, 3, 7),
+            (12_345, 678, 91_011),
+            (1 << 63, 1 << 62, 1 << 64),
+        ] {
+            assert_eq!(mul_div(a, b, d), a * b / d);
+        }
+        // floor((2^127 + 1) * 3 / 4) = 3 * 2^125 (the 3/4 remainder drops).
+        assert_eq!(mul_div((1 << 127) + 1, 3, 4), 3 << 125);
     }
 
     #[test]
