@@ -20,14 +20,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> benchmark package: its own tests, then one seed-2022 pass of flash-day and observed-1m"
+echo "==> benchmark package: its own tests, then one seed-2022 pass of paper-closed, policy-sweeps, flash-day and observed-1m"
 # perfbench/ is a package of its own, outside the workspace's cargo test.
-# Each pass checks its workload's pinned fingerprint: flash-day's counts
-# power cycles, so a miscounted one shows up as "failed":1; observed-1m
-# checks that its energy ledger conserves and pins the ledger's picojoule
-# total, so attribution that loses or invents joules fails the same way.
+# Each pass checks its workload's pinned fingerprint, so a slip shows up
+# as "failed":1. paper-closed pins the means of 5000 replicates on both
+# closed-loop engines and policy-sweeps an fnv1a over the CSVs of 7000
+# sparse open-loop runs: both run on the event queue's flat list, so any
+# pop-order slip there fails. flash-day's fingerprint counts power
+# cycles; observed-1m checks that its energy ledger conserves and pins
+# the ledger's picojoule total, so attribution that loses or invents
+# joules fails the same way.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-for workload in flash-day observed-1m; do
+for workload in paper-closed policy-sweeps flash-day observed-1m; do
     bench_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --rounds 1)" || true
     echo "$bench_out"
@@ -55,7 +59,7 @@ cargo test -q --doc -p microfaas-cli
 echo "==> event-queue differential equivalence (tests/queue_equiv.rs)"
 cargo test -q -p microfaas-sim --test queue_equiv
 
-echo "==> event-queue throughput floor (cancel mix >= 4.2 Melem/s pre-rewrite baseline)"
+echo "==> event-queue throughput floor (wheel cancel mix >= 4.2 Melem/s pre-rewrite baseline)"
 bench_out="$(cargo bench -p microfaas-bench --bench core_scale 2>/dev/null)"
 echo "$bench_out"
 rate="$(echo "$bench_out" | grep "wheel_cancel_timeout_mix/10000 " \

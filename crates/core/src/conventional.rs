@@ -19,7 +19,6 @@ use microfaas_sim::{
     CounterId, EventId, EventQueue, HistogramId, MetricsRegistry, Rng, SimDuration, SimTime,
 };
 use microfaas_workloads::calibration::{service_time, WorkerPlatform};
-use microfaas_workloads::FunctionId;
 
 use crate::cache::{content_key, CacheConfig, ResultCache};
 use crate::config::{Assignment, Jitter, WorkloadMix};
@@ -29,7 +28,7 @@ use crate::micro::{
 };
 use crate::netmap::ClusterNet;
 use crate::recovery::{priority_of, FaultRuntime, FaultsConfig, Priority};
-use crate::registry::FunctionRegistry;
+use crate::registry::{FunctionRegistry, TimeoutTable};
 use crate::report::{ClusterRun, DroppedJob, Outcome};
 
 /// Extra stretch on a respawned VM's boot: the image is re-fetched and
@@ -258,6 +257,9 @@ struct ConvSim<'a, 'b> {
     /// The orchestrator's result cache; `None` when
     /// [`ConventionalConfig::cache`] is off.
     cache: Option<ResultCache<()>>,
+    /// Each function's kill deadline, resolved once from
+    /// [`ConventionalConfig::invocation_timeout`] and the registry.
+    timeouts: TimeoutTable,
 }
 
 impl<'a, 'b> ConvSim<'a, 'b> {
@@ -361,6 +363,7 @@ impl<'a, 'b> ConvSim<'a, 'b> {
             sched_active,
             sched_handles,
             cache: ResultCache::from_config(&config.cache),
+            timeouts: config.registry.timeouts(config.invocation_timeout),
         }
     }
 
@@ -474,19 +477,6 @@ impl<'a, 'b> ConvSim<'a, 'b> {
             attempts,
         });
         self.with_metrics(|m, h| m.inc(h.jobs_failed));
-    }
-
-    fn timeout_limit(&self, function: FunctionId) -> Option<SimDuration> {
-        let deployed = self
-            .config
-            .registry
-            .resolve(function.name())
-            .ok()
-            .and_then(|spec| spec.timeout);
-        match (self.config.invocation_timeout, deployed) {
-            (Some(platform), Some(per_function)) => Some(platform.min(per_function)),
-            (platform, per_function) => platform.or(per_function),
-        }
     }
 
     fn on_exec_done(&mut self, v: usize, now: SimTime) {
@@ -950,7 +940,8 @@ impl<'a, 'b> ConvSim<'a, 'b> {
                 )
             };
             let timeout = self
-                .timeout_limit(job.function)
+                .timeouts
+                .get(job.function)
                 .map(|limit| self.queue.schedule(now + limit, Event::TimedOut(v)));
             self.in_flight[v] = Some(InFlight {
                 job,
@@ -978,7 +969,9 @@ pub fn vm_cluster_power(busy: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::FunctionSpec;
     use microfaas_sim::faults::{FaultPlan, FaultSpec, FaultTrigger};
+    use microfaas_workloads::FunctionId;
 
     #[test]
     fn completes_every_job() {
@@ -1104,6 +1097,78 @@ mod tests {
         assert_eq!(run.timed_out(), 20, "every MatMul must be killed");
         assert_eq!(run.jobs_completed(), 20, "every RegexMatch must finish");
         assert_eq!(run.jobs_accounted(), 40);
+    }
+
+    #[test]
+    fn registry_timeout_is_enforced_per_function_on_vms() {
+        // The 1.2 s kill switch of the platform-timeout test above, but
+        // deployed on MatMul (~1.9 s on a VM) instead of platform-wide.
+        let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 20);
+        let mut config = ConventionalConfig::paper_baseline(mix, 11);
+        config
+            .registry
+            .redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_millis(1_200));
+        let run = run_conventional(&config);
+        assert_eq!(run.timed_out(), 20, "every MatMul must be killed");
+        assert_eq!(run.jobs_completed(), 20, "every RegexMatch must finish");
+        assert!(
+            run.per_function()
+                .keys()
+                .all(|&f| f == FunctionId::RegexMatch),
+            "only RegexMatch completions should be recorded"
+        );
+    }
+
+    #[test]
+    fn the_tighter_of_platform_and_registry_timeout_wins_on_vms() {
+        // Each order of the two limits must behave exactly like the
+        // 1.2 s limit alone.
+        let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 20);
+        let tight = SimDuration::from_millis(1_200);
+        let loose = SimDuration::from_secs(10);
+        let mut tight_only = ConventionalConfig::paper_baseline(mix.clone(), 11);
+        tight_only.invocation_timeout = Some(tight);
+        let want = run_conventional(&tight_only);
+        assert_eq!(want.timed_out(), 20);
+        for (platform, per_function) in [(tight, loose), (loose, tight)] {
+            let mut config = ConventionalConfig::paper_baseline(mix.clone(), 11);
+            config.invocation_timeout = Some(platform);
+            config
+                .registry
+                .redeploy_with_timeout(FunctionId::MatMul, per_function);
+            let run = run_conventional(&config);
+            assert_eq!(
+                run.timed_out(),
+                20,
+                "platform {platform}, MatMul {per_function}"
+            );
+            assert_eq!(run.jobs_completed(), 20);
+            assert_eq!(run.makespan, want.makespan);
+        }
+    }
+
+    #[test]
+    fn a_timeout_deployed_under_another_name_is_not_applied_on_vms() {
+        // The engines look timeouts up by the handler's paper name, so
+        // a Decompress deployment named "thumbnailer" limits nothing.
+        let mix = WorkloadMix::new(vec![FunctionId::Decompress], 20);
+        let plain = run_conventional(&ConventionalConfig::paper_baseline(mix.clone(), 14));
+        let mut config = ConventionalConfig::paper_baseline(mix, 14);
+        config
+            .registry
+            .deploy(
+                "thumbnailer",
+                FunctionSpec {
+                    handler: FunctionId::Decompress,
+                    memory_mb: 128,
+                    timeout: Some(SimDuration::from_millis(1)),
+                },
+            )
+            .expect("a new name");
+        let run = run_conventional(&config);
+        assert_eq!(run.timed_out(), 0);
+        assert_eq!(run.jobs_completed(), 20);
+        assert_eq!(run.makespan, plain.makespan);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::config::{Assignment, Jitter, WorkloadMix};
 use crate::job::{Dispatcher, Job, JobRecord, JobTable};
 use crate::netmap::ClusterNet;
 use crate::recovery::{priority_of, FaultRuntime, FaultsConfig, Priority};
-use crate::registry::FunctionRegistry;
+use crate::registry::{FunctionRegistry, TimeoutTable};
 use crate::report::{ClusterRun, DroppedJob, Outcome};
 
 /// Configuration of a MicroFaaS cluster run.
@@ -327,6 +327,9 @@ struct MicroSim<'a, 'b> {
     /// [`MicroFaasConfig::cache`] is off, keeping the pull path free of
     /// cache branches.
     cache: Option<ResultCache<()>>,
+    /// Each function's kill deadline, resolved once from
+    /// [`MicroFaasConfig::invocation_timeout`] and the registry.
+    timeouts: TimeoutTable,
 }
 
 impl<'a, 'b> MicroSim<'a, 'b> {
@@ -443,6 +446,7 @@ impl<'a, 'b> MicroSim<'a, 'b> {
             sched_active,
             sched_handles,
             cache: ResultCache::from_config(&config.cache),
+            timeouts: config.registry.timeouts(config.invocation_timeout),
         }
     }
 
@@ -598,21 +602,6 @@ impl<'a, 'b> MicroSim<'a, 'b> {
             attempts,
         });
         self.with_metrics(|m, h| m.inc(h.jobs_failed));
-    }
-
-    /// The effective kill deadline for one invocation: the tighter of
-    /// the platform timeout and the function's deployed timeout.
-    fn timeout_limit(&self, function: FunctionId) -> Option<SimDuration> {
-        let deployed = self
-            .config
-            .registry
-            .resolve(function.name())
-            .ok()
-            .and_then(|spec| spec.timeout);
-        match (self.config.invocation_timeout, deployed) {
-            (Some(platform), Some(per_function)) => Some(platform.min(per_function)),
-            (platform, per_function) => platform.or(per_function),
-        }
     }
 
     fn on_power_effective(&mut self, w: usize, now: SimTime) {
@@ -1226,7 +1215,8 @@ impl<'a, 'b> MicroSim<'a, 'b> {
                     )
                 };
                 let timeout = self
-                    .timeout_limit(job.function)
+                    .timeouts
+                    .get(job.function)
                     .map(|limit| self.queue.schedule(now + limit, Event::TimedOut(w)));
                 self.in_flight[w] = Some(InFlight {
                     job,
@@ -1527,25 +1517,62 @@ mod tests {
         // of platform-wide: only MatMul carries the 2 s deadline.
         let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 30);
         let mut config = MicroFaasConfig::paper_prototype(mix, 11);
-        let name = FunctionId::MatMul.name();
         config
             .registry
-            .remove(name)
-            .expect("paper suite has MatMul");
-        config
-            .registry
-            .deploy(
-                name,
-                FunctionSpec {
-                    handler: FunctionId::MatMul,
-                    memory_mb: 128,
-                    timeout: Some(SimDuration::from_secs(2)),
-                },
-            )
-            .expect("redeploy with timeout");
+            .redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_secs(2));
         let run = run_microfaas(&config);
         assert_eq!(run.timed_out(), 30, "every MatMul must be killed");
         assert_eq!(run.jobs_completed(), 30, "every RegexMatch must finish");
+    }
+
+    #[test]
+    fn the_tighter_of_platform_and_registry_timeout_wins() {
+        // Each order of the two limits must behave exactly like the 2 s
+        // limit alone: every MatMul (~4.7 s) killed at 2 s.
+        let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 30);
+        let mut tight_only = MicroFaasConfig::paper_prototype(mix.clone(), 11);
+        tight_only.invocation_timeout = Some(SimDuration::from_secs(2));
+        let want = run_microfaas(&tight_only);
+        assert_eq!(want.timed_out(), 30);
+        for (platform, per_function) in [(2, 10), (10, 2)] {
+            let mut config = MicroFaasConfig::paper_prototype(mix.clone(), 11);
+            config.invocation_timeout = Some(SimDuration::from_secs(platform));
+            config
+                .registry
+                .redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_secs(per_function));
+            let run = run_microfaas(&config);
+            assert_eq!(
+                run.timed_out(),
+                30,
+                "platform {platform} s, MatMul {per_function} s"
+            );
+            assert_eq!(run.jobs_completed(), 30);
+            assert_eq!(run.makespan, want.makespan);
+        }
+    }
+
+    #[test]
+    fn a_timeout_deployed_under_another_name_is_not_applied() {
+        // The engines look timeouts up by the handler's paper name, so
+        // a Decompress deployment named "thumbnailer" limits nothing.
+        let mix = WorkloadMix::new(vec![FunctionId::Decompress], 20);
+        let plain = run_microfaas(&MicroFaasConfig::paper_prototype(mix.clone(), 14));
+        let mut config = MicroFaasConfig::paper_prototype(mix, 14);
+        config
+            .registry
+            .deploy(
+                "thumbnailer",
+                FunctionSpec {
+                    handler: FunctionId::Decompress,
+                    memory_mb: 128,
+                    timeout: Some(SimDuration::from_millis(1)),
+                },
+            )
+            .expect("a new name");
+        let run = run_microfaas(&config);
+        assert_eq!(run.timed_out(), 0);
+        assert_eq!(run.jobs_completed(), 20);
+        assert_eq!(run.makespan, plain.makespan);
     }
 
     #[test]

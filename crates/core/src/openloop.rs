@@ -2935,6 +2935,46 @@ mod tests {
         assert_eq!(a.render_prometheus(), b.render_prometheus());
     }
 
+    /// The series' Prometheus exposition, pinned byte for byte on a
+    /// two-tenant run long enough for 600 one-second windows (13 gauges
+    /// a window), so a change to how the registry finds its metrics
+    /// cannot reorder or rename a single sample.
+    #[test]
+    fn monitored_prometheus_golden_is_unchanged() {
+        let mut cfg = governed(
+            1.5,
+            GovernorKind::KeepAlive {
+                idle_timeout: DEFAULT_KEEP_ALIVE_TIMEOUT,
+            },
+            2022,
+        );
+        cfg.tenants = vec![
+            TenantClass {
+                name: "paid".into(),
+                weight: 1.0,
+                slo_latency_s: 2.5,
+            },
+            TenantClass {
+                name: "free".into(),
+                weight: 4.0,
+                slo_latency_s: 30.0,
+            },
+        ];
+        let (_, series) = run_open_loop_monitored(&cfg, &TelemetryConfig::default());
+        assert!(
+            series.windows.len() >= 500,
+            "{} windows",
+            series.windows.len()
+        );
+        let text = series.render_prometheus();
+        assert_eq!(
+            crate::cache::fnv1a(text.as_bytes()),
+            0x3c0d_2548_4f03_b2a9,
+            "{} bytes",
+            text.len()
+        );
+    }
+
     #[test]
     fn conventional_monitored_matches_and_carries_the_idle_floor() {
         let cfg = config(

@@ -59,6 +59,18 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
+/// Each function's effective invocation timeout, indexed by
+/// [`FunctionId::index`]; built by [`FunctionRegistry::timeouts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimeoutTable([Option<SimDuration>; FunctionId::ALL.len()]);
+
+impl TimeoutTable {
+    /// The kill deadline for one invocation of `function`, if any.
+    pub fn get(&self, function: FunctionId) -> Option<SimDuration> {
+        self.0[function.index() as usize]
+    }
+}
+
 /// The deployed-function catalog.
 ///
 /// # Examples
@@ -156,6 +168,49 @@ impl FunctionRegistry {
             .ok_or_else(|| RegistryError::NoSuchFunction(name.to_string()))
     }
 
+    /// Every function's effective invocation timeout, resolved once per
+    /// run: the tighter of `platform` and the timeout deployed under
+    /// the function's paper name ([`FunctionId::name`]). A handler
+    /// deployed only under another name gets no per-function limit from
+    /// that deployment.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use microfaas::registry::{FunctionRegistry, FunctionSpec};
+    /// use microfaas_sim::SimDuration;
+    /// use microfaas_workloads::FunctionId;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut registry = FunctionRegistry::paper_suite();
+    /// registry.remove("MatMul")?;
+    /// registry.deploy(
+    ///     "MatMul",
+    ///     FunctionSpec {
+    ///         handler: FunctionId::MatMul,
+    ///         memory_mb: 128,
+    ///         timeout: Some(SimDuration::from_secs(2)),
+    ///     },
+    /// )?;
+    /// let timeouts = registry.timeouts(Some(SimDuration::from_secs(5)));
+    /// assert_eq!(timeouts.get(FunctionId::MatMul), Some(SimDuration::from_secs(2)));
+    /// assert_eq!(timeouts.get(FunctionId::FloatOps), Some(SimDuration::from_secs(5)));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn timeouts(&self, platform: Option<SimDuration>) -> TimeoutTable {
+        TimeoutTable(FunctionId::ALL.map(|function| {
+            let deployed = self
+                .functions
+                .get(function.name())
+                .and_then(|spec| spec.timeout);
+            match (platform, deployed) {
+                (Some(platform), Some(per_function)) => Some(platform.min(per_function)),
+                (platform, per_function) => platform.or(per_function),
+            }
+        }))
+    }
+
     /// Deployed names, sorted.
     pub fn names(&self) -> Vec<&str> {
         self.functions.keys().map(String::as_str).collect()
@@ -169,6 +224,20 @@ impl FunctionRegistry {
     /// True if nothing is deployed.
     pub fn is_empty(&self) -> bool {
         self.functions.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl FunctionRegistry {
+    /// Redeploys `function` under its paper name with `timeout`, for the
+    /// engines' timeout tests.
+    pub(crate) fn redeploy_with_timeout(&mut self, function: FunctionId, timeout: SimDuration) {
+        let mut spec = self
+            .remove(function.name())
+            .expect("the function is deployed under its paper name");
+        spec.timeout = Some(timeout);
+        self.deploy(function.name(), spec)
+            .expect("redeploying a removed name succeeds");
     }
 }
 

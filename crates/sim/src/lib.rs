@@ -6,10 +6,10 @@
 //! The crate provides four small building blocks:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time;
-//! * [`EventQueue`] — a deterministic event queue (hierarchical timing
-//!   wheel with a far-future overflow heap) with O(1) amortized
-//!   schedule/pop/cancel, FIFO tie-breaking, and cancellation — see
-//!   `docs/SCALING.md`;
+//! * [`EventQueue`] — a deterministic event queue (a flat list while at
+//!   most 32 events are pending, then a hierarchical timing wheel with a
+//!   far-future overflow heap) with O(1) amortized schedule/pop/cancel,
+//!   FIFO tie-breaking, and cancellation — see `docs/SCALING.md`;
 //! * [`Rng`] / [`SplitMix64`] — reproducible pseudo-random generators
 //!   implemented in-crate so the stream can never change underneath us;
 //! * [`OnlineStats`], [`Samples`], [`QuantileSketch`], [`TimeWeighted`] —

@@ -14,6 +14,7 @@
 //! block that is carried through to the exposition verbatim (e.g.
 //! `micro_channel_joules{channel="sbc-0"}`).
 
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Handle to a counter registered in a [`MetricsRegistry`].
@@ -97,6 +98,27 @@ pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
     histograms: Vec<(String, Histogram)>,
+    /// Each kind's name → position in its registration-ordered vector,
+    /// so find-or-register is one lookup however many metrics exist.
+    counter_index: HashMap<String, usize>,
+    gauge_index: HashMap<String, usize>,
+    histogram_index: HashMap<String, usize>,
+}
+
+/// Returns the position of `name` in `entries`, appending it with
+/// `init()` first if it is not registered yet.
+fn find_or_push<V>(
+    entries: &mut Vec<(String, V)>,
+    index: &mut HashMap<String, usize>,
+    name: &str,
+    init: impl FnOnce() -> V,
+) -> usize {
+    if let Some(&i) = index.get(name) {
+        return i;
+    }
+    entries.push((name.to_string(), init()));
+    index.insert(name.to_string(), entries.len() - 1);
+    entries.len() - 1
 }
 
 /// Splits `name` into `(base, labels)` and panics unless the base is a
@@ -155,11 +177,12 @@ impl MetricsRegistry {
     /// Registers (or finds) the counter `name` and returns its handle.
     pub fn counter(&mut self, name: &str) -> CounterId {
         split_name(name);
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
+        CounterId(find_or_push(
+            &mut self.counters,
+            &mut self.counter_index,
+            name,
+            || 0,
+        ))
     }
 
     /// Increments a counter by one.
@@ -180,11 +203,12 @@ impl MetricsRegistry {
     /// Registers (or finds) the gauge `name` and returns its handle.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
         split_name(name);
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
+        GaugeId(find_or_push(
+            &mut self.gauges,
+            &mut self.gauge_index,
+            name,
+            || 0.0,
+        ))
     }
 
     /// Sets a gauge to `value`.
@@ -204,16 +228,17 @@ impl MetricsRegistry {
     /// identical bounds.
     pub fn histogram(&mut self, name: &str, bounds: &[f64]) -> HistogramId {
         split_name(name);
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            assert_eq!(
-                self.histograms[i].1.bounds, bounds,
-                "histogram '{name}' re-registered with different bounds"
-            );
-            return HistogramId(i);
-        }
-        self.histograms
-            .push((name.to_string(), Histogram::new(bounds)));
-        HistogramId(self.histograms.len() - 1)
+        let i = find_or_push(
+            &mut self.histograms,
+            &mut self.histogram_index,
+            name,
+            || Histogram::new(bounds),
+        );
+        assert_eq!(
+            self.histograms[i].1.bounds, bounds,
+            "histogram '{name}' re-registered with different bounds"
+        );
+        HistogramId(i)
     }
 
     /// Records one observation into a histogram.
@@ -342,10 +367,10 @@ impl MetricsRegistry {
     /// registry contents.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut typed: Vec<String> = Vec::new();
-        let mut type_line = |out: &mut String, base: &str, kind: &str| {
-            if !typed.iter().any(|seen| seen == base) {
-                typed.push(base.to_string());
+        // Families already given their `# HELP`/`# TYPE` lines.
+        let mut typed: HashSet<&str> = HashSet::new();
+        let mut type_line = |out: &mut String, base, kind| {
+            if typed.insert(base) {
                 let _ = writeln!(out, "# HELP {base} {}", help_text(base, kind));
                 let _ = writeln!(out, "# TYPE {base} {kind}");
             }

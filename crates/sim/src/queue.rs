@@ -5,26 +5,50 @@
 //! delivered in scheduling order (FIFO tie-break by sequence number), which
 //! keeps runs deterministic.
 //!
-//! # Implementation: hierarchical timing wheel
+//! # Implementation: a flat list, then a hierarchical timing wheel
 //!
-//! The queue is a hashed hierarchical timing wheel (the structure behind
-//! kernel timers and tokio's timer driver), not a binary heap. Each of the
-//! [`DEFAULT_LEVELS`] levels has 64 slots and resolves six more bits of
-//! the microsecond timestamp than the level below, so the default wheel
-//! spans `2^36` µs ≈ 19.1 simulated hours ahead of the current anchor.
-//! A `u64` occupancy bitmap per level makes "find the earliest slot" a
-//! single `trailing_zeros`. Events beyond the wheel's horizon wait in a
-//! small overflow [`BinaryHeap`] and migrate into the wheel as simulated
-//! time approaches them.
+//! A queue starts in **flat mode**: while at most 32 events are
+//! pending they sit in one `Vec` in sequence order (`schedule` appends
+//! the newest, and every removal keeps the rest in order), and `pop`
+//! takes the first entry with the earliest time, found by linear scan.
+//! That is the `(time, seq)` minimum, so pop order is the same order
+//! the wheel delivers, FIFO ties included. The sparse closed-loop runs
+//! (the 340-job paper run never holds more than ten pending events)
+//! live here for their whole lifetime and never build a wheel.
+//!
+//! The `schedule` that pushes the count past the limit **spills**: the
+//! wheel is anchored at the current time and built on first use, and
+//! the entries are placed in sequence order, so same-time entries keep
+//! sequence order in their slot and past-horizon entries go to the
+//! overflow heap. Cancelled entries are dropped first; if that leaves
+//! at most 32, the queue stays flat.
+//! A spill follows at least 33 schedules since the queue last emptied,
+//! so spills cost O(1) amortized. The queue returns to flat mode when
+//! `pop` finds it empty, keeping the built wheel's buffers for the next
+//! spill.
+//!
+//! In wheel mode the queue is a hashed hierarchical timing wheel (the
+//! structure behind kernel timers and tokio's timer driver), not a
+//! binary heap. Each of the [`DEFAULT_LEVELS`] levels has 64 slots and
+//! resolves six more bits of the microsecond timestamp than the level
+//! below, so the default wheel spans `2^36` µs ≈ 19.1 simulated hours
+//! ahead of the current anchor. A `u64` occupancy bitmap per level
+//! makes "find the earliest slot" a single `trailing_zeros`. Events
+//! beyond the wheel's horizon wait in a small overflow [`BinaryHeap`]
+//! and migrate into the wheel as simulated time approaches them.
 //!
 //! Cost model (see `docs/SCALING.md` for the full analysis):
 //!
-//! * `schedule` — O(1): one XOR + `leading_zeros` to pick the slot, one
+//! * `schedule` — O(1): flat mode pushes onto the list; wheel mode does
+//!   one XOR + `leading_zeros` to pick the slot and one
 //!   `VecDeque::push_back`.
-//! * `pop` — O(1) amortized: an event cascades down at most
-//!   `levels − 1` times over its whole lifetime.
-//! * `cancel` — O(1): sets a bit in a sequence-indexed tombstone bitmap
-//!   (no hashing), and the event is reclaimed lazily when its slot drains.
+//! * `pop` — flat mode scans at most 32 entries; wheel mode is O(1)
+//!   amortized, since an event cascades down at most `levels − 1` times
+//!   over its whole lifetime.
+//! * `cancel` — O(1) in both modes: sets a bit in a sequence-indexed
+//!   bitmap (no hashing), and the event is reclaimed lazily when a pop,
+//!   cascade or spill reaches it. Every delivered event sets its bit
+//!   too, so cancelling an event that already fired is refused.
 //!
 //! Within a level-0 slot every entry shares the *same* timestamp, so the
 //! slot's `VecDeque` order is exactly sequence order and FIFO tie-breaking
@@ -45,6 +69,17 @@ const SLOT_BITS: u32 = 6;
 
 /// Slots per wheel level.
 const SLOTS: usize = 1 << SLOT_BITS;
+
+/// Most pending events flat mode holds; the `schedule` that would make
+/// it 33 spills them into the wheel. Chosen from measured depths: the
+/// closed-loop paper runs peak at 10 pending events and the sparse
+/// open-loop sweeps stay at or under 32 on 99.7% of pops, while the
+/// dense runs pass 32 within their first few hundred pops. Checked end
+/// to end on a 2-vCPU VM against a limit of 24, near where a
+/// fixed-depth pop/reschedule loop puts the flat list's break-even with
+/// the wheel: 32 read the same on `paper-closed` and its median was 6%
+/// lower on `policy-sweeps` (six alternating benchmark pairs each).
+const FLAT_LIMIT: usize = 32;
 
 /// Default number of wheel levels. Six levels × six bits = 36 bits of
 /// microseconds ≈ 19.1 hours of horizon before events spill to the
@@ -104,10 +139,18 @@ impl<E> Eq for Entry<E> {}
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Flat mode's pending entries, in sequence order. Empty while the
+    /// wheel holds the events; the buffer is kept for the return to
+    /// flat mode.
+    flat: Vec<Entry<E>>,
+    /// True while the wheel (slots, overflow heap and front buffer)
+    /// holds the pending events; false in flat mode.
+    wheeled: bool,
     /// `levels × 64` slot queues, flattened (`level * SLOTS + slot`).
+    /// Empty until the first spill builds the wheel.
     slots: Vec<VecDeque<Entry<E>>>,
     /// One occupancy bitmap per level; bit `s` set iff slot `s` is
-    /// non-empty.
+    /// non-empty. Built with `slots`.
     occupied: Vec<u64>,
     /// Number of wheel levels (the granularity knob; see
     /// [`Self::with_levels`]).
@@ -120,18 +163,20 @@ pub struct EventQueue<E> {
     /// One-entry fast path: when present, holds the global minimum by
     /// `(time, seq)` — strictly earlier than everything in the wheel and
     /// overflow. Serial event chains (schedule an event, pop it next,
-    /// repeat — the dominant sparse cluster-sim shape) flow through this
-    /// buffer without ever touching a wheel slot.
+    /// repeat) flow through this buffer without ever touching a wheel
+    /// slot. Unused in flat mode.
     front: Option<Entry<E>>,
-    /// Tombstone bitmap indexed by sequence number (bit set = cancelled).
-    cancelled: Vec<u64>,
-    /// Number of set bits in `cancelled` not yet reclaimed.
+    /// Sequence numbers whose event fired or was cancelled. A stored
+    /// entry in this set is a tombstone.
+    retired: Retired,
+    /// Stored entries that are in `retired` (cancelled but not yet
+    /// reclaimed).
     tombstones: usize,
-    /// Entries physically present in the wheel plus the overflow heap
-    /// (including not-yet-reclaimed cancelled ones).
+    /// Entries physically present in the flat list, or in the wheel
+    /// plus the overflow heap (including not-yet-reclaimed tombstones).
     stored: usize,
-    /// The wheel's reference time in µs. Invariant between public calls:
-    /// `anchor ≤ now`, and every stored entry satisfies
+    /// The wheel's reference time in µs. Invariant between public calls
+    /// in wheel mode: `anchor ≤ now`, and every stored entry satisfies
     /// `time ≥ anchor` with wheel entries within `anchor ^ time < span`.
     anchor: u64,
     next_seq: u64,
@@ -147,9 +192,11 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue sized for `capacity` pending events.
     /// Simulators that know their peak outstanding-event count (roughly
     /// jobs in flight plus a few timers per worker) use this to keep the
-    /// hot loop allocation-free: the hint pre-sizes the tombstone bitmap
-    /// and the overflow heap, while wheel slots grow lazily on first use
-    /// and are reused (their buffers are never freed) thereafter.
+    /// hot loop allocation-free: the hint pre-sizes what flat mode uses,
+    /// the flat list (up to the 33 entries it can hold) and the
+    /// retirement bitmap. The wheel is built only if the queue spills,
+    /// and its slots grow on first use and are reused (their buffers are
+    /// never freed) thereafter.
     ///
     /// # Examples
     ///
@@ -172,6 +219,8 @@ impl<E> EventQueue<E> {
     /// past the current time before events spill to the overflow heap
     /// (which stays correct but costs O(log n) per far-future event).
     /// The default, [`DEFAULT_LEVELS`] = 6, spans ≈ 19.1 simulated hours.
+    /// The wheel itself is built only when more than 32 events are
+    /// pending at once.
     ///
     /// Shallower wheels save a little memory for very short simulations;
     /// deeper wheels keep multi-day horizons entirely O(1).
@@ -196,16 +245,16 @@ impl<E> EventQueue<E> {
             (1..=MAX_LEVELS).contains(&levels),
             "wheel depth must be between 1 and {MAX_LEVELS} levels, got {levels}"
         );
-        let mut slots = Vec::new();
-        slots.resize_with(levels as usize * SLOTS, VecDeque::new);
         EventQueue {
-            slots,
-            occupied: vec![0; levels as usize],
+            flat: Vec::new(),
+            wheeled: false,
+            slots: Vec::new(),
+            occupied: Vec::new(),
             levels,
             span: 1u64 << (SLOT_BITS * levels),
             overflow: BinaryHeap::new(),
             front: None,
-            cancelled: Vec::new(),
+            retired: Retired::default(),
             tombstones: 0,
             stored: 0,
             anchor: 0,
@@ -243,11 +292,22 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        if seq.is_multiple_of(64) {
+            self.retired.grow();
+        }
         let entry = Entry {
             time: at,
             seq,
             event,
         };
+        if !self.wheeled {
+            self.flat.push(entry);
+            self.stored += 1;
+            if self.stored > FLAT_LIMIT {
+                self.spill();
+            }
+            return EventId(seq);
+        }
         match &self.front {
             // Strictly earlier than the buffered minimum (a time tie
             // loses: the buffered entry has the lower sequence number):
@@ -280,18 +340,9 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event had
     /// not yet fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
+        if id.0 >= self.next_seq || !self.retired.insert(id.0) {
             return false;
         }
-        let word = (id.0 / 64) as usize;
-        if word >= self.cancelled.len() {
-            self.cancelled.resize(word + 1, 0);
-        }
-        let mask = 1u64 << (id.0 % 64);
-        if self.cancelled[word] & mask != 0 {
-            return false;
-        }
-        self.cancelled[word] |= mask;
         self.tombstones += 1;
         true
     }
@@ -299,22 +350,25 @@ impl<E> EventQueue<E> {
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if !self.wheeled {
+            return self.pop_flat();
+        }
         loop {
             // The front buffer, when occupied, holds the global minimum.
             if let Some(entry) = self.front.take() {
                 self.stored -= 1;
-                if self.tombstones != 0 && self.is_cancelled(entry.seq) {
-                    self.clear_tombstone(entry.seq);
+                if self.tombstones != 0 && self.retired.contains(entry.seq) {
+                    self.tombstones -= 1;
                     continue;
                 }
+                self.retire(entry.seq);
                 self.now = entry.time;
                 return Some((entry.time, entry.event));
             }
             if self.stored == 0 {
-                // Re-anchor the (empty) wheel at the observable clock so
-                // future `schedule(at ≥ now)` calls land in the finest
-                // levels again.
-                self.anchor = self.now.as_micros();
+                // Back to flat mode; the next spill re-anchors the
+                // (empty) wheel at the clock.
+                self.wheeled = false;
                 return None;
             }
             if self.occupied[0] != 0 {
@@ -328,10 +382,11 @@ impl<E> EventQueue<E> {
                 // Fast path: most runs cancel nothing (or have already
                 // drained their cancellations), so skip the bitmap probe
                 // entirely when no tombstones are outstanding.
-                if self.tombstones != 0 && self.is_cancelled(entry.seq) {
-                    self.clear_tombstone(entry.seq);
+                if self.tombstones != 0 && self.retired.contains(entry.seq) {
+                    self.tombstones -= 1;
                     continue;
                 }
+                self.retire(entry.seq);
                 self.now = entry.time;
                 self.anchor = entry.time.as_micros();
                 return Some((entry.time, entry.event));
@@ -340,19 +395,91 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Flat mode's `pop`. The list is in sequence order, so the first
+    /// entry with the earliest time is the `(time, seq)` minimum; it is
+    /// removed in place, keeping that order. A tombstoned minimum is
+    /// reclaimed and the scan repeats.
+    fn pop_flat(&mut self) -> Option<(SimTime, E)> {
+        loop {
+            let (mut min, mut min_time) = (0, self.flat.first()?.time);
+            for (i, entry) in self.flat.iter().enumerate().skip(1) {
+                if entry.time < min_time {
+                    (min, min_time) = (i, entry.time);
+                }
+            }
+            let entry = self.flat.remove(min);
+            self.stored -= 1;
+            if self.tombstones != 0 && self.retired.contains(entry.seq) {
+                self.tombstones -= 1;
+                continue;
+            }
+            self.retire(entry.seq);
+            self.now = entry.time;
+            return Some((entry.time, entry.event));
+        }
+    }
+
+    /// Moves flat mode's entries into the timing wheel, building the
+    /// wheel on first use. Called by `schedule` once the flat list holds
+    /// more than [`FLAT_LIMIT`] entries.
+    #[cold]
+    fn spill(&mut self) {
+        if self.tombstones != 0 {
+            // Every tombstone is in the flat list; reclaim them before
+            // deciding whether the live events still need the wheel.
+            let retired = &self.retired;
+            self.flat.retain(|entry| !retired.contains(entry.seq));
+            self.stored = self.flat.len();
+            self.tombstones = 0;
+            if self.stored <= FLAT_LIMIT {
+                return;
+            }
+        }
+        self.enter_wheel_mode();
+        // Placing in sequence order keeps same-time entries in sequence
+        // order within their slot, as `place` requires.
+        let mut flat = std::mem::take(&mut self.flat);
+        for entry in flat.drain(..) {
+            self.place(entry);
+        }
+        // Keep the (empty) buffer for the return to flat mode.
+        self.flat = flat;
+    }
+
+    /// Switches to wheel mode with the wheel anchored at the clock,
+    /// building the slots and occupancy bitmaps if this queue has never
+    /// spilled before.
+    fn enter_wheel_mode(&mut self) {
+        if self.slots.is_empty() {
+            self.slots
+                .resize_with(self.levels as usize * SLOTS, VecDeque::new);
+            self.occupied = vec![0; self.levels as usize];
+        }
+        self.anchor = self.now.as_micros();
+        self.wheeled = true;
+    }
+
     /// Returns the timestamp of the next (non-cancelled) event without
     /// removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        if !self.wheeled {
+            return self
+                .flat
+                .iter()
+                .filter(|entry| self.tombstones == 0 || !self.retired.contains(entry.seq))
+                .map(|entry| entry.time)
+                .min();
+        }
         // The front buffer holds the minimum when present; reclaim it if
         // it was cancelled (mirroring the old heap's peek, which
         // discarded cancelled heads) and fall through to the wheel.
         if let Some(entry) = &self.front {
-            if self.tombstones == 0 || !self.is_cancelled(entry.seq) {
+            if self.tombstones == 0 || !self.retired.contains(entry.seq) {
                 return Some(entry.time);
             }
-            let entry = self.front.take().expect("front was just matched");
+            self.front = None;
             self.stored -= 1;
-            self.clear_tombstone(entry.seq);
+            self.tombstones -= 1;
         }
         // Level 0: reclaim tombstoned slot heads (cheap, and mirrors the
         // old heap's peek, which discarded cancelled heads), then report
@@ -365,10 +492,10 @@ impl<E> EventQueue<E> {
                 continue;
             };
             let (seq, time) = (front.seq, front.time);
-            if self.tombstones != 0 && self.is_cancelled(seq) {
+            if self.tombstones != 0 && self.retired.contains(seq) {
                 self.slots[slot].pop_front();
                 self.stored -= 1;
-                self.clear_tombstone(seq);
+                self.tombstones -= 1;
                 if self.slots[slot].is_empty() {
                     self.occupied[0] &= !(1u64 << slot);
                 }
@@ -387,7 +514,7 @@ impl<E> EventQueue<E> {
                 occ &= !(1u64 << slot);
                 let mut best: Option<SimTime> = None;
                 for entry in &self.slots[level * SLOTS + slot] {
-                    if self.tombstones != 0 && self.is_cancelled(entry.seq) {
+                    if self.tombstones != 0 && self.retired.contains(entry.seq) {
                         continue;
                     }
                     if best.is_none_or(|b| entry.time < b) {
@@ -403,10 +530,10 @@ impl<E> EventQueue<E> {
         // Overflow: discard cancelled heads exactly like the old heap.
         while let Some(head) = self.overflow.peek() {
             let (seq, time) = (head.seq, head.time);
-            if self.tombstones != 0 && self.is_cancelled(seq) {
+            if self.tombstones != 0 && self.retired.contains(seq) {
                 self.overflow.pop();
                 self.stored -= 1;
-                self.clear_tombstone(seq);
+                self.tombstones -= 1;
                 continue;
             }
             return Some(time);
@@ -414,15 +541,14 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Reserves room for at least `additional` more pending events
-    /// (pre-sizes the tombstone bitmap and overflow heap; see
+    /// Reserves room for at least `additional` more pending events:
+    /// pre-sizes the retirement bitmap and the flat list (see
     /// [`Self::with_capacity`]).
     pub fn reserve(&mut self, additional: usize) {
-        let target_words = (self.next_seq as usize + additional).div_ceil(64);
-        if target_words > self.cancelled.capacity() {
-            self.cancelled.reserve(target_words - self.cancelled.len());
-        }
-        self.overflow.reserve(additional.min(SLOTS));
+        self.retired.reserve(self.next_seq, additional);
+        let target_flat = (self.flat.len() + additional).min(FLAT_LIMIT + 1);
+        self.flat
+            .reserve(target_flat.saturating_sub(self.flat.len()));
     }
 
     /// Number of pending (non-cancelled) events.
@@ -442,8 +568,9 @@ impl<E> EventQueue<E> {
     /// Slot queues stay sequence-ordered within each timestamp because
     /// every caller appends in ascending sequence order: `schedule`
     /// only places fresh (highest-seq) entries here, cascades re-place
-    /// a drained slot in its preserved order, and overflow refills pop
-    /// the heap in `(time, seq)` order. The one entry that may re-enter
+    /// a drained slot in its preserved order, overflow refills pop the
+    /// heap in `(time, seq)` order, and a spill places the flat list,
+    /// which is in sequence order. The one entry that may re-enter
     /// *behind* same-time events already queued — a displaced front
     /// buffer — goes through [`Self::place_displaced`] instead.
     #[inline]
@@ -512,12 +639,12 @@ impl<E> EventQueue<E> {
                 // Sparse-queue fast path: a lone entry in the earliest
                 // occupied window IS the global minimum, so it goes
                 // straight to the front buffer without the drain/min-scan
-                // machinery below. Cluster sims with a handful of
-                // in-flight timers hit this on most cascades.
+                // machinery below. Most of a bursty run's cascades take
+                // this path (82% of the flash-crowd day's).
                 let entry = self.slots[idx].pop_front().expect("occupied slot is empty");
                 self.anchor = entry.time.as_micros();
-                if self.tombstones != 0 && self.is_cancelled(entry.seq) {
-                    self.clear_tombstone(entry.seq);
+                if self.tombstones != 0 && self.retired.contains(entry.seq) {
+                    self.tombstones -= 1;
                     self.stored -= 1;
                 } else {
                     self.front = Some(entry);
@@ -553,8 +680,8 @@ impl<E> EventQueue<E> {
                 // cancelled event is touched at most once after its
                 // cancellation — this is what keeps cancel-heavy runs
                 // (exec + cancelled timeout) fast.
-                if self.tombstones != 0 && self.is_cancelled(entry.seq) {
-                    self.clear_tombstone(entry.seq);
+                if self.tombstones != 0 && self.retired.contains(entry.seq) {
+                    self.tombstones -= 1;
                     self.stored -= 1;
                     continue;
                 }
@@ -583,8 +710,8 @@ impl<E> EventQueue<E> {
                 break;
             }
             let entry = self.overflow.pop().expect("peeked entry vanished");
-            if self.tombstones != 0 && self.is_cancelled(entry.seq) {
-                self.clear_tombstone(entry.seq);
+            if self.tombstones != 0 && self.retired.contains(entry.seq) {
+                self.tombstones -= 1;
                 self.stored -= 1;
                 continue;
             }
@@ -592,15 +719,75 @@ impl<E> EventQueue<E> {
         }
     }
 
-    fn is_cancelled(&self, seq: u64) -> bool {
-        self.cancelled
-            .get((seq / 64) as usize)
-            .is_some_and(|word| word & (1u64 << (seq % 64)) != 0)
+    /// Marks a delivered event as retired, so a later `cancel` of its
+    /// id is refused.
+    #[inline]
+    fn retire(&mut self, seq: u64) {
+        let fresh = self.retired.insert(seq);
+        debug_assert!(fresh, "delivered a retired event");
+    }
+}
+
+/// The set of retired sequence numbers (fired or cancelled), one bit per
+/// scheduled event. Words whose 64 events are all retired are dropped
+/// from the front, so memory follows the span of sequence numbers still
+/// pending, not every event ever scheduled.
+#[derive(Debug, Default)]
+struct Retired {
+    /// Word `i` covers sequence numbers `64 · (base + i) ..`.
+    words: Vec<u64>,
+    /// Words dropped from the front: every sequence number below
+    /// `64 · base` is retired.
+    base: u64,
+    /// Leading entries of `words` known to be all ones (a full word
+    /// never clears).
+    full: usize,
+}
+
+impl Retired {
+    /// Adds the word for the next 64 sequence numbers; `schedule` calls
+    /// this when it issues a multiple of 64. Drops the full prefix once
+    /// it is at least half the bitmap, so each word is moved O(1) times.
+    fn grow(&mut self) {
+        while self.words.get(self.full) == Some(&u64::MAX) {
+            self.full += 1;
+        }
+        if self.full >= 64 && 2 * self.full >= self.words.len() {
+            self.words.drain(..self.full);
+            self.base += self.full as u64;
+            self.full = 0;
+        }
+        self.words.push(0);
     }
 
-    fn clear_tombstone(&mut self, seq: u64) {
-        self.cancelled[(seq / 64) as usize] &= !(1u64 << (seq % 64));
-        self.tombstones -= 1;
+    /// Pre-sizes the bitmap for sequence numbers up to
+    /// `next_seq + additional`.
+    fn reserve(&mut self, next_seq: u64, additional: usize) {
+        let words = (next_seq + additional as u64).div_ceil(64) - self.base;
+        self.words
+            .reserve((words as usize).saturating_sub(self.words.len()));
+    }
+
+    #[inline]
+    fn contains(&self, seq: u64) -> bool {
+        match (seq / 64).checked_sub(self.base) {
+            Some(word) => self.words[word as usize] & (1u64 << (seq % 64)) != 0,
+            None => true,
+        }
+    }
+
+    /// Adds `seq`; returns `false` if it was already retired. `seq` must
+    /// have been issued.
+    #[inline]
+    fn insert(&mut self, seq: u64) -> bool {
+        let Some(word) = (seq / 64).checked_sub(self.base) else {
+            return false;
+        };
+        let word = &mut self.words[word as usize];
+        let mask = 1u64 << (seq % 64);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
     }
 }
 
@@ -614,25 +801,39 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
+    /// The same empty queue twice: once in flat mode, once already in
+    /// wheel mode, so each behavioural test below drives both paths
+    /// however few events it schedules.
+    fn both_modes<E>(levels: u32) -> [EventQueue<E>; 2] {
+        let flat = EventQueue::with_levels(levels);
+        let mut wheeled = EventQueue::with_levels(levels);
+        wheeled.enter_wheel_mode();
+        [flat, wheeled]
+    }
+
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(30), 3);
-        q.schedule(SimTime::from_millis(10), 1);
-        q.schedule(SimTime::from_millis(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            q.schedule(SimTime::from_millis(30), 3);
+            q.schedule(SimTime::from_millis(10), 1);
+            q.schedule(SimTime::from_millis(20), 2);
+            assert_eq!(drain(&mut q), vec![1, 2, 3]);
+        }
     }
 
     #[test]
     fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(5);
-        for i in 0..10 {
-            q.schedule(t, i);
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            let t = SimTime::from_millis(5);
+            for i in 0..10 {
+                q.schedule(t, i);
+            }
+            assert_eq!(drain(&mut q), (0..10).collect::<Vec<_>>());
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -655,48 +856,63 @@ mod tests {
 
     #[test]
     fn cancel_prevents_delivery() {
-        let mut q = EventQueue::new();
-        let keep = q.schedule(SimTime::from_millis(1), "keep");
-        let drop = q.schedule(SimTime::from_millis(2), "drop");
-        assert!(q.cancel(drop));
-        assert!(!q.cancel(drop), "double cancel should report false");
-        let _ = keep;
-        let events: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(events, vec!["keep"]);
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            q.schedule(SimTime::from_millis(1), "keep");
+            let drop = q.schedule(SimTime::from_millis(2), "drop");
+            assert!(q.cancel(drop));
+            assert!(!q.cancel(drop), "double cancel should report false");
+            assert_eq!(drain(&mut q), vec!["keep"]);
+            assert!(!q.cancel(drop), "cancel after reclaim should report false");
+        }
+    }
+
+    #[test]
+    fn cancelling_a_fired_event_is_refused() {
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            let a = q.schedule(SimTime::from_millis(1), "a");
+            assert_eq!(q.pop(), Some((SimTime::from_millis(1), "a")));
+            assert!(!q.cancel(a), "the event already fired");
+            q.schedule(SimTime::from_millis(2), "b");
+            assert!(!q.is_empty());
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop(), Some((SimTime::from_millis(2), "b")));
+            assert_eq!(q.len(), 0);
+            assert_eq!(q.tombstones, 0, "nothing left to reclaim");
+        }
     }
 
     #[test]
     fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        let id = q.schedule(SimTime::from_millis(2), ());
-        q.cancel(id);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.pop().is_none());
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            q.schedule(SimTime::from_millis(1), ());
+            let id = q.schedule(SimTime::from_millis(2), ());
+            q.cancel(id);
+            assert_eq!(q.len(), 1);
+            assert!(!q.is_empty());
+            q.pop();
+            assert!(q.pop().is_none());
+        }
     }
 
     #[test]
     fn peek_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let head = q.schedule(SimTime::from_millis(1), "a");
-        q.schedule(SimTime::from_millis(2), "b");
-        q.cancel(head);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            let head = q.schedule(SimTime::from_millis(1), "a");
+            q.schedule(SimTime::from_millis(2), "b");
+            q.cancel(head);
+            assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+            assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        }
     }
 
     #[test]
     fn with_capacity_behaves_like_new() {
         let mut q = EventQueue::with_capacity(64);
         q.reserve(16);
-        let keep = q.schedule(SimTime::from_millis(1), "keep");
+        q.schedule(SimTime::from_millis(1), "keep");
         let drop = q.schedule(SimTime::from_millis(2), "drop");
         q.cancel(drop);
-        let _ = keep;
-        let events: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(events, vec!["keep"]);
+        assert_eq!(drain(&mut q), vec!["keep"]);
     }
 
     #[test]
@@ -710,71 +926,167 @@ mod tests {
 
     #[test]
     fn far_future_events_overflow_and_return() {
-        // Beyond the 2^36 µs default horizon: lives in the overflow heap
-        // until the wheel catches up.
-        let mut q = EventQueue::new();
-        let far = SimTime::from_micros(1 << 40);
-        q.schedule(far, "far");
-        q.schedule(SimTime::from_millis(1), "near");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), "near")));
-        assert_eq!(q.peek_time(), Some(far));
-        assert_eq!(q.pop(), Some((far, "far")));
-        assert!(q.pop().is_none());
+        // Beyond the 2^36 µs default horizon: in wheel mode it lives in
+        // the overflow heap until the wheel catches up.
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            let far = SimTime::from_micros(1 << 40);
+            q.schedule(far, "far");
+            q.schedule(SimTime::from_millis(1), "near");
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.pop(), Some((SimTime::from_millis(1), "near")));
+            assert_eq!(q.peek_time(), Some(far));
+            assert_eq!(q.pop(), Some((far, "far")));
+            assert!(q.pop().is_none());
+        }
     }
 
     #[test]
     fn overflow_ties_still_break_fifo() {
-        let mut q = EventQueue::with_levels(2);
-        let t = SimTime::from_secs(3600);
-        for i in 0..8 {
-            q.schedule(t, i);
+        for mut q in both_modes(2) {
+            let t = SimTime::from_secs(3600);
+            for i in 0..8 {
+                q.schedule(t, i);
+            }
+            // Interleave a near event so the overflow drain happens
+            // mid-run.
+            q.schedule(SimTime::from_millis(1), 100);
+            assert_eq!(q.pop(), Some((SimTime::from_millis(1), 100)));
+            assert_eq!(drain(&mut q), (0..8).collect::<Vec<_>>());
         }
-        // Interleave a near event so the overflow drain happens mid-run.
-        q.schedule(SimTime::from_millis(1), 100);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 100)));
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn schedule_after_empty_pop_reanchors() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(7), "first");
-        q.pop();
-        assert!(q.pop().is_none());
-        // The wheel must accept anything at or after the observable clock.
-        q.schedule(SimTime::from_secs(7), "again");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(7), "again")));
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            q.schedule(SimTime::from_secs(7), "first");
+            q.pop();
+            assert!(q.pop().is_none());
+            // The queue must accept anything at or after the clock.
+            q.schedule(SimTime::from_secs(7), "again");
+            assert_eq!(q.pop(), Some((SimTime::from_secs(7), "again")));
+        }
     }
 
     #[test]
     fn peek_does_not_disturb_schedulability() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(2), "first");
-        q.pop();
-        q.schedule(SimTime::from_secs(3600), "later");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3600)));
-        // Peeking must not advance the wheel: scheduling between now and
-        // the peeked time stays legal and is delivered first.
-        q.schedule(SimTime::from_secs(10), "soon");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(10), "soon")));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(3600), "later")));
+        for mut q in both_modes(DEFAULT_LEVELS) {
+            q.schedule(SimTime::from_secs(2), "first");
+            q.pop();
+            q.schedule(SimTime::from_secs(3600), "later");
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(3600)));
+            // Peeking must not advance the wheel: scheduling between now
+            // and the peeked time stays legal and is delivered first.
+            q.schedule(SimTime::from_secs(10), "soon");
+            assert_eq!(q.pop(), Some((SimTime::from_secs(10), "soon")));
+            assert_eq!(q.pop(), Some((SimTime::from_secs(3600), "later")));
+        }
     }
 
     #[test]
     fn deep_and_shallow_wheels_agree() {
         for levels in [1, 2, 6, MAX_LEVELS] {
-            let mut q = EventQueue::with_levels(levels);
-            assert_eq!(q.levels(), levels);
-            assert_eq!(q.horizon().as_micros(), 1u64 << (6 * levels));
-            let times = [0u64, 63, 64, 4095, 4096, 1 << 20, (1 << 36) + 5];
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_micros(t), i);
+            for mut q in both_modes(levels) {
+                assert_eq!(q.levels(), levels);
+                assert_eq!(q.horizon().as_micros(), 1u64 << (6 * levels));
+                let times = [0u64, 63, 64, 4095, 4096, 1 << 20, (1 << 36) + 5];
+                for (i, &t) in times.iter().enumerate() {
+                    q.schedule(SimTime::from_micros(t), i);
+                }
+                assert_eq!(drain(&mut q), (0..times.len()).collect::<Vec<_>>());
             }
-            let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..times.len()).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn a_sparse_queue_never_builds_its_wheel() {
+        // Up to 32 pending events, with cancels, same-time ties and
+        // far-future timers: everything stays in the flat list.
+        let mut q = EventQueue::with_capacity(8);
+        let mut next = 0u64;
+        for _ in 0..200 {
+            while q.len() < FLAT_LIMIT {
+                let delay = if next.is_multiple_of(9) {
+                    SimDuration::from_secs(1 << 20)
+                } else {
+                    SimDuration::from_micros(next % 7 * 1000)
+                };
+                let id = q.schedule_in(delay, next);
+                if next.is_multiple_of(5) {
+                    q.cancel(id);
+                }
+                next += 1;
+            }
+            while q.len() > FLAT_LIMIT / 2 {
+                q.pop();
+            }
+        }
+        assert!(!q.wheeled);
+        assert!(q.slots.is_empty() && q.occupied.is_empty());
+        assert_eq!(q.overflow.capacity(), 0);
+    }
+
+    #[test]
+    fn the_thirty_third_event_spills_and_an_empty_pop_returns_to_flat() {
+        let mut q = EventQueue::new();
+        let at = |i: u64| SimTime::from_micros(if i == 0 { 10 } else { 1000 - i % 4 });
+        let ids: Vec<EventId> = (0..FLAT_LIMIT as u64)
+            .map(|i| q.schedule(at(i), i))
+            .collect();
+        assert_eq!(q.pop(), Some((at(0), 0)));
+        // A cancelled entry makes room: the spill reclaims it and stays
+        // flat.
+        assert!(q.cancel(ids[3]));
+        q.schedule(SimTime::from_micros(500), 100);
+        q.schedule(SimTime::from_micros(500), 101);
+        assert!(!q.wheeled && q.slots.is_empty());
+        assert_eq!(q.len(), FLAT_LIMIT);
+        q.schedule(SimTime::from_micros(500), 102);
+        assert!(q.wheeled, "33 live events spill");
+        assert_eq!(q.slots.len(), DEFAULT_LEVELS as usize * SLOTS);
+        // Delivery follows `(time, seq)` across the spill.
+        let mut want: Vec<(SimTime, u64)> = (1..FLAT_LIMIT as u64)
+            .filter(|&i| i != 3)
+            .map(|i| (at(i), i))
+            .chain((100..103).map(|i| (SimTime::from_micros(500), i)))
+            .collect();
+        want.sort_unstable();
+        let got: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(got, want);
+        assert!(!q.wheeled, "the empty pop returns to flat mode");
+        assert!(!q.slots.is_empty(), "the built wheel is kept for reuse");
+        assert!(!q.cancel(ids[0]), "fired before the spill");
+        assert!(!q.cancel(ids[1]), "fired after the spill");
+    }
+
+    #[test]
+    fn retired_bits_follow_the_pending_span() {
+        // A long stream with a handful of events pending at a time, a
+        // third of them cancelled, crossing the flat/wheel boundary:
+        // the bitmap keeps only the words still covering pending
+        // events, and ids from long ago are still refused.
+        let mut q = EventQueue::new();
+        let first = q.schedule(SimTime::ZERO, u64::MAX);
+        for i in 0..200_000u64 {
+            q.schedule_in(SimDuration::from_micros(i % 50), i);
+            if i.is_multiple_of(3) {
+                let id = q.schedule_in(SimDuration::from_micros(10), i);
+                assert!(q.cancel(id));
+            }
+            if q.len() > 40 {
+                while q.len() > 4 {
+                    q.pop();
+                }
+            }
+        }
+        assert!(q.retired.base > 0, "no word was ever dropped");
+        assert!(
+            q.retired.words.len() <= 256,
+            "{} words",
+            q.retired.words.len()
+        );
+        assert!(!q.cancel(first));
+        while q.pop().is_some() {}
+        assert_eq!((q.len(), q.tombstones), (0, 0));
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Differential test: the hierarchical timing wheel behind
-//! [`EventQueue`] against a straightforward reference model (a sorted
-//! list with tombstones). Random interleavings of schedule / pop /
-//! cancel — including same-tick ties and delays far past the wheel's
-//! horizon (which land in the overflow heap) — must produce the exact
-//! pop order the reference produces, at every wheel depth.
+//! Differential test: [`EventQueue`] — a flat list while at most 32
+//! events are pending, a hierarchical timing wheel beyond that —
+//! against a straightforward reference model (a list of every event
+//! ever scheduled with its state). Random interleavings of schedule /
+//! pop / peek / cancel — including same-tick ties, delays far past the
+//! wheel's horizon (which land in the overflow heap), and bursts and
+//! drains that carry the queue across the flat/wheel boundary in both
+//! directions — must produce the exact pop order, peek times, cancel
+//! outcomes and live counts the reference produces, at every wheel
+//! depth.
 //!
 //! A 1M-event smoke test then pins the streaming property: pushing a
 //! million events through the wheel in waves reuses the same slots, so
@@ -14,18 +18,38 @@ use microfaas_sim::queue::{EventQueue, DEFAULT_LEVELS, MAX_LEVELS};
 use microfaas_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// One step of the differential drive, with knobs chosen so shrunk
-/// failures stay readable.
-#[derive(Debug, Clone, Copy)]
+/// One step of the differential drive, with knobs chosen so failures
+/// stay readable.
+#[derive(Debug, Clone)]
 enum Op {
     /// Schedule at `now + delay_us`. Zero delays create same-tick ties;
     /// large delays overshoot shallow wheels into the overflow heap.
     Schedule { delay_us: u64 },
-    /// Pop the earliest live event from both sides and compare.
+    /// Schedule one event per delay, back to back: enough to push a
+    /// flat queue past 32 pending events in one op.
+    Burst { delays_us: Vec<u64> },
+    /// Pop the earliest live event from both sides and compare. Does
+    /// nothing when no event is live, so only `Drain` pops an empty
+    /// queue and a queue that spilled keeps its wheel until then.
     Pop,
-    /// Cancel the `k`-th issued id (mod the issued count) when it is
-    /// still live; both sides must remove exactly that event.
+    /// Pop until the reference is empty, then pop once more: the empty
+    /// pop returns the queue to flat mode.
+    Drain,
+    /// Compare `peek_time` with the reference's earliest live time.
+    Peek,
+    /// Cancel the `k`-th issued id (mod the issued count), whatever its
+    /// state: live, already cancelled, or already fired.
     Cancel { k: usize },
+}
+
+/// Far future: past the horizon of every wheel under test with fewer
+/// than four levels (2^18 us), deep into overflow for one- and
+/// two-level wheels.
+const FAR_US: std::ops::Range<u64> = 1 << 14..1 << 22;
+
+/// Ties, in-horizon spread for shallow wheels, and far-future delays.
+fn delay_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..4, 0u64..10_000, FAR_US]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -34,12 +58,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..4).prop_map(|delay_us| Op::Schedule { delay_us }),
         // In-horizon spread for shallow wheels.
         (0u64..10_000).prop_map(|delay_us| Op::Schedule { delay_us }),
-        // Far future: past the horizon of every wheel under test with
-        // fewer than four levels (2^18 us), deep into overflow for
-        // one- and two-level wheels.
-        (1u64 << 14..1u64 << 22).prop_map(|delay_us| Op::Schedule { delay_us }),
+        FAR_US.prop_map(|delay_us| Op::Schedule { delay_us }),
         Just(Op::Pop),
+        Just(Op::Peek),
         (0usize..64).prop_map(|k| Op::Cancel { k }),
+    ]
+}
+
+/// An opening burst of 33–47 events, which spills the queue into its
+/// wheel, followed by 0–95 pops. A burst holds at most 47 events, so
+/// about half the drives start from an emptied wheel, where the next
+/// schedule fills the front buffer, and the rest with part of the
+/// burst still standing. `Pop` never pops an empty queue, so the drive runs
+/// on the wheel until its final drain.
+fn spill_strategy() -> impl Strategy<Value = Vec<Op>> {
+    (prop::collection::vec(delay_strategy(), 33..48), 0usize..96).prop_map(|(delays_us, pops)| {
+        std::iter::once(Op::Burst { delays_us })
+            .chain(std::iter::repeat_n(Op::Pop, pops))
+            .collect()
+    })
+}
+
+/// Phases that cross the 32-event boundary both ways: bursts of 20–47
+/// schedules, pop runs and full drains, with cancels and peeks between.
+fn boundary_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        prop::collection::vec(delay_strategy(), 20..48)
+            .prop_map(|delays_us| Op::Burst { delays_us }),
+        delay_strategy().prop_map(|delay_us| Op::Schedule { delay_us }),
+        Just(Op::Pop),
+        Just(Op::Pop),
+        Just(Op::Drain),
+        Just(Op::Peek),
+        (0usize..256).prop_map(|k| Op::Cancel { k }),
+        (0usize..256).prop_map(|k| Op::Cancel { k }),
     ]
 }
 
@@ -54,16 +106,9 @@ enum State {
 /// linear scan for the minimum `(time, seq)`. Obviously correct,
 /// obviously slow — exactly what a reference model should be.
 ///
-/// One contract subtlety it mirrors: only cancels of *live* (pending,
-/// never-cancelled) ids have a specified outcome. Cancelling a fired
-/// id, or re-cancelling one whose tombstone the queue has already
-/// reclaimed internally, is outside the contract — the legacy heap
-/// reclaimed tombstones lazily at pop, the wheel reclaims them eagerly
-/// during cascades, so the answer depends on internal timing in both.
-/// The simulators never hit either case: they clear their stored
-/// [`EventId`] the moment the event fires or is cancelled. The drive
-/// therefore cancels live ids only, where both implementations must
-/// say `true` and remove exactly that event.
+/// Cancelling succeeds exactly once, and only while the event is
+/// pending: cancelling an event that already fired or was already
+/// cancelled returns `false` and changes nothing.
 #[derive(Default)]
 struct ReferenceQueue {
     /// `(time_us, seq, state)`
@@ -79,114 +124,126 @@ impl ReferenceQueue {
         self.events.len() - 1
     }
 
-    fn state(&self, index: usize) -> State {
-        self.events[index].2
+    fn cancel(&mut self, index: usize) -> bool {
+        let live = self.events[index].2 == State::Live;
+        if live {
+            self.events[index].2 = State::Cancelled;
+        }
+        live
     }
 
-    fn cancel(&mut self, index: usize) -> bool {
-        match self.events[index].2 {
-            State::Live => {
-                self.events[index].2 = State::Cancelled;
-                true
-            }
-            State::Cancelled | State::Popped => {
-                unreachable!("the drive only cancels live events")
-            }
-        }
+    fn live(&self) -> impl Iterator<Item = &(u64, u64, State)> {
+        self.events
+            .iter()
+            .filter(|&&(_, _, state)| state == State::Live)
     }
 
     fn pop(&mut self) -> Option<(u64, u64)> {
-        let (index, &(time, seq, _)) = self
-            .events
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, _, state))| state == State::Live)
-            .min_by_key(|(_, &(time, seq, _))| (time, seq))?;
-        self.events[index].2 = State::Popped;
+        let &(time, seq, _) = self.live().min_by_key(|&&(time, seq, _)| (time, seq))?;
+        self.events[seq as usize].2 = State::Popped;
         self.now_us = time;
         Some((time, seq))
     }
 
+    fn peek_time(&self) -> Option<u64> {
+        self.live().map(|&(time, _, _)| time).min()
+    }
+
     fn len(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|&&(_, _, state)| state == State::Live)
-            .count()
+        self.live().count()
     }
 }
 
-/// Drives one op sequence through a wheel of the given depth and the
-/// reference side by side. The event payload is the schedule ordinal,
-/// so pop equality checks both the timestamp *and* which event won a
-/// same-tick tie.
-fn drive(levels: u32, ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut wheel: EventQueue<u64> = EventQueue::with_levels(levels);
-    let mut reference = ReferenceQueue::default();
-    // Parallel id stores: ids[i] on the wheel corresponds to ref index
-    // ref_ids[i] in the reference.
-    let mut ids = Vec::new();
-    let mut ref_ids = Vec::new();
-    let mut next_ordinal = 0u64;
+/// Side-by-side state: the queue under test, the reference, and the
+/// ids both sides handed out, index for index. The event payload is the
+/// schedule ordinal, which is also the reference's index, so pop
+/// equality checks both the timestamp *and* which event won a tie.
+struct Drive {
+    queue: EventQueue<u64>,
+    reference: ReferenceQueue,
+    ids: Vec<microfaas_sim::EventId>,
+}
 
-    for &op in ops {
+impl Drive {
+    fn schedule(&mut self, delay_us: u64) {
+        let at = self.queue.now() + SimDuration::from_micros(delay_us);
+        let ordinal = self.ids.len() as u64;
+        self.ids.push(self.queue.schedule(at, ordinal));
+        self.reference.schedule(at.as_micros());
+    }
+
+    /// Pops both sides; returns whether an event came out.
+    fn pop(&mut self) -> Result<bool, TestCaseError> {
+        match (self.queue.pop(), self.reference.pop()) {
+            (None, None) => Ok(false),
+            (Some((at, ordinal)), Some((want_us, want_seq))) => {
+                prop_assert_eq!(at.as_micros(), want_us, "pop time diverged");
+                prop_assert_eq!(ordinal, want_seq, "same-tick tie order diverged");
+                Ok(true)
+            }
+            (got, want) => Err(TestCaseError::fail(format!(
+                "pop presence diverged: queue {got:?} vs reference {want:?}"
+            ))),
+        }
+    }
+
+    fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
         match op {
-            Op::Schedule { delay_us } => {
-                let at = wheel.now() + SimDuration::from_micros(delay_us);
-                ids.push(wheel.schedule(at, next_ordinal));
-                ref_ids.push(reference.schedule(at.as_micros()));
-                next_ordinal += 1;
+            Op::Schedule { delay_us } => self.schedule(*delay_us),
+            Op::Burst { delays_us } => {
+                for &delay_us in delays_us {
+                    self.schedule(delay_us);
+                }
             }
             Op::Pop => {
-                let got = wheel.pop();
-                let want = reference.pop();
-                match (got, want) {
-                    (None, None) => {}
-                    (Some((at, ordinal)), Some((want_us, want_seq))) => {
-                        prop_assert_eq!(at.as_micros(), want_us, "pop time diverged");
-                        prop_assert_eq!(ordinal, want_seq, "same-tick tie order diverged");
-                    }
-                    (got, want) => {
-                        return Err(TestCaseError::fail(format!(
-                            "pop presence diverged: wheel {got:?} vs reference {want:?}"
-                        )));
-                    }
+                if self.reference.len() != 0 {
+                    self.pop()?;
                 }
+            }
+            Op::Drain => {
+                while self.pop()? {}
+                prop_assert!(self.queue.is_empty());
+            }
+            Op::Peek => {
+                let got = self.queue.peek_time().map(SimTime::as_micros);
+                prop_assert_eq!(got, self.reference.peek_time(), "peek diverged");
             }
             Op::Cancel { k } => {
-                if ids.is_empty() {
-                    continue;
+                if self.ids.is_empty() {
+                    return Ok(());
                 }
-                let i = k % ids.len();
-                if reference.state(ref_ids[i]) != State::Live {
-                    // Cancelling a fired or already-cancelled id has no
-                    // specified outcome — see the ReferenceQueue docs.
-                    continue;
-                }
-                let got = wheel.cancel(ids[i]);
-                let want = reference.cancel(ref_ids[i]);
-                prop_assert_eq!(got, want, "cancel outcome diverged");
-                prop_assert!(got, "cancelling a live id must succeed");
+                let i = k % self.ids.len();
+                let got = self.queue.cancel(self.ids[i]);
+                let want = self.reference.cancel(i);
+                prop_assert_eq!(got, want, "cancel outcome diverged for id {}", i);
             }
         }
-        prop_assert_eq!(wheel.len(), reference.len(), "live count diverged");
+        prop_assert_eq!(
+            self.queue.len(),
+            self.reference.len(),
+            "live count diverged"
+        );
+        Ok(())
     }
+}
 
-    // Drain: whatever survives must come out in identical order.
-    loop {
-        match (wheel.pop(), reference.pop()) {
-            (None, None) => break,
-            (Some((at, ordinal)), Some((want_us, want_seq))) => {
-                prop_assert_eq!(at.as_micros(), want_us);
-                prop_assert_eq!(ordinal, want_seq);
-            }
-            (got, want) => {
-                return Err(TestCaseError::fail(format!(
-                    "drain diverged: wheel {got:?} vs reference {want:?}"
-                )));
-            }
-        }
+/// Drives one op sequence through a queue with a wheel of the given
+/// depth and the reference side by side, then drains both.
+fn drive(levels: u32, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut drive = Drive {
+        queue: EventQueue::with_levels(levels),
+        reference: ReferenceQueue::default(),
+        ids: Vec::new(),
+    };
+    for op in ops {
+        drive.step(op)?;
     }
-    prop_assert!(wheel.is_empty());
+    // Whatever survives must come out in identical order.
+    drive.step(&Op::Drain)?;
+    // Every id is now fired or cancelled: no cancel may succeed.
+    for i in 0..drive.ids.len() {
+        drive.step(&Op::Cancel { k: i })?;
+    }
     Ok(())
 }
 
@@ -197,27 +254,44 @@ proptest! {
     /// reference on every interleaving.
     #[test]
     fn wheel_matches_reference_at_default_depth(
+        spill in spill_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
-        drive(DEFAULT_LEVELS, &ops)?;
+        drive(DEFAULT_LEVELS, &[spill, ops].concat())?;
     }
 
     /// Shallow wheels force the same sequences through the overflow
     /// heap and its refill cascade; order must still match exactly.
     #[test]
     fn wheel_matches_reference_through_overflow(
+        spill in spill_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..250),
         levels in 1u32..=4,
     ) {
-        drive(levels, &ops)?;
+        drive(levels, &[spill, ops].concat())?;
     }
 
     /// The deepest wheel the API allows behaves like every other depth.
     #[test]
     fn wheel_matches_reference_at_max_depth(
+        spill in spill_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..150),
     ) {
-        drive(MAX_LEVELS, &ops)?;
+        drive(MAX_LEVELS, &[spill, ops].concat())?;
+    }
+
+    /// Bursts and drains carry the queue from flat mode into the wheel
+    /// and back again, with cancels landing while flat, after a spill
+    /// and after the event fired, and far-future delays present at the
+    /// moment of a spill on 1- to 4-level wheels and at the default and
+    /// maximum depths.
+    #[test]
+    fn flat_and_wheel_agree_across_the_boundary(
+        ops in prop::collection::vec(boundary_op_strategy(), 1..60),
+        depth in 0usize..6,
+    ) {
+        let levels = [1, 2, 3, 4, DEFAULT_LEVELS, MAX_LEVELS][depth];
+        drive(levels, &ops)?;
     }
 }
 
