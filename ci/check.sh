@@ -24,9 +24,10 @@ echo "==> benchmark package: its own tests, then one seed-2022 pass of paper-clo
 # perfbench/ is a package of its own, outside the workspace's cargo test.
 # Each pass checks its workload's pinned fingerprint, so a slip shows up
 # as "failed":1. paper-closed pins the means of 5000 replicates on both
-# closed-loop engines and policy-sweeps an fnv1a over the CSVs of 7000
-# sparse open-loop runs: both run on the event queue's flat list, so any
-# pop-order slip there fails. flash-day's fingerprint counts power
+# node classes (SBC and VM) of the one closed-loop engine, and
+# policy-sweeps an fnv1a over the CSVs of 7000 sparse open-loop runs:
+# both run on the event queue's flat list, so any pop-order slip there
+# fails. flash-day's fingerprint counts power
 # cycles; observed-1m checks that its energy ledger conserves and pins
 # the ledger's picojoule total, so attribution that loses or invents
 # joules fails the same way.
@@ -39,15 +40,19 @@ for workload in paper-closed policy-sweeps flash-day observed-1m; do
         echo "$workload benchmark pass failed its correctness gate"; exit 1; }
 done
 
-echo "==> fault-injection smoke run (examples/faults_crash.json)"
-out="$(cargo run --release -q -p microfaas-cli -- faults \
-    --plan examples/faults_crash.json --invocations 2 --seed 7)"
-echo "$out" | grep -q "faults injected" || {
-    echo "faults subcommand printed no fault summary"; exit 1; }
-echo "$out" | grep -q "faults injected:   0" && {
-    echo "checked-in plan injected no faults"; exit 1; }
-echo "$out" | grep -q "accounted:         34 of 34 submitted" || {
-    echo "faulted run lost jobs"; exit 1; }
+echo "==> fault-injection smoke runs (examples/faults_crash.json on both node classes)"
+# Both classes share one recovery path; the VM run is the only CLI-level
+# check of its respawn, boot-retry and retransmit hooks.
+for cluster in micro conventional; do
+    out="$(cargo run --release -q -p microfaas-cli -- faults \
+        --plan examples/faults_crash.json --invocations 2 --seed 7 --cluster "$cluster")"
+    echo "$out" | grep -q "faults injected" || {
+        echo "faults subcommand printed no fault summary ($cluster)"; exit 1; }
+    echo "$out" | grep -q "faults injected:   0" && {
+        echo "checked-in plan injected no faults ($cluster)"; exit 1; }
+    echo "$out" | grep -q "accounted:         34 of 34 submitted" || {
+        echo "faulted $cluster run lost jobs"; exit 1; }
+done
 
 echo "==> every docs/*.md handbook must be doctested"
 for doc in docs/*.md; do

@@ -1,35 +1,39 @@
-//! The conventional (virtualization-based) cluster simulator: QEMU
-//! microVMs on one rack server, with CPU contention and the host's idle
-//! power floor.
+//! The conventional (virtualization-based) cluster: QEMU microVMs on
+//! one rack server, with CPU contention and the host's idle power
+//! floor.
+//!
+//! The job lifecycle itself (dispatch, transfers, timeouts, fault
+//! recovery, records and metrics) is the shared closed-loop engine's;
+//! this module is its VM node class. Every VM shares one
+//! [`RackServer`]: a job's exec and every reboot stretch by the host's
+//! CPU-share slowdown, the host is metered on a single `rack-server`
+//! channel (traced as worker `0`), and a VM reboots after every job,
+//! drained queue or not.
 //!
 //! Fault injection mirrors the MicroFaaS cluster with VM semantics: a
 //! crashed VM is respawned (with a cold-boot penalty) instead of
 //! power-cycled, and its CPU share rebalances onto the survivors while
 //! it is down. See `docs/FAILURE_MODEL.md`.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::server::{RackServer, VmState};
 use microfaas_net::LinkSpec;
-use microfaas_sched::{governor, GovernorKind};
-use microfaas_sim::faults::FaultKind;
+use microfaas_sched::GovernorKind;
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
-use microfaas_sim::{
-    CounterId, EventId, EventQueue, HistogramId, MetricsRegistry, Rng, SimDuration, SimTime,
-};
+use microfaas_sim::{SimDuration, SimTime};
 use microfaas_workloads::calibration::{service_time, WorkerPlatform};
+use microfaas_workloads::FunctionId;
 
-use crate::cache::{content_key, CacheConfig, ResultCache};
+use crate::cache::CacheConfig;
+use crate::closedloop::{self, Core, NodeClass, Setup};
 use crate::config::{Assignment, Jitter, WorkloadMix};
-use crate::job::{Dispatcher, Job, JobRecord, JobTable};
-use crate::micro::{
-    publish_cache_counters, publish_run_gauges, SchedMetrics, EXEC_BUCKETS, OVERHEAD_BUCKETS,
-};
 use crate::netmap::ClusterNet;
-use crate::recovery::{priority_of, FaultRuntime, FaultsConfig, Priority};
-use crate::registry::{FunctionRegistry, TimeoutTable};
-use crate::report::{ClusterRun, DroppedJob, Outcome};
+use crate::recovery::FaultsConfig;
+use crate::registry::FunctionRegistry;
+use crate::report::ClusterRun;
 
 /// Extra stretch on a respawned VM's boot: the image is re-fetched and
 /// the guest cold-starts instead of warm-rebooting.
@@ -97,76 +101,6 @@ impl ConventionalConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// Function body finished; the result/overhead phase begins.
-    ExecDone(usize),
-    /// Result delivered; the job is complete.
-    JobDone(usize),
-    /// The between-jobs (or respawn) reboot finished.
-    RebootDone(usize),
-    /// An invocation exceeded its timeout and is killed.
-    TimedOut(usize),
-    /// An injected crash takes the VM down.
-    Crash(usize),
-    /// The orchestrator's heartbeat noticed the crash; a fresh VM is
-    /// spawned in the dead one's slot.
-    Respawn(usize),
-    /// Supervision deadline for a hung or transfer-starved invocation.
-    Watchdog(usize),
-    /// The sender retries a result transfer the network lost.
-    Retransmit(usize),
-    /// Backoff elapsed; the orchestrator requeues the invocation.
-    Retry(Job),
-}
-
-struct InFlight {
-    job: Job,
-    started: SimTime,
-    exec: SimDuration,
-    /// Next progress event; `None` while the invocation hangs or has
-    /// exhausted its retransmit budget.
-    pending: Option<EventId>,
-    timeout: Option<EventId>,
-    watchdog: Option<EventId>,
-    transfer_tries: u32,
-}
-
-/// Per-run metric handles for this cluster, all prefixed `conv_`.
-struct ConvMetrics {
-    jobs_enqueued: CounterId,
-    jobs_completed: CounterId,
-    jobs_timed_out: CounterId,
-    reboots: CounterId,
-    net_bytes: CounterId,
-    faults_injected: CounterId,
-    jobs_requeued: CounterId,
-    job_retries: CounterId,
-    jobs_shed: CounterId,
-    jobs_failed: CounterId,
-    exec_seconds: HistogramId,
-    overhead_seconds: HistogramId,
-}
-
-impl ConvMetrics {
-    fn register(metrics: &mut MetricsRegistry) -> Self {
-        ConvMetrics {
-            jobs_enqueued: metrics.counter("conv_jobs_enqueued_total"),
-            jobs_completed: metrics.counter("conv_jobs_completed_total"),
-            jobs_timed_out: metrics.counter("conv_jobs_timed_out_total"),
-            reboots: metrics.counter("conv_vm_reboots_total"),
-            net_bytes: metrics.counter("conv_net_bytes_total"),
-            faults_injected: metrics.counter("conv_faults_injected_total"),
-            jobs_requeued: metrics.counter("conv_jobs_requeued_total"),
-            job_retries: metrics.counter("conv_job_retries_total"),
-            jobs_shed: metrics.counter("conv_jobs_shed_total"),
-            jobs_failed: metrics.counter("conv_jobs_failed_total"),
-            exec_seconds: metrics.histogram("conv_exec_seconds", &EXEC_BUCKETS),
-            overhead_seconds: metrics.histogram("conv_overhead_seconds", &OVERHEAD_BUCKETS),
-        }
-    }
-}
-
 /// Runs the conventional cluster to completion.
 ///
 /// CPU contention is sampled at dispatch: a job's execution and reboot
@@ -225,736 +159,152 @@ pub fn run_conventional_with(
 ) -> ClusterRun {
     assert!(config.vms > 0, "cluster needs at least one VM");
     config.cache.try_validate().expect("invalid cache config");
-    ConvSim::new(config, observer).run()
-}
-
-/// All mutable state of one conventional-cluster run.
-struct ConvSim<'a, 'b> {
-    config: &'a ConventionalConfig,
-    observer: &'a mut Observer<'b>,
-    rng: Rng,
-    queue: EventQueue<Event>,
-    meter: EnergyMeter,
-    server: RackServer,
-    cnet: ClusterNet,
-    host_channel: ChannelId,
-    dispatcher: Dispatcher,
-    in_flight: Vec<Option<InFlight>>,
-    /// The pending RebootDone per VM, cancelled if a crash interrupts
-    /// the reboot window.
-    boot_pending: Vec<Option<EventId>>,
-    records: JobTable,
-    last_completion: SimTime,
-    fr: FaultRuntime,
-    handles: Option<ConvMetrics>,
-    /// The governor's between-jobs reboot decision, resolved once at
-    /// construction (it is time-invariant for every governor).
-    reboot_between: bool,
-    /// Whether a non-default scheduling policy is active; new telemetry
-    /// is gated on this so default runs stay byte-identical.
-    sched_active: bool,
-    sched_handles: Option<SchedMetrics>,
-    /// The orchestrator's result cache; `None` when
-    /// [`ConventionalConfig::cache`] is off.
-    cache: Option<ResultCache<()>>,
-    /// Each function's kill deadline, resolved once from
-    /// [`ConventionalConfig::invocation_timeout`] and the registry.
-    timeouts: TimeoutTable,
-}
-
-impl<'a, 'b> ConvSim<'a, 'b> {
-    fn new(config: &'a ConventionalConfig, observer: &'a mut Observer<'b>) -> Self {
-        let mut rng = Rng::new(config.seed);
-        let mut meter = EnergyMeter::new(SimTime::ZERO);
-        let server = RackServer::new(config.vms, SimTime::ZERO);
-
+    let mut meter = EnergyMeter::new(SimTime::ZERO);
+    let server = RackServer::new(config.vms, SimTime::ZERO);
+    // The host draws its idle floor before any job exists, and its
+    // channel is traced as worker 0 from t = 0.
+    let channel = meter.add_channel("rack-server");
+    let watts = server.power().value();
+    meter.set_power(SimTime::ZERO, channel, watts);
+    observer.emit(SimTime::ZERO, TraceEvent::PowerSample { worker: 0, watts });
+    let setup = Setup {
+        workers: config.vms,
+        mix: &config.mix,
+        seed: config.seed,
+        jitter: config.jitter,
+        assignment: config.assignment,
+        governor: config.governor,
+        reboot_between_jobs: config.reboot_between_jobs,
+        timeouts: config.registry.timeouts(config.invocation_timeout),
+        faults: &config.faults,
+        cache: &config.cache,
         // All VM traffic leaves through the host's bridged GigE NIC;
         // each VM is modeled as a GigE attachment (the virtio/bridge
         // latency cost is in the calibrated fixed overhead).
-        let cnet = ClusterNet::new("vm-", config.vms, LinkSpec::gigabit(), LinkSpec::gigabit());
+        net: ClusterNet::new("vm-", config.vms, LinkSpec::gigabit(), LinkSpec::gigabit()),
+        meter,
+    };
+    closedloop::run(setup, VmHost { server, channel }, observer)
+}
 
-        let host_channel = meter.add_channel("rack-server");
-        meter.set_power(SimTime::ZERO, host_channel, server.power().value());
-        observer.emit(
-            SimTime::ZERO,
-            TraceEvent::PowerSample {
-                worker: 0,
-                watts: server.power().value(),
-            },
-        );
+/// The VM node class: every VM on one [`RackServer`], metered on one
+/// shared channel.
+struct VmHost {
+    server: RackServer,
+    channel: ChannelId,
+}
 
-        let jobs = config.mix.jobs(&mut rng);
-        let handles = observer.metrics().map(ConvMetrics::register);
-        if observer.is_tracing() {
-            for job in &jobs {
-                observer.emit(
-                    SimTime::ZERO,
-                    TraceEvent::JobEnqueued {
-                        job: job.id,
-                        function: job.function.name(),
-                    },
-                );
-            }
-        }
-        if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
-            metrics.add(h.jobs_enqueued, jobs.len() as u64);
-        }
-        let fr = FaultRuntime::new(&config.faults.plan, config.vms, jobs.len());
-        // LeastLoaded balances expected x86 execution seconds.
-        let dispatcher =
-            Dispatcher::with_weights(config.assignment, config.vms, jobs, &mut rng, |function| {
-                service_time(function)
-                    .exec(WorkerPlatform::X86Vm)
-                    .as_secs_f64()
-            });
+impl VmHost {
+    fn state(&self, v: usize) -> VmState {
+        self.server.vm(v).state()
+    }
+}
 
-        // Observation only (no RNG, no events): legacy defaults keep
-        // traces and expositions byte-identical.
-        let sched_active = !(config.assignment.is_legacy_assignment()
-            && config.governor == GovernorKind::RebootPerJob);
-        let sched_handles = if sched_active {
-            observer.metrics().map(SchedMetrics::register)
-        } else {
-            None
-        };
-        if sched_active {
-            let placed: Vec<(usize, u64)> = dispatcher
-                .placements()
-                .map(|(v, job)| (v, job.id))
-                .collect();
-            if observer.is_tracing() {
-                for &(v, id) in &placed {
-                    observer.emit(
-                        SimTime::ZERO,
-                        TraceEvent::PlacementDecision {
-                            job: id,
-                            worker: v,
-                            policy: config.assignment.label(),
-                        },
-                    );
-                }
-            }
-            if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                metrics.add(h.placements, placed.len() as u64);
-            }
-        }
-        let reboot_between =
-            governor(config.governor).reboot_between_jobs(config.reboot_between_jobs);
+impl NodeClass for VmHost {
+    /// VMs schedule no timers of their own.
+    type Event = Infallible;
+    const PREFIX: &'static str = "conv";
+    const BOOTS: &'static str = "vm_reboots_total";
+    const PLATFORM: WorkerPlatform = WorkerPlatform::X86Vm;
+    const REBOOT_IS_A_BOOT: bool = true;
 
-        ConvSim {
-            config,
-            observer,
-            rng,
-            // Sized like the MicroFaaS queue: a few live events per VM
-            // plus timers and planned crashes, reserved up front.
-            queue: EventQueue::with_capacity(4 * config.vms + 16),
-            meter,
-            server,
-            cnet,
-            host_channel,
-            dispatcher,
-            in_flight: (0..config.vms).map(|_| None).collect(),
-            boot_pending: vec![None; config.vms],
-            records: JobTable::with_capacity(config.mix.total_jobs() as usize),
-            last_completion: SimTime::ZERO,
-            fr,
-            handles,
-            reboot_between,
-            sched_active,
-            sched_handles,
-            cache: ResultCache::from_config(&config.cache),
-            timeouts: config.registry.timeouts(config.invocation_timeout),
-        }
+    fn label(&self) -> String {
+        format!("Conventional ({} VMs)", self.server.vm_count())
     }
 
-    fn run(mut self) -> ClusterRun {
-        // Crashes aimed past the fleet (a plan written for a larger
-        // cluster) are no-ops.
-        for (at, v) in self.fr.injector.scheduled_crashes().to_vec() {
-            if v < self.config.vms {
-                self.queue.schedule(at, Event::Crash(v));
-            }
-        }
-
-        // Dispatch the first job on every VM at t=0.
-        for v in 0..self.config.vms {
-            self.dispatch(v, SimTime::ZERO);
-        }
-
-        while let Some((now, event)) = self.queue.pop() {
-            match event {
-                Event::ExecDone(v) => self.on_exec_done(v, now),
-                Event::JobDone(v) => self.on_job_done(v, now),
-                Event::RebootDone(v) => self.on_reboot_done(v, now),
-                Event::TimedOut(v) => self.on_timed_out(v, now),
-                Event::Crash(v) => self.on_crash(v, now),
-                Event::Respawn(v) => self.on_respawn(v, now),
-                Event::Watchdog(v) => self.on_watchdog(v, now),
-                Event::Retransmit(v) => self.on_retransmit(v, now),
-                Event::Retry(job) => self.on_retry(job, now),
-            }
-        }
-
-        // Account jobs stranded by a fully-dead fleet (mirrors micro.rs).
-        let at_end = self.queue.now();
-        for v in 0..self.config.vms {
-            while let Some(job) = self.dispatcher.pull(v) {
-                self.drop_failed(job, at_end);
-            }
-            if let Some(flight) = self.in_flight[v].take() {
-                self.drop_failed(flight.job, at_end);
-            }
-        }
-
-        // Trailing reboot events may land after the last completion;
-        // meter reads must not precede the meter's newest sample.
-        let end = self.queue.now().max(self.last_completion);
-        let energy = self.meter.report(end, self.records.len() as u64);
-        let run = ClusterRun {
-            label: format!("Conventional ({} VMs)", self.config.vms),
-            workers: self.config.vms,
-            energy,
-            makespan: self.last_completion.duration_since(SimTime::ZERO),
-            records: std::mem::take(&mut self.records),
-            dropped: std::mem::take(&mut self.fr.dropped),
-            faults: self.fr.summary,
-        };
-        let cache_stats = self.cache.as_ref().map(|c| c.stats());
-        if let Some(metrics) = self.observer.metrics() {
-            self.meter.publish_metrics(metrics, "conv", end);
-            publish_run_gauges(metrics, "conv", &run);
-            // Cache counters only exist when a cache ran: the default
-            // exposition must stay byte-identical to pre-cache builds.
-            if let Some(stats) = cache_stats.as_ref() {
-                publish_cache_counters(metrics, "conv", stats);
-            }
-        }
-        run
+    /// The shared host channel, re-read after every VM state change.
+    fn power(&self, _v: usize) -> (ChannelId, usize, f64) {
+        (self.channel, 0, self.server.power().value())
     }
 
-    /// Re-meters the host channel and emits the state-change (for VM
-    /// `v`) plus the shared power-sample pair.
-    fn mark(&mut self, now: SimTime, v: usize, state: WorkerState) {
-        let watts = self.server.power().value();
-        self.meter.set_power(now, self.host_channel, watts);
-        self.observer
-            .emit(now, TraceEvent::WorkerStateChange { worker: v, state });
-        self.observer
-            .emit(now, TraceEvent::PowerSample { worker: 0, watts });
+    fn pulling(&self, v: usize) -> bool {
+        matches!(
+            self.state(v),
+            VmState::Executing | VmState::Rebooting | VmState::Crashed
+        )
     }
 
-    fn with_metrics(&mut self, apply: impl FnOnce(&mut MetricsRegistry, &ConvMetrics)) {
-        if let (Some(metrics), Some(h)) = (self.observer.metrics(), self.handles.as_ref()) {
-            apply(metrics, h);
-        }
+    fn returning(&self, _core: &Core<'_, '_, Infallible>, v: usize) -> bool {
+        self.pulling(v)
     }
 
-    fn fault_injected(&mut self, now: SimTime, v: usize, kind: FaultKind) {
-        self.fr.summary.injected += 1;
-        self.observer.emit(
-            now,
-            TraceEvent::FaultInjected {
-                worker: v,
-                fault: kind.label(),
-            },
-        );
-        self.with_metrics(|m, h| m.inc(h.faults_injected));
+    fn crashed(&self, v: usize) -> bool {
+        self.state(v) == VmState::Crashed
     }
 
-    fn drop_failed(&mut self, job: Job, now: SimTime) {
-        let attempts = self.fr.attempts[job.id as usize];
-        self.observer.emit(
-            now,
-            TraceEvent::JobFailed {
-                job: job.id,
-                function: job.function.name(),
-                attempts,
-            },
-        );
-        self.fr.dropped.push(DroppedJob {
-            job,
-            outcome: Outcome::Failed,
-            attempts,
-        });
-        self.with_metrics(|m, h| m.inc(h.jobs_failed));
+    /// VMs never power off, so only an idle VM answers a wake.
+    fn wake(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize, _: SimTime, _: &str) -> bool {
+        self.state(v) == VmState::Idle
     }
 
-    fn on_exec_done(&mut self, v: usize, now: SimTime) {
-        let job = self.in_flight[v].as_ref().expect("job in flight").job;
-        let fixed = service_time(job.function)
-            .fixed_overhead(WorkerPlatform::X86Vm)
-            .mul_f64(self.config.jitter.factor(&mut self.rng));
-        self.attempt_transfer(v, now + fixed);
+    fn start_job(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize, now: SimTime) {
+        self.server.start_job(v, now).expect("vm is idle");
     }
 
-    fn attempt_transfer(&mut self, v: usize, start: SimTime) {
-        let job = self.in_flight[v].as_ref().expect("job in flight").job;
-        let bytes = service_time(job.function).transfer_bytes();
-        let lost = self.fr.injector.transfer_lost(v);
-        if lost {
-            self.fault_injected(start, v, FaultKind::NetLoss);
-        }
-        // Response leaves the VM as the transfer starts; retransmits
-        // re-emit and span derivation keeps the first copy.
-        self.observer.emit(
-            start,
-            TraceEvent::ResponseSent {
-                job: job.id,
-                function: job.function.name(),
-                worker: v,
-            },
-        );
-        let (delivered, src, dst) = self.cnet.transfer(start, v, job.function, bytes, lost);
-        self.observer
-            .emit(start, TraceEvent::NetTransfer { src, dst, bytes });
-        self.with_metrics(|m, h| m.add(h.net_bytes, bytes));
-        if !lost {
-            let pending = self.queue.schedule(delivered, Event::JobDone(v));
-            self.in_flight[v].as_mut().expect("job in flight").pending = Some(pending);
-            return;
-        }
-        let tries = {
-            let flight = self.in_flight[v].as_mut().expect("job in flight");
-            flight.transfer_tries += 1;
-            flight.transfer_tries
-        };
-        if tries <= self.config.faults.retry.max_attempts {
-            let eid = self.queue.schedule(
-                delivered + self.config.faults.retransmit_delay,
-                Event::Retransmit(v),
-            );
-            self.in_flight[v].as_mut().expect("job in flight").pending = Some(eid);
-        } else {
-            // Retransmit budget exhausted: hand the invocation to the
-            // watchdog once the last doomed transfer has burned its
-            // wire time.
-            let eid = self.queue.schedule(delivered, Event::Watchdog(v));
-            let flight = self.in_flight[v].as_mut().expect("job in flight");
-            flight.pending = None;
-            flight.watchdog = Some(eid);
-        }
+    /// CPU contention is sampled at dispatch: a job's execution is
+    /// stretched by the host slowdown in effect when it starts.
+    fn exec(&self, function: FunctionId, jitter: f64) -> SimDuration {
+        service_time(function)
+            .exec(WorkerPlatform::X86Vm)
+            .mul_f64(jitter * self.server.current_slowdown())
     }
 
-    fn on_retransmit(&mut self, v: usize, now: SimTime) {
-        self.attempt_transfer(v, now);
+    /// An idle VM simply waits; the host idle floor keeps burning 60 W —
+    /// the very anti-proportionality the paper targets.
+    fn idle(&mut self, _: &mut Core<'_, '_, Infallible>, _: usize, _: SimTime) {}
+
+    /// A VM reboots after every job, drained queue or not.
+    fn drain(&mut self, _: &mut Core<'_, '_, Infallible>, _: usize, _: SimTime, _: bool) -> bool {
+        false
     }
 
-    fn on_job_done(&mut self, v: usize, now: SimTime) {
-        let flight = self.in_flight[v].take().expect("job in flight");
-        if let Some(timeout) = flight.timeout {
-            self.queue.cancel(timeout);
-        }
-        let overhead = now.duration_since(flight.started + flight.exec);
-        self.observer.emit(
-            now,
-            TraceEvent::JobCompleted {
-                job: flight.job.id,
-                function: flight.job.function.name(),
-                worker: v,
-                exec: flight.exec,
-                overhead,
-            },
-        );
-        self.with_metrics(|m, h| {
-            m.inc(h.jobs_completed);
-            m.observe(h.exec_seconds, flight.exec.as_secs_f64());
-            m.observe(h.overhead_seconds, overhead.as_secs_f64());
-        });
-        self.records.push(JobRecord {
-            job: flight.job,
-            worker: v,
-            started: flight.started,
-            exec: flight.exec,
-            overhead,
-        });
-        self.last_completion = now;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.insert(
-                content_key(flight.job.function.index(), 0),
-                (),
-                now.as_micros(),
-            );
-        }
-        self.reboot_vm(v, now, false);
+    fn finish_job(&mut self, v: usize, now: SimTime) {
+        self.server.finish_job(v, now).expect("vm was executing");
     }
 
-    fn on_timed_out(&mut self, v: usize, now: SimTime) {
-        let flight = self.in_flight[v].take().expect("job in flight");
-        if let Some(pending) = flight.pending {
-            self.queue.cancel(pending);
-        }
-        if let Some(watchdog) = flight.watchdog {
-            self.queue.cancel(watchdog);
-        }
-        self.fr.dropped.push(DroppedJob {
-            job: flight.job,
-            outcome: Outcome::TimedOut,
-            attempts: self.fr.attempts[flight.job.id as usize],
-        });
-        self.observer.emit(
-            now,
-            TraceEvent::JobTimedOut {
-                job: flight.job.id,
-                function: flight.job.function.name(),
-                worker: v,
-            },
-        );
-        self.with_metrics(|m, h| m.inc(h.jobs_timed_out));
-        self.reboot_vm(v, now, true);
+    /// A warm reboot of the worker OS, stretched by contention.
+    fn boot_window(&self, _v: usize) -> SimDuration {
+        self.server
+            .vm_boot_duration()
+            .mul_f64(self.server.current_slowdown())
     }
 
-    fn on_crash(&mut self, v: usize, now: SimTime) {
-        if self.fr.dead[v] || self.server.vm(v).state() == VmState::Crashed {
-            return;
-        }
-        self.fault_injected(now, v, FaultKind::Crash);
-        if let Some(eid) = self.boot_pending[v].take() {
-            self.queue.cancel(eid);
-        }
-        if let Some(flight) = self.in_flight[v].take() {
-            if let Some(pending) = flight.pending {
-                self.queue.cancel(pending);
-            }
-            if let Some(timeout) = flight.timeout {
-                self.queue.cancel(timeout);
-            }
-            if let Some(watchdog) = flight.watchdog {
-                self.queue.cancel(watchdog);
-            }
-            self.requeue(flight.job, v, now);
+    fn boot_complete(&mut self, v: usize, now: SimTime) {
+        self.server
+            .reboot_complete(v, now)
+            .expect("vm was rebooting");
+    }
+
+    /// The dead VM's CPU share rebalances onto the survivors and the
+    /// host power steps down with the busy-VM count.
+    fn crash(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize, now: SimTime) -> bool {
+        if self.crashed(v) {
+            return false;
         }
         self.server.crash_vm(v, now).expect("vm is running");
-        // The dead VM's CPU share rebalances onto the survivors and the
-        // host power steps down with the busy-VM count.
-        self.mark(now, v, WorkerState::Crashed);
-        self.queue
-            .schedule(now + self.config.faults.detection_delay, Event::Respawn(v));
-        self.maybe_shed(now);
+        true
     }
 
-    fn on_respawn(&mut self, v: usize, now: SimTime) {
-        if self.fr.dead[v] || self.server.vm(v).state() != VmState::Crashed {
-            return;
-        }
+    /// A fresh VM is spawned in the dead one's slot. A respawn
+    /// cold-starts the guest: the boot window stretches beyond the warm
+    /// between-jobs reboot, and contention applies.
+    fn recover(&mut self, v: usize, now: SimTime) -> (WorkerState, SimDuration) {
         self.server.respawn_vm(v, now).expect("vm crashed");
-        self.mark(now, v, WorkerState::Rebooting);
-        self.with_metrics(|m, h| m.inc(h.reboots));
-        // A respawn cold-starts the guest: the boot window stretches
-        // beyond the warm between-jobs reboot, and contention applies.
         let boot = self
             .server
             .vm_boot_duration()
             .mul_f64(RESPAWN_BOOT_PENALTY * self.server.current_slowdown());
-        self.boot_pending[v] = Some(self.queue.schedule(now + boot, Event::RebootDone(v)));
+        (WorkerState::Rebooting, boot)
     }
 
-    fn on_reboot_done(&mut self, v: usize, now: SimTime) {
-        self.boot_pending[v] = None;
-        if self.fr.injector.boot_fails(v) {
-            self.fault_injected(now, v, FaultKind::BootFailure);
-            self.fr.boot_failures[v] += 1;
-            if self.fr.boot_failures[v] > self.config.faults.max_boot_retries {
-                // The slot never comes back: declare it dead and move
-                // its queue to the survivors.
-                self.fr.dead[v] = true;
-                self.server.crash_vm(v, now).expect("vm was rebooting");
-                self.mark(now, v, WorkerState::Crashed);
-                self.redistribute(v, now);
-                self.maybe_shed(now);
-            } else {
-                self.with_metrics(|m, h| m.inc(h.reboots));
-                let boot = self
-                    .server
-                    .vm_boot_duration()
-                    .mul_f64(self.server.current_slowdown());
-                self.boot_pending[v] = Some(self.queue.schedule(now + boot, Event::RebootDone(v)));
-            }
-            return;
-        }
-        self.fr.boot_failures[v] = 0;
-        self.server
-            .reboot_complete(v, now)
-            .expect("vm was rebooting");
-        self.mark(now, v, WorkerState::Idle);
-        self.dispatch(v, now);
-    }
-
-    fn on_watchdog(&mut self, v: usize, now: SimTime) {
-        let Some(flight) = self.in_flight[v].take() else {
-            return;
-        };
-        if let Some(pending) = flight.pending {
-            self.queue.cancel(pending);
-        }
-        if let Some(timeout) = flight.timeout {
-            self.queue.cancel(timeout);
-        }
-        self.requeue(flight.job, v, now);
-        self.reboot_vm(v, now, true);
-    }
-
-    fn on_retry(&mut self, job: Job, now: SimTime) {
-        let Some(target) = (0..self.config.vms).find(|&v| !self.fr.dead[v]) else {
-            self.drop_failed(job, now);
-            return;
-        };
-        self.dispatcher.requeue_front(target, job);
-        self.wake_if_needed(now);
-    }
-
-    fn requeue(&mut self, job: Job, v: usize, now: SimTime) {
-        self.fr.summary.requeued += 1;
-        self.observer.emit(
-            now,
-            TraceEvent::JobRequeued {
-                job: job.id,
-                function: job.function.name(),
-                worker: v,
-            },
-        );
-        self.with_metrics(|m, h| m.inc(h.jobs_requeued));
-        let attempt = self.fr.next_attempt(job);
-        if attempt <= self.config.faults.retry.max_attempts {
-            let delay = self
-                .config
-                .faults
-                .retry
-                .backoff(attempt, self.fr.injector.jitter01());
-            self.fr.summary.retries += 1;
-            self.observer.emit(
-                now,
-                TraceEvent::JobRetryScheduled {
-                    job: job.id,
-                    function: job.function.name(),
-                    attempt,
-                    delay,
-                },
-            );
-            self.with_metrics(|m, h| m.inc(h.job_retries));
-            self.queue.schedule(now + delay, Event::Retry(job));
-        } else {
-            let attempts = attempt - 1;
-            self.observer.emit(
-                now,
-                TraceEvent::JobFailed {
-                    job: job.id,
-                    function: job.function.name(),
-                    attempts,
-                },
-            );
-            self.fr.dropped.push(DroppedJob {
-                job,
-                outcome: Outcome::Failed,
-                attempts,
-            });
-            self.with_metrics(|m, h| m.inc(h.jobs_failed));
-        }
-    }
-
-    /// VMs never power off, so waking means dispatching onto an idle
-    /// survivor when nobody else is on a path back to the queue.
-    fn wake_if_needed(&mut self, now: SimTime) {
-        let will_pull = (0..self.config.vms).any(|v| {
-            !self.fr.dead[v]
-                && matches!(
-                    self.server.vm(v).state(),
-                    VmState::Executing | VmState::Rebooting | VmState::Crashed
-                )
-        });
-        if will_pull {
-            return;
-        }
-        if let Some(v) = (0..self.config.vms)
-            .find(|&v| !self.fr.dead[v] && self.server.vm(v).state() == VmState::Idle)
-        {
-            self.dispatch(v, now);
-        }
-    }
-
-    fn redistribute(&mut self, v: usize, now: SimTime) {
-        let stranded = self.dispatcher.drain_worker(v);
-        if stranded.is_empty() {
-            return;
-        }
-        if self.fr.live_workers() == 0 {
-            for job in stranded {
-                self.drop_failed(job, now);
-            }
-            return;
-        }
-        let live: Vec<usize> = (0..self.config.vms).filter(|&x| !self.fr.dead[x]).collect();
-        for (i, job) in stranded.into_iter().enumerate() {
-            self.dispatcher.enqueue_back(live[i % live.len()], job);
-        }
-        self.wake_if_needed(now);
-    }
-
-    fn maybe_shed(&mut self, now: SimTime) {
-        let up = (0..self.config.vms)
-            .filter(|&v| !self.fr.dead[v] && self.server.vm(v).state() != VmState::Crashed)
-            .count();
-        let floor = self.config.faults.shed_below_capacity * self.config.vms as f64;
-        if (up as f64) >= floor {
-            return;
-        }
-        let shed = self
-            .dispatcher
-            .shed_where(|job| priority_of(job.function) == Priority::Batch);
-        for job in shed {
-            self.observer.emit(
-                now,
-                TraceEvent::JobShed {
-                    job: job.id,
-                    function: job.function.name(),
-                },
-            );
-            self.fr.dropped.push(DroppedJob {
-                job,
-                outcome: Outcome::Shed,
-                attempts: self.fr.attempts[job.id as usize],
-            });
-            self.with_metrics(|m, h| m.inc(h.jobs_shed));
-        }
-    }
-
-    /// Puts a VM whose invocation ended through its between-jobs reboot.
-    /// `forced` resets (timeout, hang, lost result) always take the full
-    /// reboot window to restore a clean guest.
-    fn reboot_vm(&mut self, v: usize, now: SimTime, forced: bool) {
-        self.server.finish_job(v, now).expect("vm was executing");
-        self.mark(now, v, WorkerState::Rebooting);
-        self.with_metrics(|m, h| m.inc(h.reboots));
-        let reboot = if forced || self.reboot_between {
-            self.server
-                .vm_boot_duration()
-                .mul_f64(self.server.current_slowdown())
-        } else {
-            SimDuration::ZERO
-        };
-        // Warm/cold accounting only where another job actually follows.
-        if self.sched_active && self.dispatcher.has_work(v) {
-            let warm = reboot.is_zero();
-            if let (Some(metrics), Some(h)) = (self.observer.metrics(), self.sched_handles.as_ref())
-            {
-                if warm {
-                    metrics.inc(h.warm_hits);
-                } else {
-                    metrics.inc(h.cold_boots);
-                }
-            }
-        }
-        self.boot_pending[v] = Some(self.queue.schedule(now + reboot, Event::RebootDone(v)));
-    }
-
-    /// Completes a pulled job from the orchestrator's result cache (see
-    /// `MicroSim::complete_from_cache`): the VM never runs it, so it
-    /// adds nothing to contention or the host's busy-power draw.
-    fn complete_from_cache(&mut self, job: Job, v: usize, key: u64, now: SimTime) {
-        self.observer.emit(
-            now,
-            TraceEvent::CacheHit {
-                job: job.id,
-                function: job.function.name(),
-                key,
-            },
-        );
-        self.observer.emit(
-            now,
-            TraceEvent::JobCompleted {
-                job: job.id,
-                function: job.function.name(),
-                worker: v,
-                exec: SimDuration::ZERO,
-                overhead: SimDuration::ZERO,
-            },
-        );
-        self.with_metrics(|m, h| {
-            m.inc(h.jobs_completed);
-            m.observe(h.exec_seconds, 0.0);
-            m.observe(h.overhead_seconds, 0.0);
-        });
-        self.records.push(JobRecord {
-            job,
-            worker: v,
-            started: now,
-            exec: SimDuration::ZERO,
-            overhead: SimDuration::ZERO,
-        });
-        self.last_completion = now;
-    }
-
-    fn dispatch(&mut self, v: usize, now: SimTime) {
-        // Drain cache hits before committing the VM (mirrors the
-        // MicroFaaS pull loop): hits complete instantly at the
-        // orchestrator and only real misses occupy a CPU share.
-        let next = loop {
-            let Some(job) = self.dispatcher.pull(v) else {
-                break None;
-            };
-            let key = content_key(job.function.index(), 0);
-            let hit = match self.cache.as_mut() {
-                Some(cache) => cache.lookup(key, now.as_micros()).is_some(),
-                None => false,
-            };
-            if !hit {
-                break Some(job);
-            }
-            self.complete_from_cache(job, v, key, now);
-        };
-        if let Some(job) = next {
-            self.server.start_job(v, now).expect("vm is idle");
-            let watts = self.server.power().value();
-            self.meter.set_power(now, self.host_channel, watts);
-            self.observer.emit(
-                now,
-                TraceEvent::JobStarted {
-                    job: job.id,
-                    function: job.function.name(),
-                    worker: v,
-                },
-            );
-            self.observer.emit(
-                now,
-                TraceEvent::WorkerStateChange {
-                    worker: v,
-                    state: WorkerState::Executing,
-                },
-            );
-            self.observer
-                .emit(now, TraceEvent::PowerSample { worker: 0, watts });
-            let slowdown = self.server.current_slowdown();
-            let exec = service_time(job.function)
-                .exec(WorkerPlatform::X86Vm)
-                .mul_f64(self.config.jitter.factor(&mut self.rng) * slowdown);
-            let (pending, watchdog) = if self.fr.injector.hangs(v) {
-                self.fault_injected(now, v, FaultKind::Hang);
-                let deadline = now + self.config.faults.hang_watchdog;
-                (
-                    None,
-                    Some(self.queue.schedule(deadline, Event::Watchdog(v))),
-                )
-            } else {
-                (
-                    Some(self.queue.schedule(now + exec, Event::ExecDone(v))),
-                    None,
-                )
-            };
-            let timeout = self
-                .timeouts
-                .get(job.function)
-                .map(|limit| self.queue.schedule(now + limit, Event::TimedOut(v)));
-            self.in_flight[v] = Some(InFlight {
-                job,
-                started: now,
-                exec,
-                pending,
-                timeout,
-                watchdog,
-                transfer_tries: 0,
-            });
-        }
-        // An idle VM simply waits; the host idle floor keeps burning
-        // 60 W — the very anti-proportionality the paper targets.
+    fn on_event(
+        &mut self,
+        _: &mut Core<'_, '_, Infallible>,
+        _: usize,
+        timer: Infallible,
+        _: SimTime,
+    ) -> bool {
+        match timer {}
     }
 }
 
@@ -970,8 +320,7 @@ pub fn vm_cluster_power(busy: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::registry::FunctionSpec;
-    use microfaas_sim::faults::{FaultPlan, FaultSpec, FaultTrigger};
-    use microfaas_workloads::FunctionId;
+    use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 
     #[test]
     fn completes_every_job() {

@@ -142,64 +142,21 @@ pub fn compare_suites_jobs(
     breakdown(micro, conventional)
 }
 
-/// [`compare_suites`] with metrics collection: both runs publish their
-/// `micro_*` / `conv_*` series into the same registry, ready for one
-/// combined Prometheus exposition (`microfaas compare --metrics-out`).
+/// [`compare_suites_jobs`] with metrics collection under a fault plan:
+/// both clusters run the same `faults` configuration (`microfaas
+/// compare --faults plan.json`) and publish their `micro_*` / `conv_*`
+/// series into `metrics`, ready for one combined Prometheus exposition
+/// (`microfaas compare --metrics-out`).
 ///
-/// Metrics collection never perturbs the simulation — the comparison is
-/// bit-identical to [`compare_suites`] at the same arguments.
-pub fn compare_suites_metered(
-    invocations_per_function: u32,
-    seed: u64,
-    metrics: &mut MetricsRegistry,
-) -> SuiteComparison {
-    compare_suites_metered_jobs(invocations_per_function, seed, metrics, Jobs::auto())
-}
-
-/// [`compare_suites_metered`] with an explicit [`Jobs`] budget. In
-/// parallel mode each cluster meters into a private registry; merging
-/// micro-then-conv in canonical order reproduces the sequential
-/// registration order, so the rendered exposition is byte-identical to
-/// the serial path.
-pub fn compare_suites_metered_jobs(
-    invocations_per_function: u32,
-    seed: u64,
-    metrics: &mut MetricsRegistry,
-    jobs: Jobs,
-) -> SuiteComparison {
-    compare_suites_faulted_jobs(
-        invocations_per_function,
-        seed,
-        &FaultsConfig::none(),
-        metrics,
-        jobs,
-    )
-}
-
-/// [`compare_suites_metered`] under a fault plan: both clusters run the
-/// same `faults` configuration (`microfaas compare --faults plan.json`).
-///
-/// With [`FaultsConfig::none`] this is bit-identical to
-/// [`compare_suites_metered`] at the same arguments — the fault hooks
+/// Metrics collection never perturbs the simulation, and with
+/// [`FaultsConfig::none`] the comparison is bit-identical to
+/// [`compare_suites_jobs`] at the same arguments — the fault hooks
 /// schedule nothing and draw nothing from an empty plan.
-pub fn compare_suites_faulted(
-    invocations_per_function: u32,
-    seed: u64,
-    faults: &FaultsConfig,
-    metrics: &mut MetricsRegistry,
-) -> SuiteComparison {
-    compare_suites_faulted_jobs(
-        invocations_per_function,
-        seed,
-        faults,
-        metrics,
-        Jobs::auto(),
-    )
-}
-
-/// [`compare_suites_faulted`] with an explicit [`Jobs`] budget; fault
-/// counters and the metrics exposition stay bit-identical to the serial
-/// path at every job count.
+///
+/// In parallel mode each cluster meters into a private registry;
+/// merging micro-then-conv in canonical order reproduces the sequential
+/// registration order, so the rendered exposition and the fault
+/// counters are byte-identical to the serial path at every job count.
 pub fn compare_suites_faulted_jobs(
     invocations_per_function: u32,
     seed: u64,
@@ -340,17 +297,7 @@ pub struct SbcScalePoint {
 /// Sweeps the MicroFaaS cluster size. The paper argues capacity and cost
 /// scale linearly with node count; throughput per node and J/function
 /// should stay constant across the sweep. Points run in parallel under
-/// [`Jobs::auto`].
-pub fn sbc_scale_sweep(
-    worker_counts: &[usize],
-    invocations_per_function: u32,
-    seed: u64,
-) -> Vec<SbcScalePoint> {
-    sbc_scale_sweep_jobs(worker_counts, invocations_per_function, seed, Jobs::auto())
-}
-
-/// [`sbc_scale_sweep`] with an explicit [`Jobs`] budget; bit-identical
-/// at every job count.
+/// `jobs` and are bit-identical at every job count.
 pub fn sbc_scale_sweep_jobs(
     worker_counts: &[usize],
     invocations_per_function: u32,
@@ -1165,7 +1112,7 @@ mod tests {
     fn sbc_scaling_is_linear_in_node_count() {
         // §III-c: doubling nodes doubles capacity; per-function energy
         // is unchanged. This is what lets a provider quote marginal cost.
-        let points = sbc_scale_sweep(&[5, 10, 20, 40], 40, 15);
+        let points = sbc_scale_sweep_jobs(&[5, 10, 20, 40], 40, 15, Jobs::auto());
         let per_node: Vec<f64> = points
             .iter()
             .map(|p| p.functions_per_minute / p.workers as f64)

@@ -310,7 +310,7 @@ impl Dispatcher {
 
     /// Whether this dispatcher runs one shared FIFO (work-conserving)
     /// instead of static per-worker queues.
-    fn is_shared(&self) -> bool {
+    pub(crate) fn is_shared(&self) -> bool {
         self.mode == crate::config::Assignment::WorkConserving
     }
 

@@ -14,7 +14,9 @@
 //! * [`micro`] — the MicroFaaS cluster (SBC workers, GPIO power gating,
 //!   reboot-between-jobs, run-to-completion);
 //! * [`conventional`] — the virtualization-based baseline (microVMs on a
-//!   rack server with CPU contention and an idle power floor);
+//!   rack server with CPU contention and an idle power floor); both
+//!   clusters are node classes of one closed-loop engine, which owns the
+//!   job lifecycle and fault recovery for either;
 //! * [`report`] — run results: throughput, energy, per-function stats;
 //! * [`recovery`] — retry/backoff, crash detection, and load-shedding
 //!   policies for injected faults (see `docs/FAILURE_MODEL.md`);
@@ -45,6 +47,7 @@
 
 pub mod arrivals;
 pub mod cache;
+mod closedloop;
 pub mod config;
 pub mod conventional;
 pub mod experiment;

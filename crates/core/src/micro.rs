@@ -1,12 +1,20 @@
-//! The MicroFaaS cluster simulator: SBC workers driven by the
-//! orchestration plane through GPIO power control, run-to-completion
-//! scheduling, reboots between jobs, and power-gating of idle nodes.
+//! The MicroFaaS cluster: SBC workers driven by the orchestration plane
+//! through GPIO power control, run-to-completion scheduling, reboots
+//! between jobs, and power-gating of idle nodes.
+//!
+//! The job lifecycle itself (dispatch, transfers, timeouts, fault
+//! recovery, records and metrics) is the shared closed-loop engine's;
+//! this module is its SBC node class. Each worker is an [`SbcNode`]
+//! state machine on its own meter channel, powered on and off through
+//! its GPIO line, and the power governor decides what a drained node
+//! does: gate off, park in standby, or stay warm for a while.
 //!
 //! Fault injection (crashes, boot failures, hangs, lost transfers) and
 //! the recovery policies around it are documented in
 //! `docs/FAILURE_MODEL.md`; with an empty
 //! [`FaultPlan`](microfaas_sim::faults::FaultPlan) the machinery is
-//! inert and runs are bit-identical to a build without it.
+//! inert and runs are bit-identical to a build without it. A crashed
+//! SBC is power-cycled through a full boot.
 //!
 //! Placement and power-state policy are pluggable through
 //! `microfaas-sched` (see `docs/SCHEDULING.md`): the
@@ -23,21 +31,18 @@ use microfaas_hw::gpio::{PowerAction, PowerController};
 use microfaas_hw::sbc::{SbcNode, SbcState};
 use microfaas_net::LinkSpec;
 use microfaas_sched::{governor, DrainAction, Governor, GovernorKind};
-use microfaas_sim::faults::FaultKind;
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
-use microfaas_sim::{
-    CounterId, EventId, EventQueue, HistogramId, MetricsRegistry, Rng, SimDuration, SimTime,
-};
+use microfaas_sim::{EventId, SimDuration, SimTime};
 use microfaas_workloads::calibration::{service_time, WorkerPlatform};
 use microfaas_workloads::FunctionId;
 
-use crate::cache::{content_key, CacheConfig, ResultCache};
+use crate::cache::CacheConfig;
+use crate::closedloop::{self, Core, Event, NodeClass, Setup};
 use crate::config::{Assignment, Jitter, WorkloadMix};
-use crate::job::{Dispatcher, Job, JobRecord, JobTable};
 use crate::netmap::ClusterNet;
-use crate::recovery::{priority_of, FaultRuntime, FaultsConfig, Priority};
-use crate::registry::{FunctionRegistry, TimeoutTable};
-use crate::report::{ClusterRun, DroppedJob, Outcome};
+use crate::recovery::FaultsConfig;
+use crate::registry::FunctionRegistry;
+use crate::report::ClusterRun;
 
 /// Configuration of a MicroFaaS cluster run.
 #[derive(Debug, Clone)]
@@ -123,117 +128,6 @@ impl MicroFaasConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// GPIO press registered; the node starts booting.
-    PowerEffective(usize),
-    /// Worker OS reached the network; node is ready for a job.
-    BootDone(usize),
-    /// Function body finished; the result/overhead phase begins.
-    ExecDone(usize),
-    /// Result delivered; the job is complete.
-    JobDone(usize),
-    /// The platform timeout fired; the invocation is killed.
-    TimedOut(usize),
-    /// An injected crash takes the node down.
-    Crash(usize),
-    /// The orchestrator's heartbeat notices the crash; recovery begins.
-    Recover(usize),
-    /// The supervision deadline for a hung or transfer-starved
-    /// invocation: kill it, requeue, and reset the worker.
-    Watchdog(usize),
-    /// The sender retries a result transfer the network lost.
-    Retransmit(usize),
-    /// Backoff elapsed; the orchestrator requeues the invocation.
-    Retry(Job),
-    /// A standby worker's governor idle window elapsed; it may gate off.
-    IdleGate(usize),
-}
-
-struct InFlight {
-    job: Job,
-    started: SimTime,
-    exec: SimDuration,
-    /// The next scheduled progress event (ExecDone, then JobDone, or a
-    /// Retransmit), cancelled if the timeout or a crash fires first.
-    /// `None` while the invocation hangs with only a watchdog armed.
-    pending: Option<EventId>,
-    /// The timeout event, cancelled when the job completes in time.
-    timeout: Option<EventId>,
-    /// The supervision deadline for hangs / exhausted retransmits.
-    watchdog: Option<EventId>,
-    /// Result transfers attempted so far (0 until ExecDone).
-    transfer_tries: u32,
-}
-
-/// Histogram bucket upper bounds (seconds) shared by the cluster
-/// simulators so micro/conventional exec and overhead distributions
-/// land in comparable buckets.
-pub(crate) const EXEC_BUCKETS: [f64; 9] = [0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0];
-/// See [`EXEC_BUCKETS`]; overheads are an order of magnitude smaller.
-pub(crate) const OVERHEAD_BUCKETS: [f64; 9] = [0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5];
-
-/// Per-run metric handles for this cluster, all prefixed `micro_`.
-struct MicroMetrics {
-    jobs_enqueued: CounterId,
-    jobs_completed: CounterId,
-    jobs_timed_out: CounterId,
-    boots: CounterId,
-    net_bytes: CounterId,
-    faults_injected: CounterId,
-    jobs_requeued: CounterId,
-    job_retries: CounterId,
-    jobs_shed: CounterId,
-    jobs_failed: CounterId,
-    exec_seconds: HistogramId,
-    overhead_seconds: HistogramId,
-}
-
-/// Metric handles for the scheduling subsystem, shared by both cluster
-/// engines and the open-loop simulator. Registered only when a
-/// non-default policy is active, so default expositions keep their
-/// historical byte-exact content.
-pub(crate) struct SchedMetrics {
-    /// Static placement decisions made by the active placement policy.
-    pub(crate) placements: CounterId,
-    /// Back-to-back job starts that skipped the boot window.
-    pub(crate) warm_hits: CounterId,
-    /// Job starts that paid the full boot window.
-    pub(crate) cold_boots: CounterId,
-    /// Governor power-regime moves (standby, gate-off, prewarm).
-    pub(crate) governor_transitions: CounterId,
-}
-
-impl SchedMetrics {
-    pub(crate) fn register(metrics: &mut MetricsRegistry) -> Self {
-        SchedMetrics {
-            placements: metrics.counter("sched_placements_total"),
-            warm_hits: metrics.counter("sched_warm_hits_total"),
-            cold_boots: metrics.counter("sched_cold_boots_total"),
-            governor_transitions: metrics.counter("sched_governor_transitions_total"),
-        }
-    }
-}
-
-impl MicroMetrics {
-    fn register(metrics: &mut MetricsRegistry) -> Self {
-        MicroMetrics {
-            jobs_enqueued: metrics.counter("micro_jobs_enqueued_total"),
-            jobs_completed: metrics.counter("micro_jobs_completed_total"),
-            jobs_timed_out: metrics.counter("micro_jobs_timed_out_total"),
-            boots: metrics.counter("micro_worker_boots_total"),
-            net_bytes: metrics.counter("micro_net_bytes_total"),
-            faults_injected: metrics.counter("micro_faults_injected_total"),
-            jobs_requeued: metrics.counter("micro_jobs_requeued_total"),
-            job_retries: metrics.counter("micro_job_retries_total"),
-            jobs_shed: metrics.counter("micro_jobs_shed_total"),
-            jobs_failed: metrics.counter("micro_jobs_failed_total"),
-            exec_seconds: metrics.histogram("micro_exec_seconds", &EXEC_BUCKETS),
-            overhead_seconds: metrics.histogram("micro_overhead_seconds", &OVERHEAD_BUCKETS),
-        }
-    }
-}
-
 /// Runs the configured cluster to completion and reports the results.
 ///
 /// # Panics
@@ -290,1011 +184,316 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
         "crypto accelerator can only speed execution up"
     );
     config.cache.try_validate().expect("invalid cache config");
-    MicroSim::new(config, observer).run()
+    // Network topology: workers on their (possibly upgraded) NICs;
+    // the orchestrator and the four service hosts on GigE so each
+    // cluster's own worker NIC is the bottleneck.
+    let worker_link = LinkSpec {
+        bits_per_sec: config.worker_nic_bits_per_sec,
+        latency: LinkSpec::fast_ethernet().latency,
+    };
+    let service_link = LinkSpec {
+        bits_per_sec: config.service_nic_bits_per_sec,
+        latency: LinkSpec::gigabit().latency,
+    };
+    let mut meter = EnergyMeter::new(SimTime::ZERO);
+    let fleet = SbcFleet {
+        nodes: (0..config.workers)
+            .map(|w| SbcNode::new(w, SimTime::ZERO))
+            .collect(),
+        channels: (0..config.workers)
+            .map(|w| meter.add_channel(format!("sbc-{w}")))
+            .collect(),
+        gpio: PowerController::new(config.workers),
+        governor: governor(config.governor),
+        gate_pending: vec![None; config.workers],
+        power_gating: config.power_gating,
+        crypto_exec_scale: config.crypto_exec_scale,
+    };
+    let setup = Setup {
+        workers: config.workers,
+        mix: &config.mix,
+        seed: config.seed,
+        jitter: config.jitter,
+        assignment: config.assignment,
+        governor: config.governor,
+        reboot_between_jobs: config.reboot_between_jobs,
+        timeouts: config.registry.timeouts(config.invocation_timeout),
+        faults: &config.faults,
+        cache: &config.cache,
+        net: ClusterNet::new("sbc-", config.workers, worker_link, service_link),
+        meter,
+    };
+    closedloop::run(setup, fleet, observer)
 }
 
-/// All mutable state of one MicroFaaS run, so the event handlers can be
-/// plain methods instead of functions threading a dozen arguments.
-struct MicroSim<'a, 'b> {
-    config: &'a MicroFaasConfig,
-    observer: &'a mut Observer<'b>,
-    rng: Rng,
-    queue: EventQueue<Event>,
-    gpio: PowerController,
-    meter: EnergyMeter,
-    cnet: ClusterNet,
+/// The SBC node class: one [`SbcNode`] state machine and meter channel
+/// per worker, GPIO power control, and the power governor.
+struct SbcFleet {
     nodes: Vec<SbcNode>,
     channels: Vec<ChannelId>,
-    dispatcher: Dispatcher,
-    in_flight: Vec<Option<InFlight>>,
-    /// The pending PowerEffective/BootDone event per worker, cancelled
-    /// when a crash interrupts the boot.
-    boot_pending: Vec<Option<EventId>>,
-    records: JobTable,
-    last_completion: SimTime,
-    fr: FaultRuntime,
-    handles: Option<MicroMetrics>,
+    gpio: PowerController,
     /// The node power governor ([`MicroFaasConfig::governor`]).
     governor: Box<dyn Governor + Send>,
-    /// The pending IdleGate event per standby worker, cancelled when a
+    /// The pending IdleGate timer per standby worker, cancelled when a
     /// job start or crash pre-empts the idle window.
     gate_pending: Vec<Option<EventId>>,
-    /// Whether a non-default scheduling policy is active; all new
-    /// telemetry is gated on this so default runs stay byte-identical.
-    sched_active: bool,
-    sched_handles: Option<SchedMetrics>,
-    /// The orchestrator's result cache; `None` when
-    /// [`MicroFaasConfig::cache`] is off, keeping the pull path free of
-    /// cache branches.
-    cache: Option<ResultCache<()>>,
-    /// Each function's kill deadline, resolved once from
-    /// [`MicroFaasConfig::invocation_timeout`] and the registry.
-    timeouts: TimeoutTable,
+    /// [`MicroFaasConfig::power_gating`].
+    power_gating: bool,
+    /// [`MicroFaasConfig::crypto_exec_scale`].
+    crypto_exec_scale: f64,
 }
 
-impl<'a, 'b> MicroSim<'a, 'b> {
-    fn new(config: &'a MicroFaasConfig, observer: &'a mut Observer<'b>) -> Self {
-        let mut rng = Rng::new(config.seed);
-        let mut meter = EnergyMeter::new(SimTime::ZERO);
+/// The timers only SBCs schedule.
+#[derive(Debug, Clone, Copy)]
+enum SbcTimer {
+    /// GPIO press registered; the node starts booting.
+    PowerEffective,
+    /// A standby worker's governor idle window elapsed; it may gate off.
+    IdleGate,
+}
 
-        // Network topology: workers on their (possibly upgraded) NICs;
-        // the orchestrator and the four service hosts on GigE so each
-        // cluster's own worker NIC is the bottleneck.
-        let worker_link = LinkSpec {
-            bits_per_sec: config.worker_nic_bits_per_sec,
-            latency: LinkSpec::fast_ethernet().latency,
-        };
-        let service_link = LinkSpec {
-            bits_per_sec: config.service_nic_bits_per_sec,
-            latency: LinkSpec::gigabit().latency,
-        };
-        let cnet = ClusterNet::new("sbc-", config.workers, worker_link, service_link);
+/// The engine state the SBC hooks receive.
+type SbcCore<'c, 'a, 'b> = &'c mut Core<'a, 'b, SbcTimer>;
 
-        let nodes: Vec<SbcNode> = (0..config.workers)
-            .map(|w| SbcNode::new(w, SimTime::ZERO))
-            .collect();
-        let channels: Vec<ChannelId> = (0..config.workers)
-            .map(|w| meter.add_channel(format!("sbc-{w}")))
-            .collect();
-
-        // The orchestration plane queues every invocation up front
-        // (paper §IV-D), under the configured assignment policy.
-        let jobs = config.mix.jobs(&mut rng);
-        let handles = observer.metrics().map(MicroMetrics::register);
-        if observer.is_tracing() {
-            for job in &jobs {
-                observer.emit(
-                    SimTime::ZERO,
-                    TraceEvent::JobEnqueued {
-                        job: job.id,
-                        function: job.function.name(),
-                    },
-                );
-            }
-        }
-        if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
-            metrics.add(h.jobs_enqueued, jobs.len() as u64);
-        }
-        let fr = FaultRuntime::new(&config.faults.plan, config.workers, jobs.len());
-        // LeastLoaded balances expected ARM execution seconds, not job
-        // counts, so a queue of MatMuls is not "equal" to one of regexes.
-        let dispatcher = Dispatcher::with_weights(
-            config.assignment,
-            config.workers,
-            jobs,
-            &mut rng,
-            |function| {
-                service_time(function)
-                    .exec(WorkerPlatform::ArmSbc)
-                    .as_secs_f64()
-            },
-        );
-
-        // Everything below is observation only (no RNG, no events): the
-        // legacy defaults keep traces and expositions byte-identical.
-        let sched_active = !(config.assignment.is_legacy_assignment()
-            && config.governor == GovernorKind::RebootPerJob);
-        let sched_handles = if sched_active {
-            observer.metrics().map(SchedMetrics::register)
-        } else {
-            None
-        };
-        if sched_active {
-            let placed: Vec<(usize, u64)> = dispatcher
-                .placements()
-                .map(|(w, job)| (w, job.id))
-                .collect();
-            if observer.is_tracing() {
-                for &(w, id) in &placed {
-                    observer.emit(
-                        SimTime::ZERO,
-                        TraceEvent::PlacementDecision {
-                            job: id,
-                            worker: w,
-                            policy: config.assignment.label(),
-                        },
-                    );
-                }
-            }
-            if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                metrics.add(h.placements, placed.len() as u64);
-            }
-        }
-
-        MicroSim {
-            config,
-            observer,
-            rng,
-            // Peak outstanding events: one progress event per worker
-            // plus timeout/watchdog timers and a handful of planned
-            // crashes — sized up front so the hot loop never regrows.
-            queue: EventQueue::with_capacity(4 * config.workers + 16),
-            gpio: PowerController::new(config.workers),
-            meter,
-            cnet,
-            nodes,
-            channels,
-            dispatcher,
-            in_flight: (0..config.workers).map(|_| None).collect(),
-            boot_pending: vec![None; config.workers],
-            records: JobTable::with_capacity(config.mix.total_jobs() as usize),
-            last_completion: SimTime::ZERO,
-            fr,
-            handles,
-            governor: governor(config.governor),
-            gate_pending: vec![None; config.workers],
-            sched_active,
-            sched_handles,
-            cache: ResultCache::from_config(&config.cache),
-            timeouts: config.registry.timeouts(config.invocation_timeout),
-        }
-    }
-
-    fn run(mut self) -> ClusterRun {
-        // Planned crashes are ordinary events; an empty plan schedules
-        // nothing, keeping the event sequence bit-identical. Crashes
-        // aimed past the fleet (a plan written for a larger cluster)
-        // are no-ops.
-        for (at, w) in self.fr.injector.scheduled_crashes().to_vec() {
-            if w < self.config.workers {
-                self.queue.schedule(at, Event::Crash(w));
-            }
-        }
-
-        // Power on every worker that has work.
-        for w in 0..self.config.workers {
-            if self.dispatcher.has_work(w) {
-                self.observer.emit(
-                    SimTime::ZERO,
-                    TraceEvent::WakeRequested {
-                        worker: w,
-                        reason: "dispatch",
-                    },
-                );
-                let effective = self.gpio.actuate(SimTime::ZERO, w, PowerAction::On);
-                self.boot_pending[w] =
-                    Some(self.queue.schedule(effective, Event::PowerEffective(w)));
-            }
-        }
-
-        while let Some((now, event)) = self.queue.pop() {
-            match event {
-                Event::PowerEffective(w) => self.on_power_effective(w, now),
-                Event::BootDone(w) => self.on_boot_done(w, now),
-                Event::ExecDone(w) => self.on_exec_done(w, now),
-                Event::JobDone(w) => self.on_job_done(w, now),
-                Event::TimedOut(w) => self.on_timed_out(w, now),
-                Event::Crash(w) => self.on_crash(w, now),
-                Event::Recover(w) => self.on_recover(w, now),
-                Event::Watchdog(w) => self.on_watchdog(w, now),
-                Event::Retransmit(w) => self.on_retransmit(w, now),
-                Event::Retry(job) => self.on_retry(job, now),
-                Event::IdleGate(w) => self.on_idle_gate(w, now),
-            }
-        }
-
-        // With every worker dead, queued work has nowhere to go: account
-        // each stranded job so completions + drops always equal
-        // submissions. Fault-free runs drain their queues and skip this.
-        let at_end = self.queue.now();
-        for w in 0..self.config.workers {
-            while let Some(job) = self.dispatcher.pull(w) {
-                self.drop_failed(job, at_end);
-            }
-            if let Some(flight) = self.in_flight[w].take() {
-                self.drop_failed(flight.job, at_end);
-            }
-        }
-
-        // A worker that booted to an already-drained queue may touch the
-        // meter after the final completion; report at the later instant.
-        let end = self.queue.now().max(self.last_completion);
-        let energy = self.meter.report(end, self.records.len() as u64);
-        let run = ClusterRun {
-            label: format!("MicroFaaS ({} SBCs)", self.config.workers),
-            workers: self.config.workers,
-            energy,
-            makespan: self.last_completion.duration_since(SimTime::ZERO),
-            records: std::mem::take(&mut self.records),
-            dropped: std::mem::take(&mut self.fr.dropped),
-            faults: self.fr.summary,
-        };
-        // Headline gauges are computed from the finished run itself, so
-        // the exposition agrees bit-for-bit with the `ClusterRun`
-        // accessors.
-        let cache_stats = self.cache.as_ref().map(|c| c.stats());
-        if let Some(metrics) = self.observer.metrics() {
-            self.meter.publish_metrics(metrics, "micro", end);
-            publish_run_gauges(metrics, "micro", &run);
-            // Cache counters only exist when a cache ran: the default
-            // exposition must stay byte-identical to pre-cache builds.
-            if let Some(stats) = cache_stats.as_ref() {
-                publish_cache_counters(metrics, "micro", stats);
-            }
-        }
-        run
-    }
-
-    /// Meters `watts` and emits the state-change + power-sample pair.
-    fn mark(&mut self, now: SimTime, w: usize, state: WorkerState, watts: f64) {
-        self.meter.set_power(now, self.channels[w], watts);
-        self.observer
-            .emit(now, TraceEvent::WorkerStateChange { worker: w, state });
-        self.observer
-            .emit(now, TraceEvent::PowerSample { worker: w, watts });
-    }
-
-    fn with_metrics(&mut self, apply: impl FnOnce(&mut MetricsRegistry, &MicroMetrics)) {
-        if let (Some(metrics), Some(h)) = (self.observer.metrics(), self.handles.as_ref()) {
-            apply(metrics, h);
-        }
-    }
-
-    fn with_sched_metrics(&mut self, apply: impl FnOnce(&mut MetricsRegistry, &SchedMetrics)) {
-        if let (Some(metrics), Some(h)) = (self.observer.metrics(), self.sched_handles.as_ref()) {
-            apply(metrics, h);
-        }
-    }
-
+impl SbcFleet {
     /// Booted-idle workers right now — the governor's "warm pool".
-    fn warm_idle_count(&self) -> usize {
-        (0..self.config.workers)
-            .filter(|&x| !self.fr.dead[x] && self.nodes[x].state() == SbcState::Idle)
+    fn warm_idle_count(&self, core: &Core<'_, '_, SbcTimer>) -> usize {
+        (0..self.nodes.len())
+            .filter(|&x| !core.fr.dead[x] && self.nodes[x].state() == SbcState::Idle)
             .count()
     }
 
     /// Emits the governor-transition trace/metric pair (active policies
     /// only — the default governor never reaches the standby paths).
-    fn governor_transition(&mut self, now: SimTime, w: usize, action: &'static str) {
-        if !self.sched_active {
+    fn governor_transition(&self, core: SbcCore, now: SimTime, w: usize, action: &'static str) {
+        if !core.sched_active {
             return;
         }
-        self.observer
+        core.observer
             .emit(now, TraceEvent::GovernorTransition { worker: w, action });
-        self.with_sched_metrics(|m, h| m.inc(h.governor_transitions));
+        core.with_sched_metrics(|m, h| m.inc(h.governor_transitions));
     }
 
-    fn fault_injected(&mut self, now: SimTime, w: usize, kind: FaultKind) {
-        self.fr.summary.injected += 1;
-        self.observer.emit(
-            now,
-            TraceEvent::FaultInjected {
-                worker: w,
-                fault: kind.label(),
-            },
-        );
-        self.with_metrics(|m, h| m.inc(h.faults_injected));
-    }
-
-    fn drop_failed(&mut self, job: Job, now: SimTime) {
-        let attempts = self.fr.attempts[job.id as usize];
-        self.observer.emit(
-            now,
-            TraceEvent::JobFailed {
-                job: job.id,
-                function: job.function.name(),
-                attempts,
-            },
-        );
-        self.fr.dropped.push(DroppedJob {
-            job,
-            outcome: Outcome::Failed,
-            attempts,
-        });
-        self.with_metrics(|m, h| m.inc(h.jobs_failed));
-    }
-
-    fn on_power_effective(&mut self, w: usize, now: SimTime) {
-        self.boot_pending[w] = None;
-        self.nodes[w]
-            .power_on(now)
-            .expect("scheduled only while off");
-        let watts = self.nodes[w].power().value();
-        self.mark(now, w, WorkerState::Booting, watts);
-        self.with_metrics(|m, h| m.inc(h.boots));
-        self.boot_pending[w] = Some(
-            self.queue
-                .schedule(now + self.nodes[w].boot_duration(), Event::BootDone(w)),
-        );
-    }
-
-    fn on_boot_done(&mut self, w: usize, now: SimTime) {
-        self.boot_pending[w] = None;
-        if self.fr.injector.boot_fails(w) {
-            self.fault_injected(now, w, FaultKind::BootFailure);
-            self.fr.boot_failures[w] += 1;
-            if self.fr.boot_failures[w] > self.config.faults.max_boot_retries {
-                // The node never comes up: declare it dead and move its
-                // statically assigned queue to the survivors.
-                self.fr.dead[w] = true;
-                self.nodes[w].crash(now).expect("node was booting");
-                self.mark(now, w, WorkerState::Crashed, 0.0);
-                self.redistribute(w, now);
-                self.maybe_shed(now);
-            } else {
-                // The boot wedged; the orchestrator power-cycles and the
-                // node spends another boot window at boot power.
-                self.with_metrics(|m, h| m.inc(h.boots));
-                self.boot_pending[w] = Some(
-                    self.queue
-                        .schedule(now + self.nodes[w].boot_duration(), Event::BootDone(w)),
-                );
-            }
-            return;
-        }
-        self.fr.boot_failures[w] = 0;
-        self.nodes[w]
-            .boot_complete(now)
-            .expect("scheduled only while booting");
-        let watts = self.nodes[w].power().value();
-        self.mark(now, w, WorkerState::Idle, watts);
-        self.start_next_job(w, now);
-    }
-
-    fn on_exec_done(&mut self, w: usize, now: SimTime) {
-        let job = self.in_flight[w].as_ref().expect("job in flight").job;
-        let st = service_time(job.function);
-        let fixed = st
-            .fixed_overhead(WorkerPlatform::ArmSbc)
-            .mul_f64(self.config.jitter.factor(&mut self.rng));
-        // The byte-proportional part travels the simulated switch, where
-        // port contention can stretch it beyond nominal.
-        self.attempt_transfer(w, now + fixed);
-    }
-
-    /// Pushes the result transfer through the switch; an injected loss
-    /// consumes the wire, then either retransmits or hands the job to
-    /// the watchdog once the retry budget is spent.
-    fn attempt_transfer(&mut self, w: usize, start: SimTime) {
-        let job = self.in_flight[w].as_ref().expect("job in flight").job;
-        let bytes = service_time(job.function).transfer_bytes();
-        let lost = self.fr.injector.transfer_lost(w);
-        if lost {
-            self.fault_injected(start, w, FaultKind::NetLoss);
-        }
-        // The response leaves the worker as the transfer starts; a lost
-        // copy re-emits on retransmit (span derivation keeps the first).
-        self.observer.emit(
-            start,
-            TraceEvent::ResponseSent {
-                job: job.id,
-                function: job.function.name(),
-                worker: w,
-            },
-        );
-        let (delivered, src, dst) = self.cnet.transfer(start, w, job.function, bytes, lost);
-        self.observer
-            .emit(start, TraceEvent::NetTransfer { src, dst, bytes });
-        self.with_metrics(|m, h| m.add(h.net_bytes, bytes));
-        if !lost {
-            let pending = self.queue.schedule(delivered, Event::JobDone(w));
-            self.in_flight[w].as_mut().expect("job in flight").pending = Some(pending);
-            return;
-        }
-        let tries = {
-            let flight = self.in_flight[w].as_mut().expect("job in flight");
-            flight.transfer_tries += 1;
-            flight.transfer_tries
-        };
-        if tries <= self.config.faults.retry.max_attempts {
-            let eid = self.queue.schedule(
-                delivered + self.config.faults.retransmit_delay,
-                Event::Retransmit(w),
-            );
-            self.in_flight[w].as_mut().expect("job in flight").pending = Some(eid);
-        } else {
-            // Every copy vanished: when the last one would have arrived,
-            // the orchestrator's supervision gives up on this worker.
-            let eid = self.queue.schedule(delivered, Event::Watchdog(w));
-            let flight = self.in_flight[w].as_mut().expect("job in flight");
-            flight.pending = None;
-            flight.watchdog = Some(eid);
-        }
-    }
-
-    fn on_retransmit(&mut self, w: usize, now: SimTime) {
-        self.attempt_transfer(w, now);
-    }
-
-    fn on_job_done(&mut self, w: usize, now: SimTime) {
-        let flight = self.in_flight[w].take().expect("job in flight");
-        if let Some(timeout_event) = flight.timeout {
-            self.queue.cancel(timeout_event);
-        }
-        let overhead = now.duration_since(flight.started + flight.exec);
-        self.observer.emit(
-            now,
-            TraceEvent::JobCompleted {
-                job: flight.job.id,
-                function: flight.job.function.name(),
-                worker: w,
-                exec: flight.exec,
-                overhead,
-            },
-        );
-        self.with_metrics(|m, h| {
-            m.inc(h.jobs_completed);
-            m.observe(h.exec_seconds, flight.exec.as_secs_f64());
-            m.observe(h.overhead_seconds, overhead.as_secs_f64());
-        });
-        self.records.push(JobRecord {
-            job: flight.job,
-            worker: w,
-            started: flight.started,
-            exec: flight.exec,
-            overhead,
-        });
-        self.last_completion = now;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.insert(
-                content_key(flight.job.function.index(), 0),
-                (),
-                now.as_micros(),
-            );
-        }
-        self.release_worker(w, now, false);
-    }
-
-    fn on_timed_out(&mut self, w: usize, now: SimTime) {
-        let flight = self.in_flight[w].take().expect("job in flight");
-        if let Some(pending) = flight.pending {
-            self.queue.cancel(pending);
-        }
-        if let Some(watchdog) = flight.watchdog {
-            self.queue.cancel(watchdog);
-        }
-        self.fr.dropped.push(DroppedJob {
-            job: flight.job,
-            outcome: Outcome::TimedOut,
-            attempts: self.fr.attempts[flight.job.id as usize],
-        });
-        self.observer.emit(
-            now,
-            TraceEvent::JobTimedOut {
-                job: flight.job.id,
-                function: flight.job.function.name(),
-                worker: w,
-            },
-        );
-        self.with_metrics(|m, h| m.inc(h.jobs_timed_out));
-        // The worker is reset exactly as after a normal job: the reboot
-        // restores the clean state the next tenant needs.
-        self.release_worker(w, now, true);
-    }
-
-    fn on_crash(&mut self, w: usize, now: SimTime) {
-        if self.fr.dead[w] || matches!(self.nodes[w].state(), SbcState::Off | SbcState::Crashed) {
-            // Nothing is running to crash; the planned fault fizzles.
-            return;
-        }
-        self.fault_injected(now, w, FaultKind::Crash);
-        if let Some(eid) = self.boot_pending[w].take() {
-            self.queue.cancel(eid);
-        }
+    fn cancel_gate(&mut self, core: SbcCore, w: usize) {
         if let Some(eid) = self.gate_pending[w].take() {
-            self.queue.cancel(eid);
-        }
-        if let Some(flight) = self.in_flight[w].take() {
-            if let Some(pending) = flight.pending {
-                self.queue.cancel(pending);
-            }
-            if let Some(timeout) = flight.timeout {
-                self.queue.cancel(timeout);
-            }
-            if let Some(watchdog) = flight.watchdog {
-                self.queue.cancel(watchdog);
-            }
-            self.requeue(flight.job, w, now);
-        }
-        self.nodes[w].crash(now).expect("node is powered");
-        self.mark(now, w, WorkerState::Crashed, 0.0);
-        self.queue
-            .schedule(now + self.config.faults.detection_delay, Event::Recover(w));
-        self.maybe_shed(now);
-    }
-
-    fn on_recover(&mut self, w: usize, now: SimTime) {
-        if self.fr.dead[w] || self.nodes[w].state() != SbcState::Crashed {
-            return;
-        }
-        self.nodes[w].recover(now).expect("node crashed");
-        let watts = self.nodes[w].power().value();
-        self.mark(now, w, WorkerState::Booting, watts);
-        self.with_metrics(|m, h| m.inc(h.boots));
-        self.boot_pending[w] = Some(
-            self.queue
-                .schedule(now + self.nodes[w].boot_duration(), Event::BootDone(w)),
-        );
-    }
-
-    fn on_watchdog(&mut self, w: usize, now: SimTime) {
-        let Some(flight) = self.in_flight[w].take() else {
-            return;
-        };
-        if let Some(pending) = flight.pending {
-            self.queue.cancel(pending);
-        }
-        if let Some(timeout) = flight.timeout {
-            self.queue.cancel(timeout);
-        }
-        self.requeue(flight.job, w, now);
-        self.release_worker(w, now, true);
-    }
-
-    fn on_retry(&mut self, job: Job, now: SimTime) {
-        let Some(target) = (0..self.config.workers).find(|&w| !self.fr.dead[w]) else {
-            self.drop_failed(job, now);
-            return;
-        };
-        self.dispatcher.requeue_front(target, job);
-        self.wake_if_needed(now);
-    }
-
-    /// Pulls a job back off a failed worker and schedules its retry (or
-    /// declares it failed once the budget is spent).
-    fn requeue(&mut self, job: Job, w: usize, now: SimTime) {
-        self.fr.summary.requeued += 1;
-        self.observer.emit(
-            now,
-            TraceEvent::JobRequeued {
-                job: job.id,
-                function: job.function.name(),
-                worker: w,
-            },
-        );
-        self.with_metrics(|m, h| m.inc(h.jobs_requeued));
-        let attempt = self.fr.next_attempt(job);
-        if attempt <= self.config.faults.retry.max_attempts {
-            let delay = self
-                .config
-                .faults
-                .retry
-                .backoff(attempt, self.fr.injector.jitter01());
-            self.fr.summary.retries += 1;
-            self.observer.emit(
-                now,
-                TraceEvent::JobRetryScheduled {
-                    job: job.id,
-                    function: job.function.name(),
-                    attempt,
-                    delay,
-                },
-            );
-            self.with_metrics(|m, h| m.inc(h.job_retries));
-            self.queue.schedule(now + delay, Event::Retry(job));
-        } else {
-            let attempts = attempt - 1;
-            self.observer.emit(
-                now,
-                TraceEvent::JobFailed {
-                    job: job.id,
-                    function: job.function.name(),
-                    attempts,
-                },
-            );
-            self.fr.dropped.push(DroppedJob {
-                job,
-                outcome: Outcome::Failed,
-                attempts,
-            });
-            self.with_metrics(|m, h| m.inc(h.jobs_failed));
+            core.queue.cancel(eid);
         }
     }
 
-    /// If no live worker is on a path that ends in pulling the queue
-    /// (booting, executing, or recovering), wake one up for the
-    /// requeued/redistributed work.
-    fn wake_if_needed(&mut self, now: SimTime) {
-        let will_pull = (0..self.config.workers).any(|w| {
-            !self.fr.dead[w]
-                && matches!(
-                    self.nodes[w].state(),
-                    SbcState::Booting
-                        | SbcState::Rebooting
-                        | SbcState::Executing
-                        | SbcState::Crashed
-                )
-        });
-        if will_pull {
-            return;
+    /// Holds an idle node booted at standby draw, arming the governor's
+    /// idle window if it sets one.
+    fn standby(&mut self, core: SbcCore, w: usize, now: SimTime, window: Option<SimDuration>) {
+        self.governor_transition(core, now, w, "standby");
+        if let Some(window) = window {
+            let gate = Event::Node(w, SbcTimer::IdleGate);
+            self.gate_pending[w] = Some(core.queue.schedule(now + window, gate));
         }
-        let Some(w) = (0..self.config.workers).find(|&w| !self.fr.dead[w]) else {
-            return;
-        };
+    }
+
+    /// Cuts a node that just went off through its GPIO line.
+    fn gate_off(&mut self, core: SbcCore, w: usize, now: SimTime) {
+        self.gpio.actuate(now, w, PowerAction::Off);
+        core.mark(now, w, WorkerState::Off, self.power(w));
+    }
+}
+
+impl NodeClass for SbcFleet {
+    type Event = SbcTimer;
+    const PREFIX: &'static str = "micro";
+    const BOOTS: &'static str = "worker_boots_total";
+    const PLATFORM: WorkerPlatform = WorkerPlatform::ArmSbc;
+    const REBOOT_IS_A_BOOT: bool = false;
+
+    fn label(&self) -> String {
+        format!("MicroFaaS ({} SBCs)", self.nodes.len())
+    }
+
+    fn power(&self, w: usize) -> (ChannelId, usize, f64) {
+        (self.channels[w], w, self.nodes[w].power().value())
+    }
+
+    fn pulling(&self, w: usize) -> bool {
+        matches!(
+            self.nodes[w].state(),
+            SbcState::Booting | SbcState::Rebooting | SbcState::Executing | SbcState::Crashed
+        )
+    }
+
+    fn returning(&self, core: &Core<'_, '_, SbcTimer>, w: usize) -> bool {
+        match self.nodes[w].state() {
+            // A power-on in the GPIO actuation window boots and pulls.
+            SbcState::Off => core.boot_pending[w].is_some(),
+            // An armed idle gate re-checks the queue before gating.
+            SbcState::Idle => self.gate_pending[w].is_some(),
+            _ => true,
+        }
+    }
+
+    fn crashed(&self, w: usize) -> bool {
+        self.nodes[w].state() == SbcState::Crashed
+    }
+
+    fn wake(&mut self, core: SbcCore, w: usize, now: SimTime, reason: &'static str) -> bool {
         match self.nodes[w].state() {
             // A power-on already in the GPIO actuation window will pull
             // the queue when it lands; actuating again would leave a
             // stale PowerEffective firing into the middle of that boot.
-            SbcState::Off if self.boot_pending[w].is_none() => {
-                self.observer.emit(
-                    now,
-                    TraceEvent::WakeRequested {
-                        worker: w,
-                        reason: "requeue",
-                    },
-                );
+            SbcState::Off if core.boot_pending[w].is_none() => {
+                core.observer
+                    .emit(now, TraceEvent::WakeRequested { worker: w, reason });
                 let effective = self.gpio.actuate(now, w, PowerAction::On);
-                self.boot_pending[w] =
-                    Some(self.queue.schedule(effective, Event::PowerEffective(w)));
+                let power_on = Event::Node(w, SbcTimer::PowerEffective);
+                core.boot_pending[w] = Some(core.queue.schedule(effective, power_on));
+                false
             }
             // A parked (standby) node starts the next job directly.
-            SbcState::Idle => self.start_next_job(w, now),
-            _ => {}
+            SbcState::Idle => true,
+            _ => false,
         }
     }
 
-    /// Moves a dead worker's statically assigned queue to the survivors
-    /// round-robin; with nobody left, the jobs are failed outright.
-    fn redistribute(&mut self, w: usize, now: SimTime) {
-        let stranded = self.dispatcher.drain_worker(w);
-        if stranded.is_empty() {
-            return;
-        }
-        if self.fr.live_workers() == 0 {
-            for job in stranded {
-                self.drop_failed(job, now);
-            }
-            return;
-        }
-        let live: Vec<usize> = (0..self.config.workers)
-            .filter(|&x| !self.fr.dead[x])
-            .collect();
-        for (i, job) in stranded.into_iter().enumerate() {
-            self.dispatcher.enqueue_back(live[i % live.len()], job);
-        }
-        self.wake_if_needed(now);
-    }
-
-    /// Graceful degradation: when live capacity falls below the
-    /// configured fraction, queued batch work is shed so the surviving
-    /// workers serve interactive invocations first.
-    fn maybe_shed(&mut self, now: SimTime) {
-        let up = (0..self.config.workers)
-            .filter(|&w| !self.fr.dead[w] && self.nodes[w].state() != SbcState::Crashed)
-            .count();
-        let floor = self.config.faults.shed_below_capacity * self.config.workers as f64;
-        if (up as f64) >= floor {
-            return;
-        }
-        let shed = self
-            .dispatcher
-            .shed_where(|job| priority_of(job.function) == Priority::Batch);
-        for job in shed {
-            self.observer.emit(
-                now,
-                TraceEvent::JobShed {
-                    job: job.id,
-                    function: job.function.name(),
-                },
-            );
-            self.fr.dropped.push(DroppedJob {
-                job,
-                outcome: Outcome::Shed,
-                attempts: self.fr.attempts[job.id as usize],
-            });
-            self.with_metrics(|m, h| m.inc(h.jobs_shed));
-        }
-    }
-
-    /// Frees a worker whose invocation ended. `forced` resets (timeout,
-    /// hang, lost result) always reboot to a clean state and never park,
-    /// matching the pre-fault timeout semantics.
-    fn release_worker(&mut self, w: usize, now: SimTime, forced: bool) {
-        if !self.dispatcher.has_work(w) {
-            // Queue drained: the governor picks the power regime. Forced
-            // resets always gate (timeout semantics predate governors),
-            // and the default RebootPerJob always answers PowerOff, so
-            // the legacy paths below run unchanged.
-            let action = if forced {
-                DrainAction::PowerOff
-            } else {
-                // +1: this worker is still Executing but would join the
-                // warm pool, and the contract counts it in.
-                let warm_idle = self.warm_idle_count() + 1;
-                self.governor.on_drain(now, warm_idle)
-            };
-            match action {
-                DrainAction::PowerOff => {
-                    // Power fully down (energy proportionality), or idle
-                    // in standby if gating is disabled for the ablation.
-                    self.nodes[w]
-                        .finish_job_and_power_off(now)
-                        .expect("job was executing");
-                    if !forced && !self.config.power_gating {
-                        // Model standby as the idle draw without the FSM
-                        // round trip: the node is "parked".
-                        self.meter.set_power(now, self.channels[w], 0.128);
-                        self.observer.emit(
-                            now,
-                            TraceEvent::WorkerStateChange {
-                                worker: w,
-                                state: WorkerState::Idle,
-                            },
-                        );
-                        self.observer.emit(
-                            now,
-                            TraceEvent::PowerSample {
-                                worker: w,
-                                watts: 0.128,
-                            },
-                        );
-                    } else {
-                        self.gpio.actuate(now, w, PowerAction::Off);
-                        self.mark(now, w, WorkerState::Off, 0.0);
-                    }
-                }
-                DrainAction::Standby { idle_timeout } => {
-                    // Stay booted-idle at standby draw; the node can
-                    // take a later requeue without paying the boot.
-                    self.nodes[w]
-                        .finish_job_and_standby(now)
-                        .expect("job was executing");
-                    self.mark(now, w, WorkerState::Idle, 0.128);
-                    self.governor_transition(now, w, "standby");
-                    if let Some(window) = idle_timeout {
-                        self.gate_pending[w] =
-                            Some(self.queue.schedule(now + window, Event::IdleGate(w)));
-                    }
-                }
-            }
-        } else {
-            self.nodes[w]
-                .finish_job_and_reboot(now)
-                .expect("job was executing");
-            let watts = self.nodes[w].power().value();
-            self.mark(now, w, WorkerState::Rebooting, watts);
-            let reboot = if forced
-                || self
-                    .governor
-                    .reboot_between_jobs(self.config.reboot_between_jobs)
-            {
-                self.nodes[w].boot_duration()
-            } else {
-                SimDuration::ZERO
-            };
-            if self.sched_active {
-                if reboot.is_zero() {
-                    self.with_sched_metrics(|m, h| m.inc(h.warm_hits));
-                } else {
-                    self.with_sched_metrics(|m, h| m.inc(h.cold_boots));
-                }
-            }
-            self.boot_pending[w] = Some(self.queue.schedule(now + reboot, Event::BootDone(w)));
-        }
-    }
-
-    /// A standby worker's idle window elapsed: ask the governor whether
-    /// it finally gates off. Stale gates (the worker crashed, died, or
-    /// started a job that re-armed nothing) are dropped silently.
-    fn on_idle_gate(&mut self, w: usize, now: SimTime) {
-        self.gate_pending[w] = None;
-        if self.fr.dead[w] || self.nodes[w].state() != SbcState::Idle {
-            return;
-        }
-        if self.dispatcher.has_work(w) {
-            // Work arrived while idle (a requeue that never woke us):
-            // run it instead of gating.
-            self.start_next_job(w, now);
-            return;
-        }
-        if self
-            .governor
-            .gate_on_idle_expiry(now, self.warm_idle_count())
-        {
-            self.nodes[w].power_off(now).expect("node is idle");
-            self.gpio.actuate(now, w, PowerAction::Off);
-            self.mark(now, w, WorkerState::Off, 0.0);
-            self.governor_transition(now, w, "gate-off");
-        }
-        // A `false` answer leaves the node idle with no further expiry
-        // scheduled (see the Governor contract), keeping the loop finite.
-    }
-
-    /// Completes a pulled job from the orchestrator's result cache: the
-    /// worker never sees it, so it costs zero boot/exec/energy. The job
-    /// still gets a record and a completion event (with zero durations)
-    /// so completions, traces, and per-function stats stay conserved.
-    fn complete_from_cache(&mut self, job: Job, w: usize, key: u64, now: SimTime) {
-        self.observer.emit(
-            now,
-            TraceEvent::CacheHit {
-                job: job.id,
-                function: job.function.name(),
-                key,
-            },
-        );
-        self.observer.emit(
-            now,
-            TraceEvent::JobCompleted {
-                job: job.id,
-                function: job.function.name(),
-                worker: w,
-                exec: SimDuration::ZERO,
-                overhead: SimDuration::ZERO,
-            },
-        );
-        self.with_metrics(|m, h| {
-            m.inc(h.jobs_completed);
-            m.observe(h.exec_seconds, 0.0);
-            m.observe(h.overhead_seconds, 0.0);
-        });
-        self.records.push(JobRecord {
-            job,
-            worker: w,
-            started: now,
-            exec: SimDuration::ZERO,
-            overhead: SimDuration::ZERO,
-        });
-        self.last_completion = now;
-    }
-
-    fn start_next_job(&mut self, w: usize, now: SimTime) {
+    #[inline]
+    fn start_job(&mut self, core: SbcCore, w: usize, now: SimTime) {
         // A job start pre-empts any armed idle-gate window.
-        if let Some(eid) = self.gate_pending[w].take() {
-            self.queue.cancel(eid);
+        self.cancel_gate(core, w);
+        self.nodes[w].start_job(now).expect("node is idle");
+    }
+
+    fn exec(&self, function: FunctionId, jitter: f64) -> SimDuration {
+        let exec = service_time(function)
+            .exec(WorkerPlatform::ArmSbc)
+            .mul_f64(jitter);
+        if self.crypto_exec_scale < 1.0 && is_crypto(function) {
+            exec.mul_f64(self.crypto_exec_scale)
+        } else {
+            exec
         }
-        // Drain cache hits before committing the worker: each one
-        // completes instantly at the orchestrator and the pull loop
-        // moves on, so the worker only boots/executes for real misses.
-        let next = loop {
-            let Some(job) = self.dispatcher.pull(w) else {
-                break None;
-            };
-            let key = content_key(job.function.index(), 0);
-            let hit = match self.cache.as_mut() {
-                Some(cache) => cache.lookup(key, now.as_micros()).is_some(),
-                None => false,
-            };
-            if !hit {
-                break Some(job);
+    }
+
+    fn idle(&mut self, core: SbcCore, w: usize, now: SimTime) {
+        self.cancel_gate(core, w);
+        // Booted with nothing to do (possible when the initial random
+        // assignment left this worker a short queue): the governor
+        // decides between gating off and staying warm. The node is
+        // already Idle, so `warm_idle_count` counts it, matching the
+        // on_drain contract.
+        match self.governor.on_drain(now, self.warm_idle_count(core)) {
+            DrainAction::PowerOff => {
+                if self.power_gating {
+                    self.nodes[w].power_off(now).expect("node is idle");
+                    self.gate_off(core, w, now);
+                }
             }
-            self.complete_from_cache(job, w, key, now);
+            DrainAction::Standby { idle_timeout } => self.standby(core, w, now, idle_timeout),
+        }
+    }
+
+    fn drain(&mut self, core: SbcCore, w: usize, now: SimTime, forced: bool) -> bool {
+        // The governor picks the power regime. Forced resets (timeout,
+        // hang, lost result) always gate, since timeout semantics
+        // predate governors, and the default RebootPerJob always answers
+        // PowerOff, so the legacy paths below run unchanged.
+        let action = if forced {
+            DrainAction::PowerOff
+        } else {
+            // +1: this worker is still Executing but would join the
+            // warm pool, and the contract counts it in.
+            let warm_idle = self.warm_idle_count(core) + 1;
+            self.governor.on_drain(now, warm_idle)
         };
-        match next {
-            Some(job) => {
-                self.nodes[w].start_job(now).expect("node is idle");
-                let watts = self.nodes[w].power().value();
-                self.meter.set_power(now, self.channels[w], watts);
-                self.observer.emit(
-                    now,
-                    TraceEvent::JobStarted {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: w,
-                    },
-                );
-                self.observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Executing,
-                    },
-                );
-                self.observer
-                    .emit(now, TraceEvent::PowerSample { worker: w, watts });
-                let st = service_time(job.function);
-                let mut exec = st
-                    .exec(WorkerPlatform::ArmSbc)
-                    .mul_f64(self.config.jitter.factor(&mut self.rng));
-                if self.config.crypto_exec_scale < 1.0 && is_crypto(job.function) {
-                    exec = exec.mul_f64(self.config.crypto_exec_scale);
-                }
-                let (pending, watchdog) = if self.fr.injector.hangs(w) {
-                    // The invocation wedges: no progress event, only the
-                    // supervision deadline.
-                    self.fault_injected(now, w, FaultKind::Hang);
-                    let deadline = now + self.config.faults.hang_watchdog;
-                    (
-                        None,
-                        Some(self.queue.schedule(deadline, Event::Watchdog(w))),
-                    )
+        match action {
+            DrainAction::PowerOff => {
+                self.nodes[w]
+                    .finish_job_and_power_off(now)
+                    .expect("job was executing");
+                if !forced && !self.power_gating {
+                    // The gating ablation: model standby as the idle draw
+                    // without the FSM round trip; the node is "parked".
+                    core.mark(now, w, WorkerState::Idle, (self.channels[w], w, 0.128));
                 } else {
-                    (
-                        Some(self.queue.schedule(now + exec, Event::ExecDone(w))),
-                        None,
-                    )
-                };
-                let timeout = self
-                    .timeouts
-                    .get(job.function)
-                    .map(|limit| self.queue.schedule(now + limit, Event::TimedOut(w)));
-                self.in_flight[w] = Some(InFlight {
-                    job,
-                    started: now,
-                    exec,
-                    pending,
-                    timeout,
-                    watchdog,
-                    transfer_tries: 0,
-                });
-            }
-            None => {
-                // Booted with nothing to do (possible when the initial
-                // random assignment left this worker a short queue): the
-                // governor decides between gating off and staying warm.
-                // The node is already Idle, so `warm_idle_count` counts
-                // it, matching the on_drain contract.
-                match self.governor.on_drain(now, self.warm_idle_count()) {
-                    DrainAction::PowerOff => {
-                        if self.config.power_gating {
-                            self.nodes[w].power_off(now).expect("node is idle");
-                            self.gpio.actuate(now, w, PowerAction::Off);
-                            self.mark(now, w, WorkerState::Off, 0.0);
-                        }
-                    }
-                    DrainAction::Standby { idle_timeout } => {
-                        // Already idle at standby draw; just arm the
-                        // governor's expiry window.
-                        self.governor_transition(now, w, "standby");
-                        if let Some(window) = idle_timeout {
-                            self.gate_pending[w] =
-                                Some(self.queue.schedule(now + window, Event::IdleGate(w)));
-                        }
-                    }
+                    self.gate_off(core, w, now);
                 }
+            }
+            DrainAction::Standby { idle_timeout } => {
+                // Stay booted-idle at standby draw; the node can take a
+                // later requeue without paying the boot.
+                self.nodes[w]
+                    .finish_job_and_standby(now)
+                    .expect("job was executing");
+                core.mark(now, w, WorkerState::Idle, self.power(w));
+                self.standby(core, w, now, idle_timeout);
             }
         }
+        true
     }
-}
 
-/// Publishes the headline `ClusterRun` aggregates as `{prefix}_*`
-/// gauges, identical to the values the accessors return.
-pub(crate) fn publish_run_gauges(metrics: &mut MetricsRegistry, prefix: &str, run: &ClusterRun) {
-    let pairs = [
-        ("makespan_seconds", run.makespan.as_secs_f64()),
-        ("total_joules", run.energy.total_joules),
-        ("average_watts", run.energy.average_watts),
-        (
-            "joules_per_function",
-            run.joules_per_function().unwrap_or(0.0),
-        ),
-        ("functions_per_minute", run.functions_per_minute()),
-    ];
-    for (name, value) in pairs {
-        let gauge = metrics.gauge(&format!("{prefix}_{name}"));
-        metrics.set_gauge(gauge, value);
+    fn finish_job(&mut self, w: usize, now: SimTime) {
+        self.nodes[w]
+            .finish_job_and_reboot(now)
+            .expect("job was executing");
     }
-}
 
-/// Publishes a finished run's cache statistics as `{prefix}_cache_*`
-/// counters. Callers gate on the cache being enabled so default
-/// expositions stay byte-identical to pre-cache builds.
-pub(crate) fn publish_cache_counters(
-    metrics: &mut MetricsRegistry,
-    prefix: &str,
-    stats: &crate::cache::CacheStats,
-) {
-    let counters = [
-        ("cache_hits_total", stats.hits),
-        ("cache_misses_total", stats.misses),
-        ("cache_coalesced_total", stats.coalesced),
-        ("cache_insertions_total", stats.insertions),
-        ("cache_evictions_total", stats.evictions),
-        ("cache_expirations_total", stats.expirations),
-    ];
-    for (name, value) in counters {
-        let counter = metrics.counter(&format!("{prefix}_{name}"));
-        metrics.add(counter, value);
+    fn boot_window(&self, w: usize) -> SimDuration {
+        self.nodes[w].boot_duration()
+    }
+
+    fn boot_complete(&mut self, w: usize, now: SimTime) {
+        self.nodes[w]
+            .boot_complete(now)
+            .expect("scheduled only while booting");
+    }
+
+    fn crash(&mut self, core: SbcCore, w: usize, now: SimTime) -> bool {
+        if matches!(self.nodes[w].state(), SbcState::Off | SbcState::Crashed) {
+            return false;
+        }
+        self.cancel_gate(core, w);
+        self.nodes[w].crash(now).expect("node is powered");
+        true
+    }
+
+    fn recover(&mut self, w: usize, now: SimTime) -> (WorkerState, SimDuration) {
+        self.nodes[w].recover(now).expect("node crashed");
+        (WorkerState::Booting, self.boot_window(w))
+    }
+
+    fn on_event(&mut self, core: SbcCore, w: usize, timer: SbcTimer, now: SimTime) -> bool {
+        match timer {
+            SbcTimer::PowerEffective => {
+                self.nodes[w]
+                    .power_on(now)
+                    .expect("scheduled only while off");
+                core.mark(now, w, WorkerState::Booting, self.power(w));
+                core.with_metrics(|m, h| m.inc(h.boots));
+                let at = now + self.boot_window(w);
+                core.boot_pending[w] = Some(core.queue.schedule(at, Event::BootDone(w)));
+                false
+            }
+            SbcTimer::IdleGate => {
+                self.gate_pending[w] = None;
+                // Stale gates (the worker crashed, died, or started a job
+                // that re-armed nothing) are dropped silently.
+                if core.fr.dead[w] || self.nodes[w].state() != SbcState::Idle {
+                    return false;
+                }
+                // Work arrived while idle: run it instead of gating.
+                if core.dispatcher.has_work(w) {
+                    return true;
+                }
+                if self
+                    .governor
+                    .gate_on_idle_expiry(now, self.warm_idle_count(core))
+                {
+                    self.nodes[w].power_off(now).expect("node is idle");
+                    self.gate_off(core, w, now);
+                    self.governor_transition(core, now, w, "gate-off");
+                }
+                // A `false` answer leaves the node idle with no further
+                // expiry scheduled (see the Governor contract), keeping
+                // the loop finite.
+                false
+            }
+        }
     }
 }
 
@@ -1319,8 +518,11 @@ pub fn sbc_cluster_power(total: usize, active: usize, power_gating: bool) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{priority_of, Priority};
     use crate::registry::FunctionSpec;
-    use microfaas_sim::faults::{FaultPlan, FaultSpec, FaultTrigger};
+    use crate::report::Outcome;
+    use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+    use microfaas_sim::MetricsRegistry;
 
     fn quick_config(seed: u64) -> MicroFaasConfig {
         MicroFaasConfig::paper_prototype(WorkloadMix::quick(), seed)

@@ -36,8 +36,8 @@ use microfaas_workloads::calibration::{service_time, WorkerPlatform};
 use microfaas_workloads::FunctionId;
 
 use crate::cache::{content_key, CacheConfig, CoalesceTable, ResultCache};
+use crate::closedloop::{SchedMetrics, EXEC_BUCKETS};
 use crate::config::Jitter;
-use crate::micro::{SchedMetrics, EXEC_BUCKETS};
 use crate::monitor::FlightRecorder;
 use crate::recovery::FaultsConfig;
 
@@ -1405,7 +1405,7 @@ fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
         // Cache counters only exist when a cache ran: the default
         // exposition must stay byte-identical to pre-cache builds.
         if config.cache.enabled() {
-            crate::micro::publish_cache_counters(metrics, "open", &cache_stats);
+            crate::closedloop::publish_cache_counters(metrics, "open", &cache_stats);
         }
     }
     // Settle every channel through the common end instant so the
@@ -1431,30 +1431,6 @@ pub fn run_open_loop_conventional(config: &OpenLoopConfig, vms: usize) -> OpenLo
         &mut Observer::disabled(),
         Samples::new(),
         &mut NullSink,
-        None,
-    )
-    .0
-}
-
-/// [`run_open_loop_conventional`] on the streaming results path: O(1)
-/// latency aggregates and every completion offered to `sink` the
-/// instant it happens, exactly as [`run_open_loop_streaming`] does for
-/// the MicroFaaS cluster.
-///
-/// # Panics
-///
-/// As [`run_open_loop_conventional`].
-pub fn run_open_loop_conventional_streaming<S: RunSink>(
-    config: &OpenLoopConfig,
-    vms: usize,
-    sink: &mut S,
-) -> OpenLoopRun {
-    run_open_loop_conventional_core(
-        config,
-        vms,
-        &mut Observer::disabled(),
-        StreamingLatency::new(),
-        sink,
         None,
     )
     .0
@@ -2983,9 +2959,6 @@ mod tests {
             80,
         );
         let plain = run_open_loop_conventional(&cfg, 6);
-        let streamed = run_open_loop_conventional_streaming(&cfg, 6, &mut NullSink);
-        assert_eq!(streamed.completed, plain.completed);
-        assert_eq!(streamed.mean_power_w, plain.mean_power_w);
         let (run, series) =
             run_open_loop_conventional_monitored(&cfg, 6, &TelemetryConfig::default());
         assert_eq!(run.completed, plain.completed);

@@ -1,11 +1,14 @@
 //! Property-based tests over the fault-injection subsystem: an empty
 //! (or zero-probability) plan is bit-identical to no plan at all, every
 //! submitted invocation reaches exactly one terminal state whatever the
-//! plan, and energy stays physical through crash and reboot windows.
+//! plan, energy stays physical through crash and reboot windows, and a
+//! job is only ever failed once its retry budget is spent.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use microfaas::config::WorkloadMix;
+use microfaas::config::{Assignment, WorkloadMix};
 use microfaas::conventional::{run_conventional, ConventionalConfig};
 use microfaas::micro::{run_microfaas, MicroFaasConfig};
 use microfaas::FaultsConfig;
@@ -68,6 +71,87 @@ fn zero_probability_plan(seed: u64) -> FaultPlan {
                 trigger: FaultTrigger::Probability(0.0),
             })
             .collect(),
+    }
+}
+
+/// Scheduled crashes only, `(worker, at seconds)`, under plan seed 1.
+fn crash_plan(crashes: &[(usize, u64)]) -> FaultsConfig {
+    FaultsConfig::with_plan(FaultPlan {
+        seed: 1,
+        faults: crashes
+            .iter()
+            .map(|&(worker, at_s)| FaultSpec {
+                kind: FaultKind::Crash,
+                worker: Some(worker),
+                trigger: FaultTrigger::At(SimTime::from_secs(at_s)),
+            })
+            .collect(),
+    })
+}
+
+/// Job 7 is retried at 300.2 s onto worker 0's static queue. Worker 0
+/// has been powered off since 239.5 s, and the retry must wake it even
+/// though other workers are still busy.
+#[test]
+fn a_retry_wakes_the_powered_off_sbc_it_lands_on() {
+    let mut config = MicroFaasConfig::paper_prototype(WorkloadMix::quick(), 1);
+    config.assignment = Assignment::RandomStatic;
+    config.faults = crash_plan(&[(5, 300)]);
+    let run = run_microfaas(&config);
+    assert_eq!(run.failed(), 0, "{:?}", run.dropped);
+    assert_eq!(run.jobs_completed(), WorkloadMix::quick().total_jobs());
+}
+
+/// Job 487 is retried onto VM 0's static queue while VM 0 sits idle
+/// (since 233.5 s). The retry must dispatch it there even though other
+/// VMs are still busy.
+#[test]
+fn a_retry_reaches_the_idle_vm_it_lands_on() {
+    let mut config = ConventionalConfig::paper_baseline(WorkloadMix::quick(), 0);
+    config.assignment = Assignment::RandomStatic;
+    config.faults = crash_plan(&[(1, 240)]);
+    let run = run_conventional(&config);
+    assert_eq!(run.failed(), 0, "{:?}", run.dropped);
+    assert_eq!(run.jobs_completed(), WorkloadMix::quick().total_jobs());
+}
+
+proptest! {
+    // Each case is 14 runs of the 850-job quick mix; about 2% of static
+    // placements strand a job when the bug is present, so 64 cases give
+    // it room to show.
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(feature = "heavy-tests") { 256 } else { 64 }
+    ))]
+
+    /// One to three crashes within the quick mix's run (about 320 s on
+    /// SBCs, 255 s on VMs) can neither spend the three-attempt retry
+    /// budget nor take live capacity under the 50% shed floor. So under
+    /// every placement, every job must complete: a job left queued on a
+    /// worker that nothing wakes is a bug, not a failure.
+    #[test]
+    fn a_few_crashes_strand_no_job_under_any_placement(
+        seed in any::<u64>(),
+        sbc_crashes in prop::collection::vec((0usize..10, 1u64..320), 1..4),
+        vm_crashes in prop::collection::vec((0usize..6, 1u64..255), 1..4),
+    ) {
+        let mix = Arc::new(WorkloadMix::quick());
+        for kind in Assignment::ALL {
+            let mut micro = MicroFaasConfig::paper_prototype(mix.clone(), seed);
+            micro.assignment = kind;
+            micro.faults = crash_plan(&sbc_crashes);
+            let run = run_microfaas(&micro);
+            prop_assert_eq!(run.failed(), 0, "SBC under {}: {:?}", kind, run.dropped);
+            prop_assert_eq!(run.shed(), 0);
+            prop_assert_eq!(run.jobs_completed(), mix.total_jobs());
+
+            let mut conv = ConventionalConfig::paper_baseline(mix.clone(), seed);
+            conv.assignment = kind;
+            conv.faults = crash_plan(&vm_crashes);
+            let run = run_conventional(&conv);
+            prop_assert_eq!(run.failed(), 0, "VM under {}: {:?}", kind, run.dropped);
+            prop_assert_eq!(run.shed(), 0);
+            prop_assert_eq!(run.jobs_completed(), mix.total_jobs());
+        }
     }
 }
 
