@@ -20,19 +20,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> benchmark package: its own tests, then one seed-2022 pass of paper-closed, policy-sweeps, flash-day and observed-1m"
+echo "==> benchmark package: its own tests, then one seed-2022 pass of each of its five workloads"
 # perfbench/ is a package of its own, outside the workspace's cargo test.
 # Each pass checks its workload's pinned fingerprint, so a slip shows up
 # as "failed":1. paper-closed pins the means of 5000 replicates on both
 # node classes (SBC and VM) of the one closed-loop engine, and
 # policy-sweeps an fnv1a over the CSVs of 7000 sparse open-loop runs:
 # both run on the event queue's flat list, so any pop-order slip there
-# fails. flash-day's fingerprint counts power
+# fails. capacity-1m pins the open-loop engine's streaming path with
+# every hook off (16,384 keep-alive SBCs, 1M jobs, NullSink), the path
+# observed-1m does not cover, since it adds tenants, attribution and
+# telemetry. flash-day's fingerprint counts power
 # cycles; observed-1m checks that its energy ledger conserves and pins
 # the ledger's picojoule total, so attribution that loses or invents
 # joules fails the same way.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-for workload in paper-closed policy-sweeps flash-day observed-1m; do
+for workload in paper-closed capacity-1m policy-sweeps flash-day observed-1m; do
     bench_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --rounds 1)" || true
     echo "$bench_out"

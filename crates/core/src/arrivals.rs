@@ -118,7 +118,7 @@ impl ArrivalState {
 
 impl ArrivalProcess {
     /// Checks the parameters, panicking with a description of the first
-    /// problem. Called once at run start by the open-loop engines.
+    /// problem. Called once at run start by the open-loop engine.
     ///
     /// # Panics
     ///

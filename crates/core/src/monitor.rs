@@ -1,10 +1,10 @@
-//! The engine-side flight recorder: glue between the open-loop engines
+//! The engine-side flight recorder: glue between the open-loop engine
 //! and the [`microfaas_sim::telemetry`] tumbling windows.
 //!
 //! The telemetry subsystem needs two taps into a run — the trace-event
 //! stream (power samples, worker state changes, queue movements) and
-//! the completion stream (latencies, tenants, cache hits). The engines
-//! expose those through two different seams: an [`Observer`] over
+//! the completion stream (latencies, tenants, cache hits). The engine
+//! exposes those through two different seams: an [`Observer`] over
 //! [`TraceSink`] for events, and a [`RunSink`] for completions. A
 //! [`FlightRecorder`] owns one window ring for each and hands out both
 //! taps simultaneously via a split borrow, so a single recorder can sit

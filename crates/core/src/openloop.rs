@@ -1,31 +1,56 @@
-//! Open-loop (arrival-driven) simulation of the MicroFaaS cluster — the
-//! paper's §IV-D mechanism taken literally: invocations *arrive* over
-//! time, the orchestration plane places each one on a worker queue, and
-//! workers power on and off as their queues fill and drain.
+//! Open-loop (arrival-driven) simulation — the paper's §IV-D mechanism
+//! taken literally: invocations *arrive* over time, the orchestration
+//! plane places each one on a worker queue, and workers power on and off
+//! as their queues fill and drain.
 //!
-//! The closed-loop simulator in [`crate::micro`] measures saturated
-//! capacity; this module measures what the paper's Fig. 5 argues about —
-//! how cluster power tracks offered load — plus the latency cost of
-//! powering nodes down (a cold boot in front of a job).
+//! The closed-loop runs behind [`crate::micro`] and
+//! [`crate::conventional`] measure saturated capacity; this module
+//! measures what the paper's Fig. 5 argues about — how cluster power
+//! tracks offered load — plus the latency cost of powering nodes down
+//! (a cold boot in front of a job).
+//!
+//! One engine owns the arrival-driven lifecycle: arrival generation
+//! with its function and tenant draws, the result cache and in-flight
+//! coalescing, energy-budget admission and deferral, placement,
+//! completion booking (latency and tenant aggregates, the [`RunSink`],
+//! trace, metrics and energy attribution) and the end-of-run report.
+//! What differs between the two clusters is the hardware under each
+//! worker, which a node class supplies. The engine takes the class as a
+//! type parameter, so each class compiles to its own event loop:
+//!
+//! - **SBC fleet** ([`run_open_loop`] and its siblings): one [`SbcNode`]
+//!   state machine per worker on its own `sbc-{w}` meter channel,
+//!   powered on and off through GPIO. The governor decides what a
+//!   drained node does (gate off, stand by, gate off after an idle
+//!   window, prewarm), and scheduled crashes take executing nodes down.
+//! - **VM host** ([`run_open_loop_conventional`]): every VM on one rack
+//!   server, metered as a single `rack-server` channel that never drops
+//!   below its idle floor, with CPU-share slowdown and a reboot after
+//!   every job. It ignores the placement, governor and fault settings.
+//!
+//! This is not the closed-loop engine. The open loop continues a warm
+//! node straight into its next job with no boot event, crashes only an
+//! executing node and requeues its job at the front of the same node,
+//! and lumps result delivery into one overhead delay while streaming
+//! completions instead of keeping per-job records.
 //!
 //! Placement and power policy are pluggable through `microfaas-sched`
 //! (see `docs/SCHEDULING.md`): [`OpenLoopConfig::scheduler`] picks the
 //! worker queue per arrival and [`OpenLoopConfig::governor`] decides
-//! what a drained worker does. The historical open-loop policies
-//! (`RandomStatic` — formerly `RandomQueue` — `LeastLoaded`, and
-//! `PowerAware`) under the default [`GovernorKind::RebootPerJob`]
-//! behave bit-identically to the pre-subsystem code.
+//! what a drained worker does.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 use microfaas_energy::attribution::{Attributor, EnergyLedger, IdlePolicy};
-use microfaas_energy::EnergyMeter;
+use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::gpio::{PowerAction, PowerController};
 use microfaas_hw::sbc::{SbcNode, SbcState};
+use microfaas_hw::{RackServer, VmState};
 use microfaas_sched::{
     BudgetDecision, DrainAction, GovernorKind, NodeView, PlacementKind, PolicyEngine,
 };
-use microfaas_sim::faults::FaultKind;
+use microfaas_sim::faults::{FaultInjector, FaultKind};
 use microfaas_sim::telemetry::{TelemetryConfig, TelemetrySeries};
 use microfaas_sim::trace::{Observer, TraceEvent, TraceObserver, TypedObserver, WorkerState};
 use microfaas_sim::{
@@ -262,100 +287,6 @@ impl LatencyAccum for StreamingLatency {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrival,
-    PowerEffective(usize),
-    BootDone(usize),
-    ExecDone(usize),
-    JobDone(usize),
-    Crash(usize),
-    Recover(usize),
-    /// A standby worker's governor idle window elapsed; it may gate off.
-    IdleGate(usize),
-    /// An [`EnergyBudget`](GovernorKind::EnergyBudget) deferral elapsed:
-    /// the oldest parked job re-enters placement unconditionally.
-    Release,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct QueuedJob {
-    /// Arrival ordinal, used as the job id in trace events.
-    id: u64,
-    function: FunctionId,
-    arrived: SimTime,
-    /// Tenant-class index; 0 when no classes are configured.
-    tenant: u16,
-    /// Content-cache key; 0 (and never read) when the cache is off.
-    key: u64,
-    /// Execution-time multiplier applied by an
-    /// [`EnergyBudget`](GovernorKind::EnergyBudget) throttle action;
-    /// `1.0` everywhere else (exact under IEEE-754, so the multiply
-    /// cannot perturb legacy bit-compatibility).
-    throttle: f64,
-}
-
-struct Worker {
-    node: SbcNode,
-    queue: VecDeque<QueuedJob>,
-    /// Set between the GPIO press and BootDone so the scheduler can see
-    /// "waking" nodes as powered.
-    waking: bool,
-    /// `(job, exec, started)` for the in-flight invocation.
-    current: Option<(QueuedJob, SimDuration, SimTime)>,
-    /// The invocation's next lifecycle event (ExecDone or JobDone),
-    /// cancelled when an injected crash interrupts it.
-    pending: Option<EventId>,
-    /// The governor's pending IdleGate event, cancelled when a job
-    /// start pre-empts the idle window.
-    gate: Option<EventId>,
-}
-
-/// Per-run metric handles for the open-loop simulation, prefixed `open_`.
-struct OpenMetrics {
-    jobs_arrived: CounterId,
-    jobs_completed: CounterId,
-    exec_seconds: HistogramId,
-    latency_seconds: HistogramId,
-}
-
-impl OpenMetrics {
-    fn register(metrics: &mut MetricsRegistry) -> Self {
-        OpenMetrics {
-            jobs_arrived: metrics.counter("open_jobs_arrived_total"),
-            jobs_completed: metrics.counter("open_jobs_completed_total"),
-            exec_seconds: metrics.histogram("open_exec_seconds", &EXEC_BUCKETS),
-            latency_seconds: metrics.histogram(
-                "open_latency_seconds",
-                &[0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0],
-            ),
-        }
-    }
-}
-
-impl Worker {
-    fn is_powered(&self) -> bool {
-        self.waking || self.node.state() != SbcState::Off
-    }
-
-    fn backlog(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
-    }
-
-    /// The placement-policy view of this worker. `load` is the backlog
-    /// count (the open loop does not know function costs at placement
-    /// time), which makes `LeastLoaded` pick exactly the historical
-    /// min-backlog queue.
-    fn view(&self) -> NodeView {
-        NodeView {
-            queued: self.queue.len(),
-            busy: self.current.is_some(),
-            powered: self.is_powered(),
-            load: self.backlog() as f64,
-        }
-    }
-}
-
 /// Runs the open-loop simulation.
 ///
 /// # Panics
@@ -388,8 +319,9 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopRun {
 /// assert_eq!(completions, run.completed);
 /// ```
 pub fn run_open_loop_with(config: &OpenLoopConfig, observer: &mut Observer<'_>) -> OpenLoopRun {
-    run_open_loop_core(
+    simulate(
         config,
+        SbcFleet::new(config.workers),
         observer,
         Samples::new(),
         &mut NullSink,
@@ -427,8 +359,9 @@ pub fn run_open_loop_attributed(
     config: &OpenLoopConfig,
     idle_policy: IdlePolicy,
 ) -> (OpenLoopRun, EnergyLedger) {
-    let (run, ledger, _end) = run_open_loop_core(
+    let (run, ledger, _end) = simulate(
         config,
+        SbcFleet::new(config.workers),
         &mut Observer::disabled(),
         Samples::new(),
         &mut NullSink,
@@ -450,8 +383,9 @@ pub fn run_open_loop_streaming_attributed<S: RunSink>(
     sink: &mut S,
     idle_policy: IdlePolicy,
 ) -> (OpenLoopRun, EnergyLedger) {
-    let (run, ledger, _end) = run_open_loop_core(
+    let (run, ledger, _end) = simulate(
         config,
+        SbcFleet::new(config.workers),
         &mut Observer::disabled(),
         StreamingLatency::new(),
         sink,
@@ -520,8 +454,9 @@ fn make_attributor(config: &OpenLoopConfig, idle_policy: IdlePolicy) -> Attribut
 ///
 /// As [`run_open_loop`].
 pub fn run_open_loop_streaming<S: RunSink>(config: &OpenLoopConfig, sink: &mut S) -> OpenLoopRun {
-    run_open_loop_core(
+    simulate(
         config,
+        SbcFleet::new(config.workers),
         &mut Observer::disabled(),
         StreamingLatency::new(),
         sink,
@@ -547,8 +482,9 @@ pub fn run_open_loop_monitored(
 ) -> (OpenLoopRun, TelemetrySeries) {
     let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
     let (events, mut tap) = recorder.taps();
-    let (run, _ledger, end) = run_open_loop_core(
+    let (run, _ledger, end) = simulate(
         config,
+        SbcFleet::new(config.workers),
         &mut TypedObserver::new(events),
         Samples::new(),
         &mut tap,
@@ -571,8 +507,9 @@ pub fn run_open_loop_monitored_streaming(
 ) -> (OpenLoopRun, TelemetrySeries) {
     let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
     let (events, mut tap) = recorder.taps();
-    let (run, _ledger, end) = run_open_loop_core(
+    let (run, _ledger, end) = simulate(
         config,
+        SbcFleet::new(config.workers),
         &mut TypedObserver::new(events),
         StreamingLatency::new(),
         &mut tap,
@@ -597,8 +534,9 @@ pub fn run_open_loop_monitored_attributed(
 ) -> (OpenLoopRun, EnergyLedger, TelemetrySeries) {
     let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
     let (events, mut tap) = recorder.taps();
-    let (run, ledger, end) = run_open_loop_core(
+    let (run, ledger, end) = simulate(
         config,
+        SbcFleet::new(config.workers),
         &mut TypedObserver::new(events),
         StreamingLatency::new(),
         &mut tap,
@@ -611,856 +549,31 @@ pub fn run_open_loop_monitored_attributed(
     )
 }
 
-fn run_open_loop_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
-    config: &OpenLoopConfig,
-    observer: &mut O,
-    mut latencies: L,
-    sink: &mut S,
-    mut attr: Option<Attributor>,
-) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
-    assert!(config.workers > 0, "cluster needs at least one worker");
-    assert!(!config.functions.is_empty(), "need at least one function");
-    config.arrival.validate();
-    // Compiles the popularity skew (validating it) and the tenant mix.
-    // With the defaults both are draw-for-draw identical to the
-    // historical code: one uniform index per arrival, no tenant draw.
-    let picker = FunctionPicker::new(&config.popularity, config.functions.len());
-    let mut tenant_tracker = TenantTracker::new(&config.tenants);
-    let mut arrival_state = ArrivalState::default();
-    let handles = observer.metrics().map(OpenMetrics::register);
-
-    // The scheduling subsystem: placement + governor. The open loop's
-    // historical policies (RandomStatic/LeastLoaded/PowerAware) under
-    // the default governor are the legacy surface — all subsystem
-    // telemetry stays silent there so traces and expositions remain
-    // byte-identical to the pre-subsystem code.
-    let mut policy = PolicyEngine::new(config.scheduler, config.governor, config.seed);
-    let legacy_placement = matches!(
-        config.scheduler,
-        PlacementKind::RandomStatic | PlacementKind::LeastLoaded | PlacementKind::PowerAware
-    );
-    let sched_active = !(legacy_placement && config.governor == GovernorKind::RebootPerJob);
-    let sched_handles = if sched_active {
-        observer.metrics().map(SchedMetrics::register)
-    } else {
-        None
-    };
-    let mut views: Vec<NodeView> = Vec::with_capacity(config.workers);
-    // Governors that never read the booted-idle census (every one but
-    // WarmPool) let the drain and idle-gate paths skip their O(workers)
-    // fleet scans — the placeholder they get instead is ignored.
-    let wants_census = policy.wants_idle_census();
-
-    // The result cache and its in-flight coalescing table. With the
-    // default `Off` this is `None`, every cache branch below is dead,
-    // and no extra RNG draw happens — the bit-compat goldens pin that.
-    config.cache.try_validate().expect("invalid cache config");
-    let mut cache: Option<ResultCache<()>> = ResultCache::from_config(&config.cache);
-    let mut coalesce: CoalesceTable<QueuedJob> = CoalesceTable::new();
-    let input_variants = config.cache.input_variants() as usize;
-
-    let mut rng = Rng::new(config.seed);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut gpio = PowerController::new(config.workers);
-    let mut meter = EnergyMeter::new(SimTime::ZERO);
-    let channels: Vec<_> = (0..config.workers)
-        .map(|w| meter.add_channel(format!("sbc-{w}")))
-        .collect();
-    if let Some(a) = attr.as_mut() {
-        // Attribution channels mirror the meter's: index == worker.
-        for _ in 0..config.workers {
-            a.add_channel();
-        }
-    }
-    // The EnergyBudget governor's admission loop; every other governor
-    // answers `false` and the budget branches below are dead.
-    let budget_active = policy.budget_active();
-    debug_assert!(
-        !budget_active || attr.is_some(),
-        "budget charging requires per-job attribution"
-    );
-    // Jobs parked by a BudgetDecision::Defer, released FIFO by
-    // Event::Release.
-    let mut deferred: VecDeque<QueuedJob> = VecDeque::new();
-    let mut workers: Vec<Worker> = (0..config.workers)
-        .map(|w| Worker {
-            node: SbcNode::new(w, SimTime::ZERO),
-            queue: VecDeque::new(),
-            waking: false,
-            current: None,
-            pending: None,
-            gate: None,
-        })
-        .collect();
-
-    let mut powered_on = TimeWeighted::new(SimTime::ZERO, 0.0);
-    let mut completed: u64 = 0;
-    let mut arrived: u64 = 0;
-    let mut faults_injected: u64 = 0;
-    let horizon = SimTime::ZERO + config.duration;
-
-    let injector = microfaas_sim::faults::FaultInjector::new(&config.faults.plan);
-    for (at, w) in injector.scheduled_crashes() {
-        if *w < config.workers {
-            queue.schedule(*at, Event::Crash(*w));
-        }
-    }
-    queue.schedule(SimTime::ZERO, Event::Arrival);
-
-    while let Some((now, event)) = queue.pop() {
-        match event {
-            Event::Arrival => {
-                if now >= horizon {
-                    continue; // arrivals stop; drain what is queued
-                }
-                for _ in 0..config.arrival.batch() {
-                    arrived += 1;
-                    let function = config.functions[picker.pick(&mut rng)];
-                    let mut job = QueuedJob {
-                        id: arrived,
-                        function,
-                        arrived: now,
-                        tenant: tenant_tracker.draw(&mut rng),
-                        key: 0,
-                        throttle: 1.0,
-                    };
-                    observer.emit(
-                        now,
-                        TraceEvent::JobEnqueued {
-                            job: job.id,
-                            function: function.name(),
-                        },
-                    );
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
-                        metrics.inc(h.jobs_arrived);
-                    }
-                    if let Some(cache) = cache.as_mut() {
-                        // One extra sim-stream draw picks the canonical
-                        // input this invocation carries.
-                        job.key = content_key(function.index(), rng.index(input_variants) as u64);
-                        if cache.lookup(job.key, now.as_micros()).is_some() {
-                            // Zero-energy fast path: the stored result is
-                            // served by the orchestration plane (worker 0
-                            // by convention) with no queue, boot, or exec.
-                            observer.emit(
-                                now,
-                                TraceEvent::CacheHit {
-                                    job: job.id,
-                                    function: function.name(),
-                                    key: job.key,
-                                },
-                            );
-                            completed += 1;
-                            latencies.record(0.0);
-                            tenant_tracker.record(job.tenant, 0.0);
-                            if let Some(a) = attr.as_mut() {
-                                // A hit costs zero joules but still
-                                // counts as a completion for the
-                                // usage-weighted idle split.
-                                a.record_free(
-                                    usize::from(job.function.index()),
-                                    job.tenant as usize,
-                                );
-                            }
-                            sink.on_completion(&Completion {
-                                job: job.id,
-                                function: job.function,
-                                worker: 0,
-                                arrived: job.arrived,
-                                finished: now,
-                                exec: SimDuration::ZERO,
-                                tenant: job.tenant,
-                            });
-                            observer.emit(
-                                now,
-                                TraceEvent::JobCompleted {
-                                    job: job.id,
-                                    function: function.name(),
-                                    worker: 0,
-                                    exec: SimDuration::ZERO,
-                                    overhead: SimDuration::ZERO,
-                                },
-                            );
-                            if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref())
-                            {
-                                metrics.inc(h.jobs_completed);
-                                metrics.observe(h.exec_seconds, 0.0);
-                                metrics.observe(h.latency_seconds, 0.0);
-                            }
-                            continue;
-                        }
-                        if !coalesce.try_lead(job.key, job.id) {
-                            // An identical invoke is already executing:
-                            // park this one behind its leader.
-                            cache.note_coalesced();
-                            let leader = coalesce.leader(job.key).expect("key in flight");
-                            observer.emit(
-                                now,
-                                TraceEvent::Coalesced {
-                                    job: job.id,
-                                    leader,
-                                    function: function.name(),
-                                },
-                            );
-                            coalesce.follow(job.key, job);
-                            continue;
-                        }
-                        observer.emit(
-                            now,
-                            TraceEvent::CacheMiss {
-                                job: job.id,
-                                function: function.name(),
-                                key: job.key,
-                            },
-                        );
-                    }
-                    if budget_active {
-                        // Admission control at the orchestration plane's
-                        // front door: the tenant's token bucket decides
-                        // whether this invocation runs, waits, or runs
-                        // slowly. Cache hits above bypass it — a served
-                        // result costs no joules.
-                        match policy.budget_admit(job.tenant, now) {
-                            BudgetDecision::Admit => {}
-                            BudgetDecision::Shed => {
-                                observer.emit(
-                                    now,
-                                    TraceEvent::BudgetAction {
-                                        tenant: job.tenant,
-                                        action: "shed",
-                                    },
-                                );
-                                // Release any coalesce leadership the
-                                // cache block just took, so a later
-                                // identical invoke can lead.
-                                if cache.is_some() {
-                                    let _ = coalesce.complete(job.key);
-                                }
-                                continue;
-                            }
-                            BudgetDecision::Defer(delay) => {
-                                observer.emit(
-                                    now,
-                                    TraceEvent::BudgetAction {
-                                        tenant: job.tenant,
-                                        action: "defer",
-                                    },
-                                );
-                                // Coalesce leadership (if any) stays with
-                                // the deferred job; followers drain when
-                                // it eventually completes.
-                                deferred.push_back(job);
-                                queue.schedule(now + delay, Event::Release);
-                                continue;
-                            }
-                            BudgetDecision::Throttle(factor) => {
-                                observer.emit(
-                                    now,
-                                    TraceEvent::BudgetAction {
-                                        tenant: job.tenant,
-                                        action: "throttle",
-                                    },
-                                );
-                                job.throttle = factor;
-                            }
-                        }
-                    }
-                    dispatch_job(
-                        job,
-                        now,
-                        config,
-                        &mut policy,
-                        cache.is_some(),
-                        sched_active,
-                        &mut views,
-                        &mut workers,
-                        &mut powered_on,
-                        &mut gpio,
-                        &mut queue,
-                        &mut meter,
-                        &channels,
-                        &mut rng,
-                        observer,
-                        &sched_handles,
-                        attr.as_mut(),
-                    );
-                }
-                // WarmPool prewarm: wake gated-off nodes until the
-                // booted reserve matches the governor's target. Zero for
-                // every other governor, so the legacy paths never enter.
-                let target = policy.warm_target(config.workers);
-                if target > 0 {
-                    let mut powered = workers.iter().filter(|x| x.is_powered()).count();
-                    for w in 0..config.workers {
-                        if powered >= target {
-                            break;
-                        }
-                        if !workers[w].is_powered() {
-                            workers[w].waking = true;
-                            powered += 1;
-                            powered_on.add(now, 1.0);
-                            observer.emit(
-                                now,
-                                TraceEvent::WakeRequested {
-                                    worker: w,
-                                    reason: "prewarm",
-                                },
-                            );
-                            let effective = gpio.actuate(now, w, PowerAction::On);
-                            queue.schedule(effective, Event::PowerEffective(w));
-                            observer.emit(
-                                now,
-                                TraceEvent::GovernorTransition {
-                                    worker: w,
-                                    action: "prewarm",
-                                },
-                            );
-                            if let (Some(metrics), Some(h)) =
-                                (observer.metrics(), sched_handles.as_ref())
-                            {
-                                metrics.inc(h.governor_transitions);
-                            }
-                        }
-                    }
-                }
-                let gap = config.arrival.next_gap(now, &mut rng, &mut arrival_state);
-                queue.schedule(now + gap, Event::Arrival);
-            }
-            Event::PowerEffective(w) => {
-                workers[w].waking = false;
-                workers[w].node.power_on(now).expect("was off");
-                let watts = workers[w].node.power().value();
-                meter.set_power(now, channels[w], watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, watts);
-                    a.boot_started(w, now);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Booting,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                queue.schedule(now + workers[w].node.boot_duration(), Event::BootDone(w));
-            }
-            Event::BootDone(w) => {
-                workers[w].node.boot_complete(now).expect("was booting");
-                let watts = workers[w].node.power().value();
-                meter.set_power(now, channels[w], watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, watts);
-                    a.boot_done(w, now);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Idle,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                if workers[w].queue.is_empty() {
-                    // Only a prewarmed node boots to an empty queue (the
-                    // legacy policies wake a node exclusively for queued
-                    // work): it joins the warm reserve and idles.
-                    continue;
-                }
-                begin_job(
-                    w,
-                    now,
-                    config,
-                    &mut workers,
-                    &mut queue,
-                    &mut meter,
-                    &channels,
-                    &mut rng,
-                    observer,
-                    attr.as_mut(),
-                );
-            }
-            Event::ExecDone(w) => {
-                let (job, _exec, _started) = workers[w].current.expect("job in flight");
-                if let Some(a) = attr.as_mut() {
-                    // The draw does not change here, but the phase does:
-                    // everything from this instant to JobDone is the
-                    // response/overhead window.
-                    a.response_started(w, now, job.id);
-                }
-                // The response leaves the worker here; the lumped
-                // overhead that follows is orchestration + network time.
-                observer.emit(
-                    now,
-                    TraceEvent::ResponseSent {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: w,
-                    },
-                );
-                let overhead = service_time(job.function)
-                    .overhead(WorkerPlatform::ArmSbc)
-                    .mul_f64(config.jitter.factor(&mut rng));
-                workers[w].pending = Some(queue.schedule(now + overhead, Event::JobDone(w)));
-            }
-            Event::JobDone(w) => {
-                workers[w].pending = None;
-                let (job, exec, started) = workers[w].current.take().expect("job in flight");
-                // Settle the job's joule vector before any power change
-                // below, then charge its tenant's budget with the exact
-                // figure (picojoules → joules).
-                let job_pj = attr.as_mut().map(|a| a.job_finished(w, now, job.id));
-                if budget_active {
-                    let pj = job_pj.expect("budget runs carry an attributor");
-                    if policy.budget_note_energy(job.tenant, pj as f64 / 1e12, now) {
-                        observer.emit(now, TraceEvent::BudgetBreach { tenant: job.tenant });
-                    }
-                }
-                completed += 1;
-                let latency = now.duration_since(job.arrived);
-                latencies.record(latency.as_secs_f64());
-                tenant_tracker.record(job.tenant, latency.as_secs_f64());
-                sink.on_completion(&Completion {
-                    job: job.id,
-                    function: job.function,
-                    worker: w,
-                    arrived: job.arrived,
-                    finished: now,
-                    exec,
-                    tenant: job.tenant,
-                });
-                observer.emit(
-                    now,
-                    TraceEvent::JobCompleted {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: w,
-                        exec,
-                        overhead: now.duration_since(started + exec),
-                    },
-                );
-                if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
-                    metrics.inc(h.jobs_completed);
-                    metrics.observe(h.exec_seconds, exec.as_secs_f64());
-                    metrics.observe(h.latency_seconds, latency.as_secs_f64());
-                }
-                if let Some(cache) = cache.as_mut() {
-                    // The leader's result commits: store it, then drain
-                    // every coalesced follower at this instant. Each
-                    // follower pays only its queue wait — zero boot,
-                    // exec, overhead, and energy.
-                    cache.insert(job.key, (), now.as_micros());
-                    for follower in coalesce.complete(job.key) {
-                        completed += 1;
-                        let wait = now.duration_since(follower.arrived);
-                        latencies.record(wait.as_secs_f64());
-                        tenant_tracker.record(follower.tenant, wait.as_secs_f64());
-                        if let Some(a) = attr.as_mut() {
-                            a.record_free(
-                                usize::from(follower.function.index()),
-                                follower.tenant as usize,
-                            );
-                        }
-                        sink.on_completion(&Completion {
-                            job: follower.id,
-                            function: follower.function,
-                            worker: w,
-                            arrived: follower.arrived,
-                            finished: now,
-                            exec: SimDuration::ZERO,
-                            tenant: follower.tenant,
-                        });
-                        observer.emit(
-                            now,
-                            TraceEvent::JobCompleted {
-                                job: follower.id,
-                                function: follower.function.name(),
-                                worker: w,
-                                exec: SimDuration::ZERO,
-                                overhead: SimDuration::ZERO,
-                            },
-                        );
-                        if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
-                            metrics.inc(h.jobs_completed);
-                            metrics.observe(h.exec_seconds, 0.0);
-                            metrics.observe(h.latency_seconds, wait.as_secs_f64());
-                        }
-                    }
-                }
-                if workers[w].queue.is_empty() {
-                    // Queue drained: the governor picks the power regime.
-                    // RebootPerJob (the default) always answers PowerOff,
-                    // keeping the legacy gate-off path byte-identical.
-                    let warm_idle = if wants_census {
-                        1 + workers
-                            .iter()
-                            .filter(|x| x.node.state() == SbcState::Idle)
-                            .count()
-                    } else {
-                        1 // never read — the census scan is skipped
-                    };
-                    match policy.on_drain(now, warm_idle) {
-                        DrainAction::PowerOff => {
-                            workers[w]
-                                .node
-                                .finish_job_and_power_off(now)
-                                .expect("was executing");
-                            powered_on.add(now, -1.0);
-                            gpio.actuate(now, w, PowerAction::Off);
-                            meter.set_power(now, channels[w], 0.0);
-                            if let Some(a) = attr.as_mut() {
-                                a.set_power(w, now, 0.0);
-                            }
-                            observer.emit(
-                                now,
-                                TraceEvent::WorkerStateChange {
-                                    worker: w,
-                                    state: WorkerState::Off,
-                                },
-                            );
-                            observer.emit(
-                                now,
-                                TraceEvent::PowerSample {
-                                    worker: w,
-                                    watts: 0.0,
-                                },
-                            );
-                        }
-                        DrainAction::Standby { idle_timeout } => {
-                            // Hold the node booted-idle at standby draw
-                            // so the next arrival skips the boot window.
-                            workers[w]
-                                .node
-                                .finish_job_and_standby(now)
-                                .expect("was executing");
-                            let watts = workers[w].node.power().value();
-                            meter.set_power(now, channels[w], watts);
-                            if let Some(a) = attr.as_mut() {
-                                a.set_power(w, now, watts);
-                            }
-                            observer.emit(
-                                now,
-                                TraceEvent::WorkerStateChange {
-                                    worker: w,
-                                    state: WorkerState::Idle,
-                                },
-                            );
-                            observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                            observer.emit(
-                                now,
-                                TraceEvent::GovernorTransition {
-                                    worker: w,
-                                    action: "standby",
-                                },
-                            );
-                            if let (Some(metrics), Some(h)) =
-                                (observer.metrics(), sched_handles.as_ref())
-                            {
-                                metrics.inc(h.governor_transitions);
-                            }
-                            if let Some(window) = idle_timeout {
-                                workers[w].gate =
-                                    Some(queue.schedule(now + window, Event::IdleGate(w)));
-                            }
-                        }
-                    }
-                } else if policy.reboot_between_jobs(true) {
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                        metrics.inc(h.cold_boots);
-                    }
-                    workers[w]
-                        .node
-                        .finish_job_and_reboot(now)
-                        .expect("was executing");
-                    let watts = workers[w].node.power().value();
-                    meter.set_power(now, channels[w], watts);
-                    if let Some(a) = attr.as_mut() {
-                        a.set_power(w, now, watts);
-                        a.boot_started(w, now);
-                    }
-                    observer.emit(
-                        now,
-                        TraceEvent::WorkerStateChange {
-                            worker: w,
-                            state: WorkerState::Rebooting,
-                        },
-                    );
-                    observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                    queue.schedule(now + workers[w].node.boot_duration(), Event::BootDone(w));
-                } else {
-                    // Warm continuation: skip the between-jobs reboot
-                    // and start the next queued job immediately.
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                        metrics.inc(h.warm_hits);
-                    }
-                    workers[w]
-                        .node
-                        .finish_job_and_standby(now)
-                        .expect("was executing");
-                    begin_job(
-                        w,
-                        now,
-                        config,
-                        &mut workers,
-                        &mut queue,
-                        &mut meter,
-                        &channels,
-                        &mut rng,
-                        observer,
-                        attr.as_mut(),
-                    );
-                }
-            }
-            Event::Crash(w) => {
-                // A crash only lands on a node that is actually running
-                // an invocation; a gated-off node has nothing to kill.
-                if workers[w].node.state() != SbcState::Executing {
-                    continue;
-                }
-                faults_injected += 1;
-                observer.emit(
-                    now,
-                    TraceEvent::FaultInjected {
-                        worker: w,
-                        fault: FaultKind::Crash.label(),
-                    },
-                );
-                if let Some(pending) = workers[w].pending.take() {
-                    queue.cancel(pending);
-                }
-                // The invocation is re-queued at the front, keeping its
-                // original arrival time so the latency metrics absorb
-                // the full recovery cost.
-                if let Some((job, _, _)) = workers[w].current.take() {
-                    if let Some(a) = attr.as_mut() {
-                        // The partial joules stay with the job; the
-                        // accumulator resumes when it restarts.
-                        a.interrupted(w, now, job.id);
-                    }
-                    workers[w].queue.push_front(job);
-                }
-                workers[w].node.crash(now).expect("node was executing");
-                powered_on.add(now, -1.0);
-                meter.set_power(now, channels[w], 0.0);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, 0.0);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Crashed,
-                    },
-                );
-                observer.emit(
-                    now,
-                    TraceEvent::PowerSample {
-                        worker: w,
-                        watts: 0.0,
-                    },
-                );
-                queue.schedule(now + config.faults.detection_delay, Event::Recover(w));
-            }
-            Event::Recover(w) => {
-                workers[w].node.recover(now).expect("node was crashed");
-                powered_on.add(now, 1.0);
-                let watts = workers[w].node.power().value();
-                meter.set_power(now, channels[w], watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(w, now, watts);
-                    a.boot_started(w, now);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: w,
-                        state: WorkerState::Booting,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-                queue.schedule(now + workers[w].node.boot_duration(), Event::BootDone(w));
-            }
-            Event::IdleGate(w) => {
-                workers[w].gate = None;
-                // Stale gates (the node picked up work, crashed, or was
-                // already gated off) are dropped silently.
-                if workers[w].node.state() != SbcState::Idle {
-                    continue;
-                }
-                let warm_idle = if wants_census {
-                    workers
-                        .iter()
-                        .filter(|x| x.node.state() == SbcState::Idle)
-                        .count()
-                } else {
-                    0 // never read — the census scan is skipped
-                };
-                if policy.gate_on_idle_expiry(now, warm_idle) {
-                    workers[w].node.power_off(now).expect("node was idle");
-                    powered_on.add(now, -1.0);
-                    gpio.actuate(now, w, PowerAction::Off);
-                    meter.set_power(now, channels[w], 0.0);
-                    if let Some(a) = attr.as_mut() {
-                        a.set_power(w, now, 0.0);
-                    }
-                    observer.emit(
-                        now,
-                        TraceEvent::WorkerStateChange {
-                            worker: w,
-                            state: WorkerState::Off,
-                        },
-                    );
-                    observer.emit(
-                        now,
-                        TraceEvent::PowerSample {
-                            worker: w,
-                            watts: 0.0,
-                        },
-                    );
-                    observer.emit(
-                        now,
-                        TraceEvent::GovernorTransition {
-                            worker: w,
-                            action: "gate-off",
-                        },
-                    );
-                    if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                        metrics.inc(h.governor_transitions);
-                    }
-                }
-            }
-            Event::Release => {
-                // One Release is scheduled per deferred job, FIFO; the
-                // job re-enters placement with no further admission
-                // check (the governor already priced the wait).
-                if let Some(job) = deferred.pop_front() {
-                    dispatch_job(
-                        job,
-                        now,
-                        config,
-                        &mut policy,
-                        cache.is_some(),
-                        sched_active,
-                        &mut views,
-                        &mut workers,
-                        &mut powered_on,
-                        &mut gpio,
-                        &mut queue,
-                        &mut meter,
-                        &channels,
-                        &mut rng,
-                        observer,
-                        &sched_handles,
-                        attr.as_mut(),
-                    );
-                }
-            }
-        }
-    }
-
-    let end = queue.now().max(horizon);
-    let report = meter.report(end, completed);
-    let (mean_latency_s, p95_latency_s) = latencies.finish();
-    let cache_stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-    let run = OpenLoopRun {
-        completed,
-        mean_latency_s,
-        p95_latency_s,
-        mean_power_w: report.average_watts,
-        joules_per_function: report.joules_per_function().unwrap_or(f64::NAN),
-        mean_powered_on: powered_on.time_average(end),
-        offered_per_second: arrived as f64 / config.duration.as_secs_f64(),
-        power_cycles: gpio.power_cycles(),
-        faults_injected,
-        tenants: tenant_tracker.summaries(),
-        cache_hits: cache_stats.hits,
-        cache_misses: cache_stats.misses,
-        cache_coalesced: cache_stats.coalesced,
-    };
-    // Gauges come from the finished run so the exposition agrees
-    // bit-for-bit with the returned aggregates.
-    if let Some(metrics) = observer.metrics() {
-        meter.publish_metrics(metrics, "open", end);
-        let cycles = metrics.counter("open_power_cycles_total");
-        metrics.add(cycles, run.power_cycles);
-        let pairs = [
-            ("open_mean_latency_seconds", run.mean_latency_s),
-            ("open_p95_latency_seconds", run.p95_latency_s),
-            ("open_mean_power_watts", run.mean_power_w),
-            (
-                "open_joules_per_function",
-                if run.joules_per_function.is_finite() {
-                    run.joules_per_function
-                } else {
-                    0.0
-                },
-            ),
-            ("open_mean_powered_on", run.mean_powered_on),
-            ("open_offered_per_second", run.offered_per_second),
-        ];
-        for (name, value) in pairs {
-            let gauge = metrics.gauge(name);
-            metrics.set_gauge(gauge, value);
-        }
-        // Cache counters only exist when a cache ran: the default
-        // exposition must stay byte-identical to pre-cache builds.
-        if config.cache.enabled() {
-            crate::closedloop::publish_cache_counters(metrics, "open", &cache_stats);
-        }
-    }
-    // Settle every channel through the common end instant so the
-    // ledger's integer total covers exactly the meter's window.
-    let ledger = attr.map(|a| a.finalize(end));
-    (run, ledger, end)
-}
-
 /// Runs the same arrival process against the conventional cluster:
 /// `vms` microVMs that are always powered (the host never drops below
 /// its 60 W idle floor). The contrast with [`run_open_loop`] is the
 /// paper's energy-proportionality argument made dynamic: at low load
 /// the conventional J/function explodes while MicroFaaS stays flat.
 ///
+/// Each arrival goes to the first VM with the fewest queued plus
+/// running jobs, and every VM reboots after each job;
+/// [`OpenLoopConfig::scheduler`], [`OpenLoopConfig::governor`] and
+/// [`OpenLoopConfig::faults`] do not apply.
+///
 /// # Panics
 ///
 /// Panics if `vms` is zero or the config is invalid per
 /// [`run_open_loop`].
 pub fn run_open_loop_conventional(config: &OpenLoopConfig, vms: usize) -> OpenLoopRun {
-    run_open_loop_conventional_core(
+    simulate(
         config,
-        vms,
+        VmHost::new(vms),
         &mut Observer::disabled(),
         Samples::new(),
         &mut NullSink,
         None,
     )
     .0
-}
-
-/// [`run_open_loop_conventional`] with the **flight recorder**
-/// attached: the same run plus a windowed [`TelemetrySeries`], so the
-/// baseline's time-resolved power floor can sit next to MicroFaaS
-/// telemetry from [`run_open_loop_monitored_streaming`]. Power samples
-/// carry the rack server's single metered channel.
-///
-/// # Panics
-///
-/// As [`run_open_loop_conventional`], plus if `telemetry` is invalid.
-pub fn run_open_loop_conventional_monitored(
-    config: &OpenLoopConfig,
-    vms: usize,
-    telemetry: &TelemetryConfig,
-) -> (OpenLoopRun, TelemetrySeries) {
-    let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
-    let (events, mut tap) = recorder.taps();
-    let (run, _ledger, end) = run_open_loop_conventional_core(
-        config,
-        vms,
-        &mut TypedObserver::new(events),
-        StreamingLatency::new(),
-        &mut tap,
-        None,
-    );
-    (run, recorder.into_series(end))
 }
 
 /// [`run_open_loop_conventional`] with **energy attribution**: the
@@ -1480,9 +593,9 @@ pub fn run_open_loop_conventional_attributed(
     vms: usize,
     idle_policy: IdlePolicy,
 ) -> (OpenLoopRun, EnergyLedger) {
-    let (run, ledger, _end) = run_open_loop_conventional_core(
+    let (run, ledger, _end) = simulate(
         config,
-        vms,
+        VmHost::new(vms),
         &mut Observer::disabled(),
         Samples::new(),
         &mut NullSink,
@@ -1491,545 +604,1218 @@ pub fn run_open_loop_conventional_attributed(
     (run, ledger.expect("attributor was supplied"))
 }
 
-fn run_open_loop_conventional_core<L: LatencyAccum, S: RunSink, O: TraceObserver>(
+/// Runs one open-loop simulation of `class` to completion.
+fn simulate<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
     config: &OpenLoopConfig,
-    vms: usize,
+    class: C,
     observer: &mut O,
-    mut latencies: L,
+    latencies: L,
     sink: &mut S,
-    mut attr: Option<Attributor>,
+    attr: Option<Attributor>,
 ) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
-    assert!(vms > 0, "cluster needs at least one VM");
     assert!(!config.functions.is_empty(), "need at least one function");
     config.arrival.validate();
+    // Compiles the popularity skew (validating it) and the tenant mix.
+    // The defaults draw as the goldens pin them: one uniform index per
+    // arrival, no tenant draw.
     let picker = FunctionPicker::new(&config.popularity, config.functions.len());
-    let mut tenant_tracker = TenantTracker::new(&config.tenants);
-    let mut arrival_state = ArrivalState::default();
-
-    let mut rng = Rng::new(config.seed);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut meter = EnergyMeter::new(SimTime::ZERO);
-    let mut server = microfaas_hw::RackServer::new(vms, SimTime::ZERO);
-    let host = meter.add_channel("rack-server");
-    meter.set_power(SimTime::ZERO, host, server.power().value());
-    if let Some(a) = attr.as_mut() {
-        // One attribution channel for the whole host: concurrent jobs
-        // split its draw equally instant by instant.
-        a.add_channel();
-        a.set_power(0, SimTime::ZERO, server.power().value());
-    }
-    // The host's one metered channel reports as worker 0; the idle
-    // floor draws from the first instant.
-    observer.emit(
-        SimTime::ZERO,
-        TraceEvent::PowerSample {
-            worker: 0,
-            watts: server.power().value(),
-        },
+    let tenants = TenantTracker::new(&config.tenants);
+    // The `open_*` families register before the `sched_*` ones, the
+    // order the pinned expositions list them in.
+    let handles = observer.metrics().map(OpenMetrics::register);
+    let (placement, governor) = C::policy(config);
+    let policy = PolicyEngine::new(placement, governor, config.seed);
+    // These three placements under the default governor emit no
+    // scheduler trace event or metric: goldens pin their traces and
+    // expositions without them.
+    let legacy_placement = matches!(
+        placement,
+        PlacementKind::RandomStatic | PlacementKind::LeastLoaded | PlacementKind::PowerAware
     );
-
-    let mut queues: Vec<VecDeque<QueuedJob>> = vec![VecDeque::new(); vms];
-    let mut current: Vec<Option<(QueuedJob, SimDuration, SimTime)>> = vec![None; vms];
-    let mut completed: u64 = 0;
-    let mut arrived: u64 = 0;
-    let horizon = SimTime::ZERO + config.duration;
-
-    // Same cache discipline as the MicroFaaS loop: `Off` means no extra
-    // draws and dead branches; hits complete at arrival, followers at
-    // their leader's commit.
-    config.cache.try_validate().expect("invalid cache config");
-    let mut cache: Option<ResultCache<()>> = ResultCache::from_config(&config.cache);
-    let mut coalesce: CoalesceTable<QueuedJob> = CoalesceTable::new();
-    let input_variants = config.cache.input_variants() as usize;
-
-    queue.schedule(SimTime::ZERO, Event::Arrival);
-    while let Some((now, event)) = queue.pop() {
-        match event {
-            Event::Arrival => {
-                if now >= horizon {
-                    continue;
-                }
-                for _ in 0..config.arrival.batch() {
-                    arrived += 1;
-                    let function = config.functions[picker.pick(&mut rng)];
-                    let mut job = QueuedJob {
-                        id: arrived,
-                        function,
-                        arrived: now,
-                        tenant: tenant_tracker.draw(&mut rng),
-                        key: 0,
-                        throttle: 1.0,
-                    };
-                    observer.emit(
-                        now,
-                        TraceEvent::JobEnqueued {
-                            job: job.id,
-                            function: function.name(),
-                        },
-                    );
-                    if let Some(cache) = cache.as_mut() {
-                        job.key = content_key(function.index(), rng.index(input_variants) as u64);
-                        if cache.lookup(job.key, now.as_micros()).is_some() {
-                            observer.emit(
-                                now,
-                                TraceEvent::CacheHit {
-                                    job: job.id,
-                                    function: function.name(),
-                                    key: job.key,
-                                },
-                            );
-                            completed += 1;
-                            latencies.record(0.0);
-                            tenant_tracker.record(job.tenant, 0.0);
-                            if let Some(a) = attr.as_mut() {
-                                a.record_free(
-                                    usize::from(job.function.index()),
-                                    job.tenant as usize,
-                                );
-                            }
-                            sink.on_completion(&Completion {
-                                job: job.id,
-                                function: job.function,
-                                worker: 0,
-                                arrived: job.arrived,
-                                finished: now,
-                                exec: SimDuration::ZERO,
-                                tenant: job.tenant,
-                            });
-                            observer.emit(
-                                now,
-                                TraceEvent::JobCompleted {
-                                    job: job.id,
-                                    function: function.name(),
-                                    worker: 0,
-                                    exec: SimDuration::ZERO,
-                                    overhead: SimDuration::ZERO,
-                                },
-                            );
-                            continue;
-                        }
-                        if !coalesce.try_lead(job.key, job.id) {
-                            cache.note_coalesced();
-                            let leader = coalesce.leader(job.key).expect("key in flight");
-                            observer.emit(
-                                now,
-                                TraceEvent::Coalesced {
-                                    job: job.id,
-                                    leader,
-                                    function: function.name(),
-                                },
-                            );
-                            coalesce.follow(job.key, job);
-                            continue;
-                        }
-                        observer.emit(
-                            now,
-                            TraceEvent::CacheMiss {
-                                job: job.id,
-                                function: function.name(),
-                                key: job.key,
-                            },
-                        );
-                    }
-                    // Pick the emptiest VM (work-conserving enough for a
-                    // fair comparison; the scheduler study lives on the
-                    // MicroFaaS side).
-                    let v = (0..vms)
-                        .min_by_key(|&v| queues[v].len() + usize::from(current[v].is_some()))
-                        .expect("at least one vm");
-                    queues[v].push_back(job);
-                    if current[v].is_none() && server.vm(v).state() == microfaas_hw::VmState::Idle {
-                        let job = queues[v].pop_front().expect("just pushed");
-                        vm_start_job(
-                            v,
-                            job,
-                            now,
-                            config,
-                            &mut server,
-                            &mut current,
-                            &mut meter,
-                            host,
-                            &mut queue,
-                            &mut rng,
-                            observer,
-                            attr.as_mut(),
-                        );
-                    }
-                }
-                let gap = config.arrival.next_gap(now, &mut rng, &mut arrival_state);
-                queue.schedule(now + gap, Event::Arrival);
-            }
-            Event::ExecDone(v) => {
-                let (job, _exec, _started) = current[v].expect("job in flight");
-                if let Some(a) = attr.as_mut() {
-                    a.response_started(0, now, job.id);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::ResponseSent {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: v,
-                    },
-                );
-                let overhead = service_time(job.function)
-                    .overhead(WorkerPlatform::X86Vm)
-                    .mul_f64(config.jitter.factor(&mut rng));
-                queue.schedule(now + overhead, Event::JobDone(v));
-            }
-            Event::JobDone(v) => {
-                let (job, exec, started) = current[v].take().expect("job in flight");
-                if let Some(a) = attr.as_mut() {
-                    a.job_finished(0, now, job.id);
-                }
-                completed += 1;
-                let latency_s = now.duration_since(job.arrived).as_secs_f64();
-                latencies.record(latency_s);
-                tenant_tracker.record(job.tenant, latency_s);
-                sink.on_completion(&Completion {
-                    job: job.id,
-                    function: job.function,
-                    worker: v,
-                    arrived: job.arrived,
-                    finished: now,
-                    exec,
-                    tenant: job.tenant,
-                });
-                observer.emit(
-                    now,
-                    TraceEvent::JobCompleted {
-                        job: job.id,
-                        function: job.function.name(),
-                        worker: v,
-                        exec,
-                        overhead: now.duration_since(started + exec),
-                    },
-                );
-                if let Some(cache) = cache.as_mut() {
-                    cache.insert(job.key, (), now.as_micros());
-                    for follower in coalesce.complete(job.key) {
-                        completed += 1;
-                        let wait_s = now.duration_since(follower.arrived).as_secs_f64();
-                        latencies.record(wait_s);
-                        tenant_tracker.record(follower.tenant, wait_s);
-                        if let Some(a) = attr.as_mut() {
-                            a.record_free(
-                                usize::from(follower.function.index()),
-                                follower.tenant as usize,
-                            );
-                        }
-                        sink.on_completion(&Completion {
-                            job: follower.id,
-                            function: follower.function,
-                            worker: v,
-                            arrived: follower.arrived,
-                            finished: now,
-                            exec: SimDuration::ZERO,
-                            tenant: follower.tenant,
-                        });
-                        observer.emit(
-                            now,
-                            TraceEvent::JobCompleted {
-                                job: follower.id,
-                                function: follower.function.name(),
-                                worker: v,
-                                exec: SimDuration::ZERO,
-                                overhead: SimDuration::ZERO,
-                            },
-                        );
-                    }
-                }
-                server.finish_job(v, now).expect("vm was executing");
-                let watts = server.power().value();
-                meter.set_power(now, host, watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(0, now, watts);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: v,
-                        state: WorkerState::Rebooting,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: 0, watts });
-                // Between-jobs reboot, then take the next job if queued.
-                queue.schedule(
-                    now + server.vm_boot_duration().mul_f64(server.current_slowdown()),
-                    Event::BootDone(v),
-                );
-            }
-            Event::BootDone(v) => {
-                server.reboot_complete(v, now).expect("vm was rebooting");
-                let watts = server.power().value();
-                meter.set_power(now, host, watts);
-                if let Some(a) = attr.as_mut() {
-                    a.set_power(0, now, watts);
-                }
-                observer.emit(
-                    now,
-                    TraceEvent::WorkerStateChange {
-                        worker: v,
-                        state: WorkerState::Idle,
-                    },
-                );
-                observer.emit(now, TraceEvent::PowerSample { worker: 0, watts });
-                if let Some(job) = queues[v].pop_front() {
-                    vm_start_job(
-                        v,
-                        job,
-                        now,
-                        config,
-                        &mut server,
-                        &mut current,
-                        &mut meter,
-                        host,
-                        &mut queue,
-                        &mut rng,
-                        observer,
-                        attr.as_mut(),
-                    );
-                }
-            }
-            Event::PowerEffective(_) => unreachable!("VMs never power-cycle"),
-            Event::IdleGate(_) => unreachable!("governors do not gate VMs"),
-            Event::Release => unreachable!("budgets do not gate the conventional loop"),
-            Event::Crash(_) | Event::Recover(_) => {
-                unreachable!("fault plans are ignored on the conventional open loop")
-            }
-        }
-    }
-
-    let end = queue.now().max(horizon);
-    let report = meter.report(end, completed);
-    let (mean_latency_s, p95_latency_s) = latencies.finish();
-    let cache_stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-    let run = OpenLoopRun {
-        completed,
-        mean_latency_s,
-        p95_latency_s,
-        mean_power_w: report.average_watts,
-        joules_per_function: report.joules_per_function().unwrap_or(f64::NAN),
-        mean_powered_on: vms as f64,
-        offered_per_second: arrived as f64 / config.duration.as_secs_f64(),
-        power_cycles: 0,
-        faults_injected: 0,
-        tenants: tenant_tracker.summaries(),
-        cache_hits: cache_stats.hits,
-        cache_misses: cache_stats.misses,
-        cache_coalesced: cache_stats.coalesced,
-    };
-    let ledger = attr.map(|a| a.finalize(end));
-    (run, ledger, end)
-}
-
-/// Starts the next invocation on an idle VM: the conventional loop's
-/// counterpart of [`begin_job`], shared by the arrival and post-reboot
-/// paths. Same RNG site and draw order as the historical inline code,
-/// so conventional runs cannot move.
-#[allow(clippy::too_many_arguments)]
-fn vm_start_job<O: TraceObserver>(
-    v: usize,
-    job: QueuedJob,
-    now: SimTime,
-    config: &OpenLoopConfig,
-    server: &mut microfaas_hw::RackServer,
-    current: &mut [Option<(QueuedJob, SimDuration, SimTime)>],
-    meter: &mut EnergyMeter,
-    host: microfaas_energy::ChannelId,
-    queue: &mut EventQueue<Event>,
-    rng: &mut Rng,
-    observer: &mut O,
-    attr: Option<&mut Attributor>,
-) {
-    server.start_job(v, now).expect("vm is idle");
-    let watts = server.power().value();
-    meter.set_power(now, host, watts);
-    if let Some(a) = attr {
-        a.set_power(0, now, watts);
-        a.job_started(
-            0,
-            now,
-            job.id,
-            usize::from(job.function.index()),
-            job.tenant as usize,
-        );
-    }
-    observer.emit(
-        now,
-        TraceEvent::JobStarted {
-            job: job.id,
-            function: job.function.name(),
-            worker: v,
-        },
-    );
-    observer.emit(
-        now,
-        TraceEvent::WorkerStateChange {
-            worker: v,
-            state: WorkerState::Executing,
-        },
-    );
-    observer.emit(now, TraceEvent::PowerSample { worker: 0, watts });
-    let exec = service_time(job.function)
-        .exec(WorkerPlatform::X86Vm)
-        .mul_f64(config.jitter.factor(rng) * server.current_slowdown());
-    current[v] = Some((job, exec, now));
-    queue.schedule(now + exec, Event::ExecDone(v));
-}
-
-/// Places one admitted job and drives the chosen worker's power state —
-/// the per-job tail of the Arrival handler, shared with the
-/// budget-deferral [`Event::Release`] path. Pure code motion from the
-/// historical Arrival arm: same RNG sites, same draw order, so the
-/// legacy goldens cannot move.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_job<O: TraceObserver>(
-    job: QueuedJob,
-    now: SimTime,
-    config: &OpenLoopConfig,
-    policy: &mut PolicyEngine,
-    cache_on: bool,
-    sched_active: bool,
-    views: &mut Vec<NodeView>,
-    workers: &mut [Worker],
-    powered_on: &mut TimeWeighted,
-    gpio: &mut PowerController,
-    queue: &mut EventQueue<Event>,
-    meter: &mut EnergyMeter,
-    channels: &[microfaas_energy::ChannelId],
-    rng: &mut Rng,
-    observer: &mut O,
-    sched_handles: &Option<SchedMetrics>,
-    attr: Option<&mut Attributor>,
-) {
-    // Rate tracking for WarmPool (a no-op elsewhere).
-    policy.observe_arrival(now);
-    let w = if config.scheduler == PlacementKind::RandomStatic {
-        // O(1) placement: RandomStatic draws exactly one
-        // uniform index over the full fleet and never
-        // reads the views, so building them is pure
-        // overhead. Same RNG site, same draw —
-        // bit-identical to routing through the engine.
-        rng.index(config.workers)
+    let sched_active = !(legacy_placement && governor == GovernorKind::RebootPerJob);
+    let sched_handles = if sched_active {
+        observer.metrics().map(SchedMetrics::register)
     } else {
-        views.clear();
-        views.extend(workers.iter().map(Worker::view));
-        if cache_on {
-            // Key-aware routing: CacheAffine pins hot
-            // keys to home nodes; other policies ignore
-            // the key and behave exactly as place().
-            policy.place_keyed(job.key, views, rng)
-        } else {
-            policy.place(views, rng)
-        }
+        None
     };
-    if sched_active {
-        observer.emit(
+    config.cache.try_validate().expect("invalid cache config");
+    // The EnergyBudget governor's admission loop; every other governor
+    // answers `false` and the budget branches are dead.
+    let budget_active = policy.budget_active();
+    debug_assert!(
+        !budget_active || attr.is_some(),
+        "budget charging requires per-job attribution"
+    );
+    let nodes = class.nodes();
+    let core = Core {
+        config,
+        observer,
+        queue: EventQueue::new(),
+        rng: Rng::new(config.seed),
+        meter: EnergyMeter::new(SimTime::ZERO),
+        channels: Vec::new(),
+        attr,
+        policy,
+        sched_handles,
+    };
+    OpenSim {
+        core,
+        class,
+        latencies,
+        sink,
+        handles,
+        picker,
+        tenants,
+        arrival_state: ArrivalState::default(),
+        cache: ResultCache::from_config(&config.cache),
+        coalesce: CoalesceTable::new(),
+        input_variants: config.cache.input_variants() as usize,
+        deferred: VecDeque::new(),
+        views: Vec::with_capacity(nodes),
+        placement,
+        sched_active,
+        budget_active,
+        horizon: SimTime::ZERO + config.duration,
+        arrived: 0,
+        completed: 0,
+        shed: 0,
+    }
+    .run()
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Event<T> {
+    /// The next arrival (or batch of arrivals) is due.
+    Arrival,
+    /// A boot or reboot window ended; the node is idle.
+    BootDone(usize),
+    /// The function body finished; the response leaves the node and the
+    /// lumped overhead begins.
+    ExecDone(usize),
+    /// The overhead elapsed; the job is complete.
+    JobDone(usize),
+    /// An [`EnergyBudget`](GovernorKind::EnergyBudget) deferral elapsed:
+    /// the oldest parked job re-enters placement unconditionally.
+    Release,
+    /// A timer of the node class.
+    Node(usize, T),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct QueuedJob {
+    /// Arrival ordinal, used as the job id in trace events.
+    id: u64,
+    function: FunctionId,
+    arrived: SimTime,
+    /// Tenant-class index; 0 when no classes are configured.
+    tenant: u16,
+    /// Content-cache key; 0 (and never read) when the cache is off.
+    key: u64,
+    /// Execution-time multiplier applied by an
+    /// [`EnergyBudget`](GovernorKind::EnergyBudget) throttle action;
+    /// `1.0` everywhere else (exact under IEEE-754, so the multiply
+    /// cannot perturb legacy bit-compatibility).
+    throttle: f64,
+}
+
+/// What the engine tracks per node: the jobs placed on it and the
+/// invocation it runs.
+#[derive(Default)]
+struct Slot {
+    queue: VecDeque<QueuedJob>,
+    /// `(job, exec, started)` for the in-flight invocation.
+    current: Option<(QueuedJob, SimDuration, SimTime)>,
+    /// The invocation's next lifecycle event (ExecDone or JobDone),
+    /// cancelled when an injected crash interrupts it.
+    pending: Option<EventId>,
+}
+
+impl Slot {
+    /// The placement-policy view of this node. `load` is the backlog
+    /// count (the open loop does not know function costs at placement
+    /// time), so `LeastLoaded` picks the first node with the fewest
+    /// queued plus running jobs.
+    fn view(&self, powered: bool) -> NodeView {
+        let busy = self.current.is_some();
+        NodeView {
+            queued: self.queue.len(),
+            busy,
+            powered,
+            load: (self.queue.len() + usize::from(busy)) as f64,
+        }
+    }
+}
+
+/// Per-run metric handles for the open-loop simulation, prefixed `open_`.
+struct OpenMetrics {
+    jobs_arrived: CounterId,
+    jobs_completed: CounterId,
+    exec_seconds: HistogramId,
+    latency_seconds: HistogramId,
+}
+
+impl OpenMetrics {
+    fn register(metrics: &mut MetricsRegistry) -> Self {
+        OpenMetrics {
+            jobs_arrived: metrics.counter("open_jobs_arrived_total"),
+            jobs_completed: metrics.counter("open_jobs_completed_total"),
+            exec_seconds: metrics.histogram("open_exec_seconds", &EXEC_BUCKETS),
+            latency_seconds: metrics.histogram(
+                "open_latency_seconds",
+                &[0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0],
+            ),
+        }
+    }
+}
+
+/// One kind of worker hardware under the open-loop engine.
+///
+/// The hooks are the points where the arrival-driven lifecycle touches
+/// a node: its state machine, its power draw, and what it does when a
+/// job lands on it or finishes. Hooks that need the run's shared state
+/// take the engine's [`Core`]. The closed-loop engine has a class trait
+/// of its own, because the two loops run different node semantics (see
+/// the module docs).
+trait OpenClass {
+    /// Timers only this class schedules (none for the VM host).
+    type Timer: Copy;
+    /// The platform whose calibrated service times the nodes run.
+    const PLATFORM: WorkerPlatform;
+
+    /// The placement and governor the class runs under.
+    fn policy(config: &OpenLoopConfig) -> (PlacementKind, GovernorKind);
+    /// How many nodes the class has.
+    fn nodes(&self) -> usize;
+    /// Adds the meter channels and plans the class's timers, before the
+    /// first arrival.
+    fn init<O: TraceObserver>(&mut self, core: &mut Core<'_, O, Self::Timer>);
+    /// The engine's slot of node `w`. Each class keeps it beside its own
+    /// state of that node, so a job's events touch one place in memory.
+    fn slot(&mut self, w: usize) -> &mut Slot;
+    /// Appends every node's placement view to `views`, in node order.
+    fn views(&self, views: &mut Vec<NodeView>);
+    /// The channel `w` is metered and attributed on, which its power
+    /// samples also report as their worker, and that channel's draw now.
+    fn power(&self, w: usize) -> (usize, f64);
+    /// A job was queued on `w`; `true` when `w` is idle and starts it
+    /// now.
+    fn queued<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, Self::Timer>,
+        w: usize,
+        now: SimTime,
+    ) -> bool;
+    /// Idle → executing. Returns the factor the job's exec time
+    /// stretches by.
+    fn start_job<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, Self::Timer>,
+        w: usize,
+        now: SimTime,
+    ) -> f64;
+    /// `w` finished an invocation. Returns `true` to start its next
+    /// queued job at once.
+    fn job_done<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, Self::Timer>,
+        w: usize,
+        now: SimTime,
+    ) -> bool;
+    /// Booting or rebooting → idle.
+    fn boot_done<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, Self::Timer>,
+        w: usize,
+        now: SimTime,
+    );
+    /// Handles one of the class's own timers.
+    fn on_timer<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, Self::Timer>,
+        w: usize,
+        timer: Self::Timer,
+        now: SimTime,
+    );
+    /// Runs after each arrival batch is placed.
+    fn arrivals_placed<O: TraceObserver>(
+        &mut self,
+        _core: &mut Core<'_, O, Self::Timer>,
+        _now: SimTime,
+    ) {
+    }
+    /// `(mean powered-on nodes, power cycles, faults injected)` over the
+    /// run ending at `end`.
+    fn report(&self, end: SimTime) -> (f64, u64, u64);
+}
+
+/// The run state every class hook may touch, generic over the class's
+/// timer type.
+struct Core<'a, O, T> {
+    config: &'a OpenLoopConfig,
+    observer: &'a mut O,
+    queue: EventQueue<Event<T>>,
+    rng: Rng,
+    meter: EnergyMeter,
+    /// The meter's channels, indexed like the attributor's.
+    channels: Vec<ChannelId>,
+    attr: Option<Attributor>,
+    policy: PolicyEngine,
+    sched_handles: Option<SchedMetrics>,
+}
+
+impl<O: TraceObserver, T> Core<'_, O, T> {
+    /// Adds a meter channel and the attribution channel of the same
+    /// index.
+    fn add_channel(&mut self, name: String) -> usize {
+        self.channels.push(self.meter.add_channel(name));
+        if let Some(a) = self.attr.as_mut() {
+            a.add_channel();
+        }
+        self.channels.len() - 1
+    }
+
+    /// Meters and attributes `watts` on channel `ch` from `now` on.
+    fn set_power(&mut self, now: SimTime, (ch, watts): (usize, f64)) {
+        self.meter.set_power(now, self.channels[ch], watts);
+        if let Some(a) = self.attr.as_mut() {
+            a.set_power(ch, now, watts);
+        }
+    }
+
+    /// Sets `power` and emits node `w`'s state change plus the power
+    /// sample of its channel.
+    fn mark(&mut self, now: SimTime, w: usize, state: WorkerState, power: (usize, f64)) {
+        self.set_power(now, power);
+        self.observer
+            .emit(now, TraceEvent::WorkerStateChange { worker: w, state });
+        self.observer.emit(
             now,
-            TraceEvent::PlacementDecision {
-                job: job.id,
-                worker: w,
-                policy: config.scheduler.label(),
+            TraceEvent::PowerSample {
+                worker: power.0,
+                watts: power.1,
             },
         );
-        if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-            metrics.inc(h.placements);
+    }
+
+    fn with_sched_metrics(&mut self, apply: impl FnOnce(&mut MetricsRegistry, &SchedMetrics)) {
+        if let (Some(metrics), Some(h)) = (self.observer.metrics(), self.sched_handles.as_ref()) {
+            apply(metrics, h);
         }
     }
-    workers[w].queue.push_back(job);
-    match workers[w].node.state() {
-        SbcState::Off if !workers[w].waking => {
-            if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                metrics.inc(h.cold_boots);
-            }
-            workers[w].waking = true;
-            powered_on.add(now, 1.0);
-            observer.emit(
-                now,
-                TraceEvent::WakeRequested {
-                    worker: w,
-                    reason: "dispatch",
-                },
-            );
-            let effective = gpio.actuate(now, w, PowerAction::On);
-            queue.schedule(effective, Event::PowerEffective(w));
-        }
-        SbcState::Idle => {
-            // A warm (standby) node absorbs the arrival
-            // with no boot in front of it.
-            if let (Some(metrics), Some(h)) = (observer.metrics(), sched_handles.as_ref()) {
-                metrics.inc(h.warm_hits);
-            }
-            begin_job(
-                w, now, config, workers, queue, meter, channels, rng, observer, attr,
-            );
-        }
-        _ => {}
+
+    /// Emits and counts a governor move (standby, gate-off, prewarm).
+    fn governor_transition(&mut self, now: SimTime, w: usize, action: &'static str) {
+        self.observer
+            .emit(now, TraceEvent::GovernorTransition { worker: w, action });
+        self.with_sched_metrics(|m, h| m.inc(h.governor_transitions));
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn begin_job<O: TraceObserver>(
-    w: usize,
-    now: SimTime,
-    config: &OpenLoopConfig,
-    workers: &mut [Worker],
-    queue: &mut EventQueue<Event>,
-    meter: &mut EnergyMeter,
-    channels: &[microfaas_energy::ChannelId],
-    rng: &mut Rng,
-    observer: &mut O,
-    attr: Option<&mut Attributor>,
-) {
-    if let Some(gate) = workers[w].gate.take() {
-        queue.cancel(gate);
-    }
-    match workers[w].queue.pop_front() {
-        Some(job) => {
-            workers[w].node.start_job(now).expect("node is idle");
-            let watts = workers[w].node.power().value();
-            meter.set_power(now, channels[w], watts);
-            if let Some(a) = attr {
-                a.set_power(w, now, watts);
-                a.job_started(
-                    w,
-                    now,
-                    job.id,
-                    usize::from(job.function.index()),
-                    job.tenant as usize,
-                );
+/// The engine: the shared run state, the class's nodes, and the state
+/// only the engine reads.
+struct OpenSim<'a, C: OpenClass, O, L, S> {
+    core: Core<'a, O, C::Timer>,
+    class: C,
+    latencies: L,
+    sink: &'a mut S,
+    handles: Option<OpenMetrics>,
+    picker: FunctionPicker,
+    tenants: TenantTracker,
+    arrival_state: ArrivalState,
+    /// The result cache. With the default `Off` this is `None`, every
+    /// cache branch is dead, and no extra RNG draw happens.
+    cache: Option<ResultCache<()>>,
+    coalesce: CoalesceTable<QueuedJob>,
+    input_variants: usize,
+    /// Jobs parked by a budget deferral, released FIFO by
+    /// [`Event::Release`].
+    deferred: VecDeque<QueuedJob>,
+    views: Vec<NodeView>,
+    placement: PlacementKind,
+    /// Whether a non-default scheduling policy is active; its telemetry
+    /// is gated on this.
+    sched_active: bool,
+    budget_active: bool,
+    horizon: SimTime,
+    arrived: u64,
+    completed: u64,
+    /// Arrivals the energy budget shed.
+    shed: u64,
+}
+
+impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C, O, L, S> {
+    fn run(mut self) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
+        self.class.init(&mut self.core);
+        self.core.queue.schedule(SimTime::ZERO, Event::Arrival);
+        while let Some((now, event)) = self.core.queue.pop() {
+            match event {
+                Event::Arrival => self.arrival(now),
+                Event::BootDone(w) => {
+                    self.class.boot_done(&mut self.core, w, now);
+                    // A node that boots to an empty queue idles: a
+                    // prewarmed SBC joins the warm reserve.
+                    if !self.class.slot(w).queue.is_empty() {
+                        self.begin(w, now);
+                    }
+                }
+                Event::ExecDone(w) => self.exec_done(w, now),
+                Event::JobDone(w) => self.job_done(w, now),
+                Event::Release => {
+                    // One Release is scheduled per deferred job, FIFO;
+                    // the job re-enters placement with no further
+                    // admission check (the governor already priced the
+                    // wait).
+                    if let Some(job) = self.deferred.pop_front() {
+                        self.dispatch(job, now);
+                    }
+                }
+                Event::Node(w, timer) => self.class.on_timer(&mut self.core, w, timer, now),
             }
-            observer.emit(
-                now,
-                TraceEvent::JobStarted {
-                    job: job.id,
-                    function: job.function.name(),
-                    worker: w,
-                },
-            );
-            observer.emit(
-                now,
-                TraceEvent::WorkerStateChange {
-                    worker: w,
-                    state: WorkerState::Executing,
-                },
-            );
-            observer.emit(now, TraceEvent::PowerSample { worker: w, watts });
-            // The throttle multiplier is 1.0 on every non-budget path,
-            // and x * 1.0 == x exactly in IEEE-754 — legacy runs cannot
-            // move by a ULP.
-            let exec = service_time(job.function)
-                .exec(WorkerPlatform::ArmSbc)
-                .mul_f64(config.jitter.factor(rng) * job.throttle);
-            workers[w].current = Some((job, exec, now));
-            workers[w].pending = Some(queue.schedule(now + exec, Event::ExecDone(w)));
         }
-        None => {
-            // A node is only woken or rebooted when its queue holds work,
-            // and nothing else can drain that queue first.
-            unreachable!("worker {w} reached idle with an empty queue at {now}");
+        self.finish()
+    }
+
+    fn with_metrics(&mut self, apply: impl FnOnce(&mut MetricsRegistry, &OpenMetrics)) {
+        if let (Some(metrics), Some(h)) = (self.core.observer.metrics(), self.handles.as_ref()) {
+            apply(metrics, h);
         }
+    }
+
+    fn arrival(&mut self, now: SimTime) {
+        if now >= self.horizon {
+            return; // arrivals stop; drain what is queued
+        }
+        let config = self.core.config;
+        for _ in 0..config.arrival.batch() {
+            self.arrived += 1;
+            let function = config.functions[self.picker.pick(&mut self.core.rng)];
+            let mut job = QueuedJob {
+                id: self.arrived,
+                function,
+                arrived: now,
+                tenant: self.tenants.draw(&mut self.core.rng),
+                key: 0,
+                throttle: 1.0,
+            };
+            let (id, name) = (job.id, function.name());
+            let enqueued = TraceEvent::JobEnqueued {
+                job: id,
+                function: name,
+            };
+            self.core.observer.emit(now, enqueued);
+            self.with_metrics(|m, h| m.inc(h.jobs_arrived));
+            if let Some(cache) = self.cache.as_mut() {
+                // One extra sim-stream draw picks the canonical input
+                // this invocation carries.
+                let variant = self.core.rng.index(self.input_variants) as u64;
+                job.key = content_key(function.index(), variant);
+                let key = job.key;
+                if cache.lookup(key, now.as_micros()).is_some() {
+                    // Zero-energy fast path: the orchestration plane
+                    // (worker 0 by convention) serves the stored result
+                    // with no queue, boot or exec.
+                    let hit = TraceEvent::CacheHit {
+                        job: id,
+                        function: name,
+                        key,
+                    };
+                    self.core.observer.emit(now, hit);
+                    self.free(job, 0, now);
+                    continue;
+                }
+                if !self.coalesce.try_lead(key, id) {
+                    // An identical invoke is already executing: park
+                    // this one behind its leader.
+                    cache.note_coalesced();
+                    let leader = self.coalesce.leader(key).expect("key in flight");
+                    let follow = TraceEvent::Coalesced {
+                        job: id,
+                        leader,
+                        function: name,
+                    };
+                    self.core.observer.emit(now, follow);
+                    self.coalesce.follow(key, job);
+                    continue;
+                }
+                let miss = TraceEvent::CacheMiss {
+                    job: id,
+                    function: name,
+                    key,
+                };
+                self.core.observer.emit(now, miss);
+            }
+            if self.budget_active && !self.admit(&mut job, now) {
+                continue;
+            }
+            self.dispatch(job, now);
+        }
+        self.class.arrivals_placed(&mut self.core, now);
+        let gap = config
+            .arrival
+            .next_gap(now, &mut self.core.rng, &mut self.arrival_state);
+        self.core.queue.schedule(now + gap, Event::Arrival);
+    }
+
+    /// Admission control at the orchestration plane's front door: the
+    /// tenant's token bucket decides whether this invocation runs,
+    /// waits, or runs slowly. Cache hits bypass it — a served result
+    /// costs no joules. Returns `false` if the job was shed or parked.
+    fn admit(&mut self, job: &mut QueuedJob, now: SimTime) -> bool {
+        let (action, admitted) = match self.core.policy.budget_admit(job.tenant, now) {
+            BudgetDecision::Admit => return true,
+            BudgetDecision::Shed => {
+                self.shed += 1;
+                // Release any coalesce leadership the cache just took,
+                // so a later identical invoke can lead.
+                if self.cache.is_some() {
+                    let _ = self.coalesce.complete(job.key);
+                }
+                ("shed", false)
+            }
+            BudgetDecision::Defer(delay) => {
+                // Coalesce leadership (if any) stays with the deferred
+                // job; followers drain when it eventually completes.
+                self.deferred.push_back(*job);
+                self.core.queue.schedule(now + delay, Event::Release);
+                ("defer", false)
+            }
+            BudgetDecision::Throttle(factor) => {
+                job.throttle = factor;
+                ("throttle", true)
+            }
+        };
+        let tenant = job.tenant;
+        self.core
+            .observer
+            .emit(now, TraceEvent::BudgetAction { tenant, action });
+        admitted
+    }
+
+    /// Places one admitted job and lets its node react.
+    fn dispatch(&mut self, job: QueuedJob, now: SimTime) {
+        let core = &mut self.core;
+        // Rate tracking for WarmPool (a no-op elsewhere).
+        core.policy.observe_arrival(now);
+        let w = if self.placement == PlacementKind::RandomStatic {
+            // RandomStatic draws one uniform index over the fleet and
+            // never reads the views, so it skips building them.
+            core.rng.index(self.class.nodes())
+        } else {
+            self.views.clear();
+            self.class.views(&mut self.views);
+            if self.cache.is_some() {
+                // Key-aware routing: CacheAffine pins hot keys to home
+                // nodes; the other policies ignore the key.
+                core.policy.place_keyed(job.key, &self.views, &mut core.rng)
+            } else {
+                core.policy.place(&self.views, &mut core.rng)
+            }
+        };
+        if self.sched_active {
+            let policy = self.placement.label();
+            let decision = TraceEvent::PlacementDecision {
+                job: job.id,
+                worker: w,
+                policy,
+            };
+            core.observer.emit(now, decision);
+            core.with_sched_metrics(|m, h| m.inc(h.placements));
+        }
+        self.class.slot(w).queue.push_back(job);
+        if self.class.queued(core, w, now) {
+            self.begin(w, now);
+        }
+    }
+
+    /// Starts `w`'s next queued job.
+    fn begin(&mut self, w: usize, now: SimTime) {
+        let core = &mut self.core;
+        // A node starts only with work queued, and nothing else drains
+        // its queue first.
+        let job = self
+            .class
+            .slot(w)
+            .queue
+            .pop_front()
+            .expect("a job is queued");
+        let factor = self.class.start_job(core, w, now);
+        let (id, function) = (job.id, job.function);
+        let started = TraceEvent::JobStarted {
+            job: id,
+            function: function.name(),
+            worker: w,
+        };
+        core.observer.emit(now, started);
+        let power = self.class.power(w);
+        core.mark(now, w, WorkerState::Executing, power);
+        if let Some(a) = core.attr.as_mut() {
+            let (f, tenant) = (usize::from(function.index()), job.tenant as usize);
+            a.job_started(power.0, now, id, f, tenant);
+        }
+        // The class factor and the budget throttle are 1.0 wherever they
+        // do not apply, and x * 1.0 == x exactly in IEEE-754.
+        let jitter = core.config.jitter.factor(&mut core.rng);
+        let exec = service_time(function)
+            .exec(C::PLATFORM)
+            .mul_f64(jitter * factor * job.throttle);
+        let slot = self.class.slot(w);
+        slot.current = Some((job, exec, now));
+        slot.pending = Some(core.queue.schedule(now + exec, Event::ExecDone(w)));
+    }
+
+    fn exec_done(&mut self, w: usize, now: SimTime) {
+        let core = &mut self.core;
+        let (job, _exec, _started) = self.class.slot(w).current.expect("job in flight");
+        if let Some(a) = core.attr.as_mut() {
+            // The draw does not change here, but the phase does:
+            // everything from this instant to JobDone is the
+            // response/overhead window.
+            a.response_started(self.class.power(w).0, now, job.id);
+        }
+        let function = job.function.name();
+        let sent = TraceEvent::ResponseSent {
+            job: job.id,
+            function,
+            worker: w,
+        };
+        core.observer.emit(now, sent);
+        let overhead = service_time(job.function)
+            .overhead(C::PLATFORM)
+            .mul_f64(core.config.jitter.factor(&mut core.rng));
+        self.class.slot(w).pending = Some(core.queue.schedule(now + overhead, Event::JobDone(w)));
+    }
+
+    fn job_done(&mut self, w: usize, now: SimTime) {
+        let core = &mut self.core;
+        let slot = self.class.slot(w);
+        slot.pending = None;
+        let (job, exec, started) = slot.current.take().expect("job in flight");
+        // Settle the job's joule vector before any power change, then
+        // charge its tenant's budget with the exact figure (picojoules
+        // → joules).
+        let job_pj = core
+            .attr
+            .as_mut()
+            .map(|a| a.job_finished(self.class.power(w).0, now, job.id));
+        if self.budget_active {
+            let pj = job_pj.expect("budget runs carry an attributor");
+            if core
+                .policy
+                .budget_note_energy(job.tenant, pj as f64 / 1e12, now)
+            {
+                let breach = TraceEvent::BudgetBreach { tenant: job.tenant };
+                core.observer.emit(now, breach);
+            }
+        }
+        self.book(job, w, now, exec, now.duration_since(started + exec));
+        if let Some(cache) = self.cache.as_mut() {
+            // The leader's result commits: store it, then drain every
+            // coalesced follower at this instant. Each follower pays
+            // only its queue wait.
+            cache.insert(job.key, (), now.as_micros());
+            for follower in self.coalesce.complete(job.key) {
+                self.free(follower, w, now);
+            }
+        }
+        if self.class.job_done(&mut self.core, w, now) {
+            self.begin(w, now);
+        }
+    }
+
+    /// Books a completion that ran nothing: a cache hit or a coalesced
+    /// follower. It costs zero joules but still counts as a completion
+    /// for the usage-weighted idle split.
+    fn free(&mut self, job: QueuedJob, w: usize, now: SimTime) {
+        if let Some(a) = self.core.attr.as_mut() {
+            a.record_free(usize::from(job.function.index()), job.tenant as usize);
+        }
+        self.book(job, w, now, SimDuration::ZERO, SimDuration::ZERO);
+    }
+
+    /// Books one completion into the latency and tenant aggregates, the
+    /// sink, the trace and the metrics.
+    fn book(
+        &mut self,
+        job: QueuedJob,
+        w: usize,
+        now: SimTime,
+        exec: SimDuration,
+        overhead: SimDuration,
+    ) {
+        self.completed += 1;
+        let latency = now.duration_since(job.arrived).as_secs_f64();
+        self.latencies.record(latency);
+        self.tenants.record(job.tenant, latency);
+        self.sink.on_completion(&Completion {
+            job: job.id,
+            function: job.function,
+            worker: w,
+            arrived: job.arrived,
+            finished: now,
+            exec,
+            tenant: job.tenant,
+        });
+        let function = job.function.name();
+        let completed = TraceEvent::JobCompleted {
+            job: job.id,
+            function,
+            worker: w,
+            exec,
+            overhead,
+        };
+        self.core.observer.emit(now, completed);
+        self.with_metrics(|m, h| {
+            m.inc(h.jobs_completed);
+            m.observe(h.exec_seconds, exec.as_secs_f64());
+            m.observe(h.latency_seconds, latency);
+        });
+    }
+
+    fn finish(mut self) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
+        let (arrived, completed, core) = (self.arrived, self.completed, &mut self.core);
+        // Every arrival completes (a cache hit, a coalesced follower or
+        // an execution) or is shed by the budget: the loop has no other
+        // way for a job to end.
+        debug_assert!(completed + self.shed == arrived, "an arrival was lost");
+        let end = core.queue.now().max(self.horizon);
+        let report = core.meter.report(end, completed);
+        let (mean_latency_s, p95_latency_s) = self.latencies.finish();
+        let cache_stats = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let (mean_powered_on, power_cycles, faults_injected) = self.class.report(end);
+        let run = OpenLoopRun {
+            completed,
+            mean_latency_s,
+            p95_latency_s,
+            mean_power_w: report.average_watts,
+            joules_per_function: report.joules_per_function().unwrap_or(f64::NAN),
+            mean_powered_on,
+            offered_per_second: arrived as f64 / core.config.duration.as_secs_f64(),
+            power_cycles,
+            faults_injected,
+            tenants: self.tenants.summaries(),
+            cache_hits: cache_stats.hits,
+            cache_misses: cache_stats.misses,
+            cache_coalesced: cache_stats.coalesced,
+        };
+        // Gauges come from the finished run so the exposition agrees
+        // bit-for-bit with the returned aggregates.
+        if let Some(metrics) = core.observer.metrics() {
+            core.meter.publish_metrics(metrics, "open", end);
+            let cycles = metrics.counter("open_power_cycles_total");
+            metrics.add(cycles, run.power_cycles);
+            let pairs = [
+                ("open_mean_latency_seconds", run.mean_latency_s),
+                ("open_p95_latency_seconds", run.p95_latency_s),
+                ("open_mean_power_watts", run.mean_power_w),
+                (
+                    "open_joules_per_function",
+                    if run.joules_per_function.is_finite() {
+                        run.joules_per_function
+                    } else {
+                        0.0
+                    },
+                ),
+                ("open_mean_powered_on", run.mean_powered_on),
+                ("open_offered_per_second", run.offered_per_second),
+            ];
+            for (name, value) in pairs {
+                let gauge = metrics.gauge(name);
+                metrics.set_gauge(gauge, value);
+            }
+            // Cache counters only exist when a cache ran: the default
+            // exposition must stay byte-identical to pre-cache builds.
+            if core.config.cache.enabled() {
+                crate::closedloop::publish_cache_counters(metrics, "open", &cache_stats);
+            }
+        }
+        // Settle every channel through the common end instant so the
+        // ledger's integer total covers exactly the meter's window.
+        let ledger = core.attr.take().map(|a| a.finalize(end));
+        (run, ledger, end)
+    }
+}
+
+/// One SBC worker: the engine's slot and the hardware state.
+struct Sbc {
+    slot: Slot,
+    node: SbcNode,
+    /// Set between the GPIO press and the power-on taking effect, so
+    /// placement sees waking nodes as powered.
+    waking: bool,
+    /// The governor's pending idle gate, cancelled when a job start
+    /// pre-empts the idle window.
+    gate: Option<EventId>,
+}
+
+/// The SBC fleet: one [`SbcNode`] per worker on its own `sbc-{w}`
+/// channel, powered on and off through its GPIO line. The governor
+/// decides what a drained node does, and scheduled crashes take
+/// executing nodes down.
+struct SbcFleet {
+    nodes: Vec<Sbc>,
+    gpio: PowerController,
+    powered_on: TimeWeighted,
+    /// Scheduled crashes that landed on an executing node.
+    faults_injected: u64,
+    /// Whether the governor reads the booted-idle census. Every
+    /// governor but WarmPool ignores it, so the drain and idle-gate
+    /// paths skip their fleet scans.
+    wants_census: bool,
+}
+
+/// Word-sized on purpose: with a one-byte timer, `Event<SbcTimer>`
+/// packs its variant tag into the timer's spare byte, and with that
+/// layout a dense run (16,384 nodes, about 120k events pending) took
+/// 17–21% longer on a 2-vCPU Xeon VM.
+#[derive(Debug, Clone, Copy)]
+#[repr(u64)]
+enum SbcTimer {
+    /// The GPIO power-on took effect; the node boots.
+    PowerOn,
+    /// A standby node's governor idle window elapsed; it may gate off.
+    IdleGate,
+    /// A scheduled crash.
+    Crash,
+    /// The orchestrator noticed the crash; the node reboots.
+    Recover,
+}
+
+impl Sbc {
+    /// Placement sees a waking node as powered.
+    fn powered(&self) -> bool {
+        self.waking || self.node.state() != SbcState::Off
+    }
+}
+
+impl SbcFleet {
+    fn new(workers: usize) -> Self {
+        assert!(workers > 0, "cluster needs at least one worker");
+        SbcFleet {
+            nodes: (0..workers)
+                .map(|w| Sbc {
+                    slot: Slot::default(),
+                    node: SbcNode::new(w, SimTime::ZERO),
+                    waking: false,
+                    gate: None,
+                })
+                .collect(),
+            gpio: PowerController::new(workers),
+            powered_on: TimeWeighted::new(SimTime::ZERO, 0.0),
+            faults_injected: 0,
+            wants_census: false,
+        }
+    }
+
+    /// Booted-idle nodes, or 0 when the governor never reads the count.
+    fn idle_census(&self) -> usize {
+        if !self.wants_census {
+            return 0;
+        }
+        let idle = |n: &&Sbc| n.node.state() == SbcState::Idle;
+        self.nodes.iter().filter(idle).count()
+    }
+
+    /// Presses `w`'s power button; it boots once the press takes effect.
+    fn wake<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+        reason: &'static str,
+    ) {
+        self.nodes[w].waking = true;
+        self.powered_on.add(now, 1.0);
+        core.observer
+            .emit(now, TraceEvent::WakeRequested { worker: w, reason });
+        let effective = self.gpio.actuate(now, w, PowerAction::On);
+        core.queue
+            .schedule(effective, Event::Node(w, SbcTimer::PowerOn));
+    }
+
+    /// Meters the boot (or reboot) window `w` just entered and schedules
+    /// its end.
+    fn boot<O: TraceObserver>(
+        &self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+        state: WorkerState,
+    ) {
+        core.mark(now, w, state, self.power(w));
+        if let Some(a) = core.attr.as_mut() {
+            a.boot_started(w, now);
+        }
+        let done = now + self.nodes[w].node.boot_duration();
+        core.queue.schedule(done, Event::BootDone(w));
+    }
+
+    /// Cuts `w`'s power once its state machine is off.
+    fn gate_off<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+    ) {
+        self.powered_on.add(now, -1.0);
+        self.gpio.actuate(now, w, PowerAction::Off);
+        core.mark(now, w, WorkerState::Off, self.power(w));
+    }
+
+    /// A crash lands only on a node that is running an invocation; a
+    /// gated-off node has nothing to kill.
+    fn crash<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+    ) {
+        if self.nodes[w].node.state() != SbcState::Executing {
+            return;
+        }
+        self.faults_injected += 1;
+        let fault = FaultKind::Crash.label();
+        core.observer
+            .emit(now, TraceEvent::FaultInjected { worker: w, fault });
+        let slot = &mut self.nodes[w].slot;
+        if let Some(pending) = slot.pending.take() {
+            core.queue.cancel(pending);
+        }
+        // The invocation is re-queued at the front of the same node,
+        // keeping its arrival time so the latency metrics absorb the
+        // full recovery cost.
+        if let Some((job, _, _)) = slot.current.take() {
+            if let Some(a) = core.attr.as_mut() {
+                // The partial joules stay with the job; the accumulator
+                // resumes when it restarts.
+                a.interrupted(w, now, job.id);
+            }
+            slot.queue.push_front(job);
+        }
+        self.nodes[w].node.crash(now).expect("node was executing");
+        self.powered_on.add(now, -1.0);
+        core.mark(now, w, WorkerState::Crashed, self.power(w));
+        let detected = now + core.config.faults.detection_delay;
+        core.queue
+            .schedule(detected, Event::Node(w, SbcTimer::Recover));
+    }
+}
+
+impl OpenClass for SbcFleet {
+    type Timer = SbcTimer;
+    const PLATFORM: WorkerPlatform = WorkerPlatform::ArmSbc;
+
+    fn policy(config: &OpenLoopConfig) -> (PlacementKind, GovernorKind) {
+        (config.scheduler, config.governor)
+    }
+
+    fn nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Crashes aimed past the fleet (a plan written for a larger
+    /// cluster) are no-ops; an empty plan schedules nothing.
+    fn init<O: TraceObserver>(&mut self, core: &mut Core<'_, O, SbcTimer>) {
+        for w in 0..self.nodes.len() {
+            core.add_channel(format!("sbc-{w}"));
+        }
+        self.wants_census = core.policy.wants_idle_census();
+        for &(at, w) in FaultInjector::new(&core.config.faults.plan).scheduled_crashes() {
+            if w < self.nodes.len() {
+                core.queue.schedule(at, Event::Node(w, SbcTimer::Crash));
+            }
+        }
+    }
+
+    fn slot(&mut self, w: usize) -> &mut Slot {
+        &mut self.nodes[w].slot
+    }
+
+    fn views(&self, views: &mut Vec<NodeView>) {
+        views.extend(self.nodes.iter().map(|n| n.slot.view(n.powered())));
+    }
+
+    fn power(&self, w: usize) -> (usize, f64) {
+        (w, self.nodes[w].node.power().value())
+    }
+
+    fn queued<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+    ) -> bool {
+        match self.nodes[w].node.state() {
+            SbcState::Off if !self.nodes[w].waking => {
+                core.with_sched_metrics(|m, h| m.inc(h.cold_boots));
+                self.wake(core, w, now, "dispatch");
+                false
+            }
+            SbcState::Idle => {
+                // A warm (standby) node absorbs the arrival with no boot
+                // in front of it.
+                core.with_sched_metrics(|m, h| m.inc(h.warm_hits));
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn start_job<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+    ) -> f64 {
+        if let Some(gate) = self.nodes[w].gate.take() {
+            core.queue.cancel(gate);
+        }
+        self.nodes[w].node.start_job(now).expect("node is idle");
+        1.0
+    }
+
+    fn job_done<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+    ) -> bool {
+        if !self.nodes[w].slot.queue.is_empty() {
+            let node = &mut self.nodes[w].node;
+            if core.policy.reboot_between_jobs(true) {
+                core.with_sched_metrics(|m, h| m.inc(h.cold_boots));
+                node.finish_job_and_reboot(now).expect("was executing");
+                self.boot(core, w, now, WorkerState::Rebooting);
+                return false;
+            }
+            // Warm continuation: skip the between-jobs reboot and start
+            // the next queued job at once, with no event and no trace.
+            core.with_sched_metrics(|m, h| m.inc(h.warm_hits));
+            node.finish_job_and_standby(now).expect("was executing");
+            return true;
+        }
+        // Queue drained: the governor picks the power regime.
+        // RebootPerJob (the default) always answers PowerOff.
+        match core.policy.on_drain(now, 1 + self.idle_census()) {
+            DrainAction::PowerOff => {
+                let node = &mut self.nodes[w].node;
+                node.finish_job_and_power_off(now).expect("was executing");
+                self.gate_off(core, w, now);
+            }
+            DrainAction::Standby { idle_timeout } => {
+                // Hold the node booted-idle at standby draw so the next
+                // arrival skips the boot window.
+                let node = &mut self.nodes[w].node;
+                node.finish_job_and_standby(now).expect("was executing");
+                core.mark(now, w, WorkerState::Idle, self.power(w));
+                core.governor_transition(now, w, "standby");
+                if let Some(window) = idle_timeout {
+                    let gate = Event::Node(w, SbcTimer::IdleGate);
+                    self.nodes[w].gate = Some(core.queue.schedule(now + window, gate));
+                }
+            }
+        }
+        false
+    }
+
+    fn boot_done<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        now: SimTime,
+    ) {
+        self.nodes[w].node.boot_complete(now).expect("was booting");
+        core.mark(now, w, WorkerState::Idle, self.power(w));
+        if let Some(a) = core.attr.as_mut() {
+            a.boot_done(w, now);
+        }
+    }
+
+    fn on_timer<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        w: usize,
+        timer: SbcTimer,
+        now: SimTime,
+    ) {
+        match timer {
+            SbcTimer::PowerOn => {
+                self.nodes[w].waking = false;
+                self.nodes[w].node.power_on(now).expect("was off");
+                self.boot(core, w, now, WorkerState::Booting);
+            }
+            SbcTimer::IdleGate => {
+                self.nodes[w].gate = None;
+                // Stale gates (the node picked up work, crashed, or was
+                // already gated off) are dropped silently.
+                if self.nodes[w].node.state() == SbcState::Idle
+                    && core.policy.gate_on_idle_expiry(now, self.idle_census())
+                {
+                    self.nodes[w].node.power_off(now).expect("node was idle");
+                    self.gate_off(core, w, now);
+                    core.governor_transition(now, w, "gate-off");
+                }
+            }
+            SbcTimer::Crash => self.crash(core, w, now),
+            SbcTimer::Recover => {
+                // Recovery reboots the node without pressing PWR_BUT,
+                // so it adds no power cycle.
+                self.nodes[w].node.recover(now).expect("node was crashed");
+                self.powered_on.add(now, 1.0);
+                self.boot(core, w, now, WorkerState::Booting);
+            }
+        }
+    }
+
+    /// WarmPool prewarm: wake gated-off nodes until the booted reserve
+    /// matches the governor's target, which is zero for every other
+    /// governor.
+    fn arrivals_placed<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, SbcTimer>,
+        now: SimTime,
+    ) {
+        let target = core.policy.warm_target(self.nodes.len());
+        if target == 0 {
+            return;
+        }
+        let mut powered = self.nodes.iter().filter(|n| n.powered()).count();
+        for w in 0..self.nodes.len() {
+            if powered >= target {
+                break;
+            }
+            if !self.nodes[w].powered() {
+                powered += 1;
+                self.wake(core, w, now, "prewarm");
+                core.governor_transition(now, w, "prewarm");
+            }
+        }
+    }
+
+    fn report(&self, end: SimTime) -> (f64, u64, u64) {
+        let powered_on = self.powered_on.time_average(end);
+        (powered_on, self.gpio.power_cycles(), self.faults_injected)
+    }
+}
+
+/// The VM host: every VM on one [`RackServer`], metered as a single
+/// `rack-server` channel that power samples report as worker 0.
+struct VmHost {
+    server: RackServer,
+    slots: Vec<Slot>,
+}
+
+impl VmHost {
+    fn new(vms: usize) -> Self {
+        assert!(vms > 0, "cluster needs at least one VM");
+        VmHost {
+            server: RackServer::new(vms, SimTime::ZERO),
+            slots: (0..vms).map(|_| Slot::default()).collect(),
+        }
+    }
+}
+
+impl OpenClass for VmHost {
+    /// VMs schedule no timers of their own.
+    type Timer = Infallible;
+    const PLATFORM: WorkerPlatform = WorkerPlatform::X86Vm;
+
+    /// The host ignores the configured placement, governor and faults:
+    /// least-loaded over backlog views sends each job to the first VM
+    /// with the fewest queued plus running jobs and draws nothing, and
+    /// under reboot-per-job no budget, prewarm or scheduler telemetry
+    /// applies.
+    fn policy(_: &OpenLoopConfig) -> (PlacementKind, GovernorKind) {
+        (PlacementKind::LeastLoaded, GovernorKind::RebootPerJob)
+    }
+
+    fn nodes(&self) -> usize {
+        self.server.vm_count()
+    }
+
+    /// The idle floor draws from the first instant.
+    fn init<O: TraceObserver>(&mut self, core: &mut Core<'_, O, Infallible>) {
+        let ch = core.add_channel("rack-server".into());
+        let watts = self.server.power().value();
+        core.set_power(SimTime::ZERO, (ch, watts));
+        let sample = TraceEvent::PowerSample { worker: ch, watts };
+        core.observer.emit(SimTime::ZERO, sample);
+    }
+
+    fn slot(&mut self, v: usize) -> &mut Slot {
+        &mut self.slots[v]
+    }
+
+    fn views(&self, views: &mut Vec<NodeView>) {
+        views.extend(self.slots.iter().map(|slot| slot.view(true)));
+    }
+
+    /// The shared host channel, re-read after every VM state change.
+    fn power(&self, _: usize) -> (usize, f64) {
+        (0, self.server.power().value())
+    }
+
+    fn queued<O: TraceObserver>(
+        &mut self,
+        _: &mut Core<'_, O, Infallible>,
+        v: usize,
+        _: SimTime,
+    ) -> bool {
+        self.server.vm(v).state() == VmState::Idle
+    }
+
+    /// CPU contention is sampled at the start: a job's exec stretches by
+    /// the host slowdown in effect once it runs.
+    fn start_job<O: TraceObserver>(
+        &mut self,
+        _: &mut Core<'_, O, Infallible>,
+        v: usize,
+        now: SimTime,
+    ) -> f64 {
+        self.server.start_job(v, now).expect("vm is idle");
+        self.server.current_slowdown()
+    }
+
+    /// A VM reboots after every job, drained queue or not, for a window
+    /// stretched by contention.
+    fn job_done<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, Infallible>,
+        v: usize,
+        now: SimTime,
+    ) -> bool {
+        self.server.finish_job(v, now).expect("vm was executing");
+        core.mark(now, v, WorkerState::Rebooting, self.power(v));
+        let slowdown = self.server.current_slowdown();
+        let reboot = self.server.vm_boot_duration().mul_f64(slowdown);
+        core.queue.schedule(now + reboot, Event::BootDone(v));
+        false
+    }
+
+    fn boot_done<O: TraceObserver>(
+        &mut self,
+        core: &mut Core<'_, O, Infallible>,
+        v: usize,
+        now: SimTime,
+    ) {
+        self.server
+            .reboot_complete(v, now)
+            .expect("vm was rebooting");
+        core.mark(now, v, WorkerState::Idle, self.power(v));
+    }
+
+    fn on_timer<O: TraceObserver>(
+        &mut self,
+        _: &mut Core<'_, O, Infallible>,
+        _: usize,
+        timer: Infallible,
+        _: SimTime,
+    ) {
+        match timer {}
+    }
+
+    /// VMs are always powered and never power-cycle.
+    fn report(&self, _: SimTime) -> (f64, u64, u64) {
+        (self.server.vm_count() as f64, 0, 0)
     }
 }
 
@@ -2040,7 +1826,7 @@ mod tests {
         DEFAULT_KEEP_ALIVE_TIMEOUT, DEFAULT_WARM_POOL_ALPHA, DEFAULT_WARM_POOL_HEADROOM,
     };
     use microfaas_sim::faults::{FaultPlan, FaultSpec, FaultTrigger};
-    use microfaas_sim::trace::TraceSink;
+    use microfaas_sim::trace::{TraceBuffer, TraceSink};
 
     fn config(arrival: ArrivalProcess, scheduler: SchedulerPolicy, seed: u64) -> OpenLoopConfig {
         OpenLoopConfig {
@@ -2428,8 +2214,9 @@ mod tests {
     /// the number of wakes the trace saw.
     fn count_wakes<L: LatencyAccum>(cfg: &OpenLoopConfig, latencies: L) -> (OpenLoopRun, u64) {
         let mut wakes = WakeCounter::default();
-        let (run, _, _) = run_open_loop_core(
+        let (run, _, _) = simulate(
             cfg,
+            SbcFleet::new(cfg.workers),
             &mut TypedObserver::new(&mut wakes),
             latencies,
             &mut NullSink,
@@ -2951,27 +2738,391 @@ mod tests {
         );
     }
 
-    #[test]
-    fn conventional_monitored_matches_and_carries_the_idle_floor() {
-        let cfg = config(
-            ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
-            80,
+    /// FNV-1a of the ledger's CSV followed by its Prometheus export.
+    fn ledger_print(ledger: &EnergyLedger) -> u64 {
+        crate::cache::fnv1a_extend(
+            crate::cache::fnv1a(ledger.to_csv().as_bytes()),
+            ledger.render_prometheus().as_bytes(),
+        )
+    }
+
+    fn fnv(text: &str) -> u64 {
+        crate::cache::fnv1a(text.as_bytes())
+    }
+
+    /// Big enough for the grid's busiest row (20 VMs, 6,000 jobs).
+    const GRID_TRACE: usize = 1 << 17;
+
+    /// An SBC row's `[run, trace, exposition, ledger]` fingerprint:
+    /// FNV-1a of the run's `Debug` rendering (f64s print round-trip
+    /// exact), of the JSON-lines trace and the Prometheus exposition of
+    /// the unattributed run, and of the usage-weighted ledger's CSV plus
+    /// Prometheus export from the attributed run.
+    fn sbc_print(cfg: &OpenLoopConfig) -> (OpenLoopRun, [u64; 4]) {
+        let mut trace = TraceBuffer::new(GRID_TRACE);
+        let mut metrics = MetricsRegistry::new();
+        let run = run_open_loop_with(cfg, &mut Observer::full(&mut trace, &mut metrics));
+        assert_eq!(trace.dropped(), 0, "the grid trace overflowed");
+        let (_, ledger) = run_open_loop_attributed(cfg, IdlePolicy::UsageWeighted);
+        let print = [
+            fnv(&format!("{run:?}")),
+            fnv(&trace.to_json_lines()),
+            fnv(&metrics.render_prometheus()),
+            ledger_print(&ledger),
+        ];
+        (run, print)
+    }
+
+    /// A VM row's `[run, trace, ledger]` fingerprint, as [`sbc_print`]
+    /// but with no exposition: no public VM entry point takes a
+    /// registry.
+    fn vm_print(cfg: &OpenLoopConfig, vms: usize) -> (OpenLoopRun, [u64; 3]) {
+        let mut trace = TraceBuffer::new(GRID_TRACE);
+        let (run, _, _) = simulate(
+            cfg,
+            VmHost::new(vms),
+            &mut Observer::tracing(&mut trace),
+            Samples::new(),
+            &mut NullSink,
+            None,
         );
-        let plain = run_open_loop_conventional(&cfg, 6);
-        let (run, series) =
-            run_open_loop_conventional_monitored(&cfg, 6, &TelemetryConfig::default());
-        assert_eq!(run.completed, plain.completed);
-        assert_eq!(run.mean_power_w, plain.mean_power_w);
-        assert_eq!(series.total_completed(), run.completed);
-        // The rack server never drops below its idle floor, so every
-        // full window reports tens of watts even when nothing runs.
-        let floor = series
-            .windows
+        assert_eq!(trace.dropped(), 0, "the grid trace overflowed");
+        let (_, ledger) =
+            run_open_loop_conventional_attributed(cfg, vms, IdlePolicy::UsageWeighted);
+        let print = [
+            fnv(&format!("{run:?}")),
+            fnv(&trace.to_json_lines()),
+            ledger_print(&ledger),
+        ];
+        (run, print)
+    }
+
+    /// The grid's base row: seed 11, 8 workers (6 VMs), 300 s of
+    /// `poisson:1.5` over every function at uniform popularity, random
+    /// placement under reboot-per-job.
+    fn grid_base() -> OpenLoopConfig {
+        let mut cfg = config(
+            ArrivalProcess::Poisson { per_second: 1.5 },
+            SchedulerPolicy::RandomStatic,
+            11,
+        );
+        cfg.workers = 8;
+        cfg.duration = SimDuration::from_secs(300);
+        cfg
+    }
+
+    fn grid_row(name: &str, turn: impl FnOnce(&mut OpenLoopConfig)) -> (String, OpenLoopConfig) {
+        let mut cfg = grid_base();
+        turn(&mut cfg);
+        (name.to_string(), cfg)
+    }
+
+    fn spec(arrivals: &str) -> ArrivalProcess {
+        ArrivalProcess::parse(arrivals).expect("valid arrival spec")
+    }
+
+    fn zipf() -> Popularity {
+        Popularity::parse("zipf:1.1").expect("valid popularity spec")
+    }
+
+    fn grid_cache() -> CacheConfig {
+        CacheConfig::parse("lru:64,ttl=300").expect("valid cache spec")
+    }
+
+    /// `paid:1:2.5,free:4:30`.
+    fn grid_tenants() -> Vec<TenantClass> {
+        [("paid", 1.0, 2.5), ("free", 4.0, 30.0)]
+            .map(|(name, weight, slo_latency_s)| TenantClass {
+                name: name.into(),
+                weight,
+                slo_latency_s,
+            })
+            .to_vec()
+    }
+
+    fn grid_budget(action: microfaas_sched::BudgetAction) -> GovernorKind {
+        GovernorKind::EnergyBudget {
+            cap_w: 0.5,
+            burst_j: 5.0,
+            action,
+        }
+    }
+
+    fn grid_keep_alive() -> GovernorKind {
+        GovernorKind::KeepAlive {
+            idle_timeout: DEFAULT_KEEP_ALIVE_TIMEOUT,
+        }
+    }
+
+    /// Every SBC crashes at 60 s, 150 s and 240 s; the crash lands on
+    /// whichever nodes are executing then.
+    fn grid_crashes() -> FaultsConfig {
+        FaultsConfig::with_plan(FaultPlan {
+            seed: 5,
+            faults: [60, 150, 240]
+                .into_iter()
+                .flat_map(|secs| {
+                    (0..8).map(move |worker| FaultSpec {
+                        kind: FaultKind::Crash,
+                        worker: Some(worker),
+                        trigger: FaultTrigger::At(SimTime::from_secs(secs)),
+                    })
+                })
+                .collect(),
+        })
+    }
+
+    /// Boot failures, hangs and lost transfers at 5%, 2% and 5%: kinds
+    /// the open loop does not model.
+    fn grid_random_faults() -> FaultsConfig {
+        let chances = [
+            (FaultKind::BootFailure, 0.05),
+            (FaultKind::Hang, 0.02),
+            (FaultKind::NetLoss, 0.05),
+        ];
+        FaultsConfig::with_plan(FaultPlan {
+            seed: 5,
+            faults: chances
+                .map(|(kind, p)| FaultSpec {
+                    kind,
+                    worker: None,
+                    trigger: FaultTrigger::Probability(p),
+                })
+                .to_vec(),
+        })
+    }
+
+    /// The SBC grid: every placement under reboot-per-job, every other
+    /// governor under least-loaded, then one row per knob and the knobs'
+    /// interactions.
+    fn sbc_grid() -> Vec<(String, OpenLoopConfig)> {
+        use microfaas_sched::BudgetAction;
+        let mut rows: Vec<_> = PlacementKind::ALL
+            .into_iter()
+            .map(|kind| grid_row(kind.label(), |c| c.scheduler = kind))
+            .collect();
+        let governors = [
+            ("least-loaded/keep-alive", grid_keep_alive()),
+            ("least-loaded/always-on", GovernorKind::AlwaysOn),
+            (
+                "least-loaded/warm-pool",
+                GovernorKind::WarmPool {
+                    alpha: DEFAULT_WARM_POOL_ALPHA,
+                    headroom: DEFAULT_WARM_POOL_HEADROOM,
+                },
+            ),
+            ("least-loaded/budget-shed", grid_budget(BudgetAction::Shed)),
+            (
+                "least-loaded/budget-defer",
+                grid_budget(BudgetAction::Defer),
+            ),
+            (
+                "least-loaded/budget-throttle",
+                grid_budget(BudgetAction::Throttle),
+            ),
+        ];
+        rows.extend(governors.map(|(name, governor)| {
+            grid_row(name, |c| {
+                c.scheduler = PlacementKind::LeastLoaded;
+                c.governor = governor;
+            })
+        }));
+        rows.extend([
+            grid_row("cache-zipf", |c| {
+                c.cache = grid_cache();
+                c.popularity = zipf();
+            }),
+            grid_row("tenants", |c| c.tenants = grid_tenants()),
+            grid_row("zipf", |c| c.popularity = zipf()),
+            grid_row("hot-cold", |c| {
+                c.popularity = Popularity::parse("hot-cold:2,0.8").expect("valid spec");
+            }),
+            grid_row("every-second", |c| c.arrival = spec("every-second:2")),
+            grid_row("mmpp", |c| c.arrival = spec("mmpp:0.2,3,60,15")),
+            grid_row("diurnal", |c| c.arrival = spec("diurnal:1.5,0.8,120")),
+            grid_row("flash", |c| c.arrival = spec("flash:0.5,100,30,5")),
+            grid_row("crashes", |c| c.faults = grid_crashes()),
+            grid_row("crashes/keep-alive", |c| {
+                c.governor = grid_keep_alive();
+                c.faults = grid_crashes();
+            }),
+            grid_row("budget-shed/cache/tenants", |c| {
+                c.scheduler = PlacementKind::LeastLoaded;
+                c.governor = grid_budget(BudgetAction::Shed);
+                c.cache = grid_cache();
+                c.popularity = zipf();
+                c.tenants = grid_tenants();
+            }),
+            grid_row("budget-defer/cache", |c| {
+                c.scheduler = PlacementKind::LeastLoaded;
+                c.governor = grid_budget(BudgetAction::Defer);
+                c.cache = grid_cache();
+                c.popularity = zipf();
+            }),
+            grid_row("everything-on", |c| {
+                c.scheduler = PlacementKind::PowerAware;
+                c.governor = grid_keep_alive();
+                c.cache = grid_cache();
+                c.tenants = grid_tenants();
+                c.popularity = zipf();
+                c.arrival = spec("mmpp:0.2,3,60,15");
+                c.faults = grid_crashes();
+            }),
+            grid_row("random-faults", |c| c.faults = grid_random_faults()),
+        ]);
+        rows
+    }
+
+    /// The VM grid: the base at 6 VMs, fleet size, the knobs a rack
+    /// server honours, then four knobs it ignores.
+    fn vm_grid() -> Vec<(String, OpenLoopConfig, usize)> {
+        let vm = |name: &str, vms: usize, turn: fn(&mut OpenLoopConfig)| {
+            let (name, cfg) = grid_row(name, turn);
+            (name, cfg, vms)
+        };
+        vec![
+            vm("base", 6, |_| {}),
+            vm("1-vm", 1, |_| {}),
+            vm("20-vms", 20, |c| c.arrival = spec("every-second:20")),
+            vm("cache-zipf", 6, |c| {
+                c.cache = grid_cache();
+                c.popularity = zipf();
+            }),
+            vm("tenants", 6, |c| c.tenants = grid_tenants()),
+            vm("every-second", 6, |c| c.arrival = spec("every-second:2")),
+            vm("mmpp", 6, |c| c.arrival = spec("mmpp:0.2,3,60,15")),
+            vm("flash", 6, |c| c.arrival = spec("flash:0.5,100,30,5")),
+            vm("cache-affine", 6, |c| {
+                c.scheduler = PlacementKind::CacheAffine
+            }),
+            vm("keep-alive", 6, |c| c.governor = grid_keep_alive()),
+            vm("budget-shed", 6, |c| {
+                c.governor = grid_budget(microfaas_sched::BudgetAction::Shed)
+            }),
+            vm("crashes", 6, |c| c.faults = grid_crashes()),
+        ]
+    }
+
+    /// Rows that set a knob their class ignores, each with the row it
+    /// must equal.
+    const SBC_SAME_AS: [(&str, &str); 1] = [("random-faults", "random-static")];
+    const VM_SAME_AS: [(&str, &str); 4] = [
+        ("cache-affine", "base"),
+        ("keep-alive", "base"),
+        ("budget-shed", "base"),
+        ("crashes", "base"),
+    ];
+
+    /// SBC grid goldens, in row order.
+    #[rustfmt::skip]
+    const SBC_GRID: [(&str, [u64; 4]); 27] = [
+    ("work-conserving", [0x7365364d0fe838c6, 0x81e9dbe1e17006ac, 0x8c9e60639768eed7, 0x1ca72b3fe649ddd7]),
+    ("random-static", [0x610c0115bf44905a, 0xa1c28d6f066920c8, 0x1257366ae8cbcb96, 0x2cdceae7eb60fe60]),
+    ("least-loaded", [0x7365364d0fe838c6, 0xac7488e3894fac66, 0xc43bbc5f48b0f0a2, 0x1ca72b3fe649ddd7]),
+    ("join-shortest-queue", [0x2de2f4104e168dad, 0xd44f47c6c99a1831, 0x131b9dad348ff256, 0x12470bed2230cd45]),
+    ("warm-first", [0xdb91b92c4104300f, 0x6c6ab193119d0a5a, 0xdd78302cfd1debed, 0xf095c84787892b39]),
+    ("power-aware", [0xc52fec6e91525cda, 0x89dbccfa9ab26ff8, 0x95a79840dcc8125f, 0x4b5d15eedd0f5fc7]),
+    ("cache-affine", [0x7365364d0fe838c6, 0xdadae589c601b1a8, 0x8c9e60639768eed7, 0x1ca72b3fe649ddd7]),
+    ("least-loaded/keep-alive", [0x791790b74893fef6, 0x5740854c3ea8a2ad, 0xc284f49b29f026bb, 0x4b74a7e4a605b233]),
+    ("least-loaded/always-on", [0xf7dcafbc3880ef2d, 0x0f660d7377619f94, 0x8f19cf37768c6359, 0x2d2dbf8ce74aa356]),
+    ("least-loaded/warm-pool", [0x8b916123ab74ebe7, 0xa0be6fe881fffe72, 0xdab0da3c13257b6c, 0xa4dcfe3c7de77bc9]),
+    ("least-loaded/budget-shed", [0x19dedaf56b829987, 0x50fae5d8e0a2e917, 0x143b3246e753895c, 0xae131954f5122ff3]),
+    ("least-loaded/budget-defer", [0xa9558c72c5e57cee, 0x0ecbaf63108bab49, 0xd20eac7c3446fadf, 0x3d3a581d2cbf0eff]),
+    ("least-loaded/budget-throttle", [0x72d555887bad4ce9, 0xe8e8dd576d6b2d68, 0xe32ca111d04bc69f, 0xc292316eda76d4a8]),
+    ("cache-zipf", [0xe9b77b4ecaec4765, 0x6dbbd8afd01e5fb1, 0xb9180e02eb99d603, 0xde5a898b5e2a221e]),
+    ("tenants", [0x8f2257c3fa925cc3, 0x2e254d29e960f6bc, 0x45d57087769c5fdc, 0x3840a52d45a7f238]),
+    ("zipf", [0x8c1c984024912557, 0xad98d32c75272de0, 0xadeec539f3d612b7, 0xbc655a7463499532]),
+    ("hot-cold", [0xb6e5d744f8921c67, 0x4fffb3c58a41d728, 0xbcae2ca8c0e6fa82, 0x30f42def45dff761]),
+    ("every-second", [0xef3a2506fe85461b, 0xf4643f4d3d79571d, 0xde7d6668b052c5d3, 0x0f13514780f4c330]),
+    ("mmpp", [0x34c0146c6b1b1a76, 0xcfd2fd98342f6c61, 0x7c810e58b098e3ef, 0x41594f7e37ffa739]),
+    ("diurnal", [0x4c3565f11394481a, 0x5c2ba3e78510b786, 0xed6f0f3615ea2834, 0x4356b66bedddfec1]),
+    ("flash", [0x38440f8b868b391d, 0xefd18d4d3b452606, 0xec200238f139b442, 0xff0013737004e75a]),
+    ("crashes", [0xb2a9ea5a583bd7ae, 0x1de4809d03e6e0a2, 0x95e7b2e956cc7a8a, 0xf54d8e1eeb57d954]),
+    ("crashes/keep-alive", [0xec94b5f712205d0c, 0x54441b37e6e30230, 0x9c9c58f78a47bf43, 0x485b7f3a18d4a2cf]),
+    ("budget-shed/cache/tenants", [0x5d0565b4ee5d0030, 0x4bac8b31693519ea, 0x2ce9299b6871150c, 0x86e871286c14a529]),
+    ("budget-defer/cache", [0xc8ad90a39b7818e9, 0xaece32a78c424145, 0x20f6e523d1759cce, 0x8412d0b7b394fb71]),
+    ("everything-on", [0x76ea612462f4ae07, 0xd798171913acb1fa, 0x138d06021d014c46, 0x073801b18bb00594]),
+    ("random-faults", [0x610c0115bf44905a, 0xa1c28d6f066920c8, 0x1257366ae8cbcb96, 0x2cdceae7eb60fe60]),
+    ];
+
+    /// VM grid goldens, in row order.
+    #[rustfmt::skip]
+    const VM_GRID: [(&str, [u64; 3]); 12] = [
+    ("base", [0x87bc12c5262edac6, 0x852e22ca00438044, 0x46677d3bd5e42285]),
+    ("1-vm", [0x61ba1521b80f9b77, 0x4bb91adba7aa3b3e, 0x9873e9ffc6c6bc37]),
+    ("20-vms", [0xc76b75d62cfb8d36, 0x4af38753f8961255, 0xc35cc9416f49f778]),
+    ("cache-zipf", [0x9614bdb86b0ff4e0, 0x7e518f61749a6285, 0x280f6512690e5f30]),
+    ("tenants", [0x4a9e4bdc37e48749, 0x03ba96b57678c1b6, 0x0e003bdd73674c32]),
+    ("every-second", [0x4dc7220e648f6645, 0x9f1f09d98e54c920, 0x637b2ac597771e15]),
+    ("mmpp", [0xdff779d76689841e, 0xc1982c2a31b28387, 0x489c9abc0c054308]),
+    ("flash", [0x7c6468d0905667dd, 0xc70178963059c446, 0x4514566d6c9235a9]),
+    ("cache-affine", [0x87bc12c5262edac6, 0x852e22ca00438044, 0x46677d3bd5e42285]),
+    ("keep-alive", [0x87bc12c5262edac6, 0x852e22ca00438044, 0x46677d3bd5e42285]),
+    ("budget-shed", [0x87bc12c5262edac6, 0x852e22ca00438044, 0x46677d3bd5e42285]),
+    ("crashes", [0x87bc12c5262edac6, 0x852e22ca00438044, 0x46677d3bd5e42285]),
+    ];
+
+    /// Checks each computed row against its golden and each ignored-knob
+    /// row against its base; on a mismatch, prints the computed table
+    /// in the goldens' own layout.
+    fn check_grid<const N: usize>(
+        class: &str,
+        got: &[(String, [u64; N])],
+        goldens: &[(&str, [u64; N])],
+        same_as: &[(&str, &str)],
+    ) {
+        let print = |name: &str| got.iter().find(|(n, _)| n == name).expect("row exists").1;
+        for (row, base) in same_as {
+            assert_eq!(print(row), print(base), "{class} {row} must equal {base}");
+        }
+        let diverged: Vec<&str> = got
             .iter()
-            .map(|w| w.power_w)
-            .fold(f64::INFINITY, f64::min);
-        assert!(floor > 50.0, "idle floor should hold, got {floor:.1} W");
+            .zip(goldens)
+            .filter(|((name, print), (golden_name, golden))| {
+                assert_eq!(name, golden_name, "{class} grid rows are out of order");
+                print != golden
+            })
+            .map(|((name, _), _)| name.as_str())
+            .collect();
+        let table: String = got
+            .iter()
+            .map(|(name, print)| {
+                let hex: Vec<String> = print.iter().map(|h| format!("{h:#018x}")).collect();
+                format!("    (\"{name}\", [{}]),\n", hex.join(", "))
+            })
+            .collect();
+        assert!(
+            diverged.is_empty() && got.len() == goldens.len(),
+            "{class} grid rows diverged: {diverged:?}\n{table}"
+        );
+    }
+
+    #[test]
+    fn sbc_grid_is_unchanged() {
+        let got: Vec<(String, [u64; 4])> = sbc_grid()
+            .into_iter()
+            .map(|(name, cfg)| {
+                let (run, print) = sbc_print(&cfg);
+                if name.contains("crashes") || name == "everything-on" {
+                    assert!(run.faults_injected > 0, "{name}: no crash landed");
+                }
+                if name.contains("budget-shed") {
+                    let arrived = run.offered_per_second * cfg.duration.as_secs_f64();
+                    assert!((run.completed as f64) < arrived, "{name}: nothing shed");
+                }
+                (name, print)
+            })
+            .collect();
+        check_grid("SBC", &got, &SBC_GRID, &SBC_SAME_AS);
+    }
+
+    #[test]
+    fn vm_grid_is_unchanged() {
+        let got: Vec<(String, [u64; 3])> = vm_grid()
+            .into_iter()
+            .map(|(name, cfg, vms)| (name, vm_print(&cfg, vms).1))
+            .collect();
+        check_grid("VM", &got, &VM_GRID, &VM_SAME_AS);
     }
 
     #[test]
