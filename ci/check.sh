@@ -174,6 +174,11 @@ awk -F, 'NR > 1 && $11 > 0 { hits++ } END { exit !(hits > 0) }' \
 echo "==> energy conservation property tests (tests/energy_conservation.rs)"
 cargo test -q -p microfaas --test energy_conservation
 
+echo "==> attribution differential oracle, deep (16x the default 256 cases)"
+# Holds the attributor's channel layout to the map-based reference over
+# 4096 random lifecycles instead of the workspace run's 256.
+PROPTEST_CASES=4096 cargo test -q --release -p microfaas-energy --test attribution_oracle
+
 echo "==> energy smoke: --breakdown conserves, --jobs 2 ledger CSV byte-identical to --jobs 1"
 out="$(cargo run --release -q -p microfaas-cli -- energy \
     --rate 2 --duration-secs 120 --workers 4 --seed 7 --breakdown)"
