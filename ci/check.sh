@@ -43,6 +43,12 @@ for workload in paper-closed capacity-1m policy-sweeps flash-day observed-1m; do
         echo "$workload benchmark pass failed its correctness gate"; exit 1; }
 done
 
+echo "==> benchmark package lints: clippy (deny warnings) and rustfmt"
+# The workspace's clippy and fmt stages above do not reach perfbench/,
+# a workspace of its own.
+cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+
 echo "==> fault-injection smoke runs (examples/faults_crash.json on both node classes)"
 # Both classes share one recovery path; the VM run is the only CLI-level
 # check of its respawn, boot-retry and retransmit hooks.

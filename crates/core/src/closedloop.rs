@@ -289,6 +289,9 @@ pub(crate) struct Core<'a, 'b, E> {
     cache: Option<ResultCache<()>>,
     /// Each function's kill deadline, resolved once per run.
     timeouts: TimeoutTable,
+    /// Each function's fixed result overhead on the class's platform, by
+    /// [`FunctionId::index`], resolved once per run.
+    fixed_overheads: [SimDuration; FunctionId::ALL.len()],
 }
 
 impl<E> Core<'_, '_, E> {
@@ -496,6 +499,8 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             reboot_between: governor(setup.governor).reboot_between_jobs(setup.reboot_between_jobs),
             cache: ResultCache::from_config(setup.cache),
             timeouts: setup.timeouts,
+            fixed_overheads: FunctionId::ALL
+                .map(|function| service_time(function).fixed_overhead(N::PLATFORM)),
         };
         ClusterSim { core, fleet }
     }
@@ -644,8 +649,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
     fn on_exec_done(&mut self, w: usize, now: SimTime) {
         let core = &mut self.core;
         let job = core.in_flight[w].as_ref().expect("job in flight").job;
-        let fixed = service_time(job.function)
-            .fixed_overhead(N::PLATFORM)
+        let fixed = core.fixed_overheads[job.function.index() as usize]
             .mul_f64(core.jitter.factor(&mut core.rng));
         // The byte-proportional part travels the simulated switch, where
         // port contention can stretch it beyond nominal.
@@ -673,7 +677,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
                 worker: w,
             },
         );
-        let (delivered, src, dst) = core.net.transfer(start, w, job.function, bytes, lost);
+        let (delivered, src, dst) = core.net.transfer(start, w, job.function, lost);
         core.observer
             .emit(start, TraceEvent::NetTransfer { src, dst, bytes });
         core.with_metrics(|m, h| m.add(h.net_bytes, bytes));

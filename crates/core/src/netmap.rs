@@ -3,9 +3,10 @@
 //! services (kvstore, sqldb, objstore, mqueue) that network-bound
 //! functions talk to.
 
-use microfaas_net::{LinkSpec, Network, NodeId};
+use microfaas_net::{LinkSpec, Network, NodeId, Route};
 use microfaas_sim::trace::Endpoint;
 use microfaas_sim::SimTime;
+use microfaas_workloads::calibration::service_time;
 use microfaas_workloads::FunctionId;
 
 /// A cluster's switch plus the node roster: `count` workers named
@@ -13,20 +14,27 @@ use microfaas_workloads::FunctionId;
 pub(crate) struct ClusterNet {
     net: Network,
     workers: Vec<NodeId>,
-    orchestrator: NodeId,
-    kv: NodeId,
-    sql: NodeId,
-    cos: NodeId,
-    mq: NodeId,
+    /// The node each function's result transfer talks to, by
+    /// [`FunctionId::index`].
+    peers: [NodeId; FunctionId::ALL.len()],
+    /// Each function's result-transfer route, by [`FunctionId::index`].
+    /// Every worker sits on the same link, so a function's route is the
+    /// same from (or to) any of them and is resolved once.
+    routes: [Route; FunctionId::ALL.len()],
 }
 
 impl ClusterNet {
     /// Builds the topology on a GigE backbone. The orchestrator always
     /// sits on GigE; workers and services use the links the config asks
     /// for (Fast Ethernet SBCs, GigE VMs, SBC-hosted services, ...).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero.
     pub fn new(prefix: &str, count: usize, worker_link: LinkSpec, service_link: LinkSpec) -> Self {
+        assert!(count > 0, "a cluster network needs at least one worker");
         let mut net = Network::new(LinkSpec::gigabit());
-        let workers = (0..count)
+        let workers: Vec<NodeId> = (0..count)
             .map(|w| net.add_node(format!("{prefix}{w}"), worker_link))
             .collect();
         let orchestrator = net.add_node("orchestrator", LinkSpec::gigabit());
@@ -34,25 +42,33 @@ impl ClusterNet {
         let sql = net.add_node("sqldb", service_link);
         let cos = net.add_node("objstore", service_link);
         let mq = net.add_node("mqueue", service_link);
+        let peers = FunctionId::ALL.map(|function| match function {
+            FunctionId::RedisInsert | FunctionId::RedisUpdate => kv,
+            FunctionId::SqlSelect | FunctionId::SqlUpdate => sql,
+            FunctionId::CosGet | FunctionId::CosPut => cos,
+            FunctionId::MqProduce | FunctionId::MqConsume => mq,
+            _ => orchestrator,
+        });
+        let routes = FunctionId::ALL.map(|function| {
+            let (from, to) = Self::ends(function, workers[0], peers[function.index() as usize]);
+            net.route(from, to, service_time(function).transfer_bytes())
+        });
         ClusterNet {
             net,
             workers,
-            orchestrator,
-            kv,
-            sql,
-            cos,
-            mq,
+            peers,
+            routes,
         }
     }
 
-    /// The node `function`'s result transfer talks to.
-    pub fn peer_of(&self, function: FunctionId) -> NodeId {
-        match function {
-            FunctionId::RedisInsert | FunctionId::RedisUpdate => self.kv,
-            FunctionId::SqlSelect | FunctionId::SqlUpdate => self.sql,
-            FunctionId::CosGet | FunctionId::CosPut => self.cos,
-            FunctionId::MqProduce | FunctionId::MqConsume => self.mq,
-            _ => self.orchestrator,
+    /// The sender and receiver of `function`'s result transfer between
+    /// `worker` and `peer`: COSGet downloads, so its bytes flow service →
+    /// worker; everything else uploads.
+    fn ends<T>(function: FunctionId, worker: T, peer: T) -> (T, T) {
+        if function == FunctionId::CosGet {
+            (peer, worker)
+        } else {
+            (worker, peer)
         }
     }
 
@@ -68,38 +84,25 @@ impl ClusterNet {
     }
 
     /// Runs the result transfer for `function` on worker `w` through the
-    /// switch, returning the delivery time and the trace endpoints.
-    /// COSGet downloads, so its bytes flow service → worker; everything
-    /// else uploads. A `lost` transfer occupies the wire identically but
-    /// never arrives (the payload is counted as lost by the network).
+    /// switch, returning the delivery time and the trace endpoints. The
+    /// payload is the function's calibrated transfer size. A `lost`
+    /// transfer occupies the wire identically but never arrives (the
+    /// payload is counted as lost by the network).
     pub fn transfer(
         &mut self,
         now: SimTime,
         w: usize,
         function: FunctionId,
-        bytes: u64,
         lost: bool,
     ) -> (SimTime, Endpoint, Endpoint) {
-        let peer = self.peer_of(function);
-        let (from, to, src, dst) = if function == FunctionId::CosGet {
-            (
-                peer,
-                self.workers[w],
-                Self::endpoint_of(function),
-                Endpoint::Worker(w),
-            )
-        } else {
-            (
-                self.workers[w],
-                peer,
-                Endpoint::Worker(w),
-                Self::endpoint_of(function),
-            )
-        };
+        let f = function.index() as usize;
+        let (from, to) = Self::ends(function, self.workers[w], self.peers[f]);
+        let (src, dst) = Self::ends(function, Endpoint::Worker(w), Self::endpoint_of(function));
+        let route = self.routes[f];
         let delivered = if lost {
-            self.net.send_lost(now, from, to, bytes)
+            self.net.send_lost(now, from, to, route.bytes())
         } else {
-            self.net.send(now, from, to, bytes)
+            self.net.send_on(now, from, to, route)
         };
         (delivered, src, dst)
     }
@@ -107,6 +110,8 @@ impl ClusterNet {
 
 #[cfg(test)]
 mod tests {
+    use microfaas_sim::SimDuration;
+
     use super::*;
 
     fn cnet() -> ClusterNet {
@@ -116,11 +121,15 @@ mod tests {
     #[test]
     fn network_bound_functions_map_to_their_service() {
         let cnet = cnet();
-        assert_eq!(cnet.peer_of(FunctionId::RedisInsert), cnet.kv);
-        assert_eq!(cnet.peer_of(FunctionId::SqlUpdate), cnet.sql);
-        assert_eq!(cnet.peer_of(FunctionId::CosPut), cnet.cos);
-        assert_eq!(cnet.peer_of(FunctionId::MqConsume), cnet.mq);
-        assert_eq!(cnet.peer_of(FunctionId::MatMul), cnet.orchestrator);
+        let peer = |function: FunctionId| {
+            let node = cnet.peers[function.index() as usize];
+            cnet.net.node_name(node)
+        };
+        assert_eq!(peer(FunctionId::RedisInsert), "kvstore");
+        assert_eq!(peer(FunctionId::SqlUpdate), "sqldb");
+        assert_eq!(peer(FunctionId::CosPut), "objstore");
+        assert_eq!(peer(FunctionId::MqConsume), "mqueue");
+        assert_eq!(peer(FunctionId::MatMul), "orchestrator");
         assert_eq!(
             ClusterNet::endpoint_of(FunctionId::CosGet),
             Endpoint::Service("objstore")
@@ -134,10 +143,10 @@ mod tests {
     #[test]
     fn cosget_downloads_everything_else_uploads() {
         let mut cnet = cnet();
-        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 2, FunctionId::CosGet, 1_000, false);
+        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 2, FunctionId::CosGet, false);
         assert_eq!(src, Endpoint::Service("objstore"));
         assert_eq!(dst, Endpoint::Worker(2));
-        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 1, FunctionId::RedisInsert, 100, false);
+        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 1, FunctionId::RedisInsert, false);
         assert_eq!(src, Endpoint::Worker(1));
         assert_eq!(dst, Endpoint::Service("kvstore"));
     }
@@ -145,8 +154,36 @@ mod tests {
     #[test]
     fn lost_transfers_take_wire_time_but_count_as_lost() {
         let mut cnet = cnet();
-        let (delivered, _, _) = cnet.transfer(SimTime::ZERO, 0, FunctionId::CosPut, 100_000, true);
+        let (delivered, _, _) = cnet.transfer(SimTime::ZERO, 0, FunctionId::CosPut, true);
         assert!(delivered > SimTime::ZERO);
         assert_eq!(cnet.net.lost_count(), 1);
+    }
+
+    #[test]
+    fn resolved_routes_deliver_like_a_fresh_send_from_every_worker() {
+        let links = [
+            (LinkSpec::fast_ethernet(), LinkSpec::gigabit()),
+            (LinkSpec::gigabit(), LinkSpec::gigabit()),
+            (LinkSpec::fast_ethernet(), LinkSpec::fast_ethernet()),
+        ];
+        for (worker_link, service_link) in links {
+            let mut resolved = ClusterNet::new("w-", 4, worker_link, service_link);
+            let mut fresh = ClusterNet::new("w-", 4, worker_link, service_link);
+            let mut now = SimTime::ZERO;
+            for (i, function) in FunctionId::ALL.into_iter().cycle().take(200).enumerate() {
+                let w = i % 4;
+                let bytes = service_time(function).transfer_bytes();
+                let (from, to) = ClusterNet::ends(
+                    function,
+                    fresh.workers[w],
+                    fresh.peers[function.index() as usize],
+                );
+                let want = fresh.net.send(now, from, to, bytes);
+                let (got, _, _) = resolved.transfer(now, w, function, false);
+                assert_eq!(got, want, "{function:?} on worker {w}");
+                now += SimDuration::from_millis(20);
+            }
+            assert_eq!(resolved.net.total_bytes(), fresh.net.total_bytes());
+        }
     }
 }

@@ -143,6 +143,40 @@ pub struct BootTime {
     pub cpu: SimDuration,
 }
 
+impl BootTime {
+    /// The shipped worker OS's boot time: the baseline less every stage
+    /// that applies to `platform`. Equals
+    /// `BootProfile::fully_optimized(platform).boot_time()`, folded over
+    /// the stage table without building a profile.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use microfaas_hw::boot::{BootPlatform, BootProfile, BootTime};
+    ///
+    /// assert_eq!(
+    ///     BootTime::fully_optimized(BootPlatform::X86),
+    ///     BootProfile::fully_optimized(BootPlatform::X86).boot_time()
+    /// );
+    /// ```
+    pub fn fully_optimized(platform: BootPlatform) -> BootTime {
+        BootTime::after(platform, &BootStage::ALL)
+    }
+
+    /// The baseline boot time less the reductions of `stages`.
+    fn after(platform: BootPlatform, stages: &[BootStage]) -> BootTime {
+        let baseline = BootProfile::baseline_time(platform);
+        let (real_cut, cpu_cut) = stages
+            .iter()
+            .map(|s| s.reduction_ms(platform))
+            .fold((0, 0), |(r, c), (dr, dc)| (r + dr, c + dc));
+        BootTime {
+            real: baseline.real - SimDuration::from_millis(real_cut),
+            cpu: baseline.cpu - SimDuration::from_millis(cpu_cut),
+        }
+    }
+}
+
 /// A worker-OS build: the baseline distribution plus a set of applied
 /// optimization stages.
 ///
@@ -213,16 +247,7 @@ impl BootProfile {
 
     /// Boot time with the currently applied stages.
     pub fn boot_time(&self) -> BootTime {
-        let baseline = Self::baseline_time(self.platform);
-        let (real_cut, cpu_cut) = self
-            .applied
-            .iter()
-            .map(|s| s.reduction_ms(self.platform))
-            .fold((0, 0), |(r, c), (dr, dc)| (r + dr, c + dc));
-        BootTime {
-            real: baseline.real - SimDuration::from_millis(real_cut),
-            cpu: baseline.cpu - SimDuration::from_millis(cpu_cut),
-        }
+        BootTime::after(self.platform, &self.applied)
     }
 
     /// The Fig. 1 series: boot time at the baseline and after each
@@ -248,6 +273,16 @@ mod tests {
         assert_eq!(arm.real, SimDuration::from_millis(1_510));
         let x86 = BootProfile::fully_optimized(BootPlatform::X86).boot_time();
         assert_eq!(x86.real, SimDuration::from_millis(960));
+    }
+
+    #[test]
+    fn the_folded_table_equals_the_built_profile() {
+        for platform in [BootPlatform::Arm, BootPlatform::X86] {
+            assert_eq!(
+                BootTime::fully_optimized(platform),
+                BootProfile::fully_optimized(platform).boot_time()
+            );
+        }
     }
 
     #[test]

@@ -72,6 +72,7 @@ impl PowerController {
     /// # Panics
     ///
     /// Panics if `worker` is not wired to this controller.
+    #[inline]
     pub fn actuate(&mut self, now: SimTime, worker: usize, action: PowerAction) -> SimTime {
         assert!(
             worker < self.power_ons.len(),

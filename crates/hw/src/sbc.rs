@@ -6,7 +6,7 @@ use std::fmt;
 
 use microfaas_sim::{SimDuration, SimTime};
 
-use crate::boot::{BootPlatform, BootProfile};
+use crate::boot::{BootPlatform, BootTime};
 use crate::power::{SbcPowerModel, Watts};
 
 /// The power/lifecycle state of an SBC worker.
@@ -71,6 +71,11 @@ pub struct StateResidency {
 
 /// One BeagleBone Black worker node.
 ///
+/// Its boot window is the fully optimized ARM worker OS of the Fig. 1
+/// profile ([`crate::boot`]), resolved once at construction: every boot
+/// and reboot reads a stored duration. State reads, power draws and
+/// transitions are inlinable, since the engines call them on every event.
+///
 /// # Examples
 ///
 /// ```
@@ -91,7 +96,7 @@ pub struct SbcNode {
     id: usize,
     state: SbcState,
     state_since: SimTime,
-    boot: BootProfile,
+    boot_window: SimDuration,
     power_model: SbcPowerModel,
     residency: StateResidency,
     jobs_completed: u64,
@@ -105,7 +110,7 @@ impl SbcNode {
             id,
             state: SbcState::Off,
             state_since: now,
-            boot: BootProfile::fully_optimized(BootPlatform::Arm),
+            boot_window: BootTime::fully_optimized(BootPlatform::Arm).real,
             power_model: SbcPowerModel,
             residency: StateResidency::default(),
             jobs_completed: 0,
@@ -124,7 +129,7 @@ impl SbcNode {
 
     /// Wall-clock boot time of the flashed worker OS.
     pub fn boot_duration(&self) -> SimDuration {
-        self.boot.boot_time().real
+        self.boot_window
     }
 
     /// Number of functions run to completion on this node.
@@ -148,6 +153,7 @@ impl SbcNode {
         }
     }
 
+    #[inline]
     fn transition(&mut self, now: SimTime, next: SbcState) {
         let elapsed = now.duration_since(self.state_since);
         match self.state {
@@ -165,6 +171,7 @@ impl SbcNode {
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is off.
+    #[inline]
     pub fn power_on(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Off => {
@@ -183,6 +190,7 @@ impl SbcNode {
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is booting or rebooting.
+    #[inline]
     pub fn boot_complete(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Booting | SbcState::Rebooting => {
@@ -202,6 +210,7 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] unless the node is idle — the
     /// run-to-completion guarantee.
+    #[inline]
     pub fn start_job(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Idle => {
@@ -221,6 +230,7 @@ impl SbcNode {
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is executing.
+    #[inline]
     pub fn finish_job_and_reboot(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
@@ -241,6 +251,7 @@ impl SbcNode {
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is executing.
+    #[inline]
     pub fn finish_job_and_power_off(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
@@ -263,6 +274,7 @@ impl SbcNode {
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is executing.
+    #[inline]
     pub fn finish_job_and_standby(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
@@ -282,6 +294,7 @@ impl SbcNode {
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is idle.
+    #[inline]
     pub fn power_off(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Idle => {

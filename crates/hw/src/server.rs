@@ -6,7 +6,7 @@ use std::fmt;
 
 use microfaas_sim::{SimDuration, SimTime};
 
-use crate::boot::{BootPlatform, BootProfile};
+use crate::boot::{BootPlatform, BootTime};
 use crate::power::{ServerPowerModel, Watts};
 
 /// CPU cores a busy VM cycle consumes on the host.
@@ -107,6 +107,12 @@ impl std::error::Error for VmTransitionError {}
 /// Modeled after the evaluation machine: a Thinkmate RAX with a 12-core
 /// AMD Opteron 6172 and 16 GB of RAM.
 ///
+/// What the engines read on every event is kept current instead of
+/// recomputed: the VMs' boot window is the fully optimized x86 worker OS
+/// of the Fig. 1 profile ([`crate::boot`]), resolved once at
+/// construction, and the busy-VM count behind [`RackServer::power`] and
+/// [`RackServer::current_slowdown`] is updated by each VM transition.
+///
 /// # Examples
 ///
 /// ```
@@ -124,8 +130,11 @@ impl std::error::Error for VmTransitionError {}
 pub struct RackServer {
     cores: u32,
     vms: Vec<VmWorker>,
+    /// VMs executing or rebooting; every transition that enters or
+    /// leaves those states updates it.
+    busy: usize,
     power_model: ServerPowerModel,
-    boot: BootProfile,
+    vm_boot_window: SimDuration,
 }
 
 impl RackServer {
@@ -158,8 +167,9 @@ impl RackServer {
         RackServer {
             cores: 12,
             vms: (0..vm_count).map(|id| VmWorker::new(id, now)).collect(),
+            busy: 0,
             power_model: ServerPowerModel::opteron_6172(),
-            boot: BootProfile::fully_optimized(BootPlatform::X86),
+            vm_boot_window: BootTime::fully_optimized(BootPlatform::X86).real,
         }
     }
 
@@ -184,12 +194,17 @@ impl RackServer {
 
     /// VMs currently occupying host CPU (executing or rebooting).
     pub fn busy_vms(&self) -> usize {
-        self.vms.iter().filter(|v| v.is_busy()).count()
+        debug_assert_eq!(
+            self.busy,
+            self.vms.iter().filter(|v| v.is_busy()).count(),
+            "the busy-VM count drifted from the VMs' states"
+        );
+        self.busy
     }
 
     /// Wall-clock boot time of the x86 worker OS inside a microVM.
     pub fn vm_boot_duration(&self) -> SimDuration {
-        self.boot.boot_time().real
+        self.vm_boot_window
     }
 
     /// Instantaneous host draw for the current busy-VM count.
@@ -210,10 +225,6 @@ impl RackServer {
         self.slowdown(self.busy_vms())
     }
 
-    fn vm_mut(&mut self, vm: usize) -> &mut VmWorker {
-        &mut self.vms[vm]
-    }
-
     /// Starts a job on `vm`: idle → executing.
     ///
     /// # Errors
@@ -224,11 +235,12 @@ impl RackServer {
     ///
     /// Panics if `vm` is out of range.
     pub fn start_job(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
-        let worker = self.vm_mut(vm);
+        let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Idle => {
                 worker.state = VmState::Executing;
                 worker.state_since = now;
+                self.busy += 1;
                 Ok(())
             }
             from => Err(VmTransitionError {
@@ -246,7 +258,7 @@ impl RackServer {
     ///
     /// Returns [`VmTransitionError`] unless the VM is executing.
     pub fn finish_job(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
-        let worker = self.vm_mut(vm);
+        let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Executing => {
                 worker.jobs_completed += 1;
@@ -268,11 +280,12 @@ impl RackServer {
     ///
     /// Returns [`VmTransitionError`] unless the VM is rebooting.
     pub fn reboot_complete(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
-        let worker = self.vm_mut(vm);
+        let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Rebooting => {
                 worker.state = VmState::Idle;
                 worker.state_since = now;
+                self.busy -= 1;
                 Ok(())
             }
             from => Err(VmTransitionError {
@@ -295,9 +308,12 @@ impl RackServer {
     ///
     /// Panics if `vm` is out of range.
     pub fn crash_vm(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
-        let worker = self.vm_mut(vm);
+        let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Idle | VmState::Executing | VmState::Rebooting => {
+                if worker.is_busy() {
+                    self.busy -= 1;
+                }
                 worker.state = VmState::Crashed;
                 worker.state_since = now;
                 Ok(())
@@ -319,11 +335,12 @@ impl RackServer {
     ///
     /// Returns [`VmTransitionError`] unless the VM is crashed.
     pub fn respawn_vm(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
-        let worker = self.vm_mut(vm);
+        let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Crashed => {
                 worker.state = VmState::Rebooting;
                 worker.state_since = now;
+                self.busy += 1;
                 Ok(())
             }
             from => Err(VmTransitionError {

@@ -92,23 +92,24 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A single direction of one switch port: transfers occupy it FIFO.
-#[derive(Debug, Clone, Copy, Default)]
-struct PortQueue {
-    busy_until: Option<SimTime>,
+/// The port-independent timing of one message: its serialization onto
+/// the sender's link and off the receiver's, and the path latency
+/// between them. It depends only on the payload and the two nodes'
+/// links, so every pair of nodes with the same two links shares it.
+/// [`Network::route`] computes it; [`Network::send_on`] queues a message
+/// on its ports with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    bytes: u64,
+    up: SimDuration,
+    down: SimDuration,
+    latency: SimDuration,
 }
 
-impl PortQueue {
-    /// Reserves the port for a transfer of `duration` starting no earlier
-    /// than `now`; returns the completion time.
-    fn reserve(&mut self, now: SimTime, duration: SimDuration) -> SimTime {
-        let start = match self.busy_until {
-            Some(busy) => busy.max(now),
-            None => now,
-        };
-        let done = start + duration;
-        self.busy_until = Some(done);
-        done
+impl Route {
+    /// The payload size, in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 
@@ -116,8 +117,12 @@ impl PortQueue {
 struct Node {
     name: String,
     link: LinkSpec,
-    tx: PortQueue,
-    rx: PortQueue,
+    /// When the last transfer reserved on the TX direction of the node's
+    /// switch port completes (zero while unused): each direction carries
+    /// one transfer at a time, FIFO.
+    tx_busy_until: SimTime,
+    /// The same for the RX direction.
+    rx_busy_until: SimTime,
     bytes_sent: u64,
     bytes_received: u64,
 }
@@ -161,8 +166,8 @@ impl Network {
         self.nodes.push(Node {
             name: name.into(),
             link,
-            tx: PortQueue::default(),
-            rx: PortQueue::default(),
+            tx_busy_until: SimTime::ZERO,
+            rx_busy_until: SimTime::ZERO,
             bytes_sent: 0,
             bytes_received: 0,
         });
@@ -195,40 +200,59 @@ impl Network {
     ///
     /// Panics if `from == to` or either id is foreign to this network.
     pub fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> SimTime {
-        assert_ne!(from, to, "a node cannot send to itself over the switch");
-        let up_rate = self.nodes[from.0]
-            .link
-            .bits_per_sec
-            .min(self.switch_port.bits_per_sec);
-        let down_rate = self.nodes[to.0]
-            .link
-            .bits_per_sec
-            .min(self.switch_port.bits_per_sec);
-        let up_serialization = serialization(bytes, up_rate);
-        let down_serialization = serialization(bytes, down_rate);
-        let path_latency = self.nodes[from.0].link.latency
-            + self.forwarding_latency
-            + self.nodes[to.0].link.latency;
+        let route = self.route(from, to, bytes);
+        self.send_on(now, from, to, route)
+    }
 
+    /// The port-independent timing of `bytes` from `from` to `to`: each
+    /// side's serialization at the slower of its NIC and the switch port,
+    /// and the latency of both links plus the switch's forwarding. It
+    /// reads no port state, so a caller sending the same payload between
+    /// nodes with the same links may compute it once and reuse it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to` or either id is foreign to this network.
+    pub fn route(&self, from: NodeId, to: NodeId, bytes: u64) -> Route {
+        assert_ne!(from, to, "a node cannot send to itself over the switch");
+        let (up, down) = (&self.nodes[from.0].link, &self.nodes[to.0].link);
+        let switch = self.switch_port.bits_per_sec;
+        Route {
+            bytes,
+            up: serialization(bytes, up.bits_per_sec.min(switch)),
+            down: serialization(bytes, down.bits_per_sec.min(switch)),
+            latency: up.latency + self.forwarding_latency + down.latency,
+        }
+    }
+
+    /// Sends a message timed by `route` from `from` to `to` starting at
+    /// `now`, queueing it FIFO on the sender's TX and the receiver's RX
+    /// port; returns the delivery completion time. With `route` equal to
+    /// `self.route(from, to, bytes)` this is [`Self::send`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to` or either id is foreign to this network.
+    #[inline]
+    pub fn send_on(&mut self, now: SimTime, from: NodeId, to: NodeId, route: Route) -> SimTime {
+        assert_ne!(from, to, "a node cannot send to itself over the switch");
         // Sender serializes onto its link (FIFO behind earlier sends).
-        let tx_start = match self.nodes[from.0].tx.busy_until {
-            Some(busy) => busy.max(now),
-            None => now,
-        };
-        let tx_done = self.nodes[from.0].tx.reserve(now, up_serialization);
+        let sender = &mut self.nodes[from.0];
+        let tx_start = sender.tx_busy_until.max(now);
+        let tx_done = tx_start + route.up;
+        sender.tx_busy_until = tx_done;
+        sender.bytes_sent += route.bytes;
         // First byte reaches the receiver's port after the path latency;
         // the RX port is then occupied for its own serialization time.
-        let first_byte = tx_start + path_latency;
-        let rx_done = self.nodes[to.0].rx.reserve(first_byte, down_serialization);
+        let receiver = &mut self.nodes[to.0];
+        let rx_done = receiver.rx_busy_until.max(tx_start + route.latency) + route.down;
+        receiver.rx_busy_until = rx_done;
+        receiver.bytes_received += route.bytes;
+        self.total_bytes += route.bytes;
+        self.messages += 1;
         // The last byte cannot arrive before the sender finishes pushing
         // it onto the wire.
-        let delivered = rx_done.max(tx_done + path_latency);
-
-        self.nodes[from.0].bytes_sent += bytes;
-        self.nodes[to.0].bytes_received += bytes;
-        self.total_bytes += bytes;
-        self.messages += 1;
-        delivered
+        rx_done.max(tx_done + route.latency)
     }
 
     /// A round trip: request `request_bytes` from `from` to `to`, the

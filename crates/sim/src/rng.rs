@@ -92,11 +92,11 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         let span = hi - lo;
-        // Rejection zone to remove modulo bias.
-        let zone = u64::MAX - (u64::MAX % span + 1) % span;
+        let zone = rejection_zone(span);
         loop {
             let v = self.next_u64();
             if v <= zone {
@@ -110,6 +110,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         self.range_u64(0, n as u64) as usize
     }
@@ -143,6 +144,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `mean` is not positive and finite.
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(
             mean.is_finite() && mean > 0.0,
@@ -157,6 +159,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `std_dev` is negative or either parameter is not finite.
+    #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(
             mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0,
@@ -240,6 +243,15 @@ impl Rng {
     }
 }
 
+/// The largest draw `range_u64` accepts for a nonzero `span`. Above it
+/// lie the `(u64::MAX % span + 1) % span` values that would bias the
+/// modulo; `u64::MAX % span + 1` is at most `span`, so the outer modulo
+/// only maps `span` to zero, and one division does.
+fn rejection_zone(span: u64) -> u64 {
+    let r = u64::MAX % span;
+    u64::MAX - if r + 1 == span { 0 } else { r + 1 }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +299,55 @@ mod tests {
             seen[rng.range_u64(0, 6) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "some die faces never rolled");
+    }
+
+    /// `range_u64` with its rejection zone computed by two divisions, the
+    /// reference for the one-division zone.
+    fn two_division_range(rng: &mut Rng, lo: u64, hi: u64) -> u64 {
+        let span = hi - lo;
+        let zone = u64::MAX - (u64::MAX % span + 1) % span;
+        loop {
+            let v = rng.next_u64();
+            if v <= zone {
+                return lo + v % span;
+            }
+        }
+    }
+
+    const ZONE_SPANS: [u64; 9] = [1, 2, 3, 17, 1024, 16384, 1 << 63, (1 << 63) + 1, u64::MAX];
+
+    #[test]
+    fn one_division_zone_matches_two_divisions() {
+        for span in ZONE_SPANS {
+            assert_eq!(
+                rejection_zone(span),
+                u64::MAX - (u64::MAX % span + 1) % span,
+                "span {span}"
+            );
+        }
+    }
+
+    #[test]
+    fn draws_match_the_two_division_reference() {
+        for (i, span) in ZONE_SPANS.into_iter().enumerate() {
+            let lo = [0, 5, u64::MAX - span][i % 3];
+            let mut fast = Rng::new(span);
+            let mut reference = fast.clone();
+            for _ in 0..100_000 {
+                assert_eq!(
+                    fast.range_u64(lo, lo + span),
+                    two_division_range(&mut reference, lo, lo + span),
+                    "span {span}"
+                );
+            }
+            assert_eq!(fast, reference, "both consumed the same stream");
+        }
+        let mut fast = Rng::new(2022);
+        let mut reference = fast.clone();
+        for n in (1..=340).cycle().take(100_000) {
+            let want = two_division_range(&mut reference, 0, n as u64) as usize;
+            assert_eq!(fast.index(n), want);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Measurement helpers: online summary statistics, sample sets with
 //! percentiles, and time-weighted values (the basis of energy metering).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Streaming mean/variance via Welford's algorithm.
 ///
@@ -475,7 +475,6 @@ pub struct TimeWeighted {
     last_time: SimTime,
     value: f64,
     integral: f64,
-    weighted_duration: SimDuration,
     start: SimTime,
 }
 
@@ -491,7 +490,6 @@ impl TimeWeighted {
             last_time: start,
             value: initial,
             integral: 0.0,
-            weighted_duration: SimDuration::ZERO,
             start,
         }
     }
@@ -506,23 +504,20 @@ impl TimeWeighted {
     /// # Panics
     ///
     /// Panics if `at` precedes the previous update or `value` is not finite.
+    #[inline]
     pub fn set(&mut self, at: SimTime, value: f64) {
         assert!(value.is_finite(), "value must be finite, got {value}");
-        self.accumulate(at);
+        let dt = at.duration_since(self.last_time);
+        self.integral += self.value * dt.as_secs_f64();
+        self.last_time = at;
         self.value = value;
     }
 
     /// Adds `delta` to the current value at instant `at`.
+    #[inline]
     pub fn add(&mut self, at: SimTime, delta: f64) {
         let next = self.value + delta;
         self.set(at, next);
-    }
-
-    fn accumulate(&mut self, at: SimTime) {
-        let dt = at.duration_since(self.last_time);
-        self.integral += self.value * dt.as_secs_f64();
-        self.weighted_duration += dt;
-        self.last_time = at;
     }
 
     /// The integral of the value from the start instant to `until`
@@ -693,6 +688,13 @@ mod tests {
         assert_eq!(tw.value(), 0.0);
         // 0x1 + 2x1 + 4x1 = 6
         assert_eq!(tw.integral(SimTime::from_secs(3)), 6.0);
+    }
+
+    #[test]
+    fn time_weighted_is_four_words() {
+        // The last update, the value, the running integral and the start:
+        // a power meter keeps one per channel, two to a cache line.
+        assert_eq!(std::mem::size_of::<TimeWeighted>(), 32);
     }
 
     #[test]

@@ -70,6 +70,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; event handlers should
     /// never observe time running backwards.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -113,12 +114,13 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
             "duration must be finite and non-negative, got {secs}"
         );
-        SimDuration((secs * 1e6).round() as u64)
+        SimDuration(round_to_u64(secs * 1e6))
     }
 
     /// Returns the duration in whole microseconds.
@@ -142,18 +144,30 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 
     /// Returns true if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// `x.round() as u64` for a non-negative `x` that is finite or +∞,
+/// without the libm call `round` compiles to on baseline x86-64: the
+/// truncation plus one where the dropped fraction is at least one half.
+/// Below 2^52 the fraction `x - trunc(x)` is exact (Sterbenz's lemma),
+/// from 2^52 up every double is an integer, and the saturating add keeps
+/// the cast's saturation at `u64::MAX` for 2^64 and beyond.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -195,6 +209,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         assert!(
             rhs.0 <= self.0,

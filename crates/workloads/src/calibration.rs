@@ -137,6 +137,7 @@ pub fn transfer_time(bytes: u64, bits_per_sec: u64) -> SimDuration {
 /// assert!(t.total(WorkerPlatform::ArmSbc).as_millis_f64()
 ///     > 2.0 * t.total(WorkerPlatform::X86Vm).as_millis_f64());
 /// ```
+#[inline]
 pub fn service_time(function: FunctionId) -> ServiceTime {
     // Columns: exec_x86, exec_arm, overhead_x86, overhead_arm, bytes.
     let (exec_x86_ms, exec_arm_ms, overhead_x86_ms, overhead_arm_ms, transfer_bytes) =
