@@ -11,14 +11,7 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let args = match Args::parse(argv) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match dispatch(&args) {
+    match Args::parse(argv).and_then(|args| dispatch(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -83,13 +83,32 @@ impl Default for TelemetryConfig {
 
 impl TelemetryConfig {
     fn validate(&self) {
-        assert!(!self.window.is_zero(), "telemetry window must be non-zero");
-        assert!(self.max_windows > 0, "must retain at least one window");
-        assert!(
-            self.quantile_epsilon > 0.0 && self.quantile_epsilon < 1.0,
-            "relative error must be in (0, 1), got {}",
-            self.quantile_epsilon
-        );
+        if let Err(problem) = self.try_validate() {
+            panic!("{problem}");
+        }
+    }
+
+    /// Checks the configuration the window taps panic on.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first problem: a zero-width window (a width under
+    /// 1 µs rounds to zero), no retained windows, or a quantile error
+    /// outside (0, 1).
+    pub fn try_validate(&self) -> Result<(), String> {
+        if self.window.is_zero() {
+            return Err("telemetry window must be non-zero".to_string());
+        }
+        if self.max_windows == 0 {
+            return Err("must retain at least one window".to_string());
+        }
+        if !(self.quantile_epsilon > 0.0 && self.quantile_epsilon < 1.0) {
+            return Err(format!(
+                "relative error must be in (0, 1), got {}",
+                self.quantile_epsilon
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1062,21 +1081,47 @@ impl Default for AlertPolicy {
 
 impl AlertPolicy {
     fn validate(&self) {
-        assert!(
-            self.slo_target > 0.0 && self.slo_target < 1.0,
-            "SLO target must be in (0, 1), got {}",
-            self.slo_target
-        );
-        assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {}",
-            self.ewma_alpha
-        );
-        assert!(self.z_threshold > 0.0, "z threshold must be positive");
-        for rule in &self.rules {
-            assert!(rule.long_windows >= rule.short_windows && rule.short_windows > 0);
-            assert!(rule.factor > 0.0, "burn-rate factor must be positive");
+        if let Err(problem) = self.try_validate() {
+            panic!("{problem}");
         }
+    }
+
+    /// Checks the policy [`evaluate_alerts`] panics on.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first problem: an SLO target outside (0, 1), an
+    /// EWMA alpha outside (0, 1], a non-positive z threshold, or a
+    /// burn-rate rule with `short_windows` of 0 or above `long_windows`,
+    /// or a non-positive factor.
+    pub fn try_validate(&self) -> Result<(), String> {
+        if !(self.slo_target > 0.0 && self.slo_target < 1.0) {
+            return Err(format!(
+                "SLO target must be in (0, 1), got {}",
+                self.slo_target
+            ));
+        }
+        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
+            return Err(format!(
+                "EWMA alpha must be in (0, 1], got {}",
+                self.ewma_alpha
+            ));
+        }
+        if self.z_threshold.is_nan() || self.z_threshold <= 0.0 {
+            return Err("z threshold must be positive".to_string());
+        }
+        for rule in &self.rules {
+            if !(rule.long_windows >= rule.short_windows && rule.short_windows > 0) {
+                return Err(format!(
+                    "burn-rate rule '{}' needs 0 < short_windows <= long_windows",
+                    rule.label
+                ));
+            }
+            if rule.factor.is_nan() || rule.factor <= 0.0 {
+                return Err("burn-rate factor must be positive".to_string());
+            }
+        }
+        Ok(())
     }
 }
 

@@ -156,16 +156,31 @@ impl Conditions {
     }
 
     fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.utilization),
-            "utilization must be in [0, 1], got {}",
-            self.utilization
-        );
-        assert!(
-            self.online_rate > 0.0 && self.online_rate <= 1.0,
-            "online rate must be in (0, 1], got {}",
-            self.online_rate
-        );
+        if let Err(problem) = self.try_validate() {
+            panic!("{problem}");
+        }
+    }
+
+    /// Checks the conditions [`CostModel::evaluate`] panics on.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first problem: a utilization outside [0, 1] or an
+    /// online rate outside (0, 1], NaN included.
+    pub fn try_validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.utilization) {
+            return Err(format!(
+                "utilization must be in [0, 1], got {}",
+                self.utilization
+            ));
+        }
+        if !(self.online_rate > 0.0 && self.online_rate <= 1.0) {
+            return Err(format!(
+                "online rate must be in (0, 1], got {}",
+                self.online_rate
+            ));
+        }
+        Ok(())
     }
 }
 
