@@ -2,8 +2,9 @@
 //! (J/function) and throughput as the VM count grows from 1 to 20, with
 //! the 10-SBC MicroFaaS cluster as reference lines.
 
-use microfaas::experiment::{microfaas_reference, vm_sweep};
+use microfaas::experiment::{microfaas_reference, vm_sweep_jobs};
 use microfaas_bench::{banner, vs_paper};
+use microfaas_sim::Jobs;
 
 fn main() {
     banner(
@@ -12,7 +13,7 @@ fn main() {
     );
     let invocations = 60;
     let reference = microfaas_reference(invocations, 2022);
-    let sweep = vm_sweep(20, invocations, 2022);
+    let sweep = vm_sweep_jobs(20, invocations, 2022, Jobs::auto());
 
     println!(
         "{:>4} {:>16} {:>14}   (MicroFaaS ref: {:.1} f/min, {:.2} J/func)",

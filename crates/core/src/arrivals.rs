@@ -41,7 +41,7 @@
 //! assert!(now > SimTime::ZERO);
 //! ```
 
-use microfaas_sim::{json, OnlineStats, Rng, SimDuration, SimTime};
+use microfaas_sim::{json, CdfTable, OnlineStats, Rng, SimDuration, SimTime};
 
 /// How invocations arrive at the orchestration plane.
 ///
@@ -468,7 +468,7 @@ impl ArrivalProcess {
 /// function per arrival: [`Popularity::Uniform`] keeps the historical
 /// one-`index` draw site (bit-compat with the goldens), the skewed
 /// distributions consume exactly one `f64` draw against a precomputed
-/// cumulative table ([`Rng::cdf_index`]).
+/// cumulative table ([`Rng::cdf_index`] over a [`CdfTable`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Popularity {
     /// Every function equally likely (the paper's setup).
@@ -614,7 +614,7 @@ pub struct FunctionPicker {
     n: usize,
     /// Cumulative weights for the skewed distributions; `None` keeps
     /// the historical uniform `index` draw.
-    cdf: Option<Vec<f64>>,
+    cdf: Option<CdfTable>,
 }
 
 impl FunctionPicker {
@@ -666,7 +666,10 @@ impl FunctionPicker {
                 )
             }
         };
-        FunctionPicker { n, cdf }
+        FunctionPicker {
+            n,
+            cdf: cdf.map(CdfTable::new),
+        }
     }
 
     /// Draws one function index in `[0, n)`.
@@ -749,7 +752,8 @@ impl TenantSummary {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantTracker {
     classes: Vec<TenantClass>,
-    cdf: Vec<f64>,
+    /// The classes' cumulative weights; `None` with no classes.
+    cdf: Option<CdfTable>,
     completed: Vec<u64>,
     slo_hits: Vec<u64>,
     latency: Vec<OnlineStats>,
@@ -764,7 +768,7 @@ impl TenantTracker {
     /// Panics if any class fails [`TenantClass::validate`].
     pub fn new(classes: &[TenantClass]) -> Self {
         let mut total = 0.0;
-        let cdf = classes
+        let cdf: Vec<f64> = classes
             .iter()
             .map(|class| {
                 class.validate();
@@ -774,7 +778,7 @@ impl TenantTracker {
             .collect();
         TenantTracker {
             classes: classes.to_vec(),
-            cdf,
+            cdf: (!cdf.is_empty()).then(|| CdfTable::new(cdf)),
             completed: vec![0; classes.len()],
             slo_hits: vec![0; classes.len()],
             latency: vec![OnlineStats::new(); classes.len()],
@@ -785,10 +789,9 @@ impl TenantTracker {
     /// simulation stream when classes are configured, **zero draws**
     /// otherwise (every job then reports tenant 0).
     pub fn draw(&self, rng: &mut Rng) -> u16 {
-        if self.classes.is_empty() {
-            0
-        } else {
-            rng.cdf_index(&self.cdf) as u16
+        match &self.cdf {
+            Some(cdf) => rng.cdf_index(cdf) as u16,
+            None => 0,
         }
     }
 
@@ -825,7 +828,7 @@ impl TenantTracker {
 
 /// A named traffic shape: an arrival process plus the popularity skew
 /// and tenant mix to run it with. The unit the `scenarios` subcommand
-/// and [`crate::experiment::scenario_sweep`] iterate over.
+/// and [`crate::experiment::scenario_sweep_cached_jobs`] iterate over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Display name (CSV `scenario` column).

@@ -3,14 +3,13 @@
 //! these results; integration tests assert their shapes.
 //!
 //! Every sweep and replicate driver here runs on the parallel
-//! deterministic experiment engine ([`microfaas_sim::exec`]): pass
-//! [`Jobs`] to the `*_jobs` variants to fan independent simulation runs
-//! across cores. Output is **bit-identical** for every job count — each
-//! run derives all randomness from its own config and seed, and results
-//! are gathered in canonical submission order (see
-//! `docs/PERFORMANCE.md`). The plain entry points default to
-//! [`Jobs::auto`] (available parallelism, overridable via the
-//! `MICROFAAS_JOBS` environment variable).
+//! deterministic experiment engine ([`microfaas_sim::exec`]): each
+//! takes a [`Jobs`] budget that fans independent simulation runs across
+//! cores ([`Jobs::auto`] for available parallelism, overridable via the
+//! `MICROFAAS_JOBS` environment variable). Output is **bit-identical**
+//! for every job count — each run derives all randomness from its own
+//! config and seed, and results are gathered in canonical submission
+//! order (see `docs/PERFORMANCE.md`).
 
 use std::sync::Arc;
 
@@ -113,45 +112,17 @@ impl SuiteComparison {
     }
 }
 
-/// Runs the paper's main experiment — the full suite on both clusters —
-/// with `invocations_per_function` per function (the paper uses 1,000).
-/// The two cluster runs execute concurrently under [`Jobs::auto`].
-pub fn compare_suites(invocations_per_function: u32, seed: u64) -> SuiteComparison {
-    compare_suites_jobs(invocations_per_function, seed, Jobs::auto())
-}
-
-/// [`compare_suites`] with an explicit [`Jobs`] budget: the MicroFaaS
-/// and conventional runs are independent simulations, so with `jobs >=
-/// 2` they execute on separate threads. Bit-identical at every job
-/// count.
-pub fn compare_suites_jobs(
-    invocations_per_function: u32,
-    seed: u64,
-    jobs: Jobs,
-) -> SuiteComparison {
-    let mix = suite_mix(invocations_per_function);
-    let mut runs = exec::par_map_indexed(jobs, 2, |i| {
-        if i == 0 {
-            run_microfaas(&MicroFaasConfig::paper_prototype(Arc::clone(&mix), seed))
-        } else {
-            run_conventional(&ConventionalConfig::paper_baseline(Arc::clone(&mix), seed))
-        }
-    });
-    let conventional = runs.pop().expect("two runs");
-    let micro = runs.pop().expect("two runs");
-    breakdown(micro, conventional)
-}
-
-/// [`compare_suites_jobs`] with metrics collection under a fault plan:
-/// both clusters run the same `faults` configuration (`microfaas
-/// compare --faults plan.json`) and publish their `micro_*` / `conv_*`
-/// series into `metrics`, ready for one combined Prometheus exposition
-/// (`microfaas compare --metrics-out`).
+/// Runs the paper's main experiment — the full suite on both clusters,
+/// with `invocations_per_function` per function (the paper uses 1,000)
+/// — under `faults` (`microfaas compare --faults plan.json`). Both
+/// clusters publish their `micro_*` / `conv_*` series into `metrics`,
+/// ready for one combined Prometheus exposition (`microfaas compare
+/// --metrics-out`). With `jobs >= 2` the two independent runs execute
+/// on separate threads; the result is bit-identical at every job count.
 ///
 /// Metrics collection never perturbs the simulation, and with
-/// [`FaultsConfig::none`] the comparison is bit-identical to
-/// [`compare_suites_jobs`] at the same arguments — the fault hooks
-/// schedule nothing and draw nothing from an empty plan.
+/// [`FaultsConfig::none`] the fault hooks schedule nothing and draw
+/// nothing, so the runs are the plain paper runs.
 ///
 /// In parallel mode each cluster meters into a private registry;
 /// merging micro-then-conv in canonical order reproduces the sequential
@@ -232,13 +203,7 @@ pub struct VmSweepPoint {
 }
 
 /// Sweeps the conventional cluster from 1 to `max_vms` VMs (Fig. 4's
-/// x-axis), returning one simulated point per count. Points run in
-/// parallel under [`Jobs::auto`].
-pub fn vm_sweep(max_vms: usize, invocations_per_function: u32, seed: u64) -> Vec<VmSweepPoint> {
-    vm_sweep_jobs(max_vms, invocations_per_function, seed, Jobs::auto())
-}
-
-/// [`vm_sweep`] with an explicit [`Jobs`] budget. Every point is an
+/// x-axis), returning one simulated point per count. Every point is an
 /// independent run seeded identically, so the sweep is bit-identical at
 /// every job count; the mix is built once and shared across points.
 pub fn vm_sweep_jobs(
@@ -538,34 +503,14 @@ fn policy_point(
 /// load — per-node idle gaps above the ~23 s standby/boot break-even —
 /// where keeping nodes warm genuinely trades energy for latency; at
 /// saturating rates keep-alive simply dominates and the front
-/// collapses. Points run in parallel under [`Jobs::auto`].
-pub fn policy_sweep(
-    per_second: f64,
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-) -> Vec<PolicyPoint> {
-    policy_sweep_jobs(per_second, duration, workers, seed, Jobs::auto())
-}
-
-/// [`policy_sweep`] with an explicit [`Jobs`] budget. Each point is an
-/// independent, identically-seeded run and results are gathered in
-/// canonical order, so the sweep is bit-identical at every job count.
-pub fn policy_sweep_jobs(
-    per_second: f64,
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<PolicyPoint> {
-    policy_sweep_cached_jobs(per_second, duration, workers, seed, &CacheConfig::Off, jobs)
-}
-
-/// [`policy_sweep_jobs`] with a result cache installed on every point
-/// (`microfaas sched --cache`): the `hit_rate`, `joules_saved`, and
-/// `cached_edp` columns become live measurements and the Pareto front
-/// re-forms around the cache's zero-energy completions. With
-/// [`CacheConfig::Off`] this is exactly [`policy_sweep_jobs`].
+/// collapses. Each point is an independent, identically-seeded run and
+/// results are gathered in canonical order, so the sweep is
+/// bit-identical at every job count.
+///
+/// `cache` is installed on every point (`microfaas sched --cache`): the
+/// `hit_rate`, `joules_saved`, and `cached_edp` columns become live
+/// measurements and the Pareto front re-forms around the cache's
+/// zero-energy completions. [`CacheConfig::Off`] runs the plain sweep.
 pub fn policy_sweep_cached_jobs(
     per_second: f64,
     duration: SimDuration,
@@ -626,7 +571,7 @@ pub fn policy_sweep_csv(points: &[PolicyPoint]) -> String {
     out
 }
 
-/// One traffic regime's slice of a [`scenario_sweep`]: the full
+/// One traffic regime's slice of a [`scenario_sweep_cached_jobs`]: the full
 /// placement × governor cross product run under that regime's arrival
 /// process, popularity skew, and tenant mix.
 #[derive(Debug, Clone, PartialEq)]
@@ -652,40 +597,20 @@ impl ScenarioOutcome {
     }
 }
 
-/// Runs [`policy_sweep`]'s placement × governor cross product once per
-/// scenario and names each regime's energy-delay-product winner — the
-/// regime-conditional answer to "which policy should I deploy?". The
-/// per-regime winner genuinely moves with traffic shape; the worked
-/// example in `docs/WORKLOADS.md` and `examples/diurnal_pareto.rs`
-/// show the flip. Runs under [`Jobs::auto`].
-pub fn scenario_sweep(
-    scenarios: &[Scenario],
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-) -> Vec<ScenarioOutcome> {
-    scenario_sweep_jobs(scenarios, duration, workers, seed, Jobs::auto())
-}
-
-/// [`scenario_sweep`] with an explicit [`Jobs`] budget. The full
-/// scenarios × placements × governors cube is flattened into one
-/// parallel batch; every run derives its randomness from the shared
-/// `seed`, so results are bit-identical at every job count.
-pub fn scenario_sweep_jobs(
-    scenarios: &[Scenario],
-    duration: SimDuration,
-    workers: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<ScenarioOutcome> {
-    scenario_sweep_cached_jobs(scenarios, duration, workers, seed, &CacheConfig::Off, jobs)
-}
-
-/// [`scenario_sweep_jobs`] with a result cache installed on every point
-/// (`microfaas scenarios --cache`): per-regime winners are re-evaluated
-/// on the cached latency/energy numbers, which is how the cache
-/// reshapes the regime-conditional policy answer. With
-/// [`CacheConfig::Off`] this is exactly [`scenario_sweep_jobs`].
+/// Runs [`policy_sweep_cached_jobs`]'s placement × governor cross
+/// product once per scenario and names each regime's
+/// energy-delay-product winner — the regime-conditional answer to
+/// "which policy should I deploy?". The per-regime winner genuinely
+/// moves with traffic shape; the worked example in `docs/WORKLOADS.md`
+/// and `examples/diurnal_pareto.rs` show the flip. The full scenarios ×
+/// placements × governors cube is flattened into one parallel batch;
+/// every run derives its randomness from the shared `seed`, so results
+/// are bit-identical at every job count.
+///
+/// `cache` is installed on every point (`microfaas scenarios --cache`):
+/// per-regime winners are re-evaluated on the cached latency/energy
+/// numbers, which is how the cache reshapes the regime-conditional
+/// policy answer. [`CacheConfig::Off`] runs the plain sweep.
 pub fn scenario_sweep_cached_jobs(
     scenarios: &[Scenario],
     duration: SimDuration,
@@ -790,7 +715,14 @@ mod tests {
     /// The `sched` CLI subcommand's default sweep arrangement; tests
     /// pin the acceptance property at exactly these settings.
     fn default_sweep() -> Vec<PolicyPoint> {
-        policy_sweep(0.1, SimDuration::from_secs(1200), 10, 1)
+        policy_sweep_cached_jobs(
+            0.1,
+            SimDuration::from_secs(1200),
+            10,
+            1,
+            &CacheConfig::Off,
+            Jobs::auto(),
+        )
     }
 
     #[test]
@@ -863,8 +795,22 @@ mod tests {
 
     #[test]
     fn policy_sweep_is_bit_identical_across_job_counts() {
-        let serial = policy_sweep_jobs(0.5, SimDuration::from_secs(300), 10, 9, Jobs::serial());
-        let parallel = policy_sweep_jobs(0.5, SimDuration::from_secs(300), 10, 9, Jobs::new(4));
+        let serial = policy_sweep_cached_jobs(
+            0.5,
+            SimDuration::from_secs(300),
+            10,
+            9,
+            &CacheConfig::Off,
+            Jobs::serial(),
+        );
+        let parallel = policy_sweep_cached_jobs(
+            0.5,
+            SimDuration::from_secs(300),
+            10,
+            9,
+            &CacheConfig::Off,
+            Jobs::new(4),
+        );
         assert_eq!(serial, parallel);
         assert_eq!(
             policy_sweep_csv(&serial),
@@ -875,7 +821,14 @@ mod tests {
 
     #[test]
     fn policy_sweep_csv_shape() {
-        let points = policy_sweep_jobs(0.5, SimDuration::from_secs(300), 10, 9, Jobs::serial());
+        let points = policy_sweep_cached_jobs(
+            0.5,
+            SimDuration::from_secs(300),
+            10,
+            9,
+            &CacheConfig::Off,
+            Jobs::serial(),
+        );
         let csv = policy_sweep_csv(&points);
         let mut lines = csv.lines();
         assert_eq!(
@@ -901,7 +854,14 @@ mod tests {
             &cache,
             Jobs::serial(),
         );
-        let plain = policy_sweep_jobs(2.0, SimDuration::from_secs(300), 10, 9, Jobs::serial());
+        let plain = policy_sweep_cached_jobs(
+            2.0,
+            SimDuration::from_secs(300),
+            10,
+            9,
+            &CacheConfig::Off,
+            Jobs::serial(),
+        );
         assert_eq!(cached.len(), plain.len());
         assert!(
             plain
@@ -942,11 +902,12 @@ mod tests {
 
     #[test]
     fn scenario_sweep_scores_every_regime_and_names_a_winner() {
-        let outcomes = scenario_sweep_jobs(
+        let outcomes = scenario_sweep_cached_jobs(
             &short_suite(),
             SimDuration::from_secs(300),
             10,
             9,
+            &CacheConfig::Off,
             Jobs::serial(),
         );
         assert_eq!(outcomes.len(), 2);
@@ -971,10 +932,22 @@ mod tests {
     #[test]
     fn scenario_sweep_is_bit_identical_across_job_counts() {
         let suite = short_suite();
-        let serial =
-            scenario_sweep_jobs(&suite, SimDuration::from_secs(300), 10, 9, Jobs::serial());
-        let parallel =
-            scenario_sweep_jobs(&suite, SimDuration::from_secs(300), 10, 9, Jobs::new(4));
+        let serial = scenario_sweep_cached_jobs(
+            &suite,
+            SimDuration::from_secs(300),
+            10,
+            9,
+            &CacheConfig::Off,
+            Jobs::serial(),
+        );
+        let parallel = scenario_sweep_cached_jobs(
+            &suite,
+            SimDuration::from_secs(300),
+            10,
+            9,
+            &CacheConfig::Off,
+            Jobs::new(4),
+        );
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.points, b.points);
             assert_eq!(a.winner, b.winner);
@@ -992,11 +965,12 @@ mod tests {
 
     #[test]
     fn scenario_sweep_csv_shape() {
-        let outcomes = scenario_sweep_jobs(
+        let outcomes = scenario_sweep_cached_jobs(
             &short_suite(),
             SimDuration::from_secs(300),
             10,
             9,
+            &CacheConfig::Off,
             Jobs::serial(),
         );
         let csv = scenario_sweep_csv(&outcomes);
@@ -1059,7 +1033,13 @@ mod tests {
 
     #[test]
     fn suite_comparison_reproduces_fig3_claims() {
-        let cmp = compare_suites(60, 11);
+        let cmp = compare_suites_faulted_jobs(
+            60,
+            11,
+            &FaultsConfig::none(),
+            &mut MetricsRegistry::new(),
+            Jobs::auto(),
+        );
         assert_eq!(cmp.rows.len(), 17);
         assert_eq!(
             cmp.faster_on_microfaas().len(),
@@ -1075,14 +1055,20 @@ mod tests {
 
     #[test]
     fn efficiency_gain_near_5_6x() {
-        let cmp = compare_suites(60, 12);
+        let cmp = compare_suites_faulted_jobs(
+            60,
+            12,
+            &FaultsConfig::none(),
+            &mut MetricsRegistry::new(),
+            Jobs::auto(),
+        );
         let gain = cmp.efficiency_gain();
         assert!((gain - 5.6).abs() < 0.8, "gain {gain:.2} vs paper 5.6");
     }
 
     #[test]
     fn vm_sweep_throughput_rises_then_saturates() {
-        let sweep = vm_sweep(20, 20, 13);
+        let sweep = vm_sweep_jobs(20, 20, 13, Jobs::auto());
         assert_eq!(sweep.len(), 20);
         // Throughput at 6 VMs should roughly double 3 VMs.
         let t3 = sweep[2].functions_per_minute;
@@ -1096,7 +1082,7 @@ mod tests {
 
     #[test]
     fn vm_sweep_efficiency_improves_to_saturation() {
-        let sweep = vm_sweep(18, 20, 14);
+        let sweep = vm_sweep_jobs(18, 20, 14, Jobs::auto());
         let j1 = sweep[0].joules_per_function;
         let j6 = sweep[5].joules_per_function;
         let j16 = sweep[15].joules_per_function;

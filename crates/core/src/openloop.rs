@@ -98,7 +98,7 @@ pub struct OpenLoopConfig {
     /// [`GovernorKind::RebootPerJob`] gates nodes off the moment they
     /// drain (the paper's policy); the alternatives hold nodes at
     /// 0.128 W standby to absorb the next arrival without the 1.51 s
-    /// boot — the latency-energy trade `policy_sweep` charts.
+    /// boot — the latency-energy trade `policy_sweep_cached_jobs` charts.
     pub governor: GovernorKind,
     /// Service-time jitter.
     pub jitter: Jitter,

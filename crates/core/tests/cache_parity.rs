@@ -1,8 +1,7 @@
 //! The result cache's two determinism contracts (docs/CACHING.md):
 //!
 //! 1. **Off = inert.** `CacheConfig::Off` (the default) leaves every
-//!    observable surface byte-identical to pre-cache builds: sweeps
-//!    render the same CSV bytes as the uncached entry points, traces
+//!    observable surface byte-identical to pre-cache builds: traces
 //!    contain no cache events, and Prometheus expositions contain no
 //!    `cache` substring. (The 18 golden fingerprints in
 //!    `sched_compat.rs` pin the absolute bytes; this file pins the
@@ -14,8 +13,7 @@
 
 use microfaas::cache::{CacheConfig, ResultCache};
 use microfaas::experiment::{
-    policy_sweep_cached_jobs, policy_sweep_csv, policy_sweep_jobs, scenario_sweep_cached_jobs,
-    scenario_sweep_csv,
+    policy_sweep_cached_jobs, policy_sweep_csv, scenario_sweep_cached_jobs, scenario_sweep_csv,
 };
 use microfaas::openloop::{run_open_loop, ArrivalProcess, OpenLoopConfig};
 use microfaas::Popularity;
@@ -58,14 +56,6 @@ fn cache_off_traces_and_expositions_are_cache_free() {
         !metrics.render_prometheus().contains("cache"),
         "cache metric leaked into a cache-off exposition"
     );
-}
-
-#[test]
-fn cache_off_sweeps_match_the_uncached_entry_points_byte_for_byte() {
-    let duration = SimDuration::from_secs(60);
-    let plain = policy_sweep_jobs(0.5, duration, 4, 7, Jobs::serial());
-    let off = policy_sweep_cached_jobs(0.5, duration, 4, 7, &CacheConfig::Off, Jobs::serial());
-    assert_eq!(policy_sweep_csv(&plain), policy_sweep_csv(&off));
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //! default everywhere so existing configurations reproduce the paper's
 //! numbers bit-for-bit. The other three governors trade standby energy
 //! (0.128 W per idle node) against the 1.51 s cold boot in front of the
-//! next arrival; the `policy_sweep` experiment charts that frontier.
+//! next arrival; the `policy_sweep_cached_jobs` experiment charts that frontier.
 //!
 //! Governors are consulted at three points:
 //!

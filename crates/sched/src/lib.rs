@@ -3,7 +3,7 @@
 //! The pluggable scheduling subsystem of the MicroFaaS reproduction:
 //! placement policies (which worker gets the next invocation) and power
 //! governors (what a drained node does with its power state), plus the
-//! Pareto-front helper behind the `policy_sweep` latency-energy
+//! Pareto-front helper behind the `policy_sweep_cached_jobs` latency-energy
 //! explorer. See `docs/SCHEDULING.md` at the repository root for the
 //! full handbook.
 //!

@@ -1,6 +1,6 @@
 //! Pareto-front extraction for the latency-energy policy explorer.
 //!
-//! The `policy_sweep` experiment evaluates every placement x governor
+//! The `policy_sweep_cached_jobs` experiment evaluates every placement x governor
 //! combination and wants the subset no other combination beats on both
 //! axes at once — lower mean latency *and* lower energy per function.
 //! [`pareto_front`] marks exactly that subset.

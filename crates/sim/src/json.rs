@@ -2,9 +2,10 @@
 //! (fault plans, workload scenarios), written in-crate to keep the
 //! workspace dependency-free.
 //!
-//! The grammar is standard JSON minus `\uXXXX` escapes. Objects keep
-//! their entries in source order so callers can reject unknown keys
-//! with a deterministic "first offender" error.
+//! The grammar is standard JSON, `\uXXXX` escapes and surrogate pairs
+//! included, so it reads everything the trace exporters write. Objects
+//! keep their entries in source order so callers can reject unknown
+//! keys with a deterministic "first offender" error.
 //!
 //! # Examples
 //!
@@ -217,9 +218,12 @@ impl Parser<'_> {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
                         b'/' => out.push('/'),
+                        b'b' => out.push('\u{0008}'),
+                        b'f' => out.push('\u{000c}'),
                         b'n' => out.push('\n'),
                         b't' => out.push('\t'),
                         b'r' => out.push('\r'),
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(format!(
                                 "unsupported escape '\\{}' at byte {}",
@@ -240,6 +244,39 @@ impl Parser<'_> {
                 None => return Err("unterminated string".to_string()),
             }
         }
+    }
+
+    /// The character a `\uXXXX` escape names, reading past its four
+    /// hex digits; a high surrogate must be followed by a `\uXXXX` low
+    /// one, and the pair names one character.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let high = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&high) {
+            let mut low = 0;
+            if self.bytes[self.pos..].starts_with(b"\\u") {
+                self.pos += 2;
+                low = self.hex4()?;
+            }
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(format!("lone surrogate \\u{high:04x} at byte {at}"));
+            }
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            high
+        };
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate \\u{code:04x} at byte {at}"))
+    }
+
+    /// Four hex digits.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self.bytes.get(self.pos..self.pos + 4).unwrap_or_default();
+        if digits.len() < 4 || !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(format!("malformed \\u escape at byte {}", self.pos));
+        }
+        self.pos += 4;
+        let digits = std::str::from_utf8(digits).expect("ascii hex digits");
+        Ok(u32::from_str_radix(digits, 16).expect("four hex digits"))
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -293,5 +330,71 @@ mod tests {
             parse(r#""a\n\t\"b\"""#).unwrap().as_str(),
             Some("a\n\t\"b\"")
         );
+        assert_eq!(
+            parse(r#""\/\b\f\r\\""#).unwrap().as_str(),
+            Some("/\u{8}\u{c}\r\\")
+        );
+    }
+
+    #[test]
+    fn handles_scalars_escapes_and_nesting() {
+        let doc = r#"{"a": [1, -2.5, 1e3], "b": {"c": "x\"\nA"}, "d": null, "e": true}"#;
+        let value = parse(doc).unwrap();
+        let object = value.as_object().unwrap();
+        let a = object[0].1.as_array().unwrap();
+        assert_eq!(a.len(), 3);
+        assert_eq!(a[1].as_f64(), Some(-2.5));
+        assert_eq!(a[2].as_f64(), Some(1000.0));
+        let b = object[1].1.as_object().unwrap();
+        assert_eq!(b[0].1.as_str(), Some("x\"\nA"));
+        assert_eq!(object[2].1, Value::Null);
+        assert_eq!(object[3].1, Value::Bool(true));
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "\"unterminated",
+            "nulL",
+            "{}trailing",
+            "{\"a\": 1e}",
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\u+123""#,
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn decodes_unicode_escapes_and_surrogate_pairs() {
+        assert_eq!(
+            parse(r#""\u00e9\u0041""#).unwrap().as_str(),
+            Some("\u{e9}A")
+        );
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{1f600}")
+        );
+        assert_eq!(parse(r#""\uFFFF""#).unwrap().as_str(), Some("\u{ffff}"));
+    }
+
+    #[test]
+    fn every_control_character_round_trips_its_escape() {
+        for code in 0..0x20u32 {
+            let escaped = format!("\"\\u{code:04x}\"");
+            let expected = char::from_u32(code).unwrap().to_string();
+            assert_eq!(
+                parse(&escaped).unwrap().as_str(),
+                Some(&*expected),
+                "{escaped}"
+            );
+        }
     }
 }

@@ -95,14 +95,12 @@ pub mod telemetry;
 mod time;
 pub mod trace;
 
-pub use chrome::{
-    export_chrome_trace, export_counter_trace, validate_chrome_trace, ChromeSummary, JsonValue,
-};
+pub use chrome::{export_chrome_trace, export_counter_trace, validate_chrome_trace, ChromeSummary};
 pub use exec::{par_map, par_map_indexed, Jobs};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultPlanError, FaultSpec, FaultTrigger};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use queue::{EventId, EventQueue};
-pub use rng::{Rng, SplitMix64};
+pub use rng::{CdfTable, Rng, SplitMix64};
 pub use span::{CriticalPath, JobSpan, LifecycleSpan, Phase, PhaseStats, SpanTree};
 pub use stats::{OnlineStats, QuantileSketch, Samples, TimeWeighted};
 pub use telemetry::{

@@ -196,31 +196,53 @@ impl Rng {
         pool
     }
 
-    /// Draws an index from a discrete distribution given as a cumulative
-    /// weight table: entry `i` holds the total weight of items `0..=i`,
-    /// so the table is non-decreasing and ends at the total weight.
-    /// Weights need not be normalized. Consumes exactly one `f64` draw
-    /// regardless of table size (binary search), which keeps multi-way
-    /// choices — function popularity, tenant classes — a fixed cost on
-    /// the RNG stream.
+    /// Draws an index from the discrete distribution `cdf` describes.
+    /// Consumes exactly one `f64` draw regardless of table size (binary
+    /// search), which keeps multi-way choices — function popularity,
+    /// tenant classes — a fixed cost on the RNG stream.
     ///
     /// # Examples
     ///
     /// ```
-    /// use microfaas_sim::Rng;
+    /// use microfaas_sim::{CdfTable, Rng};
     ///
     /// // 80% item 0, 20% item 1.
     /// let mut rng = Rng::new(7);
-    /// let cdf = [0.8, 1.0];
+    /// let cdf = CdfTable::new(vec![0.8, 1.0]);
     /// let hits = (0..10_000).filter(|_| rng.cdf_index(&cdf) == 0).count();
     /// assert!((7_700..8_300).contains(&hits), "got {hits}");
     /// ```
+    pub fn cdf_index(&mut self, cdf: &CdfTable) -> usize {
+        let table = &cdf.0;
+        let target = self.next_f64() * table[table.len() - 1];
+        // First entry strictly above the target; the final entry catches
+        // target == total only when rounding produces it (next_f64 < 1).
+        table.partition_point(|&w| w <= target).min(table.len() - 1)
+    }
+
+    /// Derives an independent child generator; useful for giving each model
+    /// component its own stream so component order never perturbs results.
+    pub fn fork(&mut self) -> Rng {
+        Rng::new(self.next_u64())
+    }
+}
+
+/// A discrete distribution as a cumulative weight table, checked once
+/// when it is built so that [`Rng::cdf_index`] draws without checking:
+/// entry `i` holds the total weight of items `0..=i`, so the table is
+/// non-decreasing and ends at the total weight. Weights need not be
+/// normalized.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CdfTable(Vec<f64>);
+
+impl CdfTable {
+    /// Checks and wraps a cumulative weight table.
     ///
     /// # Panics
     ///
     /// Panics if the table is empty, non-monotone, or its total weight
     /// is not positive and finite.
-    pub fn cdf_index(&mut self, cdf: &[f64]) -> usize {
+    pub fn new(cdf: Vec<f64>) -> Self {
         let total = *cdf.last().expect("cumulative table must be non-empty");
         assert!(
             total.is_finite() && total > 0.0,
@@ -230,16 +252,7 @@ impl Rng {
             cdf.windows(2).all(|w| w[0] <= w[1]),
             "cumulative table must be non-decreasing"
         );
-        let target = self.next_f64() * total;
-        // First entry strictly above the target; the final entry catches
-        // target == total only when rounding produces it (next_f64 < 1).
-        cdf.partition_point(|&w| w <= target).min(cdf.len() - 1)
-    }
-
-    /// Derives an independent child generator; useful for giving each model
-    /// component its own stream so component order never perturbs results.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
+        CdfTable(cdf)
     }
 }
 
@@ -411,7 +424,7 @@ mod tests {
     fn cdf_index_respects_weights() {
         let mut rng = Rng::new(37);
         // Weights 1 : 3 : 6 (unnormalized).
-        let cdf = [1.0, 4.0, 10.0];
+        let cdf = CdfTable::new(vec![1.0, 4.0, 10.0]);
         let mut counts = [0u32; 3];
         for _ in 0..10_000 {
             counts[rng.cdf_index(&cdf)] += 1;
@@ -425,14 +438,14 @@ mod tests {
     fn cdf_index_handles_zero_weight_prefix() {
         let mut rng = Rng::new(41);
         // Item 0 carries no mass; it must never be drawn.
-        let cdf = [0.0, 1.0];
+        let cdf = CdfTable::new(vec![0.0, 1.0]);
         assert!((0..1_000).all(|_| rng.cdf_index(&cdf) == 1));
     }
 
     #[test]
     #[should_panic(expected = "must be non-decreasing")]
     fn cdf_index_rejects_non_monotone_tables() {
-        Rng::new(1).cdf_index(&[2.0, 1.0, 3.0]);
+        CdfTable::new(vec![2.0, 1.0, 3.0]);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use microfaas::arrivals::Scenario;
 use microfaas::cache::{CacheConfig, DEFAULT_CACHE_SPEC};
-use microfaas::experiment::{scenario_sweep, scenario_sweep_cached_jobs};
+use microfaas::experiment::scenario_sweep_cached_jobs;
 use microfaas_sim::{Jobs, SimDuration};
 
 const DURATION_SECS: u64 = 1200;
@@ -39,7 +39,8 @@ fn main() {
         suite.len()
     );
 
-    let plain = scenario_sweep(&suite, duration, WORKERS, SEED);
+    let off = CacheConfig::Off;
+    let plain = scenario_sweep_cached_jobs(&suite, duration, WORKERS, SEED, &off, Jobs::auto());
     let cache = CacheConfig::parse(DEFAULT_CACHE_SPEC).expect("valid default spec");
     let cached = scenario_sweep_cached_jobs(&suite, duration, WORKERS, SEED, &cache, Jobs::auto());
 

@@ -12,10 +12,11 @@
 //! the point: the policy space the paper's hardware opens up simply
 //! does not exist on the conventional side. See docs/SCHEDULING.md.
 
-use microfaas::experiment::policy_sweep;
+use microfaas::cache::CacheConfig;
+use microfaas::experiment::policy_sweep_cached_jobs;
 use microfaas::openloop::{run_open_loop_conventional, ArrivalProcess, OpenLoopConfig};
 use microfaas_sched::GovernorKind;
-use microfaas_sim::SimDuration;
+use microfaas_sim::{Jobs, SimDuration};
 
 const RATE: f64 = 0.1;
 const DURATION_SECS: u64 = 1200;
@@ -28,7 +29,9 @@ fn main() {
         "{:<20} {:<15} {:>9} {:>8} {:>8} {:>7}",
         "placement", "governor", "mean lat", "J/func", "cycles", "pareto"
     );
-    let points = policy_sweep(RATE, SimDuration::from_secs(DURATION_SECS), 10, SEED);
+    let duration = SimDuration::from_secs(DURATION_SECS);
+    let points =
+        policy_sweep_cached_jobs(RATE, duration, 10, SEED, &CacheConfig::Off, Jobs::auto());
     for p in &points {
         println!(
             "{:<20} {:<15} {:>8.2}s {:>8.2} {:>8} {:>7}",

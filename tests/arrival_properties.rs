@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 
 use microfaas::arrivals::{ArrivalProcess, ArrivalState, Popularity, Scenario, TenantClass};
+use microfaas::cache::CacheConfig;
 use microfaas::experiment::{
-    policy_sweep_csv, policy_sweep_jobs, scenario_sweep_csv, scenario_sweep_jobs,
+    policy_sweep_cached_jobs, policy_sweep_csv, scenario_sweep_cached_jobs, scenario_sweep_csv,
 };
 use microfaas::openloop::{run_open_loop, OpenLoopConfig};
 use microfaas_sim::{Jobs, Rng, SimDuration, SimTime};
@@ -153,8 +154,9 @@ proptest! {
 #[test]
 fn policy_sweep_parity_serial_vs_jobs8() {
     let duration = SimDuration::from_secs(300);
-    let serial = policy_sweep_jobs(0.25, duration, 6, 2022, Jobs::serial());
-    let parallel = policy_sweep_jobs(0.25, duration, 6, 2022, Jobs::new(8));
+    let off = CacheConfig::Off;
+    let serial = policy_sweep_cached_jobs(0.25, duration, 6, 2022, &off, Jobs::serial());
+    let parallel = policy_sweep_cached_jobs(0.25, duration, 6, 2022, &off, Jobs::new(8));
     assert_eq!(serial, parallel);
     assert_eq!(policy_sweep_csv(&serial), policy_sweep_csv(&parallel));
 }
@@ -183,8 +185,9 @@ fn scenario_sweep_parity_serial_vs_jobs8() {
         heavy,
     ];
     let duration = SimDuration::from_secs(300);
-    let serial = scenario_sweep_jobs(&scenarios, duration, 6, 2022, Jobs::serial());
-    let parallel = scenario_sweep_jobs(&scenarios, duration, 6, 2022, Jobs::new(8));
+    let off = CacheConfig::Off;
+    let serial = scenario_sweep_cached_jobs(&scenarios, duration, 6, 2022, &off, Jobs::serial());
+    let parallel = scenario_sweep_cached_jobs(&scenarios, duration, 6, 2022, &off, Jobs::new(8));
     assert_eq!(
         scenario_sweep_csv(&serial),
         scenario_sweep_csv(&parallel),

@@ -1,13 +1,16 @@
 //! Asserts every headline number of the paper's evaluation (Section V)
 //! against the simulated clusters — the repository's acceptance test.
 
-use microfaas::experiment::{compare_suites, energy_proportionality, vm_sweep};
+use microfaas::experiment::{compare_suites_faulted_jobs, energy_proportionality, vm_sweep_jobs};
+use microfaas::FaultsConfig;
+use microfaas_sim::{Jobs, MetricsRegistry};
 use microfaas_tco::{savings_percent, ClusterSpec, Conditions, CostModel};
 
 /// Shared scaled-down run (200 invocations/function instead of 1,000)
 /// — within ~1% of the full-size means, 25x faster to execute.
 fn comparison() -> microfaas::experiment::SuiteComparison {
-    compare_suites(200, 77)
+    let mut metrics = MetricsRegistry::new();
+    compare_suites_faulted_jobs(200, 77, &FaultsConfig::none(), &mut metrics, Jobs::auto())
 }
 
 #[test]
@@ -59,7 +62,7 @@ fn fig3_function_speed_split() {
 
 #[test]
 fn fig4_peak_efficiency_at_saturation() {
-    let sweep = vm_sweep(20, 30, 78);
+    let sweep = vm_sweep_jobs(20, 30, 78, Jobs::auto());
     let peak = sweep
         .iter()
         .map(|p| p.joules_per_function)

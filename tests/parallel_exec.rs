@@ -12,8 +12,8 @@ use std::sync::Arc;
 use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional_with, ConventionalConfig};
 use microfaas::experiment::{
-    compare_suites_faulted_jobs, compare_suites_jobs, conventional_replicates, micro_replicates,
-    sbc_scale_sweep_jobs, vm_sweep_jobs,
+    compare_suites_faulted_jobs, conventional_replicates, micro_replicates, sbc_scale_sweep_jobs,
+    vm_sweep_jobs,
 };
 use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
 use microfaas::report::ClusterRun;
@@ -92,8 +92,11 @@ fn sbc_scale_sweep_parity() {
 
 #[test]
 fn compare_suites_parity() {
-    let serial = compare_suites_jobs(6, 2022, Jobs::serial());
-    let parallel = compare_suites_jobs(6, 2022, jobs8());
+    let none = FaultsConfig::none();
+    let serial =
+        compare_suites_faulted_jobs(6, 2022, &none, &mut MetricsRegistry::new(), Jobs::serial());
+    let parallel =
+        compare_suites_faulted_jobs(6, 2022, &none, &mut MetricsRegistry::new(), jobs8());
     assert_runs_identical(&serial.micro, &parallel.micro, "micro");
     assert_runs_identical(&serial.conventional, &parallel.conventional, "conventional");
     assert_eq!(serial.rows, parallel.rows);
