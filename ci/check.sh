@@ -20,6 +20,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> dead public surface: every pub fn is named outside its own file"
+# Lists each `pub fn`/`pub const fn` in the non-test part of every source
+# file of the simulator crates and fails, naming it, when no other
+# tracked file under crates/, tests/, examples/, perfbench/, src/ or
+# docs/ names it. Such a function either gains a caller or goes (a
+# function called only in its own file is not `pub`).
+dead=0
+for file in $(git ls-files 'crates/sim/src/*.rs' 'crates/core/src/*.rs' \
+    'crates/energy/src/*.rs' 'crates/hw/src/*.rs' 'crates/net/src/*.rs' \
+    'crates/sched/src/*.rs' 'crates/cli/src/*.rs' 'crates/tco/src/*.rs'); do
+    for name in $(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" \
+        | sed -n 's/^ *pub \(const \)\{0,1\}fn \([A-Za-z0-9_]*\).*/\2/p' | sort -u); do
+        git grep -qw "$name" -- crates tests examples perfbench src docs ":!$file" || {
+            echo "$file: pub fn $name is named nowhere outside its file"; dead=1; }
+    done
+done
+[ "$dead" -eq 0 ] || { echo "public functions without a caller outside their file"; exit 1; }
+
 echo "==> benchmark package: its own tests, then one seed-2022 pass of each of its five workloads"
 # perfbench/ is a package of its own, outside the workspace's cargo test.
 # Each pass checks its workload's pinned fingerprint, so a slip shows up

@@ -3,9 +3,10 @@
 //! cryptographic accelerator, skipping the between-jobs reboot, and the
 //! job-assignment policy.
 
-use microfaas::config::{Assignment, WorkloadMix};
+use microfaas::config::WorkloadMix;
 use microfaas::micro::{run_microfaas, MicroFaasConfig};
 use microfaas_bench::banner;
+use microfaas_sched::PlacementKind;
 use microfaas_workloads::FunctionId;
 
 fn main() {
@@ -81,7 +82,7 @@ fn main() {
     //    static random per-worker queues.
     let balanced = run_microfaas(&MicroFaasConfig::paper_prototype(full_mix.clone(), seed));
     let mut random_config = MicroFaasConfig::paper_prototype(full_mix, seed);
-    random_config.assignment = Assignment::RandomStatic;
+    random_config.assignment = PlacementKind::RandomStatic;
     let random = run_microfaas(&random_config);
     println!("\n[4] Job assignment policy");
     println!(

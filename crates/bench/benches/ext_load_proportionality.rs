@@ -8,13 +8,14 @@
 
 use microfaas::config::Jitter;
 use microfaas::openloop::{
-    run_open_loop, run_open_loop_conventional, ArrivalProcess, OpenLoopConfig, SchedulerPolicy,
+    run_open_loop, run_open_loop_conventional, ArrivalProcess, OpenLoopConfig,
 };
 use microfaas_bench::banner;
+use microfaas_sched::PlacementKind;
 use microfaas_sim::SimDuration;
 use microfaas_workloads::FunctionId;
 
-fn config(per_second: f64, scheduler: SchedulerPolicy) -> OpenLoopConfig {
+fn config(per_second: f64, scheduler: PlacementKind) -> OpenLoopConfig {
     OpenLoopConfig {
         workers: 10,
         seed: 2022,
@@ -42,7 +43,7 @@ fn main() {
         "load/s", "uF power", "uF J/f", "conv power", "conv J/f", "uF p95"
     );
     for load in [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0] {
-        let cfg = config(load, SchedulerPolicy::RandomStatic);
+        let cfg = config(load, PlacementKind::RandomStatic);
         let micro = run_open_loop(&cfg);
         let conv = run_open_loop_conventional(&cfg, 6);
         println!(
@@ -64,9 +65,9 @@ fn main() {
         "policy", "mean lat", "p95 lat", "mean powered", "power cycles"
     );
     for (name, policy) in [
-        ("random", SchedulerPolicy::RandomStatic),
-        ("least-loaded", SchedulerPolicy::LeastLoaded),
-        ("power-aware", SchedulerPolicy::PowerAware),
+        ("random", PlacementKind::RandomStatic),
+        ("least-loaded", PlacementKind::LeastLoaded),
+        ("power-aware", PlacementKind::PowerAware),
     ] {
         let run = run_open_loop(&config(2.0, policy));
         println!(

@@ -1,10 +1,11 @@
-//! Guards the cost of the pluggable-scheduling indirection on the
-//! event-loop hot path. The `microfaas-sched` refactor replaced two
-//! hard-coded dispatch paths with `Placement`/`Governor` trait objects
-//! behind a `PolicyEngine`; these benches pin that the default-policy
-//! closed-loop run costs the same as before the subsystem existed, and
-//! measure what turning the subsystem *on* adds. Numbers are recorded
-//! in `BENCH_sched_overhead.json` at the repo root.
+//! Guards the cost of the scheduling subsystem on the event-loop hot
+//! path. `microfaas-sched` replaced two hard-coded dispatch paths with
+//! a `PolicyEngine` that decides each placement and governor question
+//! by one `match` on its `PlacementKind` or `GovernorKind`; these
+//! benches pin that the default-policy closed-loop run costs the same
+//! as before the subsystem existed, and measure what turning the
+//! subsystem *on* adds. Numbers are recorded in
+//! `BENCH_sched_overhead.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use microfaas::config::WorkloadMix;
@@ -19,7 +20,7 @@ use std::hint::black_box;
 /// `microfaas_run_340_jobs`, per placement/governor pair. The
 /// `work-conserving/reboot-per-job` case is the pre-subsystem hot path
 /// (compare against the golden `pre` entry in the JSON record); the
-/// others price the live subsystem (policy views + trait dispatch).
+/// others price the live subsystem (policy views + policy decisions).
 fn bench_closed_loop_dispatch(c: &mut Criterion) {
     let mix = WorkloadMix::new(FunctionId::ALL.to_vec(), 20);
     let mut group = c.benchmark_group("sched_overhead_closed_loop");
@@ -49,8 +50,8 @@ fn bench_closed_loop_dispatch(c: &mut Criterion) {
                 b.iter(|| {
                     let mut config = MicroFaasConfig::paper_prototype(mix.clone(), 42);
                     config.assignment = match placement {
-                        PlacementKind::RandomStatic => microfaas::config::Assignment::RandomStatic,
-                        _ => microfaas::config::Assignment::WorkConserving,
+                        PlacementKind::RandomStatic => PlacementKind::RandomStatic,
+                        _ => PlacementKind::WorkConserving,
                     };
                     config.governor = governor;
                     run_microfaas(black_box(&config))
@@ -99,7 +100,7 @@ fn bench_open_loop_dispatch(c: &mut Criterion) {
 }
 
 /// The raw per-decision cost of `PolicyEngine::place` over a 10-node
-/// view snapshot — the indirection itself, isolated from the simulator.
+/// view snapshot — the decision itself, isolated from the simulator.
 fn bench_placement_decision(c: &mut Criterion) {
     let views: Vec<NodeView> = (0..10)
         .map(|i| NodeView {

@@ -1244,9 +1244,8 @@ fn faults_replicated(
     maybe_csv(f, &csv)
 }
 
-/// Builds the paper's evaluation mix at a given scale (exposed for the
-/// binary's tests).
-pub fn evaluation_mix(invocations: u32) -> WorkloadMix {
+/// Builds the paper's evaluation mix at a given scale.
+fn evaluation_mix(invocations: u32) -> WorkloadMix {
     WorkloadMix::new(FunctionId::ALL.to_vec(), invocations)
 }
 

@@ -62,6 +62,24 @@ fn a_duration_whose_microseconds_overflow_is_refused() {
 }
 
 #[test]
+fn a_cache_ttl_whose_microseconds_overflow_is_refused() {
+    assert_refused("openloop --cache lru:64,ttl=18446744073710 --duration-secs 5 --workers 2");
+}
+
+#[test]
+fn a_hot_set_larger_than_the_catalog_is_refused() {
+    assert_refused("openloop --popularity hot-cold:100,0.5 --duration-secs 10");
+    let spec = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("oversized_hot_set.json");
+    std::fs::write(
+        &spec,
+        r#"{"scenarios": [{"name": "hot", "arrivals": "poisson:0.5",
+            "popularity": "hot-cold:40,0.5"}]}"#,
+    )
+    .expect("spec written");
+    assert_refused(&format!("scenarios --spec {}", spec.display()));
+}
+
+#[test]
 fn bare_energy_tenants_prints_the_all_tenant_row() {
     let out = microfaas("energy --tenants --duration-secs 60 --workers 4");
     let stdout = String::from_utf8_lossy(&out.stdout);

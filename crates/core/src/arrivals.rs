@@ -42,6 +42,7 @@
 //! ```
 
 use microfaas_sim::{json, CdfTable, OnlineStats, Rng, SimDuration, SimTime};
+use microfaas_workloads::FunctionId;
 
 /// How invocations arrive at the orchestration plane.
 ///
@@ -107,13 +108,6 @@ pub enum ArrivalProcess {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArrivalState {
     in_burst: bool,
-}
-
-impl ArrivalState {
-    /// Whether the MMPP generator is currently in its burst regime.
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
-    }
 }
 
 impl ArrivalProcess {
@@ -222,7 +216,7 @@ impl ArrivalProcess {
     /// Time-invariant processes report their stationary rate; the MMPP
     /// reports its long-run (dwell-weighted) mean since the regime at
     /// `t` is random.
-    pub fn rate_at(&self, t_s: f64) -> f64 {
+    fn rate_at(&self, t_s: f64) -> f64 {
         match *self {
             ArrivalProcess::Poisson { per_second } => per_second,
             ArrivalProcess::EverySecond { jobs_per_tick } => jobs_per_tick as f64,
@@ -495,31 +489,43 @@ impl Popularity {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive Zipf exponent, an empty or oversized
-    /// hot set, or a hot share outside `(0, 1]`.
+    /// Panics with the message [`Popularity::try_validate`] returns.
     pub fn validate(&self, functions: usize) {
+        if let Err(problem) = self.try_validate(functions) {
+            panic!("{problem}");
+        }
+    }
+
+    /// Non-panicking form of [`Popularity::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for a non-positive Zipf exponent, an empty hot
+    /// set or one larger than the catalog, or a hot share outside
+    /// `(0, 1]`.
+    pub fn try_validate(&self, functions: usize) -> Result<(), String> {
         match *self {
             Popularity::Uniform => {}
             Popularity::Zipf { exponent } => {
-                assert!(
-                    exponent.is_finite() && exponent > 0.0,
-                    "zipf exponent must be positive, got {exponent}"
-                );
+                if !(exponent.is_finite() && exponent > 0.0) {
+                    return Err(format!("zipf exponent must be positive, got {exponent}"));
+                }
             }
             Popularity::HotCold {
                 hot_functions,
                 hot_share,
             } => {
-                assert!(
-                    hot_functions >= 1 && hot_functions <= functions,
-                    "hot set must hold 1..={functions} functions, got {hot_functions}"
-                );
-                assert!(
-                    hot_share > 0.0 && hot_share <= 1.0,
-                    "hot share must be in (0, 1], got {hot_share}"
-                );
+                if !(1..=functions).contains(&hot_functions) {
+                    return Err(format!(
+                        "hot set must hold 1..={functions} functions, got {hot_functions}"
+                    ));
+                }
+                if !(hot_share > 0.0 && hot_share <= 1.0) {
+                    return Err(format!("hot share must be in (0, 1], got {hot_share}"));
+                }
             }
         }
+        Ok(())
     }
 
     /// Lower-case label used in CSV output and spec strings.
@@ -536,26 +542,24 @@ impl Popularity {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the unknown distribution or malformed
-    /// parameter.
+    /// Returns a message naming the unknown distribution, a malformed
+    /// parameter, or one that fails [`Popularity::try_validate`] against
+    /// the full function catalog.
     pub fn parse(spec: &str) -> Result<Popularity, String> {
         let (kind, args) = spec.split_once(':').unwrap_or((spec, ""));
-        match kind {
+        let popularity = match kind {
             "uniform" => {
                 if !args.is_empty() {
                     return Err("uniform takes no parameters".to_string());
                 }
-                Ok(Popularity::Uniform)
+                Popularity::Uniform
             }
             "zipf" => {
                 let exponent: f64 = args
                     .trim()
                     .parse()
                     .map_err(|_| format!("zipf takes one exponent, got \"{args}\""))?;
-                if !(exponent.is_finite() && exponent > 0.0) {
-                    return Err(format!("zipf exponent must be positive, got {exponent}"));
-                }
-                Ok(Popularity::Zipf { exponent })
+                Popularity::Zipf { exponent }
             }
             "hot-cold" => {
                 let parts: Vec<&str> = args.split(',').collect();
@@ -570,21 +574,21 @@ impl Popularity {
                     .trim()
                     .parse()
                     .map_err(|_| format!("bad hot share \"{}\"", parts[1]))?;
-                if hot_functions == 0 {
-                    return Err("hot set must hold at least one function".to_string());
-                }
-                if !(hot_share > 0.0 && hot_share <= 1.0) {
-                    return Err(format!("hot share must be in (0, 1], got {hot_share}"));
-                }
-                Ok(Popularity::HotCold {
+                Popularity::HotCold {
                     hot_functions,
                     hot_share,
-                })
+                }
             }
-            other => Err(format!(
-                "unknown popularity \"{other}\" (uniform | zipf | hot-cold)"
-            )),
-        }
+            other => {
+                return Err(format!(
+                    "unknown popularity \"{other}\" (uniform | zipf | hot-cold)"
+                ))
+            }
+        };
+        // A run over fewer functions checks its own catalog again at
+        // start.
+        popularity.try_validate(FunctionId::ALL.len())?;
+        Ok(popularity)
     }
 }
 
@@ -1257,6 +1261,8 @@ mod tests {
         );
         assert!(Popularity::parse("pareto:1").is_err());
         assert!(Popularity::parse("hot-cold:0,0.5").is_err());
+        assert!(Popularity::parse("hot-cold:17,0.5").is_ok());
+        assert!(Popularity::parse("hot-cold:18,0.5").is_err());
         assert!(Popularity::parse("zipf:-1").is_err());
     }
 

@@ -206,7 +206,10 @@ impl CacheConfig {
                             let secs: u64 = value.trim().parse().map_err(|_| {
                                 format!("bad number \"{value}\" in cache spec \"{spec}\"")
                             })?;
-                            ttl = Some(SimDuration::from_secs(secs));
+                            let micros = secs.checked_mul(1_000_000).ok_or_else(|| {
+                                format!("cache ttl {secs} s overflows the simulated clock")
+                            })?;
+                            ttl = Some(SimDuration::from_micros(micros));
                         }
                         "inputs" => {
                             inputs = value.trim().parse().map_err(|_| {
@@ -638,6 +641,8 @@ mod tests {
             "lru:abc",
             "lru:4,ttl=0",
             "lru:4,ttl=x",
+            // Its microseconds overflow u64.
+            "lru:4,ttl=18446744073710",
             "lru:4,inputs=0",
             "lru:4,depth=2",
             "lru:4,ttl",

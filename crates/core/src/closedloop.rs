@@ -18,7 +18,7 @@
 //! parameter, so each class compiles to its own event loop.
 
 use microfaas_energy::{ChannelId, EnergyMeter};
-use microfaas_sched::{governor, GovernorKind};
+use microfaas_sched::{GovernorKind, PlacementKind, PolicyEngine};
 use microfaas_sim::faults::FaultKind;
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
 use microfaas_sim::{
@@ -28,7 +28,7 @@ use microfaas_workloads::calibration::{service_time, WorkerPlatform};
 use microfaas_workloads::FunctionId;
 
 use crate::cache::{content_key, CacheConfig, CacheStats, ResultCache};
-use crate::config::{Assignment, Jitter, WorkloadMix};
+use crate::config::{Jitter, WorkloadMix};
 use crate::job::{Dispatcher, Job, JobRecord, JobTable};
 use crate::netmap::ClusterNet;
 use crate::recovery::{priority_of, FaultRuntime, FaultsConfig, Priority};
@@ -127,10 +127,10 @@ pub(crate) struct Setup<'a> {
     pub mix: &'a WorkloadMix,
     pub seed: u64,
     pub jitter: Jitter,
-    pub assignment: Assignment,
+    pub assignment: PlacementKind,
     pub governor: GovernorKind,
     /// The legacy between-jobs reboot switch; see
-    /// [`microfaas_sched::Governor::reboot_between_jobs`].
+    /// [`PolicyEngine::reboot_between_jobs`].
     pub reboot_between_jobs: bool,
     pub timeouts: TimeoutTable,
     pub faults: &'a FaultsConfig,
@@ -267,6 +267,9 @@ pub(crate) struct Core<'a, 'b, E> {
     /// or a BootDone), cancelled when a crash interrupts it.
     pub boot_pending: Vec<Option<EventId>>,
     pub fr: FaultRuntime,
+    /// The run's placement and governor; the class asks it what a
+    /// drained node does.
+    pub policy: PolicyEngine,
     /// Whether a non-default scheduling policy is active; all of its
     /// telemetry is gated on this so default runs stay byte-identical.
     pub sched_active: bool,
@@ -414,6 +417,7 @@ struct ClusterSim<'a, 'b, N: NodeClass> {
 
 impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
     fn new(setup: Setup<'a>, fleet: N, observer: &'a mut Observer<'b>) -> Self {
+        let policy = PolicyEngine::new(setup.assignment, setup.governor, setup.seed);
         let mut rng = Rng::new(setup.seed);
         let workers = setup.workers;
 
@@ -484,6 +488,8 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             dispatcher,
             boot_pending: vec![None; workers],
             fr,
+            reboot_between: policy.reboot_between_jobs(setup.reboot_between_jobs),
+            policy,
             sched_active,
             workers,
             jitter: setup.jitter,
@@ -496,7 +502,6 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             last_completion: SimTime::ZERO,
             handles,
             sched_handles,
-            reboot_between: governor(setup.governor).reboot_between_jobs(setup.reboot_between_jobs),
             cache: ResultCache::from_config(setup.cache),
             timeouts: setup.timeouts,
             fixed_overheads: FunctionId::ALL

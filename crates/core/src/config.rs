@@ -1,6 +1,5 @@
 //! Experiment configuration shared by both cluster simulators.
 
-use microfaas_sched::PlacementKind;
 use microfaas_sim::Rng;
 use microfaas_workloads::FunctionId;
 
@@ -14,15 +13,6 @@ pub struct WorkloadMix {
 }
 
 impl WorkloadMix {
-    /// The paper's evaluation mix: 1,000 invocations of each of the 17
-    /// functions.
-    pub fn paper_evaluation() -> Self {
-        WorkloadMix {
-            functions: FunctionId::ALL.to_vec(),
-            invocations_per_function: 1_000,
-        }
-    }
-
     /// A smaller mix for quick runs and tests.
     pub fn quick() -> Self {
         WorkloadMix {
@@ -80,20 +70,6 @@ impl WorkloadMix {
     }
 }
 
-/// How the orchestration plane maps jobs to worker queues.
-///
-/// Since the scheduling subsystem landed this is the full
-/// [`PlacementKind`] policy family from `microfaas-sched`; the alias
-/// keeps the historical `Assignment::WorkConserving` /
-/// `Assignment::RandomStatic` spellings working. `WorkConserving` is
-/// one shared FIFO measuring saturated cluster *capacity* (the
-/// "capable of N func/min" numbers the paper reports); `RandomStatic`
-/// is the paper's literal mechanism — every job lands in one uniformly
-/// random per-worker queue up front, and queue-length imbalance then
-/// stretches the makespan. See `docs/SCHEDULING.md` for the other four
-/// policies.
-pub type Assignment = PlacementKind;
-
 /// Multiplicative runtime jitter: real systems never repeat a measurement
 /// exactly, and the percentile columns of the reports need spread.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,13 +102,6 @@ impl Jitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_mix_is_17000_jobs() {
-        let mix = WorkloadMix::paper_evaluation();
-        assert_eq!(mix.total_jobs(), 17_000);
-        assert_eq!(mix.functions().len(), 17);
-    }
 
     #[test]
     fn jobs_cover_every_function_equally() {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::server::{RackServer, VmState};
 use microfaas_net::LinkSpec;
-use microfaas_sched::GovernorKind;
+use microfaas_sched::{GovernorKind, PlacementKind};
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
 use microfaas_sim::{SimDuration, SimTime};
 use microfaas_workloads::calibration::{service_time, WorkerPlatform};
@@ -29,7 +29,7 @@ use microfaas_workloads::FunctionId;
 
 use crate::cache::CacheConfig;
 use crate::closedloop::{self, Core, NodeClass, Setup};
-use crate::config::{Assignment, Jitter, WorkloadMix};
+use crate::config::{Jitter, WorkloadMix};
 use crate::netmap::ClusterNet;
 use crate::recovery::FaultsConfig;
 use crate::registry::FunctionRegistry;
@@ -56,10 +56,10 @@ pub struct ConventionalConfig {
     /// MicroFaaS policy; both clusters run the same worker OS).
     pub reboot_between_jobs: bool,
     /// How the orchestration plane maps jobs to VMs.
-    pub assignment: Assignment,
+    pub assignment: PlacementKind,
     /// Between-jobs power policy. VMs have no per-node gating to govern
     /// (the rack host's idle floor draws regardless), so only the
-    /// [`microfaas_sched::Governor::reboot_between_jobs`] decision
+    /// [`microfaas_sched::PolicyEngine::reboot_between_jobs`] decision
     /// applies here: any governor other than the default
     /// [`GovernorKind::RebootPerJob`] skips the between-jobs reboot.
     pub governor: GovernorKind,
@@ -91,7 +91,7 @@ impl ConventionalConfig {
             seed,
             jitter: Jitter::default_run_to_run(),
             reboot_between_jobs: true,
-            assignment: Assignment::WorkConserving,
+            assignment: PlacementKind::WorkConserving,
             governor: GovernorKind::RebootPerJob,
             invocation_timeout: None,
             registry: FunctionRegistry::paper_suite(),

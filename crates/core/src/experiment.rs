@@ -332,7 +332,7 @@ pub struct ReplicateSummary {
 
 impl ReplicateSummary {
     /// Folds completed runs (in canonical seed order) into the summary.
-    pub fn from_runs(runs: &[ClusterRun]) -> Self {
+    fn from_runs(runs: &[ClusterRun]) -> Self {
         let mut summary = ReplicateSummary {
             runs: runs.len() as u32,
             ..ReplicateSummary::default()

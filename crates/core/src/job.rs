@@ -2,7 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use microfaas_sim::{OnlineStats, SimDuration, SimTime};
+use microfaas_sched::{NodeView, PlacementKind};
+use microfaas_sim::{OnlineStats, Rng, SimDuration, SimTime};
 use microfaas_workloads::FunctionId;
 
 /// One function invocation flowing through a cluster.
@@ -223,7 +224,7 @@ impl FunctionStats {
 /// The orchestration plane's job queues under a chosen assignment policy.
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
-    mode: crate::config::Assignment,
+    mode: PlacementKind,
     shared: std::collections::VecDeque<Job>,
     per_worker: Vec<std::collections::VecDeque<Job>>,
 }
@@ -237,43 +238,37 @@ impl Dispatcher {
     /// # Panics
     ///
     /// Panics if `workers` is zero.
-    pub fn new(
-        mode: crate::config::Assignment,
-        workers: usize,
-        jobs: Vec<Job>,
-        rng: &mut microfaas_sim::Rng,
-    ) -> Self {
+    pub fn new(mode: PlacementKind, workers: usize, jobs: Vec<Job>, rng: &mut Rng) -> Self {
         Self::with_weights(mode, workers, jobs, rng, |_| 1.0)
     }
 
     /// Distributes `jobs` over `workers` queues according to `mode`.
     ///
     /// `WorkConserving` keeps the single shared FIFO; every other
-    /// [`PlacementKind`](crate::config::Assignment) places each job
-    /// statically through the `microfaas-sched` policy, with `weight`
-    /// supplying the expected cost a `LeastLoaded` policy balances.
+    /// [`PlacementKind`] places each job statically through
+    /// [`PlacementKind::place`], with `weight` supplying the expected
+    /// cost a `LeastLoaded` policy balances.
     ///
     /// Determinism: `rng` is the simulation stream, and the only policy
     /// that draws from it is the legacy `RandomStatic` — exactly one
     /// `index(workers)` per job, the historical sequence the bit-compat
-    /// goldens pin. The four new placements are deterministic picks.
+    /// goldens pin. The other placements are deterministic picks.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub fn with_weights(
-        mode: crate::config::Assignment,
+        mode: PlacementKind,
         workers: usize,
         jobs: Vec<Job>,
-        rng: &mut microfaas_sim::Rng,
+        rng: &mut Rng,
         weight: impl Fn(FunctionId) -> f64,
     ) -> Self {
         assert!(workers > 0, "dispatcher needs at least one worker");
-        let mut placement = microfaas_sched::placement(mode);
         // Reserve each queue for its expected share up front (the full
         // workload for the shared queue, jobs/workers plus slack for the
         // static splits) so dispatch never regrows a ring buffer.
-        let (shared_cap, per_worker_cap) = if placement.shared_queue() {
+        let (shared_cap, per_worker_cap) = if mode.shared_queue() {
             (jobs.len(), 0)
         } else {
             (0, jobs.len() / workers + workers)
@@ -283,13 +278,13 @@ impl Dispatcher {
             shared: std::collections::VecDeque::with_capacity(shared_cap),
             per_worker: vec![std::collections::VecDeque::with_capacity(per_worker_cap); workers],
         };
-        if placement.shared_queue() {
+        if mode.shared_queue() {
             dispatcher.shared.extend(jobs);
         } else {
             // A worker holding at least one job boots at t = 0, so the
             // packing policies treat "has work" as "will be warm".
             let mut views = vec![
-                microfaas_sched::NodeView {
+                NodeView {
                     queued: 0,
                     busy: false,
                     powered: false,
@@ -298,7 +293,7 @@ impl Dispatcher {
                 workers
             ];
             for job in jobs {
-                let w = placement.place(&views, rng);
+                let w = mode.place(None, &views, rng);
                 views[w].queued += 1;
                 views[w].load += weight(job.function);
                 views[w].powered = true;
@@ -311,7 +306,7 @@ impl Dispatcher {
     /// Whether this dispatcher runs one shared FIFO (work-conserving)
     /// instead of static per-worker queues.
     pub(crate) fn is_shared(&self) -> bool {
-        self.mode == crate::config::Assignment::WorkConserving
+        self.mode.shared_queue()
     }
 
     /// Whether worker `w` has any work available.
@@ -465,7 +460,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(crate::config::Assignment::WorkConserving, 2, jobs, &mut rng);
+        let mut d = Dispatcher::new(PlacementKind::WorkConserving, 2, jobs, &mut rng);
         let retried = Job {
             id: 99,
             function: FunctionId::CascSha,
@@ -488,7 +483,7 @@ mod tests {
                 },
             })
             .collect();
-        let mut d = Dispatcher::new(crate::config::Assignment::WorkConserving, 2, jobs, &mut rng);
+        let mut d = Dispatcher::new(PlacementKind::WorkConserving, 2, jobs, &mut rng);
         let shed = d.shed_where(|job| job.function == FunctionId::MatMul);
         assert_eq!(shed.iter().map(|j| j.id).collect::<Vec<_>>(), vec![0, 2, 4]);
         assert_eq!(d.pull(0).map(|j| j.id), Some(1), "survivors keep order");
@@ -504,7 +499,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(crate::config::Assignment::RandomStatic, 2, jobs, &mut rng);
+        let mut d = Dispatcher::new(PlacementKind::RandomStatic, 2, jobs, &mut rng);
         let before = d.remaining();
         let drained = d.drain_worker(0);
         assert!(!drained.is_empty(), "seed 3 assigns worker 0 some jobs");
@@ -528,7 +523,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(crate::config::Assignment::RandomStatic, 8, jobs, &mut rng);
+        let mut d = Dispatcher::new(PlacementKind::RandomStatic, 8, jobs, &mut rng);
         assert_eq!(d.remaining(), 3);
         let occupied = (0..8).filter(|&w| d.has_work(w)).count();
         assert!((1..=3).contains(&occupied));
@@ -559,7 +554,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(crate::config::Assignment::RandomStatic, 2, jobs, &mut rng);
+        let mut d = Dispatcher::new(PlacementKind::RandomStatic, 2, jobs, &mut rng);
         let in_flight = d.pull(0).expect("seed 3 assigns worker 0 work");
         let queued_behind = d.remaining();
         d.requeue_front(0, in_flight);
@@ -605,13 +600,13 @@ mod tests {
                 function: FunctionId::RegexMatch,
             }))
             .collect();
-        let d = Dispatcher::with_weights(
-            crate::config::Assignment::LeastLoaded,
-            4,
-            jobs,
-            &mut rng,
-            |f| if f == FunctionId::MatMul { 10.0 } else { 1.0 },
-        );
+        let d = Dispatcher::with_weights(PlacementKind::LeastLoaded, 4, jobs, &mut rng, |f| {
+            if f == FunctionId::MatMul {
+                10.0
+            } else {
+                1.0
+            }
+        });
         for w in 0..4 {
             assert!(d.has_work(w), "every worker gets a share");
         }
@@ -627,12 +622,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(
-            crate::config::Assignment::JoinShortestQueue,
-            3,
-            jobs,
-            &mut rng,
-        );
+        let mut d = Dispatcher::new(PlacementKind::JoinShortestQueue, 3, jobs, &mut rng);
         // 9 jobs over 3 workers, ties to the lowest index: 3 each, and
         // worker 0 holds jobs 0, 3, 6.
         assert_eq!(d.pull(0).map(|j| j.id), Some(0));
@@ -650,7 +640,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(crate::config::Assignment::WarmFirst, 4, jobs, &mut rng);
+        let mut d = Dispatcher::new(PlacementKind::WarmFirst, 4, jobs, &mut rng);
         assert!(d.has_work(0), "the first node warms up");
         for w in 1..4 {
             assert!(!d.has_work(w), "worker {w} never boots for a batch");
@@ -667,7 +657,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(crate::config::Assignment::PowerAware, 4, jobs, &mut rng);
+        let mut d = Dispatcher::new(PlacementKind::PowerAware, 4, jobs, &mut rng);
         // Packing threshold 2: six jobs warm exactly three nodes.
         assert_eq!((0..4).filter(|&w| d.has_work(w)).count(), 3);
         assert_eq!(d.drain_worker(0).len(), 2);
@@ -682,11 +672,11 @@ mod tests {
             })
             .collect();
         for mode in [
-            crate::config::Assignment::WorkConserving,
-            crate::config::Assignment::LeastLoaded,
-            crate::config::Assignment::JoinShortestQueue,
-            crate::config::Assignment::WarmFirst,
-            crate::config::Assignment::PowerAware,
+            PlacementKind::WorkConserving,
+            PlacementKind::LeastLoaded,
+            PlacementKind::JoinShortestQueue,
+            PlacementKind::WarmFirst,
+            PlacementKind::PowerAware,
         ] {
             let mut rng = microfaas_sim::Rng::new(17);
             let _ = Dispatcher::new(mode, 5, jobs.clone(), &mut rng);

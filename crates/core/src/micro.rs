@@ -30,7 +30,7 @@ use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::gpio::{PowerAction, PowerController};
 use microfaas_hw::sbc::{SbcNode, SbcState};
 use microfaas_net::LinkSpec;
-use microfaas_sched::{governor, DrainAction, Governor, GovernorKind};
+use microfaas_sched::{DrainAction, GovernorKind, PlacementKind};
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
 use microfaas_sim::{EventId, SimDuration, SimTime};
 use microfaas_workloads::calibration::{service_time, WorkerPlatform};
@@ -38,7 +38,7 @@ use microfaas_workloads::FunctionId;
 
 use crate::cache::CacheConfig;
 use crate::closedloop::{self, Core, Event, NodeClass, Setup};
-use crate::config::{Assignment, Jitter, WorkloadMix};
+use crate::config::{Jitter, WorkloadMix};
 use crate::netmap::ClusterNet;
 use crate::recovery::FaultsConfig;
 use crate::registry::FunctionRegistry;
@@ -70,7 +70,7 @@ pub struct MicroFaasConfig {
     /// CascSHA/CascMD5/AES128 execution by this factor (1.0 = stock).
     pub crypto_exec_scale: f64,
     /// How the orchestration plane maps jobs to workers.
-    pub assignment: Assignment,
+    pub assignment: PlacementKind,
     /// What a worker does between jobs and when its queue drains. The
     /// default [`GovernorKind::RebootPerJob`] is the paper's policy and
     /// the only governor under which the legacy `reboot_between_jobs`
@@ -117,7 +117,7 @@ impl MicroFaasConfig {
             reboot_between_jobs: true,
             power_gating: true,
             crypto_exec_scale: 1.0,
-            assignment: Assignment::WorkConserving,
+            assignment: PlacementKind::WorkConserving,
             governor: GovernorKind::RebootPerJob,
             service_nic_bits_per_sec: 1_000_000_000,
             invocation_timeout: None,
@@ -204,7 +204,6 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
             .map(|w| meter.add_channel(format!("sbc-{w}")))
             .collect(),
         gpio: PowerController::new(config.workers),
-        governor: governor(config.governor),
         gate_pending: vec![None; config.workers],
         power_gating: config.power_gating,
         crypto_exec_scale: config.crypto_exec_scale,
@@ -227,13 +226,12 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
 }
 
 /// The SBC node class: one [`SbcNode`] state machine and meter channel
-/// per worker, GPIO power control, and the power governor.
+/// per worker and GPIO power control. The power governor is the
+/// engine's [`Core::policy`].
 struct SbcFleet {
     nodes: Vec<SbcNode>,
     channels: Vec<ChannelId>,
     gpio: PowerController,
-    /// The node power governor ([`MicroFaasConfig::governor`]).
-    governor: Box<dyn Governor + Send>,
     /// The pending IdleGate timer per standby worker, cancelled when a
     /// job start or crash pre-empts the idle window.
     gate_pending: Vec<Option<EventId>>,
@@ -377,7 +375,8 @@ impl NodeClass for SbcFleet {
         // decides between gating off and staying warm. The node is
         // already Idle, so `warm_idle_count` counts it, matching the
         // on_drain contract.
-        match self.governor.on_drain(now, self.warm_idle_count(core)) {
+        let warm_idle = self.warm_idle_count(core);
+        match core.policy.on_drain(now, warm_idle) {
             DrainAction::PowerOff => {
                 if self.power_gating {
                     self.nodes[w].power_off(now).expect("node is idle");
@@ -399,7 +398,7 @@ impl NodeClass for SbcFleet {
             // +1: this worker is still Executing but would join the
             // warm pool, and the contract counts it in.
             let warm_idle = self.warm_idle_count(core) + 1;
-            self.governor.on_drain(now, warm_idle)
+            core.policy.on_drain(now, warm_idle)
         };
         match action {
             DrainAction::PowerOff => {
@@ -480,17 +479,16 @@ impl NodeClass for SbcFleet {
                 if core.dispatcher.has_work(w) {
                     return true;
                 }
-                if self
-                    .governor
-                    .gate_on_idle_expiry(now, self.warm_idle_count(core))
-                {
+                let warm_idle = self.warm_idle_count(core);
+                if core.policy.gate_on_idle_expiry(now, warm_idle) {
                     self.nodes[w].power_off(now).expect("node is idle");
                     self.gate_off(core, w, now);
                     self.governor_transition(core, now, w, "gate-off");
                 }
                 // A `false` answer leaves the node idle with no further
-                // expiry scheduled (see the Governor contract), keeping
-                // the loop finite.
+                // expiry scheduled (see
+                // `PolicyEngine::gate_on_idle_expiry`), keeping the loop
+                // finite.
                 false
             }
         }

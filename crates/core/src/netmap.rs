@@ -73,7 +73,7 @@ impl ClusterNet {
     }
 
     /// The trace-level endpoint label for `function`'s peer.
-    pub fn endpoint_of(function: FunctionId) -> Endpoint {
+    fn endpoint_of(function: FunctionId) -> Endpoint {
         match function {
             FunctionId::RedisInsert | FunctionId::RedisUpdate => Endpoint::Service("kvstore"),
             FunctionId::SqlSelect | FunctionId::SqlUpdate => Endpoint::Service("sqldb"),

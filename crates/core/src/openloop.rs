@@ -71,16 +71,6 @@ use crate::arrivals::{
     ArrivalState, FunctionPicker, Popularity, TenantClass, TenantSummary, TenantTracker,
 };
 
-/// How the orchestration plane picks a worker queue for a new job.
-///
-/// Since the scheduling subsystem landed this is the full
-/// [`PlacementKind`] family from `microfaas-sched`. The historical
-/// open-loop policies map onto it: `RandomQueue` is now
-/// [`PlacementKind::RandomStatic`] (same uniform draw, from the same
-/// simulation-RNG site), and `LeastLoaded` / `PowerAware` keep their
-/// names and exact picks. The alias keeps the old type name compiling.
-pub type SchedulerPolicy = PlacementKind;
-
 /// Configuration of an open-loop run.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
@@ -92,8 +82,10 @@ pub struct OpenLoopConfig {
     pub duration: SimDuration,
     /// Arrival process.
     pub arrival: ArrivalProcess,
-    /// Placement policy.
-    pub scheduler: SchedulerPolicy,
+    /// Placement policy, consulted once per arrival. The historical
+    /// open-loop `RandomQueue` is [`PlacementKind::RandomStatic`]: the
+    /// same uniform draw from the same simulation-RNG site.
+    pub scheduler: PlacementKind,
     /// What a drained worker does with its power state. The default
     /// [`GovernorKind::RebootPerJob`] gates nodes off the moment they
     /// drain (the paper's policy); the alternatives hold nodes at
@@ -1828,7 +1820,7 @@ mod tests {
     use microfaas_sim::faults::{FaultPlan, FaultSpec, FaultTrigger};
     use microfaas_sim::trace::{TraceBuffer, TraceSink};
 
-    fn config(arrival: ArrivalProcess, scheduler: SchedulerPolicy, seed: u64) -> OpenLoopConfig {
+    fn config(arrival: ArrivalProcess, scheduler: PlacementKind, seed: u64) -> OpenLoopConfig {
         OpenLoopConfig {
             workers: 10,
             seed,
@@ -1865,12 +1857,12 @@ mod tests {
         // proportionally (energy-proportional computing).
         let low = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 0.5 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             2,
         ));
         let high = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.5 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             2,
         ));
         let ratio = high.mean_power_w / low.mean_power_w;
@@ -1888,12 +1880,12 @@ mod tests {
         // load-independent because idle nodes are off.
         let low = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 0.4 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             3,
         ));
         let high = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             3,
         ));
         let drift = (high.joules_per_function / low.joules_per_function - 1.0).abs();
@@ -1910,12 +1902,12 @@ mod tests {
     fn least_loaded_cuts_latency_vs_random() {
         let random = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.5 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             4,
         ));
         let least = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 2.5 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             4,
         ));
         assert!(
@@ -1933,12 +1925,12 @@ mod tests {
         // power cycles), concentrating work on a few always-hot nodes.
         let random = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             5,
         ));
         let packed = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::PowerAware,
+            PlacementKind::PowerAware,
             5,
         ));
         assert!(
@@ -1953,12 +1945,12 @@ mod tests {
     fn deterministic_per_seed() {
         let a = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             6,
         ));
         let b = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             6,
         ));
         assert_eq!(a.completed, b.completed);
@@ -1971,7 +1963,7 @@ mod tests {
         // stop at the horizon.
         let run = run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 1.5 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             7,
         ));
         let expected = run.offered_per_second * 600.0;
@@ -1988,7 +1980,7 @@ mod tests {
         // burns enormous energy per function; MicroFaaS does not.
         let cfg_low = config(
             ArrivalProcess::Poisson { per_second: 0.3 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             9,
         );
         let micro = run_open_loop(&cfg_low);
@@ -2012,7 +2004,7 @@ mod tests {
     fn conventional_open_loop_completes_everything() {
         let cfg = config(
             ArrivalProcess::EverySecond { jobs_per_tick: 2 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             10,
         );
         let run = run_open_loop_conventional(&cfg, 6);
@@ -2026,7 +2018,7 @@ mod tests {
     fn crashing() -> OpenLoopConfig {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             12,
         );
         cfg.faults = FaultsConfig::with_plan(FaultPlan {
@@ -2067,7 +2059,7 @@ mod tests {
     fn empty_plan_changes_nothing_in_open_loop() {
         let base = config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             6,
         );
         let mut explicit = base.clone();
@@ -2085,7 +2077,7 @@ mod tests {
     fn zero_rate_panics() {
         run_open_loop(&config(
             ArrivalProcess::Poisson { per_second: 0.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             8,
         ));
     }
@@ -2097,7 +2089,7 @@ mod tests {
         // nodes warm costs energy and buys latency.
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: rate },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             seed,
         );
         cfg.governor = governor;
@@ -2314,7 +2306,7 @@ mod tests {
     fn streaming_sink_sees_every_completion_in_time_order() {
         let cfg = config(
             ArrivalProcess::Poisson { per_second: 1.5 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             17,
         );
         let mut sink = CountingSink::new();
@@ -2345,7 +2337,7 @@ mod tests {
     fn cache_turns_repeats_into_free_completions() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             51,
         );
         cfg.popularity = Popularity::Zipf { exponent: 1.1 };
@@ -2378,7 +2370,7 @@ mod tests {
     fn cached_runs_are_deterministic_and_streaming_parity_holds() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::CacheAffine,
+            PlacementKind::CacheAffine,
             52,
         );
         cfg.popularity = Popularity::Zipf { exponent: 1.1 };
@@ -2401,7 +2393,7 @@ mod tests {
     fn cached_streaming_sink_stays_monotonic_and_complete() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 3.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             53,
         );
         cfg.popularity = Popularity::HotCold {
@@ -2419,7 +2411,7 @@ mod tests {
     fn conventional_open_loop_honours_the_cache() {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             54,
         );
         cfg.popularity = Popularity::Zipf { exponent: 1.1 };
@@ -2578,7 +2570,7 @@ mod tests {
     fn conventional_attribution_conserves_with_idle_floor() {
         let cfg = config(
             ArrivalProcess::Poisson { per_second: 1.0 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             65,
         );
         let (run, ledger) = run_open_loop_conventional_attributed(&cfg, 6, IdlePolicy::Equal);
@@ -2612,7 +2604,7 @@ mod tests {
         // account for every completion and the full meter energy.
         let cfg = config(
             ArrivalProcess::Poisson { per_second: 2.0 },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             77,
         );
         let plain = run_open_loop(&cfg);
@@ -2689,7 +2681,7 @@ mod tests {
                 spike_duration_s: 60.0,
                 spike_per_second: 10.0,
             },
-            SchedulerPolicy::LeastLoaded,
+            PlacementKind::LeastLoaded,
             79,
         );
         let (_, a) = run_open_loop_monitored_streaming(&cfg, &TelemetryConfig::default());
@@ -2803,7 +2795,7 @@ mod tests {
     fn grid_base() -> OpenLoopConfig {
         let mut cfg = config(
             ArrivalProcess::Poisson { per_second: 1.5 },
-            SchedulerPolicy::RandomStatic,
+            PlacementKind::RandomStatic,
             11,
         );
         cfg.workers = 8;
@@ -3128,9 +3120,9 @@ mod tests {
     #[test]
     fn new_placements_complete_everything() {
         for scheduler in [
-            SchedulerPolicy::WorkConserving,
-            SchedulerPolicy::JoinShortestQueue,
-            SchedulerPolicy::WarmFirst,
+            PlacementKind::WorkConserving,
+            PlacementKind::JoinShortestQueue,
+            PlacementKind::WarmFirst,
         ] {
             let run = run_open_loop(&config(
                 ArrivalProcess::Poisson { per_second: 1.0 },

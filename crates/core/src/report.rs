@@ -193,35 +193,6 @@ impl ClusterRun {
     pub fn per_function(&self) -> BTreeMap<FunctionId, FunctionStats> {
         aggregate(&self.records)
     }
-
-    /// Worker-visible job-time percentiles (exec + overhead) in
-    /// milliseconds: `(p50, p95, p99)`. Returns `None` for an empty run.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use microfaas::config::WorkloadMix;
-    /// use microfaas::micro::{run_microfaas, MicroFaasConfig};
-    ///
-    /// let run = run_microfaas(&MicroFaasConfig::paper_prototype(WorkloadMix::quick(), 42));
-    /// let (p50, p95, p99) = run.latency_percentiles_ms().expect("jobs completed");
-    /// assert!(p50 <= p95 && p95 <= p99);
-    /// ```
-    pub fn latency_percentiles_ms(&self) -> Option<(f64, f64, f64)> {
-        if self.records.is_empty() {
-            return None;
-        }
-        let mut samples: microfaas_sim::Samples = self
-            .records
-            .iter()
-            .map(|r| r.total().as_millis_f64())
-            .collect();
-        Some((
-            samples.percentile(50.0).expect("non-empty"),
-            samples.percentile(95.0).expect("non-empty"),
-            samples.percentile(99.0).expect("non-empty"),
-        ))
-    }
 }
 
 /// Mean per-phase latency columns derived from causal [`JobSpan`]s
@@ -255,8 +226,8 @@ impl ClusterRun {
 /// let columns = PhaseColumns::from_spans(tree.jobs());
 /// assert_eq!(columns.jobs, 1);
 /// assert_eq!(columns.mean_ms, [0.1, 0.0, 0.18, 0.02, 0.02]);
-/// assert!((columns.total_ms() - 0.32).abs() < 1e-12);
 /// assert!(columns.to_string().contains("exec 0.180 ms"));
+/// assert!(columns.to_string().ends_with("(end-to-end 0.320 ms)"));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseColumns {
@@ -291,7 +262,7 @@ impl PhaseColumns {
 
     /// Sum of the per-phase means — the mean end-to-end latency, since
     /// each span's phases sum exactly to its end-to-end time.
-    pub fn total_ms(&self) -> f64 {
+    fn total_ms(&self) -> f64 {
         self.mean_ms.iter().sum()
     }
 }
@@ -378,26 +349,6 @@ mod tests {
         let run = run_with(vec![], 1, 0.0);
         assert_eq!(run.jobs_completed(), 0);
         assert_eq!(run.joules_per_function(), None);
-        assert_eq!(run.latency_percentiles_ms(), None);
-    }
-
-    #[test]
-    fn latency_percentiles_ordered() {
-        let records: Vec<JobRecord> = (1..=100)
-            .map(|i| JobRecord {
-                job: Job {
-                    id: i,
-                    function: FunctionId::FloatOps,
-                },
-                worker: 0,
-                started: SimTime::ZERO,
-                exec: SimDuration::from_millis(i * 10),
-                overhead: SimDuration::ZERO,
-            })
-            .collect();
-        let run = run_with(records, 60, 100.0);
-        let (p50, p95, p99) = run.latency_percentiles_ms().expect("non-empty");
-        assert_eq!((p50, p95, p99), (500.0, 950.0, 990.0));
     }
 
     #[test]

@@ -24,13 +24,13 @@
 use std::sync::Arc;
 
 use microfaas::cache::CacheConfig;
-use microfaas::config::{Assignment, WorkloadMix};
+use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional_with, ConventionalConfig};
 use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
-use microfaas::openloop::{run_open_loop_with, ArrivalProcess, OpenLoopConfig, SchedulerPolicy};
+use microfaas::openloop::{run_open_loop_with, ArrivalProcess, OpenLoopConfig};
 use microfaas::registry::{FunctionRegistry, FunctionSpec};
 use microfaas::FaultsConfig;
-use microfaas_sched::GovernorKind;
+use microfaas_sched::{GovernorKind, PlacementKind};
 use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use microfaas_sim::trace::{Observer, TraceBuffer};
 use microfaas_sim::{MetricsRegistry, SimDuration, SimTime};
@@ -78,14 +78,14 @@ fn conv_fingerprint(config: &ConventionalConfig) -> ClosedFingerprint {
 }
 
 /// The quick-mix default of each class under `assignment`.
-fn micro_default(assignment: Assignment, seed: u64) -> MicroFaasConfig {
+fn micro_default(assignment: PlacementKind, seed: u64) -> MicroFaasConfig {
     let quick: Arc<WorkloadMix> = Arc::new(WorkloadMix::quick());
     let mut config = MicroFaasConfig::paper_prototype(quick, seed);
     config.assignment = assignment;
     config
 }
 
-fn conv_default(assignment: Assignment, seed: u64) -> ConventionalConfig {
+fn conv_default(assignment: PlacementKind, seed: u64) -> ConventionalConfig {
     let quick: Arc<WorkloadMix> = Arc::new(WorkloadMix::quick());
     let mut config = ConventionalConfig::paper_baseline(quick, seed);
     config.assignment = assignment;
@@ -151,7 +151,7 @@ fn lru_with_ttl() -> CacheConfig {
 }
 
 fn micro_row(name: &str, turn: impl FnOnce(&mut MicroFaasConfig)) -> (String, MicroFaasConfig) {
-    let mut config = micro_default(Assignment::WorkConserving, GRID_SEED);
+    let mut config = micro_default(PlacementKind::WorkConserving, GRID_SEED);
     turn(&mut config);
     (name.to_string(), config)
 }
@@ -160,7 +160,7 @@ fn conv_row(
     name: &str,
     turn: impl FnOnce(&mut ConventionalConfig),
 ) -> (String, ConventionalConfig) {
-    let mut config = conv_default(Assignment::WorkConserving, GRID_SEED);
+    let mut config = conv_default(PlacementKind::WorkConserving, GRID_SEED);
     turn(&mut config);
     (name.to_string(), config)
 }
@@ -168,7 +168,7 @@ fn conv_row(
 /// The SBC grid: every placement, every governor, then one row per knob
 /// turned away from the paper prototype.
 fn micro_grid() -> Vec<(String, MicroFaasConfig)> {
-    let mut rows: Vec<_> = Assignment::ALL
+    let mut rows: Vec<_> = PlacementKind::ALL
         .into_iter()
         .map(|kind| micro_row(kind.label(), |c| c.assignment = kind))
         .collect();
@@ -204,7 +204,7 @@ fn micro_grid() -> Vec<(String, MicroFaasConfig)> {
             c.faults = faults(&SIX_CRASHES, NO_CHANCE)
         }),
         micro_row("everything-on", |c| {
-            c.assignment = Assignment::LeastLoaded;
+            c.assignment = PlacementKind::LeastLoaded;
             c.governor = GovernorKind::ALL[1];
             c.reboot_between_jobs = false;
             c.power_gating = false;
@@ -224,7 +224,7 @@ fn micro_grid() -> Vec<(String, MicroFaasConfig)> {
 /// server, plus 1 and 20 VMs. Only the 20-VM row oversubscribes the
 /// host's cores, so it alone runs at a CPU-share slowdown above 1.
 fn conv_grid() -> Vec<(String, ConventionalConfig)> {
-    let mut rows: Vec<_> = Assignment::ALL
+    let mut rows: Vec<_> = PlacementKind::ALL
         .into_iter()
         .map(|kind| conv_row(kind.label(), |c| c.assignment = kind))
         .collect();
@@ -251,7 +251,7 @@ fn conv_grid() -> Vec<(String, ConventionalConfig)> {
             c.faults = faults(&SIX_CRASHES, NO_CHANCE)
         }),
         conv_row("everything-on", |c| {
-            c.assignment = Assignment::LeastLoaded;
+            c.assignment = PlacementKind::LeastLoaded;
             c.governor = GovernorKind::ALL[1];
             c.reboot_between_jobs = false;
             c.invocation_timeout = Some(SimDuration::from_secs(2));
@@ -355,7 +355,7 @@ fn conv_grid_is_bit_identical_to_the_separate_engine() {
 /// expo_fnv)` for an open-loop run.
 type OpenFingerprint = (u64, u64, u64, u64, u64, u64);
 
-fn open_fingerprint(scheduler: SchedulerPolicy, seed: u64) -> OpenFingerprint {
+fn open_fingerprint(scheduler: PlacementKind, seed: u64) -> OpenFingerprint {
     let mut config = OpenLoopConfig::paper_arrangement(2, SimDuration::from_secs(600), seed);
     config.scheduler = scheduler;
     config.arrival = ArrivalProcess::Poisson { per_second: 2.0 };
@@ -372,10 +372,10 @@ fn open_fingerprint(scheduler: SchedulerPolicy, seed: u64) -> OpenFingerprint {
     )
 }
 
-fn assignment(label: &str) -> Assignment {
+fn assignment(label: &str) -> PlacementKind {
     match label {
-        "wc" => Assignment::WorkConserving,
-        "rs" => Assignment::RandomStatic,
+        "wc" => PlacementKind::WorkConserving,
+        "rs" => PlacementKind::RandomStatic,
         other => panic!("unknown assignment label {other}"),
     }
 }
@@ -589,9 +589,9 @@ fn open_loop_defaults_are_bit_identical_to_pre_subsystem_runs() {
     ];
     for (label, seed, latency, jpf, completed, cycles, trace_fnv, expo_fnv) in goldens {
         let scheduler = match label {
-            "rq" => SchedulerPolicy::RandomStatic,
-            "ll" => SchedulerPolicy::LeastLoaded,
-            "pa" => SchedulerPolicy::PowerAware,
+            "rq" => PlacementKind::RandomStatic,
+            "ll" => PlacementKind::LeastLoaded,
+            "pa" => PlacementKind::PowerAware,
             other => panic!("unknown scheduler label {other}"),
         };
         let got = open_fingerprint(scheduler, seed);
@@ -610,7 +610,7 @@ proptest! {
     /// on every observable surface, for both default placements.
     #[test]
     fn micro_default_runs_are_deterministic(seed in 0u64..10_000) {
-        for assignment in [Assignment::WorkConserving, Assignment::RandomStatic] {
+        for assignment in [PlacementKind::WorkConserving, PlacementKind::RandomStatic] {
             let config = micro_default(assignment, seed);
             let a = micro_fingerprint(&config);
             let b = micro_fingerprint(&config);
@@ -639,9 +639,9 @@ proptest! {
     #[test]
     fn open_loop_default_runs_are_deterministic(seed in 0u64..10_000) {
         for scheduler in [
-            SchedulerPolicy::RandomStatic,
-            SchedulerPolicy::LeastLoaded,
-            SchedulerPolicy::PowerAware,
+            PlacementKind::RandomStatic,
+            PlacementKind::LeastLoaded,
+            PlacementKind::PowerAware,
         ] {
             let a = open_fingerprint(scheduler, seed);
             let b = open_fingerprint(scheduler, seed);

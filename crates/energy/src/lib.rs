@@ -63,20 +63,6 @@ impl EnergyMeter {
         ChannelId(self.channels.len() - 1)
     }
 
-    /// Number of attached channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// A channel's configured name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is foreign to this meter.
-    pub fn channel_name(&self, channel: ChannelId) -> &str {
-        &self.names[channel.0]
-    }
-
     /// Updates a channel's draw (watts) at instant `at`.
     ///
     /// # Panics
@@ -95,11 +81,6 @@ impl EnergyMeter {
     /// A channel's current draw.
     pub fn power(&self, channel: ChannelId) -> f64 {
         self.channels[channel.0].value()
-    }
-
-    /// Total draw across all channels right now.
-    pub fn total_power(&self) -> f64 {
-        self.channels.iter().map(TimeWeighted::value).sum()
     }
 
     /// A channel's integrated energy from the start through `until`.
@@ -271,22 +252,27 @@ mod tests {
     }
 
     #[test]
-    fn total_power_is_live_sum() {
+    fn power_is_the_live_draw() {
         let mut meter = EnergyMeter::new(SimTime::ZERO);
         let a = meter.add_channel("a");
         let b = meter.add_channel("b");
         meter.set_power(SimTime::ZERO, a, 1.5);
         meter.set_power(SimTime::ZERO, b, 2.5);
-        assert_eq!(meter.total_power(), 4.0);
+        assert_eq!(meter.power(a) + meter.power(b), 4.0);
         assert_eq!(meter.power(a), 1.5);
     }
 
     #[test]
     fn names_round_trip() {
         let mut meter = EnergyMeter::new(SimTime::ZERO);
-        let ch = meter.add_channel("sbc-7");
-        assert_eq!(meter.channel_name(ch), "sbc-7");
-        assert_eq!(meter.channel_count(), 1);
+        meter.add_channel("sbc-7");
+        let mut metrics = microfaas_sim::MetricsRegistry::new();
+        meter.publish_metrics(&mut metrics, "m", SimTime::ZERO);
+        let rows = metrics.flatten();
+        assert_eq!(
+            rows,
+            [("m_channel_joules{channel=\"sbc-7\"}".to_string(), 0.0)]
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl BootStage {
     ];
 
     /// The single-letter label used in Fig. 1.
-    pub fn letter(self) -> char {
+    fn letter(self) -> char {
         match self {
             BootStage::KernelVersion => 'A',
             BootStage::MinimalKernelConfig => 'B',
@@ -92,7 +92,7 @@ impl BootStage {
     }
 
     /// Whether this stage applies to the given platform.
-    pub fn applies_to(self, platform: BootPlatform) -> bool {
+    fn applies_to(self, platform: BootPlatform) -> bool {
         match self {
             BootStage::FalconMode | BootStage::NoPhyReset => platform == BootPlatform::Arm,
             _ => true,

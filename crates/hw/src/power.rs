@@ -97,12 +97,6 @@ impl Default for ServerPowerModel {
     }
 }
 
-/// Top-of-rack switch draw (paper appendix: 40.87 W for the Catalyst
-/// 2960S).
-pub fn tor_switch_draw() -> Watts {
-    Watts(40.87)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,10 +138,5 @@ mod tests {
     fn watts_arithmetic() {
         assert_eq!(Watts(1.5) + Watts(2.5), Watts(4.0));
         assert_eq!(Watts(3.0).to_string(), "3.000 W");
-    }
-
-    #[test]
-    fn switch_draw_matches_appendix() {
-        assert_eq!(tor_switch_draw(), Watts(40.87));
     }
 }

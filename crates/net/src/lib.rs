@@ -325,14 +325,6 @@ fn serialization(bytes: u64, bits_per_sec: u64) -> SimDuration {
     SimDuration::from_micros(bytes * 8 * 1_000_000 / bits_per_sec)
 }
 
-/// Ethernet autonegotiation delay, the boot-time cost the paper's worker
-/// OS patches away (stage **F** in Fig. 1). IEEE 802.3 negotiation takes
-/// on the order of seconds; the paper's driver patch skips it entirely by
-/// forcing the link mode.
-pub fn autonegotiation_delay() -> SimDuration {
-    SimDuration::from_millis(2_200)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,11 +474,5 @@ mod tests {
         assert_eq!(net.node_name(a), "a");
         assert_eq!(net.node_name(b), "b");
         assert_eq!(net.node_count(), 2);
-    }
-
-    #[test]
-    fn autoneg_delay_is_seconds_scale() {
-        let d = autonegotiation_delay();
-        assert!(d.as_secs_f64() > 1.0 && d.as_secs_f64() < 5.0);
     }
 }

@@ -3,25 +3,31 @@
 //! The paper's policy — reboot between jobs, power-gate the node the
 //! moment it drains — is [`GovernorKind::RebootPerJob`], and it is the
 //! default everywhere so existing configurations reproduce the paper's
-//! numbers bit-for-bit. The other three governors trade standby energy
-//! (0.128 W per idle node) against the 1.51 s cold boot in front of the
-//! next arrival; the `policy_sweep_cached_jobs` experiment charts that frontier.
+//! numbers bit-for-bit. The keep-alive, always-on and warm-pool governors
+//! trade standby energy (0.128 W per idle node) against the 1.51 s cold
+//! boot in front of the next arrival, and the energy budget caps each
+//! tenant's attributed joules; the `policy_sweep_cached_jobs` experiment
+//! charts that frontier.
 //!
-//! Governors are consulted at three points:
+//! [`PolicyEngine`] holds the governor's state and answers each of its
+//! decisions with one `match` on the [`GovernorKind`]. Governors are
+//! consulted at three points:
 //!
-//! 1. **between back-to-back jobs** — [`Governor::reboot_between_jobs`]
-//!    decides whether the full boot window runs before the next queued
-//!    job starts;
-//! 2. **on drain** — [`Governor::on_drain`] picks a [`DrainAction`]:
-//!    gate off (the paper), or hold the node booted-idle at standby
-//!    power, optionally re-checking after an idle window;
-//! 3. **on idle expiry** — [`Governor::gate_on_idle_expiry`] decides
-//!    whether a node whose idle window elapsed finally gates off.
+//! 1. **between back-to-back jobs** —
+//!    [`PolicyEngine::reboot_between_jobs`] decides whether the full
+//!    boot window runs before the next queued job starts;
+//! 2. **on drain** — [`PolicyEngine::on_drain`] picks a
+//!    [`DrainAction`]: gate off (the paper), or hold the node
+//!    booted-idle at standby power, optionally re-checking after an
+//!    idle window;
+//! 3. **on idle expiry** — [`PolicyEngine::gate_on_idle_expiry`]
+//!    decides whether a node whose idle window elapsed finally gates
+//!    off.
 //!
 //! All governors are deterministic; none draws randomness. A future
 //! stochastic governor must use the dedicated policy stream owned by
-//! [`PolicyEngine`](crate::PolicyEngine) (the `sim/src/faults.rs`
-//! discipline), never the simulation stream.
+//! [`PolicyEngine`] (the `sim/src/faults.rs` discipline), never the
+//! simulation stream.
 //!
 //! Every power-on a governor decision triggers is visible in the trace
 //! as a `wake_requested` anchor (reasons `dispatch`, `requeue`, or
@@ -36,6 +42,7 @@ use std::str::FromStr;
 use microfaas_sim::{SimDuration, SimTime};
 
 use crate::placement::PolicyParseError;
+use crate::PolicyEngine;
 
 /// The paper's calibrated ARM worker boot window in seconds, used by
 /// [`GovernorKind::WarmPool`] to size its reserve.
@@ -302,77 +309,6 @@ pub enum DrainAction {
     },
 }
 
-/// A node power governor. Engines hold it as a trait object; the
-/// indirection cost is guarded by `benches/sched_overhead.rs`.
-pub trait Governor {
-    /// Which member of the family this is.
-    fn kind(&self) -> GovernorKind;
-
-    /// Whether the full boot window runs between back-to-back jobs.
-    /// `configured` is the engine's legacy `reboot_between_jobs` switch
-    /// — only [`GovernorKind::RebootPerJob`] honors it (preserving the
-    /// historical ablation configs); every other governor exists to
-    /// skip that reboot, so they return `false`.
-    fn reboot_between_jobs(&self, configured: bool) -> bool;
-
-    /// Called when a worker finishes its last queued job. `warm_idle`
-    /// counts the booted-idle workers the fleet would have if this one
-    /// stayed up (i.e. including this worker).
-    fn on_drain(&mut self, now: SimTime, warm_idle: usize) -> DrainAction;
-
-    /// Called when a standby worker's idle window elapses with its
-    /// queue still empty: `true` gates the node off. A `false` answer
-    /// leaves the node idle with no further expiry scheduled (the pool
-    /// shrinks again at later drain/expiry points), which keeps the
-    /// event loop finite.
-    fn gate_on_idle_expiry(&mut self, now: SimTime, warm_idle: usize) -> bool;
-
-    /// Observes an arrival for rate tracking (open loop only; the
-    /// default is a no-op).
-    fn observe_arrival(&mut self, _now: SimTime) {}
-
-    /// How many workers the governor wants kept booted-idle right now,
-    /// before clamping to the fleet size. Zero for every governor but
-    /// [`GovernorKind::WarmPool`].
-    fn warm_target(&self) -> usize {
-        0
-    }
-
-    /// Whether [`Governor::on_drain`] / [`Governor::gate_on_idle_expiry`]
-    /// actually read their `warm_idle` argument. Counting booted-idle
-    /// workers costs the engine an O(workers) fleet scan per drain, so
-    /// governors that ignore the census (every one but
-    /// [`GovernorKind::WarmPool`]) return `false` here and the engine
-    /// skips the scan — the difference between O(1) and O(workers) per
-    /// job on the million-event streaming path. Defaults to `true`: a
-    /// new governor gets a correct census until it opts out.
-    fn wants_idle_census(&self) -> bool {
-        true
-    }
-
-    /// Whether this governor enforces per-tenant energy budgets. When
-    /// `false` (every governor but [`GovernorKind::EnergyBudget`]) the
-    /// engine skips attribution bookkeeping entirely, keeping default
-    /// runs bit-identical to pre-budget builds.
-    fn budget_active(&self) -> bool {
-        false
-    }
-
-    /// Gate one arrival from `tenant` at instant `now`. Only consulted
-    /// when [`Governor::budget_active`] is `true`.
-    fn budget_admit(&mut self, _tenant: u16, _now: SimTime) -> BudgetDecision {
-        BudgetDecision::Admit
-    }
-
-    /// Charges `joules` of attributed energy to `tenant` when one of
-    /// its jobs completes. Returns `true` on a *fresh* breach (the
-    /// crossing edge, for `budget_breach` trace events), `false`
-    /// otherwise.
-    fn budget_note_energy(&mut self, _tenant: u16, _joules: f64, _now: SimTime) -> bool {
-        false
-    }
-}
-
 /// The energy-budget governor's verdict on one arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BudgetDecision {
@@ -386,167 +322,13 @@ pub enum BudgetDecision {
     Throttle(f64),
 }
 
-struct RebootPerJobGovernor;
-
-impl Governor for RebootPerJobGovernor {
-    fn kind(&self) -> GovernorKind {
-        GovernorKind::RebootPerJob
-    }
-
-    fn reboot_between_jobs(&self, configured: bool) -> bool {
-        configured
-    }
-
-    fn on_drain(&mut self, _now: SimTime, _warm_idle: usize) -> DrainAction {
-        DrainAction::PowerOff
-    }
-
-    fn gate_on_idle_expiry(&mut self, _now: SimTime, _warm_idle: usize) -> bool {
-        true
-    }
-
-    fn wants_idle_census(&self) -> bool {
-        false
-    }
-}
-
-struct KeepAliveGovernor {
-    idle_timeout: SimDuration,
-}
-
-impl Governor for KeepAliveGovernor {
-    fn kind(&self) -> GovernorKind {
-        GovernorKind::KeepAlive {
-            idle_timeout: self.idle_timeout,
-        }
-    }
-
-    fn reboot_between_jobs(&self, _configured: bool) -> bool {
-        false
-    }
-
-    fn on_drain(&mut self, _now: SimTime, _warm_idle: usize) -> DrainAction {
-        DrainAction::Standby {
-            idle_timeout: Some(self.idle_timeout),
-        }
-    }
-
-    fn gate_on_idle_expiry(&mut self, _now: SimTime, _warm_idle: usize) -> bool {
-        true
-    }
-
-    fn wants_idle_census(&self) -> bool {
-        false
-    }
-}
-
-struct AlwaysOnGovernor;
-
-impl Governor for AlwaysOnGovernor {
-    fn kind(&self) -> GovernorKind {
-        GovernorKind::AlwaysOn
-    }
-
-    fn reboot_between_jobs(&self, _configured: bool) -> bool {
-        false
-    }
-
-    fn on_drain(&mut self, _now: SimTime, _warm_idle: usize) -> DrainAction {
-        DrainAction::Standby { idle_timeout: None }
-    }
-
-    fn gate_on_idle_expiry(&mut self, _now: SimTime, _warm_idle: usize) -> bool {
-        false
-    }
-
-    fn wants_idle_census(&self) -> bool {
-        false
-    }
-}
-
 /// Re-check window a warm-pool member waits before asking again whether
 /// it may gate off.
 const WARM_POOL_RECHECK: SimDuration = SimDuration::from_secs(5);
 
-struct WarmPoolGovernor {
-    alpha: f64,
-    headroom: f64,
-    /// EWMA of inter-arrival gaps in seconds; `None` until two
-    /// arrivals have been seen.
-    ewma_gap_s: Option<f64>,
-    last_arrival: Option<SimTime>,
-}
-
-impl WarmPoolGovernor {
-    fn new(alpha: f64, headroom: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "warm-pool alpha in (0, 1]");
-        assert!(headroom > 0.0, "warm-pool headroom must be positive");
-        WarmPoolGovernor {
-            alpha,
-            headroom,
-            ewma_gap_s: None,
-            last_arrival: None,
-        }
-    }
-}
-
-impl Governor for WarmPoolGovernor {
-    fn kind(&self) -> GovernorKind {
-        GovernorKind::WarmPool {
-            alpha: self.alpha,
-            headroom: self.headroom,
-        }
-    }
-
-    fn reboot_between_jobs(&self, _configured: bool) -> bool {
-        false
-    }
-
-    fn on_drain(&mut self, _now: SimTime, warm_idle: usize) -> DrainAction {
-        if warm_idle <= self.warm_target() {
-            DrainAction::Standby {
-                idle_timeout: Some(WARM_POOL_RECHECK),
-            }
-        } else {
-            DrainAction::PowerOff
-        }
-    }
-
-    fn gate_on_idle_expiry(&mut self, _now: SimTime, warm_idle: usize) -> bool {
-        warm_idle > self.warm_target()
-    }
-
-    fn observe_arrival(&mut self, now: SimTime) {
-        if let Some(last) = self.last_arrival {
-            let gap = now.duration_since(last).as_secs_f64();
-            self.ewma_gap_s = Some(match self.ewma_gap_s {
-                Some(ewma) => self.alpha * gap + (1.0 - self.alpha) * ewma,
-                None => gap,
-            });
-        }
-        self.last_arrival = Some(now);
-    }
-
-    fn warm_target(&self) -> usize {
-        match self.ewma_gap_s {
-            // ceil(rate x boot x headroom): enough warm nodes for the
-            // arrivals expected during one boot window, plus headroom.
-            Some(gap) if gap > 0.0 => {
-                let rate = 1.0 / gap;
-                (rate * SBC_BOOT_SECONDS * self.headroom).ceil() as usize
-            }
-            // A burst of simultaneous arrivals (gap 0): want everything
-            // warm; the engine clamps to the fleet.
-            Some(_) => usize::MAX,
-            // No rate estimate yet: no reserve.
-            None => 0,
-        }
-    }
-}
-
 /// Per-tenant token-bucket state inside [`GovernorKind::EnergyBudget`].
 #[derive(Debug, Clone, Copy)]
-struct TenantBucket {
+pub(crate) struct TenantBucket {
     /// Joules in reserve; negative while the tenant is over-drawn.
     balance_j: f64,
     /// Instant of the last refill.
@@ -555,94 +337,130 @@ struct TenantBucket {
     breached: bool,
 }
 
-struct EnergyBudgetGovernor {
-    cap_w: f64,
-    burst_j: f64,
-    action: BudgetAction,
-    /// Lazily grown, indexed by tenant id; new tenants start with a
-    /// full bucket.
-    buckets: Vec<TenantBucket>,
-}
+impl PolicyEngine {
+    /// Whether the full boot window runs between back-to-back jobs.
+    /// `configured` is the engine's legacy `reboot_between_jobs` switch
+    /// — only [`GovernorKind::RebootPerJob`] honors it (preserving the
+    /// historical ablation configs); every other governor exists to
+    /// skip that reboot, so they return `false`.
+    pub fn reboot_between_jobs(&self, configured: bool) -> bool {
+        configured && self.governor == GovernorKind::RebootPerJob
+    }
 
-impl EnergyBudgetGovernor {
-    fn new(cap_w: f64, burst_j: f64, action: BudgetAction) -> Self {
-        assert!(
-            cap_w.is_finite() && cap_w > 0.0,
-            "energy-budget cap must be positive watts"
-        );
-        assert!(
-            burst_j.is_finite() && burst_j > 0.0,
-            "energy-budget burst must be positive joules"
-        );
-        EnergyBudgetGovernor {
+    /// Called when a worker finishes its last queued job. `warm_idle`
+    /// counts the booted-idle workers the fleet would have if this one
+    /// stayed up (i.e. including this worker).
+    pub fn on_drain(&mut self, _now: SimTime, warm_idle: usize) -> DrainAction {
+        let standby = |idle_timeout| DrainAction::Standby { idle_timeout };
+        match self.governor {
+            GovernorKind::RebootPerJob => DrainAction::PowerOff,
+            GovernorKind::KeepAlive { idle_timeout } => standby(Some(idle_timeout)),
+            GovernorKind::AlwaysOn => standby(None),
+            GovernorKind::WarmPool { .. } if warm_idle <= self.warm_reserve() => {
+                standby(Some(WARM_POOL_RECHECK))
+            }
+            GovernorKind::WarmPool { .. } => DrainAction::PowerOff,
+            // Node power policy: keep-alive, so the budget loop rather
+            // than reboot churn dominates the energy the ledger
+            // attributes.
+            GovernorKind::EnergyBudget { .. } => standby(Some(DEFAULT_KEEP_ALIVE_TIMEOUT)),
+        }
+    }
+
+    /// Called when a standby worker's idle window elapses with its
+    /// queue still empty: `true` gates the node off. A `false` answer
+    /// leaves the node idle with no further expiry scheduled (the pool
+    /// shrinks again at later drain/expiry points), which keeps the
+    /// event loop finite.
+    pub fn gate_on_idle_expiry(&mut self, _now: SimTime, warm_idle: usize) -> bool {
+        match self.governor {
+            GovernorKind::AlwaysOn => false,
+            GovernorKind::WarmPool { .. } => warm_idle > self.warm_reserve(),
+            GovernorKind::RebootPerJob
+            | GovernorKind::KeepAlive { .. }
+            | GovernorKind::EnergyBudget { .. } => true,
+        }
+    }
+
+    /// Observes an arrival for rate tracking (open loop only). Only
+    /// [`GovernorKind::WarmPool`] tracks the rate; it keeps an EWMA of
+    /// the inter-arrival gaps.
+    pub fn observe_arrival(&mut self, now: SimTime) {
+        let GovernorKind::WarmPool { alpha, .. } = self.governor else {
+            return;
+        };
+        if let Some(last) = self.last_arrival {
+            let gap = now.duration_since(last).as_secs_f64();
+            self.ewma_gap_s = Some(match self.ewma_gap_s {
+                Some(ewma) => alpha * gap + (1.0 - alpha) * ewma,
+                None => gap,
+            });
+        }
+        self.last_arrival = Some(now);
+    }
+
+    /// How many workers the governor wants kept booted-idle right now,
+    /// clamped to `workers`. Zero for every governor but
+    /// [`GovernorKind::WarmPool`].
+    pub fn warm_target(&self, workers: usize) -> usize {
+        self.warm_reserve().min(workers)
+    }
+
+    /// The warm pool's reserve before clamping to the fleet.
+    fn warm_reserve(&self) -> usize {
+        let GovernorKind::WarmPool { headroom, .. } = self.governor else {
+            return 0;
+        };
+        match self.ewma_gap_s {
+            // ceil(rate x boot x headroom): enough warm nodes for the
+            // arrivals expected during one boot window, plus headroom.
+            Some(gap) if gap > 0.0 => {
+                let rate = 1.0 / gap;
+                (rate * SBC_BOOT_SECONDS * headroom).ceil() as usize
+            }
+            // A burst of simultaneous arrivals (gap 0): want everything
+            // warm; the engine clamps to the fleet.
+            Some(_) => usize::MAX,
+            // No rate estimate yet: no reserve.
+            None => 0,
+        }
+    }
+
+    /// Whether [`PolicyEngine::on_drain`] /
+    /// [`PolicyEngine::gate_on_idle_expiry`] actually read their
+    /// `warm_idle` argument. Counting booted-idle workers costs the
+    /// engine an O(workers) fleet scan per drain, so governors that
+    /// ignore the census (every one but [`GovernorKind::WarmPool`])
+    /// return `false` here and the engine skips the scan — the
+    /// difference between O(1) and O(workers) per job on the
+    /// million-event streaming path. When `false`, the engine may pass
+    /// any placeholder as `warm_idle`.
+    pub fn wants_idle_census(&self) -> bool {
+        matches!(self.governor, GovernorKind::WarmPool { .. })
+    }
+
+    /// Whether this governor enforces per-tenant energy budgets. When
+    /// `false` (every governor but [`GovernorKind::EnergyBudget`]) the
+    /// engine skips attribution bookkeeping and budget gating entirely,
+    /// keeping default runs bit-identical to pre-budget builds.
+    pub fn budget_active(&self) -> bool {
+        matches!(self.governor, GovernorKind::EnergyBudget { .. })
+    }
+
+    /// Gate one arrival from `tenant` at instant `now`. Only consulted
+    /// when [`PolicyEngine::budget_active`] is `true`; every other
+    /// governor admits.
+    pub fn budget_admit(&mut self, tenant: u16, now: SimTime) -> BudgetDecision {
+        let GovernorKind::EnergyBudget {
             cap_w,
             burst_j,
             action,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Refills `tenant`'s bucket through `now` and returns it.
-    fn bucket(&mut self, tenant: u16, now: SimTime) -> &mut TenantBucket {
-        let idx = tenant as usize;
-        while self.buckets.len() <= idx {
-            self.buckets.push(TenantBucket {
-                balance_j: self.burst_j,
-                last: SimTime::ZERO,
-                breached: false,
-            });
-        }
-        let bucket = &mut self.buckets[idx];
-        let elapsed = now.duration_since(bucket.last).as_secs_f64();
-        bucket.balance_j = (bucket.balance_j + self.cap_w * elapsed).min(self.burst_j);
-        bucket.last = now;
-        bucket
-    }
-
-    /// The refill level at which a breached tenant resumes.
-    fn resume_mark(&self) -> f64 {
-        BUDGET_RESUME_FRACTION * self.burst_j
-    }
-}
-
-impl Governor for EnergyBudgetGovernor {
-    fn kind(&self) -> GovernorKind {
-        GovernorKind::EnergyBudget {
-            cap_w: self.cap_w,
-            burst_j: self.burst_j,
-            action: self.action,
-        }
-    }
-
-    // Node power policy: keep-alive, so the budget loop rather than
-    // reboot churn dominates the energy the ledger attributes.
-    fn reboot_between_jobs(&self, _configured: bool) -> bool {
-        false
-    }
-
-    fn on_drain(&mut self, _now: SimTime, _warm_idle: usize) -> DrainAction {
-        DrainAction::Standby {
-            idle_timeout: Some(DEFAULT_KEEP_ALIVE_TIMEOUT),
-        }
-    }
-
-    fn gate_on_idle_expiry(&mut self, _now: SimTime, _warm_idle: usize) -> bool {
-        true
-    }
-
-    fn wants_idle_census(&self) -> bool {
-        false
-    }
-
-    fn budget_active(&self) -> bool {
-        true
-    }
-
-    fn budget_admit(&mut self, tenant: u16, now: SimTime) -> BudgetDecision {
-        let resume = self.resume_mark();
-        let action = self.action;
-        let cap_w = self.cap_w;
-        let bucket = self.bucket(tenant, now);
+        } = self.governor
+        else {
+            return BudgetDecision::Admit;
+        };
+        let resume = BUDGET_RESUME_FRACTION * burst_j;
+        let bucket = self.bucket(tenant, now, cap_w, burst_j);
         if !bucket.breached {
             return BudgetDecision::Admit;
         }
@@ -663,8 +481,16 @@ impl Governor for EnergyBudgetGovernor {
         }
     }
 
-    fn budget_note_energy(&mut self, tenant: u16, joules: f64, now: SimTime) -> bool {
-        let bucket = self.bucket(tenant, now);
+    /// Charges `joules` of attributed energy to `tenant` when one of
+    /// its jobs completes. Returns `true` on a *fresh* breach (the
+    /// crossing edge, for `budget_breach` trace events), `false`
+    /// otherwise — always `false` for every governor but
+    /// [`GovernorKind::EnergyBudget`].
+    pub fn budget_note_energy(&mut self, tenant: u16, joules: f64, now: SimTime) -> bool {
+        let GovernorKind::EnergyBudget { cap_w, burst_j, .. } = self.governor else {
+            return false;
+        };
+        let bucket = self.bucket(tenant, now, cap_w, burst_j);
         bucket.balance_j -= joules;
         if !bucket.breached && bucket.balance_j < 0.0 {
             bucket.breached = true;
@@ -672,34 +498,34 @@ impl Governor for EnergyBudgetGovernor {
         }
         false
     }
-}
 
-/// Builds the boxed governor for `kind`.
-///
-/// # Panics
-///
-/// Panics if a [`GovernorKind::WarmPool`] parameter is out of range
-/// (`alpha` outside `(0, 1]` or non-positive `headroom`), or if an
-/// [`GovernorKind::EnergyBudget`] cap or burst is non-positive.
-pub fn governor(kind: GovernorKind) -> Box<dyn Governor + Send> {
-    match kind {
-        GovernorKind::RebootPerJob => Box::new(RebootPerJobGovernor),
-        GovernorKind::KeepAlive { idle_timeout } => Box::new(KeepAliveGovernor { idle_timeout }),
-        GovernorKind::AlwaysOn => Box::new(AlwaysOnGovernor),
-        GovernorKind::WarmPool { alpha, headroom } => {
-            Box::new(WarmPoolGovernor::new(alpha, headroom))
+    /// Refills `tenant`'s bucket through `now` and returns it. Buckets
+    /// grow lazily, indexed by tenant id; new tenants start full.
+    fn bucket(&mut self, tenant: u16, now: SimTime, cap_w: f64, burst_j: f64) -> &mut TenantBucket {
+        let idx = tenant as usize;
+        while self.buckets.len() <= idx {
+            self.buckets.push(TenantBucket {
+                balance_j: burst_j,
+                last: SimTime::ZERO,
+                breached: false,
+            });
         }
-        GovernorKind::EnergyBudget {
-            cap_w,
-            burst_j,
-            action,
-        } => Box::new(EnergyBudgetGovernor::new(cap_w, burst_j, action)),
+        let bucket = &mut self.buckets[idx];
+        let elapsed = now.duration_since(bucket.last).as_secs_f64();
+        bucket.balance_j = (bucket.balance_j + cap_w * elapsed).min(burst_j);
+        bucket.last = now;
+        bucket
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlacementKind;
+
+    fn engine(kind: GovernorKind) -> PolicyEngine {
+        PolicyEngine::new(PlacementKind::default(), kind, 0)
+    }
 
     #[test]
     fn labels_round_trip_through_from_str() {
@@ -711,16 +537,16 @@ mod tests {
 
     #[test]
     fn reboot_per_job_honors_the_legacy_switches() {
-        let gov = governor(GovernorKind::RebootPerJob);
+        let gov = engine(GovernorKind::RebootPerJob);
         assert!(gov.reboot_between_jobs(true));
         assert!(!gov.reboot_between_jobs(false));
-        let mut gov = governor(GovernorKind::RebootPerJob);
+        let mut gov = engine(GovernorKind::RebootPerJob);
         assert_eq!(gov.on_drain(SimTime::ZERO, 1), DrainAction::PowerOff);
     }
 
     #[test]
     fn keep_alive_holds_for_its_window_then_gates() {
-        let mut gov = governor(GovernorKind::KeepAlive {
+        let mut gov = engine(GovernorKind::KeepAlive {
             idle_timeout: SimDuration::from_secs(7),
         });
         assert!(!gov.reboot_between_jobs(true));
@@ -735,7 +561,7 @@ mod tests {
 
     #[test]
     fn always_on_never_gates() {
-        let mut gov = governor(GovernorKind::AlwaysOn);
+        let mut gov = engine(GovernorKind::AlwaysOn);
         assert_eq!(
             gov.on_drain(SimTime::ZERO, 5),
             DrainAction::Standby { idle_timeout: None }
@@ -745,15 +571,19 @@ mod tests {
 
     #[test]
     fn warm_pool_sizes_the_reserve_from_the_arrival_rate() {
-        let mut gov = governor(GovernorKind::WarmPool {
+        let mut gov = engine(GovernorKind::WarmPool {
             alpha: 1.0,
             headroom: 1.5,
         });
-        assert_eq!(gov.warm_target(), 0, "no estimate before two arrivals");
+        assert_eq!(
+            gov.warm_target(usize::MAX),
+            0,
+            "no estimate before two arrivals"
+        );
         // Arrivals 0.5 s apart: rate 2/s -> ceil(2 x 1.51 x 1.5) = 5.
         gov.observe_arrival(SimTime::ZERO);
         gov.observe_arrival(SimTime::from_millis(500));
-        assert_eq!(gov.warm_target(), 5);
+        assert_eq!(gov.warm_target(usize::MAX), 5);
         // Pool below target: stay warm; above target: gate.
         assert_eq!(
             gov.on_drain(SimTime::from_secs(1), 3),
@@ -771,19 +601,19 @@ mod tests {
 
     #[test]
     fn warm_pool_tracks_a_slowing_rate_downward() {
-        let mut gov = governor(GovernorKind::WarmPool {
+        let mut gov = engine(GovernorKind::WarmPool {
             alpha: 0.5,
             headroom: 1.0,
         });
         gov.observe_arrival(SimTime::ZERO);
         gov.observe_arrival(SimTime::from_millis(250));
-        let busy_target = gov.warm_target();
+        let busy_target = gov.warm_target(usize::MAX);
         for s in 1..40 {
             gov.observe_arrival(SimTime::from_secs(10 * s));
         }
-        assert!(gov.warm_target() < busy_target);
+        assert!(gov.warm_target(usize::MAX) < busy_target);
         assert_eq!(
-            gov.warm_target(),
+            gov.warm_target(usize::MAX),
             1,
             "10 s gaps still warrant one warm node"
         );
@@ -792,7 +622,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha")]
     fn warm_pool_rejects_bad_alpha() {
-        governor(GovernorKind::WarmPool {
+        engine(GovernorKind::WarmPool {
             alpha: 0.0,
             headroom: 1.0,
         });
@@ -800,7 +630,7 @@ mod tests {
 
     #[test]
     fn energy_budget_breaches_and_recovers_with_hysteresis() {
-        let mut gov = governor(GovernorKind::EnergyBudget {
+        let mut gov = engine(GovernorKind::EnergyBudget {
             cap_w: 1.0,
             burst_j: 10.0,
             action: BudgetAction::Shed,
@@ -830,7 +660,7 @@ mod tests {
 
     #[test]
     fn energy_budget_defer_sizes_the_hold_to_the_refill_gap() {
-        let mut gov = governor(GovernorKind::EnergyBudget {
+        let mut gov = engine(GovernorKind::EnergyBudget {
             cap_w: 2.0,
             burst_j: 10.0,
             action: BudgetAction::Defer,
@@ -845,7 +675,7 @@ mod tests {
 
     #[test]
     fn energy_budget_throttle_stretches_execution() {
-        let mut gov = governor(GovernorKind::EnergyBudget {
+        let mut gov = engine(GovernorKind::EnergyBudget {
             cap_w: 1.0,
             burst_j: 5.0,
             action: BudgetAction::Throttle,
@@ -860,7 +690,7 @@ mod tests {
     #[test]
     fn non_budget_governors_always_admit() {
         for kind in [GovernorKind::RebootPerJob, GovernorKind::AlwaysOn] {
-            let mut gov = governor(kind);
+            let mut gov = engine(kind);
             assert!(!gov.budget_active());
             assert!(!gov.budget_note_energy(0, 1e9, SimTime::ZERO));
             assert_eq!(gov.budget_admit(0, SimTime::ZERO), BudgetDecision::Admit);

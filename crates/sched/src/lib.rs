@@ -1,11 +1,15 @@
 //! # microfaas-sched
 //!
-//! The pluggable scheduling subsystem of the MicroFaaS reproduction:
-//! placement policies (which worker gets the next invocation) and power
-//! governors (what a drained node does with its power state), plus the
-//! Pareto-front helper behind the `policy_sweep_cached_jobs` latency-energy
-//! explorer. See `docs/SCHEDULING.md` at the repository root for the
-//! full handbook.
+//! The scheduling subsystem of the MicroFaaS reproduction: placement
+//! policies ([`PlacementKind`]: which worker gets the next invocation)
+//! and power governors ([`GovernorKind`]: what a drained node does with
+//! its power state), plus the Pareto-front helper behind the
+//! `policy_sweep_cached_jobs` latency-energy explorer. Each policy is
+//! written once, as a `match` arm: [`PlacementKind::place`] picks a
+//! worker, and [`PolicyEngine`], the one runtime policy type both
+//! engines hold, keeps the governor's state and answers its decisions.
+//! See `docs/SCHEDULING.md` at the repository root for the full
+//! handbook.
 //!
 //! The paper's configuration — [`PlacementKind::WorkConserving`] or
 //! [`PlacementKind::RandomStatic`] placement under the
@@ -21,7 +25,7 @@
 //! deliberate exception. The ported legacy [`PlacementKind::RandomStatic`]
 //! keeps its historical draws on the *simulation* stream, because
 //! moving them would shift every subsequent jitter draw and break
-//! bit-compatibility with the paper-calibrated goldens. The four new
+//! bit-compatibility with the paper-calibrated goldens. The other six
 //! placements and all five governors are deterministic and draw
 //! nothing.
 //!
@@ -53,17 +57,17 @@ pub mod pareto;
 pub mod placement;
 
 pub use governor::{
-    governor, parse_budget_spec, BudgetAction, BudgetDecision, DrainAction, Governor, GovernorKind,
+    parse_budget_spec, BudgetAction, BudgetDecision, DrainAction, GovernorKind,
     BUDGET_RESUME_FRACTION, BUDGET_THROTTLE_FACTOR, DEFAULT_BUDGET_BURST_J, DEFAULT_BUDGET_CAP_W,
     DEFAULT_KEEP_ALIVE_TIMEOUT, DEFAULT_WARM_POOL_ALPHA, DEFAULT_WARM_POOL_HEADROOM,
     SBC_BOOT_SECONDS,
 };
 pub use pareto::{edp_winner, pareto_front};
 pub use placement::{
-    placement, NodeView, Placement, PlacementKind, PolicyParseError, CACHE_AFFINE_SPILL_BACKLOG,
-    POWER_AWARE_WAKE_BACKLOG,
+    NodeView, PlacementKind, PolicyParseError, CACHE_AFFINE_SPILL_BACKLOG, POWER_AWARE_WAKE_BACKLOG,
 };
 
+use governor::TenantBucket;
 use microfaas_sim::{Rng, SimTime};
 
 /// Salt mixed into the run seed for the subsystem's private RNG stream,
@@ -71,18 +75,22 @@ use microfaas_sim::{Rng, SimTime};
 /// from the same seed.
 const POLICY_STREAM_SALT: u64 = 0x5343_4845_445f_5247; // "SCHED_RG"
 
-/// One run's scheduling state: a boxed placement policy, a boxed
-/// governor, and the subsystem's private RNG stream.
+/// One run's scheduling state: the placement and governor kinds, the
+/// governor's state, and the subsystem's private RNG stream.
 ///
-/// Engines hold exactly one of these per run. Both policies are trait
-/// objects on purpose — the ISSUE's bench (`benches/sched_overhead.rs`)
-/// guards that the dynamic dispatch adds no measurable cost to the
-/// event-loop hot path.
+/// Engines hold exactly one of these per run. Placement is
+/// [`PlacementKind::place`]; each governor decision (the methods in
+/// [`governor`]) is one `match` on the [`GovernorKind`].
+#[derive(Debug)]
 pub struct PolicyEngine {
-    placement_kind: PlacementKind,
-    governor_kind: GovernorKind,
-    placement: Box<dyn Placement + Send>,
-    governor: Box<dyn Governor + Send>,
+    placement: PlacementKind,
+    governor: GovernorKind,
+    /// [`GovernorKind::WarmPool`]: EWMA of inter-arrival gaps in
+    /// seconds; `None` until two arrivals have been seen.
+    ewma_gap_s: Option<f64>,
+    last_arrival: Option<SimTime>,
+    /// [`GovernorKind::EnergyBudget`]: per-tenant token buckets.
+    buckets: Vec<TenantBucket>,
     /// The dedicated policy stream (the `faults.rs` discipline). Only
     /// non-legacy stochastic policies may draw from it; today none do,
     /// but the stream is seeded and threaded so adding one cannot
@@ -93,34 +101,38 @@ pub struct PolicyEngine {
 impl PolicyEngine {
     /// Builds the engine for one run. `seed` is the run seed; the
     /// private policy stream is derived from it with a fixed salt.
-    pub fn new(placement_kind: PlacementKind, governor_kind: GovernorKind, seed: u64) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`GovernorKind::WarmPool`] parameter is out of range
+    /// (`alpha` outside `(0, 1]` or non-positive `headroom`), or if an
+    /// [`GovernorKind::EnergyBudget`] cap or burst is non-positive.
+    pub fn new(placement: PlacementKind, governor: GovernorKind, seed: u64) -> Self {
+        match governor {
+            GovernorKind::WarmPool { alpha, headroom } => {
+                assert!(alpha > 0.0 && alpha <= 1.0, "warm-pool alpha in (0, 1]");
+                assert!(headroom > 0.0, "warm-pool headroom must be positive");
+            }
+            GovernorKind::EnergyBudget { cap_w, burst_j, .. } => {
+                assert!(
+                    cap_w.is_finite() && cap_w > 0.0,
+                    "energy-budget cap must be positive watts"
+                );
+                assert!(
+                    burst_j.is_finite() && burst_j > 0.0,
+                    "energy-budget burst must be positive joules"
+                );
+            }
+            _ => {}
+        }
         PolicyEngine {
-            placement_kind,
-            governor_kind,
-            placement: placement(placement_kind),
-            governor: governor(governor_kind),
+            placement,
+            governor,
+            ewma_gap_s: None,
+            last_arrival: None,
+            buckets: Vec::new(),
             policy_rng: Rng::new(seed ^ POLICY_STREAM_SALT),
         }
-    }
-
-    /// The configured placement kind.
-    pub fn placement_kind(&self) -> PlacementKind {
-        self.placement_kind
-    }
-
-    /// The configured governor kind.
-    pub fn governor_kind(&self) -> GovernorKind {
-        self.governor_kind
-    }
-
-    /// Whether this configuration is the legacy default surface: a
-    /// ported legacy placement under [`GovernorKind::RebootPerJob`].
-    /// Engines keep scheduler telemetry (trace events, `sched_*`
-    /// metrics) silent in that case so default traces and Prometheus
-    /// expositions stay byte-identical to the pre-subsystem code.
-    pub fn is_legacy_default(&self) -> bool {
-        self.placement_kind.is_legacy_assignment()
-            && self.governor_kind == GovernorKind::RebootPerJob
     }
 
     /// Places the next job. Routes the legacy
@@ -128,98 +140,29 @@ impl PolicyEngine {
     /// (`sim_rng`) to preserve its historical draw sites; every other
     /// policy gets the private policy stream.
     pub fn place(&mut self, views: &[NodeView], sim_rng: &mut Rng) -> usize {
-        if self.placement_kind.is_legacy_assignment() {
-            self.placement.place(views, sim_rng)
-        } else {
-            self.placement.place(views, &mut self.policy_rng)
-        }
+        self.place_with(None, views, sim_rng)
     }
 
     /// Places the next job given its content-cache key, with the same
-    /// legacy-vs-policy RNG routing as [`PolicyEngine::place`]. Only
+    /// RNG routing as [`PolicyEngine::place`]. Only
     /// [`PlacementKind::CacheAffine`] reads the key.
     pub fn place_keyed(&mut self, key: u64, views: &[NodeView], sim_rng: &mut Rng) -> usize {
-        if self.placement_kind.is_legacy_assignment() {
-            self.placement.place_keyed(key, views, sim_rng)
+        self.place_with(Some(key), views, sim_rng)
+    }
+
+    fn place_with(&mut self, key: Option<u64>, views: &[NodeView], sim_rng: &mut Rng) -> usize {
+        let rng = if self.placement == PlacementKind::RandomStatic {
+            sim_rng
         } else {
-            self.placement.place_keyed(key, views, &mut self.policy_rng)
-        }
-    }
-
-    /// See [`Governor::reboot_between_jobs`].
-    pub fn reboot_between_jobs(&self, configured: bool) -> bool {
-        self.governor.reboot_between_jobs(configured)
-    }
-
-    /// See [`Governor::on_drain`].
-    pub fn on_drain(&mut self, now: SimTime, warm_idle: usize) -> DrainAction {
-        self.governor.on_drain(now, warm_idle)
-    }
-
-    /// See [`Governor::gate_on_idle_expiry`].
-    pub fn gate_on_idle_expiry(&mut self, now: SimTime, warm_idle: usize) -> bool {
-        self.governor.gate_on_idle_expiry(now, warm_idle)
-    }
-
-    /// See [`Governor::observe_arrival`].
-    pub fn observe_arrival(&mut self, now: SimTime) {
-        self.governor.observe_arrival(now);
-    }
-
-    /// The governor's booted-idle reserve target, clamped to `workers`.
-    pub fn warm_target(&self, workers: usize) -> usize {
-        self.governor.warm_target().min(workers)
-    }
-
-    /// See [`Governor::wants_idle_census`]. When `false`, the engine may
-    /// pass any placeholder as `warm_idle` — the governor never reads it.
-    pub fn wants_idle_census(&self) -> bool {
-        self.governor.wants_idle_census()
-    }
-
-    /// See [`Governor::budget_active`]. When `false`, the engine skips
-    /// energy attribution and budget gating entirely.
-    pub fn budget_active(&self) -> bool {
-        self.governor.budget_active()
-    }
-
-    /// See [`Governor::budget_admit`].
-    pub fn budget_admit(&mut self, tenant: u16, now: SimTime) -> BudgetDecision {
-        self.governor.budget_admit(tenant, now)
-    }
-
-    /// See [`Governor::budget_note_energy`].
-    pub fn budget_note_energy(&mut self, tenant: u16, joules: f64, now: SimTime) -> bool {
-        self.governor.budget_note_energy(tenant, joules, now)
-    }
-}
-
-impl std::fmt::Debug for PolicyEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyEngine")
-            .field("placement", &self.placement_kind)
-            .field("governor", &self.governor_kind)
-            .finish_non_exhaustive()
+            &mut self.policy_rng
+        };
+        self.placement.place(key, views, rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_default_detection() {
-        for placement_kind in PlacementKind::ALL {
-            for governor_kind in GovernorKind::ALL {
-                let engine = PolicyEngine::new(placement_kind, governor_kind, 1);
-                assert_eq!(
-                    engine.is_legacy_default(),
-                    placement_kind.is_legacy_assignment()
-                        && governor_kind == GovernorKind::RebootPerJob,
-                );
-            }
-        }
-    }
 
     #[test]
     fn random_static_draws_come_from_the_simulation_stream() {
@@ -262,6 +205,20 @@ mod tests {
                 sim_rng.next_u64(),
                 untouched.next_u64(),
                 "{kind}: simulation stream must not advance"
+            );
+        }
+    }
+
+    #[test]
+    fn every_policy_label_opens_a_row_of_the_handbook_tables() {
+        let handbook = include_str!("../../../docs/SCHEDULING.md");
+        let placements = PlacementKind::ALL.map(PlacementKind::label);
+        let governors = GovernorKind::ALL.map(GovernorKind::label);
+        for label in placements.into_iter().chain(governors) {
+            let row = format!("| `{label}`");
+            assert!(
+                handbook.lines().any(|line| line.starts_with(&row)),
+                "docs/SCHEDULING.md has no table row for `{label}`"
             );
         }
     }

@@ -1,12 +1,12 @@
 //! Placement policies: which worker receives the next invocation.
 //!
-//! The [`Placement`] trait is deliberately narrow — a policy sees a
+//! [`PlacementKind::place`] is deliberately narrow — a policy sees a
 //! per-worker [`NodeView`] snapshot and names a worker index — so the
 //! same seven policies drive both cluster shapes:
 //!
 //! * **closed loop** (`micro`/`conventional`): the whole batch is known
-//!   at `t = 0` and the dispatcher calls [`Placement::place`] once per
-//!   job while building the static per-worker queues (except
+//!   at `t = 0` and the dispatcher calls [`PlacementKind::place`] once
+//!   per job while building the static per-worker queues (except
 //!   [`PlacementKind::WorkConserving`], which keeps one shared FIFO and
 //!   never places statically);
 //! * **open loop** (`openloop`): arrivals stream in and the policy is
@@ -17,8 +17,8 @@
 //! default runs stay bit-identical to the pre-subsystem code —
 //! [`PlacementKind::RandomStatic`] draws exactly one `rng.index(n)` per
 //! placement, and [`PlacementKind::WorkConserving`] draws nothing. The
-//! four new policies are deterministic index-picks and draw nothing at
-//! all; any future stochastic policy must draw from the dedicated
+//! other five policies are deterministic index-picks and draw nothing
+//! at all; any future stochastic policy must draw from the dedicated
 //! policy stream owned by [`PolicyEngine`](crate::PolicyEngine), never
 //! from the simulation stream.
 
@@ -37,7 +37,7 @@ pub const POWER_AWARE_WAKE_BACKLOG: usize = 2;
 pub const CACHE_AFFINE_SPILL_BACKLOG: usize = 4;
 
 /// The placement-policy family. `WorkConserving` and `RandomStatic` are
-/// the two modes the orchestration plane has always had; the other four
+/// the two modes the orchestration plane has always had; the other five
 /// are new with the scheduling subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementKind {
@@ -180,34 +180,6 @@ impl NodeView {
     }
 }
 
-/// A placement policy: maps a worker-state snapshot to a worker index.
-pub trait Placement {
-    /// Which member of the family this is.
-    fn kind(&self) -> PlacementKind;
-
-    /// Whether the closed-loop dispatcher should keep one shared FIFO
-    /// instead of asking for per-job placements.
-    fn shared_queue(&self) -> bool {
-        self.kind() == PlacementKind::WorkConserving
-    }
-
-    /// Picks the worker for the next job. `views` must be non-empty;
-    /// the returned index is `< views.len()`.
-    ///
-    /// `rng` is the stream the policy may draw from — the simulation
-    /// stream for the legacy [`PlacementKind::RandomStatic`], the
-    /// dedicated policy stream for everything else (see module docs).
-    fn place(&mut self, views: &[NodeView], rng: &mut Rng) -> usize;
-
-    /// Picks the worker for the next job given its content-cache key.
-    /// Only [`PlacementKind::CacheAffine`] reads the key; every other
-    /// policy delegates to [`Placement::place`], so key-aware call
-    /// sites can use this unconditionally.
-    fn place_keyed(&mut self, _key: u64, views: &[NodeView], rng: &mut Rng) -> usize {
-        self.place(views, rng)
-    }
-}
-
 /// First index minimizing `key` (ties break to the lowest index, the
 /// same contract as `Iterator::min_by_key`).
 fn argmin_by<K: PartialOrd>(
@@ -229,151 +201,95 @@ fn argmin_by<K: PartialOrd>(
     best.map(|(i, _)| i)
 }
 
-struct WorkConservingPlacement;
-
-impl Placement for WorkConservingPlacement {
-    fn kind(&self) -> PlacementKind {
-        PlacementKind::WorkConserving
+impl PlacementKind {
+    /// Whether the closed-loop dispatcher should keep one shared FIFO
+    /// instead of asking for per-job placements.
+    pub fn shared_queue(self) -> bool {
+        self == PlacementKind::WorkConserving
     }
 
-    fn place(&mut self, views: &[NodeView], _rng: &mut Rng) -> usize {
-        // Powered and idle beats everything; waking a gated node beats
-        // queueing; only then join the shortest powered backlog.
-        if let Some(i) = argmin_by(views, |v| v.powered && v.backlog() == 0, |_| 0usize) {
-            return i;
-        }
-        if let Some(i) = views.iter().position(|v| !v.powered) {
-            return i;
-        }
-        argmin_by(views, |v| v.powered, NodeView::backlog).unwrap_or(0)
-    }
-}
-
-struct RandomPlacement;
-
-impl Placement for RandomPlacement {
-    fn kind(&self) -> PlacementKind {
-        PlacementKind::RandomStatic
-    }
-
-    fn place(&mut self, views: &[NodeView], rng: &mut Rng) -> usize {
-        // Exactly one uniform draw over the full fleet — the historical
-        // draw the bit-compat goldens pin.
-        rng.index(views.len())
-    }
-}
-
-struct LeastLoadedPlacement;
-
-impl Placement for LeastLoadedPlacement {
-    fn kind(&self) -> PlacementKind {
-        PlacementKind::LeastLoaded
-    }
-
-    fn place(&mut self, views: &[NodeView], _rng: &mut Rng) -> usize {
-        argmin_by(views, |_| true, |v| v.load).unwrap_or(0)
-    }
-}
-
-struct JoinShortestQueuePlacement;
-
-impl Placement for JoinShortestQueuePlacement {
-    fn kind(&self) -> PlacementKind {
-        PlacementKind::JoinShortestQueue
-    }
-
-    fn place(&mut self, views: &[NodeView], _rng: &mut Rng) -> usize {
-        argmin_by(views, |_| true, |v| v.queued).unwrap_or(0)
-    }
-}
-
-struct WarmFirstPlacement;
-
-impl Placement for WarmFirstPlacement {
-    fn kind(&self) -> PlacementKind {
-        PlacementKind::WarmFirst
-    }
-
-    fn place(&mut self, views: &[NodeView], _rng: &mut Rng) -> usize {
-        if let Some(i) = argmin_by(views, |v| v.powered, NodeView::backlog) {
-            return i;
-        }
-        views.iter().position(|v| !v.powered).unwrap_or(0)
-    }
-}
-
-struct PowerAwarePlacement;
-
-impl Placement for PowerAwarePlacement {
-    fn kind(&self) -> PlacementKind {
-        PlacementKind::PowerAware
-    }
-
-    fn place(&mut self, views: &[NodeView], rng: &mut Rng) -> usize {
-        // This reproduces the historical open-loop scheduler verbatim
-        // (same candidate order, same tie-breaks) so runs that used it
-        // before the subsystem existed stay bit-identical.
-        let powered_best = argmin_by(views, |v| v.powered, NodeView::backlog);
-        if let Some(i) = powered_best {
-            if views[i].backlog() < POWER_AWARE_WAKE_BACKLOG {
-                return i;
+    /// Picks the worker for the next job. `views` must be non-empty;
+    /// the returned index is `< views.len()`.
+    ///
+    /// `key` is the job's content-cache key when the caller has one.
+    /// Only [`PlacementKind::CacheAffine`] reads it; without a key it
+    /// places least-loaded-by-backlog.
+    ///
+    /// `rng` is the stream the policy may draw from — the simulation
+    /// stream for the legacy [`PlacementKind::RandomStatic`], the
+    /// dedicated policy stream for everything else (see module docs).
+    pub fn place(self, key: Option<u64>, views: &[NodeView], rng: &mut Rng) -> usize {
+        match self {
+            PlacementKind::WorkConserving => {
+                // Powered and idle beats everything; waking a gated node
+                // beats queueing; only then join the shortest powered
+                // backlog.
+                if let Some(i) = argmin_by(views, |v| v.powered && v.backlog() == 0, |_| 0usize) {
+                    return i;
+                }
+                if let Some(i) = views.iter().position(|v| !v.powered) {
+                    return i;
+                }
+                argmin_by(views, |v| v.powered, NodeView::backlog).unwrap_or(0)
+            }
+            // Exactly one uniform draw over the full fleet — the
+            // historical draw the bit-compat goldens pin.
+            PlacementKind::RandomStatic => rng.index(views.len()),
+            PlacementKind::LeastLoaded => argmin_by(views, |_| true, |v| v.load).unwrap_or(0),
+            PlacementKind::JoinShortestQueue => {
+                argmin_by(views, |_| true, |v| v.queued).unwrap_or(0)
+            }
+            PlacementKind::WarmFirst => {
+                if let Some(i) = argmin_by(views, |v| v.powered, NodeView::backlog) {
+                    return i;
+                }
+                views.iter().position(|v| !v.powered).unwrap_or(0)
+            }
+            PlacementKind::PowerAware => {
+                // This reproduces the historical open-loop scheduler
+                // verbatim (same candidate order, same tie-breaks) so runs
+                // that used it before the subsystem existed stay
+                // bit-identical.
+                let powered_best = argmin_by(views, |v| v.powered, NodeView::backlog);
+                if let Some(i) = powered_best {
+                    if views[i].backlog() < POWER_AWARE_WAKE_BACKLOG {
+                        return i;
+                    }
+                }
+                if let Some(i) = views.iter().position(|v| !v.powered) {
+                    return i;
+                }
+                if let Some(i) = powered_best {
+                    return i;
+                }
+                // Unreachable when `views` is non-empty, kept as the
+                // historical uniform fallback.
+                rng.index(views.len())
+            }
+            PlacementKind::CacheAffine => {
+                let least_backlog = || argmin_by(views, |_| true, NodeView::backlog);
+                // Key-less dispatch (closed-loop batches): nothing to be
+                // affine to, so behave like least-loaded-by-backlog.
+                let Some(key) = key else {
+                    return least_backlog().unwrap_or(0);
+                };
+                // A fixed multiplicative mix (splitmix64 finalizer)
+                // spreads sequential FNV keys over the fleet; the home
+                // pick is a pure function of (key, fleet size) so it is
+                // stable across runs.
+                let mut h = key;
+                h ^= h >> 30;
+                h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                h ^= h >> 27;
+                h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+                h ^= h >> 31;
+                let home = (h % views.len() as u64) as usize;
+                if views[home].backlog() < CACHE_AFFINE_SPILL_BACKLOG {
+                    return home;
+                }
+                least_backlog().unwrap_or(home)
             }
         }
-        if let Some(i) = views.iter().position(|v| !v.powered) {
-            return i;
-        }
-        if let Some(i) = powered_best {
-            return i;
-        }
-        // Unreachable when `views` is non-empty, kept as the historical
-        // uniform fallback.
-        rng.index(views.len())
-    }
-}
-
-struct CacheAffinePlacement;
-
-impl Placement for CacheAffinePlacement {
-    fn kind(&self) -> PlacementKind {
-        PlacementKind::CacheAffine
-    }
-
-    fn place(&mut self, views: &[NodeView], _rng: &mut Rng) -> usize {
-        // Key-less dispatch (closed-loop batches): nothing to be affine
-        // to, so behave like least-loaded-by-backlog.
-        argmin_by(views, |_| true, NodeView::backlog).unwrap_or(0)
-    }
-
-    fn place_keyed(&mut self, key: u64, views: &[NodeView], _rng: &mut Rng) -> usize {
-        // A fixed multiplicative mix (splitmix64 finalizer) spreads
-        // sequential FNV keys over the fleet; the home pick is a pure
-        // function of (key, fleet size) so it is stable across runs.
-        let mut h = key;
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        let home = (h % views.len() as u64) as usize;
-        if views[home].backlog() < CACHE_AFFINE_SPILL_BACKLOG {
-            return home;
-        }
-        argmin_by(views, |_| true, NodeView::backlog).unwrap_or(home)
-    }
-}
-
-/// Builds the boxed policy for `kind`. The trait object is deliberate:
-/// the event-loop cost of the indirection is guarded by
-/// `benches/sched_overhead.rs`.
-pub fn placement(kind: PlacementKind) -> Box<dyn Placement + Send> {
-    match kind {
-        PlacementKind::WorkConserving => Box::new(WorkConservingPlacement),
-        PlacementKind::RandomStatic => Box::new(RandomPlacement),
-        PlacementKind::LeastLoaded => Box::new(LeastLoadedPlacement),
-        PlacementKind::JoinShortestQueue => Box::new(JoinShortestQueuePlacement),
-        PlacementKind::WarmFirst => Box::new(WarmFirstPlacement),
-        PlacementKind::PowerAware => Box::new(PowerAwarePlacement),
-        PlacementKind::CacheAffine => Box::new(CacheAffinePlacement),
     }
 }
 
@@ -409,10 +325,7 @@ mod tests {
     #[test]
     fn only_work_conserving_uses_the_shared_queue() {
         for kind in PlacementKind::ALL {
-            assert_eq!(
-                placement(kind).shared_queue(),
-                kind == PlacementKind::WorkConserving
-            );
+            assert_eq!(kind.shared_queue(), kind == PlacementKind::WorkConserving);
         }
     }
 
@@ -421,9 +334,11 @@ mod tests {
         let mut a = Rng::new(9);
         let mut b = Rng::new(9);
         let views = vec![view(0, false, false); 7];
-        let mut policy = placement(PlacementKind::RandomStatic);
         for _ in 0..50 {
-            assert_eq!(policy.place(&views, &mut a), b.index(7));
+            assert_eq!(
+                PlacementKind::RandomStatic.place(None, &views, &mut a),
+                b.index(7)
+            );
         }
     }
 
@@ -435,10 +350,7 @@ mod tests {
             view(1, false, true),
             view(1, false, true),
         ];
-        assert_eq!(
-            placement(PlacementKind::LeastLoaded).place(&views, &mut rng),
-            1
-        );
+        assert_eq!(PlacementKind::LeastLoaded.place(None, &views, &mut rng), 1);
     }
 
     #[test]
@@ -447,82 +359,73 @@ mod tests {
         // Worker 0 has the shortest queue even though it is busy.
         let views = vec![view(0, true, true), view(1, false, true)];
         assert_eq!(
-            placement(PlacementKind::JoinShortestQueue).place(&views, &mut rng),
+            PlacementKind::JoinShortestQueue.place(None, &views, &mut rng),
             0
         );
-        assert_eq!(
-            placement(PlacementKind::LeastLoaded).place(&views, &mut rng),
-            0
-        );
+        assert_eq!(PlacementKind::LeastLoaded.place(None, &views, &mut rng), 0);
     }
 
     #[test]
     fn warm_first_never_wakes_while_anything_is_powered() {
         let mut rng = Rng::new(1);
         let views = vec![view(0, false, false), view(9, true, true)];
-        assert_eq!(
-            placement(PlacementKind::WarmFirst).place(&views, &mut rng),
-            1
-        );
+        assert_eq!(PlacementKind::WarmFirst.place(None, &views, &mut rng), 1);
         let all_off = vec![view(0, false, false); 4];
-        assert_eq!(
-            placement(PlacementKind::WarmFirst).place(&all_off, &mut rng),
-            0
-        );
+        assert_eq!(PlacementKind::WarmFirst.place(None, &all_off, &mut rng), 0);
     }
 
     #[test]
     fn power_aware_packs_until_the_wake_backlog() {
         let mut rng = Rng::new(1);
-        let mut policy = placement(PlacementKind::PowerAware);
+        let policy = PlacementKind::PowerAware;
         // Backlog 1 < 2: keep packing onto the powered node.
         let packing = vec![view(0, true, true), view(0, false, false)];
-        assert_eq!(policy.place(&packing, &mut rng), 0);
+        assert_eq!(policy.place(None, &packing, &mut rng), 0);
         // Backlog 2: wake the gated node instead.
         let spilling = vec![view(1, true, true), view(0, false, false)];
-        assert_eq!(policy.place(&spilling, &mut rng), 1);
+        assert_eq!(policy.place(None, &spilling, &mut rng), 1);
         // Nothing gated left: fall back to the least-backlogged node.
         let saturated = vec![view(3, true, true), view(2, true, true)];
-        assert_eq!(policy.place(&saturated, &mut rng), 1);
+        assert_eq!(policy.place(None, &saturated, &mut rng), 1);
     }
 
     #[test]
     fn cache_affine_keeps_keys_home_until_the_spill_backlog() {
         let mut rng = Rng::new(1);
-        let mut policy = placement(PlacementKind::CacheAffine);
+        let policy = PlacementKind::CacheAffine;
         let views = vec![view(0, false, true); 4];
         // Same key, same home — repeatedly.
-        let home = policy.place_keyed(0xfeed, &views, &mut rng);
+        let home = policy.place(Some(0xfeed), &views, &mut rng);
         for _ in 0..8 {
-            assert_eq!(policy.place_keyed(0xfeed, &views, &mut rng), home);
+            assert_eq!(policy.place(Some(0xfeed), &views, &mut rng), home);
         }
         // Saturate the home node past the spill threshold: the key
         // moves to the least-backlogged worker instead.
         let mut loaded = views.clone();
         loaded[home] = view(CACHE_AFFINE_SPILL_BACKLOG, true, true);
-        let spilled = policy.place_keyed(0xfeed, &loaded, &mut rng);
+        let spilled = policy.place(Some(0xfeed), &loaded, &mut rng);
         assert_ne!(spilled, home);
         assert_eq!(loaded[spilled].backlog(), 0);
         // Key-less placement degrades to least-loaded-by-backlog.
         let uneven = vec![view(2, true, true), view(0, false, true)];
-        assert_eq!(policy.place(&uneven, &mut rng), 1);
-        // Other policies route place_keyed through place unchanged.
-        let mut jsq = placement(PlacementKind::JoinShortestQueue);
+        assert_eq!(policy.place(None, &uneven, &mut rng), 1);
+        // Other policies ignore the key.
+        let jsq = PlacementKind::JoinShortestQueue;
         assert_eq!(
-            jsq.place_keyed(0xfeed, &uneven, &mut rng),
-            jsq.place(&uneven, &mut rng)
+            jsq.place(Some(0xfeed), &uneven, &mut rng),
+            jsq.place(None, &uneven, &mut rng)
         );
     }
 
     #[test]
     fn work_conserving_routes_idle_then_wakes_then_queues() {
         let mut rng = Rng::new(1);
-        let mut policy = placement(PlacementKind::WorkConserving);
+        let policy = PlacementKind::WorkConserving;
         let idle_available = vec![view(2, true, true), view(0, false, true)];
-        assert_eq!(policy.place(&idle_available, &mut rng), 1);
+        assert_eq!(policy.place(None, &idle_available, &mut rng), 1);
         let must_wake = vec![view(1, true, true), view(0, false, false)];
-        assert_eq!(policy.place(&must_wake, &mut rng), 1);
+        assert_eq!(policy.place(None, &must_wake, &mut rng), 1);
         let all_busy = vec![view(2, true, true), view(1, true, true)];
-        assert_eq!(policy.place(&all_busy, &mut rng), 1);
+        assert_eq!(policy.place(None, &all_busy, &mut rng), 1);
     }
 }

@@ -195,11 +195,6 @@ impl MetricsRegistry {
         self.counters[id.0].1 += delta;
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
     /// Registers (or finds) the gauge `name` and returns its handle.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
         split_name(name);
@@ -215,11 +210,6 @@ impl MetricsRegistry {
     pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
         assert!(value.is_finite(), "gauge value {value} is not finite");
         self.gauges[id.0].1 = value;
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
     }
 
     /// Registers (or finds) the histogram `name` with the given upper
@@ -244,27 +234,6 @@ impl MetricsRegistry {
     /// Records one observation into a histogram.
     pub fn observe(&mut self, id: HistogramId, value: f64) {
         self.histograms[id.0].1.observe(value);
-    }
-
-    /// Total number of observations recorded in a histogram.
-    pub fn histogram_count(&self, id: HistogramId) -> u64 {
-        self.histograms[id.0].1.count
-    }
-
-    /// Sum of all observations recorded in a histogram.
-    pub fn histogram_sum(&self, id: HistogramId) -> f64 {
-        self.histograms[id.0].1.sum
-    }
-
-    /// Per-bucket (non-cumulative) counts; the last entry is the
-    /// overflow bucket.
-    pub fn bucket_counts(&self, id: HistogramId) -> &[u64] {
-        &self.histograms[id.0].1.counts
-    }
-
-    /// The upper bounds the histogram was registered with.
-    pub fn bucket_bounds(&self, id: HistogramId) -> &[f64] {
-        &self.histograms[id.0].1.bounds
     }
 
     /// Estimates the `q`-quantile (`0.0..=1.0`) of a histogram from its
@@ -332,7 +301,7 @@ impl MetricsRegistry {
     /// b.add(jobs_b, 3);
     ///
     /// a.merge(&b);
-    /// assert_eq!(a.counter_value(jobs), 5);
+    /// assert_eq!(a.flatten(), [("jobs".to_string(), 5.0)]);
     /// ```
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, value) in &other.counters {
@@ -450,7 +419,7 @@ mod tests {
         assert_eq!(a, b);
         m.inc(a);
         m.add(b, 4);
-        assert_eq!(m.counter_value(a), 5);
+        assert_eq!(m.flatten(), [("jobs_total".to_string(), 5.0)]);
     }
 
     #[test]
@@ -459,7 +428,7 @@ mod tests {
         let g = m.gauge("power_watts");
         m.set_gauge(g, 1.5);
         m.set_gauge(g, 0.128);
-        assert_eq!(m.gauge_value(g), 0.128);
+        assert_eq!(m.flatten(), [("power_watts".to_string(), 0.128)]);
     }
 
     #[test]
@@ -472,9 +441,11 @@ mod tests {
         m.observe(h, 1.5);
         m.observe(h, 2.0);
         m.observe(h, 2.000001);
-        assert_eq!(m.bucket_counts(h), &[1, 2, 1]);
-        assert_eq!(m.histogram_count(h), 4);
-        assert!((m.histogram_sum(h) - 6.500001).abs() < 1e-9);
+        // Cumulative buckets le=1, le=2, +Inf, then _sum and _count.
+        let values: Vec<f64> = m.flatten().into_iter().map(|(_, v)| v).collect();
+        assert_eq!(values[..3], [1.0, 3.0, 4.0]);
+        assert!((values[3] - 6.500001).abs() < 1e-9);
+        assert_eq!(values[4], 4.0);
     }
 
     #[test]
@@ -621,9 +592,11 @@ mod tests {
         let hb = b.histogram("lat", &[1.0]);
         b.observe(hb, 2.0);
         a.merge(&b);
-        assert_eq!(a.bucket_counts(h), &[1, 1]);
-        assert_eq!(a.histogram_count(h), 2);
-        assert!((a.histogram_sum(h) - 2.5).abs() < 1e-12);
+        // Cumulative buckets le=1, +Inf, then _sum and _count.
+        let values: Vec<f64> = a.flatten().into_iter().map(|(_, v)| v).collect();
+        assert_eq!(values[..2], [1.0, 2.0]);
+        assert!((values[2] - 2.5).abs() < 1e-12);
+        assert_eq!(values[3], 2.0);
     }
 
     #[test]

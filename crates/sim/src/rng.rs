@@ -178,24 +178,6 @@ impl Rng {
         }
     }
 
-    /// Chooses `k` distinct indices from `[0, n)` (a uniform random sample
-    /// without replacement), in selection order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
-        // Partial Fisher–Yates over an index vector.
-        let mut pool: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.index(n - i);
-            pool.swap(i, j);
-        }
-        pool.truncate(k);
-        pool
-    }
-
     /// Draws an index from the discrete distribution `cdf` describes.
     /// Consumes exactly one `f64` draw regardless of table size (binary
     /// search), which keeps multi-way choices — function popularity,
@@ -218,12 +200,6 @@ impl Rng {
         // First entry strictly above the target; the final entry catches
         // target == total only when rounding produces it (next_f64 < 1).
         table.partition_point(|&w| w <= target).min(table.len() - 1)
-    }
-
-    /// Derives an independent child generator; useful for giving each model
-    /// component its own stream so component order never perturbs results.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
     }
 }
 
@@ -384,28 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_are_distinct_and_in_range() {
-        let mut rng = Rng::new(17);
-        for _ in 0..100 {
-            let sample = rng.sample_indices(10, 4);
-            assert_eq!(sample.len(), 4);
-            let mut sorted = sample.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 4, "duplicate indices in {sample:?}");
-            assert!(sample.iter().all(|&i| i < 10));
-        }
-    }
-
-    #[test]
-    fn sample_full_population_is_permutation() {
-        let mut rng = Rng::new(19);
-        let mut sample = rng.sample_indices(8, 8);
-        sample.sort_unstable();
-        assert_eq!(sample, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut rng = Rng::new(23);
         assert!(!(0..100).any(|_| rng.chance(0.0)));
@@ -446,14 +400,5 @@ mod tests {
     #[should_panic(expected = "must be non-decreasing")]
     fn cdf_index_rejects_non_monotone_tables() {
         CdfTable::new(vec![2.0, 1.0, 3.0]);
-    }
-
-    #[test]
-    fn forked_rngs_are_independent_of_parent_use() {
-        let mut parent1 = Rng::new(31);
-        let child1 = parent1.fork();
-        let mut parent2 = Rng::new(31);
-        let child2 = parent2.fork();
-        assert_eq!(child1, child2);
     }
 }

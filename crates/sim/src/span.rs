@@ -593,7 +593,7 @@ impl PhaseStats {
     }
 
     /// Exact nearest-rank (p50, p95, p99) of one phase, in ms.
-    pub fn phase_percentiles_ms(&mut self, phase: Phase) -> Option<(f64, f64, f64)> {
+    fn phase_percentiles_ms(&mut self, phase: Phase) -> Option<(f64, f64, f64)> {
         let s = &mut self.phases[phase.index()];
         Some((
             s.percentile(50.0)?,

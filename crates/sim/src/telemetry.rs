@@ -619,7 +619,7 @@ impl TelemetryWindow {
 
     /// Cache lookup hit rate (hits ÷ lookups), 0 when nothing was
     /// looked up in the window.
-    pub fn cache_hit_rate(&self) -> f64 {
+    fn cache_hit_rate(&self) -> f64 {
         let lookups = self.cache_hits + self.cache_misses;
         if lookups == 0 {
             0.0

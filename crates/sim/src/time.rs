@@ -45,13 +45,21 @@ impl SimTime {
     }
 
     /// Creates an instant `millis` milliseconds after the simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instant overflows `u64` microseconds.
     pub const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
+        SimTime(to_micros(millis, 1_000))
     }
 
     /// Creates an instant `secs` seconds after the simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instant overflows `u64` microseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1_000_000)
+        SimTime(to_micros(secs, 1_000_000))
     }
 
     /// Returns the instant as microseconds since simulation start.
@@ -99,13 +107,21 @@ impl SimDuration {
     }
 
     /// Creates a duration of `millis` milliseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the duration overflows `u64` microseconds.
     pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000)
+        SimDuration(to_micros(millis, 1_000))
     }
 
     /// Creates a duration of `secs` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the duration overflows `u64` microseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000)
+        SimDuration(to_micros(secs, 1_000_000))
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
@@ -156,6 +172,15 @@ impl SimDuration {
     /// Returns true if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
+    }
+}
+
+/// `count` units of `unit_micros` microseconds each, refusing to wrap
+/// in every build profile.
+const fn to_micros(count: u64, unit_micros: u64) -> u64 {
+    match count.checked_mul(unit_micros) {
+        Some(micros) => micros,
+        None => panic!("simulated time overflows u64 microseconds"),
     }
 }
 
@@ -253,6 +278,38 @@ mod tests {
         let d = SimDuration::from_micros(250);
         assert_eq!((t + d).as_micros(), 5_250);
         assert_eq!((t + d) - t, d);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflows u64 microseconds")]
+    fn duration_from_secs_refuses_to_wrap() {
+        let last = u64::MAX / 1_000_000;
+        assert_eq!(SimDuration::from_secs(last).as_micros(), last * 1_000_000);
+        let _ = SimDuration::from_secs(last + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflows u64 microseconds")]
+    fn duration_from_millis_refuses_to_wrap() {
+        let last = u64::MAX / 1_000;
+        assert_eq!(SimDuration::from_millis(last).as_micros(), last * 1_000);
+        let _ = SimDuration::from_millis(last + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflows u64 microseconds")]
+    fn instant_from_secs_refuses_to_wrap() {
+        let last = u64::MAX / 1_000_000;
+        assert_eq!(SimTime::from_secs(last).as_micros(), last * 1_000_000);
+        let _ = SimTime::from_secs(last + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflows u64 microseconds")]
+    fn instant_from_millis_refuses_to_wrap() {
+        let last = u64::MAX / 1_000;
+        assert_eq!(SimTime::from_millis(last).as_micros(), last * 1_000);
+        let _ = SimTime::from_millis(last + 1);
     }
 
     #[test]

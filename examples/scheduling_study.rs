@@ -7,9 +7,9 @@
 
 use microfaas::config::{Jitter, WorkloadMix};
 use microfaas::micro::{run_microfaas, MicroFaasConfig};
-use microfaas::openloop::{run_open_loop, ArrivalProcess, OpenLoopConfig, SchedulerPolicy};
+use microfaas::openloop::{run_open_loop, ArrivalProcess, OpenLoopConfig};
 use microfaas::timeline::Timeline;
-use microfaas_sched::GovernorKind;
+use microfaas_sched::{GovernorKind, PlacementKind};
 use microfaas_sim::SimDuration;
 use microfaas_workloads::FunctionId;
 
@@ -21,11 +21,11 @@ fn main() {
         "policy", "mean lat", "p95 lat", "J/func", "mean powered", "power cycles"
     );
     for (name, policy) in [
-        ("random", SchedulerPolicy::RandomStatic),
-        ("least-loaded", SchedulerPolicy::LeastLoaded),
-        ("jsq", SchedulerPolicy::JoinShortestQueue),
-        ("warm-first", SchedulerPolicy::WarmFirst),
-        ("power-aware", SchedulerPolicy::PowerAware),
+        ("random", PlacementKind::RandomStatic),
+        ("least-loaded", PlacementKind::LeastLoaded),
+        ("jsq", PlacementKind::JoinShortestQueue),
+        ("warm-first", PlacementKind::WarmFirst),
+        ("power-aware", PlacementKind::PowerAware),
     ] {
         let run = run_open_loop(&OpenLoopConfig {
             workers: 10,

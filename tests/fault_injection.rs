@@ -8,10 +8,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use microfaas::config::{Assignment, WorkloadMix};
+use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional, ConventionalConfig};
 use microfaas::micro::{run_microfaas, MicroFaasConfig};
 use microfaas::FaultsConfig;
+use microfaas_sched::PlacementKind;
 use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use microfaas_sim::{SimDuration, SimTime};
 use microfaas_workloads::FunctionId;
@@ -95,7 +96,7 @@ fn crash_plan(crashes: &[(usize, u64)]) -> FaultsConfig {
 #[test]
 fn a_retry_wakes_the_powered_off_sbc_it_lands_on() {
     let mut config = MicroFaasConfig::paper_prototype(WorkloadMix::quick(), 1);
-    config.assignment = Assignment::RandomStatic;
+    config.assignment = PlacementKind::RandomStatic;
     config.faults = crash_plan(&[(5, 300)]);
     let run = run_microfaas(&config);
     assert_eq!(run.failed(), 0, "{:?}", run.dropped);
@@ -108,7 +109,7 @@ fn a_retry_wakes_the_powered_off_sbc_it_lands_on() {
 #[test]
 fn a_retry_reaches_the_idle_vm_it_lands_on() {
     let mut config = ConventionalConfig::paper_baseline(WorkloadMix::quick(), 0);
-    config.assignment = Assignment::RandomStatic;
+    config.assignment = PlacementKind::RandomStatic;
     config.faults = crash_plan(&[(1, 240)]);
     let run = run_conventional(&config);
     assert_eq!(run.failed(), 0, "{:?}", run.dropped);
@@ -135,7 +136,7 @@ proptest! {
         vm_crashes in prop::collection::vec((0usize..6, 1u64..255), 1..4),
     ) {
         let mix = Arc::new(WorkloadMix::quick());
-        for kind in Assignment::ALL {
+        for kind in PlacementKind::ALL {
             let mut micro = MicroFaasConfig::paper_prototype(mix.clone(), seed);
             micro.assignment = kind;
             micro.faults = crash_plan(&sbc_crashes);

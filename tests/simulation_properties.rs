@@ -4,10 +4,11 @@
 
 use proptest::prelude::*;
 
-use microfaas::config::{Assignment, Jitter, WorkloadMix};
+use microfaas::config::{Jitter, WorkloadMix};
 use microfaas::conventional::{run_conventional, ConventionalConfig};
 use microfaas::micro::{run_microfaas, MicroFaasConfig};
 use microfaas::timeline::Timeline;
+use microfaas_sched::PlacementKind;
 use microfaas_workloads::FunctionId;
 
 fn mix_strategy() -> impl Strategy<Value = WorkloadMix> {
@@ -25,8 +26,8 @@ fn micro_config_strategy() -> impl Strategy<Value = MicroFaasConfig> {
         any::<bool>(),
         any::<bool>(),
         prop_oneof![
-            Just(Assignment::WorkConserving),
-            Just(Assignment::RandomStatic)
+            Just(PlacementKind::WorkConserving),
+            Just(PlacementKind::RandomStatic)
         ],
     )
         .prop_map(|(mix, workers, seed, reboot, gating, assignment)| {
