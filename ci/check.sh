@@ -59,6 +59,17 @@ for workload in paper-closed capacity-1m policy-sweeps flash-day observed-1m; do
     echo "$bench_out"
     echo "$bench_out" | tail -n 1 | grep -q '"failed":0' || {
         echo "$workload benchmark pass failed its correctness gate"; exit 1; }
+    # The dense open loop's footprint: 16,384 128-byte worker records,
+    # 24-byte queued jobs and 24-byte queue entries read about 24.9 MB
+    # of peak RSS (the layout before them, 32.8 MB; one run's passes
+    # spread by 1% at most).
+    if [ "$workload" = capacity-1m ]; then
+        rss="$(echo "$bench_out" | tail -n 1 \
+            | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p')"
+        [ -n "$rss" ] || { echo "capacity-1m pass printed no peak_rss_mb"; exit 1; }
+        awk -v r="$rss" 'BEGIN { exit !(r <= 27) }' || {
+            echo "capacity-1m peak RSS $rss MB exceeds the 27 MB ceiling"; exit 1; }
+    fi
 done
 
 echo "==> benchmark package lints: clippy (deny warnings) and rustfmt"

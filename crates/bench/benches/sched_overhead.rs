@@ -49,10 +49,7 @@ fn bench_closed_loop_dispatch(c: &mut Criterion) {
             |b, &(placement, governor)| {
                 b.iter(|| {
                     let mut config = MicroFaasConfig::paper_prototype(mix.clone(), 42);
-                    config.assignment = match placement {
-                        PlacementKind::RandomStatic => PlacementKind::RandomStatic,
-                        _ => PlacementKind::WorkConserving,
-                    };
+                    config.assignment = placement;
                     config.governor = governor;
                     run_microfaas(black_box(&config))
                 })

@@ -849,8 +849,12 @@ fn scenarios(f: &Flags) -> Result<(), ParseArgsError> {
         "regime", "winner placement", "governor", "mean_lat", "J/func", "watts", "worst-SLO"
     );
     for outcome in &outcomes {
-        let p = outcome.winning_point();
-        let worst = outcome.slo_attainment[outcome.winner];
+        let Some(w) = outcome.winner else {
+            let name = &outcome.scenario.name;
+            println!("{name:<12} no winner: no point has a finite energy-delay product");
+            continue;
+        };
+        let (p, worst) = (&outcome.points[w], outcome.slo_attainment[w]);
         let hit_col = if show_hits {
             format!(" {:>6.1}%", p.hit_rate * 100.0)
         } else {

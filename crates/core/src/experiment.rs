@@ -586,14 +586,16 @@ pub struct ScenarioOutcome {
     /// tenant classes.
     pub slo_attainment: Vec<f64>,
     /// Index into [`ScenarioOutcome::points`] of the regime's
-    /// energy-delay-product winner ([`microfaas_sched::edp_winner`]).
-    pub winner: usize,
+    /// energy-delay-product winner ([`microfaas_sched::edp_winner`]);
+    /// `None` when no point has a finite product (say, a zero duration,
+    /// where no job completes and every mean latency is NaN).
+    pub winner: Option<usize>,
 }
 
 impl ScenarioOutcome {
-    /// The regime's EDP-winning point.
-    pub fn winning_point(&self) -> &PolicyPoint {
-        &self.points[self.winner]
+    /// The regime's EDP-winning point, if it has one.
+    pub fn winning_point(&self) -> Option<&PolicyPoint> {
+        self.winner.map(|w| &self.points[w])
     }
 }
 
@@ -657,12 +659,11 @@ pub fn scenario_sweep_cached_jobs(
             for (point, on_front) in points.iter_mut().zip(pareto_front(&coords)) {
                 point.pareto = on_front;
             }
-            let winner = edp_winner(&coords).expect("cross product is never empty");
             ScenarioOutcome {
                 scenario: scenario.clone(),
                 points,
                 slo_attainment,
-                winner,
+                winner: edp_winner(&coords),
             }
         })
         .collect()
@@ -671,7 +672,8 @@ pub fn scenario_sweep_cached_jobs(
 /// Renders a scenario sweep as the CSV the `scenarios` CLI subcommand
 /// emits (see `docs/EXPERIMENTS.md` for the column contract). The
 /// `slo_attainment` column is empty for regimes without tenant classes,
-/// and `winner` marks each regime's energy-delay-product pick.
+/// and `winner` marks each regime's energy-delay-product pick (a regime
+/// with no finite product marks none).
 pub fn scenario_sweep_csv(outcomes: &[ScenarioOutcome]) -> String {
     let mut out = String::from(
         "scenario,placement,governor,completed,mean_latency_s,p95_latency_s,\
@@ -701,7 +703,7 @@ pub fn scenario_sweep_csv(outcomes: &[ScenarioOutcome]) -> String {
                 p.joules_saved,
                 p.cached_edp,
                 u8::from(p.pareto),
-                u8::from(i == outcome.winner),
+                u8::from(outcome.winner == Some(i)),
             ));
         }
     }
@@ -918,7 +920,7 @@ mod tests {
             );
             assert_eq!(outcome.slo_attainment.len(), outcome.points.len());
             // The EDP winner sits on that regime's Pareto front.
-            assert!(outcome.winning_point().pareto);
+            assert!(outcome.winning_point().expect("a winner").pareto);
         }
         // Regime 0 (steady) has no tenants; regime 1 (heavy-tail) does,
         // so its worst-tenant attainment is a real fraction.
@@ -927,6 +929,24 @@ mod tests {
             .slo_attainment
             .iter()
             .all(|a| (0.0..=1.0).contains(a)));
+    }
+
+    #[test]
+    fn a_regime_with_no_finite_edp_names_no_winner() {
+        // At a zero duration nothing arrives, so every point's mean
+        // latency is NaN and no energy-delay product is finite.
+        let outcomes = scenario_sweep_cached_jobs(
+            &Scenario::standard_suite(),
+            SimDuration::ZERO,
+            10,
+            1,
+            &CacheConfig::Off,
+            Jobs::serial(),
+        );
+        assert_eq!(outcomes.len(), 5);
+        assert!(outcomes.iter().all(|o| o.winner.is_none()));
+        let csv = scenario_sweep_csv(&outcomes);
+        assert!(csv.lines().skip(1).all(|row| row.ends_with(",0")));
     }
 
     #[test]

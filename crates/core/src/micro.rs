@@ -197,9 +197,7 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
     };
     let mut meter = EnergyMeter::new(SimTime::ZERO);
     let fleet = SbcFleet {
-        nodes: (0..config.workers)
-            .map(|w| SbcNode::new(w, SimTime::ZERO))
-            .collect(),
+        nodes: vec![SbcNode::new(SimTime::ZERO); config.workers],
         channels: (0..config.workers)
             .map(|w| meter.add_channel(format!("sbc-{w}")))
             .collect(),

@@ -49,6 +49,7 @@ use microfaas_hw::sbc::{SbcNode, SbcState};
 use microfaas_hw::{RackServer, VmState};
 use microfaas_sched::{
     BudgetDecision, DrainAction, GovernorKind, NodeView, PlacementKind, PolicyEngine,
+    BUDGET_THROTTLE_FACTOR,
 };
 use microfaas_sim::faults::{FaultInjector, FaultKind};
 use microfaas_sim::telemetry::{TelemetryConfig, TelemetrySeries};
@@ -605,6 +606,19 @@ fn simulate<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
     sink: &mut S,
     attr: Option<Attributor>,
 ) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
+    engine(config, class, observer, latencies, sink, attr).run()
+}
+
+/// Builds the engine for one open-loop run of `class`, before its first
+/// event.
+fn engine<'a, C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
+    config: &'a OpenLoopConfig,
+    class: C,
+    observer: &'a mut O,
+    latencies: L,
+    sink: &'a mut S,
+    attr: Option<Attributor>,
+) -> OpenSim<'a, C, O, L, S> {
     assert!(!config.functions.is_empty(), "need at least one function");
     config.arrival.validate();
     // Compiles the popularity skew (validating it) and the tenant mix.
@@ -662,7 +676,7 @@ fn simulate<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
         cache: ResultCache::from_config(&config.cache),
         coalesce: CoalesceTable::new(),
         input_variants: config.cache.input_variants() as usize,
-        deferred: VecDeque::new(),
+        parked: Parked::default(),
         views: Vec::with_capacity(nodes),
         placement,
         sched_active,
@@ -672,42 +686,104 @@ fn simulate<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
         completed: 0,
         shed: 0,
     }
-    .run()
 }
 
+/// An event of the open loop. Node indices are `u32` (every fleet is
+/// built with at most `u32::MAX` nodes, see [`fleet_size`]), so an
+/// event is eight bytes and a queue entry 24: a dense run keeps tens of
+/// thousands pending.
 #[derive(Debug, Clone, Copy)]
 enum Event<T> {
     /// The next arrival (or batch of arrivals) is due.
     Arrival,
     /// A boot or reboot window ended; the node is idle.
-    BootDone(usize),
+    BootDone(u32),
     /// The function body finished; the response leaves the node and the
     /// lumped overhead begins.
-    ExecDone(usize),
+    ExecDone(u32),
     /// The overhead elapsed; the job is complete.
-    JobDone(usize),
+    JobDone(u32),
     /// An [`EnergyBudget`](GovernorKind::EnergyBudget) deferral elapsed:
-    /// the oldest parked job re-enters placement unconditionally.
-    Release,
+    /// the job parked in this slot of [`Parked`] re-enters placement
+    /// unconditionally.
+    Release(u32),
     /// A timer of the node class.
-    Node(usize, T),
+    Node(u32, T),
 }
 
+const _: () = assert!(std::mem::size_of::<Event<SbcTimer>>() == 8);
+const _: () = assert!(std::mem::size_of::<Event<Infallible>>() == 8);
+
+/// Checks a fleet of `n` nodes before it is built: at least one node,
+/// and every index fits the `u32` an [`Event`] carries, so the
+/// `w as u32` at each schedule never truncates.
+fn fleet_size(n: usize, node: &str) -> usize {
+    assert!(n > 0, "cluster needs at least one {node}");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "cluster holds at most {} {node}s, got {n}",
+        u32::MAX
+    );
+    n
+}
+
+/// One invocation between its arrival and its completion: queued on a
+/// node, running, parked by a budget deferral, or coalesced behind an
+/// identical invoke. 24 bytes: a dense run keeps tens of thousands in
+/// flight.
 #[derive(Debug, Clone, Copy)]
 struct QueuedJob {
     /// Arrival ordinal, used as the job id in trace events.
     id: u64,
-    function: FunctionId,
     arrived: SimTime,
+    /// The canonical input drawn for the result cache; 0 (and never
+    /// read) when the cache is off. With the function it gives the
+    /// job's content key ([`QueuedJob::key`]).
+    variant: u32,
     /// Tenant-class index; 0 when no classes are configured.
     tenant: u16,
-    /// Content-cache key; 0 (and never read) when the cache is off.
-    key: u64,
-    /// Execution-time multiplier applied by an
-    /// [`EnergyBudget`](GovernorKind::EnergyBudget) throttle action;
-    /// `1.0` everywhere else (exact under IEEE-754, so the multiply
-    /// cannot perturb legacy bit-compatibility).
-    throttle: f64,
+    function: FunctionId,
+    /// Set by an [`EnergyBudget`](GovernorKind::EnergyBudget) throttle
+    /// action: the job runs [`BUDGET_THROTTLE_FACTOR`] times longer.
+    throttled: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<QueuedJob>() == 24);
+
+impl QueuedJob {
+    /// The job's content-cache key.
+    fn key(&self) -> u64 {
+        content_key(self.function.index(), u64::from(self.variant))
+    }
+}
+
+/// Jobs parked by budget deferrals. Each holds a slot until the
+/// [`Event::Release`] scheduled for it names that slot, so every job
+/// waits out its own tenant's hold; freed slots are reused.
+#[derive(Default)]
+struct Parked {
+    slots: Vec<Option<QueuedJob>>,
+    free: Vec<u32>,
+}
+
+impl Parked {
+    /// Parks `job` and returns its slot.
+    fn park(&mut self, job: QueuedJob) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = Some(job);
+            return slot;
+        }
+        self.slots.push(Some(job));
+        u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 jobs parked at once")
+    }
+
+    /// Takes the job parked in `slot` and frees the slot.
+    fn release(&mut self, slot: u32) -> QueuedJob {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a job is parked here")
+    }
 }
 
 /// What the engine tracks per node: the jobs placed on it and the
@@ -919,9 +995,8 @@ struct OpenSim<'a, C: OpenClass, O, L, S> {
     cache: Option<ResultCache<()>>,
     coalesce: CoalesceTable<QueuedJob>,
     input_variants: usize,
-    /// Jobs parked by a budget deferral, released FIFO by
-    /// [`Event::Release`].
-    deferred: VecDeque<QueuedJob>,
+    /// Jobs parked by a budget deferral.
+    parked: Parked,
     views: Vec<NodeView>,
     placement: PlacementKind,
     /// Whether a non-default scheduling policy is active; its telemetry
@@ -943,6 +1018,7 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             match event {
                 Event::Arrival => self.arrival(now),
                 Event::BootDone(w) => {
+                    let w = w as usize;
                     self.class.boot_done(&mut self.core, w, now);
                     // A node that boots to an empty queue idles: a
                     // prewarmed SBC joins the warm reserve.
@@ -950,18 +1026,19 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
                         self.begin(w, now);
                     }
                 }
-                Event::ExecDone(w) => self.exec_done(w, now),
-                Event::JobDone(w) => self.job_done(w, now),
-                Event::Release => {
-                    // One Release is scheduled per deferred job, FIFO;
-                    // the job re-enters placement with no further
+                Event::ExecDone(w) => self.exec_done(w as usize, now),
+                Event::JobDone(w) => self.job_done(w as usize, now),
+                Event::Release(slot) => {
+                    // The job re-enters placement with no further
                     // admission check (the governor already priced the
                     // wait).
-                    if let Some(job) = self.deferred.pop_front() {
-                        self.dispatch(job, now);
-                    }
+                    let job = self.parked.release(slot);
+                    let key = if self.cache.is_some() { job.key() } else { 0 };
+                    self.dispatch(job, key, now);
                 }
-                Event::Node(w, timer) => self.class.on_timer(&mut self.core, w, timer, now),
+                Event::Node(w, timer) => {
+                    self.class.on_timer(&mut self.core, w as usize, timer, now);
+                }
             }
         }
         self.finish()
@@ -983,11 +1060,11 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             let function = config.functions[self.picker.pick(&mut self.core.rng)];
             let mut job = QueuedJob {
                 id: self.arrived,
-                function,
                 arrived: now,
+                variant: 0,
                 tenant: self.tenants.draw(&mut self.core.rng),
-                key: 0,
-                throttle: 1.0,
+                function,
+                throttled: false,
             };
             let (id, name) = (job.id, function.name());
             let enqueued = TraceEvent::JobEnqueued {
@@ -996,12 +1073,13 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             };
             self.core.observer.emit(now, enqueued);
             self.with_metrics(|m, h| m.inc(h.jobs_arrived));
+            let mut key = 0;
             if let Some(cache) = self.cache.as_mut() {
                 // One extra sim-stream draw picks the canonical input
-                // this invocation carries.
-                let variant = self.core.rng.index(self.input_variants) as u64;
-                job.key = content_key(function.index(), variant);
-                let key = job.key;
+                // this invocation carries (below `input_variants`, a
+                // `u32`).
+                job.variant = self.core.rng.index(self.input_variants) as u32;
+                key = job.key();
                 if cache.lookup(key, now.as_micros()).is_some() {
                     // Zero-energy fast path: the orchestration plane
                     // (worker 0 by convention) serves the stored result
@@ -1036,10 +1114,10 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
                 };
                 self.core.observer.emit(now, miss);
             }
-            if self.budget_active && !self.admit(&mut job, now) {
+            if self.budget_active && !self.admit(&mut job, key, now) {
                 continue;
             }
-            self.dispatch(job, now);
+            self.dispatch(job, key, now);
         }
         self.class.arrivals_placed(&mut self.core, now);
         let gap = config
@@ -1052,7 +1130,8 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
     /// tenant's token bucket decides whether this invocation runs,
     /// waits, or runs slowly. Cache hits bypass it — a served result
     /// costs no joules. Returns `false` if the job was shed or parked.
-    fn admit(&mut self, job: &mut QueuedJob, now: SimTime) -> bool {
+    /// `key` is the job's content key when the cache is on.
+    fn admit(&mut self, job: &mut QueuedJob, key: u64, now: SimTime) -> bool {
         let (action, admitted) = match self.core.policy.budget_admit(job.tenant, now) {
             BudgetDecision::Admit => return true,
             BudgetDecision::Shed => {
@@ -1060,19 +1139,19 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
                 // Release any coalesce leadership the cache just took,
                 // so a later identical invoke can lead.
                 if self.cache.is_some() {
-                    let _ = self.coalesce.complete(job.key);
+                    let _ = self.coalesce.complete(key);
                 }
                 ("shed", false)
             }
             BudgetDecision::Defer(delay) => {
                 // Coalesce leadership (if any) stays with the deferred
                 // job; followers drain when it eventually completes.
-                self.deferred.push_back(*job);
-                self.core.queue.schedule(now + delay, Event::Release);
+                let slot = self.parked.park(*job);
+                self.core.queue.schedule(now + delay, Event::Release(slot));
                 ("defer", false)
             }
-            BudgetDecision::Throttle(factor) => {
-                job.throttle = factor;
+            BudgetDecision::Throttle => {
+                job.throttled = true;
                 ("throttle", true)
             }
         };
@@ -1083,8 +1162,9 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
         admitted
     }
 
-    /// Places one admitted job and lets its node react.
-    fn dispatch(&mut self, job: QueuedJob, now: SimTime) {
+    /// Places one admitted job and lets its node react. `key` is the
+    /// job's content key when the cache is on.
+    fn dispatch(&mut self, job: QueuedJob, key: u64, now: SimTime) {
         let core = &mut self.core;
         // Rate tracking for WarmPool (a no-op elsewhere).
         core.policy.observe_arrival(now);
@@ -1098,7 +1178,7 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             if self.cache.is_some() {
                 // Key-aware routing: CacheAffine pins hot keys to home
                 // nodes; the other policies ignore the key.
-                core.policy.place_keyed(job.key, &self.views, &mut core.rng)
+                core.policy.place_keyed(key, &self.views, &mut core.rng)
             } else {
                 core.policy.place(&self.views, &mut core.rng)
             }
@@ -1147,12 +1227,18 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
         // The class factor and the budget throttle are 1.0 wherever they
         // do not apply, and x * 1.0 == x exactly in IEEE-754.
         let jitter = core.config.jitter.factor(&mut core.rng);
+        let throttle = if job.throttled {
+            BUDGET_THROTTLE_FACTOR
+        } else {
+            1.0
+        };
         let exec = service_time(function)
             .exec(C::PLATFORM)
-            .mul_f64(jitter * factor * job.throttle);
+            .mul_f64(jitter * factor * throttle);
         let slot = self.class.slot(w);
         slot.current = Some((job, exec, now));
-        slot.pending = Some(core.queue.schedule(now + exec, Event::ExecDone(w)));
+        let done = Event::ExecDone(w as u32);
+        slot.pending = Some(core.queue.schedule(now + exec, done));
     }
 
     fn exec_done(&mut self, w: usize, now: SimTime) {
@@ -1174,7 +1260,8 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
         let overhead = service_time(job.function)
             .overhead(C::PLATFORM)
             .mul_f64(core.config.jitter.factor(&mut core.rng));
-        self.class.slot(w).pending = Some(core.queue.schedule(now + overhead, Event::JobDone(w)));
+        let done = Event::JobDone(w as u32);
+        self.class.slot(w).pending = Some(core.queue.schedule(now + overhead, done));
     }
 
     fn job_done(&mut self, w: usize, now: SimTime) {
@@ -1204,8 +1291,9 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             // The leader's result commits: store it, then drain every
             // coalesced follower at this instant. Each follower pays
             // only its queue wait.
-            cache.insert(job.key, (), now.as_micros());
-            for follower in self.coalesce.complete(job.key) {
+            let key = job.key();
+            cache.insert(key, (), now.as_micros());
+            for follower in self.coalesce.complete(key) {
                 self.free(follower, w, now);
             }
         }
@@ -1327,17 +1415,24 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
     }
 }
 
-/// One SBC worker: the engine's slot and the hardware state.
+/// One SBC worker: the engine's slot and the hardware state, in two
+/// cache lines. Every event of a job reads and writes this record, and
+/// a dense fleet (16,384 of them) does not fit the cache, so the fields
+/// a handler touches sit together: the slot first (80 bytes), then the
+/// state machine, the idle gate and the waking flag.
+#[repr(C, align(64))]
 struct Sbc {
     slot: Slot,
     node: SbcNode,
-    /// Set between the GPIO press and the power-on taking effect, so
-    /// placement sees waking nodes as powered.
-    waking: bool,
     /// The governor's pending idle gate, cancelled when a job start
     /// pre-empts the idle window.
     gate: Option<EventId>,
+    /// Set between the GPIO press and the power-on taking effect, so
+    /// placement sees waking nodes as powered.
+    waking: bool,
 }
+
+const _: () = assert!(std::mem::align_of::<Sbc>() == 64 && std::mem::size_of::<Sbc>() == 128);
 
 /// The SBC fleet: one [`SbcNode`] per worker on its own `sbc-{w}`
 /// channel, powered on and off through its GPIO line. The governor
@@ -1355,12 +1450,15 @@ struct SbcFleet {
     wants_census: bool,
 }
 
-/// Word-sized on purpose: with a one-byte timer, `Event<SbcTimer>`
-/// packs its variant tag into the timer's spare byte, and with that
-/// layout a dense run (16,384 nodes, about 120k events pending) took
-/// 17–21% longer on a 2-vCPU Xeon VM.
+/// Four bytes on purpose: beside the `u32` node index it fills an
+/// eight-byte `Event::Node`, and the values no timer uses carry the
+/// event's variant tag, so `Event<SbcTimer>` stays eight bytes and a
+/// queue entry 24. A variant that no longer fits beside that niche
+/// pushes the tag out and every entry to 32 bytes: with one `u8` added
+/// to `ExecDone`, a dense run (16,384 nodes) took 11–13% longer on a
+/// 2-vCPU VM. The `const` asserts beside [`Event`] pin the size.
 #[derive(Debug, Clone, Copy)]
-#[repr(u64)]
+#[repr(u32)]
 enum SbcTimer {
     /// The GPIO power-on took effect; the node boots.
     PowerOn,
@@ -1381,14 +1479,14 @@ impl Sbc {
 
 impl SbcFleet {
     fn new(workers: usize) -> Self {
-        assert!(workers > 0, "cluster needs at least one worker");
+        let workers = fleet_size(workers, "worker");
         SbcFleet {
             nodes: (0..workers)
-                .map(|w| Sbc {
+                .map(|_| Sbc {
                     slot: Slot::default(),
-                    node: SbcNode::new(w, SimTime::ZERO),
-                    waking: false,
+                    node: SbcNode::new(SimTime::ZERO),
                     gate: None,
+                    waking: false,
                 })
                 .collect(),
             gpio: PowerController::new(workers),
@@ -1421,7 +1519,7 @@ impl SbcFleet {
             .emit(now, TraceEvent::WakeRequested { worker: w, reason });
         let effective = self.gpio.actuate(now, w, PowerAction::On);
         core.queue
-            .schedule(effective, Event::Node(w, SbcTimer::PowerOn));
+            .schedule(effective, Event::Node(w as u32, SbcTimer::PowerOn));
     }
 
     /// Meters the boot (or reboot) window `w` just entered and schedules
@@ -1438,7 +1536,7 @@ impl SbcFleet {
             a.boot_started(w, now);
         }
         let done = now + self.nodes[w].node.boot_duration();
-        core.queue.schedule(done, Event::BootDone(w));
+        core.queue.schedule(done, Event::BootDone(w as u32));
     }
 
     /// Cuts `w`'s power once its state machine is off.
@@ -1488,7 +1586,7 @@ impl SbcFleet {
         core.mark(now, w, WorkerState::Crashed, self.power(w));
         let detected = now + core.config.faults.detection_delay;
         core.queue
-            .schedule(detected, Event::Node(w, SbcTimer::Recover));
+            .schedule(detected, Event::Node(w as u32, SbcTimer::Recover));
     }
 }
 
@@ -1513,7 +1611,8 @@ impl OpenClass for SbcFleet {
         self.wants_census = core.policy.wants_idle_census();
         for &(at, w) in FaultInjector::new(&core.config.faults.plan).scheduled_crashes() {
             if w < self.nodes.len() {
-                core.queue.schedule(at, Event::Node(w, SbcTimer::Crash));
+                core.queue
+                    .schedule(at, Event::Node(w as u32, SbcTimer::Crash));
             }
         }
     }
@@ -1601,7 +1700,7 @@ impl OpenClass for SbcFleet {
                 core.mark(now, w, WorkerState::Idle, self.power(w));
                 core.governor_transition(now, w, "standby");
                 if let Some(window) = idle_timeout {
-                    let gate = Event::Node(w, SbcTimer::IdleGate);
+                    let gate = Event::Node(w as u32, SbcTimer::IdleGate);
                     self.nodes[w].gate = Some(core.queue.schedule(now + window, gate));
                 }
             }
@@ -1698,7 +1797,7 @@ struct VmHost {
 
 impl VmHost {
     fn new(vms: usize) -> Self {
-        assert!(vms > 0, "cluster needs at least one VM");
+        let vms = fleet_size(vms, "VM");
         VmHost {
             server: RackServer::new(vms, SimTime::ZERO),
             slots: (0..vms).map(|_| Slot::default()).collect(),
@@ -1779,7 +1878,7 @@ impl OpenClass for VmHost {
         core.mark(now, v, WorkerState::Rebooting, self.power(v));
         let slowdown = self.server.current_slowdown();
         let reboot = self.server.vm_boot_duration().mul_f64(slowdown);
-        core.queue.schedule(now + reboot, Event::BootDone(v));
+        core.queue.schedule(now + reboot, Event::BootDone(v as u32));
         false
     }
 
@@ -2564,6 +2663,75 @@ mod tests {
             assert_eq!(streamed.completed, a.completed, "{action}");
             assert_eq!(streamed.mean_power_w, a.mean_power_w, "{action}");
         }
+    }
+
+    #[test]
+    fn each_deferral_releases_the_job_whose_hold_ended() {
+        // Tenant 0 is held 10 s from 0 s, then tenant 1 for 1 s from
+        // 1 s: the release at 2 s belongs to tenant 1's job, and
+        // tenant 0's job waits out its own hold until 10 s.
+        use microfaas_sched::BudgetAction;
+        let mut cfg = config(
+            ArrivalProcess::Poisson { per_second: 1.0 },
+            PlacementKind::LeastLoaded,
+            1,
+        );
+        // No arrivals: the test admits its two jobs itself.
+        cfg.duration = SimDuration::ZERO;
+        cfg.tenants = ["x", "y"]
+            .map(|name| TenantClass {
+                name: name.into(),
+                weight: 1.0,
+                slo_latency_s: 60.0,
+            })
+            .to_vec();
+        cfg.governor = GovernorKind::EnergyBudget {
+            cap_w: 5.0,
+            burst_j: 10.0,
+            action: BudgetAction::Defer,
+        };
+        let mut trace = TraceBuffer::new(1024);
+        let mut observer = Observer::tracing(&mut trace);
+        let mut sink = NullSink;
+        let mut sim = engine(
+            &cfg,
+            SbcFleet::new(cfg.workers),
+            &mut observer,
+            Samples::new(),
+            &mut sink,
+            budget_attributor(&cfg),
+        );
+        // Overdraw both buckets at 0 s. The resume mark is 5 J and the
+        // refill 5 J/s: tenant 0 sits at -45 J, 10 s short of the mark;
+        // tenant 1 at -5 J, and at 0 J (1 s short) by 1 s.
+        sim.core.policy.budget_note_energy(0, 55.0, SimTime::ZERO);
+        sim.core.policy.budget_note_energy(1, 15.0, SimTime::ZERO);
+        for (id, tenant, at) in [(1, 0, 0), (2, 1, 1)] {
+            let arrived = SimTime::from_secs(at);
+            let mut job = QueuedJob {
+                id,
+                arrived,
+                variant: 0,
+                tenant,
+                function: FunctionId::ALL[0],
+                throttled: false,
+            };
+            assert!(!sim.admit(&mut job, 0, arrived), "job {id} is parked");
+            sim.arrived += 1;
+        }
+        let run = sim.run().0;
+        assert_eq!(run.completed, 2);
+        let placed: Vec<(u64, SimTime)> = trace
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::PlacementDecision { job, .. } => Some((job, r.at)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            placed,
+            [(2, SimTime::from_secs(2)), (1, SimTime::from_secs(10))]
+        );
     }
 
     #[test]

@@ -56,19 +56,6 @@ impl fmt::Display for TransitionError {
 
 impl std::error::Error for TransitionError {}
 
-/// Cumulative per-state residency, used by the energy report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StateResidency {
-    /// Time spent powered off.
-    pub off: SimDuration,
-    /// Time spent booting or rebooting.
-    pub booting: SimDuration,
-    /// Time spent idle (standby).
-    pub idle: SimDuration,
-    /// Time spent executing functions.
-    pub executing: SimDuration,
-}
-
 /// One BeagleBone Black worker node.
 ///
 /// Its boot window is the fully optimized ARM worker OS of the Fig. 1
@@ -83,7 +70,7 @@ pub struct StateResidency {
 /// use microfaas_sim::SimTime;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut node = SbcNode::new(0, SimTime::ZERO);
+/// let mut node = SbcNode::new(SimTime::ZERO);
 /// node.power_on(SimTime::ZERO)?;
 /// let ready_at = SimTime::ZERO + node.boot_duration();
 /// node.boot_complete(ready_at)?;
@@ -93,33 +80,22 @@ pub struct StateResidency {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SbcNode {
-    id: usize,
     state: SbcState,
     state_since: SimTime,
     boot_window: SimDuration,
     power_model: SbcPowerModel,
-    residency: StateResidency,
-    jobs_completed: u64,
 }
 
 impl SbcNode {
     /// Creates a node that starts powered off at `now`, flashed with the
     /// fully optimized ARM worker OS.
-    pub fn new(id: usize, now: SimTime) -> Self {
+    pub fn new(now: SimTime) -> Self {
         SbcNode {
-            id,
             state: SbcState::Off,
             state_since: now,
             boot_window: BootTime::fully_optimized(BootPlatform::Arm).real,
             power_model: SbcPowerModel,
-            residency: StateResidency::default(),
-            jobs_completed: 0,
         }
-    }
-
-    /// The node's identifier within the cluster.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Current lifecycle state.
@@ -127,19 +103,15 @@ impl SbcNode {
         self.state
     }
 
+    /// When the node entered its current state: the instant of its last
+    /// successful transition, or of its creation.
+    pub fn state_since(&self) -> SimTime {
+        self.state_since
+    }
+
     /// Wall-clock boot time of the flashed worker OS.
     pub fn boot_duration(&self) -> SimDuration {
         self.boot_window
-    }
-
-    /// Number of functions run to completion on this node.
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed
-    }
-
-    /// Cumulative per-state residency (up to the last transition).
-    pub fn residency(&self) -> StateResidency {
-        self.residency
     }
 
     /// Instantaneous power draw in the current state.
@@ -155,13 +127,6 @@ impl SbcNode {
 
     #[inline]
     fn transition(&mut self, now: SimTime, next: SbcState) {
-        let elapsed = now.duration_since(self.state_since);
-        match self.state {
-            SbcState::Off | SbcState::Crashed => self.residency.off += elapsed,
-            SbcState::Booting | SbcState::Rebooting => self.residency.booting += elapsed,
-            SbcState::Idle => self.residency.idle += elapsed,
-            SbcState::Executing => self.residency.executing += elapsed,
-        }
         self.state = next;
         self.state_since = now;
     }
@@ -234,7 +199,6 @@ impl SbcNode {
     pub fn finish_job_and_reboot(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
-                self.jobs_completed += 1;
                 self.transition(now, SbcState::Rebooting);
                 Ok(())
             }
@@ -255,7 +219,6 @@ impl SbcNode {
     pub fn finish_job_and_power_off(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
-                self.jobs_completed += 1;
                 self.transition(now, SbcState::Off);
                 Ok(())
             }
@@ -278,7 +241,6 @@ impl SbcNode {
     pub fn finish_job_and_standby(&mut self, now: SimTime) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
-                self.jobs_completed += 1;
                 self.transition(now, SbcState::Idle);
                 Ok(())
             }
@@ -309,8 +271,7 @@ impl SbcNode {
     }
 
     /// An injected fault drops the node: any powered state → crashed.
-    /// An in-flight job is lost, *not* counted as completed — the
-    /// orchestrator requeues it.
+    /// An in-flight job is lost; the orchestrator requeues it.
     ///
     /// # Errors
     ///
@@ -359,7 +320,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle() {
-        let mut node = SbcNode::new(3, at(0));
+        let mut node = SbcNode::new(at(0));
         assert_eq!(node.state(), SbcState::Off);
         node.power_on(at(1)).expect("off -> booting");
         node.boot_complete(at(3)).expect("booting -> idle");
@@ -371,26 +332,12 @@ mod tests {
         node.finish_job_and_power_off(at(10))
             .expect("executing -> off");
         assert_eq!(node.state(), SbcState::Off);
-        assert_eq!(node.jobs_completed(), 2);
-    }
-
-    #[test]
-    fn residency_accounts_every_second() {
-        let mut node = SbcNode::new(0, at(0));
-        node.power_on(at(5)).expect("on"); // 5 s off
-        node.boot_complete(at(7)).expect("boot"); // 2 s booting
-        node.start_job(at(10)).expect("start"); // 3 s idle
-        node.finish_job_and_power_off(at(14)).expect("finish"); // 4 s exec
-        let r = node.residency();
-        assert_eq!(r.off, SimDuration::from_secs(5));
-        assert_eq!(r.booting, SimDuration::from_secs(2));
-        assert_eq!(r.idle, SimDuration::from_secs(3));
-        assert_eq!(r.executing, SimDuration::from_secs(4));
+        assert_eq!(node.state_since(), at(10));
     }
 
     #[test]
     fn power_follows_state() {
-        let mut node = SbcNode::new(0, at(0));
+        let mut node = SbcNode::new(at(0));
         assert_eq!(node.power().value(), 0.0);
         node.power_on(at(0)).expect("on");
         assert_eq!(node.power().value(), 1.96);
@@ -402,7 +349,7 @@ mod tests {
 
     #[test]
     fn illegal_transitions_are_rejected() {
-        let mut node = SbcNode::new(0, at(0));
+        let mut node = SbcNode::new(at(0));
         assert!(
             node.start_job(at(0)).is_err(),
             "cannot start a job while off"
@@ -416,7 +363,7 @@ mod tests {
 
     #[test]
     fn run_to_completion_blocks_second_job() {
-        let mut node = SbcNode::new(0, at(0));
+        let mut node = SbcNode::new(at(0));
         node.power_on(at(0)).expect("on");
         node.boot_complete(at(2)).expect("boot");
         node.start_job(at(3)).expect("first job");
@@ -426,35 +373,28 @@ mod tests {
 
     #[test]
     fn boot_duration_is_the_optimized_os() {
-        let node = SbcNode::new(0, at(0));
+        let node = SbcNode::new(at(0));
         assert_eq!(node.boot_duration(), SimDuration::from_millis(1_510));
     }
 
     #[test]
     fn crash_drops_the_job_and_recovery_is_a_cold_boot() {
-        let mut node = SbcNode::new(0, at(0));
+        let mut node = SbcNode::new(at(0));
         node.power_on(at(0)).expect("on");
         node.boot_complete(at(2)).expect("boot");
         node.start_job(at(3)).expect("start");
         node.crash(at(5)).expect("executing -> crashed");
         assert_eq!(node.state(), SbcState::Crashed);
         assert_eq!(node.power().value(), 0.0, "a crashed node draws nothing");
-        assert_eq!(node.jobs_completed(), 0, "the in-flight job is lost");
         assert!(node.start_job(at(6)).is_err(), "dead nodes take no work");
         node.recover(at(7)).expect("crashed -> booting");
         assert_eq!(node.state(), SbcState::Booting);
         node.boot_complete(at(9)).expect("booting -> idle");
-        // Residency: 2 s executing (3..5), 2 s down counted as off (5..7),
-        // then 2 s booting for the recovery cold boot (7..9).
-        let r = node.residency();
-        assert_eq!(r.executing, SimDuration::from_secs(2));
-        assert_eq!(r.off, SimDuration::from_secs(2));
-        assert_eq!(r.booting, SimDuration::from_secs(2 + 2));
     }
 
     #[test]
     fn standby_finish_returns_to_idle_without_a_boot() {
-        let mut node = SbcNode::new(0, at(0));
+        let mut node = SbcNode::new(at(0));
         node.power_on(at(0)).expect("on");
         node.boot_complete(at(2)).expect("boot");
         node.start_job(at(3)).expect("start");
@@ -462,20 +402,16 @@ mod tests {
             .expect("executing -> idle");
         assert_eq!(node.state(), SbcState::Idle);
         assert_eq!(node.power().value(), 0.128, "standby draw");
-        assert_eq!(node.jobs_completed(), 1);
         // The warm node takes the next job with no boot in between, and
         // a governor may still gate it from idle.
         node.start_job(at(6)).expect("idle -> executing");
         node.finish_job_and_standby(at(8)).expect("finish");
         node.power_off(at(9)).expect("idle -> off");
-        let r = node.residency();
-        assert_eq!(r.idle, SimDuration::from_secs(1 + 1 + 1));
-        assert_eq!(r.executing, SimDuration::from_secs(2 + 2));
     }
 
     #[test]
     fn standby_finish_requires_an_executing_node() {
-        let mut node = SbcNode::new(0, at(0));
+        let mut node = SbcNode::new(at(0));
         assert!(node.finish_job_and_standby(at(0)).is_err());
         node.power_on(at(0)).expect("on");
         assert!(node.finish_job_and_standby(at(1)).is_err());
@@ -483,7 +419,7 @@ mod tests {
 
     #[test]
     fn crash_needs_a_powered_node() {
-        let mut node = SbcNode::new(0, at(0));
+        let mut node = SbcNode::new(at(0));
         let err = node.crash(at(0)).expect_err("off nodes cannot crash");
         assert_eq!(err.to_string(), "cannot crash while off");
         assert!(node.recover(at(0)).is_err(), "nothing to recover");

@@ -61,7 +61,7 @@ fn boot_windows_equal_the_fully_optimized_profile() {
     let x86 = BootProfile::fully_optimized(BootPlatform::X86)
         .boot_time()
         .real;
-    let mut node = SbcNode::new(4, SimTime::ZERO);
+    let mut node = SbcNode::new(SimTime::ZERO);
     assert_eq!(node.boot_duration(), arm);
     // The window does not drift with the node's lifecycle.
     node.power_on(SimTime::ZERO).expect("off -> booting");

@@ -318,8 +318,9 @@ pub enum BudgetDecision {
     Shed,
     /// Over budget: hold the arrival for this long, then dispatch it.
     Defer(SimDuration),
-    /// Over budget: dispatch now but stretch execution by this factor.
-    Throttle(f64),
+    /// Over budget: dispatch now but stretch execution by
+    /// [`BUDGET_THROTTLE_FACTOR`].
+    Throttle,
 }
 
 /// Re-check window a warm-pool member waits before asking again whether
@@ -477,7 +478,7 @@ impl PolicyEngine {
                 let secs = ((resume - bucket.balance_j) / cap_w).max(0.001);
                 BudgetDecision::Defer(SimDuration::from_micros((secs * 1e6).ceil() as u64))
             }
-            BudgetAction::Throttle => BudgetDecision::Throttle(BUDGET_THROTTLE_FACTOR),
+            BudgetAction::Throttle => BudgetDecision::Throttle,
         }
     }
 
@@ -681,10 +682,7 @@ mod tests {
             action: BudgetAction::Throttle,
         });
         assert!(gov.budget_note_energy(0, 6.0, SimTime::ZERO));
-        assert_eq!(
-            gov.budget_admit(0, SimTime::ZERO),
-            BudgetDecision::Throttle(BUDGET_THROTTLE_FACTOR)
-        );
+        assert_eq!(gov.budget_admit(0, SimTime::ZERO), BudgetDecision::Throttle);
     }
 
     #[test]

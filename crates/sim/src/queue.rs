@@ -56,12 +56,33 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::num::NonZeroU64;
 
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled before it fires.
+///
+/// It holds the event's sequence number plus one, so the zero niche
+/// makes `Option<EventId>` eight bytes: the engines keep one such
+/// pending-event handle in every worker record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+pub struct EventId(NonZeroU64);
+
+const _: () = assert!(std::mem::size_of::<Option<EventId>>() == 8);
+
+impl EventId {
+    /// The id of the event with sequence number `seq`.
+    #[inline]
+    fn new(seq: u64) -> Self {
+        EventId(NonZeroU64::MIN.saturating_add(seq))
+    }
+
+    /// The sequence number of the event this id names.
+    #[inline]
+    fn seq(self) -> u64 {
+        self.0.get() - 1
+    }
+}
 
 /// Bits of timestamp resolved per wheel level; each level has `2^6 = 64`
 /// slots so one `u64` bitmap tracks slot occupancy.
@@ -306,7 +327,7 @@ impl<E> EventQueue<E> {
             if self.stored > FLAT_LIMIT {
                 self.spill();
             }
-            return EventId(seq);
+            return EventId::new(seq);
         }
         match &self.front {
             // Strictly earlier than the buffered minimum (a time tie
@@ -329,7 +350,7 @@ impl<E> EventQueue<E> {
             None => self.place(entry),
         }
         self.stored += 1;
-        EventId(seq)
+        EventId::new(seq)
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -340,7 +361,8 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Returns `true` if the event had
     /// not yet fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq || !self.retired.insert(id.0) {
+        let seq = id.seq();
+        if seq >= self.next_seq || !self.retired.insert(seq) {
             return false;
         }
         self.tombstones += 1;

@@ -49,9 +49,12 @@ fn main() {
         "regime", "arrivals", "placement", "governor", "mean lat", "J/func", "front", "worst SLO"
     );
     for outcome in &plain {
-        let p = outcome.winning_point();
+        let Some(w) = outcome.winner else {
+            println!("{:<12} no winner", outcome.scenario.name);
+            continue;
+        };
+        let (p, attainment) = (&outcome.points[w], outcome.slo_attainment[w]);
         let front = outcome.points.iter().filter(|p| p.pareto).count();
-        let attainment = outcome.slo_attainment[outcome.winner];
         println!(
             "{:<12} {:<13} {:<20} {:<15} {:>8.2}s {:>8.2} {:>8} {:>9}",
             outcome.scenario.name,
@@ -76,8 +79,10 @@ fn main() {
     );
     let mut flips = 0;
     for (before, after) in plain.iter().zip(&cached) {
-        let old = before.winning_point();
-        let new = after.winning_point();
+        let (Some(old), Some(new)) = (before.winning_point(), after.winning_point()) else {
+            println!("{:<12} no winner", after.scenario.name);
+            continue;
+        };
         let flipped = old.placement != new.placement || old.governor != new.governor;
         flips += usize::from(flipped);
         println!(
