@@ -60,15 +60,23 @@ for workload in paper-closed capacity-1m policy-sweeps flash-day observed-1m; do
     echo "$bench_out" | tail -n 1 | grep -q '"failed":0' || {
         echo "$workload benchmark pass failed its correctness gate"; exit 1; }
     # The dense open loop's footprint: 16,384 128-byte worker records,
-    # 24-byte queued jobs and 24-byte queue entries read about 24.9 MB
-    # of peak RSS (the layout before them, 32.8 MB; one run's passes
-    # spread by 1% at most).
-    if [ "$workload" = capacity-1m ]; then
+    # 24-byte queued jobs and 24-byte queue entries, with every wheel
+    # slot and node queue that empties freeing a buffer of more than 256
+    # entries or 8 jobs. On a 2-vCPU VM, 476 single capacity-1m passes
+    # (seeds 2022 and 7) read 13.6-14.0 MB of peak RSS and 93
+    # observed-1m passes (seed 2022) 16.1-16.5 MB; keeping every buffer
+    # read 24.4-25.0 and 27.4-27.8 MB.
+    case "$workload" in
+        capacity-1m) ceiling=15 ;;
+        observed-1m) ceiling=18 ;;
+        *) ceiling= ;;
+    esac
+    if [ -n "$ceiling" ]; then
         rss="$(echo "$bench_out" | tail -n 1 \
             | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p')"
-        [ -n "$rss" ] || { echo "capacity-1m pass printed no peak_rss_mb"; exit 1; }
-        awk -v r="$rss" 'BEGIN { exit !(r <= 27) }' || {
-            echo "capacity-1m peak RSS $rss MB exceeds the 27 MB ceiling"; exit 1; }
+        [ -n "$rss" ] || { echo "$workload pass printed no peak_rss_mb"; exit 1; }
+        awk -v r="$rss" -v c="$ceiling" 'BEGIN { exit !(r <= c) }' || {
+            echo "$workload peak RSS $rss MB exceeds the $ceiling MB ceiling"; exit 1; }
     fi
 done
 

@@ -80,6 +80,18 @@ fn a_hot_set_larger_than_the_catalog_is_refused() {
 }
 
 #[test]
+fn arrival_specs_that_would_never_finish_are_refused() {
+    // 10^9 regime switches, and 10^8 thinning proposals, per arrival:
+    // both ran past 10 s before the generator's work bound.
+    assert_refused(
+        "openloop --arrivals mmpp:1,1,1e-9,1e-9 --duration-secs 30 --workers 4 --seed 7",
+    );
+    assert_refused(
+        "openloop --arrivals flash:1,10,0.000001,1e8 --duration-secs 30 --workers 4 --seed 7",
+    );
+}
+
+#[test]
 fn bare_energy_tenants_prints_the_all_tenant_row() {
     let out = microfaas("energy --tenants --duration-secs 60 --workers 4");
     let stdout = String::from_utf8_lossy(&out.stdout);

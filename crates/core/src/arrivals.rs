@@ -103,6 +103,16 @@ pub enum ArrivalProcess {
     },
 }
 
+/// Most generator steps one arrival may cost on average: regime
+/// switches per arrival for [`ArrivalProcess::Mmpp`], thinning proposals
+/// per arrival at the lower rate for [`ArrivalProcess::FlashCrowd`].
+/// Past it a run's time goes to the generator, not to the load it
+/// offers: `mmpp:1,1,1e-9,1e-9` switches regime 10^9 times per arrival
+/// and `flash:1,10,0.000001,1e8` proposes 10^8 arrivals per one it
+/// accepts, so neither finishes. Every spec the repository uses needs
+/// at most 200.
+const MAX_STEPS_PER_ARRIVAL: f64 = 1e4;
+
 /// Mutable per-run generator state ([`ArrivalProcess::Mmpp`]'s current
 /// regime). Every run starts calm; the engine keeps one value per run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,8 +126,11 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive rates, amplitude outside `[0, 1]`, or
-    /// non-positive dwell/period/duration parameters.
+    /// Panics on non-positive rates, amplitude outside `[0, 1]`,
+    /// non-positive dwell/period/duration parameters, or a generator
+    /// that needs more than 10^4 steps per arrival: MMPP dwells so
+    /// short that it switches regime that often between arrivals, or
+    /// flash-crowd rates that far apart.
     pub fn validate(&self) {
         if let Err(problem) = self.try_validate() {
             panic!("{problem}");
@@ -158,7 +171,17 @@ impl ArrivalProcess {
                 positive(calm_per_second, "mmpp calm rate")?;
                 positive(burst_per_second, "mmpp burst rate")?;
                 positive(mean_calm_s, "mmpp calm dwell")?;
-                positive(mean_burst_s, "mmpp burst dwell")
+                positive(mean_burst_s, "mmpp burst dwell")?;
+                // A cycle (one calm and one burst dwell) switches twice.
+                let per_cycle = calm_per_second * mean_calm_s + burst_per_second * mean_burst_s;
+                let switches = 2.0 / per_cycle;
+                if switches > MAX_STEPS_PER_ARRIVAL {
+                    return Err(format!(
+                        "mmpp switches regime {switches:.3e} times per arrival, \
+                         at most {MAX_STEPS_PER_ARRIVAL}: lengthen the dwells or raise the rates"
+                    ));
+                }
+                Ok(())
             }
             ArrivalProcess::Diurnal {
                 mean_per_second,
@@ -185,6 +208,17 @@ impl ArrivalProcess {
                 if !(spike_at_s.is_finite() && spike_at_s >= 0.0) {
                     return Err(format!(
                         "flash-crowd spike onset must be non-negative, got {spike_at_s}"
+                    ));
+                }
+                // Thinning proposes at the higher rate, so each arrival at
+                // the lower one costs their ratio in proposals.
+                let proposals =
+                    base_per_second.max(spike_per_second) / base_per_second.min(spike_per_second);
+                if proposals > MAX_STEPS_PER_ARRIVAL {
+                    return Err(format!(
+                        "flash-crowd thinning proposes {proposals:.3e} arrivals per one it \
+                         accepts at the lower rate, at most {MAX_STEPS_PER_ARRIVAL}: \
+                         bring the base and spike rates closer"
                     ));
                 }
                 Ok(())
@@ -1264,6 +1298,27 @@ mod tests {
         assert!(Popularity::parse("hot-cold:17,0.5").is_ok());
         assert!(Popularity::parse("hot-cold:18,0.5").is_err());
         assert!(Popularity::parse("zipf:-1").is_err());
+    }
+
+    #[test]
+    fn specs_past_the_work_bound_are_refused() {
+        // 10^9 regime switches and 10^8 thinning proposals per arrival.
+        for spec in ["mmpp:1,1,1e-9,1e-9", "flash:1,10,0.000001,1e8"] {
+            let refused = ArrivalProcess::parse(spec).unwrap_err();
+            assert!(refused.contains("at most 10000"), "{spec}: {refused}");
+        }
+        // A dip far below the base thins just as slowly.
+        assert!(ArrivalProcess::parse("flash:1e8,0,1e9,1").is_err());
+        // The bound itself, and the repository's most demanding specs.
+        for spec in [
+            "mmpp:0.0001,0.0001,1,1",
+            "flash:1,10,10,1e4",
+            "flash:0.2,120,60,40",
+            "flash:10,3600,300,500",
+        ] {
+            assert!(ArrivalProcess::parse(spec).is_ok(), "{spec}");
+        }
+        assert!(ArrivalProcess::parse("mmpp:0.0001,0.0001,0.99,0.99").is_err());
     }
 
     #[test]

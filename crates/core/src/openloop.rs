@@ -424,8 +424,12 @@ fn make_attributor(config: &OpenLoopConfig, idle_policy: IdlePolicy) -> Attribut
 /// (the mean at f64 rounding, the p95 within the sketch's guarantee).
 ///
 /// This is the entry point for million-job capacity runs — memory
-/// stays bounded by fleet size and in-flight backlog, not completed-job
-/// count. Pass [`NullSink`] to drop per-job observations entirely, or
+/// follows fleet size and in-flight backlog, not completed-job count.
+/// A node queue that empties keeps at most 8 jobs of buffer and an
+/// event-queue slot that empties at most 256 events, so once a backlog
+/// drains, its storage is freed; a queue still holding work keeps the
+/// buffer of its deepest backlog since it last emptied. Pass
+/// [`NullSink`] to drop per-job observations entirely, or
 /// a custom [`RunSink`] to fold them yourself. See `docs/SCALING.md`
 /// for the 10M-job recipe.
 ///
@@ -786,6 +790,17 @@ impl Parked {
     }
 }
 
+/// Most jobs of buffer a node queue keeps once it empties: a queue that
+/// [`Slot::next_job`] empties frees a larger buffer, so a node's longest
+/// backlog does not hold its memory for the rest of the run, while a
+/// queue that keeps refilling to a few jobs reuses its buffer. An idle
+/// fleet therefore holds at most `nodes × 8` jobs of queue buffer (3.1
+/// MB for 16,384 nodes of 24-byte jobs). Measured on a 2-vCPU VM with
+/// the event queue's own rule in place: this one took the dense
+/// `capacity-1m` benchmark's peak RSS from 14.6 to 13.8 MB, and the
+/// 10M-job recipe's (docs/SCALING.md) from 24.4 to 17.3 MB.
+const QUEUE_KEEP: usize = 8;
+
 /// What the engine tracks per node: the jobs placed on it and the
 /// invocation it runs.
 #[derive(Default)]
@@ -799,6 +814,18 @@ struct Slot {
 }
 
 impl Slot {
+    /// Takes the next queued job, freeing the queue's buffer if this
+    /// empties it and it has room for more than [`QUEUE_KEEP`] jobs.
+    fn next_job(&mut self) -> QueuedJob {
+        // A node starts only with work queued, and nothing else drains
+        // its queue first.
+        let job = self.queue.pop_front().expect("a job is queued");
+        if self.queue.is_empty() && self.queue.capacity() > QUEUE_KEEP {
+            self.queue = VecDeque::new();
+        }
+        job
+    }
+
     /// The placement-policy view of this node. `load` is the backlog
     /// count (the open loop does not know function costs at placement
     /// time), so `LeastLoaded` picks the first node with the fewest
@@ -1012,6 +1039,13 @@ struct OpenSim<'a, C: OpenClass, O, L, S> {
 
 impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C, O, L, S> {
     fn run(mut self) -> (OpenLoopRun, Option<EnergyLedger>, SimTime) {
+        self.drive();
+        self.finish()
+    }
+
+    /// Delivers every event, from the first arrival until the queue
+    /// runs dry.
+    fn drive(&mut self) {
         self.class.init(&mut self.core);
         self.core.queue.schedule(SimTime::ZERO, Event::Arrival);
         while let Some((now, event)) = self.core.queue.pop() {
@@ -1041,7 +1075,6 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
                 }
             }
         }
-        self.finish()
     }
 
     fn with_metrics(&mut self, apply: impl FnOnce(&mut MetricsRegistry, &OpenMetrics)) {
@@ -1202,14 +1235,7 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
     /// Starts `w`'s next queued job.
     fn begin(&mut self, w: usize, now: SimTime) {
         let core = &mut self.core;
-        // A node starts only with work queued, and nothing else drains
-        // its queue first.
-        let job = self
-            .class
-            .slot(w)
-            .queue
-            .pop_front()
-            .expect("a job is queued");
+        let job = self.class.slot(w).next_job();
         let factor = self.class.start_job(core, w, now);
         let (id, function) = (job.id, job.function);
         let started = TraceEvent::JobStarted {
@@ -2430,6 +2456,50 @@ mod tests {
         assert_eq!(a.mean_latency_s, b.mean_latency_s);
         assert_eq!(a.p95_latency_s, b.p95_latency_s);
         assert_eq!(a.mean_power_w, b.mean_power_w);
+    }
+
+    #[test]
+    fn a_drained_node_queue_gives_back_a_long_backlogs_buffer() {
+        // One worker takes two 40-job ticks: its queue holds 79 jobs
+        // after the first and drains by the end of the run.
+        let mut config = OpenLoopConfig::paper_arrangement(40, SimDuration::from_secs(2), 7);
+        config.workers = 1;
+        let mut observer = Observer::disabled();
+        let (fleet, mut sink) = (SbcFleet::new(1), NullSink);
+        let mut sim = engine(
+            &config,
+            fleet,
+            &mut observer,
+            Samples::new(),
+            &mut sink,
+            None,
+        );
+        sim.drive();
+        assert_eq!(sim.completed, 80);
+        let queue = &sim.class.nodes[0].slot.queue;
+        assert!(queue.is_empty());
+        assert!(
+            queue.capacity() <= QUEUE_KEEP,
+            "kept room for {}",
+            queue.capacity()
+        );
+
+        // A backlog of at most QUEUE_KEEP jobs keeps its buffer.
+        let job = QueuedJob {
+            id: 1,
+            arrived: SimTime::ZERO,
+            variant: 0,
+            tenant: 0,
+            function: FunctionId::ALL[0],
+            throttled: false,
+        };
+        let mut slot = Slot::default();
+        slot.queue.extend([job; QUEUE_KEEP]);
+        let kept = slot.queue.capacity();
+        while !slot.queue.is_empty() {
+            slot.next_job();
+        }
+        assert_eq!(slot.queue.capacity(), kept);
     }
 
     #[test]
