@@ -24,17 +24,30 @@ echo "==> dead public surface: every pub fn is named outside its own file"
 # Lists each `pub fn`/`pub const fn` in the non-test part of every source
 # file of the simulator crates and fails, naming it, when no other
 # tracked file under crates/, tests/, examples/, perfbench/, src/ or
-# docs/ names it. Such a function either gains a caller or goes (a
-# function called only in its own file is not `pub`).
+# docs/ names it. A free function must appear there as a whole word; a
+# method (a `pub fn` inside an `impl` block) as `.NAME` or `::NAME`, so
+# a same-named local variable or word in a comment does not count. Two
+# types' methods of one name (`new`, say) still count as one. Such a
+# function either gains a caller or goes (a function called only in its
+# own file is not `pub`).
 dead=0
 for file in $(git ls-files 'crates/sim/src/*.rs' 'crates/core/src/*.rs' \
     'crates/energy/src/*.rs' 'crates/hw/src/*.rs' 'crates/net/src/*.rs' \
     'crates/sched/src/*.rs' 'crates/cli/src/*.rs' 'crates/tco/src/*.rs'); do
-    for name in $(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file" \
-        | sed -n 's/^ *pub \(const \)\{0,1\}fn \([A-Za-z0-9_]*\).*/\2/p' | sort -u); do
-        git grep -qw "$name" -- crates tests examples perfbench src docs ":!$file" || {
-            echo "$file: pub fn $name is named nowhere outside its file"; dead=1; }
-    done
+    while read -r kind name; do
+        if [ "$kind" = method ]; then
+            git grep -qE "(\.|::)$name([^A-Za-z0-9_]|\$)" -- \
+                crates tests examples perfbench src docs ":!$file"
+        else
+            git grep -qw "$name" -- crates tests examples perfbench src docs ":!$file"
+        fi || { echo "$file: pub fn $name is named nowhere outside its file"; dead=1; }
+    done < <(awk '/^#\[cfg\(test\)\]/ { exit }
+        /^impl[ <]/ && !/\{\}$/ { in_impl = 1 }
+        /^}/ { in_impl = 0 }
+        match($0, /^ *pub (const )?fn [A-Za-z0-9_]+/) {
+            name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name)
+            print (in_impl ? "method" : "fn"), name
+        }' "$file" | sort -u)
 done
 [ "$dead" -eq 0 ] || { echo "public functions without a caller outside their file"; exit 1; }
 

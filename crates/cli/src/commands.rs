@@ -18,7 +18,6 @@ use microfaas::openloop::{
     run_open_loop, run_open_loop_attributed, run_open_loop_monitored_streaming,
     run_open_loop_streaming, ArrivalProcess, NullSink, OpenLoopConfig,
 };
-use microfaas::report::PhaseColumns;
 use microfaas::timeline::Timeline;
 use microfaas::{ClusterRun, FaultsConfig};
 use microfaas_energy::attribution::{IdlePolicy, Phase};
@@ -1036,8 +1035,9 @@ fn analyze(f: &Flags) -> Result<(), ParseArgsError> {
     .collect::<Result<Vec<_>, _>>()
     .map_err(ParseArgsError)?;
     let labelled = || Cluster::ALL.map(Cluster::label).into_iter().zip(&trees);
+    let mut paths: Vec<CriticalPath> = trees.iter().map(CriticalPath::analyze).collect();
 
-    for (label, tree) in labelled() {
+    for ((label, tree), path) in labelled().zip(&mut paths) {
         println!(
             "{label:<13} {} spans derived ({} skipped) · {} workers · horizon {:.3} s",
             tree.jobs().len(),
@@ -1045,7 +1045,16 @@ fn analyze(f: &Flags) -> Result<(), ParseArgsError> {
             tree.worker_count(),
             tree.end().as_secs_f64()
         );
-        println!("              {}", PhaseColumns::from_spans(tree.jobs()));
+        // Read before the breakdown tables below sort the samples, so
+        // each mean sums its phase in span order.
+        let overall = path.overall();
+        let means = Phase::ALL.map(|phase| overall.phase_mean_ms(phase));
+        let mut line = format!("phase means over {} jobs:", overall.jobs());
+        for (phase, mean) in Phase::ALL.iter().zip(means) {
+            line.push_str(&format!(" {} {mean:.3} ms", phase.label()));
+        }
+        let end_to_end: f64 = means.iter().sum();
+        println!("              {line} (end-to-end {end_to_end:.3} ms)");
         for span in tree.jobs() {
             let sum: u64 = span.phases().iter().map(|d| d.as_micros()).sum();
             if sum != span.end_to_end().as_micros() {
@@ -1060,7 +1069,6 @@ fn analyze(f: &Flags) -> Result<(), ParseArgsError> {
     }
     println!("phase decomposition check: every span's phases sum to its end-to-end latency\n");
 
-    let mut paths: Vec<CriticalPath> = trees.iter().map(CriticalPath::analyze).collect();
     for ((label, _), path) in labelled().zip(&mut paths) {
         println!("{}", path.cluster_breakdown(label));
     }

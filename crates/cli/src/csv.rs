@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// use microfaas_cli::csv::Csv;
 ///
 /// let mut csv = Csv::new(&["vms", "func_per_min"]);
-/// csv.row(&["1", "34.9"]);
+/// csv.row_display(&[&1, &34.9]);
 /// assert_eq!(csv.to_string(), "vms,func_per_min\n1,34.9\n");
 /// ```
 #[derive(Debug, Clone)]
@@ -40,7 +40,7 @@ impl Csv {
     /// # Panics
     ///
     /// Panics if the arity differs from the header.
-    pub fn row(&mut self, fields: &[&str]) -> &mut Self {
+    fn row(&mut self, fields: &[&str]) -> &mut Self {
         assert_eq!(
             fields.len(),
             self.columns,

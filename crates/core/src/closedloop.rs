@@ -29,7 +29,7 @@ use microfaas_workloads::FunctionId;
 
 use crate::cache::{content_key, CacheConfig, CacheStats, ResultCache};
 use crate::config::{Jitter, WorkloadMix};
-use crate::job::{Dispatcher, Job, JobRecord, JobTable};
+use crate::job::{Dispatcher, Job, JobRecord};
 use crate::netmap::ClusterNet;
 use crate::recovery::{priority_of, FaultRuntime, FaultsConfig, Priority};
 use crate::registry::TimeoutTable;
@@ -280,7 +280,7 @@ pub(crate) struct Core<'a, 'b, E> {
     meter: EnergyMeter,
     net: ClusterNet,
     in_flight: Vec<Option<InFlight>>,
-    records: JobTable,
+    records: Vec<JobRecord>,
     last_completion: SimTime,
     handles: Option<ClusterMetrics>,
     sched_handles: Option<SchedMetrics>,
@@ -498,7 +498,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             meter: setup.meter,
             net: setup.net,
             in_flight: (0..workers).map(|_| None).collect(),
-            records: JobTable::with_capacity(setup.mix.total_jobs() as usize),
+            records: Vec::with_capacity(setup.mix.total_jobs() as usize),
             last_completion: SimTime::ZERO,
             handles,
             sched_handles,

@@ -40,11 +40,6 @@ impl WorkloadMix {
         &self.functions
     }
 
-    /// Invocations per function.
-    pub fn invocations_per_function(&self) -> u32 {
-        self.invocations_per_function
-    }
-
     /// Total job count.
     pub fn total_jobs(&self) -> u64 {
         self.functions.len() as u64 * self.invocations_per_function as u64

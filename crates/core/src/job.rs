@@ -37,163 +37,6 @@ impl JobRecord {
     }
 }
 
-/// Struct-of-arrays store for completed-job records.
-///
-/// Semantically a `Vec<JobRecord>`, physically six parallel columns
-/// (ids, interned function bytes, worker indices, and three µs
-/// timestamps) — [`JobTable::BYTES_PER_JOB`] = 37 bytes per completion
-/// against 48 for the array-of-structs layout, and the function column
-/// is one byte instead of a padded enum. Rows are append-only and
-/// reconstructed on demand as [`JobRecord`] values, so every consumer
-/// (aggregation, percentiles, the bit-compat golden tests) sees the
-/// exact records the old vector held.
-///
-/// # Examples
-///
-/// ```
-/// use microfaas::job::{Job, JobRecord, JobTable};
-/// use microfaas_sim::{SimDuration, SimTime};
-/// use microfaas_workloads::FunctionId;
-///
-/// let record = JobRecord {
-///     job: Job { id: 7, function: FunctionId::MatMul },
-///     worker: 3,
-///     started: SimTime::from_millis(10),
-///     exec: SimDuration::from_millis(100),
-///     overhead: SimDuration::from_millis(5),
-/// };
-/// let table: JobTable = std::iter::once(record).collect();
-/// assert_eq!(table.len(), 1);
-/// assert_eq!(table.iter().next(), Some(record));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JobTable {
-    ids: Vec<u64>,
-    functions: Vec<u8>,
-    workers: Vec<u32>,
-    started_us: Vec<u64>,
-    exec_us: Vec<u64>,
-    overhead_us: Vec<u64>,
-}
-
-impl JobTable {
-    /// Column bytes per completed job (8 id + 1 function + 4 worker +
-    /// 3 × 8 µs timestamps) — the figure `docs/SCALING.md` budgets with.
-    pub const BYTES_PER_JOB: usize = 37;
-
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        JobTable::default()
-    }
-
-    /// Creates an empty table with room for `capacity` completions in
-    /// every column.
-    pub fn with_capacity(capacity: usize) -> Self {
-        JobTable {
-            ids: Vec::with_capacity(capacity),
-            functions: Vec::with_capacity(capacity),
-            workers: Vec::with_capacity(capacity),
-            started_us: Vec::with_capacity(capacity),
-            exec_us: Vec::with_capacity(capacity),
-            overhead_us: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Appends one completion.
-    pub fn push(&mut self, record: JobRecord) {
-        self.ids.push(record.job.id);
-        self.functions.push(record.job.function.index());
-        self.workers.push(record.worker as u32);
-        self.started_us.push(record.started.as_micros());
-        self.exec_us.push(record.exec.as_micros());
-        self.overhead_us.push(record.overhead.as_micros());
-    }
-
-    /// Number of completions stored.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns true if no completions were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Reconstructs row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn get(&self, i: usize) -> JobRecord {
-        JobRecord {
-            job: Job {
-                id: self.ids[i],
-                function: FunctionId::from_index(self.functions[i]),
-            },
-            worker: self.workers[i] as usize,
-            started: SimTime::from_micros(self.started_us[i]),
-            exec: SimDuration::from_micros(self.exec_us[i]),
-            overhead: SimDuration::from_micros(self.overhead_us[i]),
-        }
-    }
-
-    /// Iterates the rows in completion order, reconstructing each
-    /// [`JobRecord`] by value.
-    pub fn iter(&self) -> Rows<'_> {
-        Rows {
-            table: self,
-            range: 0..self.len(),
-        }
-    }
-}
-
-/// Iterator over [`JobTable`] rows, yielding reconstructed
-/// [`JobRecord`]s by value.
-#[derive(Debug, Clone)]
-pub struct Rows<'a> {
-    table: &'a JobTable,
-    range: std::ops::Range<usize>,
-}
-
-impl Iterator for Rows<'_> {
-    type Item = JobRecord;
-
-    fn next(&mut self) -> Option<JobRecord> {
-        self.range.next().map(|i| self.table.get(i))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.range.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Rows<'_> {}
-
-impl FromIterator<JobRecord> for JobTable {
-    fn from_iter<I: IntoIterator<Item = JobRecord>>(iter: I) -> Self {
-        let mut table = JobTable::new();
-        table.extend(iter);
-        table
-    }
-}
-
-impl Extend<JobRecord> for JobTable {
-    fn extend<I: IntoIterator<Item = JobRecord>>(&mut self, iter: I) {
-        for record in iter {
-            self.push(record);
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a JobTable {
-    type Item = JobRecord;
-    type IntoIter = Rows<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// Aggregated per-function timing (one Fig. 3 bar pair).
 #[derive(Debug, Clone, Default)]
 pub struct FunctionStats {
@@ -393,11 +236,11 @@ impl Dispatcher {
     }
 }
 
-/// Builds the per-function aggregation from completed-job rows.
-pub fn aggregate(records: &JobTable) -> BTreeMap<FunctionId, FunctionStats> {
+/// Builds the per-function aggregation from completed-job records.
+pub fn aggregate(records: &[JobRecord]) -> BTreeMap<FunctionId, FunctionStats> {
     let mut map: BTreeMap<FunctionId, FunctionStats> = BTreeMap::new();
     for record in records {
-        map.entry(record.job.function).or_default().record(&record);
+        map.entry(record.job.function).or_default().record(record);
     }
     map
 }
@@ -414,33 +257,6 @@ mod tests {
             exec: SimDuration::from_millis(exec_ms),
             overhead: SimDuration::from_millis(overhead_ms),
         }
-    }
-
-    #[test]
-    fn job_table_round_trips_every_column() {
-        let records: Vec<JobRecord> = FunctionId::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &function)| JobRecord {
-                job: {
-                    Job {
-                        id: i as u64 * 1_000_000_007,
-                        function,
-                    }
-                },
-                worker: i * 13,
-                started: SimTime::from_micros(i as u64 * 17),
-                exec: SimDuration::from_micros(i as u64 * 19),
-                overhead: SimDuration::from_micros(i as u64 * 23),
-            })
-            .collect();
-        let table: JobTable = records.iter().copied().collect();
-        assert_eq!(table.len(), records.len());
-        assert!(!table.is_empty());
-        assert!(table.iter().eq(records.iter().copied()));
-        assert_eq!(table.get(3), records[3]);
-        let clone = table.clone();
-        assert_eq!(clone, table, "column-wise equality");
     }
 
     #[test]
@@ -691,13 +507,11 @@ mod tests {
 
     #[test]
     fn aggregate_groups_by_function() {
-        let records: JobTable = [
+        let records = [
             rec(FunctionId::FloatOps, 100, 10),
             rec(FunctionId::FloatOps, 200, 30),
             rec(FunctionId::CascSha, 500, 20),
-        ]
-        .into_iter()
-        .collect();
+        ];
         let stats = aggregate(&records);
         assert_eq!(stats.len(), 2);
         let fo = &stats[&FunctionId::FloatOps];

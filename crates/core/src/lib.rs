@@ -20,7 +20,8 @@
 //! * [`report`] — run results: throughput, energy, per-function stats;
 //! * [`recovery`] — retry/backoff, crash detection, and load-shedding
 //!   policies for injected faults (see `docs/FAILURE_MODEL.md`);
-//! * [`monitor`] — the flight recorder that taps a run's event and
+//! * [`openloop`] — the arrival-driven engine; its
+//!   `run_open_loop_monitored_*` entry points tap a run's event and
 //!   completion streams into time-resolved telemetry windows (see
 //!   `docs/MONITORING.md`);
 //! * [`experiment`] — one function per paper figure/table.
@@ -54,7 +55,7 @@ pub mod experiment;
 pub mod gateway;
 pub mod job;
 pub mod micro;
-pub mod monitor;
+mod monitor;
 pub(crate) mod netmap;
 pub mod openloop;
 pub mod recovery;

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::gpio::{PowerAction, PowerController};
 use microfaas_hw::sbc::{SbcNode, SbcState};
+use microfaas_hw::SbcPowerModel;
 use microfaas_net::LinkSpec;
 use microfaas_sched::{DrainAction, GovernorKind, PlacementKind};
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
@@ -406,7 +407,8 @@ impl NodeClass for SbcFleet {
                 if !forced && !self.power_gating {
                     // The gating ablation: model standby as the idle draw
                     // without the FSM round trip; the node is "parked".
-                    core.mark(now, w, WorkerState::Idle, (self.channels[w], w, 0.128));
+                    let standby = SbcPowerModel.standby().value();
+                    core.mark(now, w, WorkerState::Idle, (self.channels[w], w, standby));
                 } else {
                     self.gate_off(core, w, now);
                 }
@@ -507,8 +509,13 @@ pub fn sbc_cluster_power(total: usize, active: usize, power_gating: bool) -> f64
         active <= total,
         "cannot have more active workers than workers"
     );
-    let idle_draw = if power_gating { 0.0 } else { 0.128 };
-    active as f64 * 1.96 + (total - active) as f64 * idle_draw
+    let model = SbcPowerModel;
+    let idle_draw = if power_gating {
+        model.off()
+    } else {
+        model.standby()
+    };
+    active as f64 * model.busy().value() + (total - active) as f64 * idle_draw.value()
 }
 
 #[cfg(test)]

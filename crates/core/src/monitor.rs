@@ -8,18 +8,9 @@
 //! [`TraceSink`] for events, and a [`RunSink`] for completions. A
 //! [`FlightRecorder`] owns one window ring for each and hands out both
 //! taps simultaneously via a split borrow, so a single recorder can sit
-//! on both seams of one run without aliasing:
-//!
-//! ```
-//! use microfaas::monitor::FlightRecorder;
-//! use microfaas::openloop::{run_open_loop_monitored, OpenLoopConfig};
-//! use microfaas_sim::telemetry::TelemetryConfig;
-//! use microfaas_sim::SimDuration;
-//!
-//! let config = OpenLoopConfig::paper_arrangement(2, SimDuration::from_secs(30), 42);
-//! let (run, series) = run_open_loop_monitored(&config, &TelemetryConfig::default());
-//! assert_eq!(series.total_completed(), run.completed);
-//! ```
+//! on both seams of one run without aliasing. The
+//! `run_open_loop_monitored_*` entry points in [`crate::openloop`] wire
+//! it up.
 //!
 //! Telemetry is strictly an observer: it consumes no RNG draws and
 //! perturbs nothing, so a monitored run agrees bit-for-bit with the
@@ -42,7 +33,7 @@ use microfaas_sim::trace::{Observer, TraceSink};
 /// integrals at the run's end instant and assembles the joined
 /// [`TelemetrySeries`].
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     events: EventWindows,
     completions: CompletionWindows,
 }
@@ -96,7 +87,7 @@ impl FlightRecorder {
 /// Zero-exec completions (result-cache hits and coalesced followers)
 /// are counted as served-from-cache.
 #[derive(Debug)]
-pub struct CompletionTap<'a>(&'a mut CompletionWindows);
+pub(crate) struct CompletionTap<'a>(&'a mut CompletionWindows);
 
 impl RunSink for CompletionTap<'_> {
     #[inline]

@@ -462,38 +462,16 @@ pub fn run_open_loop_streaming<S: RunSink>(config: &OpenLoopConfig, sink: &mut S
     .0
 }
 
-/// [`run_open_loop`] with the **flight recorder** attached: alongside
-/// the usual aggregates, returns a [`TelemetrySeries`] of tumbling
-/// windows (throughput, latency quantiles, queue depth, occupancy,
-/// power, energy, cache and fault counts, per-tenant SLO attainment)
-/// over the whole run. Telemetry is strictly an observer — it consumes
-/// no RNG draws — so the [`OpenLoopRun`] agrees bit-for-bit with
-/// [`run_open_loop`] on the same config. See `docs/MONITORING.md`.
-///
-/// # Panics
-///
-/// As [`run_open_loop`], plus if `telemetry` is invalid.
-pub fn run_open_loop_monitored(
-    config: &OpenLoopConfig,
-    telemetry: &TelemetryConfig,
-) -> (OpenLoopRun, TelemetrySeries) {
-    let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
-    let (events, mut tap) = recorder.taps();
-    let (run, _ledger, end) = simulate(
-        config,
-        SbcFleet::new(config.workers),
-        &mut TypedObserver::new(events),
-        Samples::new(),
-        &mut tap,
-        budget_attributor(config),
-    );
-    (run, recorder.into_series(end))
-}
-
-/// [`run_open_loop_monitored`] on the **streaming** results path: O(1)
-/// latency aggregates plus the windowed [`TelemetrySeries`]. This is
-/// the `monitor` CLI's engine — windows stay bounded
-/// ([`TelemetryConfig::max_windows`]) no matter how many jobs run.
+/// [`run_open_loop_streaming`] with the **flight recorder** attached:
+/// alongside the usual aggregates, returns a [`TelemetrySeries`] of
+/// tumbling windows (throughput, latency quantiles, queue depth,
+/// occupancy, power, energy, cache and fault counts, per-tenant SLO
+/// attainment) over the whole run. Telemetry is strictly an observer —
+/// it consumes no RNG draws — so the [`OpenLoopRun`] agrees bit-for-bit
+/// with [`run_open_loop_streaming`] on the same config. This is the
+/// `monitor` CLI's engine — windows stay bounded
+/// ([`TelemetryConfig::max_windows`]) no matter how many jobs run. See
+/// `docs/MONITORING.md`.
 ///
 /// # Panics
 ///
@@ -2845,8 +2823,8 @@ mod tests {
             PlacementKind::LeastLoaded,
             77,
         );
-        let plain = run_open_loop(&cfg);
-        let (run, series) = run_open_loop_monitored(&cfg, &TelemetryConfig::default());
+        let plain = run_open_loop_streaming(&cfg, &mut NullSink);
+        let (run, series) = run_open_loop_monitored_streaming(&cfg, &TelemetryConfig::default());
         assert_eq!(run.completed, plain.completed);
         assert_eq!(run.mean_latency_s, plain.mean_latency_s);
         assert_eq!(run.p95_latency_s, plain.p95_latency_s);
@@ -2953,7 +2931,7 @@ mod tests {
                 slo_latency_s: 30.0,
             },
         ];
-        let (_, series) = run_open_loop_monitored(&cfg, &TelemetryConfig::default());
+        let (_, series) = run_open_loop_monitored_streaming(&cfg, &TelemetryConfig::default());
         assert!(
             series.windows.len() >= 500,
             "{} windows",

@@ -5,11 +5,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use microfaas_energy::EnergyReport;
-use microfaas_sim::span::{JobSpan, Phase};
 use microfaas_sim::SimDuration;
 use microfaas_workloads::FunctionId;
 
-use crate::job::{aggregate, FunctionStats, Job, JobTable};
+use crate::job::{aggregate, FunctionStats, Job, JobRecord};
 
 /// Why an invocation did not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +65,9 @@ pub struct ClusterRun {
     pub energy: EnergyReport,
     /// Wall-clock span from the first event to the last completion.
     pub makespan: SimDuration,
-    /// Raw per-job records (successful invocations only), stored
-    /// column-wise — see [`JobTable`].
-    pub records: JobTable,
+    /// Raw per-job records (successful invocations only), in
+    /// completion order.
+    pub records: Vec<JobRecord>,
     /// Invocations that did not complete, each with a typed [`Outcome`].
     pub dropped: Vec<DroppedJob>,
     /// Fault-injection and recovery counters (all zero without a plan).
@@ -195,88 +194,6 @@ impl ClusterRun {
     }
 }
 
-/// Mean per-phase latency columns derived from causal [`JobSpan`]s
-/// (see `docs/TRACING.md`), ready to append to a report table or CSV.
-///
-/// # Examples
-///
-/// ```
-/// use microfaas::report::PhaseColumns;
-/// use microfaas_sim::span::SpanTree;
-/// use microfaas_sim::trace::{TraceBuffer, TraceEvent, TraceSink};
-/// use microfaas_sim::{SimDuration, SimTime};
-///
-/// let mut t = TraceBuffer::new(16);
-/// let us = SimTime::from_micros;
-/// t.record(us(0), TraceEvent::JobEnqueued { job: 1, function: "CascSHA" });
-/// t.record(us(100), TraceEvent::JobStarted { job: 1, function: "CascSHA", worker: 0 });
-/// t.record(us(300), TraceEvent::ResponseSent { job: 1, function: "CascSHA", worker: 0 });
-/// t.record(
-///     us(320),
-///     TraceEvent::JobCompleted {
-///         job: 1,
-///         function: "CascSHA",
-///         worker: 0,
-///         exec: SimDuration::from_micros(180),
-///         overhead: SimDuration::from_micros(20),
-///     },
-/// );
-///
-/// let tree = SpanTree::from_buffer(&t);
-/// let columns = PhaseColumns::from_spans(tree.jobs());
-/// assert_eq!(columns.jobs, 1);
-/// assert_eq!(columns.mean_ms, [0.1, 0.0, 0.18, 0.02, 0.02]);
-/// assert!(columns.to_string().contains("exec 0.180 ms"));
-/// assert!(columns.to_string().ends_with("(end-to-end 0.320 ms)"));
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseColumns {
-    /// Spans aggregated.
-    pub jobs: u64,
-    /// Mean milliseconds per phase, in [`Phase::ALL`] order
-    /// (queue, boot, exec, overhead, response).
-    pub mean_ms: [f64; 5],
-}
-
-impl PhaseColumns {
-    /// Aggregates mean phase latencies over `spans` (all zero when
-    /// empty).
-    pub fn from_spans(spans: &[JobSpan]) -> PhaseColumns {
-        let mut columns = PhaseColumns {
-            jobs: spans.len() as u64,
-            mean_ms: [0.0; 5],
-        };
-        if spans.is_empty() {
-            return columns;
-        }
-        for span in spans {
-            for (slot, duration) in columns.mean_ms.iter_mut().zip(span.phases()) {
-                *slot += duration.as_millis_f64();
-            }
-        }
-        for slot in &mut columns.mean_ms {
-            *slot /= spans.len() as f64;
-        }
-        columns
-    }
-
-    /// Sum of the per-phase means — the mean end-to-end latency, since
-    /// each span's phases sum exactly to its end-to-end time.
-    fn total_ms(&self) -> f64 {
-        self.mean_ms.iter().sum()
-    }
-}
-
-impl fmt::Display for PhaseColumns {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "phase means over {} jobs:", self.jobs)?;
-        for (phase, mean) in Phase::ALL.iter().zip(self.mean_ms) {
-            write!(f, " {} {mean:.3} ms", phase.label())?;
-        }
-        write!(f, " (end-to-end {:.3} ms)", self.total_ms())
-    }
-}
-
 impl fmt::Display for ClusterRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -302,12 +219,10 @@ impl fmt::Display for ClusterRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{Job, JobRecord};
     use microfaas_sim::SimTime;
 
     fn run_with(records: Vec<JobRecord>, makespan_secs: u64, joules: f64) -> ClusterRun {
         let n = records.len() as u64;
-        let records: JobTable = records.into_iter().collect();
         ClusterRun {
             label: "test".to_string(),
             workers: 2,
@@ -349,14 +264,6 @@ mod tests {
         let run = run_with(vec![], 1, 0.0);
         assert_eq!(run.jobs_completed(), 0);
         assert_eq!(run.joules_per_function(), None);
-    }
-
-    #[test]
-    fn phase_columns_handle_empty_span_sets() {
-        let columns = PhaseColumns::from_spans(&[]);
-        assert_eq!(columns.jobs, 0);
-        assert_eq!(columns.total_ms(), 0.0);
-        assert!(columns.to_string().starts_with("phase means over 0 jobs"));
     }
 
     #[test]

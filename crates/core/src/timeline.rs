@@ -158,12 +158,6 @@ impl Timeline {
         &self.spans
     }
 
-    /// Crash outages, sorted by worker then start time. Empty unless the
-    /// timeline was rebuilt from a trace of a faulted run.
-    pub fn outages(&self) -> &[BusySpan] {
-        &self.outages
-    }
-
     /// Per-worker busy fraction over the run.
     pub fn utilization(&self, worker: usize) -> f64 {
         let total = self.end.duration_since(SimTime::ZERO).as_secs_f64();
@@ -359,7 +353,7 @@ mod tests {
         let mut buffer = TraceBuffer::new(1 << 16);
         run_microfaas_with(&config, &mut Observer::tracing(&mut buffer));
         let timeline = Timeline::from_trace(buffer.iter(), config.workers);
-        let outages = timeline.outages();
+        let outages = &timeline.outages;
         assert!(!outages.is_empty(), "the injected crash must show up");
         assert!(outages.iter().all(|o| o.worker == 3));
         let chart = timeline.render(120);

@@ -25,10 +25,11 @@ use std::sync::Arc;
 
 use microfaas::cache::CacheConfig;
 use microfaas::config::WorkloadMix;
-use microfaas::conventional::{run_conventional_with, ConventionalConfig};
-use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
+use microfaas::conventional::{run_conventional, run_conventional_with, ConventionalConfig};
+use microfaas::micro::{run_microfaas, run_microfaas_with, MicroFaasConfig};
 use microfaas::openloop::{run_open_loop_with, ArrivalProcess, OpenLoopConfig};
 use microfaas::registry::{FunctionRegistry, FunctionSpec};
+use microfaas::report::ClusterRun;
 use microfaas::FaultsConfig;
 use microfaas_sched::{GovernorKind, PlacementKind};
 use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
@@ -349,6 +350,56 @@ fn conv_grid_is_bit_identical_to_the_separate_engine() {
         }
     }
     assert!(diverged.is_empty(), "VM grid rows diverged: {diverged:?}");
+}
+
+/// FNV-1a over every completion record in order: job id, function
+/// index, worker, then the start, exec and overhead microseconds.
+fn records_fnv(run: &ClusterRun) -> u64 {
+    let mut bytes = Vec::new();
+    for record in &run.records {
+        bytes.extend(record.job.id.to_le_bytes());
+        bytes.push(record.job.function.index());
+        bytes.extend((record.worker as u64).to_le_bytes());
+        for micros in [
+            record.started.as_micros(),
+            record.exec.as_micros(),
+            record.overhead.as_micros(),
+        ] {
+            bytes.extend(micros.to_le_bytes());
+        }
+    }
+    fnv1a(&bytes)
+}
+
+/// Record goldens for a few grid rows of each class, fault-free and
+/// under the crash plans: the order and content of every completion,
+/// which the grids pin only by count.
+#[rustfmt::skip]
+const RECORD_GOLDENS: [(&str, &str, u64); 10] = [
+    ("sbc", "work-conserving", 0x5211_3fe0_1bb9_1ac6),
+    ("sbc", "random-static", 0x0baa_5e5f_8baa_019f),
+    ("sbc", "keep-alive", 0xf634_6275_744a_2e68),
+    ("sbc", "two-crashes", 0x766a_0e2b_60d6_264a),
+    ("sbc", "six-crashes", 0xaf46_44ba_62aa_b4b8),
+    ("vm", "work-conserving", 0x8b4c_db87_e259_d689),
+    ("vm", "random-static", 0xf40b_de72_0f24_9d5b),
+    ("vm", "keep-alive", 0xe7f9_d11a_0851_471b),
+    ("vm", "two-crashes", 0x3525_cb61_0b7d_7416),
+    ("vm", "six-crashes", 0x805f_d226_6112_f6ec),
+];
+
+#[test]
+fn closed_loop_records_are_unchanged() {
+    let (micro, conv) = (micro_grid(), conv_grid());
+    let mut got = Vec::new();
+    for (class, row, _) in RECORD_GOLDENS {
+        let run = match class {
+            "sbc" => run_microfaas(&micro.iter().find(|(name, _)| name == row).unwrap().1),
+            _ => run_conventional(&conv.iter().find(|(name, _)| name == row).unwrap().1),
+        };
+        got.push((class, row, records_fnv(&run)));
+    }
+    assert_eq!(got, RECORD_GOLDENS);
 }
 
 /// `(mean_latency_bits, jpf_bits, completed, power_cycles, trace_fnv,

@@ -62,56 +62,12 @@ use microfaas_sim::SimTime;
 /// Picojoules per joule: microwatts x microseconds.
 const PJ_PER_J: u128 = 1_000_000_000_000;
 
-/// What a completed job's energy splits into — the power-side mirror of
-/// the five-phase latency decomposition in `sim::span`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Waiting in a dispatch queue (draws nothing in this power model:
-    /// a queued job occupies no channel).
-    Queue,
-    /// Cold boot charged to the job that triggered (or first consumed)
-    /// it.
-    Boot,
-    /// Function execution.
-    Exec,
-    /// Platform overhead (zero in the open-loop engine: the response
-    /// anchor fires when execution ends).
-    Overhead,
-    /// Result transfer back to the orchestrator.
-    Response,
-}
-
-impl Phase {
-    /// All phases, in vector order.
-    pub const ALL: [Phase; 5] = [
-        Phase::Queue,
-        Phase::Boot,
-        Phase::Exec,
-        Phase::Overhead,
-        Phase::Response,
-    ];
-
-    /// Lower-case label used in CSV headers and Prometheus names.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Queue => "queue",
-            Phase::Boot => "boot",
-            Phase::Exec => "exec",
-            Phase::Overhead => "overhead",
-            Phase::Response => "response",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Queue => 0,
-            Phase::Boot => 1,
-            Phase::Exec => 2,
-            Phase::Overhead => 3,
-            Phase::Response => 4,
-        }
-    }
-}
+/// What a completed job's energy splits into: the same five phases as
+/// the latency decomposition in `sim::span`. A queued job occupies no
+/// channel in this power model, so the queue column stays at zero; so
+/// does the overhead column in the open-loop engine, whose response
+/// anchor fires when execution ends.
+pub use microfaas_sim::span::Phase;
 
 /// What the ledger does with idle (no-job) energy at finalisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -83,11 +83,6 @@ impl EnergyMeter {
         self.channels[channel.0].value()
     }
 
-    /// A channel's integrated energy from the start through `until`.
-    pub fn channel_joules(&self, channel: ChannelId, until: SimTime) -> f64 {
-        self.channels[channel.0].integral(until)
-    }
-
     /// The whole meter's integrated energy from the start through
     /// `until` — the sum of every channel's integral, the figure the
     /// windowed telemetry energy column must total to.
@@ -229,8 +224,8 @@ mod tests {
         meter.set_power(SimTime::ZERO, a, 1.0);
         meter.set_power(SimTime::from_secs(2), b, 3.0);
         let until = SimTime::from_secs(4);
-        assert_eq!(meter.channel_joules(a, until), 4.0);
-        assert_eq!(meter.channel_joules(b, until), 6.0);
+        assert_eq!(meter.channels[a.0].integral(until), 4.0);
+        assert_eq!(meter.channels[b.0].integral(until), 6.0);
         assert_eq!(meter.report(until, 0).total_joules, 10.0);
     }
 

@@ -211,7 +211,7 @@ impl BootProfile {
     }
 
     /// Starts from the unoptimized baseline.
-    pub fn baseline(platform: BootPlatform) -> Self {
+    fn baseline(platform: BootPlatform) -> Self {
         BootProfile {
             platform,
             applied: Vec::new(),
@@ -233,16 +233,11 @@ impl BootProfile {
     }
 
     /// Applies one optimization stage. Re-applying is a no-op.
-    pub fn apply(&mut self, stage: BootStage) -> &mut Self {
+    fn apply(&mut self, stage: BootStage) -> &mut Self {
         if !self.applied.contains(&stage) {
             self.applied.push(stage);
         }
         self
-    }
-
-    /// Stages applied so far, in application order.
-    pub fn applied(&self) -> &[BootStage] {
-        &self.applied
     }
 
     /// Boot time with the currently applied stages.
@@ -338,7 +333,7 @@ mod tests {
         let once = p.boot_time();
         p.apply(BootStage::MinimalKernelConfig);
         assert_eq!(p.boot_time(), once);
-        assert_eq!(p.applied().len(), 1);
+        assert_eq!(p.applied.len(), 1);
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl RackServer {
     pub const VM_MEMORY_MB: usize = 512;
 
     /// The largest VM count the host's RAM admits (the OS keeps ~1 GB).
-    pub fn max_vms() -> usize {
+    fn max_vms() -> usize {
         (Self::HOST_MEMORY_MB - 1024) / Self::VM_MEMORY_MB
     }
 

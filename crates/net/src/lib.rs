@@ -39,8 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod topology;
-
 use std::fmt;
 
 use microfaas_sim::{SimDuration, SimTime};
@@ -69,16 +67,6 @@ impl LinkSpec {
             bits_per_sec: 1_000_000_000,
             latency: SimDuration::from_micros(50),
         }
-    }
-
-    /// Serialization delay for `bytes` on this link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line rate is zero.
-    pub fn serialization(&self, bytes: u64) -> SimDuration {
-        assert!(self.bits_per_sec > 0, "line rate must be positive");
-        SimDuration::from_micros(bytes * 8 * 1_000_000 / self.bits_per_sec)
     }
 }
 
@@ -255,26 +243,6 @@ impl Network {
         rx_done.max(tx_done + route.latency)
     }
 
-    /// A round trip: request `request_bytes` from `from` to `to`, the
-    /// service spends `service_time`, then `response_bytes` come back.
-    /// Returns when the response is fully received.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::send`].
-    pub fn round_trip(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        request_bytes: u64,
-        service_time: SimDuration,
-        response_bytes: u64,
-    ) -> SimTime {
-        let request_done = self.send(now, from, to, request_bytes);
-        self.send(request_done + service_time, to, from, response_bytes)
-    }
-
     /// Traffic counters for one node.
     ///
     /// # Panics
@@ -403,22 +371,6 @@ mod tests {
             let gap = pair[1].duration_since(pair[0]);
             assert!(gap.as_millis_f64() >= 79.0, "gap {gap}");
         }
-    }
-
-    #[test]
-    fn round_trip_includes_service_time() {
-        let (mut net, a, b) = two_node_net();
-        let done = net.round_trip(
-            SimTime::ZERO,
-            a,
-            b,
-            1_000,
-            SimDuration::from_millis(50),
-            1_000,
-        );
-        let millis = done.as_secs_f64() * 1e3;
-        assert!(millis > 50.0);
-        assert!(millis < 52.0, "got {done}");
     }
 
     #[test]

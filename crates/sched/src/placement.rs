@@ -175,7 +175,7 @@ pub struct NodeView {
 impl NodeView {
     /// Queue depth plus the running job, the figure JSQ ignores and
     /// least-loaded/power-aware use.
-    pub fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.queued + usize::from(self.busy)
     }
 }

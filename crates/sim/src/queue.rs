@@ -589,7 +589,7 @@ impl<E> EventQueue<E> {
     /// Reserves room for at least `additional` more pending events:
     /// pre-sizes the retirement bitmap and the flat list (see
     /// [`Self::with_capacity`]).
-    pub fn reserve(&mut self, additional: usize) {
+    fn reserve(&mut self, additional: usize) {
         self.retired.reserve(self.next_seq, additional);
         let target_flat = (self.flat.len() + additional).min(FLAT_LIMIT + 1);
         self.flat

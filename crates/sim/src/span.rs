@@ -110,7 +110,8 @@ impl Phase {
         }
     }
 
-    fn index(self) -> usize {
+    /// Position in [`Phase::ALL`], for per-phase tables.
+    pub fn index(self) -> usize {
         match self {
             Phase::Queue => 0,
             Phase::Boot => 1,

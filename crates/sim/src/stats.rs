@@ -72,7 +72,7 @@ impl OnlineStats {
     }
 
     /// Population variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {

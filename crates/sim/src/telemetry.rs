@@ -548,7 +548,7 @@ impl TenantWindow {
     }
 
     /// SLO violations in this window.
-    pub fn errors(&self) -> u64 {
+    fn errors(&self) -> u64 {
         self.completed - self.slo_hits
     }
 }

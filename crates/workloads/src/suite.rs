@@ -105,10 +105,9 @@ impl FunctionId {
         FunctionId::MqConsume,
     ];
 
-    /// The function's dense intern index (its position in
-    /// [`FunctionId::ALL`]). The simulator's struct-of-arrays job store
-    /// keeps one byte per job instead of the full enum; round-trips
-    /// through [`FunctionId::from_index`].
+    /// The function's dense index (its position in [`FunctionId::ALL`]),
+    /// which the simulator uses to key per-function tables and cache
+    /// content keys.
     ///
     /// # Examples
     ///
@@ -116,20 +115,11 @@ impl FunctionId {
     /// use microfaas_workloads::FunctionId;
     ///
     /// for f in FunctionId::ALL {
-    ///     assert_eq!(FunctionId::from_index(f.index()), f);
+    ///     assert_eq!(FunctionId::ALL[usize::from(f.index())], f);
     /// }
     /// ```
     pub const fn index(self) -> u8 {
         self as u8
-    }
-
-    /// Reverses [`FunctionId::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not a valid intern index (≥ 17).
-    pub const fn from_index(index: u8) -> FunctionId {
-        FunctionId::ALL[index as usize]
     }
 
     /// The name used in the paper.
