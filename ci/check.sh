@@ -20,27 +20,28 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> dead public surface: every pub fn is named outside its own file"
+echo "==> dead public surface: every pub fn has a caller outside its own file"
 # Lists each `pub fn`/`pub const fn` in the non-test part of every source
 # file of the simulator crates and fails, naming it, when no other
 # tracked file under crates/, tests/, examples/, perfbench/, src/ or
 # docs/ names it. A free function must appear there as a whole word; a
-# method (a `pub fn` inside an `impl` block) as `.NAME` or `::NAME`, so
-# a same-named local variable or word in a comment does not count. Two
-# types' methods of one name (`new`, say) still count as one. Such a
-# function either gains a caller or goes (a function called only in its
-# own file is not `pub`).
+# method (a `pub fn` inside an `impl` block) must be called there, as
+# `.NAME(`, `::NAME(`, `.NAME::<` or `::NAME::<`, or passed by path, as
+# `::NAME)` or `::NAME,`, so a same-named field, local variable or word
+# in prose does not count. Two types' methods of one name (`new`, say)
+# still count as one. Such a function either gains a caller or goes (a
+# function called only in its own file is not `pub`).
 dead=0
 for file in $(git ls-files 'crates/sim/src/*.rs' 'crates/core/src/*.rs' \
     'crates/energy/src/*.rs' 'crates/hw/src/*.rs' 'crates/net/src/*.rs' \
     'crates/sched/src/*.rs' 'crates/cli/src/*.rs' 'crates/tco/src/*.rs'); do
     while read -r kind name; do
         if [ "$kind" = method ]; then
-            git grep -qE "(\.|::)$name([^A-Za-z0-9_]|\$)" -- \
+            git grep -qE "(\.|::)$name(\(|::<)|::$name[),]" -- \
                 crates tests examples perfbench src docs ":!$file"
         else
             git grep -qw "$name" -- crates tests examples perfbench src docs ":!$file"
-        fi || { echo "$file: pub fn $name is named nowhere outside its file"; dead=1; }
+        fi || { echo "$file: pub fn $name has no caller outside its file"; dead=1; }
     done < <(awk '/^#\[cfg\(test\)\]/ { exit }
         /^impl[ <]/ && !/\{\}$/ { in_impl = 1 }
         /^}/ { in_impl = 0 }

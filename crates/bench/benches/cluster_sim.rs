@@ -5,11 +5,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional, ConventionalConfig};
 use microfaas::micro::{run_microfaas, MicroFaasConfig};
-use microfaas::FaultsConfig;
 use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::{EventQueue, SimTime};
 use microfaas_workloads::FunctionId;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_10k_schedule_pop", |b| {
@@ -61,7 +61,7 @@ fn bench_faulted_run(c: &mut Criterion) {
     c.bench_function("microfaas_run_340_jobs_faulted", |b| {
         b.iter(|| {
             let mut config = MicroFaasConfig::paper_prototype(mix.clone(), 1);
-            config.faults = FaultsConfig::with_plan(plan.clone());
+            config.faults = Arc::new(plan.clone());
             run_microfaas(black_box(&config))
         })
     });

@@ -1,7 +1,7 @@
 //! Scale benchmarks for the million-event simulator core: the
-//! `EventQueue` under the hot event mixes, on its hierarchical timing
-//! wheel and on the flat list it uses while at most 32 events are
-//! pending, the wheel-depth (granularity) knob, and the streaming
+//! `EventQueue` under the hot event mixes, on its six-level timing
+//! wheel (a fixed `2^36` µs ≈ 19.1 h horizon) and on the flat list it
+//! uses while at most 32 events are pending, and the streaming
 //! open-loop results path end to end.
 //!
 //! Measured numbers are recorded in `BENCH_core_scale.json` at the
@@ -108,31 +108,6 @@ fn bench_event_queue_scale(c: &mut Criterion) {
     }
 }
 
-/// The wheel-depth knob: fewer levels shrink the in-wheel horizon
-/// (64^levels us) and push far-future events — here, every 30 s
-/// timeout and every standing timer — through the overflow heap
-/// instead. Depths 3 and 4 span 0.26 s and 16.8 s, so the timeouts
-/// overflow; depth 6 (the default, ~19.1 h) keeps the whole mix
-/// in-wheel.
-fn bench_wheel_depth(c: &mut Criterion) {
-    const JOBS: u64 = 10_000;
-    let mut group = c.benchmark_group("wheel_depth");
-    group.throughput(Throughput::Elements(JOBS));
-    for levels in [3u32, 4, 6, 10] {
-        group.bench_with_input(
-            BenchmarkId::new("cancel_timeout_mix_10k_levels", levels),
-            &levels,
-            |b, &levels| {
-                b.iter(|| {
-                    let mut q = EventQueue::with_levels(levels);
-                    black_box(cancel_timeout_mix(&mut q, JOBS, STANDING_TIMERS))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The 10M-job recipe from `EXPERIMENTS.md` shrunk 10x in duration:
 /// 10k jobs/tick for 100 s = 1M jobs through the full open-loop engine
 /// (placement, governor, power ledger) on the streaming results path.
@@ -195,7 +170,6 @@ fn bench_streaming_vs_materialized(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue_scale,
-    bench_wheel_depth,
     bench_streaming_open_loop,
     bench_streaming_vs_materialized
 );

@@ -27,7 +27,7 @@ fn config(per_second: f64, scheduler: PlacementKind) -> OpenLoopConfig {
         functions: FunctionId::ALL.to_vec(),
         popularity: microfaas::Popularity::Uniform,
         tenants: Vec::new(),
-        faults: microfaas::FaultsConfig::none(),
+        faults: Default::default(),
         cache: microfaas::cache::CacheConfig::Off,
     }
 }

@@ -3,9 +3,9 @@
 //! aggregate claims (4 of 17 faster, 9 more at better than half speed).
 
 use microfaas::experiment::compare_suites_faulted_jobs;
-use microfaas::FaultsConfig;
 use microfaas_bench::{banner, vs_paper};
 use microfaas_sim::{Jobs, MetricsRegistry};
+use std::sync::Arc;
 
 fn main() {
     banner(
@@ -15,8 +15,7 @@ fn main() {
     // 200 invocations per function keeps the bench under a minute while
     // staying within ~1% of the 1,000-invocation means.
     let mut metrics = MetricsRegistry::new();
-    let cmp =
-        compare_suites_faulted_jobs(200, 2022, &FaultsConfig::none(), &mut metrics, Jobs::auto());
+    let cmp = compare_suites_faulted_jobs(200, 2022, &Arc::default(), &mut metrics, Jobs::auto());
 
     println!(
         "{:<13} | {:>10} {:>10} {:>10} | {:>10} {:>10} {:>10} | {:>6}",

@@ -19,7 +19,7 @@ use microfaas::openloop::{
     run_open_loop_streaming, ArrivalProcess, NullSink, OpenLoopConfig,
 };
 use microfaas::timeline::Timeline;
-use microfaas::{ClusterRun, FaultsConfig};
+use microfaas::ClusterRun;
 use microfaas_energy::attribution::{IdlePolicy, Phase};
 use microfaas_hw::boot::{BootPlatform, BootProfile};
 use microfaas_hw::reliability::{simulate_fleet, FleetSpec};
@@ -127,8 +127,7 @@ fn jobs(f: &Flags) -> Result<Jobs, ParseArgsError> {
 /// Whether the conditional cache-hit summary columns should print: the
 /// cache must be on *and* the run must have consulted it at least once.
 /// A cached run that recorded zero lookups prints like an uncached one
-/// instead of showing a meaningless 0.0% ([`microfaas::cache::CacheStats::hit_rate`]
-/// already clamps that division to `0.0`).
+/// instead of showing a meaningless 0.0%.
 fn show_hit_stats(cache: &CacheConfig, lookups: u64) -> bool {
     cache.enabled() && lookups > 0
 }
@@ -221,10 +220,10 @@ impl Cluster {
         self,
         mix: &Arc<WorkloadMix>,
         seed: u64,
-        faults: &FaultsConfig,
+        faults: &Arc<FaultPlan>,
         observer: &mut Observer<'_>,
     ) -> ClusterRun {
-        let (mix, faults) = (Arc::clone(mix), faults.clone());
+        let (mix, faults) = (Arc::clone(mix), Arc::clone(faults));
         match self {
             Cluster::Micro => {
                 let mut config = MicroFaasConfig::paper_prototype(mix, seed);
@@ -272,7 +271,7 @@ fn compare(f: &Flags) -> Result<(), ParseArgsError> {
     // Only a non-empty plan gets the extra lines, so a run with an
     // empty plan prints byte-identically to a fault-free compare.
     let report_faults = plan.as_ref().is_some_and(|p| !p.is_empty());
-    let faults = plan.map_or_else(FaultsConfig::none, FaultsConfig::with_plan);
+    let faults = Arc::new(plan.unwrap_or_default());
     let mut metrics = MetricsRegistry::new();
     let cmp = compare_suites_faulted_jobs(
         f.get("invocations")?,
@@ -489,12 +488,10 @@ fn monitor(f: &Flags) -> Result<(), ParseArgsError> {
     let telemetry = TelemetryConfig {
         window: SimDuration::from_secs_f64(f.get("window-secs")?),
         max_windows: f.get("max-windows")?,
-        ..TelemetryConfig::default()
     };
     telemetry.try_validate().map_err(ParseArgsError)?;
     let alert_policy = AlertPolicy {
         slo_target: f.get("slo-target")?,
-        ..AlertPolicy::default()
     };
     alert_policy.try_validate().map_err(ParseArgsError)?;
 
@@ -948,7 +945,7 @@ fn trace(f: &Flags) -> Result<(), ParseArgsError> {
     let run = cluster.run(
         &mix,
         seed,
-        &FaultsConfig::none(),
+        &Arc::default(),
         &mut Observer::full(&mut buffer, &mut metrics),
     );
 
@@ -1020,7 +1017,7 @@ fn analyze(f: &Flags) -> Result<(), ParseArgsError> {
         Cluster::ALL[i].run(
             &mix,
             seed,
-            &FaultsConfig::none(),
+            &Arc::default(),
             &mut Observer::full(&mut buffer, &mut metrics),
         );
         if buffer.dropped() > 0 {
@@ -1141,7 +1138,7 @@ fn analyze(f: &Flags) -> Result<(), ParseArgsError> {
 
 fn faults(f: &Flags) -> Result<(), ParseArgsError> {
     let path: String = f.get("plan")?;
-    let faults = FaultsConfig::with_plan(load_plan(&path)?);
+    let faults = Arc::new(load_plan(&path)?);
     let cluster: Cluster = f.get("cluster")?;
     let mix = Arc::new(evaluation_mix(f.get("invocations")?));
     let seed = f.get("seed")?;

@@ -304,20 +304,6 @@ pub struct CacheStats {
     pub coalesced: u64,
 }
 
-impl CacheStats {
-    /// Fraction of completions served without executing: hits plus
-    /// coalesced followers over all lookups plus followers.
-    pub fn hit_rate(&self) -> f64 {
-        let served = self.hits + self.coalesced;
-        let total = self.hits + self.misses + self.coalesced;
-        if total == 0 {
-            0.0
-        } else {
-            served as f64 / total as f64
-        }
-    }
-}
-
 const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
@@ -594,11 +580,6 @@ impl<J> CoalesceTable<J> {
             .map(|(_, jobs)| jobs)
             .unwrap_or_default()
     }
-
-    /// Number of keys currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.waiting.len()
-    }
 }
 
 #[cfg(test)]
@@ -727,21 +708,8 @@ mod tests {
         assert_eq!(table.leader(1), Some(7));
         assert_eq!(table.leader(2), None);
         table.follow(1, 8);
-        assert_eq!(table.in_flight(), 1);
         assert_eq!(table.complete(1), vec![8]);
+        assert_eq!(table.leader(1), None, "completion ends the flight");
         assert_eq!(table.complete(1), Vec::<u32>::new());
-        assert_eq!(table.in_flight(), 0);
-    }
-
-    #[test]
-    fn hit_rate_counts_followers_as_served() {
-        let stats = CacheStats {
-            hits: 3,
-            misses: 5,
-            coalesced: 2,
-            ..CacheStats::default()
-        };
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 }

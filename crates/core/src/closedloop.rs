@@ -19,7 +19,7 @@
 
 use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_sched::{GovernorKind, PlacementKind, PolicyEngine};
-use microfaas_sim::faults::FaultKind;
+use microfaas_sim::faults::{FaultKind, FaultPlan};
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
 use microfaas_sim::{
     CounterId, EventId, EventQueue, HistogramId, MetricsRegistry, Rng, SimDuration, SimTime,
@@ -31,7 +31,10 @@ use crate::cache::{content_key, CacheConfig, CacheStats, ResultCache};
 use crate::config::{Jitter, WorkloadMix};
 use crate::job::{Dispatcher, Job, JobRecord};
 use crate::netmap::ClusterNet;
-use crate::recovery::{priority_of, FaultRuntime, FaultsConfig, Priority};
+use crate::recovery::{
+    backoff, priority_of, FaultRuntime, Priority, DETECTION_DELAY, HANG_WATCHDOG, MAX_ATTEMPTS,
+    MAX_BOOT_RETRIES, RETRANSMIT_DELAY, SHED_BELOW_CAPACITY,
+};
 use crate::registry::TimeoutTable;
 use crate::report::{ClusterRun, DroppedJob, Outcome};
 
@@ -133,7 +136,7 @@ pub(crate) struct Setup<'a> {
     /// [`PolicyEngine::reboot_between_jobs`].
     pub reboot_between_jobs: bool,
     pub timeouts: TimeoutTable,
-    pub faults: &'a FaultsConfig,
+    pub faults: &'a FaultPlan,
     pub cache: &'a CacheConfig,
     pub net: ClusterNet,
     /// The meter, with the class's channels already added.
@@ -275,7 +278,6 @@ pub(crate) struct Core<'a, 'b, E> {
     pub sched_active: bool,
     workers: usize,
     jitter: Jitter,
-    faults: &'a FaultsConfig,
     rng: Rng,
     meter: EnergyMeter,
     net: ClusterNet,
@@ -439,7 +441,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         if let (Some(metrics), Some(h)) = (observer.metrics(), handles.as_ref()) {
             metrics.add(h.jobs_enqueued, jobs.len() as u64);
         }
-        let fr = FaultRuntime::new(&setup.faults.plan, workers, jobs.len());
+        let fr = FaultRuntime::new(setup.faults, workers, jobs.len());
         // LeastLoaded balances expected execution seconds on the class's
         // platform, not job counts, so a queue of MatMuls is not "equal"
         // to one of regexes.
@@ -493,7 +495,6 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             sched_active,
             workers,
             jitter: setup.jitter,
-            faults: setup.faults,
             rng,
             meter: setup.meter,
             net: setup.net,
@@ -627,7 +628,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         if core.fr.injector.boot_fails(w) {
             core.fault_injected(now, w, FaultKind::BootFailure);
             core.fr.boot_failures[w] += 1;
-            if core.fr.boot_failures[w] > core.faults.max_boot_retries {
+            if core.fr.boot_failures[w] > MAX_BOOT_RETRIES {
                 // The node never comes up: declare it dead and move its
                 // statically assigned queue to the survivors.
                 core.fr.dead[w] = true;
@@ -692,8 +693,8 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             return;
         }
         flight.transfer_tries += 1;
-        if flight.transfer_tries <= core.faults.retry.max_attempts {
-            let at = delivered + core.faults.retransmit_delay;
+        if flight.transfer_tries <= MAX_ATTEMPTS {
+            let at = delivered + RETRANSMIT_DELAY;
             flight.pending = Some(core.queue.schedule(at, Event::Retransmit(w)));
         } else {
             // Every copy vanished: when the last one would have arrived,
@@ -760,7 +761,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             self.requeue(flight.job, w, now);
         }
         self.mark(now, w, WorkerState::Crashed);
-        let at = now + self.core.faults.detection_delay;
+        let at = now + DETECTION_DELAY;
         self.core.queue.schedule(at, Event::Recover(w));
         self.maybe_shed(now);
     }
@@ -809,14 +810,11 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         );
         core.with_metrics(|m, h| m.inc(h.jobs_requeued));
         let attempt = core.fr.next_attempt(job);
-        if attempt > core.faults.retry.max_attempts {
+        if attempt > MAX_ATTEMPTS {
             core.fail(job, attempt - 1, now);
             return;
         }
-        let delay = core
-            .faults
-            .retry
-            .backoff(attempt, core.fr.injector.jitter01());
+        let delay = backoff(attempt, core.fr.injector.jitter01());
         core.fr.summary.retries += 1;
         core.observer.emit(
             now,
@@ -855,13 +853,13 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         }
     }
 
-    /// Graceful degradation: when live capacity falls below the
-    /// configured fraction, queued batch work is shed so the surviving
-    /// workers serve interactive invocations first.
+    /// Graceful degradation: when live capacity falls below
+    /// [`SHED_BELOW_CAPACITY`] of the fleet, queued batch work is shed so
+    /// the surviving workers serve interactive invocations first.
     fn maybe_shed(&mut self, now: SimTime) {
         let up = self.core.live().filter(|&w| !self.fleet.crashed(w)).count();
         let core = &mut self.core;
-        if (up as f64) >= core.faults.shed_below_capacity * core.workers as f64 {
+        if (up as f64) >= SHED_BELOW_CAPACITY * core.workers as f64 {
             return;
         }
         let shed = core
@@ -966,7 +964,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             // The invocation wedges: no progress event, only the
             // supervision deadline.
             core.fault_injected(now, w, FaultKind::Hang);
-            let deadline = now + core.faults.hang_watchdog;
+            let deadline = now + HANG_WATCHDOG;
             (
                 None,
                 Some(core.queue.schedule(deadline, Event::Watchdog(w))),

@@ -22,6 +22,7 @@ use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::server::{RackServer, VmState};
 use microfaas_net::LinkSpec;
 use microfaas_sched::{GovernorKind, PlacementKind};
+use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
 use microfaas_sim::{SimDuration, SimTime};
 use microfaas_workloads::calibration::{service_time, WorkerPlatform};
@@ -31,7 +32,6 @@ use crate::cache::CacheConfig;
 use crate::closedloop::{self, Core, NodeClass, Setup};
 use crate::config::{Jitter, WorkloadMix};
 use crate::netmap::ClusterNet;
-use crate::recovery::FaultsConfig;
 use crate::registry::FunctionRegistry;
 use crate::report::ClusterRun;
 
@@ -69,9 +69,11 @@ pub struct ConventionalConfig {
     pub invocation_timeout: Option<SimDuration>,
     /// Deployed-function metadata; per-function timeouts are enforced.
     pub registry: FunctionRegistry,
-    /// Fault plan and recovery policies ([`FaultsConfig::none`] keeps
-    /// the run fault-free and bit-identical to earlier builds).
-    pub faults: FaultsConfig,
+    /// Fault plan ([`FaultPlan::empty`], the default, keeps the run
+    /// fault-free and bit-identical to earlier builds); recovery follows
+    /// the fixed policy in [`crate::recovery`]. Shared behind an [`Arc`]
+    /// so cloning a config never copies the plan's fault list.
+    pub faults: Arc<FaultPlan>,
     /// Content-addressed result cache on the orchestration plane (see
     /// [`crate::micro::MicroFaasConfig::cache`]; identical semantics so
     /// the SBC-vs-VM comparison stays apples-to-apples).
@@ -95,7 +97,7 @@ impl ConventionalConfig {
             governor: GovernorKind::RebootPerJob,
             invocation_timeout: None,
             registry: FunctionRegistry::paper_suite(),
-            faults: FaultsConfig::none(),
+            faults: Arc::default(),
             cache: CacheConfig::Off,
         }
     }
@@ -528,7 +530,7 @@ mod tests {
         let mix = WorkloadMix::new(vec![FunctionId::MatMul], 60);
         let mut config = ConventionalConfig::paper_baseline(mix, 21);
         config.reboot_between_jobs = false;
-        config.faults = FaultsConfig::with_plan(FaultPlan {
+        config.faults = Arc::new(FaultPlan {
             seed: 9,
             faults: vec![FaultSpec {
                 kind: FaultKind::Crash,
@@ -548,7 +550,7 @@ mod tests {
         let mix = WorkloadMix::new(vec![FunctionId::MatMul], 60);
         let clean = run_conventional(&ConventionalConfig::paper_baseline(mix.clone(), 30));
         let mut faulty_config = ConventionalConfig::paper_baseline(mix, 30);
-        faulty_config.faults = FaultsConfig::with_plan(FaultPlan {
+        faulty_config.faults = Arc::new(FaultPlan {
             seed: 1,
             faults: vec![FaultSpec {
                 kind: FaultKind::Crash,
@@ -568,7 +570,7 @@ mod tests {
     fn faulted_vm_runs_are_deterministic() {
         let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RedisInsert], 30);
         let mut config = ConventionalConfig::paper_baseline(mix, 31);
-        config.faults = FaultsConfig::with_plan(FaultPlan {
+        config.faults = Arc::new(FaultPlan {
             seed: 6,
             faults: vec![
                 FaultSpec {

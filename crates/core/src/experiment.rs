@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use microfaas_sched::{edp_winner, pareto_front, GovernorKind, PlacementKind};
+use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::{exec, Jobs, MetricsRegistry, Observer, OnlineStats, SimDuration};
 use microfaas_workloads::FunctionId;
 
@@ -25,7 +26,6 @@ use crate::conventional::{
 };
 use crate::micro::{run_microfaas, run_microfaas_with, sbc_cluster_power, MicroFaasConfig};
 use crate::openloop::{run_open_loop, ArrivalProcess, OpenLoopConfig, OpenLoopRun};
-use crate::recovery::FaultsConfig;
 use crate::report::ClusterRun;
 
 /// The paper's evaluation mix, shared across sweep points without
@@ -120,9 +120,9 @@ impl SuiteComparison {
 /// --metrics-out`). With `jobs >= 2` the two independent runs execute
 /// on separate threads; the result is bit-identical at every job count.
 ///
-/// Metrics collection never perturbs the simulation, and with
-/// [`FaultsConfig::none`] the fault hooks schedule nothing and draw
-/// nothing, so the runs are the plain paper runs.
+/// Metrics collection never perturbs the simulation, and with an empty
+/// [`FaultPlan`] the fault hooks schedule nothing and draw nothing, so
+/// the runs are the plain paper runs.
 ///
 /// In parallel mode each cluster meters into a private registry;
 /// merging micro-then-conv in canonical order reproduces the sequential
@@ -131,19 +131,19 @@ impl SuiteComparison {
 pub fn compare_suites_faulted_jobs(
     invocations_per_function: u32,
     seed: u64,
-    faults: &FaultsConfig,
+    faults: &Arc<FaultPlan>,
     metrics: &mut MetricsRegistry,
     jobs: Jobs,
 ) -> SuiteComparison {
     let mix = suite_mix(invocations_per_function);
     let micro_config = {
         let mut config = MicroFaasConfig::paper_prototype(Arc::clone(&mix), seed);
-        config.faults = faults.clone();
+        config.faults = Arc::clone(faults);
         config
     };
     let conv_config = {
         let mut config = ConventionalConfig::paper_baseline(Arc::clone(&mix), seed);
-        config.faults = faults.clone();
+        config.faults = Arc::clone(faults);
         config
     };
     if jobs.is_serial() {
@@ -1056,7 +1056,7 @@ mod tests {
         let cmp = compare_suites_faulted_jobs(
             60,
             11,
-            &FaultsConfig::none(),
+            &Arc::default(),
             &mut MetricsRegistry::new(),
             Jobs::auto(),
         );
@@ -1078,7 +1078,7 @@ mod tests {
         let cmp = compare_suites_faulted_jobs(
             60,
             12,
-            &FaultsConfig::none(),
+            &Arc::default(),
             &mut MetricsRegistry::new(),
             Jobs::auto(),
         );

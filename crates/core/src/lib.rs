@@ -72,5 +72,4 @@ pub use config::{Jitter, WorkloadMix};
 pub use conventional::{run_conventional, ConventionalConfig};
 pub use job::{Job, JobRecord};
 pub use micro::{run_microfaas, MicroFaasConfig};
-pub use recovery::{FaultsConfig, RetryPolicy};
 pub use report::{ClusterRun, DroppedJob, FaultSummary, Outcome};

@@ -11,10 +11,9 @@
 //!
 //! Fault injection (crashes, boot failures, hangs, lost transfers) and
 //! the recovery policies around it are documented in
-//! `docs/FAILURE_MODEL.md`; with an empty
-//! [`FaultPlan`](microfaas_sim::faults::FaultPlan) the machinery is
-//! inert and runs are bit-identical to a build without it. A crashed
-//! SBC is power-cycled through a full boot.
+//! `docs/FAILURE_MODEL.md`; with an empty [`FaultPlan`] the machinery
+//! is inert and runs are bit-identical to a build without it. A
+//! crashed SBC is power-cycled through a full boot.
 //!
 //! Placement and power-state policy are pluggable through
 //! `microfaas-sched` (see `docs/SCHEDULING.md`): the
@@ -32,6 +31,7 @@ use microfaas_hw::sbc::{SbcNode, SbcState};
 use microfaas_hw::SbcPowerModel;
 use microfaas_net::LinkSpec;
 use microfaas_sched::{DrainAction, GovernorKind, PlacementKind};
+use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::trace::{Observer, TraceEvent, WorkerState};
 use microfaas_sim::{EventId, SimDuration, SimTime};
 use microfaas_workloads::calibration::{service_time, WorkerPlatform};
@@ -41,7 +41,6 @@ use crate::cache::CacheConfig;
 use crate::closedloop::{self, Core, Event, NodeClass, Setup};
 use crate::config::{Jitter, WorkloadMix};
 use crate::netmap::ClusterNet;
-use crate::recovery::FaultsConfig;
 use crate::registry::FunctionRegistry;
 use crate::report::ClusterRun;
 
@@ -92,9 +91,11 @@ pub struct MicroFaasConfig {
     /// [`crate::registry::FunctionSpec::timeout`] is enforced per
     /// invocation. The paper suite deploys everything without timeouts.
     pub registry: FunctionRegistry,
-    /// Fault plan and recovery policies ([`FaultsConfig::none`] keeps
-    /// the run fault-free and bit-identical to earlier builds).
-    pub faults: FaultsConfig,
+    /// Fault plan ([`FaultPlan::empty`], the default, keeps the run
+    /// fault-free and bit-identical to earlier builds); recovery follows
+    /// the fixed policy in [`crate::recovery`]. Shared behind an [`Arc`]
+    /// so cloning a config never copies the plan's fault list.
+    pub faults: Arc<FaultPlan>,
     /// Content-addressed result cache on the orchestration plane. The
     /// closed-loop harness carries no request payloads, so the key
     /// degenerates to one entry per function: after a function's first
@@ -123,7 +124,7 @@ impl MicroFaasConfig {
             service_nic_bits_per_sec: 1_000_000_000,
             invocation_timeout: None,
             registry: FunctionRegistry::paper_suite(),
-            faults: FaultsConfig::none(),
+            faults: Arc::default(),
             cache: CacheConfig::Off,
         }
     }
@@ -840,7 +841,7 @@ mod tests {
         // retried elsewhere, and nothing is lost.
         let mix = WorkloadMix::new(vec![FunctionId::MatMul], 40);
         let mut config = MicroFaasConfig::paper_prototype(mix, 21);
-        config.faults = FaultsConfig::with_plan(FaultPlan {
+        config.faults = Arc::new(FaultPlan {
             seed: 9,
             faults: vec![FaultSpec {
                 kind: FaultKind::Crash,
@@ -880,7 +881,7 @@ mod tests {
             ],
         };
         let mut config = MicroFaasConfig::paper_prototype(mix, 22);
-        config.faults = FaultsConfig::with_plan(plan);
+        config.faults = Arc::new(plan);
         let a = run_microfaas(&config);
         let b = run_microfaas(&config);
         assert_eq!(a.makespan, b.makespan);
@@ -903,7 +904,7 @@ mod tests {
                 trigger: FaultTrigger::At(SimTime::from_secs(3)),
             })
             .collect();
-        config.faults = FaultsConfig::with_plan(FaultPlan { seed: 1, faults });
+        config.faults = Arc::new(FaultPlan { seed: 1, faults });
         let run = run_microfaas(&config);
         assert!(run.shed() > 0, "batch jobs must be shed");
         assert!(run
@@ -921,7 +922,7 @@ mod tests {
         // job lands in `dropped`.
         let mix = WorkloadMix::new(vec![FunctionId::RegexMatch], 30);
         let mut config = MicroFaasConfig::paper_prototype(mix, 24);
-        config.faults = FaultsConfig::with_plan(FaultPlan {
+        config.faults = Arc::new(FaultPlan {
             seed: 2,
             faults: vec![FaultSpec {
                 kind: FaultKind::BootFailure,
@@ -944,7 +945,7 @@ mod tests {
         let mix = WorkloadMix::new(vec![FunctionId::RegexMatch], 2);
         let mut config = MicroFaasConfig::paper_prototype(mix, 25);
         config.workers = 1;
-        config.faults = FaultsConfig::with_plan(FaultPlan {
+        config.faults = Arc::new(FaultPlan {
             seed: 3,
             faults: vec![FaultSpec {
                 kind: FaultKind::Hang,
@@ -967,7 +968,7 @@ mod tests {
         let mix = WorkloadMix::new(vec![FunctionId::RedisInsert], 3);
         let mut config = MicroFaasConfig::paper_prototype(mix, 26);
         config.workers = 2;
-        config.faults = FaultsConfig::with_plan(FaultPlan {
+        config.faults = Arc::new(FaultPlan {
             seed: 4,
             faults: vec![FaultSpec {
                 kind: FaultKind::NetLoss,

@@ -33,7 +33,7 @@ impl ClusterNet {
     /// Panics if `count` is zero.
     pub fn new(prefix: &str, count: usize, worker_link: LinkSpec, service_link: LinkSpec) -> Self {
         assert!(count > 0, "a cluster network needs at least one worker");
-        let mut net = Network::new(LinkSpec::gigabit());
+        let mut net = Network::new();
         let workers: Vec<NodeId> = (0..count)
             .map(|w| net.add_node(format!("{prefix}{w}"), worker_link))
             .collect();

@@ -41,6 +41,7 @@
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use microfaas_energy::attribution::{Attributor, EnergyLedger, IdlePolicy};
 use microfaas_energy::{ChannelId, EnergyMeter};
@@ -51,7 +52,7 @@ use microfaas_sched::{
     BudgetDecision, DrainAction, GovernorKind, NodeView, PlacementKind, PolicyEngine,
     BUDGET_THROTTLE_FACTOR,
 };
-use microfaas_sim::faults::{FaultInjector, FaultKind};
+use microfaas_sim::faults::{FaultInjector, FaultKind, FaultPlan};
 use microfaas_sim::telemetry::{TelemetryConfig, TelemetrySeries};
 use microfaas_sim::trace::{Observer, TraceEvent, TraceObserver, TypedObserver, WorkerState};
 use microfaas_sim::{
@@ -65,7 +66,7 @@ use crate::cache::{content_key, CacheConfig, CoalesceTable, ResultCache};
 use crate::closedloop::{SchedMetrics, EXEC_BUCKETS};
 use crate::config::Jitter;
 use crate::monitor::FlightRecorder;
-use crate::recovery::FaultsConfig;
+use crate::recovery::DETECTION_DELAY;
 
 pub use crate::arrivals::ArrivalProcess;
 use crate::arrivals::{
@@ -110,8 +111,9 @@ pub struct OpenLoopConfig {
     /// crashes** only (the probabilistic kinds are a closed-loop
     /// concern) and [`run_open_loop_conventional`] ignores faults
     /// entirely. A crash lands only if the node is executing at that
-    /// instant — a powered-off node has nothing to kill.
-    pub faults: FaultsConfig,
+    /// instant — a powered-off node has nothing to kill. Shared behind
+    /// an [`Arc`] so cloning a config never copies the fault list.
+    pub faults: Arc<FaultPlan>,
     /// Content-addressed result cache plus in-flight coalescing (see
     /// `docs/CACHING.md`). The default [`CacheConfig::Off`] draws no
     /// extra RNG and emits no cache telemetry, keeping runs
@@ -135,7 +137,7 @@ impl OpenLoopConfig {
             functions: FunctionId::ALL.to_vec(),
             popularity: Popularity::Uniform,
             tenants: Vec::new(),
-            faults: FaultsConfig::none(),
+            faults: Arc::default(),
             cache: CacheConfig::Off,
         }
     }
@@ -1588,7 +1590,7 @@ impl SbcFleet {
         self.nodes[w].node.crash(now).expect("node was executing");
         self.powered_on.add(now, -1.0);
         core.mark(now, w, WorkerState::Crashed, self.power(w));
-        let detected = now + core.config.faults.detection_delay;
+        let detected = now + DETECTION_DELAY;
         core.queue
             .schedule(detected, Event::Node(w as u32, SbcTimer::Recover));
     }
@@ -1613,7 +1615,7 @@ impl OpenClass for SbcFleet {
             core.add_channel(format!("sbc-{w}"));
         }
         self.wants_census = core.policy.wants_idle_census();
-        for &(at, w) in FaultInjector::new(&core.config.faults.plan).scheduled_crashes() {
+        for &(at, w) in FaultInjector::new(&core.config.faults).scheduled_crashes() {
             if w < self.nodes.len() {
                 core.queue
                     .schedule(at, Event::Node(w as u32, SbcTimer::Crash));
@@ -1935,7 +1937,7 @@ mod tests {
             functions: FunctionId::ALL.to_vec(),
             popularity: Popularity::Uniform,
             tenants: Vec::new(),
-            faults: FaultsConfig::none(),
+            faults: Arc::default(),
             cache: CacheConfig::Off,
         }
     }
@@ -2124,7 +2126,7 @@ mod tests {
             PlacementKind::LeastLoaded,
             12,
         );
-        cfg.faults = FaultsConfig::with_plan(FaultPlan {
+        cfg.faults = Arc::new(FaultPlan {
             seed: 3,
             faults: vec![
                 FaultSpec {
@@ -2166,7 +2168,7 @@ mod tests {
             6,
         );
         let mut explicit = base.clone();
-        explicit.faults = FaultsConfig::with_plan(FaultPlan::empty());
+        explicit.faults = Arc::new(FaultPlan::empty());
         let a = run_open_loop(&base);
         let b = run_open_loop(&explicit);
         assert_eq!(a.completed, b.completed);
@@ -2324,11 +2326,7 @@ mod tests {
     fn power_cycles_equal_the_traced_wakes() {
         let governed_runs = GovernorKind::ALL.map(|g| governed(1.0, g, 71));
         for cfg in governed_runs.iter().chain([&crashing()]) {
-            let label = format!(
-                "{:?}, {} faults",
-                cfg.governor,
-                cfg.faults.plan.faults.len()
-            );
+            let label = format!("{:?}, {} faults", cfg.governor, cfg.faults.faults.len());
             let (exact, wakes) = count_wakes(cfg, Samples::new());
             assert!(wakes > 0, "{label}: the run never woke a node");
             assert_eq!(exact.power_cycles, wakes, "{label}: exact path");
@@ -2338,7 +2336,7 @@ mod tests {
                 "{label}: streaming path"
             );
             assert_eq!(streamed_wakes, wakes, "{label}: streaming vs exact");
-            if !cfg.faults.plan.faults.is_empty() {
+            if !cfg.faults.faults.is_empty() {
                 // Recovery reboots the node without pressing PWR_BUT,
                 // so a landed crash adds no wake and no power cycle.
                 assert!(exact.faults_injected >= 1, "{label}: no crash landed");
@@ -3064,8 +3062,8 @@ mod tests {
 
     /// Every SBC crashes at 60 s, 150 s and 240 s; the crash lands on
     /// whichever nodes are executing then.
-    fn grid_crashes() -> FaultsConfig {
-        FaultsConfig::with_plan(FaultPlan {
+    fn grid_crashes() -> Arc<FaultPlan> {
+        Arc::new(FaultPlan {
             seed: 5,
             faults: [60, 150, 240]
                 .into_iter()
@@ -3082,13 +3080,13 @@ mod tests {
 
     /// Boot failures, hangs and lost transfers at 5%, 2% and 5%: kinds
     /// the open loop does not model.
-    fn grid_random_faults() -> FaultsConfig {
+    fn grid_random_faults() -> Arc<FaultPlan> {
         let chances = [
             (FaultKind::BootFailure, 0.05),
             (FaultKind::Hang, 0.02),
             (FaultKind::NetLoss, 0.05),
         ];
-        FaultsConfig::with_plan(FaultPlan {
+        Arc::new(FaultPlan {
             seed: 5,
             faults: chances
                 .map(|(kind, p)| FaultSpec {

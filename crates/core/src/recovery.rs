@@ -3,11 +3,12 @@
 //! degradation (shedding low-priority work when capacity drops).
 //!
 //! The fault *mechanisms* live in [`microfaas_sim::faults`]; this
-//! module is the *policy* layer both cluster simulators share. The full
-//! failure model — taxonomy, per-cluster recovery semantics, and the
-//! backoff math below — is documented in `docs/FAILURE_MODEL.md`.
-
-use std::sync::Arc;
+//! module is the *policy* layer both cluster simulators share. The
+//! policy models one fixed orchestrator, so its delays, budgets and
+//! shedding threshold are constants; only the fault plan varies per
+//! run. The full failure model — taxonomy, per-cluster recovery
+//! semantics, and the backoff math below — is documented in
+//! `docs/FAILURE_MODEL.md`.
 
 use microfaas_sim::faults::{FaultInjector, FaultPlan};
 use microfaas_sim::SimDuration;
@@ -46,104 +47,59 @@ pub fn priority_of(function: FunctionId) -> Priority {
     }
 }
 
-/// Bounded retry with exponential backoff and jitter.
+/// Retries before an invocation is declared failed, and retransmissions
+/// of a lost result transfer before the orchestrator gives up on it.
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
+
+/// Backoff before the first retry.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(250);
+
+/// Ceiling the exponential backoff saturates at.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(2);
+
+/// Heartbeat lag before the orchestrator notices a dead worker and
+/// starts recovery.
+pub(crate) const DETECTION_DELAY: SimDuration = SimDuration::from_millis(500);
+
+/// When live workers drop below this fraction of the fleet, queued
+/// [`Priority::Batch`] jobs are shed to protect interactive work.
+pub(crate) const SHED_BELOW_CAPACITY: f64 = 0.5;
+
+/// Watchdog deadline for a hung invocation (armed only when a hang
+/// fault was injected, so fault-free runs schedule nothing).
+pub(crate) const HANG_WATCHDOG: SimDuration = SimDuration::from_secs(30);
+
+/// Wait before retransmitting a lost result transfer.
+pub(crate) const RETRANSMIT_DELAY: SimDuration = SimDuration::from_millis(50);
+
+/// Consecutive boot failures before a worker is declared dead and its
+/// queue redistributed.
+pub(crate) const MAX_BOOT_RETRIES: u32 = 3;
+
+/// Backoff before retry `attempt` (1-based), jittered by
+/// `jitter01 ∈ [0, 1)`: `min(2 s, 250 ms × 2ⁿ⁻¹) × (0.5 + 0.5 × jitter)`,
+/// with the jitter drawn uniformly out of the fault plan's private RNG
+/// stream — full-jitter-style spreading without touching simulation
+/// randomness.
 ///
-/// Attempt `n` (1-based) backs off for
-/// `min(cap, base × 2ⁿ⁻¹) × (0.5 + 0.5 × jitter)` with `jitter` drawn
-/// uniformly from `[0, 1)` out of the fault plan's private RNG stream —
-/// full-jitter-style spreading without touching simulation randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries before an invocation is declared failed.
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: SimDuration,
-    /// Ceiling the exponential curve saturates at.
-    pub backoff_cap: SimDuration,
-}
-
-impl RetryPolicy {
-    /// The orchestrator default: 3 attempts, 250 ms doubling to a 2 s cap.
-    pub fn standard() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: SimDuration::from_millis(250),
-            backoff_cap: SimDuration::from_secs(2),
-        }
-    }
-
-    /// Backoff before retry `attempt` (1-based), jittered by
-    /// `jitter01 ∈ [0, 1)`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use microfaas::recovery::RetryPolicy;
-    /// use microfaas_sim::SimDuration;
-    ///
-    /// let policy = RetryPolicy::standard();
-    /// // Zero jitter halves the nominal delay; the curve still doubles.
-    /// assert_eq!(policy.backoff(1, 0.0), SimDuration::from_millis(125));
-    /// assert_eq!(policy.backoff(2, 0.0), SimDuration::from_millis(250));
-    /// // The cap bounds late attempts regardless of the exponent.
-    /// assert!(policy.backoff(30, 0.999) <= policy.backoff_cap);
-    /// ```
-    pub fn backoff(&self, attempt: u32, jitter01: f64) -> SimDuration {
-        let doublings = attempt.saturating_sub(1).min(30);
-        let nominal = self
-            .base_backoff
-            .mul_f64((1u64 << doublings) as f64)
-            .min(self.backoff_cap);
-        nominal.mul_f64(0.5 + 0.5 * jitter01.clamp(0.0, 1.0))
-    }
-}
-
-/// Fault plan plus every recovery-policy knob a cluster run consumes.
-#[derive(Debug, Clone)]
-pub struct FaultsConfig {
-    /// What goes wrong ([`FaultPlan::empty`] keeps runs bit-identical
-    /// to a fault-free build). Shared behind an [`Arc`] so cloning a
-    /// config — e.g. once per sweep point or replicate — never copies
-    /// the plan's fault list.
-    pub plan: Arc<FaultPlan>,
-    /// Retry/backoff policy for recovered invocations.
-    pub retry: RetryPolicy,
-    /// Heartbeat lag before the orchestrator notices a dead worker and
-    /// starts recovery.
-    pub detection_delay: SimDuration,
-    /// When live workers drop below this fraction of the fleet, queued
-    /// [`Priority::Batch`] jobs are shed to protect interactive work.
-    pub shed_below_capacity: f64,
-    /// Watchdog deadline for a hung invocation (fires only when a hang
-    /// fault was injected, so fault-free runs schedule nothing).
-    pub hang_watchdog: SimDuration,
-    /// Wait before retransmitting a lost result transfer.
-    pub retransmit_delay: SimDuration,
-    /// Consecutive boot failures before a worker is declared dead and
-    /// its queue redistributed.
-    pub max_boot_retries: u32,
-}
-
-impl FaultsConfig {
-    /// No faults, standard policies — the default for every config
-    /// constructor, guaranteeing unchanged behavior.
-    pub fn none() -> Self {
-        FaultsConfig::with_plan(FaultPlan::empty())
-    }
-
-    /// Standard policies around a specific plan (owned or pre-shared
-    /// [`Arc`] — both convert).
-    pub fn with_plan(plan: impl Into<Arc<FaultPlan>>) -> Self {
-        FaultsConfig {
-            plan: plan.into(),
-            retry: RetryPolicy::standard(),
-            detection_delay: SimDuration::from_millis(500),
-            shed_below_capacity: 0.5,
-            hang_watchdog: SimDuration::from_secs(30),
-            retransmit_delay: SimDuration::from_millis(50),
-            max_boot_retries: 3,
-        }
-    }
+/// # Examples
+///
+/// ```
+/// use microfaas::recovery::backoff;
+/// use microfaas_sim::SimDuration;
+///
+/// // Zero jitter halves the nominal delay; the curve still doubles.
+/// assert_eq!(backoff(1, 0.0), SimDuration::from_millis(125));
+/// assert_eq!(backoff(2, 0.0), SimDuration::from_millis(250));
+/// // The 2 s cap bounds late attempts regardless of the exponent.
+/// assert!(backoff(30, 0.999) <= SimDuration::from_secs(2));
+/// ```
+pub fn backoff(attempt: u32, jitter01: f64) -> SimDuration {
+    let doublings = attempt.saturating_sub(1).min(30);
+    let nominal = BASE_BACKOFF
+        .mul_f64((1u64 << doublings) as f64)
+        .min(BACKOFF_CAP);
+    nominal.mul_f64(0.5 + 0.5 * jitter01.clamp(0.0, 1.0))
 }
 
 /// Per-run bookkeeping the cluster event loops thread through their
@@ -192,25 +148,23 @@ mod tests {
 
     #[test]
     fn backoff_doubles_then_saturates() {
-        let policy = RetryPolicy::standard();
         // Full jitter (≈1) gives the nominal curve.
         let near = |d: SimDuration, ms: u64| {
             let nominal = SimDuration::from_millis(ms);
             d > nominal.mul_f64(0.49) && d <= nominal
         };
-        assert!(near(policy.backoff(1, 0.999), 250));
-        assert!(near(policy.backoff(2, 0.999), 500));
-        assert!(near(policy.backoff(3, 0.999), 1000));
-        assert!(near(policy.backoff(4, 0.999), 2000));
-        assert!(near(policy.backoff(5, 0.999), 2000), "cap holds");
-        assert!(near(policy.backoff(64, 0.999), 2000), "huge attempts safe");
+        assert!(near(backoff(1, 0.999), 250));
+        assert!(near(backoff(2, 0.999), 500));
+        assert!(near(backoff(3, 0.999), 1000));
+        assert!(near(backoff(4, 0.999), 2000));
+        assert!(near(backoff(5, 0.999), 2000), "cap holds");
+        assert!(near(backoff(64, 0.999), 2000), "huge attempts safe");
     }
 
     #[test]
     fn jitter_spreads_but_never_exceeds_nominal() {
-        let policy = RetryPolicy::standard();
-        let lo = policy.backoff(2, 0.0);
-        let hi = policy.backoff(2, 0.999);
+        let lo = backoff(2, 0.0);
+        let hi = backoff(2, 0.999);
         assert!(lo < hi);
         assert_eq!(lo, SimDuration::from_millis(250), "floor is half nominal");
         assert!(hi <= SimDuration::from_millis(500));

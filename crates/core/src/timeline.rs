@@ -159,7 +159,7 @@ impl Timeline {
     }
 
     /// Per-worker busy fraction over the run.
-    pub fn utilization(&self, worker: usize) -> f64 {
+    fn utilization(&self, worker: usize) -> f64 {
         let total = self.end.duration_since(SimTime::ZERO).as_secs_f64();
         if total == 0.0 {
             return 0.0;
@@ -336,13 +336,13 @@ mod tests {
     #[test]
     fn crash_outages_render_with_their_own_glyph() {
         use crate::micro::run_microfaas_with;
-        use crate::recovery::FaultsConfig;
         use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
         use microfaas_sim::{Observer, TraceBuffer};
+        use std::sync::Arc;
 
         let mix = WorkloadMix::new(vec![FunctionId::MatMul], 40);
         let mut config = MicroFaasConfig::paper_prototype(mix, 9);
-        config.faults = FaultsConfig::with_plan(FaultPlan {
+        config.faults = Arc::new(FaultPlan {
             seed: 4,
             faults: vec![FaultSpec {
                 kind: FaultKind::Crash,

@@ -15,13 +15,15 @@
 //!    n-way split, budget shedding, two tenants under keep-alive — keep
 //!    their CSV and Prometheus renderings byte for byte.
 
+use std::sync::Arc;
+
 use microfaas::cache::{fnv1a_extend, FNV_OFFSET};
 use microfaas::openloop::{
     run_open_loop, run_open_loop_attributed, run_open_loop_conventional,
     run_open_loop_conventional_attributed, run_open_loop_streaming_attributed, ArrivalProcess,
     NullSink, OpenLoopConfig,
 };
-use microfaas::{FaultsConfig, Popularity, TenantClass};
+use microfaas::{Popularity, TenantClass};
 use microfaas_energy::attribution::{EnergyLedger, IdlePolicy};
 use microfaas_sched::{BudgetAction, GovernorKind, PlacementKind};
 use microfaas_sim::exec::par_map_indexed;
@@ -209,7 +211,7 @@ fn ledger_fingerprint(ledger: &EnergyLedger) -> u64 {
 fn crash_config() -> OpenLoopConfig {
     let mut config = config(12, 0, 1, 0);
     config.arrival = ArrivalProcess::Poisson { per_second: 2.0 };
-    config.faults = FaultsConfig::with_plan(FaultPlan {
+    config.faults = Arc::new(FaultPlan {
         seed: 12,
         faults: (0..10u64)
             .map(|i| FaultSpec {

@@ -30,7 +30,6 @@ use microfaas::micro::{run_microfaas, run_microfaas_with, MicroFaasConfig};
 use microfaas::openloop::{run_open_loop_with, ArrivalProcess, OpenLoopConfig};
 use microfaas::registry::{FunctionRegistry, FunctionSpec};
 use microfaas::report::ClusterRun;
-use microfaas::FaultsConfig;
 use microfaas_sched::{GovernorKind, PlacementKind};
 use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use microfaas_sim::trace::{Observer, TraceBuffer};
@@ -98,7 +97,7 @@ const GRID_SEED: u64 = 11;
 
 /// Scheduled crashes `(worker, at seconds)` plus boot-failure, hang and
 /// net-loss probabilities, on the standard recovery policies.
-fn faults(crashes: &[(usize, u64)], [boot, hang, loss]: [f64; 3]) -> FaultsConfig {
+fn faults(crashes: &[(usize, u64)], [boot, hang, loss]: [f64; 3]) -> Arc<FaultPlan> {
     let mut faults: Vec<FaultSpec> = crashes
         .iter()
         .map(|&(worker, at_s)| FaultSpec {
@@ -120,7 +119,7 @@ fn faults(crashes: &[(usize, u64)], [boot, hang, loss]: [f64; 3]) -> FaultsConfi
             });
         }
     }
-    FaultsConfig::with_plan(FaultPlan { seed: 5, faults })
+    Arc::new(FaultPlan { seed: 5, faults })
 }
 
 const TWO_CRASHES: [(usize, u64); 2] = [(1, 60), (4, 150)];

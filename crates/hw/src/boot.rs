@@ -227,11 +227,6 @@ impl BootProfile {
         profile
     }
 
-    /// The target platform.
-    pub fn platform(&self) -> BootPlatform {
-        self.platform
-    }
-
     /// Applies one optimization stage. Re-applying is a no-op.
     fn apply(&mut self, stage: BootStage) -> &mut Self {
         if !self.applied.contains(&stage) {

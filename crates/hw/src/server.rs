@@ -44,25 +44,18 @@ impl fmt::Display for VmState {
 /// One QEMU microVM worker (1 vCPU, 512 MB, bridged virtio NIC).
 #[derive(Debug, Clone)]
 pub struct VmWorker {
-    id: usize,
     state: VmState,
     state_since: SimTime,
     jobs_completed: u64,
 }
 
 impl VmWorker {
-    fn new(id: usize, now: SimTime) -> Self {
+    fn new(now: SimTime) -> Self {
         VmWorker {
-            id,
             state: VmState::Idle,
             state_since: now,
             jobs_completed: 0,
         }
-    }
-
-    /// The worker's identifier within the host.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Current state.
@@ -166,7 +159,7 @@ impl RackServer {
         );
         RackServer {
             cores: 12,
-            vms: (0..vm_count).map(|id| VmWorker::new(id, now)).collect(),
+            vms: vec![VmWorker::new(now); vm_count],
             busy: 0,
             power_model: ServerPowerModel::opteron_6172(),
             vm_boot_window: BootTime::fully_optimized(BootPlatform::X86).real,

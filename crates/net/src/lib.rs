@@ -26,7 +26,7 @@
 //! use microfaas_net::{LinkSpec, Network};
 //! use microfaas_sim::SimTime;
 //!
-//! let mut net = Network::new(LinkSpec::gigabit());
+//! let mut net = Network::new();
 //! let sbc = net.add_node("sbc-0", LinkSpec::fast_ethernet());
 //! let service = net.add_node("postgres", LinkSpec::fast_ethernet());
 //!
@@ -124,12 +124,16 @@ pub struct TrafficStats {
     pub bytes_received: u64,
 }
 
+/// Line rate of every switch port: the paper's testbed switch is GigE.
+const SWITCH_PORT_BITS_PER_SEC: u64 = 1_000_000_000;
+
+/// The switch's store-and-forward latency per message.
+const FORWARDING_LATENCY: SimDuration = SimDuration::from_micros(10);
+
 /// The switched network: every node connects to one managed switch, as in
 /// the paper's testbed (one 24-port managed GigE switch).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Network {
-    switch_port: LinkSpec,
-    forwarding_latency: SimDuration,
     nodes: Vec<Node>,
     total_bytes: u64,
     messages: u64,
@@ -137,16 +141,9 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network whose switch ports run at `switch_port` speed.
-    pub fn new(switch_port: LinkSpec) -> Self {
-        Network {
-            switch_port,
-            forwarding_latency: SimDuration::from_micros(10),
-            nodes: Vec::new(),
-            total_bytes: 0,
-            messages: 0,
-            messages_lost: 0,
-        }
+    /// Creates a network with no nodes behind the paper's GigE switch.
+    pub fn new() -> Self {
+        Network::default()
     }
 
     /// Attaches a node with the given NIC and returns its id.
@@ -160,11 +157,6 @@ impl Network {
             bytes_received: 0,
         });
         NodeId(self.nodes.len() - 1)
-    }
-
-    /// Number of attached nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The node's configured name.
@@ -204,12 +196,11 @@ impl Network {
     pub fn route(&self, from: NodeId, to: NodeId, bytes: u64) -> Route {
         assert_ne!(from, to, "a node cannot send to itself over the switch");
         let (up, down) = (&self.nodes[from.0].link, &self.nodes[to.0].link);
-        let switch = self.switch_port.bits_per_sec;
         Route {
             bytes,
-            up: serialization(bytes, up.bits_per_sec.min(switch)),
-            down: serialization(bytes, down.bits_per_sec.min(switch)),
-            latency: up.latency + self.forwarding_latency + down.latency,
+            up: serialization(bytes, up.bits_per_sec.min(SWITCH_PORT_BITS_PER_SEC)),
+            down: serialization(bytes, down.bits_per_sec.min(SWITCH_PORT_BITS_PER_SEC)),
+            latency: up.latency + FORWARDING_LATENCY + down.latency,
         }
     }
 
@@ -298,7 +289,7 @@ mod tests {
     use super::*;
 
     fn two_node_net() -> (Network, NodeId, NodeId) {
-        let mut net = Network::new(LinkSpec::gigabit());
+        let mut net = Network::new();
         let a = net.add_node("a", LinkSpec::fast_ethernet());
         let b = net.add_node("b", LinkSpec::fast_ethernet());
         (net, a, b)
@@ -324,7 +315,7 @@ mod tests {
 
     #[test]
     fn gigabit_is_ten_times_faster() {
-        let mut net = Network::new(LinkSpec::gigabit());
+        let mut net = Network::new();
         let fast = net.add_node("fe", LinkSpec::fast_ethernet());
         let gig = net.add_node("ge", LinkSpec::gigabit());
         let sink1 = net.add_node("sink1", LinkSpec::gigabit());
@@ -356,7 +347,7 @@ mod tests {
 
     #[test]
     fn receiver_port_is_shared_bottleneck() {
-        let mut net = Network::new(LinkSpec::gigabit());
+        let mut net = Network::new();
         let senders: Vec<NodeId> = (0..4)
             .map(|i| net.add_node(format!("s{i}"), LinkSpec::gigabit()))
             .collect();
@@ -425,6 +416,5 @@ mod tests {
         let (net, a, b) = two_node_net();
         assert_eq!(net.node_name(a), "a");
         assert_eq!(net.node_name(b), "b");
-        assert_eq!(net.node_count(), 2);
     }
 }

@@ -23,7 +23,7 @@ fn cluster(
     worker_link: LinkSpec,
     service_link: LinkSpec,
 ) -> (Network, Vec<NodeId>, Vec<LinkSpec>) {
-    let mut net = Network::new(LinkSpec::gigabit());
+    let mut net = Network::new();
     let mut links = vec![worker_link; workers];
     links.push(LinkSpec::gigabit());
     links.extend([service_link; 4]);

@@ -104,9 +104,9 @@ pub use rng::{CdfTable, Rng, SplitMix64};
 pub use span::{CriticalPath, JobSpan, LifecycleSpan, Phase, PhaseStats, SpanTree};
 pub use stats::{OnlineStats, QuantileSketch, Samples, TimeWeighted};
 pub use telemetry::{
-    evaluate_alerts, Alert, AlertPolicy, AlertSeverity, AlertSignal, BurnRateRule,
-    CompletionWindows, CounterTrack, EventWindows, TelemetryConfig, TelemetrySeries,
-    TelemetryWindow, TenantSpec, TenantWindow,
+    evaluate_alerts, Alert, AlertPolicy, AlertSeverity, AlertSignal, CompletionWindows,
+    CounterTrack, EventWindows, TelemetryConfig, TelemetrySeries, TelemetryWindow, TenantSpec,
+    TenantWindow,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{Endpoint, Observer, TraceBuffer, TraceEvent, TraceRecord, TraceSink, WorkerState};

@@ -43,8 +43,8 @@ pub const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(1);
 /// Default flight-recorder depth: enough for an hour of 1 s windows.
 pub const DEFAULT_MAX_WINDOWS: usize = 4096;
 
-/// Relative error of the per-window latency sketches.
-pub const DEFAULT_TELEMETRY_EPSILON: f64 = 0.01;
+/// Relative error of the per-window latency quantile sketches.
+const QUANTILE_EPSILON: f64 = 0.01;
 
 /// Configuration for the windowed taps.
 ///
@@ -67,8 +67,6 @@ pub struct TelemetryConfig {
     /// Maximum windows retained; older windows are evicted (and
     /// counted) flight-recorder style.
     pub max_windows: usize,
-    /// Relative error of the per-window latency quantile sketches.
-    pub quantile_epsilon: f64,
 }
 
 impl Default for TelemetryConfig {
@@ -76,7 +74,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             window: DEFAULT_WINDOW,
             max_windows: DEFAULT_MAX_WINDOWS,
-            quantile_epsilon: DEFAULT_TELEMETRY_EPSILON,
         }
     }
 }
@@ -93,20 +90,13 @@ impl TelemetryConfig {
     /// # Errors
     ///
     /// Describes the first problem: a zero-width window (a width under
-    /// 1 µs rounds to zero), no retained windows, or a quantile error
-    /// outside (0, 1).
+    /// 1 µs rounds to zero) or no retained windows.
     pub fn try_validate(&self) -> Result<(), String> {
         if self.window.is_zero() {
             return Err("telemetry window must be non-zero".to_string());
         }
         if self.max_windows == 0 {
             return Err("must retain at least one window".to_string());
-        }
-        if !(self.quantile_epsilon > 0.0 && self.quantile_epsilon < 1.0) {
-            return Err(format!(
-                "relative error must be in (0, 1), got {}",
-                self.quantile_epsilon
-            ));
         }
         Ok(())
     }
@@ -406,13 +396,13 @@ struct CompAcc {
 }
 
 impl CompAcc {
-    fn new(epsilon: f64, tenants: usize) -> Self {
+    fn new(tenants: usize) -> Self {
         CompAcc {
             completed: 0,
             served_from_cache: 0,
             latency_sum: 0.0,
             latency_max: 0.0,
-            sketch: QuantileSketch::with_relative_error(epsilon),
+            sketch: QuantileSketch::with_relative_error(QUANTILE_EPSILON),
             tenant_completed: vec![0; tenants],
             tenant_slo_hits: vec![0; tenants],
         }
@@ -436,7 +426,6 @@ pub struct CompletionWindows {
     /// End instant of the newest window, cached so the per-completion
     /// hot path needs no division.
     boundary_us: u64,
-    epsilon: f64,
     tenants: Vec<TenantSpec>,
 }
 
@@ -453,9 +442,8 @@ impl CompletionWindows {
         } else {
             tenants
         };
-        let epsilon = config.quantile_epsilon;
         let mut wins = VecDeque::with_capacity(16);
-        wins.push_back(CompAcc::new(epsilon, tenants.len()));
+        wins.push_back(CompAcc::new(tenants.len()));
         CompletionWindows {
             width_us: config.window.as_micros(),
             limit: config.max_windows,
@@ -463,13 +451,12 @@ impl CompletionWindows {
             wins,
             dropped: 0,
             boundary_us: config.window.as_micros(),
-            epsilon,
             tenants,
         }
     }
 
     fn push_window(&mut self) {
-        let acc = CompAcc::new(self.epsilon, self.tenants.len());
+        let acc = CompAcc::new(self.tenants.len());
         self.wins.push_back(acc);
         self.boundary_us += self.width_us;
         if self.wins.len() > self.limit {
@@ -705,7 +692,7 @@ impl TelemetrySeries {
         // sealing first.
         events.flush_cur();
         let width_us = events.width_us;
-        let empty = CompAcc::new(completions.epsilon, completions.tenants.len());
+        let empty = CompAcc::new(completions.tenants.len());
         let mut windows = Vec::with_capacity(events.wins.len());
         for (k, acc) in events.wins.iter().enumerate() {
             let index = events.base + k as u64;
@@ -972,7 +959,7 @@ pub enum AlertSignal {
     BurnRate {
         /// Tenant the budget belongs to.
         tenant: String,
-        /// Which [`BurnRateRule`] fired (its label).
+        /// Which burn-rate rule fired: `fast` or `slow`.
         rule: String,
     },
     /// Windowed mean latency deviated from its EWMA baseline.
@@ -1017,65 +1004,64 @@ pub struct Alert {
 /// One multi-window burn-rate rule (the Google SRE workbook shape):
 /// fire when the error-budget burn rate exceeds `factor` over both a
 /// long window (commitment) and a short window (still happening now).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BurnRateRule {
+struct BurnRateRule {
     /// Rule name, used in [`AlertSignal::BurnRate`].
-    pub label: String,
+    label: &'static str,
     /// Long lookback, in telemetry windows.
-    pub long_windows: usize,
+    long_windows: usize,
     /// Short lookback, in telemetry windows.
-    pub short_windows: usize,
+    short_windows: usize,
     /// Burn-rate threshold: 1.0 burns the whole budget exactly over
     /// the SLO period; 10.0 burns it ten times too fast.
-    pub factor: f64,
+    factor: f64,
     /// Severity when the rule fires.
-    pub severity: AlertSeverity,
+    severity: AlertSeverity,
 }
 
+/// The burn-rate rules evaluated per tenant: a fast page-grade rule
+/// (10× burn over 12/3 windows) and a slow ticket-grade rule (2× burn
+/// over 48/12 windows).
+const BURN_RATE_RULES: [BurnRateRule; 2] = [
+    BurnRateRule {
+        label: "fast",
+        long_windows: 12,
+        short_windows: 3,
+        factor: 10.0,
+        severity: AlertSeverity::Critical,
+    },
+    BurnRateRule {
+        label: "slow",
+        long_windows: 48,
+        short_windows: 12,
+        factor: 2.0,
+        severity: AlertSeverity::Warning,
+    },
+];
+
+/// EWMA smoothing factor for the anomaly baselines.
+const EWMA_ALPHA: f64 = 0.3;
+
+/// |z|-score above which a window is anomalous.
+const Z_THRESHOLD: f64 = 4.0;
+
+/// Observations the anomaly detector consumes before it may fire
+/// (baseline warm-up).
+const WARMUP_WINDOWS: usize = 8;
+
 /// Alerting policy: the SLO target shared by every tenant's burn-rate
-/// evaluation, the rule set, and the anomaly-detector constants.
+/// evaluation. The burn-rate rules and the anomaly detector's
+/// constants are fixed (`docs/MONITORING.md` lists them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertPolicy {
     /// SLO target as a fraction (0.95 = 95% of requests in SLO); the
     /// error budget is `1 - slo_target`.
     pub slo_target: f64,
-    /// Multi-window burn-rate rules, evaluated per tenant.
-    pub rules: Vec<BurnRateRule>,
-    /// EWMA smoothing factor for the anomaly baselines.
-    pub ewma_alpha: f64,
-    /// |z|-score above which a window is anomalous.
-    pub z_threshold: f64,
-    /// Observations consumed before the detector may fire (baseline
-    /// warm-up).
-    pub warmup_windows: usize,
 }
 
 impl Default for AlertPolicy {
-    /// A fast page-grade rule (10× burn over 12/3 windows) and a slow
-    /// ticket-grade rule (2× burn over 48/12 windows), 95% SLO target.
+    /// A 95% SLO target.
     fn default() -> Self {
-        AlertPolicy {
-            slo_target: 0.95,
-            rules: vec![
-                BurnRateRule {
-                    label: "fast".to_owned(),
-                    long_windows: 12,
-                    short_windows: 3,
-                    factor: 10.0,
-                    severity: AlertSeverity::Critical,
-                },
-                BurnRateRule {
-                    label: "slow".to_owned(),
-                    long_windows: 48,
-                    short_windows: 12,
-                    factor: 2.0,
-                    severity: AlertSeverity::Warning,
-                },
-            ],
-            ewma_alpha: 0.3,
-            z_threshold: 4.0,
-            warmup_windows: 8,
-        }
+        AlertPolicy { slo_target: 0.95 }
     }
 }
 
@@ -1090,36 +1076,13 @@ impl AlertPolicy {
     ///
     /// # Errors
     ///
-    /// Describes the first problem: an SLO target outside (0, 1), an
-    /// EWMA alpha outside (0, 1], a non-positive z threshold, or a
-    /// burn-rate rule with `short_windows` of 0 or above `long_windows`,
-    /// or a non-positive factor.
+    /// Describes the problem: an SLO target outside (0, 1).
     pub fn try_validate(&self) -> Result<(), String> {
         if !(self.slo_target > 0.0 && self.slo_target < 1.0) {
             return Err(format!(
                 "SLO target must be in (0, 1), got {}",
                 self.slo_target
             ));
-        }
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(format!(
-                "EWMA alpha must be in (0, 1], got {}",
-                self.ewma_alpha
-            ));
-        }
-        if self.z_threshold.is_nan() || self.z_threshold <= 0.0 {
-            return Err("z threshold must be positive".to_string());
-        }
-        for rule in &self.rules {
-            if !(rule.long_windows >= rule.short_windows && rule.short_windows > 0) {
-                return Err(format!(
-                    "burn-rate rule '{}' needs 0 < short_windows <= long_windows",
-                    rule.label
-                ));
-            }
-            if rule.factor.is_nan() || rule.factor <= 0.0 {
-                return Err("burn-rate factor must be positive".to_string());
-            }
         }
         Ok(())
     }
@@ -1170,8 +1133,8 @@ fn edge_walk(
 ///
 /// # Panics
 ///
-/// Panics if the policy is malformed (see field docs on
-/// [`AlertPolicy`]).
+/// Panics if the policy is malformed (see
+/// [`AlertPolicy::try_validate`]).
 pub fn evaluate_alerts(series: &TelemetrySeries, policy: &AlertPolicy) -> Vec<Alert> {
     policy.validate();
     let mut out = Vec::new();
@@ -1201,12 +1164,12 @@ pub fn evaluate_alerts(series: &TelemetrySeries, policy: &AlertPolicy) -> Vec<Al
             let err = err_prefix[to] - err_prefix[from];
             (err as f64 / req as f64) / budget
         };
-        for rule in &policy.rules {
+        for rule in &BURN_RATE_RULES {
             edge_walk(
                 series,
                 AlertSignal::BurnRate {
                     tenant: spec.name.clone(),
-                    rule: rule.label.clone(),
+                    rule: rule.label.to_owned(),
                 },
                 rule.severity,
                 |k, _| {
@@ -1250,20 +1213,20 @@ pub fn evaluate_alerts(series: &TelemetrySeries, policy: &AlertPolicy) -> Vec<Al
             AlertSeverity::Warning,
             |k, _| {
                 let x = values[k]?;
-                let anomalous = if seen >= policy.warmup_windows {
+                let anomalous = if seen >= WARMUP_WINDOWS {
                     // Deviation floor: 5% of the baseline, so a nearly
                     // constant signal's numeric jitter cannot fire.
                     let std = var.sqrt().max(mean.abs() * 0.05 + 1e-9);
                     let z = (x - mean) / std;
-                    (z.abs() > policy.z_threshold).then_some(z.abs())
+                    (z.abs() > Z_THRESHOLD).then_some(z.abs())
                 } else {
                     None
                 };
                 seen += 1;
                 let diff = x - mean;
-                let incr = policy.ewma_alpha * diff;
+                let incr = EWMA_ALPHA * diff;
                 mean += incr;
-                var = (1.0 - policy.ewma_alpha) * (var + diff * incr);
+                var = (1.0 - EWMA_ALPHA) * (var + diff * incr);
                 anomalous
             },
             &mut out,
@@ -1671,10 +1634,7 @@ mod tests {
     #[should_panic(expected = "SLO target")]
     fn malformed_policy_is_rejected() {
         let series = slo_series(4, 0, 0);
-        let policy = AlertPolicy {
-            slo_target: 1.5,
-            ..AlertPolicy::default()
-        };
+        let policy = AlertPolicy { slo_target: 1.5 };
         evaluate_alerts(&series, &policy);
     }
 

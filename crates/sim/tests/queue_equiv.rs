@@ -1,20 +1,21 @@
 //! Differential test: [`EventQueue`] — a flat list while at most 32
-//! events are pending, a hierarchical timing wheel beyond that —
-//! against a straightforward reference model (a list of every event
-//! ever scheduled with its state). Random interleavings of schedule /
-//! pop / peek / cancel — including same-tick ties, delays far past the
-//! wheel's horizon (which land in the overflow heap), and bursts and
-//! drains that carry the queue across the flat/wheel boundary in both
-//! directions — must produce the exact pop order, peek times, cancel
-//! outcomes and live counts the reference produces, at every wheel
-//! depth.
+//! events are pending, a six-level hierarchical timing wheel beyond
+//! that — against a straightforward reference model (a list of every
+//! event ever scheduled with its state). Random interleavings of
+//! schedule / pop / cancel — including same-tick ties, delays spread
+//! log-uniformly over every wheel level, delays past the wheel's
+//! `2^36` µs horizon (which land in the overflow heap and migrate back
+//! as time approaches them), and bursts and drains that carry the
+//! queue across the flat/wheel boundary in both directions — must
+//! produce the exact pop order, cancel outcomes and live counts the
+//! reference produces.
 //!
 //! A 1M-event smoke test then pins the streaming property: pushing a
 //! million events through the wheel in waves reuses the same slots, so
 //! live occupancy (and therefore memory) stays bounded by the wave
 //! size, not the event count.
 
-use microfaas_sim::queue::{EventQueue, DEFAULT_LEVELS, MAX_LEVELS};
+use microfaas_sim::queue::EventQueue;
 use microfaas_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -23,7 +24,7 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 enum Op {
     /// Schedule at `now + delay_us`. Zero delays create same-tick ties;
-    /// large delays overshoot shallow wheels into the overflow heap.
+    /// delays of `2^36` µs or more land in the overflow heap.
     Schedule { delay_us: u64 },
     /// Schedule one event per delay, back to back: enough to push a
     /// flat queue past 32 pending events in one op.
@@ -32,35 +33,69 @@ enum Op {
     /// nothing when no event is live, so only `Drain` pops an empty
     /// queue and a queue that spilled keeps its wheel until then.
     Pop,
+    /// Pop until no event is live, without the empty pop: a queue that
+    /// spilled stays on its wheel, and with no tombstone left the next
+    /// schedule fills the wheel's front buffer.
+    PopAll,
     /// Pop until the reference is empty, then pop once more: the empty
     /// pop returns the queue to flat mode.
     Drain,
-    /// Compare `peek_time` with the reference's earliest live time.
-    Peek,
     /// Cancel the `k`-th issued id (mod the issued count), whatever its
     /// state: live, already cancelled, or already fired.
     Cancel { k: usize },
 }
 
-/// Far future: past the horizon of every wheel under test with fewer
-/// than four levels (2^18 us), deep into overflow for one- and
-/// two-level wheels.
-const FAR_US: std::ops::Range<u64> = 1 << 14..1 << 22;
+/// Delays spread log-uniformly over `[2^from, 2^to)` µs: each power of
+/// two is equally likely, so every wheel level (six bits of the
+/// timestamp each) gets its share.
+fn log_uniform(from: u32, to: u32) -> impl Strategy<Value = u64> {
+    (from..to, any::<u64>()).prop_map(|(bits, r)| (1u64 << bits) | (r & ((1u64 << bits) - 1)))
+}
 
-/// Ties, in-horizon spread for shallow wheels, and far-future delays.
+/// Ties, delays over every level of the wheel's `2^36` µs horizon, and
+/// far-future delays from `2^36` to `2^40` µs that start in the
+/// overflow heap.
 fn delay_strategy() -> impl Strategy<Value = u64> {
-    prop_oneof![0u64..4, 0u64..10_000, FAR_US]
+    prop_oneof![0u64..4, log_uniform(0, 36), log_uniform(36, 40)]
+}
+
+/// Two to five schedules a few microseconds apart: same-time groups
+/// with an earlier event behind them. Into an empty wheel, the first
+/// lands in the front buffer and a later, earlier one displaces it
+/// back into the slot it shares with its ties.
+fn tie_burst_strategy() -> impl Strategy<Value = Op> {
+    prop::collection::vec(0u64..4, 2..6).prop_map(|delays_us| Op::Burst { delays_us })
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         // Dense same-tick ties.
         (0u64..4).prop_map(|delay_us| Op::Schedule { delay_us }),
-        // In-horizon spread for shallow wheels.
-        (0u64..10_000).prop_map(|delay_us| Op::Schedule { delay_us }),
-        FAR_US.prop_map(|delay_us| Op::Schedule { delay_us }),
+        tie_burst_strategy(),
+        // Within the horizon, over every level.
+        log_uniform(0, 36).prop_map(|delay_us| Op::Schedule { delay_us }),
+        // Past the horizon.
+        log_uniform(36, 40).prop_map(|delay_us| Op::Schedule { delay_us }),
         Just(Op::Pop),
-        Just(Op::Peek),
+        Just(Op::Pop),
+        Just(Op::PopAll),
+        (0usize..64).prop_map(|k| Op::Cancel { k }),
+    ]
+}
+
+/// Far-future heavy: three of every nine ops schedule past the
+/// horizon, against two nearer schedules, so the overflow heap holds
+/// many entries at once.
+fn overflow_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        log_uniform(36, 40).prop_map(|delay_us| Op::Schedule { delay_us }),
+        log_uniform(36, 40).prop_map(|delay_us| Op::Schedule { delay_us }),
+        log_uniform(36, 40).prop_map(|delay_us| Op::Schedule { delay_us }),
+        log_uniform(0, 36).prop_map(|delay_us| Op::Schedule { delay_us }),
+        tie_burst_strategy(),
+        Just(Op::Pop),
+        Just(Op::Pop),
+        Just(Op::PopAll),
         (0usize..64).prop_map(|k| Op::Cancel { k }),
     ]
 }
@@ -80,16 +115,16 @@ fn spill_strategy() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Phases that cross the 32-event boundary both ways: bursts of 20–47
-/// schedules, pop runs and full drains, with cancels and peeks between.
+/// schedules, pop runs and full drains, with cancels between.
 fn boundary_op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         prop::collection::vec(delay_strategy(), 20..48)
             .prop_map(|delays_us| Op::Burst { delays_us }),
         delay_strategy().prop_map(|delay_us| Op::Schedule { delay_us }),
+        tie_burst_strategy(),
         Just(Op::Pop),
-        Just(Op::Pop),
+        Just(Op::PopAll),
         Just(Op::Drain),
-        Just(Op::Peek),
         (0usize..256).prop_map(|k| Op::Cancel { k }),
         (0usize..256).prop_map(|k| Op::Cancel { k }),
     ]
@@ -145,10 +180,6 @@ impl ReferenceQueue {
         Some((time, seq))
     }
 
-    fn peek_time(&self) -> Option<u64> {
-        self.live().map(|&(time, _, _)| time).min()
-    }
-
     fn len(&self) -> usize {
         self.live().count()
     }
@@ -200,13 +231,14 @@ impl Drive {
                     self.pop()?;
                 }
             }
+            Op::PopAll => {
+                while self.reference.len() != 0 {
+                    self.pop()?;
+                }
+            }
             Op::Drain => {
                 while self.pop()? {}
                 prop_assert!(self.queue.is_empty());
-            }
-            Op::Peek => {
-                let got = self.queue.peek_time().map(SimTime::as_micros);
-                prop_assert_eq!(got, self.reference.peek_time(), "peek diverged");
             }
             Op::Cancel { k } => {
                 if self.ids.is_empty() {
@@ -227,11 +259,11 @@ impl Drive {
     }
 }
 
-/// Drives one op sequence through a queue with a wheel of the given
-/// depth and the reference side by side, then drains both.
-fn drive(levels: u32, ops: &[Op]) -> Result<(), TestCaseError> {
+/// Drives one op sequence through the queue and the reference side by
+/// side, then drains both.
+fn drive(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut drive = Drive {
-        queue: EventQueue::with_levels(levels),
+        queue: EventQueue::new(),
         reference: ReferenceQueue::default(),
         ids: Vec::new(),
     };
@@ -250,48 +282,37 @@ fn drive(levels: u32, ops: &[Op]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The full-depth wheel (every delay in-horizon) agrees with the
-    /// reference on every interleaving.
+    /// After an opening spill, every interleaving agrees with the
+    /// reference: ties, every wheel level, and far-future events that
+    /// wait in the overflow heap and migrate back through its refill.
     #[test]
-    fn wheel_matches_reference_at_default_depth(
+    fn wheel_matches_reference(
         spill in spill_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
-        drive(DEFAULT_LEVELS, &[spill, ops].concat())?;
+        drive(&[spill, ops].concat())?;
     }
 
-    /// Shallow wheels force the same sequences through the overflow
-    /// heap and its refill cascade; order must still match exactly.
+    /// Mostly far-future traffic: the overflow heap holds many entries
+    /// at once, so refills migrate several of them, some across a
+    /// `2^36`-aligned boundary, while nearer events arrive in between.
     #[test]
     fn wheel_matches_reference_through_overflow(
         spill in spill_strategy(),
-        ops in prop::collection::vec(op_strategy(), 1..250),
-        levels in 1u32..=4,
+        ops in prop::collection::vec(overflow_op_strategy(), 1..250),
     ) {
-        drive(levels, &[spill, ops].concat())?;
-    }
-
-    /// The deepest wheel the API allows behaves like every other depth.
-    #[test]
-    fn wheel_matches_reference_at_max_depth(
-        spill in spill_strategy(),
-        ops in prop::collection::vec(op_strategy(), 1..150),
-    ) {
-        drive(MAX_LEVELS, &[spill, ops].concat())?;
+        drive(&[spill, ops].concat())?;
     }
 
     /// Bursts and drains carry the queue from flat mode into the wheel
     /// and back again, with cancels landing while flat, after a spill
     /// and after the event fired, and far-future delays present at the
-    /// moment of a spill on 1- to 4-level wheels and at the default and
-    /// maximum depths.
+    /// moment of a spill.
     #[test]
     fn flat_and_wheel_agree_across_the_boundary(
         ops in prop::collection::vec(boundary_op_strategy(), 1..60),
-        depth in 0usize..6,
     ) {
-        let levels = [1, 2, 3, 4, DEFAULT_LEVELS, MAX_LEVELS][depth];
-        drive(levels, &ops)?;
+        drive(&ops)?;
     }
 }
 
@@ -317,10 +338,11 @@ fn million_events_stream_through_bounded_occupancy() {
             // Pseudo-random in-wave spread from a fixed LCG so the test
             // is deterministic without an RNG dependency.
             let jitter = scheduled.wrapping_mul(6_364_136_223_846_793_005) >> 52;
-            queue.schedule_in(SimDuration::from_micros(jitter), scheduled);
+            queue.schedule(queue.now() + SimDuration::from_micros(jitter), scheduled);
             scheduled += 1;
             if scheduled.is_multiple_of(3) {
-                let id = queue.schedule_in(SimDuration::from_micros(jitter + 1), u64::MAX);
+                let at = queue.now() + SimDuration::from_micros(jitter + 1);
+                let id = queue.schedule(at, u64::MAX);
                 assert!(queue.cancel(id), "fresh event must cancel");
                 cancelled += 1;
                 scheduled += 1;

@@ -38,7 +38,7 @@ fn main() {
             functions: FunctionId::ALL.to_vec(),
             popularity: microfaas::Popularity::Uniform,
             tenants: Vec::new(),
-            faults: microfaas::FaultsConfig::none(),
+            faults: Default::default(),
             cache: microfaas::cache::CacheConfig::Off,
         });
         println!(

@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional, ConventionalConfig};
 use microfaas::micro::{run_microfaas, MicroFaasConfig};
-use microfaas::FaultsConfig;
 use microfaas_sched::PlacementKind;
 use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use microfaas_sim::{SimDuration, SimTime};
@@ -76,8 +75,8 @@ fn zero_probability_plan(seed: u64) -> FaultPlan {
 }
 
 /// Scheduled crashes only, `(worker, at seconds)`, under plan seed 1.
-fn crash_plan(crashes: &[(usize, u64)]) -> FaultsConfig {
-    FaultsConfig::with_plan(FaultPlan {
+fn crash_plan(crashes: &[(usize, u64)]) -> Arc<FaultPlan> {
+    Arc::new(FaultPlan {
         seed: 1,
         faults: crashes
             .iter()
@@ -169,7 +168,7 @@ proptest! {
         let baseline = run_microfaas(&MicroFaasConfig::paper_prototype(mix.clone(), seed));
         for plan in [FaultPlan::empty(), zero_probability_plan(plan_seed)] {
             let mut config = MicroFaasConfig::paper_prototype(mix.clone(), seed);
-            config.faults = FaultsConfig::with_plan(plan);
+            config.faults = Arc::new(plan);
             let run = run_microfaas(&config);
             prop_assert_eq!(run.makespan, baseline.makespan);
             prop_assert_eq!(run.energy.total_joules, baseline.energy.total_joules);
@@ -181,7 +180,7 @@ proptest! {
         let conv_baseline = run_conventional(&ConventionalConfig::paper_baseline(mix.clone(), seed));
         for plan in [FaultPlan::empty(), zero_probability_plan(plan_seed)] {
             let mut config = ConventionalConfig::paper_baseline(mix.clone(), seed);
-            config.faults = FaultsConfig::with_plan(plan);
+            config.faults = Arc::new(plan);
             let run = run_conventional(&config);
             prop_assert_eq!(run.makespan, conv_baseline.makespan);
             prop_assert_eq!(run.energy.total_joules, conv_baseline.energy.total_joules);
@@ -202,7 +201,7 @@ proptest! {
         let submitted = mix.total_jobs();
 
         let mut micro = MicroFaasConfig::paper_prototype(mix.clone(), seed);
-        micro.faults = FaultsConfig::with_plan(plan.clone());
+        micro.faults = Arc::new(plan.clone());
         let run = run_microfaas(&micro);
         prop_assert_eq!(run.jobs_accounted(), submitted);
         prop_assert_eq!(
@@ -212,7 +211,7 @@ proptest! {
         );
 
         let mut conv = ConventionalConfig::paper_baseline(mix.clone(), seed);
-        conv.faults = FaultsConfig::with_plan(plan);
+        conv.faults = Arc::new(plan);
         let run = run_conventional(&conv);
         prop_assert_eq!(run.jobs_accounted(), submitted);
         prop_assert_eq!(
@@ -231,7 +230,7 @@ proptest! {
         plan in plan_strategy(),
     ) {
         let mut config = MicroFaasConfig::paper_prototype(mix, seed);
-        config.faults = FaultsConfig::with_plan(plan);
+        config.faults = Arc::new(plan);
         let a = run_microfaas(&config);
         prop_assert!(a.energy.total_joules >= 0.0);
         prop_assert!(a.energy.average_watts >= 0.0);

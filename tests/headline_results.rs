@@ -2,15 +2,15 @@
 //! against the simulated clusters — the repository's acceptance test.
 
 use microfaas::experiment::{compare_suites_faulted_jobs, energy_proportionality, vm_sweep_jobs};
-use microfaas::FaultsConfig;
 use microfaas_sim::{Jobs, MetricsRegistry};
 use microfaas_tco::{savings_percent, ClusterSpec, Conditions, CostModel};
+use std::sync::Arc;
 
 /// Shared scaled-down run (200 invocations/function instead of 1,000)
 /// — within ~1% of the full-size means, 25x faster to execute.
 fn comparison() -> microfaas::experiment::SuiteComparison {
     let mut metrics = MetricsRegistry::new();
-    compare_suites_faulted_jobs(200, 77, &FaultsConfig::none(), &mut metrics, Jobs::auto())
+    compare_suites_faulted_jobs(200, 77, &Arc::default(), &mut metrics, Jobs::auto())
 }
 
 #[test]

@@ -17,7 +17,6 @@ use microfaas::experiment::{
 };
 use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
 use microfaas::report::ClusterRun;
-use microfaas::FaultsConfig;
 use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::{par_map_indexed, Jobs, MetricsRegistry, Observer, TraceBuffer};
 use microfaas_workloads::FunctionId;
@@ -92,7 +91,7 @@ fn sbc_scale_sweep_parity() {
 
 #[test]
 fn compare_suites_parity() {
-    let none = FaultsConfig::none();
+    let none = Arc::default();
     let serial =
         compare_suites_faulted_jobs(6, 2022, &none, &mut MetricsRegistry::new(), Jobs::serial());
     let parallel =
@@ -104,7 +103,7 @@ fn compare_suites_parity() {
 
 #[test]
 fn compare_suites_faulted_parity_including_metrics_and_counters() {
-    let faults = FaultsConfig::with_plan(noisy_plan());
+    let faults = Arc::new(noisy_plan());
     let mut serial_metrics = MetricsRegistry::new();
     let serial = compare_suites_faulted_jobs(6, 2022, &faults, &mut serial_metrics, Jobs::serial());
     let mut parallel_metrics = MetricsRegistry::new();
@@ -127,7 +126,7 @@ fn compare_suites_faulted_parity_including_metrics_and_counters() {
 #[test]
 fn replicate_summaries_are_jobs_invariant() {
     let mut micro = MicroFaasConfig::paper_prototype(WorkloadMix::quick(), 0);
-    micro.faults = FaultsConfig::with_plan(noisy_plan());
+    micro.faults = Arc::new(noisy_plan());
     let serial = micro_replicates(&micro, 6, 500, Jobs::serial());
     let parallel = micro_replicates(&micro, 6, 500, jobs8());
     assert_eq!(serial, parallel, "micro replicate summary");
@@ -144,7 +143,7 @@ fn replicate_summaries_are_jobs_invariant() {
 #[test]
 fn trace_streams_are_jobs_invariant() {
     let mix = Arc::new(WorkloadMix::quick());
-    let faults = FaultsConfig::with_plan(noisy_plan());
+    let faults = Arc::new(noisy_plan());
     let traced_run = |seed: u64| {
         let mut buffer = TraceBuffer::new(1 << 16);
         let mut config = MicroFaasConfig::paper_prototype(Arc::clone(&mix), seed);

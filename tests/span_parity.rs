@@ -16,7 +16,6 @@ use microfaas::config::WorkloadMix;
 use microfaas::conventional::{run_conventional_with, ConventionalConfig};
 use microfaas::micro::{run_microfaas_with, MicroFaasConfig};
 use microfaas::openloop::{run_open_loop_with, ArrivalProcess, OpenLoopConfig};
-use microfaas::FaultsConfig;
 use microfaas_sim::faults::FaultPlan;
 use microfaas_sim::{
     export_chrome_trace, par_map_indexed, validate_chrome_trace, CriticalPath, Jobs, Observer,
@@ -120,7 +119,7 @@ fn faulted_runs_keep_the_decomposition_exact() {
     .expect("valid plan");
     let mut buffer = TraceBuffer::new(1 << 18);
     let mut config = MicroFaasConfig::paper_prototype(WorkloadMix::quick(), 2022);
-    config.faults = FaultsConfig::with_plan(plan);
+    config.faults = Arc::new(plan);
     run_microfaas_with(&config, &mut Observer::tracing(&mut buffer));
     let tree = SpanTree::from_buffer(&buffer);
     assert_phases_sum(&tree, "faulted micro");
