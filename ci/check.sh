@@ -5,32 +5,63 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs a command under a time bound, so a defect that loops forever
+# fails the gate instead of hanging it. Each bound is about ten times
+# the command's run in a full pass of this script on a 2-vCPU VM, with
+# what it needs already built, and at least 30 s.
+bounded() {
+    local seconds=$1 status=0
+    shift
+    timeout "$seconds" "$@" || status=$?
+    [ "$status" -ne 124 ] || echo "timed out after ${seconds} s: $*"
+    return "$status"
+}
+
+# `cargo test ARGS`: built first without a bound, so a slow or cold
+# compile cannot fail the stage, then run under `bounded`.
+bounded_test() {
+    local seconds=$1
+    shift
+    cargo test "$@" --no-run
+    bounded "$seconds" cargo test "$@"
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test"
-cargo test -q --workspace
+bounded_test 400 -q --workspace
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+echo "==> cargo doc (deny warnings, one crate per output directory)"
+# Two crates of one name (the CLI binary and the core library are both
+# `microfaas`) overwrite each other's pages. Cargo only warns about that
+# "output filename collision", and -D warnings reaches rustdoc, not
+# cargo, so the stage looks for the warning itself.
+doc_out="$(RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace 2>&1)" || {
+    echo "$doc_out"; exit 1; }
+echo "$doc_out"
+if echo "$doc_out" | grep -q "output filename collision"; then
+    echo "cargo doc wrote two crates to one output directory"; exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> dead public surface: every pub fn has a caller outside its own file"
-# Lists each `pub fn`/`pub const fn` in the non-test part of every source
-# file of the simulator crates and fails, naming it, when no other
-# tracked file under crates/, tests/, examples/, perfbench/, src/ or
-# docs/ names it. A free function must appear there as a whole word; a
-# method (a `pub fn` inside an `impl` block) must be called there, as
-# `.NAME(`, `::NAME(`, `.NAME::<` or `::NAME::<`, or passed by path, as
-# `::NAME)` or `::NAME,`, so a same-named field, local variable or word
-# in prose does not count. Two types' methods of one name (`new`, say)
-# still count as one. Such a function either gains a caller or goes (a
-# function called only in its own file is not `pub`).
+echo "==> dead public surface: every pub fn, const and static is used outside its own file"
+# Lists each `pub fn`/`pub const fn`, `pub const NAME` and `pub static
+# NAME` in the non-test part of every source file of the simulator
+# crates and fails, naming it, when no other tracked file under crates/,
+# tests/, examples/, perfbench/, src/ or docs/ names it. A free function,
+# a const and a static must appear there as a whole word; a method (a
+# `pub fn` inside an `impl` block) must be called there, as `.NAME(`,
+# `::NAME(`, `.NAME::<` or `::NAME::<`, or passed by path, as `::NAME)`
+# or `::NAME,`, so a same-named field, local variable or word in prose
+# does not count. Two types' methods of one name (`new`, say) still
+# count as one. Such an item either gains a user or goes (an item used
+# only in its own file is not `pub`).
 dead=0
 for file in $(git ls-files 'crates/sim/src/*.rs' 'crates/core/src/*.rs' \
     'crates/energy/src/*.rs' 'crates/hw/src/*.rs' 'crates/net/src/*.rs' \
@@ -41,16 +72,21 @@ for file in $(git ls-files 'crates/sim/src/*.rs' 'crates/core/src/*.rs' \
                 crates tests examples perfbench src docs ":!$file"
         else
             git grep -qw "$name" -- crates tests examples perfbench src docs ":!$file"
-        fi || { echo "$file: pub fn $name has no caller outside its file"; dead=1; }
+        fi || { echo "$file: pub ${kind/method/fn} $name has no user outside its file"; dead=1; }
     done < <(awk '/^#\[cfg\(test\)\]/ { exit }
         /^impl[ <]/ && !/\{\}$/ { in_impl = 1 }
         /^}/ { in_impl = 0 }
         match($0, /^ *pub (const )?fn [A-Za-z0-9_]+/) {
             name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name)
             print (in_impl ? "method" : "fn"), name
+        }
+        match($0, /^ *pub (const|static) [A-Za-z0-9_]+ *:/) {
+            item = substr($0, RSTART, RLENGTH); sub(/ *:$/, "", item)
+            n = split(item, words, " ")
+            print words[n - 1], words[n]
         }' "$file" | sort -u)
 done
-[ "$dead" -eq 0 ] || { echo "public functions without a caller outside their file"; exit 1; }
+[ "$dead" -eq 0 ] || { echo "public items without a user outside their file"; exit 1; }
 
 echo "==> benchmark package: its own tests, then one seed-2022 pass of each of its five workloads"
 # perfbench/ is a package of its own, outside the workspace's cargo test.
@@ -66,23 +102,27 @@ echo "==> benchmark package: its own tests, then one seed-2022 pass of each of i
 # cycles; observed-1m checks that its energy ledger conserves and pins
 # the ledger's picojoule total, so attribution that loses or invents
 # joules fails the same way.
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+bounded_test 30 -q --offline --manifest-path perfbench/Cargo.toml
+cargo build --offline --release -q --manifest-path perfbench/Cargo.toml
 for workload in paper-closed capacity-1m policy-sweeps flash-day observed-1m; do
-    bench_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --rounds 1)" || true
+    status=0
+    bench_out="$(bounded 30 cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --rounds 1)" || status=$?
     echo "$bench_out"
+    [ "$status" -ne 124 ] || exit 1
     echo "$bench_out" | tail -n 1 | grep -q '"failed":0' || {
         echo "$workload benchmark pass failed its correctness gate"; exit 1; }
-    # The dense open loop's footprint: 16,384 128-byte worker records,
-    # 24-byte queued jobs and 24-byte queue entries, with every wheel
-    # slot and node queue that empties freeing a buffer of more than 256
-    # entries or 8 jobs. On a 2-vCPU VM, 476 single capacity-1m passes
-    # (seeds 2022 and 7) read 13.6-14.0 MB of peak RSS and 93
-    # observed-1m passes (seed 2022) 16.1-16.5 MB; keeping every buffer
-    # read 24.4-25.0 and 27.4-27.8 MB.
+    # The dense open loop's footprint: 16,384 64-byte worker records,
+    # one pool of waiting jobs (24 bytes and a 4-byte link each) that
+    # grows to the peak backlog, and 24-byte queue entries, with every
+    # wheel slot that empties freeing a buffer of more than 256 entries.
+    # On a 2-vCPU VM, 615 single capacity-1m passes (seeds 2022 and 7)
+    # read 9.53-10.04 MB of peak RSS and 121 observed-1m passes (seed
+    # 2022) 12.78-13.13 MB; with a job queue per node and 128-byte
+    # records they read 13.6-14.0 and 16.3-16.7 MB.
     case "$workload" in
-        capacity-1m) ceiling=15 ;;
-        observed-1m) ceiling=18 ;;
+        capacity-1m) ceiling=11 ;;
+        observed-1m) ceiling=14 ;;
         *) ceiling= ;;
     esac
     if [ -n "$ceiling" ]; then
@@ -119,10 +159,13 @@ for doc in docs/*.md; do
     grep -q "include_str!(\"../../../$doc\")" crates/cli/src/lib.rs || {
         echo "$doc has no doctest hook in crates/cli/src/lib.rs"; exit 1; }
 done
-cargo test -q --doc -p microfaas-cli
+# Cargo cannot build doctests without running them (rustdoc compiles
+# each one in the run), so this bound covers their compiling too; the
+# library they link is built by the workspace stage above.
+bounded 60 cargo test -q --doc -p microfaas-cli
 
 echo "==> event-queue differential equivalence (tests/queue_equiv.rs)"
-cargo test -q -p microfaas-sim --test queue_equiv
+bounded_test 30 -q -p microfaas-sim --test queue_equiv
 
 echo "==> event-queue throughput floor (wheel cancel mix >= 4.2 Melem/s pre-rewrite baseline)"
 bench_out="$(cargo bench -p microfaas-bench --bench core_scale 2>/dev/null)"
@@ -170,7 +213,7 @@ echo "$cache_bench_out" | grep -q "flash_crowd_zipf: cache off vs" || {
     echo "result_cache bench printed no flash-crowd comparison"; exit 1; }
 
 echo "==> serial/parallel determinism parity (tests/parallel_exec.rs)"
-cargo test -q --test parallel_exec
+bounded_test 30 -q --test parallel_exec
 
 echo "==> parallel sweep smoke: --jobs 2 CSV must be byte-identical to --jobs 1"
 tmpdir="$(mktemp -d)"
@@ -229,12 +272,13 @@ awk -F, 'NR > 1 && $11 > 0 { hits++ } END { exit !(hits > 0) }' \
     echo "cached scenario sweep recorded no cache hits"; exit 1; }
 
 echo "==> energy conservation property tests (tests/energy_conservation.rs)"
-cargo test -q -p microfaas --test energy_conservation
+bounded_test 30 -q -p microfaas --test energy_conservation
 
 echo "==> attribution differential oracle, deep (16x the default 256 cases)"
 # Holds the attributor's channel layout to the map-based reference over
 # 4096 random lifecycles instead of the workspace run's 256.
-PROPTEST_CASES=4096 cargo test -q --release -p microfaas-energy --test attribution_oracle
+PROPTEST_CASES=4096 \
+    bounded_test 30 -q --release -p microfaas-energy --test attribution_oracle
 
 echo "==> energy smoke: --breakdown conserves, --jobs 2 ledger CSV byte-identical to --jobs 1"
 out="$(cargo run --release -q -p microfaas-cli -- energy \
@@ -289,7 +333,7 @@ echo "$out" | grep -q "critical-path phase breakdown" || {
     echo "analyze printed no critical-path table"; exit 1; }
 # export_chrome_trace self-validates with the hand-rolled parser before
 # writing; re-run the round-trip here on the bytes that reached disk.
-cargo test -q --test span_parity perfetto_export_round_trips_the_parser
+bounded_test 30 -q --test span_parity perfetto_export_round_trips_the_parser
 grep -q '"ph":"X"' "$tmpdir/spans.json" || {
     echo "perfetto export contains no complete slices"; exit 1; }
 grep -q '"traceEvents"' "$tmpdir/spans.json" || {

@@ -50,7 +50,7 @@ use microfaas_sim::SimDuration;
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into an FNV-1a hash state (start from [`FNV_OFFSET`]).
 #[inline]
@@ -108,7 +108,7 @@ type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 /// Input variants drawn per arrival when a spec omits `inputs=N`: a
 /// proxy for "how many distinct request payloads a function sees".
-pub const DEFAULT_INPUT_VARIANTS: u32 = 16;
+const DEFAULT_INPUT_VARIANTS: u32 = 16;
 
 /// The spec string the CLI treats as `--cache on`.
 pub const DEFAULT_CACHE_SPEC: &str = "lru:4096,ttl=300";

@@ -104,8 +104,8 @@ pub(crate) trait NodeClass {
     ) -> bool;
     /// Executing → rebooting.
     fn finish_job(&mut self, w: usize, now: SimTime);
-    /// One boot or reboot window of `w`.
-    fn boot_window(&self, w: usize) -> SimDuration;
+    /// One boot or reboot window; the same for every worker.
+    fn boot_window(&self) -> SimDuration;
     /// Booting or rebooting → idle.
     fn boot_complete(&mut self, w: usize, now: SimTime);
     /// Takes `w` down; `false` if there was nothing running to crash.
@@ -641,7 +641,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
                 // The boot wedged; the orchestrator power-cycles and the
                 // worker spends another boot window.
                 core.with_metrics(|m, h| m.inc(h.boots));
-                let at = now + self.fleet.boot_window(w);
+                let at = now + self.fleet.boot_window();
                 core.boot_pending[w] = Some(core.queue.schedule(at, Event::BootDone(w)));
             }
             return;
@@ -896,7 +896,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             core.with_metrics(|m, h| m.inc(h.boots));
         }
         let reboot = if forced || core.reboot_between {
-            self.fleet.boot_window(w)
+            self.fleet.boot_window()
         } else {
             SimDuration::ZERO
         };

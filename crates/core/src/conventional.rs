@@ -265,7 +265,7 @@ impl NodeClass for VmHost {
     }
 
     /// A warm reboot of the worker OS, stretched by contention.
-    fn boot_window(&self, _v: usize) -> SimDuration {
+    fn boot_window(&self) -> SimDuration {
         self.server
             .vm_boot_duration()
             .mul_f64(self.server.current_slowdown())

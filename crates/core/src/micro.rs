@@ -199,9 +199,10 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
     };
     let mut meter = EnergyMeter::new(SimTime::ZERO);
     let fleet = SbcFleet {
-        nodes: vec![SbcNode::new(SimTime::ZERO); config.workers],
+        nodes: vec![SbcNode::default(); config.workers],
+        boot_window: SbcNode::boot_duration(),
         channels: (0..config.workers)
-            .map(|w| meter.add_channel(format!("sbc-{w}")))
+            .map(|w| meter.add_channel(format_args!("sbc-{w}")))
             .collect(),
         gpio: PowerController::new(config.workers),
         gate_pending: vec![None; config.workers],
@@ -230,6 +231,8 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
 /// engine's [`Core::policy`].
 struct SbcFleet {
     nodes: Vec<SbcNode>,
+    /// Every node's boot and reboot window, resolved once per run.
+    boot_window: SimDuration,
     channels: Vec<ChannelId>,
     gpio: PowerController,
     /// The pending IdleGate timer per standby worker, cancelled when a
@@ -351,10 +354,10 @@ impl NodeClass for SbcFleet {
     }
 
     #[inline]
-    fn start_job(&mut self, core: SbcCore, w: usize, now: SimTime) {
+    fn start_job(&mut self, core: SbcCore, w: usize, _: SimTime) {
         // A job start pre-empts any armed idle-gate window.
         self.cancel_gate(core, w);
-        self.nodes[w].start_job(now).expect("node is idle");
+        self.nodes[w].start_job().expect("node is idle");
     }
 
     fn exec(&self, function: FunctionId, jitter: f64) -> SimDuration {
@@ -379,7 +382,7 @@ impl NodeClass for SbcFleet {
         match core.policy.on_drain(now, warm_idle) {
             DrainAction::PowerOff => {
                 if self.power_gating {
-                    self.nodes[w].power_off(now).expect("node is idle");
+                    self.nodes[w].power_off().expect("node is idle");
                     self.gate_off(core, w, now);
                 }
             }
@@ -403,7 +406,7 @@ impl NodeClass for SbcFleet {
         match action {
             DrainAction::PowerOff => {
                 self.nodes[w]
-                    .finish_job_and_power_off(now)
+                    .finish_job_and_power_off()
                     .expect("job was executing");
                 if !forced && !self.power_gating {
                     // The gating ablation: model standby as the idle draw
@@ -418,7 +421,7 @@ impl NodeClass for SbcFleet {
                 // Stay booted-idle at standby draw; the node can take a
                 // later requeue without paying the boot.
                 self.nodes[w]
-                    .finish_job_and_standby(now)
+                    .finish_job_and_standby()
                     .expect("job was executing");
                 core.mark(now, w, WorkerState::Idle, self.power(w));
                 self.standby(core, w, now, idle_timeout);
@@ -427,45 +430,43 @@ impl NodeClass for SbcFleet {
         true
     }
 
-    fn finish_job(&mut self, w: usize, now: SimTime) {
+    fn finish_job(&mut self, w: usize, _: SimTime) {
         self.nodes[w]
-            .finish_job_and_reboot(now)
+            .finish_job_and_reboot()
             .expect("job was executing");
     }
 
-    fn boot_window(&self, w: usize) -> SimDuration {
-        self.nodes[w].boot_duration()
+    fn boot_window(&self) -> SimDuration {
+        self.boot_window
     }
 
-    fn boot_complete(&mut self, w: usize, now: SimTime) {
+    fn boot_complete(&mut self, w: usize, _: SimTime) {
         self.nodes[w]
-            .boot_complete(now)
+            .boot_complete()
             .expect("scheduled only while booting");
     }
 
-    fn crash(&mut self, core: SbcCore, w: usize, now: SimTime) -> bool {
+    fn crash(&mut self, core: SbcCore, w: usize, _: SimTime) -> bool {
         if matches!(self.nodes[w].state(), SbcState::Off | SbcState::Crashed) {
             return false;
         }
         self.cancel_gate(core, w);
-        self.nodes[w].crash(now).expect("node is powered");
+        self.nodes[w].crash().expect("node is powered");
         true
     }
 
-    fn recover(&mut self, w: usize, now: SimTime) -> (WorkerState, SimDuration) {
-        self.nodes[w].recover(now).expect("node crashed");
-        (WorkerState::Booting, self.boot_window(w))
+    fn recover(&mut self, w: usize, _: SimTime) -> (WorkerState, SimDuration) {
+        self.nodes[w].recover().expect("node crashed");
+        (WorkerState::Booting, self.boot_window)
     }
 
     fn on_event(&mut self, core: SbcCore, w: usize, timer: SbcTimer, now: SimTime) -> bool {
         match timer {
             SbcTimer::PowerEffective => {
-                self.nodes[w]
-                    .power_on(now)
-                    .expect("scheduled only while off");
+                self.nodes[w].power_on().expect("scheduled only while off");
                 core.mark(now, w, WorkerState::Booting, self.power(w));
                 core.with_metrics(|m, h| m.inc(h.boots));
-                let at = now + self.boot_window(w);
+                let at = now + self.boot_window;
                 core.boot_pending[w] = Some(core.queue.schedule(at, Event::BootDone(w)));
                 false
             }
@@ -482,7 +483,7 @@ impl NodeClass for SbcFleet {
                 }
                 let warm_idle = self.warm_idle_count(core);
                 if core.policy.gate_on_idle_expiry(now, warm_idle) {
-                    self.nodes[w].power_off(now).expect("node is idle");
+                    self.nodes[w].power_off().expect("node is idle");
                     self.gate_off(core, w, now);
                     self.governor_transition(core, now, w, "gate-off");
                 }

@@ -39,8 +39,8 @@
 //! worker queue per arrival and [`OpenLoopConfig::governor`] decides
 //! what a drained worker does.
 
-use std::collections::VecDeque;
 use std::convert::Infallible;
+use std::fmt::Display;
 use std::sync::Arc;
 
 use microfaas_energy::attribution::{Attributor, EnergyLedger, IdlePolicy};
@@ -427,10 +427,10 @@ fn make_attributor(config: &OpenLoopConfig, idle_policy: IdlePolicy) -> Attribut
 ///
 /// This is the entry point for million-job capacity runs — memory
 /// follows fleet size and in-flight backlog, not completed-job count.
-/// A node queue that empties keeps at most 8 jobs of buffer and an
-/// event-queue slot that empties at most 256 events, so once a backlog
-/// drains, its storage is freed; a queue still holding work keeps the
-/// buffer of its deepest backlog since it last emptied. Pass
+/// Every waiting job sits in one engine-wide pool that grows to the
+/// run's peak backlog and reuses freed entries, so a node costs one
+/// 64-byte record however deep its queue once ran; an event-queue slot
+/// that empties keeps at most 256 events of buffer. Pass
 /// [`NullSink`] to drop per-job observations entirely, or
 /// a custom [`RunSink`] to fold them yourself. See `docs/SCALING.md`
 /// for the 10M-job recipe.
@@ -647,6 +647,7 @@ fn engine<'a, C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
         attr,
         policy,
         sched_handles,
+        pool: Pool::new(),
     };
     OpenSim {
         core,
@@ -660,7 +661,6 @@ fn engine<'a, C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
         cache: ResultCache::from_config(&config.cache),
         coalesce: CoalesceTable::new(),
         input_variants: config.cache.input_variants() as usize,
-        parked: Parked::default(),
         views: Vec::with_capacity(nodes),
         placement,
         sched_active,
@@ -688,7 +688,7 @@ enum Event<T> {
     /// The overhead elapsed; the job is complete.
     JobDone(u32),
     /// An [`EnergyBudget`](GovernorKind::EnergyBudget) deferral elapsed:
-    /// the job parked in this slot of [`Parked`] re-enters placement
+    /// the job parked in this entry of the [`Pool`] re-enters placement
     /// unconditionally.
     Release(u32),
     /// A timer of the node class.
@@ -741,82 +741,143 @@ impl QueuedJob {
     }
 }
 
-/// Jobs parked by budget deferrals. Each holds a slot until the
-/// [`Event::Release`] scheduled for it names that slot, so every job
-/// waits out its own tenant's hold; freed slots are reused.
-#[derive(Default)]
-struct Parked {
-    slots: Vec<Option<QueuedJob>>,
-    free: Vec<u32>,
+/// The end of a chain of [`Pool`] entries.
+const NIL: u32 = u32::MAX;
+
+/// Every job waiting in a node queue or parked by a budget deferral, in
+/// one engine-wide pool of entries linked by `u32` indices, so storage
+/// follows the run's peak backlog rather than its fleet. A freed entry
+/// joins a free chain and is reused last in, first out: the next
+/// arrival fills the entry a job start just read. The pool keeps its
+/// peak's entries until the run ends.
+struct Pool {
+    jobs: Vec<QueuedJob>,
+    /// The link out of each entry: the next job of its node queue, or
+    /// the next free entry.
+    next: Vec<u32>,
+    /// The first free entry, or [`NIL`].
+    free: u32,
 }
 
-impl Parked {
-    /// Parks `job` and returns its slot.
-    fn park(&mut self, job: QueuedJob) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize] = Some(job);
-            return slot;
+/// A node's waiting jobs: a chain of [`Pool`] entries, circular through
+/// its tail, whose link leads back to the head.
+#[derive(Clone, Copy, Default)]
+struct Fifo {
+    tail: u32,
+    len: u32,
+}
+
+impl Fifo {
+    fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Pool {
+    fn new() -> Self {
+        Pool {
+            jobs: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
         }
-        self.slots.push(Some(job));
-        u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 jobs parked at once")
     }
 
-    /// Takes the job parked in `slot` and frees the slot.
-    fn release(&mut self, slot: u32) -> QueuedJob {
-        self.free.push(slot);
-        self.slots[slot as usize]
-            .take()
-            .expect("a job is parked here")
+    /// Stores `job` in the last freed entry, or a new one, and returns
+    /// the entry. A budget deferral parks its job here.
+    fn alloc(&mut self, job: QueuedJob) -> u32 {
+        if self.free == NIL {
+            assert!(
+                self.jobs.len() < NIL as usize,
+                "under 2^32 - 1 jobs wait at once"
+            );
+            self.jobs.push(job);
+            self.next.push(NIL);
+            return (self.jobs.len() - 1) as u32;
+        }
+        let entry = self.free;
+        self.free = self.next[entry as usize];
+        self.jobs[entry as usize] = job;
+        entry
+    }
+
+    /// Takes the job out of `entry` and frees the entry.
+    fn take(&mut self, entry: u32) -> QueuedJob {
+        self.next[entry as usize] = self.free;
+        self.free = entry;
+        self.jobs[entry as usize]
+    }
+
+    /// Stores `job` and links it in behind `queue`'s tail, which is in
+    /// front of its head. Returns the entry.
+    fn link(&mut self, queue: &mut Fifo, job: QueuedJob) -> u32 {
+        let entry = self.alloc(job);
+        if queue.is_empty() {
+            self.next[entry as usize] = entry;
+        } else {
+            let tail = queue.tail as usize;
+            self.next[entry as usize] = self.next[tail];
+            self.next[tail] = entry;
+        }
+        queue.len += 1;
+        entry
+    }
+
+    /// Queues `job` last in `queue`.
+    fn push_back(&mut self, queue: &mut Fifo, job: QueuedJob) {
+        queue.tail = self.link(queue, job);
+    }
+
+    /// Queues `job` first in `queue`.
+    fn push_front(&mut self, queue: &mut Fifo, job: QueuedJob) {
+        let entry = self.link(queue, job);
+        if queue.len == 1 {
+            queue.tail = entry;
+        }
+    }
+
+    /// Takes the first job of `queue`.
+    fn pop_front(&mut self, queue: &mut Fifo) -> Option<QueuedJob> {
+        if queue.is_empty() {
+            return None;
+        }
+        let tail = queue.tail as usize;
+        let head = self.next[tail];
+        self.next[tail] = self.next[head as usize];
+        queue.len -= 1;
+        Some(self.take(head))
     }
 }
 
-/// Most jobs of buffer a node queue keeps once it empties: a queue that
-/// [`Slot::next_job`] empties frees a larger buffer, so a node's longest
-/// backlog does not hold its memory for the rest of the run, while a
-/// queue that keeps refilling to a few jobs reuses its buffer. An idle
-/// fleet therefore holds at most `nodes × 8` jobs of queue buffer (3.1
-/// MB for 16,384 nodes of 24-byte jobs). Measured on a 2-vCPU VM with
-/// the event queue's own rule in place: this one took the dense
-/// `capacity-1m` benchmark's peak RSS from 14.6 to 13.8 MB, and the
-/// 10M-job recipe's (docs/SCALING.md) from 24.4 to 17.3 MB.
-const QUEUE_KEEP: usize = 8;
-
-/// What the engine tracks per node: the jobs placed on it and the
-/// invocation it runs.
+/// What the engine tracks per node: the jobs placed on it, the
+/// invocation it runs and its one pending timer.
 #[derive(Default)]
 struct Slot {
-    queue: VecDeque<QueuedJob>,
+    queue: Fifo,
     /// `(job, exec, started)` for the in-flight invocation.
     current: Option<(QueuedJob, SimDuration, SimTime)>,
-    /// The invocation's next lifecycle event (ExecDone or JobDone),
-    /// cancelled when an injected crash interrupts it.
-    pending: Option<EventId>,
+    /// The running invocation's next lifecycle event (ExecDone or
+    /// JobDone), cancelled when an injected crash interrupts it, or an
+    /// SBC's idle gate, cancelled when a job start pre-empts the idle
+    /// window. A node never holds both: a job start cancels the gate
+    /// before the ExecDone is scheduled, the JobDone clears this field
+    /// before the governor may arm a gate, and a crash lands only on an
+    /// executing node.
+    timer: Option<EventId>,
 }
 
 impl Slot {
-    /// Takes the next queued job, freeing the queue's buffer if this
-    /// empties it and it has room for more than [`QUEUE_KEEP`] jobs.
-    fn next_job(&mut self) -> QueuedJob {
-        // A node starts only with work queued, and nothing else drains
-        // its queue first.
-        let job = self.queue.pop_front().expect("a job is queued");
-        if self.queue.is_empty() && self.queue.capacity() > QUEUE_KEEP {
-            self.queue = VecDeque::new();
-        }
-        job
-    }
-
     /// The placement-policy view of this node. `load` is the backlog
     /// count (the open loop does not know function costs at placement
     /// time), so `LeastLoaded` picks the first node with the fewest
     /// queued plus running jobs.
     fn view(&self, powered: bool) -> NodeView {
         let busy = self.current.is_some();
+        let queued = self.queue.len as usize;
         NodeView {
-            queued: self.queue.len(),
+            queued,
             busy,
             powered,
-            load: (self.queue.len() + usize::from(busy)) as f64,
+            load: (queued + usize::from(busy)) as f64,
         }
     }
 }
@@ -865,7 +926,8 @@ trait OpenClass {
     /// first arrival.
     fn init<O: TraceObserver>(&mut self, core: &mut Core<'_, O, Self::Timer>);
     /// The engine's slot of node `w`. Each class keeps it beside its own
-    /// state of that node, so a job's events touch one place in memory.
+    /// state of that node, so a job's events touch one place in memory
+    /// (plus the job's [`Pool`] entry while it waits).
     fn slot(&mut self, w: usize) -> &mut Slot;
     /// Appends every node's placement view to `views`, in node order.
     fn views(&self, views: &mut Vec<NodeView>);
@@ -936,12 +998,14 @@ struct Core<'a, O, T> {
     attr: Option<Attributor>,
     policy: PolicyEngine,
     sched_handles: Option<SchedMetrics>,
+    /// Every job waiting in a node queue or parked by a budget deferral.
+    pool: Pool,
 }
 
 impl<O: TraceObserver, T> Core<'_, O, T> {
     /// Adds a meter channel and the attribution channel of the same
     /// index.
-    fn add_channel(&mut self, name: String) -> usize {
+    fn add_channel(&mut self, name: impl Display) -> usize {
         self.channels.push(self.meter.add_channel(name));
         if let Some(a) = self.attr.as_mut() {
             a.add_channel();
@@ -1002,8 +1066,6 @@ struct OpenSim<'a, C: OpenClass, O, L, S> {
     cache: Option<ResultCache<()>>,
     coalesce: CoalesceTable<QueuedJob>,
     input_variants: usize,
-    /// Jobs parked by a budget deferral.
-    parked: Parked,
     views: Vec<NodeView>,
     placement: PlacementKind,
     /// Whether a non-default scheduling policy is active; its telemetry
@@ -1042,11 +1104,11 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
                 }
                 Event::ExecDone(w) => self.exec_done(w as usize, now),
                 Event::JobDone(w) => self.job_done(w as usize, now),
-                Event::Release(slot) => {
+                Event::Release(entry) => {
                     // The job re-enters placement with no further
                     // admission check (the governor already priced the
                     // wait).
-                    let job = self.parked.release(slot);
+                    let job = self.core.pool.take(entry);
                     let key = if self.cache.is_some() { job.key() } else { 0 };
                     self.dispatch(job, key, now);
                 }
@@ -1159,8 +1221,8 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             BudgetDecision::Defer(delay) => {
                 // Coalesce leadership (if any) stays with the deferred
                 // job; followers drain when it eventually completes.
-                let slot = self.parked.park(*job);
-                self.core.queue.schedule(now + delay, Event::Release(slot));
+                let entry = self.core.pool.alloc(*job);
+                self.core.queue.schedule(now + delay, Event::Release(entry));
                 ("defer", false)
             }
             BudgetDecision::Throttle => {
@@ -1206,7 +1268,7 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             core.observer.emit(now, decision);
             core.with_sched_metrics(|m, h| m.inc(h.placements));
         }
-        self.class.slot(w).queue.push_back(job);
+        core.pool.push_back(&mut self.class.slot(w).queue, job);
         if self.class.queued(core, w, now) {
             self.begin(w, now);
         }
@@ -1215,7 +1277,10 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
     /// Starts `w`'s next queued job.
     fn begin(&mut self, w: usize, now: SimTime) {
         let core = &mut self.core;
-        let job = self.class.slot(w).next_job();
+        // A node starts only with work queued, and nothing else drains
+        // its queue first.
+        let queue = &mut self.class.slot(w).queue;
+        let job = core.pool.pop_front(queue).expect("a job is queued");
         let factor = self.class.start_job(core, w, now);
         let (id, function) = (job.id, job.function);
         let started = TraceEvent::JobStarted {
@@ -1244,7 +1309,7 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
         let slot = self.class.slot(w);
         slot.current = Some((job, exec, now));
         let done = Event::ExecDone(w as u32);
-        slot.pending = Some(core.queue.schedule(now + exec, done));
+        slot.timer = Some(core.queue.schedule(now + exec, done));
     }
 
     fn exec_done(&mut self, w: usize, now: SimTime) {
@@ -1267,13 +1332,13 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             .overhead(C::PLATFORM)
             .mul_f64(core.config.jitter.factor(&mut core.rng));
         let done = Event::JobDone(w as u32);
-        self.class.slot(w).pending = Some(core.queue.schedule(now + overhead, done));
+        self.class.slot(w).timer = Some(core.queue.schedule(now + overhead, done));
     }
 
     fn job_done(&mut self, w: usize, now: SimTime) {
         let core = &mut self.core;
         let slot = self.class.slot(w);
-        slot.pending = None;
+        slot.timer = None;
         let (job, exec, started) = slot.current.take().expect("job in flight");
         // Settle the job's joule vector before any power change, then
         // charge its tenant's budget with the exact figure (picojoules
@@ -1421,24 +1486,20 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
     }
 }
 
-/// One SBC worker: the engine's slot and the hardware state, in two
-/// cache lines. Every event of a job reads and writes this record, and
-/// a dense fleet (16,384 of them) does not fit the cache, so the fields
-/// a handler touches sit together: the slot first (80 bytes), then the
-/// state machine, the idle gate and the waking flag.
+/// One SBC worker: the engine's slot (whose timer doubles as the
+/// governor's idle gate), the state machine and the waking flag, in one
+/// cache line. Every event of a job reads and writes this record, and a
+/// dense fleet (16,384 of them) does not fit the cache.
 #[repr(C, align(64))]
 struct Sbc {
     slot: Slot,
     node: SbcNode,
-    /// The governor's pending idle gate, cancelled when a job start
-    /// pre-empts the idle window.
-    gate: Option<EventId>,
     /// Set between the GPIO press and the power-on taking effect, so
     /// placement sees waking nodes as powered.
     waking: bool,
 }
 
-const _: () = assert!(std::mem::align_of::<Sbc>() == 64 && std::mem::size_of::<Sbc>() == 128);
+const _: () = assert!(std::mem::align_of::<Sbc>() == 64 && std::mem::size_of::<Sbc>() == 64);
 
 /// The SBC fleet: one [`SbcNode`] per worker on its own `sbc-{w}`
 /// channel, powered on and off through its GPIO line. The governor
@@ -1446,6 +1507,8 @@ const _: () = assert!(std::mem::align_of::<Sbc>() == 64 && std::mem::size_of::<S
 /// executing nodes down.
 struct SbcFleet {
     nodes: Vec<Sbc>,
+    /// Every node's boot window, resolved once per run.
+    boot_window: SimDuration,
     gpio: PowerController,
     powered_on: TimeWeighted,
     /// Scheduled crashes that landed on an executing node.
@@ -1490,11 +1553,11 @@ impl SbcFleet {
             nodes: (0..workers)
                 .map(|_| Sbc {
                     slot: Slot::default(),
-                    node: SbcNode::new(SimTime::ZERO),
-                    gate: None,
+                    node: SbcNode::default(),
                     waking: false,
                 })
                 .collect(),
+            boot_window: SbcNode::boot_duration(),
             gpio: PowerController::new(workers),
             powered_on: TimeWeighted::new(SimTime::ZERO, 0.0),
             faults_injected: 0,
@@ -1541,7 +1604,7 @@ impl SbcFleet {
         if let Some(a) = core.attr.as_mut() {
             a.boot_started(w, now);
         }
-        let done = now + self.nodes[w].node.boot_duration();
+        let done = now + self.boot_window;
         core.queue.schedule(done, Event::BootDone(w as u32));
     }
 
@@ -1573,7 +1636,7 @@ impl SbcFleet {
         core.observer
             .emit(now, TraceEvent::FaultInjected { worker: w, fault });
         let slot = &mut self.nodes[w].slot;
-        if let Some(pending) = slot.pending.take() {
+        if let Some(pending) = slot.timer.take() {
             core.queue.cancel(pending);
         }
         // The invocation is re-queued at the front of the same node,
@@ -1585,9 +1648,9 @@ impl SbcFleet {
                 // resumes when it restarts.
                 a.interrupted(w, now, job.id);
             }
-            slot.queue.push_front(job);
+            core.pool.push_front(&mut slot.queue, job);
         }
-        self.nodes[w].node.crash(now).expect("node was executing");
+        self.nodes[w].node.crash().expect("node was executing");
         self.powered_on.add(now, -1.0);
         core.mark(now, w, WorkerState::Crashed, self.power(w));
         let detected = now + DETECTION_DELAY;
@@ -1612,7 +1675,7 @@ impl OpenClass for SbcFleet {
     /// cluster) are no-ops; an empty plan schedules nothing.
     fn init<O: TraceObserver>(&mut self, core: &mut Core<'_, O, SbcTimer>) {
         for w in 0..self.nodes.len() {
-            core.add_channel(format!("sbc-{w}"));
+            core.add_channel(format_args!("sbc-{w}"));
         }
         self.wants_census = core.policy.wants_idle_census();
         for &(at, w) in FaultInjector::new(&core.config.faults).scheduled_crashes() {
@@ -1661,12 +1724,12 @@ impl OpenClass for SbcFleet {
         &mut self,
         core: &mut Core<'_, O, SbcTimer>,
         w: usize,
-        now: SimTime,
+        _: SimTime,
     ) -> f64 {
-        if let Some(gate) = self.nodes[w].gate.take() {
+        if let Some(gate) = self.nodes[w].slot.timer.take() {
             core.queue.cancel(gate);
         }
-        self.nodes[w].node.start_job(now).expect("node is idle");
+        self.nodes[w].node.start_job().expect("node is idle");
         1.0
     }
 
@@ -1680,14 +1743,14 @@ impl OpenClass for SbcFleet {
             let node = &mut self.nodes[w].node;
             if core.policy.reboot_between_jobs(true) {
                 core.with_sched_metrics(|m, h| m.inc(h.cold_boots));
-                node.finish_job_and_reboot(now).expect("was executing");
+                node.finish_job_and_reboot().expect("was executing");
                 self.boot(core, w, now, WorkerState::Rebooting);
                 return false;
             }
             // Warm continuation: skip the between-jobs reboot and start
             // the next queued job at once, with no event and no trace.
             core.with_sched_metrics(|m, h| m.inc(h.warm_hits));
-            node.finish_job_and_standby(now).expect("was executing");
+            node.finish_job_and_standby().expect("was executing");
             return true;
         }
         // Queue drained: the governor picks the power regime.
@@ -1695,19 +1758,19 @@ impl OpenClass for SbcFleet {
         match core.policy.on_drain(now, 1 + self.idle_census()) {
             DrainAction::PowerOff => {
                 let node = &mut self.nodes[w].node;
-                node.finish_job_and_power_off(now).expect("was executing");
+                node.finish_job_and_power_off().expect("was executing");
                 self.gate_off(core, w, now);
             }
             DrainAction::Standby { idle_timeout } => {
                 // Hold the node booted-idle at standby draw so the next
                 // arrival skips the boot window.
                 let node = &mut self.nodes[w].node;
-                node.finish_job_and_standby(now).expect("was executing");
+                node.finish_job_and_standby().expect("was executing");
                 core.mark(now, w, WorkerState::Idle, self.power(w));
                 core.governor_transition(now, w, "standby");
                 if let Some(window) = idle_timeout {
                     let gate = Event::Node(w as u32, SbcTimer::IdleGate);
-                    self.nodes[w].gate = Some(core.queue.schedule(now + window, gate));
+                    self.nodes[w].slot.timer = Some(core.queue.schedule(now + window, gate));
                 }
             }
         }
@@ -1720,7 +1783,7 @@ impl OpenClass for SbcFleet {
         w: usize,
         now: SimTime,
     ) {
-        self.nodes[w].node.boot_complete(now).expect("was booting");
+        self.nodes[w].node.boot_complete().expect("was booting");
         core.mark(now, w, WorkerState::Idle, self.power(w));
         if let Some(a) = core.attr.as_mut() {
             a.boot_done(w, now);
@@ -1737,17 +1800,16 @@ impl OpenClass for SbcFleet {
         match timer {
             SbcTimer::PowerOn => {
                 self.nodes[w].waking = false;
-                self.nodes[w].node.power_on(now).expect("was off");
+                self.nodes[w].node.power_on().expect("was off");
                 self.boot(core, w, now, WorkerState::Booting);
             }
             SbcTimer::IdleGate => {
-                self.nodes[w].gate = None;
-                // Stale gates (the node picked up work, crashed, or was
-                // already gated off) are dropped silently.
-                if self.nodes[w].node.state() == SbcState::Idle
-                    && core.policy.gate_on_idle_expiry(now, self.idle_census())
-                {
-                    self.nodes[w].node.power_off(now).expect("node was idle");
+                // A node holds a gate only while idle, and a job start
+                // cancels it, so the node is still idle.
+                self.nodes[w].slot.timer = None;
+                debug_assert_eq!(self.nodes[w].node.state(), SbcState::Idle);
+                if core.policy.gate_on_idle_expiry(now, self.idle_census()) {
+                    self.nodes[w].node.power_off().expect("node was idle");
                     self.gate_off(core, w, now);
                     core.governor_transition(now, w, "gate-off");
                 }
@@ -1756,7 +1818,7 @@ impl OpenClass for SbcFleet {
             SbcTimer::Recover => {
                 // Recovery reboots the node without pressing PWR_BUT,
                 // so it adds no power cycle.
-                self.nodes[w].node.recover(now).expect("node was crashed");
+                self.nodes[w].node.recover().expect("node was crashed");
                 self.powered_on.add(now, 1.0);
                 self.boot(core, w, now, WorkerState::Booting);
             }
@@ -1831,7 +1893,7 @@ impl OpenClass for VmHost {
 
     /// The idle floor draws from the first instant.
     fn init<O: TraceObserver>(&mut self, core: &mut Core<'_, O, Infallible>) {
-        let ch = core.add_channel("rack-server".into());
+        let ch = core.add_channel("rack-server");
         let watts = self.server.power().value();
         core.set_power(SimTime::ZERO, (ch, watts));
         let sample = TraceEvent::PowerSample { worker: ch, watts };
@@ -2434,48 +2496,83 @@ mod tests {
         assert_eq!(a.mean_power_w, b.mean_power_w);
     }
 
-    #[test]
-    fn a_drained_node_queue_gives_back_a_long_backlogs_buffer() {
-        // One worker takes two 40-job ticks: its queue holds 79 jobs
-        // after the first and drains by the end of the run.
-        let mut config = OpenLoopConfig::paper_arrangement(40, SimDuration::from_secs(2), 7);
-        config.workers = 1;
-        let mut observer = Observer::disabled();
-        let (fleet, mut sink) = (SbcFleet::new(1), NullSink);
-        let mut sim = engine(
-            &config,
-            fleet,
-            &mut observer,
-            Samples::new(),
-            &mut sink,
-            None,
-        );
-        sim.drive();
-        assert_eq!(sim.completed, 80);
-        let queue = &sim.class.nodes[0].slot.queue;
-        assert!(queue.is_empty());
-        assert!(
-            queue.capacity() <= QUEUE_KEEP,
-            "kept room for {}",
-            queue.capacity()
-        );
-
-        // A backlog of at most QUEUE_KEEP jobs keeps its buffer.
-        let job = QueuedJob {
-            id: 1,
+    fn job(id: u64) -> QueuedJob {
+        QueuedJob {
+            id,
             arrived: SimTime::ZERO,
             variant: 0,
             tenant: 0,
             function: FunctionId::ALL[0],
             throttled: false,
-        };
-        let mut slot = Slot::default();
-        slot.queue.extend([job; QUEUE_KEEP]);
-        let kept = slot.queue.capacity();
-        while !slot.queue.is_empty() {
-            slot.next_job();
         }
-        assert_eq!(slot.queue.capacity(), kept);
+    }
+
+    /// Empties `queue`, returning its job ids in order.
+    fn drain(pool: &mut Pool, queue: &mut Fifo) -> Vec<u64> {
+        std::iter::from_fn(|| pool.pop_front(queue))
+            .map(|j| j.id)
+            .collect()
+    }
+
+    #[test]
+    fn node_queues_stay_fifo_around_a_crash_requeue() {
+        let mut pool = Pool::new();
+        let (mut a, mut b) = (Fifo::default(), Fifo::default());
+        // A requeue into an empty queue, then arrivals on two queues
+        // whose entries interleave in the pool.
+        pool.push_front(&mut a, job(1));
+        for id in 2..=4 {
+            pool.push_back(&mut a, job(id));
+            pool.push_back(&mut b, job(10 + id));
+        }
+        assert_eq!(pool.pop_front(&mut a).map(|j| j.id), Some(1));
+        // A crash puts the interrupted job back in front of the queue.
+        pool.push_front(&mut a, job(1));
+        pool.push_back(&mut a, job(5));
+        assert_eq!(a.len, 5);
+        assert_eq!(drain(&mut pool, &mut a), [1, 2, 3, 4, 5]);
+        assert_eq!(drain(&mut pool, &mut b), [12, 13, 14]);
+        assert!(a.is_empty() && b.is_empty());
+    }
+
+    #[test]
+    fn the_pool_stays_at_its_peak_backlog_over_fill_and_drain_waves() {
+        let mut pool = Pool::new();
+        let mut queues = [Fifo::default(); 4];
+        for wave in 0..10 {
+            for id in 0..25 {
+                pool.push_back(&mut queues[id % 4], job(id as u64));
+            }
+            assert_eq!(pool.jobs.len(), 25, "wave {wave} grew the pool");
+            for queue in &mut queues {
+                drain(&mut pool, queue);
+            }
+        }
+        // Entries are reused last in, first out: an arrival fills the
+        // entry the last job start read.
+        let mut queue = Fifo::default();
+        pool.push_back(&mut queue, job(1));
+        let first = queue.tail;
+        pool.push_back(&mut queue, job(2));
+        pool.pop_front(&mut queue);
+        pool.push_back(&mut queue, job(3));
+        assert_eq!(queue.tail, first);
+        assert_eq!(drain(&mut pool, &mut queue), [2, 3]);
+        assert_eq!(pool.jobs.len(), 25);
+    }
+
+    #[test]
+    fn a_budget_park_holds_its_pool_entry_until_the_release() {
+        let mut pool = Pool::new();
+        let mut queue = Fifo::default();
+        pool.push_back(&mut queue, job(1));
+        let (x, y) = (pool.alloc(job(2)), pool.alloc(job(3)));
+        // Holds end in any order; each release names its own entry.
+        assert_eq!(pool.take(y).id, 3);
+        pool.push_back(&mut queue, job(4));
+        assert_eq!(pool.jobs.len(), 3, "the queued job took the freed entry");
+        assert_eq!(pool.take(x).id, 2);
+        assert_eq!(drain(&mut pool, &mut queue), [1, 4]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use microfaas_sim::SimDuration;
 use microfaas_workloads::FunctionId;
 
 /// Worker RAM available to a function on the BeagleBone Black.
-pub const WORKER_MEMORY_MB: u32 = 512;
+const WORKER_MEMORY_MB: u32 = 512;
 
 /// Metadata for one deployed function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,7 +129,7 @@ impl FunctionRegistry {
     /// # Errors
     ///
     /// Returns [`RegistryError`] when the name is taken, the reservation
-    /// exceeds [`WORKER_MEMORY_MB`], or the timeout is zero.
+    /// exceeds the worker's 512 MB of RAM, or the timeout is zero.
     pub fn deploy(&mut self, name: &str, spec: FunctionSpec) -> Result<(), RegistryError> {
         if self.functions.contains_key(name) {
             return Err(RegistryError::NameTaken(name.to_string()));

@@ -26,7 +26,7 @@
 
 pub mod attribution;
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use microfaas_sim::{SimTime, TimeWeighted};
 
@@ -41,8 +41,11 @@ pub struct EnergyMeter {
     /// One integrator per channel: the 32 B record every power update
     /// touches, two to a cache line.
     channels: Vec<TimeWeighted>,
-    /// Each channel's name, read only when naming or publishing it.
-    names: Vec<String>,
+    /// Every channel's name, one after another, read only when
+    /// publishing: one allocation for the whole fleet.
+    names: String,
+    /// Where each channel's name ends in `names`.
+    name_ends: Vec<u32>,
 }
 
 impl EnergyMeter {
@@ -52,14 +55,24 @@ impl EnergyMeter {
         EnergyMeter {
             start,
             channels: Vec::new(),
-            names: Vec::new(),
+            names: String::new(),
+            name_ends: Vec::new(),
         }
     }
 
     /// Attaches a new channel (initially drawing 0 W) and returns its id.
-    pub fn add_channel(&mut self, name: impl Into<String>) -> ChannelId {
+    /// The name is written straight into the meter's one name buffer, so
+    /// `format_args!("sbc-{w}")` names a channel with no allocation of
+    /// its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the names of all channels pass 4 GiB.
+    pub fn add_channel(&mut self, name: impl fmt::Display) -> ChannelId {
         self.channels.push(TimeWeighted::new(self.start, 0.0));
-        self.names.push(name.into());
+        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        let end = u32::try_from(self.names.len()).expect("channel names fit in 4 GiB");
+        self.name_ends.push(end);
         ChannelId(self.channels.len() - 1)
     }
 
@@ -130,7 +143,10 @@ impl EnergyMeter {
         prefix: &str,
         until: SimTime,
     ) {
-        for (channel, name) in self.channels.iter().zip(&self.names) {
+        let mut start = 0;
+        for (channel, &end) in self.channels.iter().zip(&self.name_ends) {
+            let name = &self.names[start..end as usize];
+            start = end as usize;
             let name = format!("{prefix}_channel_joules{{channel=\"{name}\"}}");
             let gauge = metrics.gauge(&name);
             metrics.set_gauge(gauge, channel.integral(until));
@@ -261,12 +277,16 @@ mod tests {
     fn names_round_trip() {
         let mut meter = EnergyMeter::new(SimTime::ZERO);
         meter.add_channel("sbc-7");
+        meter.add_channel(format_args!("sbc-{}", 10));
         let mut metrics = microfaas_sim::MetricsRegistry::new();
         meter.publish_metrics(&mut metrics, "m", SimTime::ZERO);
         let rows = metrics.flatten();
         assert_eq!(
             rows,
-            [("m_channel_joules{channel=\"sbc-7\"}".to_string(), 0.0)]
+            [
+                ("m_channel_joules{channel=\"sbc-7\"}".to_string(), 0.0),
+                ("m_channel_joules{channel=\"sbc-10\"}".to_string(), 0.0)
+            ]
         );
     }
 

@@ -12,10 +12,10 @@
 use microfaas_sim::Rng;
 
 /// Published MTBF of the Technologic TS-7800-V2 SBC, hours.
-pub const SBC_MTBF_HOURS: f64 = 2_320_456.0;
+const SBC_MTBF_HOURS: f64 = 2_320_456.0;
 
 /// Published MTBF of the Intel Server Board S2600CW, hours.
-pub const SERVER_MTBF_HOURS: f64 = 234_708.0;
+const SERVER_MTBF_HOURS: f64 = 234_708.0;
 
 /// Parameters of a fleet-reliability simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]

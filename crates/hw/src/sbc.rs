@@ -4,15 +4,16 @@
 
 use std::fmt;
 
-use microfaas_sim::{SimDuration, SimTime};
+use microfaas_sim::SimDuration;
 
 use crate::boot::{BootPlatform, BootTime};
 use crate::power::{SbcPowerModel, Watts};
 
 /// The power/lifecycle state of an SBC worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SbcState {
     /// Fully powered down (the energy-proportional default).
+    #[default]
     Off,
     /// Booting the worker OS after power-on.
     Booting,
@@ -56,46 +57,38 @@ impl fmt::Display for TransitionError {
 
 impl std::error::Error for TransitionError {}
 
-/// One BeagleBone Black worker node.
+/// One BeagleBone Black worker node: its lifecycle state, one byte. A
+/// node starts powered off ([`SbcNode::default`]).
 ///
-/// Its boot window is the fully optimized ARM worker OS of the Fig. 1
-/// profile ([`crate::boot`]), resolved once at construction: every boot
-/// and reboot reads a stored duration. State reads, power draws and
+/// Every SBC boots the same fully optimized ARM worker OS of the Fig. 1
+/// profile ([`crate::boot`]), so the boot window is not per node: a
+/// fleet resolves [`SbcNode::boot_duration`] once and reads the stored
+/// window on every boot and reboot. State reads, power draws and
 /// transitions are inlinable, since the engines call them on every event.
 ///
 /// # Examples
 ///
 /// ```
 /// use microfaas_hw::sbc::{SbcNode, SbcState};
-/// use microfaas_sim::SimTime;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut node = SbcNode::new(SimTime::ZERO);
-/// node.power_on(SimTime::ZERO)?;
-/// let ready_at = SimTime::ZERO + node.boot_duration();
-/// node.boot_complete(ready_at)?;
+/// let mut node = SbcNode::default();
+/// node.power_on()?;
+/// node.boot_complete()?;
 /// assert_eq!(node.state(), SbcState::Idle);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SbcNode {
     state: SbcState,
-    state_since: SimTime,
-    boot_window: SimDuration,
-    power_model: SbcPowerModel,
 }
 
 impl SbcNode {
-    /// Creates a node that starts powered off at `now`, flashed with the
-    /// fully optimized ARM worker OS.
-    pub fn new(now: SimTime) -> Self {
-        SbcNode {
-            state: SbcState::Off,
-            state_since: now,
-            boot_window: BootTime::fully_optimized(BootPlatform::Arm).real,
-            power_model: SbcPowerModel,
-        }
+    /// Wall-clock boot time of the worker OS every SBC is flashed with,
+    /// folded over the Fig. 1 stage table on each call.
+    pub fn boot_duration() -> SimDuration {
+        BootTime::fully_optimized(BootPlatform::Arm).real
     }
 
     /// Current lifecycle state.
@@ -103,32 +96,13 @@ impl SbcNode {
         self.state
     }
 
-    /// When the node entered its current state: the instant of its last
-    /// successful transition, or of its creation.
-    pub fn state_since(&self) -> SimTime {
-        self.state_since
-    }
-
-    /// Wall-clock boot time of the flashed worker OS.
-    pub fn boot_duration(&self) -> SimDuration {
-        self.boot_window
-    }
-
     /// Instantaneous power draw in the current state.
     pub fn power(&self) -> Watts {
         match self.state {
-            SbcState::Off | SbcState::Crashed => self.power_model.off(),
-            SbcState::Idle => self.power_model.standby(),
-            SbcState::Booting | SbcState::Executing | SbcState::Rebooting => {
-                self.power_model.busy()
-            }
+            SbcState::Off | SbcState::Crashed => SbcPowerModel.off(),
+            SbcState::Idle => SbcPowerModel.standby(),
+            SbcState::Booting | SbcState::Executing | SbcState::Rebooting => SbcPowerModel.busy(),
         }
-    }
-
-    #[inline]
-    fn transition(&mut self, now: SimTime, next: SbcState) {
-        self.state = next;
-        self.state_since = now;
     }
 
     /// The orchestrator asserts PWR_BUT: off → booting.
@@ -137,10 +111,10 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] unless the node is off.
     #[inline]
-    pub fn power_on(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn power_on(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Off => {
-                self.transition(now, SbcState::Booting);
+                self.state = SbcState::Booting;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -156,10 +130,10 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] unless the node is booting or rebooting.
     #[inline]
-    pub fn boot_complete(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn boot_complete(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Booting | SbcState::Rebooting => {
-                self.transition(now, SbcState::Idle);
+                self.state = SbcState::Idle;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -176,10 +150,10 @@ impl SbcNode {
     /// Returns [`TransitionError`] unless the node is idle — the
     /// run-to-completion guarantee.
     #[inline]
-    pub fn start_job(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn start_job(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Idle => {
-                self.transition(now, SbcState::Executing);
+                self.state = SbcState::Executing;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -196,10 +170,10 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] unless the node is executing.
     #[inline]
-    pub fn finish_job_and_reboot(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn finish_job_and_reboot(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
-                self.transition(now, SbcState::Rebooting);
+                self.state = SbcState::Rebooting;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -216,10 +190,10 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] unless the node is executing.
     #[inline]
-    pub fn finish_job_and_power_off(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn finish_job_and_power_off(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
-                self.transition(now, SbcState::Off);
+                self.state = SbcState::Off;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -238,10 +212,10 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] unless the node is executing.
     #[inline]
-    pub fn finish_job_and_standby(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn finish_job_and_standby(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Executing => {
-                self.transition(now, SbcState::Idle);
+                self.state = SbcState::Idle;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -257,10 +231,10 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] unless the node is idle.
     #[inline]
-    pub fn power_off(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn power_off(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Idle => {
-                self.transition(now, SbcState::Off);
+                self.state = SbcState::Off;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -277,10 +251,10 @@ impl SbcNode {
     ///
     /// Returns [`TransitionError`] if the node is off or already
     /// crashed (there is nothing left to kill).
-    pub fn crash(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn crash(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Booting | SbcState::Idle | SbcState::Executing | SbcState::Rebooting => {
-                self.transition(now, SbcState::Crashed);
+                self.state = SbcState::Crashed;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -296,10 +270,10 @@ impl SbcNode {
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is crashed.
-    pub fn recover(&mut self, now: SimTime) -> Result<(), TransitionError> {
+    pub fn recover(&mut self) -> Result<(), TransitionError> {
         match self.state {
             SbcState::Crashed => {
-                self.transition(now, SbcState::Booting);
+                self.state = SbcState::Booting;
                 Ok(())
             }
             from => Err(TransitionError {
@@ -314,117 +288,106 @@ impl SbcNode {
 mod tests {
     use super::*;
 
-    fn at(secs: u64) -> SimTime {
-        SimTime::from_secs(secs)
-    }
-
     #[test]
     fn full_lifecycle() {
-        let mut node = SbcNode::new(at(0));
+        let mut node = SbcNode::default();
         assert_eq!(node.state(), SbcState::Off);
-        node.power_on(at(1)).expect("off -> booting");
-        node.boot_complete(at(3)).expect("booting -> idle");
-        node.start_job(at(4)).expect("idle -> executing");
-        node.finish_job_and_reboot(at(6))
+        node.power_on().expect("off -> booting");
+        node.boot_complete().expect("booting -> idle");
+        node.start_job().expect("idle -> executing");
+        node.finish_job_and_reboot()
             .expect("executing -> rebooting");
-        node.boot_complete(at(8)).expect("rebooting -> idle");
-        node.start_job(at(8)).expect("idle -> executing");
-        node.finish_job_and_power_off(at(10))
-            .expect("executing -> off");
+        node.boot_complete().expect("rebooting -> idle");
+        node.start_job().expect("idle -> executing");
+        node.finish_job_and_power_off().expect("executing -> off");
         assert_eq!(node.state(), SbcState::Off);
-        assert_eq!(node.state_since(), at(10));
     }
 
     #[test]
     fn power_follows_state() {
-        let mut node = SbcNode::new(at(0));
+        let mut node = SbcNode::default();
         assert_eq!(node.power().value(), 0.0);
-        node.power_on(at(0)).expect("on");
+        node.power_on().expect("on");
         assert_eq!(node.power().value(), 1.96);
-        node.boot_complete(at(2)).expect("boot");
+        node.boot_complete().expect("boot");
         assert_eq!(node.power().value(), 0.128);
-        node.start_job(at(3)).expect("start");
+        node.start_job().expect("start");
         assert_eq!(node.power().value(), 1.96);
     }
 
     #[test]
     fn illegal_transitions_are_rejected() {
-        let mut node = SbcNode::new(at(0));
-        assert!(
-            node.start_job(at(0)).is_err(),
-            "cannot start a job while off"
-        );
-        assert!(node.boot_complete(at(0)).is_err());
-        assert!(node.finish_job_and_reboot(at(0)).is_err());
-        node.power_on(at(0)).expect("on");
-        assert!(node.power_on(at(1)).is_err(), "double power-on");
-        assert!(node.start_job(at(1)).is_err(), "cannot start mid-boot");
+        let mut node = SbcNode::default();
+        assert!(node.start_job().is_err(), "cannot start a job while off");
+        assert!(node.boot_complete().is_err());
+        assert!(node.finish_job_and_reboot().is_err());
+        node.power_on().expect("on");
+        assert!(node.power_on().is_err(), "double power-on");
+        assert!(node.start_job().is_err(), "cannot start mid-boot");
     }
 
     #[test]
     fn run_to_completion_blocks_second_job() {
-        let mut node = SbcNode::new(at(0));
-        node.power_on(at(0)).expect("on");
-        node.boot_complete(at(2)).expect("boot");
-        node.start_job(at(3)).expect("first job");
-        let err = node.start_job(at(4)).expect_err("single tenancy");
+        let mut node = SbcNode::default();
+        node.power_on().expect("on");
+        node.boot_complete().expect("boot");
+        node.start_job().expect("first job");
+        let err = node.start_job().expect_err("single tenancy");
         assert_eq!(err.to_string(), "cannot start a job while executing");
     }
 
     #[test]
     fn boot_duration_is_the_optimized_os() {
-        let node = SbcNode::new(at(0));
-        assert_eq!(node.boot_duration(), SimDuration::from_millis(1_510));
+        assert_eq!(SbcNode::boot_duration(), SimDuration::from_millis(1_510));
     }
 
     #[test]
     fn crash_drops_the_job_and_recovery_is_a_cold_boot() {
-        let mut node = SbcNode::new(at(0));
-        node.power_on(at(0)).expect("on");
-        node.boot_complete(at(2)).expect("boot");
-        node.start_job(at(3)).expect("start");
-        node.crash(at(5)).expect("executing -> crashed");
+        let mut node = SbcNode::default();
+        node.power_on().expect("on");
+        node.boot_complete().expect("boot");
+        node.start_job().expect("start");
+        node.crash().expect("executing -> crashed");
         assert_eq!(node.state(), SbcState::Crashed);
         assert_eq!(node.power().value(), 0.0, "a crashed node draws nothing");
-        assert!(node.start_job(at(6)).is_err(), "dead nodes take no work");
-        node.recover(at(7)).expect("crashed -> booting");
+        assert!(node.start_job().is_err(), "dead nodes take no work");
+        node.recover().expect("crashed -> booting");
         assert_eq!(node.state(), SbcState::Booting);
-        node.boot_complete(at(9)).expect("booting -> idle");
+        node.boot_complete().expect("booting -> idle");
     }
 
     #[test]
     fn standby_finish_returns_to_idle_without_a_boot() {
-        let mut node = SbcNode::new(at(0));
-        node.power_on(at(0)).expect("on");
-        node.boot_complete(at(2)).expect("boot");
-        node.start_job(at(3)).expect("start");
-        node.finish_job_and_standby(at(5))
-            .expect("executing -> idle");
+        let mut node = SbcNode::default();
+        node.power_on().expect("on");
+        node.boot_complete().expect("boot");
+        node.start_job().expect("start");
+        node.finish_job_and_standby().expect("executing -> idle");
         assert_eq!(node.state(), SbcState::Idle);
         assert_eq!(node.power().value(), 0.128, "standby draw");
         // The warm node takes the next job with no boot in between, and
         // a governor may still gate it from idle.
-        node.start_job(at(6)).expect("idle -> executing");
-        node.finish_job_and_standby(at(8)).expect("finish");
-        node.power_off(at(9)).expect("idle -> off");
+        node.start_job().expect("idle -> executing");
+        node.finish_job_and_standby().expect("finish");
+        node.power_off().expect("idle -> off");
     }
 
     #[test]
     fn standby_finish_requires_an_executing_node() {
-        let mut node = SbcNode::new(at(0));
-        assert!(node.finish_job_and_standby(at(0)).is_err());
-        node.power_on(at(0)).expect("on");
-        assert!(node.finish_job_and_standby(at(1)).is_err());
+        let mut node = SbcNode::default();
+        assert!(node.finish_job_and_standby().is_err());
+        node.power_on().expect("on");
+        assert!(node.finish_job_and_standby().is_err());
     }
 
     #[test]
     fn crash_needs_a_powered_node() {
-        let mut node = SbcNode::new(at(0));
-        let err = node.crash(at(0)).expect_err("off nodes cannot crash");
+        let mut node = SbcNode::default();
+        let err = node.crash().expect_err("off nodes cannot crash");
         assert_eq!(err.to_string(), "cannot crash while off");
-        assert!(node.recover(at(0)).is_err(), "nothing to recover");
-        node.power_on(at(0)).expect("on");
-        node.crash(at(1)).expect("booting -> crashed");
-        assert!(node.crash(at(2)).is_err(), "already down");
+        assert!(node.recover().is_err(), "nothing to recover");
+        node.power_on().expect("on");
+        node.crash().expect("booting -> crashed");
+        assert!(node.crash().is_err(), "already down");
     }
 }

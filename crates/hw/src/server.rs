@@ -132,10 +132,10 @@ pub struct RackServer {
 
 impl RackServer {
     /// RAM in the evaluation server (16 GB), MB.
-    pub const HOST_MEMORY_MB: usize = 16 * 1024;
+    const HOST_MEMORY_MB: usize = 16 * 1024;
 
     /// RAM allocated to each microVM (512 MB, matching the SBC), MB.
-    pub const VM_MEMORY_MB: usize = 512;
+    const VM_MEMORY_MB: usize = 512;
 
     /// The largest VM count the host's RAM admits (the OS keeps ~1 GB).
     fn max_vms() -> usize {

@@ -42,7 +42,7 @@ use std::sync::Mutex;
 /// Environment variable consulted by [`Jobs::auto`]: set
 /// `MICROFAAS_JOBS=N` to pin every auto-resolved runner to `N` worker
 /// threads (the CLI's `--jobs` flag overrides it per invocation).
-pub const JOBS_ENV: &str = "MICROFAAS_JOBS";
+const JOBS_ENV: &str = "MICROFAAS_JOBS";
 
 /// How many runs may execute concurrently. `1` is the serial reference
 /// path; anything higher fans independent runs across scoped threads.

@@ -566,7 +566,7 @@ fn build_span(
 /// Upper bucket bounds (seconds) for the exported per-phase latency
 /// histograms: sub-millisecond overheads up to multi-second boot and
 /// queueing tails.
-pub const PHASE_BUCKETS: [f64; 14] = [
+const PHASE_BUCKETS: [f64; 14] = [
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 ];
 

@@ -38,10 +38,10 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceSink, WorkerState};
 
 /// Default tumbling-window width: 1 simulated second.
-pub const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(1);
+const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(1);
 
 /// Default flight-recorder depth: enough for an hour of 1 s windows.
-pub const DEFAULT_MAX_WINDOWS: usize = 4096;
+const DEFAULT_MAX_WINDOWS: usize = 4096;
 
 /// Relative error of the per-window latency quantile sketches.
 const QUANTILE_EPSILON: f64 = 0.01;
