@@ -8,13 +8,29 @@ cd "$(dirname "$0")/.."
 # Runs a command under a time bound, so a defect that loops forever
 # fails the gate instead of hanging it. Each bound is about ten times
 # the command's run in a full pass of this script on a 2-vCPU VM, with
-# what it needs already built, and at least 30 s.
+# what it needs already built, and at least 30 s. The notice goes to
+# stderr, so it shows even when stdout is captured.
 bounded() {
     local seconds=$1 status=0
     shift
     timeout "$seconds" "$@" || status=$?
-    [ "$status" -ne 124 ] || echo "timed out after ${seconds} s: $*"
+    [ "$status" -ne 124 ] || echo "timed out after ${seconds} s: $*" >&2
     return "$status"
+}
+
+# One run of the CLI, built by the workspace stage, under `bounded`.
+cli() {
+    local seconds=$1
+    shift
+    bounded "$seconds" cargo run --release -q -p microfaas-cli -- "$@"
+}
+
+# One `cargo bench` target, built first without a bound, then run under
+# `bounded` with cargo's own status lines silenced.
+bounded_bench() {
+    local seconds=$1 bench=$2
+    cargo bench -q -p microfaas-bench --bench "$bench" --no-run
+    bounded "$seconds" cargo bench -q -p microfaas-bench --bench "$bench"
 }
 
 # `cargo test ARGS`: built first without a bound, so a slow or cold
@@ -144,7 +160,7 @@ echo "==> fault-injection smoke runs (examples/faults_crash.json on both node cl
 # Both classes share one recovery path; the VM run is the only CLI-level
 # check of its respawn, boot-retry and retransmit hooks.
 for cluster in micro conventional; do
-    out="$(cargo run --release -q -p microfaas-cli -- faults \
+    out="$(cli 30 faults \
         --plan examples/faults_crash.json --invocations 2 --seed 7 --cluster "$cluster")"
     echo "$out" | grep -q "faults injected" || {
         echo "faults subcommand printed no fault summary ($cluster)"; exit 1; }
@@ -168,7 +184,7 @@ echo "==> event-queue differential equivalence (tests/queue_equiv.rs)"
 bounded_test 30 -q -p microfaas-sim --test queue_equiv
 
 echo "==> event-queue throughput floor (wheel cancel mix >= 4.2 Melem/s pre-rewrite baseline)"
-bench_out="$(cargo bench -p microfaas-bench --bench core_scale 2>/dev/null)"
+bench_out="$(bounded_bench 30 core_scale)"
 echo "$bench_out"
 rate="$(echo "$bench_out" | grep "wheel_cancel_timeout_mix/10000 " \
     | sed -n 's/.*(\([0-9.]*\) Melem\/s).*/\1/p')"
@@ -202,7 +218,7 @@ assert record['ten_million_job_recipe']['completed'] == 10_000_000
 "
 
 echo "==> result-cache throughput floor (hot-hit lookups >= 20 Melem/s)"
-cache_bench_out="$(cargo bench -p microfaas-bench --bench result_cache 2>/dev/null)"
+cache_bench_out="$(bounded_bench 30 result_cache)"
 echo "$cache_bench_out"
 cache_rate="$(echo "$cache_bench_out" | grep "cache_lookup/hot_hit/4096 " \
     | sed -n 's/.*(\([0-9.]*\) Melem\/s).*/\1/p')"
@@ -218,18 +234,18 @@ bounded_test 30 -q --test parallel_exec
 echo "==> parallel sweep smoke: --jobs 2 CSV must be byte-identical to --jobs 1"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run --release -q -p microfaas-cli -- sweep \
+cli 30 sweep \
     --max-vms 4 --invocations 2 --seed 7 --jobs 1 --csv "$tmpdir/serial.csv"
-cargo run --release -q -p microfaas-cli -- sweep \
+cli 30 sweep \
     --max-vms 4 --invocations 2 --seed 7 --jobs 2 --csv "$tmpdir/parallel.csv"
 cmp "$tmpdir/serial.csv" "$tmpdir/parallel.csv" || {
     echo "parallel sweep diverged from serial"; exit 1; }
 
 echo "==> policy sweep smoke: sched --jobs 2 Pareto CSV must be byte-identical to --jobs 1"
-cargo run --release -q -p microfaas-cli -- sched \
+cli 30 sched \
     --rate 0.5 --duration-secs 120 --workers 4 --seed 7 \
     --jobs 1 --csv "$tmpdir/sched_serial.csv"
-cargo run --release -q -p microfaas-cli -- sched \
+cli 30 sched \
     --rate 0.5 --duration-secs 120 --workers 4 --seed 7 \
     --jobs 2 --csv "$tmpdir/sched_parallel.csv"
 cmp "$tmpdir/sched_serial.csv" "$tmpdir/sched_parallel.csv" || {
@@ -245,10 +261,10 @@ cat > "$tmpdir/scenarios.json" <<'EOF'
    "tenants": [{"name": "paid", "weight": 1.0, "slo_latency_s": 5.0}]}
 ]}
 EOF
-cargo run --release -q -p microfaas-cli -- scenarios \
+cli 30 scenarios \
     --spec "$tmpdir/scenarios.json" --duration-secs 180 --workers 4 --seed 7 \
     --jobs 1 --csv "$tmpdir/scenarios_serial.csv"
-cargo run --release -q -p microfaas-cli -- scenarios \
+cli 30 scenarios \
     --spec "$tmpdir/scenarios.json" --duration-secs 180 --workers 4 --seed 7 \
     --jobs 2 --csv "$tmpdir/scenarios_parallel.csv"
 cmp "$tmpdir/scenarios_serial.csv" "$tmpdir/scenarios_parallel.csv" || {
@@ -259,10 +275,10 @@ grep -q "^skewed," "$tmpdir/scenarios_serial.csv" || {
     echo "scenario CSV missing a spec-file regime"; exit 1; }
 
 echo "==> cached scenarios smoke: --cache lru:1024, --jobs 2 CSV byte-identical to --jobs 1"
-cargo run --release -q -p microfaas-cli -- scenarios \
+cli 30 scenarios \
     --spec "$tmpdir/scenarios.json" --duration-secs 180 --workers 4 --seed 7 \
     --cache lru:1024 --jobs 1 --csv "$tmpdir/scenarios_cached_serial.csv"
-cargo run --release -q -p microfaas-cli -- scenarios \
+cli 30 scenarios \
     --spec "$tmpdir/scenarios.json" --duration-secs 180 --workers 4 --seed 7 \
     --cache lru:1024 --jobs 2 --csv "$tmpdir/scenarios_cached_parallel.csv"
 cmp "$tmpdir/scenarios_cached_serial.csv" "$tmpdir/scenarios_cached_parallel.csv" || {
@@ -281,17 +297,17 @@ PROPTEST_CASES=4096 \
     bounded_test 30 -q --release -p microfaas-energy --test attribution_oracle
 
 echo "==> energy smoke: --breakdown conserves, --jobs 2 ledger CSV byte-identical to --jobs 1"
-out="$(cargo run --release -q -p microfaas-cli -- energy \
+out="$(cli 30 energy \
     --rate 2 --duration-secs 120 --workers 4 --seed 7 --breakdown)"
 echo "$out" | grep -q "conservation:     attributed + idle == total" || {
     echo "energy run failed its conservation cross-check"; exit 1; }
 echo "$out" | grep -q "queue_j" || {
     echo "energy --breakdown printed no five-phase table"; exit 1; }
-cargo run --release -q -p microfaas-cli -- energy \
+cli 30 energy \
     --rate 2 --duration-secs 120 --workers 4 --seed 7 \
     --budget 0.5,burst=5,action=shed --idle usage-weighted \
     --jobs 1 --csv "$tmpdir/energy_serial.csv"
-cargo run --release -q -p microfaas-cli -- energy \
+cli 30 energy \
     --rate 2 --duration-secs 120 --workers 4 --seed 7 \
     --budget 0.5,burst=5,action=shed --idle usage-weighted \
     --jobs 2 --csv "$tmpdir/energy_parallel.csv"
@@ -303,13 +319,13 @@ grep -q ",(idle)," "$tmpdir/energy_serial.csv" || {
 echo "==> monitor smoke: inertness cross-check, burn-rate alerts, --jobs 2 CSV byte-identical to --jobs 1"
 monitor_flags=(--arrivals flash:0.2,120,60,40 --duration-secs 600 --workers 12
     --governor keep-alive --tenants paid:1:2.5,free:4:30 --seed 2022)
-out="$(cargo run --release -q -p microfaas-cli -- monitor \
+out="$(cli 30 monitor \
     "${monitor_flags[@]}" --jobs 1 --csv "$tmpdir/monitor_serial.csv")"
 echo "$out" | grep -q "verified inert" || {
     echo "monitor skipped its telemetry-inertness cross-check"; exit 1; }
 echo "$out" | grep -q "burn-rate" || {
     echo "flash crowd raised no burn-rate alert"; exit 1; }
-cargo run --release -q -p microfaas-cli -- monitor \
+cli 30 monitor \
     "${monitor_flags[@]}" --jobs 2 --csv "$tmpdir/monitor_parallel.csv" > /dev/null
 cmp "$tmpdir/monitor_serial.csv" "$tmpdir/monitor_parallel.csv" || {
     echo "monitored time series diverged across --jobs"; exit 1; }
@@ -325,7 +341,7 @@ assert delta <= 10.0, f'recorded telemetry overhead {delta}% blows the 10% budge
 "
 
 echo "==> analyze smoke: span derivation, phase-sum check, Perfetto round-trip"
-out="$(cargo run --release -q -p microfaas-cli -- analyze \
+out="$(cli 30 analyze \
     --invocations 2 --seed 7 --perfetto "$tmpdir/spans.json")"
 echo "$out" | grep -q "phase decomposition check" || {
     echo "analyze skipped the phase-sum verification"; exit 1; }
@@ -340,9 +356,9 @@ grep -q '"traceEvents"' "$tmpdir/spans.json" || {
     echo "perfetto export missing traceEvents envelope"; exit 1; }
 
 echo "==> analyze smoke: --jobs 2 phase CSV must be byte-identical to --jobs 1"
-cargo run --release -q -p microfaas-cli -- analyze \
+cli 30 analyze \
     --invocations 2 --seed 7 --jobs 1 --csv "$tmpdir/spans_serial.csv"
-cargo run --release -q -p microfaas-cli -- analyze \
+cli 30 analyze \
     --invocations 2 --seed 7 --jobs 2 --csv "$tmpdir/spans_parallel.csv"
 cmp "$tmpdir/spans_serial.csv" "$tmpdir/spans_parallel.csv" || {
     echo "parallel analyze diverged from serial"; exit 1; }

@@ -80,7 +80,7 @@ mod energy_docs {}
 
 /// Compiles and runs every Rust sample in `docs/MONITORING.md` as a
 /// doctest, so the time-resolved telemetry handbook can never drift
-/// from the `microfaas_sim::telemetry` / `microfaas::monitor` APIs it
+/// from the `microfaas_sim::telemetry` / `microfaas::openloop` APIs it
 /// documents.
 #[cfg(doctest)]
 #[doc = include_str!("../../../docs/MONITORING.md")]

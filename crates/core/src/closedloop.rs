@@ -87,7 +87,7 @@ pub(crate) trait NodeClass {
         reason: &'static str,
     ) -> bool;
     /// Idle → executing.
-    fn start_job(&mut self, core: &mut Core<'_, '_, Self::Event>, w: usize, now: SimTime);
+    fn start_job(&mut self, core: &mut Core<'_, '_, Self::Event>, w: usize);
     /// How long `function` runs on a worker just started, given the
     /// run-to-run `jitter` factor.
     fn exec(&self, function: FunctionId, jitter: f64) -> SimDuration;
@@ -103,16 +103,16 @@ pub(crate) trait NodeClass {
         forced: bool,
     ) -> bool;
     /// Executing → rebooting.
-    fn finish_job(&mut self, w: usize, now: SimTime);
+    fn finish_job(&mut self, w: usize);
     /// One boot or reboot window; the same for every worker.
     fn boot_window(&self) -> SimDuration;
     /// Booting or rebooting → idle.
-    fn boot_complete(&mut self, w: usize, now: SimTime);
+    fn boot_complete(&mut self, w: usize);
     /// Takes `w` down; `false` if there was nothing running to crash.
-    fn crash(&mut self, core: &mut Core<'_, '_, Self::Event>, w: usize, now: SimTime) -> bool;
+    fn crash(&mut self, core: &mut Core<'_, '_, Self::Event>, w: usize) -> bool;
     /// Crashed → back on the way up. Returns the state to report and
     /// the boot window that follows.
-    fn recover(&mut self, w: usize, now: SimTime) -> (WorkerState, SimDuration);
+    fn recover(&mut self, w: usize) -> (WorkerState, SimDuration);
     /// Handles one of the class's own timers; `true` asks the engine
     /// to start `w`'s next job.
     fn on_event(
@@ -632,7 +632,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
                 // The node never comes up: declare it dead and move its
                 // statically assigned queue to the survivors.
                 core.fr.dead[w] = true;
-                let went_down = self.fleet.crash(core, w, now);
+                let went_down = self.fleet.crash(core, w);
                 debug_assert!(went_down, "a booting worker can crash");
                 self.mark(now, w, WorkerState::Crashed);
                 self.redistribute(w, now);
@@ -647,7 +647,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             return;
         }
         core.fr.boot_failures[w] = 0;
-        self.fleet.boot_complete(w, now);
+        self.fleet.boot_complete(w);
         self.mark(now, w, WorkerState::Idle);
         self.start_next_job(w, now);
     }
@@ -747,7 +747,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
     }
 
     fn on_crash(&mut self, w: usize, now: SimTime) {
-        if self.core.fr.dead[w] || !self.fleet.crash(&mut self.core, w, now) {
+        if self.core.fr.dead[w] || !self.fleet.crash(&mut self.core, w) {
             // Nothing is running to crash; the planned fault fizzles.
             return;
         }
@@ -770,7 +770,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         if self.core.fr.dead[w] || !self.fleet.crashed(w) {
             return;
         }
-        let (state, window) = self.fleet.recover(w, now);
+        let (state, window) = self.fleet.recover(w);
         self.mark(now, w, state);
         let core = &mut self.core;
         core.with_metrics(|m, h| m.inc(h.boots));
@@ -889,7 +889,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         if !self.core.dispatcher.has_work(w) && self.fleet.drain(&mut self.core, w, now, forced) {
             return;
         }
-        self.fleet.finish_job(w, now);
+        self.fleet.finish_job(w);
         self.mark(now, w, WorkerState::Rebooting);
         let core = &mut self.core;
         if N::REBOOT_IS_A_BOOT {
@@ -946,7 +946,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             self.fleet.idle(&mut self.core, w, now);
             return;
         };
-        self.fleet.start_job(&mut self.core, w, now);
+        self.fleet.start_job(&mut self.core, w);
         self.core.observer.emit(
             now,
             TraceEvent::JobStarted {

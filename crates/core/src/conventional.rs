@@ -162,7 +162,7 @@ pub fn run_conventional_with(
     assert!(config.vms > 0, "cluster needs at least one VM");
     config.cache.try_validate().expect("invalid cache config");
     let mut meter = EnergyMeter::new(SimTime::ZERO);
-    let server = RackServer::new(config.vms, SimTime::ZERO);
+    let server = RackServer::new(config.vms);
     // The host draws its idle floor before any job exists, and its
     // channel is traced as worker 0 from t = 0.
     let channel = meter.add_channel("rack-server");
@@ -239,8 +239,8 @@ impl NodeClass for VmHost {
         self.state(v) == VmState::Idle
     }
 
-    fn start_job(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize, now: SimTime) {
-        self.server.start_job(v, now).expect("vm is idle");
+    fn start_job(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize) {
+        self.server.start_job(v).expect("vm is idle");
     }
 
     /// CPU contention is sampled at dispatch: a job's execution is
@@ -260,8 +260,8 @@ impl NodeClass for VmHost {
         false
     }
 
-    fn finish_job(&mut self, v: usize, now: SimTime) {
-        self.server.finish_job(v, now).expect("vm was executing");
+    fn finish_job(&mut self, v: usize) {
+        self.server.finish_job(v).expect("vm was executing");
     }
 
     /// A warm reboot of the worker OS, stretched by contention.
@@ -271,27 +271,25 @@ impl NodeClass for VmHost {
             .mul_f64(self.server.current_slowdown())
     }
 
-    fn boot_complete(&mut self, v: usize, now: SimTime) {
-        self.server
-            .reboot_complete(v, now)
-            .expect("vm was rebooting");
+    fn boot_complete(&mut self, v: usize) {
+        self.server.reboot_complete(v).expect("vm was rebooting");
     }
 
     /// The dead VM's CPU share rebalances onto the survivors and the
     /// host power steps down with the busy-VM count.
-    fn crash(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize, now: SimTime) -> bool {
+    fn crash(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize) -> bool {
         if self.crashed(v) {
             return false;
         }
-        self.server.crash_vm(v, now).expect("vm is running");
+        self.server.crash_vm(v).expect("vm is running");
         true
     }
 
     /// A fresh VM is spawned in the dead one's slot. A respawn
     /// cold-starts the guest: the boot window stretches beyond the warm
     /// between-jobs reboot, and contention applies.
-    fn recover(&mut self, v: usize, now: SimTime) -> (WorkerState, SimDuration) {
-        self.server.respawn_vm(v, now).expect("vm crashed");
+    fn recover(&mut self, v: usize) -> (WorkerState, SimDuration) {
+        self.server.respawn_vm(v).expect("vm crashed");
         let boot = self
             .server
             .vm_boot_duration()

@@ -511,6 +511,9 @@ fn policy_point(
 /// `hit_rate`, `joules_saved`, and `cached_edp` columns become live
 /// measurements and the Pareto front re-forms around the cache's
 /// zero-energy completions. [`CacheConfig::Off`] runs the plain sweep.
+///
+/// This is [`scenario_sweep_cached_jobs`] over one regime: Poisson
+/// arrivals at `per_second`, uniform popularity, no tenant classes.
 pub fn policy_sweep_cached_jobs(
     per_second: f64,
     duration: SimDuration,
@@ -519,28 +522,11 @@ pub fn policy_sweep_cached_jobs(
     cache: &CacheConfig,
     jobs: Jobs,
 ) -> Vec<PolicyPoint> {
-    let combos: Vec<(PlacementKind, GovernorKind)> = PlacementKind::ALL
-        .into_iter()
-        .flat_map(|p| GovernorKind::ALL.into_iter().map(move |g| (p, g)))
-        .collect();
-    let mut points = exec::par_map(jobs, &combos, |&(placement, governor)| {
-        let mut config = OpenLoopConfig::paper_arrangement(1, duration, seed);
-        config.workers = workers;
-        config.arrival = ArrivalProcess::Poisson { per_second };
-        config.scheduler = placement;
-        config.governor = governor;
-        config.cache = *cache;
-        let run = run_open_loop(&config);
-        policy_point(placement, governor, &run)
-    });
-    let coords: Vec<(f64, f64)> = points
-        .iter()
-        .map(|p| (p.mean_latency_s, p.joules_per_function))
-        .collect();
-    for (point, on_front) in points.iter_mut().zip(pareto_front(&coords)) {
-        point.pareto = on_front;
-    }
-    points
+    let poisson = Scenario::new("poisson", ArrivalProcess::Poisson { per_second });
+    scenario_sweep_cached_jobs(&[poisson], duration, workers, seed, cache, jobs)
+        .pop()
+        .expect("one regime, one outcome")
+        .points
 }
 
 /// Renders a sweep as the CSV the `sched` CLI subcommand emits (see

@@ -21,9 +21,9 @@
 //! * [`recovery`] — retry/backoff, crash detection, and load-shedding
 //!   policies for injected faults (see `docs/FAILURE_MODEL.md`);
 //! * [`openloop`] — the arrival-driven engine; its
-//!   `run_open_loop_monitored_*` entry points tap a run's event and
-//!   completion streams into time-resolved telemetry windows (see
-//!   `docs/MONITORING.md`);
+//!   `run_open_loop_monitored_*` entry points run it with a telemetry
+//!   flight recorder as the observer, folding a run's events and
+//!   completions into time-resolved windows (see `docs/MONITORING.md`);
 //! * [`experiment`] — one function per paper figure/table.
 //!
 //! # Examples
@@ -55,7 +55,6 @@ pub mod experiment;
 pub mod gateway;
 pub mod job;
 pub mod micro;
-mod monitor;
 pub(crate) mod netmap;
 pub mod openloop;
 pub mod recovery;

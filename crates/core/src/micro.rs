@@ -354,7 +354,7 @@ impl NodeClass for SbcFleet {
     }
 
     #[inline]
-    fn start_job(&mut self, core: SbcCore, w: usize, _: SimTime) {
+    fn start_job(&mut self, core: SbcCore, w: usize) {
         // A job start pre-empts any armed idle-gate window.
         self.cancel_gate(core, w);
         self.nodes[w].start_job().expect("node is idle");
@@ -430,7 +430,7 @@ impl NodeClass for SbcFleet {
         true
     }
 
-    fn finish_job(&mut self, w: usize, _: SimTime) {
+    fn finish_job(&mut self, w: usize) {
         self.nodes[w]
             .finish_job_and_reboot()
             .expect("job was executing");
@@ -440,13 +440,13 @@ impl NodeClass for SbcFleet {
         self.boot_window
     }
 
-    fn boot_complete(&mut self, w: usize, _: SimTime) {
+    fn boot_complete(&mut self, w: usize) {
         self.nodes[w]
             .boot_complete()
             .expect("scheduled only while booting");
     }
 
-    fn crash(&mut self, core: SbcCore, w: usize, _: SimTime) -> bool {
+    fn crash(&mut self, core: SbcCore, w: usize) -> bool {
         if matches!(self.nodes[w].state(), SbcState::Off | SbcState::Crashed) {
             return false;
         }
@@ -455,7 +455,7 @@ impl NodeClass for SbcFleet {
         true
     }
 
-    fn recover(&mut self, w: usize, _: SimTime) -> (WorkerState, SimDuration) {
+    fn recover(&mut self, w: usize) -> (WorkerState, SimDuration) {
         self.nodes[w].recover().expect("node crashed");
         (WorkerState::Booting, self.boot_window)
     }

@@ -53,8 +53,8 @@ use microfaas_sched::{
     BUDGET_THROTTLE_FACTOR,
 };
 use microfaas_sim::faults::{FaultInjector, FaultKind, FaultPlan};
-use microfaas_sim::telemetry::{TelemetryConfig, TelemetrySeries};
-use microfaas_sim::trace::{Observer, TraceEvent, TraceObserver, TypedObserver, WorkerState};
+use microfaas_sim::telemetry::{FlightRecorder, TelemetryConfig, TelemetrySeries, TenantSpec};
+use microfaas_sim::trace::{Observer, TraceEvent, TraceObserver, WorkerState};
 use microfaas_sim::{
     CounterId, EventId, EventQueue, HistogramId, MetricsRegistry, OnlineStats, QuantileSketch, Rng,
     Samples, SimDuration, SimTime, TimeWeighted,
@@ -65,7 +65,6 @@ use microfaas_workloads::FunctionId;
 use crate::cache::{content_key, CacheConfig, CoalesceTable, ResultCache};
 use crate::closedloop::{SchedMetrics, EXEC_BUCKETS};
 use crate::config::Jitter;
-use crate::monitor::FlightRecorder;
 use crate::recovery::DETECTION_DELAY;
 
 pub use crate::arrivals::ArrivalProcess;
@@ -203,13 +202,6 @@ pub struct Completion {
     /// Index into [`OpenLoopConfig::tenants`]; `0` when no tenant
     /// classes are configured.
     pub tenant: u16,
-}
-
-impl Completion {
-    /// End-to-end latency (arrival → completion), seconds.
-    pub fn latency_s(&self) -> f64 {
-        self.finished.duration_since(self.arrived).as_secs_f64()
-    }
 }
 
 /// Streaming observer of per-job completions, for callers that want
@@ -482,17 +474,16 @@ pub fn run_open_loop_monitored_streaming(
     config: &OpenLoopConfig,
     telemetry: &TelemetryConfig,
 ) -> (OpenLoopRun, TelemetrySeries) {
-    let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
-    let (events, mut tap) = recorder.taps();
+    let mut recorder = flight_recorder(config, telemetry);
     let (run, _ledger, end) = simulate(
         config,
         SbcFleet::new(config.workers),
-        &mut TypedObserver::new(events),
+        &mut recorder,
         StreamingLatency::new(),
-        &mut tap,
+        &mut NullSink,
         budget_attributor(config),
     );
-    (run, recorder.into_series(end))
+    (run, recorder.finish(end))
 }
 
 /// [`run_open_loop_attributed`] with the flight recorder attached: the
@@ -509,21 +500,37 @@ pub fn run_open_loop_monitored_attributed(
     idle_policy: IdlePolicy,
     telemetry: &TelemetryConfig,
 ) -> (OpenLoopRun, EnergyLedger, TelemetrySeries) {
-    let mut recorder = FlightRecorder::new(telemetry, &config.tenants);
-    let (events, mut tap) = recorder.taps();
+    let mut recorder = flight_recorder(config, telemetry);
     let (run, ledger, end) = simulate(
         config,
         SbcFleet::new(config.workers),
-        &mut TypedObserver::new(events),
+        &mut recorder,
         StreamingLatency::new(),
-        &mut tap,
+        &mut NullSink,
         Some(make_attributor(config, idle_policy)),
     );
     (
         run,
         ledger.expect("attributor was supplied"),
-        recorder.into_series(end),
+        recorder.finish(end),
     )
+}
+
+/// The flight recorder for one monitored run, with a tenant column per
+/// configured class in the engine's tenant order (or the catch-all
+/// `all` column when the run is single-tenant). It is the run's whole
+/// observer: the engine hands it every trace event and every
+/// completion.
+fn flight_recorder(config: &OpenLoopConfig, telemetry: &TelemetryConfig) -> FlightRecorder {
+    let tenants = config
+        .tenants
+        .iter()
+        .map(|t| TenantSpec {
+            name: t.name.clone(),
+            slo_latency_s: t.slo_latency_s,
+        })
+        .collect();
+    FlightRecorder::new(telemetry, tenants)
 }
 
 /// Runs the same arrival process against the conventional cluster:
@@ -944,12 +951,8 @@ trait OpenClass {
     ) -> bool;
     /// Idle → executing. Returns the factor the job's exec time
     /// stretches by.
-    fn start_job<O: TraceObserver>(
-        &mut self,
-        core: &mut Core<'_, O, Self::Timer>,
-        w: usize,
-        now: SimTime,
-    ) -> f64;
+    fn start_job<O: TraceObserver>(&mut self, core: &mut Core<'_, O, Self::Timer>, w: usize)
+        -> f64;
     /// `w` finished an invocation. Returns `true` to start its next
     /// queued job at once.
     fn job_done<O: TraceObserver>(
@@ -1281,7 +1284,7 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
         // its queue first.
         let queue = &mut self.class.slot(w).queue;
         let job = core.pool.pop_front(queue).expect("a job is queued");
-        let factor = self.class.start_job(core, w, now);
+        let factor = self.class.start_job(core, w);
         let (id, function) = (job.id, job.function);
         let started = TraceEvent::JobStarted {
             job: id,
@@ -1384,7 +1387,7 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
     }
 
     /// Books one completion into the latency and tenant aggregates, the
-    /// sink, the trace and the metrics.
+    /// sink, the observer and the metrics.
     fn book(
         &mut self,
         job: QueuedJob,
@@ -1406,6 +1409,9 @@ impl<C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink> OpenSim<'_, C,
             exec,
             tenant: job.tenant,
         });
+        self.core
+            .observer
+            .on_completion(now, latency, job.tenant, exec.is_zero());
         let function = job.function.name();
         let completed = TraceEvent::JobCompleted {
             job: job.id,
@@ -1720,12 +1726,7 @@ impl OpenClass for SbcFleet {
         }
     }
 
-    fn start_job<O: TraceObserver>(
-        &mut self,
-        core: &mut Core<'_, O, SbcTimer>,
-        w: usize,
-        _: SimTime,
-    ) -> f64 {
+    fn start_job<O: TraceObserver>(&mut self, core: &mut Core<'_, O, SbcTimer>, w: usize) -> f64 {
         if let Some(gate) = self.nodes[w].slot.timer.take() {
             core.queue.cancel(gate);
         }
@@ -1867,7 +1868,7 @@ impl VmHost {
     fn new(vms: usize) -> Self {
         let vms = fleet_size(vms, "VM");
         VmHost {
-            server: RackServer::new(vms, SimTime::ZERO),
+            server: RackServer::new(vms),
             slots: (0..vms).map(|_| Slot::default()).collect(),
         }
     }
@@ -1924,13 +1925,8 @@ impl OpenClass for VmHost {
 
     /// CPU contention is sampled at the start: a job's exec stretches by
     /// the host slowdown in effect once it runs.
-    fn start_job<O: TraceObserver>(
-        &mut self,
-        _: &mut Core<'_, O, Infallible>,
-        v: usize,
-        now: SimTime,
-    ) -> f64 {
-        self.server.start_job(v, now).expect("vm is idle");
+    fn start_job<O: TraceObserver>(&mut self, _: &mut Core<'_, O, Infallible>, v: usize) -> f64 {
+        self.server.start_job(v).expect("vm is idle");
         self.server.current_slowdown()
     }
 
@@ -1942,7 +1938,7 @@ impl OpenClass for VmHost {
         v: usize,
         now: SimTime,
     ) -> bool {
-        self.server.finish_job(v, now).expect("vm was executing");
+        self.server.finish_job(v).expect("vm was executing");
         core.mark(now, v, WorkerState::Rebooting, self.power(v));
         let slowdown = self.server.current_slowdown();
         let reboot = self.server.vm_boot_duration().mul_f64(slowdown);
@@ -1956,9 +1952,7 @@ impl OpenClass for VmHost {
         v: usize,
         now: SimTime,
     ) {
-        self.server
-            .reboot_complete(v, now)
-            .expect("vm was rebooting");
+        self.server.reboot_complete(v).expect("vm was rebooting");
         core.mark(now, v, WorkerState::Idle, self.power(v));
     }
 
@@ -2376,7 +2370,7 @@ mod tests {
         let (run, _, _) = simulate(
             cfg,
             SbcFleet::new(cfg.workers),
-            &mut TypedObserver::new(&mut wakes),
+            &mut Observer::tracing(&mut wakes),
             latencies,
             &mut NullSink,
             budget_attributor(cfg),
@@ -2433,7 +2427,8 @@ mod tests {
                 self.monotonic = false;
             }
             self.last_finished = completion.finished;
-            self.max_latency_s = self.max_latency_s.max(completion.latency_s());
+            let latency = completion.finished.duration_since(completion.arrived);
+            self.max_latency_s = self.max_latency_s.max(latency.as_secs_f64());
         }
     }
 
@@ -3157,12 +3152,17 @@ mod tests {
         }
     }
 
-    /// Every SBC crashes at 60 s, 150 s and 240 s; the crash lands on
-    /// whichever nodes are executing then.
+    /// Every SBC crashes at 60 s, 150 s and 240 s.
     fn grid_crashes() -> Arc<FaultPlan> {
+        crashes_at([60, 150, 240])
+    }
+
+    /// Every SBC of the grid's eight crashes at each of `instants`
+    /// (seconds); a crash lands on whichever nodes are executing then.
+    fn crashes_at(instants: impl IntoIterator<Item = u64>) -> Arc<FaultPlan> {
         Arc::new(FaultPlan {
             seed: 5,
-            faults: [60, 150, 240]
+            faults: instants
                 .into_iter()
                 .flat_map(|secs| {
                     (0..8).map(move |worker| FaultSpec {
@@ -3426,6 +3426,97 @@ mod tests {
             .map(|(name, cfg, vms)| (name, vm_print(&cfg, vms).1))
             .collect();
         check_grid("VM", &got, &VM_GRID, &VM_SAME_AS);
+    }
+
+    /// One monitored row's fingerprint: FNV-1a over the series' CSV, its
+    /// Prometheus exposition, its Perfetto counter tracks and the
+    /// `Debug` rendering of its alert list, in that order.
+    fn series_print(series: &TelemetrySeries) -> [u64; 1] {
+        use microfaas_sim::chrome::export_counter_trace;
+        use microfaas_sim::telemetry::{evaluate_alerts, AlertPolicy};
+        let alerts = evaluate_alerts(series, &AlertPolicy::default());
+        let print = [
+            series.to_csv(),
+            series.render_prometheus(),
+            export_counter_trace(&series.counter_tracks(), "monitor"),
+            format!("{alerts:?}"),
+        ]
+        .iter()
+        .fold(crate::cache::FNV_OFFSET, |h, text| {
+            crate::cache::fnv1a_extend(h, text.as_bytes())
+        });
+        [print]
+    }
+
+    /// The monitored grid: both monitored entry points on the grid's
+    /// base with two tenants, the cache under Zipf popularity, a
+    /// deferring energy budget and crashes every 10 s, at 0.25 s, 1 s
+    /// and 7 s windows, each with an evicting eight-window ring and the
+    /// default depth.
+    fn monitored_grid() -> Vec<(String, [u64; 1])> {
+        use microfaas_sim::telemetry::TelemetryWindow;
+        let (_, cfg) = grid_row("monitored", |c| {
+            c.scheduler = PlacementKind::LeastLoaded;
+            c.governor = grid_budget(microfaas_sched::BudgetAction::Defer);
+            c.cache = grid_cache();
+            c.popularity = zipf();
+            c.tenants = grid_tenants();
+            // The budget keeps most nodes gated, so every SBC crashes
+            // each 10 s for a crash to find one executing.
+            c.faults = crashes_at((10..300).step_by(10));
+        });
+        let mut rows = Vec::new();
+        for window_ms in [250, 1_000, 7_000] {
+            for max_windows in [8, TelemetryConfig::default().max_windows] {
+                let telemetry = TelemetryConfig {
+                    window: SimDuration::from_millis(window_ms),
+                    max_windows,
+                };
+                let (run, streamed) = run_open_loop_monitored_streaming(&cfg, &telemetry);
+                let (_, _, attributed) =
+                    run_open_loop_monitored_attributed(&cfg, IdlePolicy::UsageWeighted, &telemetry);
+                let label = format!("{window_ms}ms/{max_windows}");
+                assert!(run.faults_injected > 0, "{label}: no crash landed");
+                assert_eq!(streamed.dropped_windows > 0, max_windows == 8, "{label}");
+                if max_windows > 8 {
+                    let sum = |f: fn(&TelemetryWindow) -> u64| -> u64 {
+                        streamed.windows.iter().map(f).sum()
+                    };
+                    assert!(sum(|w| w.cache_hits) > 0, "{label}: no cache hit");
+                    assert!(sum(|w| w.budget_breaches) > 0, "{label}: no breach");
+                    assert_eq!(sum(|w| w.completed), run.completed, "{label}");
+                }
+                rows.push((format!("streaming/{label}"), series_print(&streamed)));
+                rows.push((format!("attributed/{label}"), series_print(&attributed)));
+            }
+        }
+        rows
+    }
+
+    /// Monitored grid goldens, in row order.
+    #[rustfmt::skip]
+    const MONITORED_GRID: [(&str, [u64; 1]); 12] = [
+    ("streaming/250ms/8", [0xc2855a079e0a7cf1]),
+    ("attributed/250ms/8", [0xc2855a079e0a7cf1]),
+    ("streaming/250ms/4096", [0xa2833e5bf0680569]),
+    ("attributed/250ms/4096", [0xa2833e5bf0680569]),
+    ("streaming/1000ms/8", [0x7ddc64e821c706a5]),
+    ("attributed/1000ms/8", [0x7ddc64e821c706a5]),
+    ("streaming/1000ms/4096", [0x00ac93b96733b236]),
+    ("attributed/1000ms/4096", [0x00ac93b96733b236]),
+    ("streaming/7000ms/8", [0xf6ef99533aa8020d]),
+    ("attributed/7000ms/8", [0xf6ef99533aa8020d]),
+    ("streaming/7000ms/4096", [0x82d2fe2535d1d77b]),
+    ("attributed/7000ms/4096", [0x82d2fe2535d1d77b]),
+    ];
+
+    #[test]
+    fn monitored_grid_is_unchanged() {
+        let got = monitored_grid();
+        for pair in got.chunks(2) {
+            assert_eq!(pair[0].1, pair[1].1, "{}: attribution is inert", pair[1].0);
+        }
+        check_grid("monitored", &got, &MONITORED_GRID, &[]);
     }
 
     #[test]

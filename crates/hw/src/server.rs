@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use microfaas_sim::{SimDuration, SimTime};
+use microfaas_sim::SimDuration;
 
 use crate::boot::{BootPlatform, BootTime};
 use crate::power::{ServerPowerModel, Watts};
@@ -45,27 +45,12 @@ impl fmt::Display for VmState {
 #[derive(Debug, Clone)]
 pub struct VmWorker {
     state: VmState,
-    state_since: SimTime,
-    jobs_completed: u64,
 }
 
 impl VmWorker {
-    fn new(now: SimTime) -> Self {
-        VmWorker {
-            state: VmState::Idle,
-            state_since: now,
-            jobs_completed: 0,
-        }
-    }
-
     /// Current state.
     pub fn state(&self) -> VmState {
         self.state
-    }
-
-    /// Jobs run to completion.
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed
     }
 
     /// Whether the VM currently occupies host CPU. A crashed VM's
@@ -110,11 +95,10 @@ impl std::error::Error for VmTransitionError {}
 ///
 /// ```
 /// use microfaas_hw::server::RackServer;
-/// use microfaas_sim::SimTime;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut server = RackServer::new(6, SimTime::ZERO);
-/// server.start_job(0, SimTime::ZERO)?;
+/// let mut server = RackServer::new(6);
+/// server.start_job(0)?;
 /// assert!(server.power().value() > 60.0, "a busy VM raises draw above idle");
 /// # Ok(())
 /// # }
@@ -148,7 +132,7 @@ impl RackServer {
     ///
     /// Panics if `vm_count` is zero or the VMs' combined RAM reservation
     /// exceeds the host's 16 GB.
-    pub fn new(vm_count: usize, now: SimTime) -> Self {
+    pub fn new(vm_count: usize) -> Self {
         assert!(vm_count > 0, "a cluster needs at least one VM");
         assert!(
             vm_count <= Self::max_vms(),
@@ -159,7 +143,12 @@ impl RackServer {
         );
         RackServer {
             cores: 12,
-            vms: vec![VmWorker::new(now); vm_count],
+            vms: vec![
+                VmWorker {
+                    state: VmState::Idle
+                };
+                vm_count
+            ],
             busy: 0,
             power_model: ServerPowerModel::opteron_6172(),
             vm_boot_window: BootTime::fully_optimized(BootPlatform::X86).real,
@@ -227,12 +216,11 @@ impl RackServer {
     /// # Panics
     ///
     /// Panics if `vm` is out of range.
-    pub fn start_job(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
+    pub fn start_job(&mut self, vm: usize) -> Result<(), VmTransitionError> {
         let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Idle => {
                 worker.state = VmState::Executing;
-                worker.state_since = now;
                 self.busy += 1;
                 Ok(())
             }
@@ -250,13 +238,11 @@ impl RackServer {
     /// # Errors
     ///
     /// Returns [`VmTransitionError`] unless the VM is executing.
-    pub fn finish_job(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
+    pub fn finish_job(&mut self, vm: usize) -> Result<(), VmTransitionError> {
         let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Executing => {
-                worker.jobs_completed += 1;
                 worker.state = VmState::Rebooting;
-                worker.state_since = now;
                 Ok(())
             }
             from => Err(VmTransitionError {
@@ -272,12 +258,11 @@ impl RackServer {
     /// # Errors
     ///
     /// Returns [`VmTransitionError`] unless the VM is rebooting.
-    pub fn reboot_complete(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
+    pub fn reboot_complete(&mut self, vm: usize) -> Result<(), VmTransitionError> {
         let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Rebooting => {
                 worker.state = VmState::Idle;
-                worker.state_since = now;
                 self.busy -= 1;
                 Ok(())
             }
@@ -300,7 +285,7 @@ impl RackServer {
     /// # Panics
     ///
     /// Panics if `vm` is out of range.
-    pub fn crash_vm(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
+    pub fn crash_vm(&mut self, vm: usize) -> Result<(), VmTransitionError> {
         let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Idle | VmState::Executing | VmState::Rebooting => {
@@ -308,7 +293,6 @@ impl RackServer {
                     self.busy -= 1;
                 }
                 worker.state = VmState::Crashed;
-                worker.state_since = now;
                 Ok(())
             }
             from => Err(VmTransitionError {
@@ -327,12 +311,11 @@ impl RackServer {
     /// # Errors
     ///
     /// Returns [`VmTransitionError`] unless the VM is crashed.
-    pub fn respawn_vm(&mut self, vm: usize, now: SimTime) -> Result<(), VmTransitionError> {
+    pub fn respawn_vm(&mut self, vm: usize) -> Result<(), VmTransitionError> {
         let worker = &mut self.vms[vm];
         match worker.state {
             VmState::Crashed => {
                 worker.state = VmState::Rebooting;
-                worker.state_since = now;
                 self.busy += 1;
                 Ok(())
             }
@@ -343,11 +326,6 @@ impl RackServer {
             }),
         }
     }
-
-    /// Total jobs completed across all VMs.
-    pub fn total_jobs(&self) -> u64 {
-        self.vms.iter().map(|v| v.jobs_completed).sum()
-    }
 }
 
 #[cfg(test)]
@@ -356,17 +334,17 @@ mod tests {
 
     #[test]
     fn power_scales_with_busy_vms() {
-        let mut server = RackServer::new(6, SimTime::ZERO);
+        let mut server = RackServer::new(6);
         assert_eq!(server.power().value(), 60.0);
         for vm in 0..6 {
-            server.start_job(vm, SimTime::ZERO).expect("start");
+            server.start_job(vm).expect("start");
         }
         assert!((server.power().value() - 112.8).abs() < 1e-9);
     }
 
     #[test]
     fn no_contention_below_core_count() {
-        let server = RackServer::new(6, SimTime::ZERO);
+        let server = RackServer::new(6);
         assert_eq!(server.slowdown(6), 1.0);
         assert_eq!(server.slowdown(16), 1.0);
         // 17 busy VMs x 0.75 = 12.75 cores demanded of 12.
@@ -375,7 +353,7 @@ mod tests {
 
     #[test]
     fn saturation_point_is_sixteen_vms() {
-        let server = RackServer::new(20, SimTime::ZERO);
+        let server = RackServer::new(20);
         assert_eq!(server.slowdown(16), 1.0, "16 VMs exactly fill 12 cores");
         let s20 = server.slowdown(20);
         assert!(
@@ -385,23 +363,26 @@ mod tests {
     }
 
     #[test]
-    fn vm_lifecycle_counts_jobs() {
-        let mut server = RackServer::new(2, SimTime::ZERO);
-        server.start_job(0, SimTime::from_secs(1)).expect("start");
-        server.finish_job(0, SimTime::from_secs(2)).expect("finish");
-        server
-            .reboot_complete(0, SimTime::from_secs(3))
-            .expect("reboot");
-        assert_eq!(server.vm(0).jobs_completed(), 1);
+    fn vm_lifecycle_walks_execute_reboot_idle() {
+        let mut server = RackServer::new(2);
+        server.start_job(0).expect("start");
+        assert_eq!(server.vm(0).state(), VmState::Executing);
+        server.finish_job(0).expect("finish");
+        assert_eq!(server.vm(0).state(), VmState::Rebooting);
+        server.reboot_complete(0).expect("reboot");
         assert_eq!(server.vm(0).state(), VmState::Idle);
-        assert_eq!(server.total_jobs(), 1);
+        assert_eq!(
+            server.vm(1).state(),
+            VmState::Idle,
+            "the other VM never moved"
+        );
     }
 
     #[test]
     fn rebooting_vm_still_occupies_cpu() {
-        let mut server = RackServer::new(1, SimTime::ZERO);
-        server.start_job(0, SimTime::ZERO).expect("start");
-        server.finish_job(0, SimTime::from_secs(1)).expect("finish");
+        let mut server = RackServer::new(1);
+        server.start_job(0).expect("start");
+        server.finish_job(0).expect("finish");
         assert_eq!(server.vm(0).state(), VmState::Rebooting);
         assert_eq!(server.busy_vms(), 1, "reboot burns CPU");
         assert!(server.power().value() > 60.0);
@@ -409,77 +390,66 @@ mod tests {
 
     #[test]
     fn illegal_vm_transitions_rejected() {
-        let mut server = RackServer::new(1, SimTime::ZERO);
-        assert!(server.finish_job(0, SimTime::ZERO).is_err());
-        assert!(server.reboot_complete(0, SimTime::ZERO).is_err());
-        server.start_job(0, SimTime::ZERO).expect("start");
-        let err = server.start_job(0, SimTime::ZERO).expect_err("busy");
+        let mut server = RackServer::new(1);
+        assert!(server.finish_job(0).is_err());
+        assert!(server.reboot_complete(0).is_err());
+        server.start_job(0).expect("start");
+        let err = server.start_job(0).expect_err("busy");
         assert_eq!(err.to_string(), "vm 0 cannot start a job while executing");
     }
 
     #[test]
     fn x86_worker_os_boot_time() {
-        let server = RackServer::new(1, SimTime::ZERO);
+        let server = RackServer::new(1);
         assert_eq!(server.vm_boot_duration(), SimDuration::from_millis(960));
     }
 
     #[test]
     #[should_panic(expected = "at least one VM")]
     fn zero_vms_panics() {
-        RackServer::new(0, SimTime::ZERO);
+        RackServer::new(0);
     }
 
     #[test]
     fn memory_admits_thirty_vms() {
         // (16 GB - 1 GB host) / 512 MB = 30 VMs.
         assert_eq!(RackServer::max_vms(), 30);
-        let server = RackServer::new(30, SimTime::ZERO);
+        let server = RackServer::new(30);
         assert_eq!(server.vm_count(), 30);
     }
 
     #[test]
     #[should_panic(expected = "exceed the host's")]
     fn overcommitted_memory_panics() {
-        RackServer::new(31, SimTime::ZERO);
+        RackServer::new(31);
     }
 
     #[test]
     fn crashed_vm_frees_its_cpu_share() {
-        let mut server = RackServer::new(2, SimTime::ZERO);
-        server.start_job(0, SimTime::ZERO).expect("start");
-        server.start_job(1, SimTime::ZERO).expect("start");
+        let mut server = RackServer::new(2);
+        server.start_job(0).expect("start");
+        server.start_job(1).expect("start");
         assert_eq!(server.busy_vms(), 2);
-        server.crash_vm(1, SimTime::from_secs(1)).expect("crash");
+        server.crash_vm(1).expect("crash");
         assert_eq!(server.vm(1).state(), VmState::Crashed);
         assert_eq!(server.busy_vms(), 1, "dead QEMU burns no CPU");
-        assert_eq!(
-            server.vm(1).jobs_completed(),
-            0,
+        assert!(
+            server.finish_job(1).is_err(),
             "the in-flight job is lost, not completed"
         );
-        assert!(
-            server.start_job(1, SimTime::from_secs(2)).is_err(),
-            "crashed VMs take no work"
-        );
-        assert!(server.crash_vm(1, SimTime::from_secs(2)).is_err());
+        assert!(server.start_job(1).is_err(), "crashed VMs take no work");
+        assert!(server.crash_vm(1).is_err());
     }
 
     #[test]
     fn respawn_goes_through_a_reboot_window() {
-        let mut server = RackServer::new(1, SimTime::ZERO);
-        assert!(
-            server.respawn_vm(0, SimTime::ZERO).is_err(),
-            "only crashed VMs respawn"
-        );
-        server.crash_vm(0, SimTime::ZERO).expect("crash idle VM");
-        server
-            .respawn_vm(0, SimTime::from_secs(1))
-            .expect("respawn");
+        let mut server = RackServer::new(1);
+        assert!(server.respawn_vm(0).is_err(), "only crashed VMs respawn");
+        server.crash_vm(0).expect("crash idle VM");
+        server.respawn_vm(0).expect("respawn");
         assert_eq!(server.vm(0).state(), VmState::Rebooting);
         assert_eq!(server.busy_vms(), 1, "the respawn burns CPU like a boot");
-        server
-            .reboot_complete(0, SimTime::from_secs(2))
-            .expect("respawn finishes");
+        server.reboot_complete(0).expect("respawn finishes");
         assert_eq!(server.vm(0).state(), VmState::Idle);
     }
 }

@@ -24,9 +24,10 @@
 //!   into a ring-buffer [`TraceBuffer`], exported as JSON lines;
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges, and
 //!   fixed-bucket histograms with Prometheus text exposition;
-//! * [`telemetry`] — time-resolved tumbling windows over the trace and
-//!   completion streams ([`TelemetrySeries`]) with SLO burn-rate and
-//!   EWMA anomaly alerting (see `docs/MONITORING.md`).
+//! * [`telemetry`] — a [`FlightRecorder`] folding the trace and
+//!   completion streams into time-resolved tumbling windows
+//!   ([`TelemetrySeries`]) with SLO burn-rate and EWMA anomaly alerting
+//!   (see `docs/MONITORING.md`).
 //!
 //! Two causal-analysis modules derive structure from the trace (see
 //! `docs/TRACING.md`):
@@ -104,9 +105,8 @@ pub use rng::{CdfTable, Rng, SplitMix64};
 pub use span::{CriticalPath, JobSpan, LifecycleSpan, Phase, PhaseStats, SpanTree};
 pub use stats::{OnlineStats, QuantileSketch, Samples, TimeWeighted};
 pub use telemetry::{
-    evaluate_alerts, Alert, AlertPolicy, AlertSeverity, AlertSignal, CompletionWindows,
-    CounterTrack, EventWindows, TelemetryConfig, TelemetrySeries, TelemetryWindow, TenantSpec,
-    TenantWindow,
+    evaluate_alerts, Alert, AlertPolicy, AlertSeverity, AlertSignal, CounterTrack, FlightRecorder,
+    TelemetryConfig, TelemetrySeries, TelemetryWindow, TenantSpec, TenantWindow,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{Endpoint, Observer, TraceBuffer, TraceEvent, TraceRecord, TraceSink, WorkerState};

@@ -2,23 +2,25 @@
 //! burn-rate alerting, and EWMA anomaly detection.
 //!
 //! The streaming results path collapses a whole run into end-of-run
-//! aggregates; this module keeps the *when*. Two window taps fold the
-//! run into fixed-width tumbling windows with bounded memory:
+//! aggregates; this module keeps the *when*. One [`FlightRecorder`]
+//! folds the run into fixed-width tumbling windows with bounded memory.
+//! Each window holds both halves of the run's story:
 //!
-//! - [`EventWindows`] is a [`TraceSink`]: it watches the trace stream
-//!   and integrates piecewise-constant signals (power draw, executing /
-//!   booting worker counts, outstanding queue depth) exactly across
-//!   window boundaries, and counts discrete events (faults, retries,
-//!   shed jobs, budget breaches, cache traffic) into the window they
-//!   occurred in.
-//! - [`CompletionWindows`] receives per-job completions (throughput,
-//!   latency quantiles via [`QuantileSketch`], per-tenant SLO hits).
+//! - the trace stream, which reaches the recorder as a [`TraceSink`]:
+//!   piecewise-constant signals (power draw, executing / booting worker
+//!   counts, outstanding queue depth) are integrated exactly across
+//!   window boundaries, and discrete events (faults, retries, shed
+//!   jobs, budget breaches, cache traffic) are counted into the window
+//!   they occurred in;
+//! - per-job completions (throughput, latency quantiles via
+//!   [`QuantileSketch`], per-tenant SLO hits), which reach it through
+//!   [`TraceObserver::on_completion`].
 //!
-//! Both keep only the *last* `max_windows` windows (the
+//! Only the *last* `max_windows` windows are kept (the
 //! [`crate::trace::TraceBuffer`] flight-recorder discipline), so a
-//! multi-day horizon cannot exhaust memory. [`TelemetrySeries::assemble`]
-//! joins the two taps into one immutable series that renders as CSV,
-//! Prometheus gauges, or Perfetto counter tracks
+//! multi-day horizon cannot exhaust memory. [`FlightRecorder::finish`]
+//! seals the ring into one immutable [`TelemetrySeries`] that renders
+//! as CSV, Prometheus gauges, or Perfetto counter tracks
 //! ([`crate::chrome::export_counter_trace`]).
 //!
 //! On top of the windows, [`evaluate_alerts`] runs Google-SRE-style
@@ -35,7 +37,7 @@ use std::fmt;
 use crate::metrics::MetricsRegistry;
 use crate::stats::QuantileSketch;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceSink, WorkerState};
+use crate::trace::{TraceEvent, TraceObserver, TraceSink, WorkerState};
 
 /// Default tumbling-window width: 1 simulated second.
 const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(1);
@@ -46,7 +48,7 @@ const DEFAULT_MAX_WINDOWS: usize = 4096;
 /// Relative error of the per-window latency quantile sketches.
 const QUANTILE_EPSILON: f64 = 0.01;
 
-/// Configuration for the windowed taps.
+/// Configuration for the flight recorder.
 ///
 /// # Examples
 ///
@@ -79,13 +81,7 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    fn validate(&self) {
-        if let Err(problem) = self.try_validate() {
-            panic!("{problem}");
-        }
-    }
-
-    /// Checks the configuration the window taps panic on.
+    /// Checks the configuration [`FlightRecorder::new`] panics on.
     ///
     /// # Errors
     ///
@@ -113,9 +109,10 @@ pub struct TenantSpec {
     pub slo_latency_s: f64,
 }
 
-/// Per-window integrals and counters folded from the trace stream.
-#[derive(Debug, Clone, Default)]
-struct EventAcc {
+/// One window's trace integrals and counters plus its completion
+/// statistics.
+#[derive(Debug, Clone)]
+struct WindowAcc {
     energy_j: f64,
     exec_worker_s: f64,
     boot_worker_s: f64,
@@ -127,25 +124,87 @@ struct EventAcc {
     cache_hits: u64,
     cache_misses: u64,
     coalesced: u64,
+    completed: u64,
+    served_from_cache: u64,
+    latency_sum: f64,
+    latency_max: f64,
+    sketch: QuantileSketch,
+    tenant_completed: Vec<u64>,
+    tenant_slo_hits: Vec<u64>,
 }
 
-/// The event-stream tap: a [`TraceSink`] that folds the trace into
-/// tumbling windows with exact piecewise integration.
+impl WindowAcc {
+    fn new(tenants: usize) -> Self {
+        WindowAcc {
+            energy_j: 0.0,
+            exec_worker_s: 0.0,
+            boot_worker_s: 0.0,
+            depth_job_s: 0.0,
+            faults: 0,
+            retries: 0,
+            shed: 0,
+            budget_breaches: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            coalesced: 0,
+            completed: 0,
+            served_from_cache: 0,
+            latency_sum: 0.0,
+            latency_max: 0.0,
+            sketch: QuantileSketch::with_relative_error(QUANTILE_EPSILON),
+            tenant_completed: vec![0; tenants],
+            tenant_slo_hits: vec![0; tenants],
+        }
+    }
+}
+
+/// The flight recorder: one ring of tumbling windows fed by a run's
+/// trace stream ([`TraceSink`]) and its completions
+/// ([`TraceObserver::on_completion`]).
 ///
 /// Continuous signals (total power draw, executing/booting worker
 /// counts, outstanding queue depth) are integrated against simulated
 /// time, split exactly at window boundaries — a job that executes from
 /// 0.8 s to 1.3 s contributes 0.2 worker-seconds to window 0 and 0.3 to
 /// window 1. Discrete events are counted into the window containing
-/// their timestamp. Memory is bounded: only the last
-/// [`TelemetryConfig::max_windows`] windows survive.
+/// their timestamp. A completion first advances the integration to its
+/// instant, then lands in the newest window. Memory is bounded: only
+/// the last [`TelemetryConfig::max_windows`] windows survive.
+///
+/// As a [`TraceObserver`] the recorder is an engine's whole observer:
+/// the engine monomorphizes over it and inlines [`TraceSink::record`]
+/// at every emission site, so each site's statically-known event
+/// variant collapses the match to its one arm — events the windows
+/// ignore (~40% of the stream) cost nothing at all.
+///
+/// # Examples
+///
+/// ```
+/// use microfaas_sim::telemetry::{FlightRecorder, TelemetryConfig};
+/// use microfaas_sim::trace::{TraceEvent, TraceObserver, TraceSink};
+/// use microfaas_sim::SimTime;
+///
+/// let mut recorder = FlightRecorder::new(&TelemetryConfig::default(), Vec::new());
+/// recorder.record(
+///     SimTime::from_millis(250),
+///     TraceEvent::PowerSample { worker: 0, watts: 4.0 },
+/// );
+/// recorder.on_completion(SimTime::from_millis(900), 0.65, 0, false);
+/// let series = recorder.finish(SimTime::from_secs(2));
+/// assert_eq!(series.windows.len(), 2);
+/// assert_eq!(series.windows[0].completed, 1);
+/// // The integral splits exactly at the window boundary: 4 W over the
+/// // last 0.75 s of window 0, then 4 W across all of window 1.
+/// assert!((series.windows[0].energy_j - 3.0).abs() < 1e-9);
+/// assert!((series.windows[1].energy_j - 4.0).abs() < 1e-9);
+/// ```
 #[derive(Debug, Clone)]
-pub struct EventWindows {
+pub struct FlightRecorder {
     width_us: u64,
     limit: usize,
     /// Window index of `wins[0]`.
     base: u64,
-    wins: VecDeque<EventAcc>,
+    wins: VecDeque<WindowAcc>,
     dropped: u64,
     /// Integration frontier, in microseconds.
     cursor_us: u64,
@@ -154,7 +213,7 @@ pub struct EventWindows {
     boundary_us: u64,
     /// Integrals of the *open* window, kept as scalars so the hot path
     /// never reaches into the ring; flushed into the accumulator when
-    /// the window closes (or at seal/assemble time).
+    /// the window closes (or when the recorder finishes).
     cur_energy_j: f64,
     cur_exec_worker_s: f64,
     cur_boot_worker_s: f64,
@@ -168,6 +227,7 @@ pub struct EventWindows {
     booting: usize,
     /// Jobs enqueued but not yet completed, shed, or failed.
     outstanding: u64,
+    tenants: Vec<TenantSpec>,
 }
 
 /// One worker's live telemetry state: current draw in watts plus the
@@ -178,13 +238,30 @@ struct WorkerCell {
     state: u8,
 }
 
-impl EventWindows {
-    /// Creates the tap; window 0 starts at `SimTime::ZERO`.
-    pub fn new(config: &TelemetryConfig) -> Self {
-        config.validate();
+impl FlightRecorder {
+    /// Creates the recorder; window 0 starts at `SimTime::ZERO`. An
+    /// empty `tenants` table gets a single catch-all tenant named `all`
+    /// with an infinite SLO.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see
+    /// [`TelemetryConfig::try_validate`]).
+    pub fn new(config: &TelemetryConfig, tenants: Vec<TenantSpec>) -> Self {
+        if let Err(problem) = config.try_validate() {
+            panic!("{problem}");
+        }
+        let tenants = if tenants.is_empty() {
+            vec![TenantSpec {
+                name: "all".to_owned(),
+                slo_latency_s: f64::INFINITY,
+            }]
+        } else {
+            tenants
+        };
         let mut wins = VecDeque::with_capacity(16);
-        wins.push_back(EventAcc::default());
-        EventWindows {
+        wins.push_back(WindowAcc::new(tenants.len()));
+        FlightRecorder {
             width_us: config.window.as_micros(),
             limit: config.max_windows,
             base: 0,
@@ -201,17 +278,8 @@ impl EventWindows {
             executing: 0,
             booting: 0,
             outstanding: 0,
+            tenants,
         }
-    }
-
-    /// Closes the integrals at the run's true end instant, so idle tail
-    /// time (after the last event) is accounted.
-    pub fn seal(&mut self, end: SimTime) {
-        let end_us = end.as_micros();
-        if end_us > self.cursor_us {
-            self.integrate_to(end_us);
-        }
-        self.flush_cur();
     }
 
     /// Adds the open window's scalar integrals into its ring slot and
@@ -230,7 +298,7 @@ impl EventWindows {
 
     fn push_window(&mut self) {
         self.flush_cur();
-        self.wins.push_back(EventAcc::default());
+        self.wins.push_back(WindowAcc::new(self.tenants.len()));
         self.boundary_us += self.width_us;
         if self.wins.len() > self.limit {
             self.wins.pop_front();
@@ -285,8 +353,8 @@ impl EventWindows {
     }
 
     /// [`Self::advance`], then the open window's accumulator — for the
-    /// rare discrete-count events.
-    fn touch(&mut self, at_us: u64) -> &mut EventAcc {
+    /// rare discrete-count events and for completions.
+    fn touch(&mut self, at_us: u64) -> &mut WindowAcc {
         self.advance(at_us);
         self.wins.back_mut().expect("ring is never empty")
     }
@@ -296,13 +364,83 @@ impl EventWindows {
             self.cells.resize(worker + 1, WorkerCell::default());
         }
     }
+
+    /// Closes the integrals at the run's true end instant, so idle tail
+    /// time (after the last event) is accounted, and renders the
+    /// retained windows as one [`TelemetrySeries`].
+    pub fn finish(mut self, end: SimTime) -> TelemetrySeries {
+        let end_us = end.as_micros();
+        if end_us > self.cursor_us {
+            self.integrate_to(end_us);
+        }
+        self.flush_cur();
+        let width_us = self.width_us;
+        let tenants = self.tenants.len();
+        let windows = (self.base..)
+            .zip(&self.wins)
+            .map(|(index, acc)| {
+                let start_us = index * width_us;
+                let close_us = ((index + 1) * width_us).min(end_us).max(start_us);
+                let elapsed = SimDuration::from_micros(close_us - start_us);
+                let covered_s = elapsed.as_secs_f64();
+                let mean = if acc.completed > 0 {
+                    acc.latency_sum / acc.completed as f64
+                } else {
+                    0.0
+                };
+                let q = |p: f64| acc.sketch.quantile(p).unwrap_or(0.0);
+                let avg = |integral: f64| {
+                    if covered_s > 0.0 {
+                        integral / covered_s
+                    } else {
+                        0.0
+                    }
+                };
+                TelemetryWindow {
+                    index,
+                    start: SimTime::from_micros(start_us),
+                    elapsed,
+                    completed: acc.completed,
+                    served_from_cache: acc.served_from_cache,
+                    mean_latency_s: mean,
+                    p50_latency_s: q(50.0),
+                    p95_latency_s: q(95.0),
+                    p99_latency_s: q(99.0),
+                    max_latency_s: acc.latency_max,
+                    queue_depth: avg(acc.depth_job_s),
+                    executing: avg(acc.exec_worker_s),
+                    booting: avg(acc.boot_worker_s),
+                    power_w: avg(acc.energy_j),
+                    energy_j: acc.energy_j,
+                    cache_hits: acc.cache_hits,
+                    cache_misses: acc.cache_misses,
+                    coalesced: acc.coalesced,
+                    faults: acc.faults,
+                    retries: acc.retries,
+                    shed: acc.shed,
+                    budget_breaches: acc.budget_breaches,
+                    tenants: (0..tenants)
+                        .map(|t| TenantWindow {
+                            completed: acc.tenant_completed[t],
+                            slo_hits: acc.tenant_slo_hits[t],
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        TelemetrySeries {
+            window: SimDuration::from_micros(width_us),
+            end,
+            dropped_windows: self.dropped,
+            tenants: self.tenants,
+            windows,
+        }
+    }
 }
 
-impl TraceSink for EventWindows {
-    // Inline(always) so engines monomorphized over
-    // `TypedObserver<EventWindows>` collapse the match per emission
-    // site's statically-known variant — events the windows ignore
-    // (~40% of the stream) then cost nothing at all.
+impl TraceSink for FlightRecorder {
+    // Inline(always) so engines monomorphized over the recorder
+    // collapse the match per emission site's statically-known variant.
     #[inline(always)]
     fn record(&mut self, at: SimTime, event: TraceEvent) {
         // Fast-exit for event kinds the windows ignore, before paying
@@ -383,116 +521,34 @@ impl TraceSink for EventWindows {
     }
 }
 
-/// Per-window completion statistics.
-#[derive(Debug, Clone)]
-struct CompAcc {
-    completed: u64,
-    served_from_cache: u64,
-    latency_sum: f64,
-    latency_max: f64,
-    sketch: QuantileSketch,
-    tenant_completed: Vec<u64>,
-    tenant_slo_hits: Vec<u64>,
-}
-
-impl CompAcc {
-    fn new(tenants: usize) -> Self {
-        CompAcc {
-            completed: 0,
-            served_from_cache: 0,
-            latency_sum: 0.0,
-            latency_max: 0.0,
-            sketch: QuantileSketch::with_relative_error(QUANTILE_EPSILON),
-            tenant_completed: vec![0; tenants],
-            tenant_slo_hits: vec![0; tenants],
-        }
-    }
-}
-
-/// The completion-stream tap: folds per-job completions into the same
-/// tumbling windows as [`EventWindows`] (throughput, latency quantiles,
-/// per-tenant SLO attainment).
-///
-/// Engines feed it through their streaming-sink plumbing; completions
-/// arrive in simulated-time order, so each record lands in the newest
-/// window.
-#[derive(Debug, Clone)]
-pub struct CompletionWindows {
-    width_us: u64,
-    limit: usize,
-    base: u64,
-    wins: VecDeque<CompAcc>,
-    dropped: u64,
-    /// End instant of the newest window, cached so the per-completion
-    /// hot path needs no division.
-    boundary_us: u64,
-    tenants: Vec<TenantSpec>,
-}
-
-impl CompletionWindows {
-    /// Creates the tap. An empty `tenants` table gets a single
-    /// catch-all tenant named `all` with an infinite SLO.
-    pub fn new(config: &TelemetryConfig, tenants: Vec<TenantSpec>) -> Self {
-        config.validate();
-        let tenants = if tenants.is_empty() {
-            vec![TenantSpec {
-                name: "all".to_owned(),
-                slo_latency_s: f64::INFINITY,
-            }]
-        } else {
-            tenants
-        };
-        let mut wins = VecDeque::with_capacity(16);
-        wins.push_back(CompAcc::new(tenants.len()));
-        CompletionWindows {
-            width_us: config.window.as_micros(),
-            limit: config.max_windows,
-            base: 0,
-            wins,
-            dropped: 0,
-            boundary_us: config.window.as_micros(),
-            tenants,
-        }
+impl TraceObserver for FlightRecorder {
+    #[inline(always)]
+    fn emit(&mut self, at: SimTime, event: TraceEvent) {
+        self.record(at, event);
     }
 
-    fn push_window(&mut self) {
-        let acc = CompAcc::new(self.tenants.len());
-        self.wins.push_back(acc);
-        self.boundary_us += self.width_us;
-        if self.wins.len() > self.limit {
-            self.wins.pop_front();
-            self.base += 1;
-            self.dropped += 1;
-        }
+    #[inline]
+    fn metrics(&mut self) -> Option<&mut MetricsRegistry> {
+        None
     }
 
-    /// Records one completion. `served_from_cache` marks invocations
-    /// that never executed (result-cache hits and coalesced followers).
+    /// Folds one completion into the newest window. `from_cache` marks
+    /// invocations that never executed (result-cache hits and coalesced
+    /// followers); a tenant index past the table lands on its last row.
     ///
     /// # Panics
     ///
     /// Panics if `latency_s` is negative or not finite.
     #[inline]
-    pub fn record(&mut self, finished: SimTime, latency_s: f64, tenant: u16, from_cache: bool) {
+    fn on_completion(&mut self, finished: SimTime, latency_s: f64, tenant: u16, from_cache: bool) {
         let at_us = finished.as_micros();
-        // Completions arrive in simulated-time order, so nearly every
-        // record lands in the newest window — reach it without the
-        // index division.
-        let pos = if at_us >= self.boundary_us - self.width_us {
-            while at_us >= self.boundary_us {
-                self.push_window();
-            }
-            self.wins.len() - 1
-        } else {
-            let index = at_us / self.width_us;
-            debug_assert!(
-                index >= self.base,
-                "completions must arrive in simulated-time order"
-            );
-            (index.max(self.base) - self.base) as usize
-        };
+        debug_assert!(
+            at_us >= self.cursor_us,
+            "completions must arrive in simulated-time order"
+        );
         let tenant = (tenant as usize).min(self.tenants.len() - 1);
-        let acc = &mut self.wins[pos];
+        let slo_hit = latency_s <= self.tenants[tenant].slo_latency_s;
+        let acc = self.touch(at_us);
         acc.completed += 1;
         if from_cache {
             acc.served_from_cache += 1;
@@ -501,16 +557,9 @@ impl CompletionWindows {
         acc.latency_max = acc.latency_max.max(latency_s);
         acc.sketch.record(latency_s);
         acc.tenant_completed[tenant] += 1;
-        if latency_s <= self.tenants[tenant].slo_latency_s {
+        if slo_hit {
             acc.tenant_slo_hits[tenant] += 1;
         }
-    }
-
-    fn get(&self, index: u64) -> Option<&CompAcc> {
-        if index < self.base {
-            return None;
-        }
-        self.wins.get((index - self.base) as usize)
     }
 }
 
@@ -627,36 +676,9 @@ pub struct CounterTrack {
     pub points: Vec<(SimTime, f64)>,
 }
 
-/// The assembled time-series for one run: windows plus the tenant table
-/// and end-of-run instant, ready to render.
-///
-/// # Examples
-///
-/// ```
-/// use microfaas_sim::telemetry::{
-///     CompletionWindows, EventWindows, TelemetryConfig, TelemetrySeries,
-/// };
-/// use microfaas_sim::trace::{TraceEvent, TraceSink};
-/// use microfaas_sim::SimTime;
-///
-/// let config = TelemetryConfig::default();
-/// let mut events = EventWindows::new(&config);
-/// let mut completions = CompletionWindows::new(&config, Vec::new());
-/// events.record(
-///     SimTime::from_millis(250),
-///     TraceEvent::PowerSample { worker: 0, watts: 4.0 },
-/// );
-/// completions.record(SimTime::from_millis(900), 0.65, 0, false);
-/// let end = SimTime::from_secs(2);
-/// events.seal(end);
-/// let series = TelemetrySeries::assemble(end, events, completions);
-/// assert_eq!(series.windows.len(), 2);
-/// assert_eq!(series.windows[0].completed, 1);
-/// // The integral splits exactly at the window boundary: 4 W over the
-/// // last 0.75 s of window 0, then 4 W across all of window 1.
-/// assert!((series.windows[0].energy_j - 3.0).abs() < 1e-9);
-/// assert!((series.windows[1].energy_j - 4.0).abs() < 1e-9);
-/// ```
+/// The time-series for one run: windows plus the tenant table and
+/// end-of-run instant, ready to render. [`FlightRecorder::finish`]
+/// builds it (see its example).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySeries {
     /// Tumbling-window width.
@@ -673,87 +695,6 @@ pub struct TelemetrySeries {
 }
 
 impl TelemetrySeries {
-    /// Joins the two taps into one series. `end` must be the run's true
-    /// end instant (the taps should have been sealed there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the taps were built with different window widths.
-    pub fn assemble(
-        end: SimTime,
-        mut events: EventWindows,
-        completions: CompletionWindows,
-    ) -> Self {
-        assert_eq!(
-            events.width_us, completions.width_us,
-            "event and completion taps must share a window width"
-        );
-        // Idempotent after `seal`; covers callers that assemble without
-        // sealing first.
-        events.flush_cur();
-        let width_us = events.width_us;
-        let empty = CompAcc::new(completions.tenants.len());
-        let mut windows = Vec::with_capacity(events.wins.len());
-        for (k, acc) in events.wins.iter().enumerate() {
-            let index = events.base + k as u64;
-            let start_us = index * width_us;
-            let end_us = ((index + 1) * width_us).min(end.as_micros()).max(start_us);
-            let elapsed = SimDuration::from_micros(end_us - start_us);
-            let covered_s = elapsed.as_secs_f64();
-            let comp = completions.get(index).unwrap_or(&empty);
-            let mean = if comp.completed > 0 {
-                comp.latency_sum / comp.completed as f64
-            } else {
-                0.0
-            };
-            let q = |p: f64| comp.sketch.quantile(p).unwrap_or(0.0);
-            let avg = |integral: f64| {
-                if covered_s > 0.0 {
-                    integral / covered_s
-                } else {
-                    0.0
-                }
-            };
-            windows.push(TelemetryWindow {
-                index,
-                start: SimTime::from_micros(start_us),
-                elapsed,
-                completed: comp.completed,
-                served_from_cache: comp.served_from_cache,
-                mean_latency_s: mean,
-                p50_latency_s: q(50.0),
-                p95_latency_s: q(95.0),
-                p99_latency_s: q(99.0),
-                max_latency_s: comp.latency_max,
-                queue_depth: avg(acc.depth_job_s),
-                executing: avg(acc.exec_worker_s),
-                booting: avg(acc.boot_worker_s),
-                power_w: avg(acc.energy_j),
-                energy_j: acc.energy_j,
-                cache_hits: acc.cache_hits,
-                cache_misses: acc.cache_misses,
-                coalesced: acc.coalesced,
-                faults: acc.faults,
-                retries: acc.retries,
-                shed: acc.shed,
-                budget_breaches: acc.budget_breaches,
-                tenants: (0..completions.tenants.len())
-                    .map(|t| TenantWindow {
-                        completed: comp.tenant_completed[t],
-                        slo_hits: comp.tenant_slo_hits[t],
-                    })
-                    .collect(),
-            });
-        }
-        TelemetrySeries {
-            window: SimDuration::from_micros(width_us),
-            end,
-            dropped_windows: events.dropped,
-            tenants: completions.tenants,
-            windows,
-        }
-    }
-
     /// Total completions across the retained windows.
     pub fn total_completed(&self) -> u64 {
         self.windows.iter().map(|w| w.completed).sum()
@@ -1254,6 +1195,11 @@ pub fn evaluate_alerts(series: &TelemetrySeries, policy: &AlertPolicy) -> Vec<Al
 mod tests {
     use super::*;
 
+    /// A recorder with the catch-all tenant.
+    fn recorder(config: &TelemetryConfig) -> FlightRecorder {
+        FlightRecorder::new(config, Vec::new())
+    }
+
     fn cfg(secs: u64) -> TelemetryConfig {
         TelemetryConfig {
             window: SimDuration::from_secs(secs),
@@ -1263,7 +1209,7 @@ mod tests {
 
     #[test]
     fn power_integrates_exactly_across_window_boundaries() {
-        let mut tap = EventWindows::new(&cfg(1));
+        let mut tap = recorder(&cfg(1));
         // 2 W from 0.5 s, 6 W from 1.5 s, off at 2.5 s.
         for (ms, watts) in [(500, 2.0), (1500, 6.0), (2500, 0.0)] {
             tap.record(
@@ -1271,12 +1217,7 @@ mod tests {
                 TraceEvent::PowerSample { worker: 0, watts },
             );
         }
-        tap.seal(SimTime::from_secs(3));
-        let series = TelemetrySeries::assemble(
-            SimTime::from_secs(3),
-            tap,
-            CompletionWindows::new(&cfg(1), Vec::new()),
-        );
+        let series = tap.finish(SimTime::from_secs(3));
         let energies: Vec<f64> = series.windows.iter().map(|w| w.energy_j).collect();
         // Window 0: 2 W × 0.5 s = 1 J; window 1: 2 W × 0.5 + 6 W × 0.5 = 4 J;
         // window 2: 6 W × 0.5 = 3 J.
@@ -1289,7 +1230,7 @@ mod tests {
 
     #[test]
     fn occupancy_and_queue_depth_are_time_averaged() {
-        let mut tap = EventWindows::new(&cfg(1));
+        let mut tap = recorder(&cfg(1));
         tap.record(
             SimTime::ZERO,
             TraceEvent::JobEnqueued {
@@ -1321,12 +1262,7 @@ mod tests {
                 state: WorkerState::Rebooting,
             },
         );
-        tap.seal(SimTime::from_secs(1));
-        let series = TelemetrySeries::assemble(
-            SimTime::from_secs(1),
-            tap,
-            CompletionWindows::new(&cfg(1), Vec::new()),
-        );
+        let series = tap.finish(SimTime::from_secs(1));
         let w = &series.windows[0];
         assert!((w.queue_depth - 0.75).abs() < 1e-9, "{w:?}");
         assert!((w.executing - 0.25).abs() < 1e-9, "{w:?}");
@@ -1339,7 +1275,7 @@ mod tests {
             max_windows: 4,
             ..cfg(1)
         };
-        let mut tap = EventWindows::new(&config);
+        let mut tap = recorder(&config);
         for s in 0..10u64 {
             tap.record(
                 SimTime::from_secs(s),
@@ -1349,12 +1285,7 @@ mod tests {
                 },
             );
         }
-        tap.seal(SimTime::from_secs(10));
-        let series = TelemetrySeries::assemble(
-            SimTime::from_secs(10),
-            tap,
-            CompletionWindows::new(&config, Vec::new()),
-        );
+        let series = tap.finish(SimTime::from_secs(10));
         assert_eq!(series.windows.len(), 4);
         assert_eq!(series.dropped_windows, 6);
         assert_eq!(series.windows[0].index, 6);
@@ -1363,7 +1294,7 @@ mod tests {
 
     #[test]
     fn completions_land_in_their_windows_with_quantiles() {
-        let mut comp = CompletionWindows::new(
+        let mut comp = FlightRecorder::new(
             &cfg(1),
             vec![
                 TenantSpec {
@@ -1378,12 +1309,10 @@ mod tests {
         );
         for i in 0..100u64 {
             let at = SimTime::from_millis(i * 10); // all inside window 0
-            comp.record(at, 0.1 + i as f64 * 0.01, (i % 2) as u16, false);
+            comp.on_completion(at, 0.1 + i as f64 * 0.01, (i % 2) as u16, false);
         }
-        comp.record(SimTime::from_millis(1500), 2.0, 0, true);
-        let mut events = EventWindows::new(&cfg(1));
-        events.seal(SimTime::from_secs(2));
-        let series = TelemetrySeries::assemble(SimTime::from_secs(2), events, comp);
+        comp.on_completion(SimTime::from_millis(1500), 2.0, 0, true);
+        let series = comp.finish(SimTime::from_secs(2));
         let w0 = &series.windows[0];
         assert_eq!(w0.completed, 100);
         assert_eq!(w0.throughput_per_s(), 100.0);
@@ -1403,8 +1332,7 @@ mod tests {
     fn csv_is_deterministic_and_has_tenant_columns() {
         let build = || {
             let config = cfg(1);
-            let mut events = EventWindows::new(&config);
-            let mut comp = CompletionWindows::new(
+            let mut events = FlightRecorder::new(
                 &config,
                 vec![TenantSpec {
                     name: "paid".into(),
@@ -1418,9 +1346,8 @@ mod tests {
                     watts: 3.5,
                 },
             );
-            comp.record(SimTime::from_millis(400), 0.25, 0, false);
-            events.seal(SimTime::from_secs(1));
-            TelemetrySeries::assemble(SimTime::from_secs(1), events, comp).to_csv()
+            events.on_completion(SimTime::from_millis(400), 0.25, 0, false);
+            events.finish(SimTime::from_secs(1)).to_csv()
         };
         let csv = build();
         assert_eq!(csv, build(), "CSV must be byte-identical across builds");
@@ -1435,8 +1362,7 @@ mod tests {
 
     #[test]
     fn prometheus_export_has_windowed_gauges() {
-        let config = cfg(1);
-        let mut events = EventWindows::new(&config);
+        let mut events = recorder(&cfg(1));
         events.record(
             SimTime::from_millis(0),
             TraceEvent::PowerSample {
@@ -1444,9 +1370,7 @@ mod tests {
                 watts: 2.0,
             },
         );
-        events.seal(SimTime::from_secs(2));
-        let comp = CompletionWindows::new(&config, Vec::new());
-        let series = TelemetrySeries::assemble(SimTime::from_secs(2), events, comp);
+        let series = events.finish(SimTime::from_secs(2));
         let text = series.render_prometheus();
         assert!(text.contains("telemetry_window_width_seconds 1"), "{text}");
         assert!(
@@ -1465,8 +1389,13 @@ mod tests {
 
     #[test]
     fn counter_tracks_cover_the_series() {
-        let config = cfg(1);
-        let mut events = EventWindows::new(&config);
+        let mut events = FlightRecorder::new(
+            &cfg(1),
+            vec![TenantSpec {
+                name: "paid".into(),
+                slo_latency_s: 1.0,
+            }],
+        );
         events.record(
             SimTime::from_millis(0),
             TraceEvent::PowerSample {
@@ -1474,16 +1403,8 @@ mod tests {
                 watts: 2.0,
             },
         );
-        events.seal(SimTime::from_secs(3));
-        let mut comp = CompletionWindows::new(
-            &config,
-            vec![TenantSpec {
-                name: "paid".into(),
-                slo_latency_s: 1.0,
-            }],
-        );
-        comp.record(SimTime::from_millis(200), 0.1, 0, false);
-        let series = TelemetrySeries::assemble(SimTime::from_secs(3), events, comp);
+        events.on_completion(SimTime::from_millis(200), 0.1, 0, false);
+        let series = events.finish(SimTime::from_secs(3));
         let tracks = series.counter_tracks();
         let names: Vec<&str> = tracks.iter().map(|t| t.name.as_str()).collect();
         assert!(names.contains(&"power_w"), "{names:?}");
@@ -1495,10 +1416,8 @@ mod tests {
     /// Hand-builds a series where a flash crowd blows the SLO between
     /// windows `[spike_from, spike_to)`.
     fn slo_series(n: usize, spike_from: usize, spike_to: usize) -> TelemetrySeries {
-        let config = cfg(1);
-        let mut events = EventWindows::new(&config);
-        let mut comp = CompletionWindows::new(
-            &config,
+        let mut comp = FlightRecorder::new(
+            &cfg(1),
             vec![TenantSpec {
                 name: "paid".into(),
                 slo_latency_s: 0.5,
@@ -1509,12 +1428,10 @@ mod tests {
             for j in 0..20u64 {
                 let at = SimTime::from_micros(k as u64 * 1_000_000 + j * 1_000);
                 let latency = if in_spike { 2.0 } else { 0.1 };
-                comp.record(at, latency, 0, false);
+                comp.on_completion(at, latency, 0, false);
             }
         }
-        let end = SimTime::from_secs(n as u64);
-        events.seal(end);
-        TelemetrySeries::assemble(end, events, comp)
+        comp.finish(SimTime::from_secs(n as u64))
     }
 
     #[test]
@@ -1562,8 +1479,7 @@ mod tests {
 
     #[test]
     fn power_anomaly_detector_flags_a_step() {
-        let config = cfg(1);
-        let mut events = EventWindows::new(&config);
+        let mut events = recorder(&cfg(1));
         // 2 W steady, then a 40 W step at t = 30 s.
         events.record(
             SimTime::ZERO,
@@ -1579,10 +1495,7 @@ mod tests {
                 watts: 40.0,
             },
         );
-        let end = SimTime::from_secs(60);
-        events.seal(end);
-        let series =
-            TelemetrySeries::assemble(end, events, CompletionWindows::new(&config, Vec::new()));
+        let series = events.finish(SimTime::from_secs(60));
         let alerts = evaluate_alerts(&series, &AlertPolicy::default());
         let anomaly = alerts
             .iter()
@@ -1597,8 +1510,7 @@ mod tests {
 
     #[test]
     fn budget_breach_windows_raise_critical_alerts() {
-        let config = cfg(1);
-        let mut events = EventWindows::new(&config);
+        let mut events = recorder(&cfg(1));
         events.record(
             SimTime::from_secs(2),
             TraceEvent::BudgetBreach { tenant: 0 },
@@ -1607,10 +1519,7 @@ mod tests {
             SimTime::from_secs(2),
             TraceEvent::BudgetBreach { tenant: 0 },
         );
-        let end = SimTime::from_secs(5);
-        events.seal(end);
-        let series =
-            TelemetrySeries::assemble(end, events, CompletionWindows::new(&config, Vec::new()));
+        let series = events.finish(SimTime::from_secs(5));
         let alerts = evaluate_alerts(&series, &AlertPolicy::default());
         let breach = alerts
             .iter()
@@ -1640,7 +1549,7 @@ mod tests {
 
     #[test]
     fn shed_and_budget_actions_reduce_queue_depth() {
-        let mut tap = EventWindows::new(&cfg(1));
+        let mut tap = recorder(&cfg(1));
         for job in 0..4 {
             tap.record(
                 SimTime::ZERO,
@@ -1672,12 +1581,7 @@ mod tests {
                 action: "throttle",
             },
         );
-        tap.seal(SimTime::from_secs(1));
-        let series = TelemetrySeries::assemble(
-            SimTime::from_secs(1),
-            tap,
-            CompletionWindows::new(&cfg(1), Vec::new()),
-        );
+        let series = tap.finish(SimTime::from_secs(1));
         let w = &series.windows[0];
         assert_eq!(w.shed, 2);
         // 4 jobs for 0.5 s, then 2 jobs for 0.5 s = 3.0 time-averaged.

@@ -729,20 +729,36 @@ impl<'a> Observer<'a> {
     }
 }
 
-/// How an engine publishes its trace stream: either the dyn-dispatch
-/// [`Observer`] (flexible — any sink, any combination, behind one
-/// concrete type), or a [`TypedObserver`] that names the sink type so
-/// the engine monomorphizes over it and the compiler inlines the
-/// sink's `record` at every emission site. With inlining, each site's
-/// statically-known event variant collapses the sink's match to the
-/// one relevant arm, which is what keeps always-on telemetry within
-/// its wall-clock budget (`docs/MONITORING.md`).
+/// How an engine publishes its trace stream and its completions:
+/// either the dyn-dispatch [`Observer`] (flexible — any sink, any
+/// combination, behind one concrete type), or a sink that is an
+/// observer itself, the telemetry
+/// [`FlightRecorder`](crate::telemetry::FlightRecorder). An engine
+/// generic over the observer monomorphizes over the recorder and
+/// inlines its `record` at every emission site; with inlining, each
+/// site's statically-known event variant collapses the recorder's match
+/// to the one relevant arm, which is what keeps always-on telemetry
+/// within its wall-clock budget (`docs/MONITORING.md`).
 pub trait TraceObserver {
     /// Sends one event to the observer.
     fn emit(&mut self, at: SimTime, event: TraceEvent);
 
     /// The metrics registry, if one is attached.
     fn metrics(&mut self) -> Option<&mut MetricsRegistry>;
+
+    /// Offers one completed invocation: when it `finished`, its
+    /// end-to-end latency, its tenant index, and whether it was served
+    /// without executing. Ignored unless the observer keeps completion
+    /// statistics.
+    #[inline]
+    fn on_completion(
+        &mut self,
+        _finished: SimTime,
+        _latency_s: f64,
+        _tenant: u16,
+        _from_cache: bool,
+    ) {
+    }
 }
 
 impl TraceObserver for Observer<'_> {
@@ -754,34 +770,6 @@ impl TraceObserver for Observer<'_> {
     #[inline]
     fn metrics(&mut self) -> Option<&mut MetricsRegistry> {
         Observer::metrics(self)
-    }
-}
-
-/// A [`TraceObserver`] with the sink type in its signature: engines
-/// generic over the observer inline the sink's fold directly into
-/// their event loop, eliminating the per-event virtual call and the
-/// construction of event payloads the sink ignores.
-#[derive(Debug)]
-pub struct TypedObserver<'a, T: TraceSink> {
-    sink: &'a mut T,
-}
-
-impl<'a, T: TraceSink> TypedObserver<'a, T> {
-    /// Wraps a mutably-borrowed sink.
-    pub fn new(sink: &'a mut T) -> Self {
-        TypedObserver { sink }
-    }
-}
-
-impl<T: TraceSink> TraceObserver for TypedObserver<'_, T> {
-    #[inline(always)]
-    fn emit(&mut self, at: SimTime, event: TraceEvent) {
-        self.sink.record(at, event);
-    }
-
-    #[inline]
-    fn metrics(&mut self) -> Option<&mut MetricsRegistry> {
-        None
     }
 }
 
