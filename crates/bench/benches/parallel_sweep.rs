@@ -57,7 +57,7 @@ fn bench_parallel_replicates(c: &mut Criterion) {
 
 /// A realistic cluster-sim event mix: per "job", an exec-done event and
 /// a timeout are scheduled together; the exec pops first and cancels
-/// its timeout — the pattern `invocation_timeout` runs produce, which
+/// its timeout — the pattern invocation-timeout runs produce, which
 /// stresses the cancellation tombstone path.
 fn bench_event_queue_mixes(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_mix");

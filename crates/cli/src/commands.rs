@@ -613,7 +613,6 @@ fn tenant_classes(spec: &str) -> Result<Vec<TenantClass>, String> {
     if spec.is_empty() {
         return Ok(Vec::new());
     }
-    let positive = |raw: &str| raw.parse().ok().filter(|x: &f64| x.is_finite() && *x > 0.0);
     let class = |part: &str| {
         let (name, weight, slo) = match part.split(':').collect::<Vec<_>>()[..] {
             [name, weight] => (name, weight, "60"),
@@ -624,16 +623,17 @@ fn tenant_classes(spec: &str) -> Result<Vec<TenantClass>, String> {
                 ))
             }
         };
-        match (positive(weight), positive(slo)) {
-            (Some(weight), Some(slo_latency_s)) if !name.is_empty() => Ok(TenantClass {
-                name: name.to_string(),
-                weight,
-                slo_latency_s,
-            }),
-            _ => Err(format!(
-                "tenant '{part}' needs a name, a positive weight, and a positive SLO"
-            )),
-        }
+        let number = |raw: &str| {
+            raw.parse()
+                .map_err(|_| format!("tenant '{part}': '{raw}' is not a number"))
+        };
+        let class = TenantClass {
+            name: name.to_string(),
+            weight: number(weight)?,
+            slo_latency_s: number(slo)?,
+        };
+        class.try_validate()?;
+        Ok(class)
     };
     spec.split(',').map(class).collect()
 }

@@ -107,3 +107,24 @@ fn bare_energy_tenants_prints_the_all_tenant_row() {
         "no `all` tenant row:\n{stdout}"
     );
 }
+
+#[test]
+fn names_that_would_break_an_export_are_refused() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    // A comma splits the scenario CSV's rows into one field more than
+    // its header.
+    let spec = dir.join("comma_scenario_name.json");
+    std::fs::write(&spec, r#"{"name": "a,b", "arrivals": "poisson:0.5"}"#).expect("spec written");
+    assert_refused(&format!("scenarios --spec {}", spec.display()));
+    // A quote ends the Prometheus label value and the CSV header field.
+    let metrics = dir.join("quoted_tenant.prom");
+    assert_refused(&format!(
+        "energy --tenants a\"b:1,c:1 --metrics-out {}",
+        metrics.display()
+    ));
+    let csv = dir.join("quoted_tenant.csv");
+    assert_refused(&format!(
+        "monitor --tenants a\"b:1:5,c:1:5 --csv {}",
+        csv.display()
+    ));
+}

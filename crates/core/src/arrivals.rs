@@ -121,29 +121,16 @@ pub struct ArrivalState {
 }
 
 impl ArrivalProcess {
-    /// Checks the parameters, panicking with a description of the first
-    /// problem. Called once at run start by the open-loop engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive rates, amplitude outside `[0, 1]`,
-    /// non-positive dwell/period/duration parameters, or a generator
-    /// that needs more than 10^4 steps per arrival: MMPP dwells so
-    /// short that it switches regime that often between arrivals, or
-    /// flash-crowd rates that far apart.
-    pub fn validate(&self) {
-        if let Err(problem) = self.try_validate() {
-            panic!("{problem}");
-        }
-    }
-
-    /// Non-panicking form of [`ArrivalProcess::validate`], used by the
-    /// spec parsers to report bad parameters instead of aborting.
+    /// Checks the parameters: the spec parsers report the problem, and
+    /// the open-loop engine panics with it at run start.
     ///
     /// # Errors
     ///
-    /// Returns the message [`ArrivalProcess::validate`] would panic
-    /// with.
+    /// Describes the first problem: non-positive rates, amplitude
+    /// outside `[0, 1]`, non-positive dwell/period/duration parameters,
+    /// or a generator that needs more than 10^4 steps per arrival: MMPP
+    /// dwells so short that it switches regime that often between
+    /// arrivals, or flash-crowd rates that far apart.
     pub fn try_validate(&self) -> Result<(), String> {
         let positive = |value: f64, what: &str| {
             if value.is_finite() && value > 0.0 {
@@ -407,7 +394,7 @@ impl ArrivalProcess {
     ///
     /// Returns a message naming the problem: unknown process, wrong
     /// argument count, unparseable number, or parameters that fail
-    /// [`ArrivalProcess::validate`].
+    /// [`ArrivalProcess::try_validate`].
     pub fn parse(spec: &str) -> Result<ArrivalProcess, String> {
         let (kind, args) = spec.split_once(':').unwrap_or((spec, ""));
         let numbers: Vec<f64> = if args.is_empty() {
@@ -520,17 +507,6 @@ pub enum Popularity {
 
 impl Popularity {
     /// Checks the parameters against a catalog of `functions` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the message [`Popularity::try_validate`] returns.
-    pub fn validate(&self, functions: usize) {
-        if let Err(problem) = self.try_validate(functions) {
-            panic!("{problem}");
-        }
-    }
-
-    /// Non-panicking form of [`Popularity::validate`].
     ///
     /// # Errors
     ///
@@ -661,10 +637,12 @@ impl FunctionPicker {
     /// # Panics
     ///
     /// Panics if `n` is zero or the parameters fail
-    /// [`Popularity::validate`].
+    /// [`Popularity::try_validate`].
     pub fn new(popularity: &Popularity, n: usize) -> Self {
         assert!(n > 0, "need at least one function");
-        popularity.validate(n);
+        if let Err(problem) = popularity.try_validate(n) {
+            panic!("{problem}");
+        }
         let cdf = match *popularity {
             Popularity::Uniform => None,
             Popularity::Zipf { exponent } => {
@@ -734,25 +712,42 @@ pub struct TenantClass {
 }
 
 impl TenantClass {
-    /// Checks the parameters.
+    /// Checks the class: a name that is non-empty and holds no `"`,
+    /// `\`, `,`, CR or LF (it reaches CSV and Prometheus exports as is),
+    /// a positive weight and a positive SLO target.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a non-positive weight or SLO target.
-    pub fn validate(&self) {
-        assert!(
-            self.weight.is_finite() && self.weight > 0.0,
-            "tenant \"{}\" weight must be positive, got {}",
-            self.name,
-            self.weight
-        );
-        assert!(
-            self.slo_latency_s.is_finite() && self.slo_latency_s > 0.0,
-            "tenant \"{}\" SLO must be positive, got {}",
-            self.name,
-            self.slo_latency_s
-        );
+    /// Describes the first problem.
+    pub fn try_validate(&self) -> Result<(), String> {
+        check_export_name("tenant", &self.name)?;
+        if !(self.weight.is_finite() && self.weight > 0.0) {
+            return Err(format!(
+                "tenant \"{}\" weight must be positive, got {}",
+                self.name, self.weight
+            ));
+        }
+        if !(self.slo_latency_s.is_finite() && self.slo_latency_s > 0.0) {
+            return Err(format!(
+                "tenant \"{}\" SLO must be positive, got {}",
+                self.name, self.slo_latency_s
+            ));
+        }
+        Ok(())
     }
+}
+
+/// Refuses a tenant or scenario name that cannot reach an export intact:
+/// an empty one, or one holding a `"`, `\`, `,`, CR or LF. The names
+/// become CSV header fields and rows, Prometheus label values and report
+/// rows, none of which quote or escape them.
+fn check_export_name(what: &str, name: &str) -> Result<(), String> {
+    if name.is_empty() || name.contains(['"', '\\', ',', '\r', '\n']) {
+        return Err(format!(
+            "{what} name {name:?} must be non-empty and hold no '\"', '\\', ',', CR or LF"
+        ));
+    }
+    Ok(())
 }
 
 /// Per-tenant results of a run: completions, latency, and SLO
@@ -803,13 +798,15 @@ impl TenantTracker {
     ///
     /// # Panics
     ///
-    /// Panics if any class fails [`TenantClass::validate`].
+    /// Panics if any class fails [`TenantClass::try_validate`].
     pub fn new(classes: &[TenantClass]) -> Self {
         let mut total = 0.0;
         let cdf: Vec<f64> = classes
             .iter()
             .map(|class| {
-                class.validate();
+                if let Err(problem) = class.try_validate() {
+                    panic!("{problem}");
+                }
                 total += class.weight;
                 total
             })
@@ -1001,12 +998,11 @@ fn parse_scenario(value: &json::Value) -> Result<Scenario, String> {
     for (key, value) in object {
         match key.as_str() {
             "name" => {
-                name = Some(
-                    value
-                        .as_str()
-                        .ok_or_else(|| "\"name\" must be a string".to_string())?
-                        .to_string(),
-                );
+                let text = value
+                    .as_str()
+                    .ok_or_else(|| "\"name\" must be a string".to_string())?;
+                check_export_name("scenario", text)?;
+                name = Some(text.to_string());
             }
             "arrivals" => {
                 let spec = value
@@ -1065,17 +1061,14 @@ fn parse_tenant(i: usize, value: &json::Value) -> Result<TenantClass, String> {
                 weight = Some(
                     value
                         .as_f64()
-                        .filter(|w| w.is_finite() && *w > 0.0)
-                        .ok_or_else(|| format!("tenant {i}: \"weight\" must be positive"))?,
+                        .ok_or_else(|| format!("tenant {i}: \"weight\" must be a number"))?,
                 );
             }
             "slo_latency_s" => {
-                slo = Some(
-                    value
-                        .as_f64()
-                        .filter(|s| s.is_finite() && *s > 0.0)
-                        .ok_or_else(|| format!("tenant {i}: \"slo_latency_s\" must be positive"))?,
-                );
+                slo =
+                    Some(value.as_f64().ok_or_else(|| {
+                        format!("tenant {i}: \"slo_latency_s\" must be a number")
+                    })?);
             }
             other => {
                 return Err(format!(
@@ -1084,11 +1077,15 @@ fn parse_tenant(i: usize, value: &json::Value) -> Result<TenantClass, String> {
             }
         }
     }
-    Ok(TenantClass {
+    let class = TenantClass {
         name: name.ok_or_else(|| format!("tenant {i}: missing \"name\""))?,
         weight: weight.ok_or_else(|| format!("tenant {i}: missing \"weight\""))?,
         slo_latency_s: slo.ok_or_else(|| format!("tenant {i}: missing \"slo_latency_s\""))?,
-    })
+    };
+    class
+        .try_validate()
+        .map_err(|problem| format!("tenant {i}: {problem}"))?;
+    Ok(class)
 }
 
 #[cfg(test)]
@@ -1420,6 +1417,49 @@ mod tests {
     }
 
     #[test]
+    fn names_that_would_break_an_export_are_refused() {
+        let class = |name: &str, weight: f64, slo_latency_s: f64| TenantClass {
+            name: name.to_string(),
+            weight,
+            slo_latency_s,
+        };
+        assert_eq!(class("paid", 1.0, 2.5).try_validate(), Ok(()));
+        for bad in ["", "a,b", "a\"b", "a\\b", "a\rb", "a\nb"] {
+            let err = class(bad, 1.0, 2.5).try_validate().unwrap_err();
+            assert!(err.starts_with("tenant name"), "{bad:?}: {err}");
+            // Rust's escapes for these characters are JSON's too.
+            let scenario = format!(r#"{{"name": {bad:?}, "arrivals": "poisson:0.5"}}"#);
+            let err = Scenario::from_json(&scenario).unwrap_err();
+            assert!(err.starts_with("scenario name"), "{bad:?}: {err}");
+            let tenant = format!(
+                r#"{{"name": "x", "arrivals": "poisson:0.5",
+                    "tenants": [{{"name": {bad:?}, "weight": 1, "slo_latency_s": 5}}]}}"#
+            );
+            let err = Scenario::from_json(&tenant).unwrap_err();
+            assert!(err.starts_with("tenant 0: tenant name"), "{bad:?}: {err}");
+        }
+        for (weight, slo, needle) in [
+            (0.0, 2.5, "weight"),
+            (f64::NAN, 2.5, "weight"),
+            (1.0, -1.0, "SLO"),
+            (1.0, f64::INFINITY, "SLO"),
+        ] {
+            let err = class("paid", weight, slo).try_validate().unwrap_err();
+            assert!(err.contains(needle), "{weight}, {slo}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant \"free\" weight must be positive")]
+    fn a_tracker_panics_on_what_try_validate_refuses() {
+        TenantTracker::new(&[TenantClass {
+            name: "free".to_string(),
+            weight: 0.0,
+            slo_latency_s: 30.0,
+        }]);
+    }
+
+    #[test]
     fn standard_suite_covers_every_process_shape() {
         let suite = Scenario::standard_suite();
         assert_eq!(suite.len(), 5);
@@ -1434,7 +1474,7 @@ mod tests {
             "one regime must exercise popularity skew and tenants"
         );
         for s in &suite {
-            s.arrival.validate();
+            s.arrival.try_validate().expect("a suite regime is valid");
         }
     }
 }

@@ -683,7 +683,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
                 worker: w,
             },
         );
-        let (delivered, src, dst) = core.net.transfer(start, w, job.function, lost);
+        let (delivered, src, dst) = core.net.transfer(start, w, job.function);
         core.observer
             .emit(start, TraceEvent::NetTransfer { src, dst, bytes });
         core.with_metrics(|m, h| m.add(h.net_bytes, bytes));

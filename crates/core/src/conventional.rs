@@ -32,7 +32,7 @@ use crate::cache::CacheConfig;
 use crate::closedloop::{self, Core, NodeClass, Setup};
 use crate::config::{Jitter, WorkloadMix};
 use crate::netmap::ClusterNet;
-use crate::registry::FunctionRegistry;
+use crate::registry::TimeoutTable;
 use crate::report::ClusterRun;
 
 /// Extra stretch on a respawned VM's boot: the image is re-fetched and
@@ -63,12 +63,9 @@ pub struct ConventionalConfig {
     /// applies here: any governor other than the default
     /// [`GovernorKind::RebootPerJob`] skips the between-jobs reboot.
     pub governor: GovernorKind,
-    /// Kill invocations that run longer than this (platform-wide
-    /// limit). Combined with any per-function timeout from
-    /// [`ConventionalConfig::registry`]; the tighter limit wins.
-    pub invocation_timeout: Option<SimDuration>,
-    /// Deployed-function metadata; per-function timeouts are enforced.
-    pub registry: FunctionRegistry,
+    /// Each function's invocation limit, shared as for
+    /// [`crate::micro::MicroFaasConfig::timeouts`]; the default sets none.
+    pub timeouts: Arc<TimeoutTable>,
     /// Fault plan ([`FaultPlan::empty`], the default, keeps the run
     /// fault-free and bit-identical to earlier builds); recovery follows
     /// the fixed policy in [`crate::recovery`]. Shared behind an [`Arc`]
@@ -95,8 +92,7 @@ impl ConventionalConfig {
             reboot_between_jobs: true,
             assignment: PlacementKind::WorkConserving,
             governor: GovernorKind::RebootPerJob,
-            invocation_timeout: None,
-            registry: FunctionRegistry::paper_suite(),
+            timeouts: Arc::default(),
             faults: Arc::default(),
             cache: CacheConfig::Off,
         }
@@ -177,13 +173,13 @@ pub fn run_conventional_with(
         assignment: config.assignment,
         governor: config.governor,
         reboot_between_jobs: config.reboot_between_jobs,
-        timeouts: config.registry.timeouts(config.invocation_timeout),
+        timeouts: *config.timeouts,
         faults: &config.faults,
         cache: &config.cache,
         // All VM traffic leaves through the host's bridged GigE NIC;
         // each VM is modeled as a GigE attachment (the virtio/bridge
         // latency cost is in the calibrated fixed overhead).
-        net: ClusterNet::new("vm-", config.vms, LinkSpec::gigabit(), LinkSpec::gigabit()),
+        net: ClusterNet::new(config.vms, LinkSpec::gigabit(), LinkSpec::gigabit()),
         meter,
     };
     closedloop::run(setup, VmHost { server, channel }, observer)
@@ -311,15 +307,13 @@ impl NodeClass for VmHost {
 /// Average host power with exactly `busy` of the VMs active — the
 /// closed-form behind Fig. 5's VM line.
 pub fn vm_cluster_power(busy: usize) -> f64 {
-    microfaas_hw::ServerPowerModel::opteron_6172()
-        .draw(busy)
-        .value()
+    microfaas_hw::ServerPowerModel.draw(busy).value()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::FunctionSpec;
+    use crate::registry::{FunctionRegistry, FunctionSpec};
     use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 
     #[test]
@@ -441,7 +435,7 @@ mod tests {
         // platform timeout kills every MatMul and spares RegexMatch.
         let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 20);
         let mut config = ConventionalConfig::paper_baseline(mix, 11);
-        config.invocation_timeout = Some(SimDuration::from_millis(1_200));
+        config.timeouts = TimeoutTable::platform(SimDuration::from_millis(1_200)).into();
         let run = run_conventional(&config);
         assert_eq!(run.timed_out(), 20, "every MatMul must be killed");
         assert_eq!(run.jobs_completed(), 20, "every RegexMatch must finish");
@@ -454,9 +448,9 @@ mod tests {
         // deployed on MatMul (~1.9 s on a VM) instead of platform-wide.
         let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 20);
         let mut config = ConventionalConfig::paper_baseline(mix, 11);
-        config
-            .registry
-            .redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_millis(1_200));
+        let mut registry = FunctionRegistry::paper_suite();
+        registry.redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_millis(1_200));
+        config.timeouts = registry.timeouts(None).into();
         let run = run_conventional(&config);
         assert_eq!(run.timed_out(), 20, "every MatMul must be killed");
         assert_eq!(run.jobs_completed(), 20, "every RegexMatch must finish");
@@ -476,15 +470,14 @@ mod tests {
         let tight = SimDuration::from_millis(1_200);
         let loose = SimDuration::from_secs(10);
         let mut tight_only = ConventionalConfig::paper_baseline(mix.clone(), 11);
-        tight_only.invocation_timeout = Some(tight);
+        tight_only.timeouts = TimeoutTable::platform(tight).into();
         let want = run_conventional(&tight_only);
         assert_eq!(want.timed_out(), 20);
         for (platform, per_function) in [(tight, loose), (loose, tight)] {
             let mut config = ConventionalConfig::paper_baseline(mix.clone(), 11);
-            config.invocation_timeout = Some(platform);
-            config
-                .registry
-                .redeploy_with_timeout(FunctionId::MatMul, per_function);
+            let mut registry = FunctionRegistry::paper_suite();
+            registry.redeploy_with_timeout(FunctionId::MatMul, per_function);
+            config.timeouts = registry.timeouts(Some(platform)).into();
             let run = run_conventional(&config);
             assert_eq!(
                 run.timed_out(),
@@ -503,8 +496,8 @@ mod tests {
         let mix = WorkloadMix::new(vec![FunctionId::Decompress], 20);
         let plain = run_conventional(&ConventionalConfig::paper_baseline(mix.clone(), 14));
         let mut config = ConventionalConfig::paper_baseline(mix, 14);
-        config
-            .registry
+        let mut registry = FunctionRegistry::paper_suite();
+        registry
             .deploy(
                 "thumbnailer",
                 FunctionSpec {
@@ -514,6 +507,7 @@ mod tests {
                 },
             )
             .expect("a new name");
+        config.timeouts = registry.timeouts(None).into();
         let run = run_conventional(&config);
         assert_eq!(run.timed_out(), 0);
         assert_eq!(run.jobs_completed(), 20);

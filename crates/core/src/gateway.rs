@@ -64,7 +64,7 @@ impl HttpRequest {
     /// # Errors
     ///
     /// Returns [`ParseHttpError`] for truncated or malformed requests.
-    pub fn parse(input: &[u8]) -> Result<HttpRequest, ParseHttpError> {
+    fn parse(input: &[u8]) -> Result<HttpRequest, ParseHttpError> {
         let header_end = find_subsequence(input, b"\r\n\r\n").ok_or(ParseHttpError::Incomplete)?;
         let head = std::str::from_utf8(&input[..header_end])
             .map_err(|_| ParseHttpError::Malformed("non-utf8 header block".into()))?;

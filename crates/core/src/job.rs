@@ -73,18 +73,6 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Distributes `jobs` over `workers` queues according to `mode`
-    /// with every job weighted equally. Engines that know per-function
-    /// costs use [`Dispatcher::with_weights`] so `LeastLoaded` balances
-    /// expected seconds instead of job counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(mode: PlacementKind, workers: usize, jobs: Vec<Job>, rng: &mut Rng) -> Self {
-        Self::with_weights(mode, workers, jobs, rng, |_| 1.0)
-    }
-
     /// Distributes `jobs` over `workers` queues according to `mode`.
     ///
     /// `WorkConserving` keeps the single shared FIFO; every other
@@ -276,7 +264,8 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::WorkConserving, 2, jobs, &mut rng);
+        let mut d =
+            Dispatcher::with_weights(PlacementKind::WorkConserving, 2, jobs, &mut rng, |_| 1.0);
         let retried = Job {
             id: 99,
             function: FunctionId::CascSha,
@@ -299,7 +288,8 @@ mod tests {
                 },
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::WorkConserving, 2, jobs, &mut rng);
+        let mut d =
+            Dispatcher::with_weights(PlacementKind::WorkConserving, 2, jobs, &mut rng, |_| 1.0);
         let shed = d.shed_where(|job| job.function == FunctionId::MatMul);
         assert_eq!(shed.iter().map(|j| j.id).collect::<Vec<_>>(), vec![0, 2, 4]);
         assert_eq!(d.pull(0).map(|j| j.id), Some(1), "survivors keep order");
@@ -315,7 +305,8 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::RandomStatic, 2, jobs, &mut rng);
+        let mut d =
+            Dispatcher::with_weights(PlacementKind::RandomStatic, 2, jobs, &mut rng, |_| 1.0);
         let before = d.remaining();
         let drained = d.drain_worker(0);
         assert!(!drained.is_empty(), "seed 3 assigns worker 0 some jobs");
@@ -339,7 +330,8 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::RandomStatic, 8, jobs, &mut rng);
+        let mut d =
+            Dispatcher::with_weights(PlacementKind::RandomStatic, 8, jobs, &mut rng, |_| 1.0);
         assert_eq!(d.remaining(), 3);
         let occupied = (0..8).filter(|&w| d.has_work(w)).count();
         assert!((1..=3).contains(&occupied));
@@ -370,7 +362,8 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::RandomStatic, 2, jobs, &mut rng);
+        let mut d =
+            Dispatcher::with_weights(PlacementKind::RandomStatic, 2, jobs, &mut rng, |_| 1.0);
         let in_flight = d.pull(0).expect("seed 3 assigns worker 0 work");
         let queued_behind = d.remaining();
         d.requeue_front(0, in_flight);
@@ -438,7 +431,8 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::JoinShortestQueue, 3, jobs, &mut rng);
+        let mut d =
+            Dispatcher::with_weights(PlacementKind::JoinShortestQueue, 3, jobs, &mut rng, |_| 1.0);
         // 9 jobs over 3 workers, ties to the lowest index: 3 each, and
         // worker 0 holds jobs 0, 3, 6.
         assert_eq!(d.pull(0).map(|j| j.id), Some(0));
@@ -456,7 +450,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::WarmFirst, 4, jobs, &mut rng);
+        let mut d = Dispatcher::with_weights(PlacementKind::WarmFirst, 4, jobs, &mut rng, |_| 1.0);
         assert!(d.has_work(0), "the first node warms up");
         for w in 1..4 {
             assert!(!d.has_work(w), "worker {w} never boots for a batch");
@@ -473,7 +467,7 @@ mod tests {
                 function: FunctionId::FloatOps,
             })
             .collect();
-        let mut d = Dispatcher::new(PlacementKind::PowerAware, 4, jobs, &mut rng);
+        let mut d = Dispatcher::with_weights(PlacementKind::PowerAware, 4, jobs, &mut rng, |_| 1.0);
         // Packing threshold 2: six jobs warm exactly three nodes.
         assert_eq!((0..4).filter(|&w| d.has_work(w)).count(), 3);
         assert_eq!(d.drain_worker(0).len(), 2);
@@ -495,7 +489,7 @@ mod tests {
             PlacementKind::PowerAware,
         ] {
             let mut rng = microfaas_sim::Rng::new(17);
-            let _ = Dispatcher::new(mode, 5, jobs.clone(), &mut rng);
+            let _ = Dispatcher::with_weights(mode, 5, jobs.clone(), &mut rng, |_| 1.0);
             let mut untouched = microfaas_sim::Rng::new(17);
             assert_eq!(
                 rng.next_u64(),

@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use microfaas_energy::{ChannelId, EnergyMeter};
-use microfaas_hw::gpio::{PowerAction, PowerController};
+use microfaas_hw::gpio::PowerController;
 use microfaas_hw::sbc::{SbcNode, SbcState};
 use microfaas_hw::SbcPowerModel;
 use microfaas_net::LinkSpec;
@@ -41,7 +41,7 @@ use crate::cache::CacheConfig;
 use crate::closedloop::{self, Core, Event, NodeClass, Setup};
 use crate::config::{Jitter, WorkloadMix};
 use crate::netmap::ClusterNet;
-use crate::registry::FunctionRegistry;
+use crate::registry::TimeoutTable;
 use crate::report::ClusterRun;
 
 /// Configuration of a MicroFaaS cluster run.
@@ -82,15 +82,15 @@ pub struct MicroFaasConfig {
     /// bottleneck at scale — the effect Gand et al. report for their
     /// 8-Pi cluster.
     pub service_nic_bits_per_sec: u64,
-    /// Kill invocations that run longer than this (platform timeout).
-    /// `None` is the paper's pure run-to-completion model. Combined with
-    /// any per-function timeout from [`MicroFaasConfig::registry`]; the
-    /// tighter limit wins.
-    pub invocation_timeout: Option<SimDuration>,
-    /// Deployed-function metadata; a function's
-    /// [`crate::registry::FunctionSpec::timeout`] is enforced per
-    /// invocation. The paper suite deploys everything without timeouts.
-    pub registry: FunctionRegistry,
+    /// Kill an invocation of a function that runs longer than its
+    /// limit here. [`FunctionRegistry::timeouts`] builds the table from
+    /// a platform-wide limit and the deployments' per-function ones (the
+    /// tighter wins); the default sets none, the paper's pure
+    /// run-to-completion model. Shared behind an [`Arc`] so a config
+    /// stays small and cloning it never copies the table.
+    ///
+    /// [`FunctionRegistry::timeouts`]: crate::registry::FunctionRegistry::timeouts
+    pub timeouts: Arc<TimeoutTable>,
     /// Fault plan ([`FaultPlan::empty`], the default, keeps the run
     /// fault-free and bit-identical to earlier builds); recovery follows
     /// the fixed policy in [`crate::recovery`]. Shared behind an [`Arc`]
@@ -122,8 +122,7 @@ impl MicroFaasConfig {
             assignment: PlacementKind::WorkConserving,
             governor: GovernorKind::RebootPerJob,
             service_nic_bits_per_sec: 1_000_000_000,
-            invocation_timeout: None,
-            registry: FunctionRegistry::paper_suite(),
+            timeouts: Arc::default(),
             faults: Arc::default(),
             cache: CacheConfig::Off,
         }
@@ -204,7 +203,7 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
         channels: (0..config.workers)
             .map(|w| meter.add_channel(format_args!("sbc-{w}")))
             .collect(),
-        gpio: PowerController::new(config.workers),
+        gpio: PowerController::default(),
         gate_pending: vec![None; config.workers],
         power_gating: config.power_gating,
         crypto_exec_scale: config.crypto_exec_scale,
@@ -217,10 +216,10 @@ pub fn run_microfaas_with(config: &MicroFaasConfig, observer: &mut Observer<'_>)
         assignment: config.assignment,
         governor: config.governor,
         reboot_between_jobs: config.reboot_between_jobs,
-        timeouts: config.registry.timeouts(config.invocation_timeout),
+        timeouts: *config.timeouts,
         faults: &config.faults,
         cache: &config.cache,
-        net: ClusterNet::new("sbc-", config.workers, worker_link, service_link),
+        net: ClusterNet::new(config.workers, worker_link, service_link),
         meter,
     };
     closedloop::run(setup, fleet, observer)
@@ -292,8 +291,7 @@ impl SbcFleet {
     }
 
     /// Cuts a node that just went off through its GPIO line.
-    fn gate_off(&mut self, core: SbcCore, w: usize, now: SimTime) {
-        self.gpio.actuate(now, w, PowerAction::Off);
+    fn gate_off(&self, core: SbcCore, w: usize, now: SimTime) {
         core.mark(now, w, WorkerState::Off, self.power(w));
     }
 }
@@ -342,7 +340,7 @@ impl NodeClass for SbcFleet {
             SbcState::Off if core.boot_pending[w].is_none() => {
                 core.observer
                     .emit(now, TraceEvent::WakeRequested { worker: w, reason });
-                let effective = self.gpio.actuate(now, w, PowerAction::On);
+                let effective = self.gpio.power_on(now);
                 let power_on = Event::Node(w, SbcTimer::PowerEffective);
                 core.boot_pending[w] = Some(core.queue.schedule(effective, power_on));
                 false
@@ -524,7 +522,7 @@ pub fn sbc_cluster_power(total: usize, active: usize, power_gating: bool) -> f64
 mod tests {
     use super::*;
     use crate::recovery::{priority_of, Priority};
-    use crate::registry::FunctionSpec;
+    use crate::registry::{FunctionRegistry, FunctionSpec};
     use crate::report::Outcome;
     use microfaas_sim::faults::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};
     use microfaas_sim::MetricsRegistry;
@@ -705,7 +703,7 @@ mod tests {
         // every MatMul but leaves RegexMatch (~0.5 s) untouched.
         let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 30);
         let mut config = MicroFaasConfig::paper_prototype(mix, 11);
-        config.invocation_timeout = Some(SimDuration::from_secs(2));
+        config.timeouts = TimeoutTable::platform(SimDuration::from_secs(2)).into();
         let run = run_microfaas(&config);
         assert_eq!(run.timed_out(), 30, "every MatMul must be killed");
         assert_eq!(run.jobs_completed(), 30, "every RegexMatch must finish");
@@ -724,9 +722,9 @@ mod tests {
         // of platform-wide: only MatMul carries the 2 s deadline.
         let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 30);
         let mut config = MicroFaasConfig::paper_prototype(mix, 11);
-        config
-            .registry
-            .redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_secs(2));
+        let mut registry = FunctionRegistry::paper_suite();
+        registry.redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_secs(2));
+        config.timeouts = registry.timeouts(None).into();
         let run = run_microfaas(&config);
         assert_eq!(run.timed_out(), 30, "every MatMul must be killed");
         assert_eq!(run.jobs_completed(), 30, "every RegexMatch must finish");
@@ -738,15 +736,17 @@ mod tests {
         // limit alone: every MatMul (~4.7 s) killed at 2 s.
         let mix = WorkloadMix::new(vec![FunctionId::MatMul, FunctionId::RegexMatch], 30);
         let mut tight_only = MicroFaasConfig::paper_prototype(mix.clone(), 11);
-        tight_only.invocation_timeout = Some(SimDuration::from_secs(2));
+        tight_only.timeouts = TimeoutTable::platform(SimDuration::from_secs(2)).into();
         let want = run_microfaas(&tight_only);
         assert_eq!(want.timed_out(), 30);
         for (platform, per_function) in [(2, 10), (10, 2)] {
             let mut config = MicroFaasConfig::paper_prototype(mix.clone(), 11);
-            config.invocation_timeout = Some(SimDuration::from_secs(platform));
-            config
-                .registry
+            let mut registry = FunctionRegistry::paper_suite();
+            registry
                 .redeploy_with_timeout(FunctionId::MatMul, SimDuration::from_secs(per_function));
+            config.timeouts = registry
+                .timeouts(Some(SimDuration::from_secs(platform)))
+                .into();
             let run = run_microfaas(&config);
             assert_eq!(
                 run.timed_out(),
@@ -765,8 +765,8 @@ mod tests {
         let mix = WorkloadMix::new(vec![FunctionId::Decompress], 20);
         let plain = run_microfaas(&MicroFaasConfig::paper_prototype(mix.clone(), 14));
         let mut config = MicroFaasConfig::paper_prototype(mix, 14);
-        config
-            .registry
+        let mut registry = FunctionRegistry::paper_suite();
+        registry
             .deploy(
                 "thumbnailer",
                 FunctionSpec {
@@ -776,6 +776,7 @@ mod tests {
                 },
             )
             .expect("a new name");
+        config.timeouts = registry.timeouts(None).into();
         let run = run_microfaas(&config);
         assert_eq!(run.timed_out(), 0);
         assert_eq!(run.jobs_completed(), 20);
@@ -789,7 +790,7 @@ mod tests {
         let mix = WorkloadMix::new(vec![FunctionId::MatMul], 40);
         let unlimited = run_microfaas(&MicroFaasConfig::paper_prototype(mix.clone(), 12));
         let mut config = MicroFaasConfig::paper_prototype(mix, 12);
-        config.invocation_timeout = Some(SimDuration::from_secs(1));
+        config.timeouts = TimeoutTable::platform(SimDuration::from_secs(1)).into();
         let limited = run_microfaas(&config);
         assert_eq!(limited.timed_out(), 40);
         assert!(limited.makespan < unlimited.makespan);

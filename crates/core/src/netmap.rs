@@ -9,8 +9,8 @@ use microfaas_sim::SimTime;
 use microfaas_workloads::calibration::service_time;
 use microfaas_workloads::FunctionId;
 
-/// A cluster's switch plus the node roster: `count` workers named
-/// `{prefix}{w}`, the orchestrator, and one host per backing service.
+/// A cluster's switch plus the node roster: `count` workers, the
+/// orchestrator, and one host per backing service.
 pub(crate) struct ClusterNet {
     net: Network,
     workers: Vec<NodeId>,
@@ -31,17 +31,15 @@ impl ClusterNet {
     /// # Panics
     ///
     /// Panics if `count` is zero.
-    pub fn new(prefix: &str, count: usize, worker_link: LinkSpec, service_link: LinkSpec) -> Self {
+    pub fn new(count: usize, worker_link: LinkSpec, service_link: LinkSpec) -> Self {
         assert!(count > 0, "a cluster network needs at least one worker");
         let mut net = Network::new();
-        let workers: Vec<NodeId> = (0..count)
-            .map(|w| net.add_node(format!("{prefix}{w}"), worker_link))
-            .collect();
-        let orchestrator = net.add_node("orchestrator", LinkSpec::gigabit());
-        let kv = net.add_node("kvstore", service_link);
-        let sql = net.add_node("sqldb", service_link);
-        let cos = net.add_node("objstore", service_link);
-        let mq = net.add_node("mqueue", service_link);
+        let workers: Vec<NodeId> = (0..count).map(|_| net.add_node(worker_link)).collect();
+        let orchestrator = net.add_node(LinkSpec::gigabit());
+        let kv = net.add_node(service_link);
+        let sql = net.add_node(service_link);
+        let cos = net.add_node(service_link);
+        let mq = net.add_node(service_link);
         let peers = FunctionId::ALL.map(|function| match function {
             FunctionId::RedisInsert | FunctionId::RedisUpdate => kv,
             FunctionId::SqlSelect | FunctionId::SqlUpdate => sql,
@@ -85,25 +83,19 @@ impl ClusterNet {
 
     /// Runs the result transfer for `function` on worker `w` through the
     /// switch, returning the delivery time and the trace endpoints. The
-    /// payload is the function's calibrated transfer size. A `lost`
-    /// transfer occupies the wire identically but never arrives (the
-    /// payload is counted as lost by the network).
+    /// payload is the function's calibrated transfer size. A transfer the
+    /// caller decides was lost occupies the wire identically; the
+    /// returned instant is when it would have arrived.
     pub fn transfer(
         &mut self,
         now: SimTime,
         w: usize,
         function: FunctionId,
-        lost: bool,
     ) -> (SimTime, Endpoint, Endpoint) {
         let f = function.index() as usize;
         let (from, to) = Self::ends(function, self.workers[w], self.peers[f]);
         let (src, dst) = Self::ends(function, Endpoint::Worker(w), Self::endpoint_of(function));
-        let route = self.routes[f];
-        let delivered = if lost {
-            self.net.send_lost(now, from, to, route.bytes())
-        } else {
-            self.net.send_on(now, from, to, route)
-        };
+        let delivered = self.net.send_on(now, from, to, self.routes[f]);
         (delivered, src, dst)
     }
 }
@@ -115,21 +107,37 @@ mod tests {
     use super::*;
 
     fn cnet() -> ClusterNet {
-        ClusterNet::new("sbc-", 4, LinkSpec::fast_ethernet(), LinkSpec::gigabit())
+        ClusterNet::new(4, LinkSpec::fast_ethernet(), LinkSpec::gigabit())
     }
 
     #[test]
     fn network_bound_functions_map_to_their_service() {
         let cnet = cnet();
-        let peer = |function: FunctionId| {
-            let node = cnet.peers[function.index() as usize];
-            cnet.net.node_name(node)
-        };
-        assert_eq!(peer(FunctionId::RedisInsert), "kvstore");
-        assert_eq!(peer(FunctionId::SqlUpdate), "sqldb");
-        assert_eq!(peer(FunctionId::CosPut), "objstore");
-        assert_eq!(peer(FunctionId::MqConsume), "mqueue");
-        assert_eq!(peer(FunctionId::MatMul), "orchestrator");
+        // Two functions talk to one peer node exactly when their traces
+        // name one endpoint, and that node is never a worker.
+        for f in FunctionId::ALL {
+            let peer = cnet.peers[f.index() as usize];
+            assert!(!cnet.workers.contains(&peer), "{f:?}");
+            for g in FunctionId::ALL {
+                assert_eq!(
+                    peer == cnet.peers[g.index() as usize],
+                    ClusterNet::endpoint_of(f) == ClusterNet::endpoint_of(g),
+                    "{f:?} and {g:?}"
+                );
+            }
+        }
+        assert_eq!(
+            ClusterNet::endpoint_of(FunctionId::RedisInsert),
+            Endpoint::Service("kvstore")
+        );
+        assert_eq!(
+            ClusterNet::endpoint_of(FunctionId::SqlUpdate),
+            Endpoint::Service("sqldb")
+        );
+        assert_eq!(
+            ClusterNet::endpoint_of(FunctionId::MqConsume),
+            Endpoint::Service("mqueue")
+        );
         assert_eq!(
             ClusterNet::endpoint_of(FunctionId::CosGet),
             Endpoint::Service("objstore")
@@ -143,20 +151,12 @@ mod tests {
     #[test]
     fn cosget_downloads_everything_else_uploads() {
         let mut cnet = cnet();
-        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 2, FunctionId::CosGet, false);
+        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 2, FunctionId::CosGet);
         assert_eq!(src, Endpoint::Service("objstore"));
         assert_eq!(dst, Endpoint::Worker(2));
-        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 1, FunctionId::RedisInsert, false);
+        let (_, src, dst) = cnet.transfer(SimTime::ZERO, 1, FunctionId::RedisInsert);
         assert_eq!(src, Endpoint::Worker(1));
         assert_eq!(dst, Endpoint::Service("kvstore"));
-    }
-
-    #[test]
-    fn lost_transfers_take_wire_time_but_count_as_lost() {
-        let mut cnet = cnet();
-        let (delivered, _, _) = cnet.transfer(SimTime::ZERO, 0, FunctionId::CosPut, true);
-        assert!(delivered > SimTime::ZERO);
-        assert_eq!(cnet.net.lost_count(), 1);
     }
 
     #[test]
@@ -167,8 +167,8 @@ mod tests {
             (LinkSpec::fast_ethernet(), LinkSpec::fast_ethernet()),
         ];
         for (worker_link, service_link) in links {
-            let mut resolved = ClusterNet::new("w-", 4, worker_link, service_link);
-            let mut fresh = ClusterNet::new("w-", 4, worker_link, service_link);
+            let mut resolved = ClusterNet::new(4, worker_link, service_link);
+            let mut fresh = ClusterNet::new(4, worker_link, service_link);
             let mut now = SimTime::ZERO;
             for (i, function) in FunctionId::ALL.into_iter().cycle().take(200).enumerate() {
                 let w = i % 4;
@@ -179,11 +179,10 @@ mod tests {
                     fresh.peers[function.index() as usize],
                 );
                 let want = fresh.net.send(now, from, to, bytes);
-                let (got, _, _) = resolved.transfer(now, w, function, false);
+                let (got, _, _) = resolved.transfer(now, w, function);
                 assert_eq!(got, want, "{function:?} on worker {w}");
                 now += SimDuration::from_millis(20);
             }
-            assert_eq!(resolved.net.total_bytes(), fresh.net.total_bytes());
         }
     }
 }

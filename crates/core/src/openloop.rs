@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use microfaas_energy::attribution::{Attributor, EnergyLedger, IdlePolicy};
 use microfaas_energy::{ChannelId, EnergyMeter};
-use microfaas_hw::gpio::{PowerAction, PowerController};
+use microfaas_hw::gpio::PowerController;
 use microfaas_hw::sbc::{SbcNode, SbcState};
 use microfaas_hw::{RackServer, VmState};
 use microfaas_sched::{
@@ -611,7 +611,9 @@ fn engine<'a, C: OpenClass, O: TraceObserver, L: LatencyAccum, S: RunSink>(
     attr: Option<Attributor>,
 ) -> OpenSim<'a, C, O, L, S> {
     assert!(!config.functions.is_empty(), "need at least one function");
-    config.arrival.validate();
+    if let Err(problem) = config.arrival.try_validate() {
+        panic!("{problem}");
+    }
     // Compiles the popularity skew (validating it) and the tenant mix.
     // The defaults draw as the goldens pin them: one uniform index per
     // arrival, no tenant draw.
@@ -1564,7 +1566,7 @@ impl SbcFleet {
                 })
                 .collect(),
             boot_window: SbcNode::boot_duration(),
-            gpio: PowerController::new(workers),
+            gpio: PowerController::default(),
             powered_on: TimeWeighted::new(SimTime::ZERO, 0.0),
             faults_injected: 0,
             wants_census: false,
@@ -1592,7 +1594,7 @@ impl SbcFleet {
         self.powered_on.add(now, 1.0);
         core.observer
             .emit(now, TraceEvent::WakeRequested { worker: w, reason });
-        let effective = self.gpio.actuate(now, w, PowerAction::On);
+        let effective = self.gpio.power_on(now);
         core.queue
             .schedule(effective, Event::Node(w as u32, SbcTimer::PowerOn));
     }
@@ -1622,7 +1624,6 @@ impl SbcFleet {
         now: SimTime,
     ) {
         self.powered_on.add(now, -1.0);
-        self.gpio.actuate(now, w, PowerAction::Off);
         core.mark(now, w, WorkerState::Off, self.power(w));
     }
 

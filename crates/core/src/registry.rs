@@ -60,8 +60,9 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// Each function's effective invocation timeout, indexed by
-/// [`FunctionId::index`]; built by [`FunctionRegistry::timeouts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`FunctionId::index`]; built by [`FunctionRegistry::timeouts`]. The
+/// default sets no limit, the paper's run-to-completion model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimeoutTable([Option<SimDuration>; FunctionId::ALL.len()]);
 
 impl TimeoutTable {
@@ -81,7 +82,7 @@ impl TimeoutTable {
 /// use microfaas_workloads::FunctionId;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut registry = FunctionRegistry::new();
+/// let mut registry = FunctionRegistry::default();
 /// registry.deploy(
 ///     "thumbnailer",
 ///     FunctionSpec {
@@ -100,15 +101,10 @@ pub struct FunctionRegistry {
 }
 
 impl FunctionRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        FunctionRegistry::default()
-    }
-
     /// A registry with every Table-I function deployed under its paper
     /// name, 128 MB, no timeout (the paper's run-to-completion model).
     pub fn paper_suite() -> Self {
-        let mut registry = FunctionRegistry::new();
+        let mut registry = FunctionRegistry::default();
         for handler in FunctionId::ALL {
             registry
                 .deploy(
@@ -228,6 +224,15 @@ impl FunctionRegistry {
 }
 
 #[cfg(test)]
+impl TimeoutTable {
+    /// The paper suite's table under one platform-wide `limit`, for the
+    /// engines' timeout tests.
+    pub(crate) fn platform(limit: SimDuration) -> Self {
+        FunctionRegistry::paper_suite().timeouts(Some(limit))
+    }
+}
+
+#[cfg(test)]
 impl FunctionRegistry {
     /// Redeploys `function` under its paper name with `timeout`, for the
     /// engines' timeout tests.
@@ -255,7 +260,7 @@ mod tests {
 
     #[test]
     fn deploy_resolve_remove() {
-        let mut registry = FunctionRegistry::new();
+        let mut registry = FunctionRegistry::default();
         registry
             .deploy("f", spec(FunctionId::FloatOps))
             .expect("deploy");
@@ -274,7 +279,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let mut registry = FunctionRegistry::new();
+        let mut registry = FunctionRegistry::default();
         registry
             .deploy("f", spec(FunctionId::FloatOps))
             .expect("deploy");
@@ -286,7 +291,7 @@ mod tests {
 
     #[test]
     fn memory_admission_check() {
-        let mut registry = FunctionRegistry::new();
+        let mut registry = FunctionRegistry::default();
         let fat = FunctionSpec {
             handler: FunctionId::MatMul,
             memory_mb: 1_024,
@@ -309,7 +314,7 @@ mod tests {
 
     #[test]
     fn zero_timeout_rejected() {
-        let mut registry = FunctionRegistry::new();
+        let mut registry = FunctionRegistry::default();
         let broken = FunctionSpec {
             handler: FunctionId::FloatOps,
             memory_mb: 64,

@@ -189,10 +189,12 @@ fn micro_grid() -> Vec<(String, MicroFaasConfig)> {
             c.service_nic_bits_per_sec = 100_000_000;
         }),
         micro_row("platform-timeout", |c| {
-            c.invocation_timeout = Some(SimDuration::from_secs(2));
+            c.timeouts = FunctionRegistry::paper_suite()
+                .timeouts(Some(SimDuration::from_secs(2)))
+                .into();
         }),
         micro_row("registry-timeout", |c| {
-            c.registry = matmul_timeout_registry()
+            c.timeouts = matmul_timeout_registry().timeouts(None).into()
         }),
         micro_row("cache", |c| c.cache = lru_with_ttl()),
         micro_row("two-crashes", |c| {
@@ -211,8 +213,9 @@ fn micro_grid() -> Vec<(String, MicroFaasConfig)> {
             c.crypto_exec_scale = 0.5;
             c.worker_nic_bits_per_sec = 1_000_000_000;
             c.service_nic_bits_per_sec = 100_000_000;
-            c.invocation_timeout = Some(SimDuration::from_secs(2));
-            c.registry = matmul_timeout_registry();
+            c.timeouts = matmul_timeout_registry()
+                .timeouts(Some(SimDuration::from_secs(2)))
+                .into();
             c.cache = lru_with_ttl();
             c.faults = faults(&TWO_CRASHES, SOME_CHANCE);
         }),
@@ -236,10 +239,12 @@ fn conv_grid() -> Vec<(String, ConventionalConfig)> {
     rows.extend([
         conv_row("no-reboot", |c| c.reboot_between_jobs = false),
         conv_row("platform-timeout", |c| {
-            c.invocation_timeout = Some(SimDuration::from_secs(2));
+            c.timeouts = FunctionRegistry::paper_suite()
+                .timeouts(Some(SimDuration::from_secs(2)))
+                .into();
         }),
         conv_row("registry-timeout", |c| {
-            c.registry = matmul_timeout_registry()
+            c.timeouts = matmul_timeout_registry().timeouts(None).into()
         }),
         conv_row("cache", |c| c.cache = lru_with_ttl()),
         conv_row("two-crashes", |c| {
@@ -254,8 +259,9 @@ fn conv_grid() -> Vec<(String, ConventionalConfig)> {
             c.assignment = PlacementKind::LeastLoaded;
             c.governor = GovernorKind::ALL[1];
             c.reboot_between_jobs = false;
-            c.invocation_timeout = Some(SimDuration::from_secs(2));
-            c.registry = matmul_timeout_registry();
+            c.timeouts = matmul_timeout_registry()
+                .timeouts(Some(SimDuration::from_secs(2)))
+                .into();
             c.cache = lru_with_ttl();
             c.faults = faults(&TWO_CRASHES, SOME_CHANCE);
         }),

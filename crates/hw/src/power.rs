@@ -57,43 +57,29 @@ impl SbcPowerModel {
     }
 }
 
-/// Rack-server power model.
+/// Rack-server power model: the evaluation server (Opteron 6172 in a
+/// Thinkmate RAX chassis).
 ///
 /// The paper's constants: 60 W idle, 150 W under load. The per-busy-VM
 /// increment (8.8 W) is derived from the measured 32.0 J/function at six
 /// VMs: `P(6) = 32.0 J/f x 211.7 f/min / 60 ≈ 112.9 W`, so each busy VM
 /// adds `(112.9 − 60) / 6 ≈ 8.8 W`, saturating at the 150 W plateau.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerPowerModel {
-    /// Idle draw with zero busy VMs.
-    pub idle_watts: f64,
-    /// Peak draw when the package saturates.
-    pub max_watts: f64,
-    /// Increment per concurrently busy VM.
-    pub per_busy_vm_watts: f64,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerPowerModel;
 
 impl ServerPowerModel {
-    /// The evaluation server (Opteron 6172 in a Thinkmate RAX chassis).
-    pub fn opteron_6172() -> Self {
-        ServerPowerModel {
-            idle_watts: 60.0,
-            max_watts: 150.0,
-            per_busy_vm_watts: 8.8,
-        }
-    }
+    /// Idle draw with zero busy VMs.
+    const IDLE_WATTS: f64 = 60.0;
+    /// Peak draw when the package saturates.
+    const MAX_WATTS: f64 = 150.0;
+    /// Increment per concurrently busy VM.
+    const PER_BUSY_VM_WATTS: f64 = 8.8;
 
     /// Draw with `busy_vms` VMs actively working (linear, capped at the
     /// package maximum). A powered-on host always pays the idle floor —
     /// the crux of the paper's energy-proportionality argument.
-    pub fn draw(&self, busy_vms: usize) -> Watts {
-        Watts((self.idle_watts + self.per_busy_vm_watts * busy_vms as f64).min(self.max_watts))
-    }
-}
-
-impl Default for ServerPowerModel {
-    fn default() -> Self {
-        ServerPowerModel::opteron_6172()
+    pub fn draw(self, busy_vms: usize) -> Watts {
+        Watts((Self::IDLE_WATTS + Self::PER_BUSY_VM_WATTS * busy_vms as f64).min(Self::MAX_WATTS))
     }
 }
 
@@ -111,7 +97,7 @@ mod tests {
 
     #[test]
     fn server_idle_floor_and_cap() {
-        let m = ServerPowerModel::opteron_6172();
+        let m = ServerPowerModel;
         assert_eq!(m.draw(0), Watts(60.0));
         assert!((m.draw(6).value() - 112.8).abs() < 1e-9);
         // Past saturation the package caps at 150 W.
@@ -120,7 +106,7 @@ mod tests {
 
     #[test]
     fn server_power_is_monotone() {
-        let m = ServerPowerModel::opteron_6172();
+        let m = ServerPowerModel;
         for n in 0..30 {
             assert!(m.draw(n + 1) >= m.draw(n));
         }
@@ -131,7 +117,7 @@ mod tests {
         // The paper's Fig. 5 punchline: a fully busy 10-SBC cluster draws
         // less than a completely idle rack server.
         let cluster: Watts = (0..10).map(|_| SbcPowerModel.busy()).sum();
-        assert!(cluster.value() < ServerPowerModel::opteron_6172().draw(0).value());
+        assert!(cluster.value() < ServerPowerModel.draw(0).value());
     }
 
     #[test]

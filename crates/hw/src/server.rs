@@ -105,16 +105,17 @@ impl std::error::Error for VmTransitionError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct RackServer {
-    cores: u32,
     vms: Vec<VmWorker>,
     /// VMs executing or rebooting; every transition that enters or
     /// leaves those states updates it.
     busy: usize,
-    power_model: ServerPowerModel,
     vm_boot_window: SimDuration,
 }
 
 impl RackServer {
+    /// Cores in the evaluation server's Opteron 6172.
+    const CORES: f64 = 12.0;
+
     /// RAM in the evaluation server (16 GB), MB.
     const HOST_MEMORY_MB: usize = 16 * 1024;
 
@@ -142,7 +143,6 @@ impl RackServer {
             Self::max_vms()
         );
         RackServer {
-            cores: 12,
             vms: vec![
                 VmWorker {
                     state: VmState::Idle
@@ -150,7 +150,6 @@ impl RackServer {
                 vm_count
             ],
             busy: 0,
-            power_model: ServerPowerModel::opteron_6172(),
             vm_boot_window: BootTime::fully_optimized(BootPlatform::X86).real,
         }
     }
@@ -158,11 +157,6 @@ impl RackServer {
     /// Number of hosted VMs.
     pub fn vm_count(&self) -> usize {
         self.vms.len()
-    }
-
-    /// Host core count.
-    pub fn cores(&self) -> u32 {
-        self.cores
     }
 
     /// Immutable view of one VM.
@@ -191,7 +185,7 @@ impl RackServer {
 
     /// Instantaneous host draw for the current busy-VM count.
     pub fn power(&self) -> Watts {
-        self.power_model.draw(self.busy_vms())
+        ServerPowerModel.draw(self.busy_vms())
     }
 
     /// CPU-contention slowdown factor (≥ 1) if `busy` VMs run at once:
@@ -199,7 +193,7 @@ impl RackServer {
     /// proportional stretching.
     pub fn slowdown(&self, busy: usize) -> f64 {
         let demand = busy as f64 * CPU_SHARE_PER_BUSY_VM;
-        (demand / self.cores as f64).max(1.0)
+        (demand / Self::CORES).max(1.0)
     }
 
     /// The current slowdown given the live busy count.

@@ -20,6 +20,13 @@
 //! Ethernet SBCs vs bridged Gigabit VMs) and the queueing that appears
 //! when many workers share one service node.
 //!
+//! A node is its link and the instants its two port directions free up;
+//! nothing else is kept. The network does not name nodes or count
+//! traffic: the engines' `NetTransfer` trace events and `*_net_bytes`
+//! counters are that record. A message lost in flight reserves the ports
+//! exactly as a delivered one does, so the engines send it like any
+//! other and decide the loss themselves.
+//!
 //! # Examples
 //!
 //! ```
@@ -27,8 +34,8 @@
 //! use microfaas_sim::SimTime;
 //!
 //! let mut net = Network::new();
-//! let sbc = net.add_node("sbc-0", LinkSpec::fast_ethernet());
-//! let service = net.add_node("postgres", LinkSpec::fast_ethernet());
+//! let sbc = net.add_node(LinkSpec::fast_ethernet());
+//! let service = net.add_node(LinkSpec::fast_ethernet());
 //!
 //! // 1 MB from the SBC to the service node: dominated by the sender's
 //! // 100 Mb/s link (~80 ms).
@@ -88,22 +95,13 @@ impl fmt::Display for NodeId {
 /// on its ports with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route {
-    bytes: u64,
     up: SimDuration,
     down: SimDuration,
     latency: SimDuration,
 }
 
-impl Route {
-    /// The payload size, in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
 #[derive(Debug)]
 struct Node {
-    name: String,
     link: LinkSpec,
     /// When the last transfer reserved on the TX direction of the node's
     /// switch port completes (zero while unused): each direction carries
@@ -111,17 +109,6 @@ struct Node {
     tx_busy_until: SimTime,
     /// The same for the RX direction.
     rx_busy_until: SimTime,
-    bytes_sent: u64,
-    bytes_received: u64,
-}
-
-/// Per-node traffic counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficStats {
-    /// Total bytes this node has sent.
-    pub bytes_sent: u64,
-    /// Total bytes this node has received.
-    pub bytes_received: u64,
 }
 
 /// Line rate of every switch port: the paper's testbed switch is GigE.
@@ -135,9 +122,6 @@ const FORWARDING_LATENCY: SimDuration = SimDuration::from_micros(10);
 #[derive(Debug, Default)]
 pub struct Network {
     nodes: Vec<Node>,
-    total_bytes: u64,
-    messages: u64,
-    messages_lost: u64,
 }
 
 impl Network {
@@ -147,25 +131,13 @@ impl Network {
     }
 
     /// Attaches a node with the given NIC and returns its id.
-    pub fn add_node(&mut self, name: impl Into<String>, link: LinkSpec) -> NodeId {
+    pub fn add_node(&mut self, link: LinkSpec) -> NodeId {
         self.nodes.push(Node {
-            name: name.into(),
             link,
             tx_busy_until: SimTime::ZERO,
             rx_busy_until: SimTime::ZERO,
-            bytes_sent: 0,
-            bytes_received: 0,
         });
         NodeId(self.nodes.len() - 1)
-    }
-
-    /// The node's configured name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this network.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
     }
 
     /// Sends `bytes` from `from` to `to` starting at `now`; returns the
@@ -197,7 +169,6 @@ impl Network {
         assert_ne!(from, to, "a node cannot send to itself over the switch");
         let (up, down) = (&self.nodes[from.0].link, &self.nodes[to.0].link);
         Route {
-            bytes,
             up: serialization(bytes, up.bits_per_sec.min(SWITCH_PORT_BITS_PER_SEC)),
             down: serialization(bytes, down.bits_per_sec.min(SWITCH_PORT_BITS_PER_SEC)),
             latency: up.latency + FORWARDING_LATENCY + down.latency,
@@ -220,62 +191,14 @@ impl Network {
         let tx_start = sender.tx_busy_until.max(now);
         let tx_done = tx_start + route.up;
         sender.tx_busy_until = tx_done;
-        sender.bytes_sent += route.bytes;
         // First byte reaches the receiver's port after the path latency;
         // the RX port is then occupied for its own serialization time.
         let receiver = &mut self.nodes[to.0];
         let rx_done = receiver.rx_busy_until.max(tx_start + route.latency) + route.down;
         receiver.rx_busy_until = rx_done;
-        receiver.bytes_received += route.bytes;
-        self.total_bytes += route.bytes;
-        self.messages += 1;
         // The last byte cannot arrive before the sender finishes pushing
         // it onto the wire.
         rx_done.max(tx_done + route.latency)
-    }
-
-    /// Traffic counters for one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this network.
-    pub fn traffic(&self, node: NodeId) -> TrafficStats {
-        let n = &self.nodes[node.0];
-        TrafficStats {
-            bytes_sent: n.bytes_sent,
-            bytes_received: n.bytes_received,
-        }
-    }
-
-    /// Total bytes carried since construction.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Total messages carried since construction.
-    pub fn message_count(&self) -> u64 {
-        self.messages
-    }
-
-    /// Sends like [`Self::send`], but the message is lost in flight: it
-    /// occupies both ports and counts as carried traffic, yet the
-    /// payload never arrives. The returned instant is when delivery
-    /// *would* have completed — the earliest moment a sender-side
-    /// timeout can notice the loss and trigger a retransmission (used
-    /// by the fault-injection model, `docs/FAILURE_MODEL.md`).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::send`].
-    pub fn send_lost(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> SimTime {
-        let would_deliver = self.send(now, from, to, bytes);
-        self.messages_lost += 1;
-        would_deliver
-    }
-
-    /// Messages recorded as lost via [`Self::send_lost`].
-    pub fn lost_count(&self) -> u64 {
-        self.messages_lost
     }
 }
 
@@ -290,8 +213,8 @@ mod tests {
 
     fn two_node_net() -> (Network, NodeId, NodeId) {
         let mut net = Network::new();
-        let a = net.add_node("a", LinkSpec::fast_ethernet());
-        let b = net.add_node("b", LinkSpec::fast_ethernet());
+        let a = net.add_node(LinkSpec::fast_ethernet());
+        let b = net.add_node(LinkSpec::fast_ethernet());
         (net, a, b)
     }
 
@@ -316,10 +239,10 @@ mod tests {
     #[test]
     fn gigabit_is_ten_times_faster() {
         let mut net = Network::new();
-        let fast = net.add_node("fe", LinkSpec::fast_ethernet());
-        let gig = net.add_node("ge", LinkSpec::gigabit());
-        let sink1 = net.add_node("sink1", LinkSpec::gigabit());
-        let sink2 = net.add_node("sink2", LinkSpec::gigabit());
+        let fast = net.add_node(LinkSpec::fast_ethernet());
+        let gig = net.add_node(LinkSpec::gigabit());
+        let sink1 = net.add_node(LinkSpec::gigabit());
+        let sink2 = net.add_node(LinkSpec::gigabit());
         let slow = net.send(SimTime::ZERO, fast, sink1, 10_000_000);
         let quick = net.send(SimTime::ZERO, gig, sink2, 10_000_000);
         // Fast Ethernet bottleneck: ~800 ms; full GigE path: ~80 ms.
@@ -348,10 +271,8 @@ mod tests {
     #[test]
     fn receiver_port_is_shared_bottleneck() {
         let mut net = Network::new();
-        let senders: Vec<NodeId> = (0..4)
-            .map(|i| net.add_node(format!("s{i}"), LinkSpec::gigabit()))
-            .collect();
-        let service = net.add_node("svc", LinkSpec::fast_ethernet());
+        let senders: Vec<NodeId> = (0..4).map(|_| net.add_node(LinkSpec::gigabit())).collect();
+        let service = net.add_node(LinkSpec::fast_ethernet());
         let times: Vec<SimTime> = senders
             .iter()
             .map(|&s| net.send(SimTime::ZERO, s, service, 1_000_000))
@@ -365,56 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn traffic_counters_track_both_directions() {
-        let (mut net, a, b) = two_node_net();
-        net.send(SimTime::ZERO, a, b, 500);
-        net.send(SimTime::from_secs(1), b, a, 300);
-        assert_eq!(
-            net.traffic(a),
-            TrafficStats {
-                bytes_sent: 500,
-                bytes_received: 300
-            }
-        );
-        assert_eq!(
-            net.traffic(b),
-            TrafficStats {
-                bytes_sent: 300,
-                bytes_received: 500
-            }
-        );
-        assert_eq!(net.total_bytes(), 800);
-        assert_eq!(net.message_count(), 2);
-    }
-
-    #[test]
-    fn lost_messages_still_occupy_the_wire() {
-        let (mut net, a, b) = two_node_net();
-        let would_deliver = net.send_lost(SimTime::ZERO, a, b, 1_000_000);
-        assert!(
-            would_deliver.as_secs_f64() > 0.08,
-            "loss noticed after the window"
-        );
-        assert_eq!(net.lost_count(), 1);
-        assert_eq!(net.message_count(), 1, "the frames were carried");
-        // The retransmission queues behind the wasted transmission.
-        let retransmitted = net.send(would_deliver, a, b, 1_000_000);
-        assert!(retransmitted > would_deliver);
-        assert_eq!(net.lost_count(), 1, "plain send is not a loss");
-        assert_eq!(net.traffic(a).bytes_sent, 2_000_000);
-    }
-
-    #[test]
     #[should_panic(expected = "cannot send to itself")]
     fn self_send_panics() {
         let (mut net, a, _) = two_node_net();
         net.send(SimTime::ZERO, a, a, 1);
-    }
-
-    #[test]
-    fn node_names_round_trip() {
-        let (net, a, b) = two_node_net();
-        assert_eq!(net.node_name(a), "a");
-        assert_eq!(net.node_name(b), "b");
     }
 }

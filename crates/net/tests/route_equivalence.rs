@@ -27,11 +27,7 @@ fn cluster(
     let mut links = vec![worker_link; workers];
     links.push(LinkSpec::gigabit());
     links.extend([service_link; 4]);
-    let ids = links
-        .iter()
-        .enumerate()
-        .map(|(i, &link)| net.add_node(format!("n{i}"), link))
-        .collect();
+    let ids = links.iter().map(|&link| net.add_node(link)).collect();
     (net, ids, links)
 }
 
@@ -116,25 +112,14 @@ fn route_then_send_on_equals_send_on_every_pair() {
     for (worker_link, service_link) in shapes() {
         let (mut whole, ids, links) = cluster(3, worker_link, service_link);
         let (mut split, _, _) = cluster(3, worker_link, service_link);
-        for (i, (now, from, to, bytes)) in schedule(links.len()).into_iter().enumerate() {
+        for (now, from, to, bytes) in schedule(links.len()) {
             let (from, to) = (ids[from], ids[to]);
             let route = split.route(from, to, bytes);
             assert_eq!(route, split.route(from, to, bytes), "a route is pure");
             let via_send = whole.send(now, from, to, bytes);
-            // Every other message goes through the lossy path, which
-            // must reserve the ports identically.
-            let via_route = if i % 2 == 0 {
-                split.send_on(now, from, to, route)
-            } else {
-                split.send_lost(now, from, to, bytes)
-            };
+            let via_route = split.send_on(now, from, to, route);
             assert_eq!(via_send, via_route, "{from} -> {to}, {bytes} B at {now}");
         }
-        for &id in &ids {
-            assert_eq!(whole.traffic(id), split.traffic(id));
-        }
-        assert_eq!(whole.total_bytes(), split.total_bytes());
-        assert_eq!(whole.message_count(), split.message_count());
     }
 }
 

@@ -17,9 +17,7 @@ fn seeded() -> Database {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 2048 } else { 512 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Arbitrary byte soup never panics the parser or executor.
     #[test]

@@ -137,12 +137,9 @@ impl FaultPlan {
     }
 
     /// Checks every fault's shape: crashes need a worker and a
-    /// scheduled time; probabilistic kinds need `p` in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultPlanError`] naming the first malformed fault.
-    pub fn validate(&self) -> Result<(), FaultPlanError> {
+    /// scheduled time; probabilistic kinds need `p` in `[0, 1]`. Returns
+    /// a [`FaultPlanError`] naming the first malformed fault.
+    fn validate(&self) -> Result<(), FaultPlanError> {
         for (i, fault) in self.faults.iter().enumerate() {
             match (fault.kind, fault.trigger) {
                 (FaultKind::Crash, FaultTrigger::At(_)) => {
@@ -195,7 +192,8 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns [`FaultPlanError`] on malformed JSON, unknown keys or
-    /// kinds, and any [`FaultPlan::validate`] failure.
+    /// kinds, and a malformed fault: a crash needs a worker and a time,
+    /// every other kind a probability in `[0, 1]`.
     pub fn from_json(text: &str) -> Result<FaultPlan, FaultPlanError> {
         let value = json::parse(text).map_err(FaultPlanError)?;
         let object = value
@@ -304,7 +302,6 @@ fn parse_fault(i: usize, value: &json::Value) -> Result<FaultSpec, FaultPlanErro
 /// use microfaas_sim::faults::{FaultInjector, FaultPlan};
 ///
 /// let mut inert = FaultInjector::new(&FaultPlan::empty());
-/// assert!(!inert.is_active());
 /// assert!(!inert.boot_fails(0), "no plan, no failures");
 ///
 /// let plan = FaultPlan::from_json(
@@ -316,7 +313,6 @@ fn parse_fault(i: usize, value: &json::Value) -> Result<FaultSpec, FaultPlanErro
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rng: Rng,
-    active: bool,
     crashes: Vec<(SimTime, usize)>,
     boot_failure: Vec<(Option<usize>, f64)>,
     hang: Vec<(Option<usize>, f64)>,
@@ -328,13 +324,12 @@ impl FaultInjector {
     ///
     /// # Panics
     ///
-    /// Panics if the plan fails [`FaultPlan::validate`]; parse plans
-    /// through [`FaultPlan::from_json`] to surface the error instead.
+    /// Panics on a malformed fault, which [`FaultPlan::from_json`]
+    /// refuses; parse plans through it to surface the error instead.
     pub fn new(plan: &FaultPlan) -> Self {
         plan.validate().expect("fault plan must be valid");
         let mut injector = FaultInjector {
             rng: Rng::new(plan.seed),
-            active: !plan.is_empty(),
             crashes: Vec::new(),
             boot_failure: Vec::new(),
             hang: Vec::new(),
@@ -361,11 +356,6 @@ impl FaultInjector {
         }
         injector.crashes.sort_by_key(|&(at, w)| (at, w));
         injector
-    }
-
-    /// True if the plan injects at least one fault.
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Scheduled `(instant, worker)` crashes, sorted by time.
@@ -494,7 +484,6 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let mut injector = FaultInjector::new(&FaultPlan::empty());
-        assert!(!injector.is_active());
         assert!(injector.scheduled_crashes().is_empty());
         for w in 0..8 {
             assert!(!injector.boot_fails(w));

@@ -10,7 +10,7 @@
 //!   most 32 events are pending, then a hierarchical timing wheel with a
 //!   far-future overflow heap) with O(1) amortized schedule/pop/cancel,
 //!   FIFO tie-breaking, and cancellation — see `docs/SCALING.md`;
-//! * [`Rng`] / [`SplitMix64`] — reproducible pseudo-random generators
+//! * [`Rng`] — a reproducible pseudo-random generator
 //!   implemented in-crate so the stream can never change underneath us;
 //! * [`OnlineStats`], [`Samples`], [`QuantileSketch`], [`TimeWeighted`] —
 //!   measurement helpers, including the time-weighted integrator that
@@ -101,7 +101,7 @@ pub use exec::{par_map, par_map_indexed, Jobs};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultPlanError, FaultSpec, FaultTrigger};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use queue::{EventId, EventQueue};
-pub use rng::{CdfTable, Rng, SplitMix64};
+pub use rng::{CdfTable, Rng};
 pub use span::{CriticalPath, JobSpan, LifecycleSpan, Phase, PhaseStats, SpanTree};
 pub use stats::{OnlineStats, QuantileSketch, Samples, TimeWeighted};
 pub use telemetry::{

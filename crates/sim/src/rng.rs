@@ -4,35 +4,24 @@
 //! so we implement our own small generators rather than depending on an
 //! external crate whose stream might change between versions:
 //!
-//! * [`SplitMix64`] — used to seed other generators from a single `u64`.
 //! * [`Rng`] (xoshiro256\*\*) — the general-purpose generator used by every
-//!   stochastic model (arrival processes, runtime jitter, input generation).
+//!   stochastic model (arrival processes, runtime jitter, input generation),
+//!   seeded from a single `u64` through SplitMix64.
 
 /// SplitMix64 generator (Steele, Lea & Flood), used for seeding.
-///
-/// # Examples
-///
-/// ```
-/// use microfaas_sim::SplitMix64;
-///
-/// let mut sm = SplitMix64::new(42);
-/// let a = sm.next_u64();
-/// let b = sm.next_u64();
-/// assert_ne!(a, b);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitMix64 {
+struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Returns the next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -59,7 +48,7 @@ pub struct Rng {
 }
 
 impl Rng {
-    /// Creates a generator, expanding `seed` with [`SplitMix64`].
+    /// Creates a generator, expanding `seed` with SplitMix64.
     pub fn new(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         Rng {

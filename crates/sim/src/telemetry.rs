@@ -1007,12 +1007,6 @@ impl Default for AlertPolicy {
 }
 
 impl AlertPolicy {
-    fn validate(&self) {
-        if let Err(problem) = self.try_validate() {
-            panic!("{problem}");
-        }
-    }
-
     /// Checks the policy [`evaluate_alerts`] panics on.
     ///
     /// # Errors
@@ -1077,7 +1071,9 @@ fn edge_walk(
 /// Panics if the policy is malformed (see
 /// [`AlertPolicy::try_validate`]).
 pub fn evaluate_alerts(series: &TelemetrySeries, policy: &AlertPolicy) -> Vec<Alert> {
-    policy.validate();
+    if let Err(problem) = policy.try_validate() {
+        panic!("{problem}");
+    }
     let mut out = Vec::new();
     let budget = 1.0 - policy.slo_target;
 

@@ -155,12 +155,6 @@ impl Conditions {
         }
     }
 
-    fn validate(&self) {
-        if let Err(problem) = self.try_validate() {
-            panic!("{problem}");
-        }
-    }
-
     /// Checks the conditions [`CostModel::evaluate`] panics on.
     ///
     /// # Errors
@@ -216,7 +210,9 @@ impl CostModel {
     ///
     /// Panics if `conditions` carry out-of-range fractions.
     pub fn evaluate(&self, cluster: &ClusterSpec, conditions: Conditions) -> CostBreakdown {
-        conditions.validate();
+        if let Err(problem) = conditions.try_validate() {
+            panic!("{problem}");
+        }
         let compute = cluster.node_count as f64 * cluster.node.unit_cost / conditions.online_rate;
         let network = cluster.switch_count() as f64 * cluster.switch_cost
             + cluster.node_count as f64 * cluster.cable_cost_per_node;

@@ -152,9 +152,7 @@ fn text_strategy() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 1024 } else { 256 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The script interpreter never panics on arbitrary source text —
     /// parse errors and runtime errors only (here because this test

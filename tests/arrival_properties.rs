@@ -80,9 +80,7 @@ fn draw_until(arrival: ArrivalProcess, seed: u64, horizon_s: f64) -> (Vec<SimDur
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 128 } else { 32 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every traffic shape replays the identical gap sequence under the
     /// same seed — nanosecond-for-nanosecond.

@@ -119,9 +119,7 @@ proptest! {
     // Each case is 14 runs of the 850-job quick mix; about 2% of static
     // placements strand a job when the bug is present, so 64 cases give
     // it room to show.
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 256 } else { 64 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// One to three crashes within the quick mix's run (about 320 s on
     /// SBCs, 255 s on VMs) can neither spend the three-attempt retry
@@ -156,9 +154,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 96 } else { 24 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Empty and zero-probability plans are bit-identical to the
     /// fault-free default on both clusters — the injection hooks

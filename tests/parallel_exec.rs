@@ -180,9 +180,7 @@ fn conventional_trace_and_metrics_are_jobs_invariant() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 32 } else { 8 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Parity holds for arbitrary seeds, sweep widths, and job counts —
     /// not just the hand-picked cases above.

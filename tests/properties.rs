@@ -13,9 +13,7 @@ use microfaas_workloads::algorithms::md5::md5;
 use microfaas_workloads::algorithms::sha256::{sha256, Sha256};
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 1024 } else { 256 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Events always come back in non-decreasing time order, regardless
     /// of insertion order.

@@ -41,9 +41,7 @@ fn micro_config_strategy() -> impl Strategy<Value = MicroFaasConfig> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 192 } else { 48 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every queued job completes exactly once, whatever the config.
     #[test]

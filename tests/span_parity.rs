@@ -160,9 +160,7 @@ fn critical_path_accounts_for_every_span() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(feature = "heavy-tests") { 24 } else { 6 }
-    ))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The exact-decomposition invariant holds on real closed-loop runs
     /// of both clusters, for arbitrary seeds.
