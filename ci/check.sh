@@ -402,4 +402,7 @@ cli 30 analyze \
 cmp "$tmpdir/spans_serial.csv" "$tmpdir/spans_parallel.csv" || {
     echo "parallel analyze diverged from serial"; exit 1; }
 
+echo "==> code lines per crate (ci/loc.sh; reported, not gated)"
+ci/loc.sh
+
 echo "All checks passed."

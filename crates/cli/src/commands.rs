@@ -627,15 +627,18 @@ fn tenant_classes(spec: &str) -> Result<Vec<TenantClass>, String> {
             raw.parse()
                 .map_err(|_| format!("tenant '{part}': '{raw}' is not a number"))
         };
-        let class = TenantClass {
+        Ok(TenantClass {
             name: name.to_string(),
             weight: number(weight)?,
             slo_latency_s: number(slo)?,
-        };
-        class.try_validate()?;
-        Ok(class)
+        })
     };
-    spec.split(',').map(class).collect()
+    let classes = spec
+        .split(',')
+        .map(class)
+        .collect::<Result<Vec<_>, String>>()?;
+    TenantClass::try_validate_all(&classes)?;
+    Ok(classes)
 }
 
 /// Picojoules as display joules (tables only; exports keep the exact

@@ -9,7 +9,9 @@
 use std::fmt::{Display, Write as _};
 use std::str::FromStr;
 
+use microfaas::openloop::MAX_NODES;
 use microfaas_energy::attribution::IdlePolicy;
+use microfaas_hw::server::MAX_VMS;
 use microfaas_sched::{GovernorKind, PlacementKind};
 
 use crate::args::{Args, ParseArgsError};
@@ -24,8 +26,8 @@ csv           | PATH  | text      | write the results as CSV (columns: docs/EXPE
 metrics-out   | PATH  | text      | write the Prometheus text exposition
 faults        | PATH  | text      | JSON fault plan applied to both clusters
 jobs          | N     | text      | parallel runs, bit-identical at any count (default: cores)
-max-vms       | N     | count     | largest VM count of the sweep
-workers       | N     | count     | worker nodes
+max-vms       | N     | vms       | largest VM count of the sweep
+workers       | N     | nodes     | worker nodes
 utilization   | F     | real      | fraction of time each node is loaded, in [0, 1]
 online-rate   | F     | real      | fraction of nodes online, in (0, 1]
 rate          | F     | positive  | Poisson arrival rate, jobs/s
@@ -123,14 +125,18 @@ enum Kind {
 
 impl Kind {
     /// The rule a [`FLAGS`] row names: `switch`, `text`, `count` (a whole
-    /// number of at least 1), `id` (any u64), `secs` (whole seconds, at
-    /// least 1, whose microsecond count fits in a u64), `positive`,
-    /// `real`, or the library type whose labels the flag takes.
+    /// number of at least 1), `vms` (a count up to the rack server's
+    /// [`MAX_VMS`]), `nodes` (a count up to the open loop's
+    /// [`MAX_NODES`]), `id` (any u64), `secs` (whole seconds, at least 1,
+    /// whose microsecond count fits in a u64), `positive`, `real`, or the
+    /// library type whose labels the flag takes.
     fn named(rule: &str) -> Kind {
         match rule {
             "switch" => Kind::Switch,
             "text" => Kind::Text,
             "count" => Kind::Int(1, u64::MAX),
+            "vms" => Kind::Int(1, MAX_VMS as u64),
+            "nodes" => Kind::Int(1, MAX_NODES as u64),
             "id" => Kind::Int(0, u64::MAX),
             "secs" => Kind::Int(1, MAX_SECS),
             "positive" => Kind::Positive,
@@ -410,7 +416,7 @@ mod tests {
             Kind::Switch => &["1", "yes"],
             Kind::Text | Kind::Choice(_) => &[""],
             Kind::Int(0, _) => &["", "-1", "1.5", "abc", "18446744073709551616"],
-            Kind::Int(_, max) if max < u64::MAX => &["0", "-1", "", "18446744073710"],
+            Kind::Int(_, max) if max < u64::MAX => &["0", "-1", "1.5", "", "18446744073710"],
             Kind::Int(..) => &["0", "-1", "1.5", "", "18446744073709551616"],
             Kind::Positive | Kind::Real => &["nan", "inf", "-inf", "1e400", "-1", ""],
         }

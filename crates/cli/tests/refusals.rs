@@ -128,3 +128,39 @@ fn names_that_would_break_an_export_are_refused() {
         csv.display()
     ));
 }
+
+#[test]
+fn a_tenant_name_given_twice_is_refused() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    // Each name keys its own Prometheus series and CSV columns, so a
+    // repeat wrote two series of one name and its columns twice.
+    let metrics = dir.join("twice_tenant.prom");
+    assert_refused(&format!(
+        "energy --tenants a:1,a:2 --duration-secs 60 --metrics-out {}",
+        metrics.display()
+    ));
+    let csv = dir.join("twice_tenant.csv");
+    assert_refused(&format!(
+        "monitor --tenants a:1:5,a:1:5 --duration-secs 60 --csv {}",
+        csv.display()
+    ));
+    let spec = dir.join("twice_tenant.json");
+    std::fs::write(
+        &spec,
+        r#"{"name": "x", "arrivals": "poisson:0.5", "tenants": [
+            {"name": "a", "weight": 1, "slo_latency_s": 5},
+            {"name": "a", "weight": 2, "slo_latency_s": 5}]}"#,
+    )
+    .expect("spec written");
+    assert_refused(&format!("scenarios --spec {}", spec.display()));
+}
+
+#[test]
+fn fleets_past_their_library_bound_are_refused() {
+    // The rack server's RAM admits 30 VMs.
+    assert_refused("sweep --max-vms 31 --invocations 1 --jobs 1");
+    // An open-loop node index is a u32.
+    assert_refused("openloop --workers 5000000000 --duration-secs 1");
+    // Once a 2.4 TB allocation that aborted the process.
+    assert_refused("proportionality --workers 100000000000");
+}

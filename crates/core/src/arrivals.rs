@@ -735,6 +735,26 @@ impl TenantClass {
         }
         Ok(())
     }
+
+    /// Checks a whole tenant mix: every class passes
+    /// [`TenantClass::try_validate`] and no name is given twice, since
+    /// each name keys its own export series and CSV columns.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first problem.
+    pub fn try_validate_all(classes: &[TenantClass]) -> Result<(), String> {
+        for (i, class) in classes.iter().enumerate() {
+            class.try_validate()?;
+            if classes[..i]
+                .iter()
+                .any(|earlier| earlier.name == class.name)
+            {
+                return Err(format!("tenant \"{}\" is named twice", class.name));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Refuses a tenant or scenario name that cannot reach an export intact:
@@ -798,15 +818,15 @@ impl TenantTracker {
     ///
     /// # Panics
     ///
-    /// Panics if any class fails [`TenantClass::try_validate`].
+    /// Panics if the classes fail [`TenantClass::try_validate_all`].
     pub fn new(classes: &[TenantClass]) -> Self {
+        if let Err(problem) = TenantClass::try_validate_all(classes) {
+            panic!("{problem}");
+        }
         let mut total = 0.0;
         let cdf: Vec<f64> = classes
             .iter()
             .map(|class| {
-                if let Err(problem) = class.try_validate() {
-                    panic!("{problem}");
-                }
                 total += class.weight;
                 total
             })
@@ -1023,6 +1043,7 @@ fn parse_scenario(value: &json::Value) -> Result<Scenario, String> {
                 for (i, entry) in list.iter().enumerate() {
                     tenants.push(parse_tenant(i, entry)?);
                 }
+                TenantClass::try_validate_all(&tenants)?;
             }
             other => {
                 return Err(format!(
@@ -1447,6 +1468,35 @@ mod tests {
             let err = class("paid", weight, slo).try_validate().unwrap_err();
             assert!(err.contains(needle), "{weight}, {slo}: {err}");
         }
+    }
+
+    #[test]
+    fn a_name_given_twice_is_refused() {
+        let class = |name: &str| TenantClass {
+            name: name.to_string(),
+            weight: 1.0,
+            slo_latency_s: 5.0,
+        };
+        let mix = [class("a"), class("b")];
+        assert_eq!(TenantClass::try_validate_all(&mix), Ok(()));
+        let twice = [class("a"), class("b"), class("a")];
+        let err = TenantClass::try_validate_all(&twice).unwrap_err();
+        assert_eq!(err, "tenant \"a\" is named twice");
+        let spec = r#"{"name": "x", "arrivals": "poisson:0.5", "tenants": [
+            {"name": "a", "weight": 1, "slo_latency_s": 5},
+            {"name": "a", "weight": 2, "slo_latency_s": 5}]}"#;
+        assert_eq!(Scenario::from_json(spec).unwrap_err(), err);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant \"a\" is named twice")]
+    fn a_tracker_panics_on_a_name_given_twice() {
+        let class = TenantClass {
+            name: "a".to_string(),
+            weight: 1.0,
+            slo_latency_s: 5.0,
+        };
+        TenantTracker::new(&[class.clone(), class]);
     }
 
     #[test]

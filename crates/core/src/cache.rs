@@ -444,11 +444,6 @@ impl<V> ResultCache<V> {
         self.map.is_empty()
     }
 
-    /// Maximum entry count.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Telemetry accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats

@@ -66,17 +66,26 @@ pub(crate) trait NodeClass {
 
     /// The run label, e.g. `MicroFaaS (10 SBCs)`.
     fn label(&self) -> String;
+    /// Worker `w`'s lifecycle state.
+    fn state(&self, w: usize) -> WorkerState;
     /// The meter channel, the worker index a power sample carries, and
     /// the draw to record, as of worker `w`'s current state.
     fn power(&self, w: usize) -> (ChannelId, usize, f64);
     /// Whether `w` is booting, rebooting or executing, or crashed and
     /// awaiting recovery: on a path that ends in pulling its queue.
-    fn pulling(&self, w: usize) -> bool;
+    fn pulling(&self, w: usize) -> bool {
+        use WorkerState::{Booting, Crashed, Executing, Rebooting};
+        matches!(self.state(w), Booting | Rebooting | Executing | Crashed)
+    }
     /// [`Self::pulling`], or otherwise certain to look at its queue
     /// again without being woken.
-    fn returning(&self, core: &Core<'_, '_, Self::Event>, w: usize) -> bool;
+    fn returning(&self, _core: &Core<'_, '_, Self::Event>, w: usize) -> bool {
+        self.pulling(w)
+    }
     /// Whether `w` is down after a crash.
-    fn crashed(&self, w: usize) -> bool;
+    fn crashed(&self, w: usize) -> bool {
+        self.state(w) == WorkerState::Crashed
+    }
     /// Asks `w` to come to its queue; `true` when it is idle and can
     /// start a job now.
     fn wake(
@@ -110,9 +119,9 @@ pub(crate) trait NodeClass {
     fn boot_complete(&mut self, w: usize);
     /// Takes `w` down; `false` if there was nothing running to crash.
     fn crash(&mut self, core: &mut Core<'_, '_, Self::Event>, w: usize) -> bool;
-    /// Crashed → back on the way up. Returns the state to report and
-    /// the boot window that follows.
-    fn recover(&mut self, w: usize) -> (WorkerState, SimDuration);
+    /// Crashed → back on the way up. Returns the boot window that
+    /// follows.
+    fn recover(&mut self, w: usize) -> SimDuration;
     /// Handles one of the class's own timers; `true` asks the engine
     /// to start `w`'s next job.
     fn on_event(
@@ -594,8 +603,9 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         run
     }
 
-    fn mark(&mut self, now: SimTime, w: usize, state: WorkerState) {
-        let power = self.fleet.power(w);
+    /// Reports the state `w` just entered and its draw.
+    fn mark(&mut self, now: SimTime, w: usize) {
+        let (state, power) = (self.fleet.state(w), self.fleet.power(w));
         self.core.mark(now, w, state, power);
     }
 
@@ -634,7 +644,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
                 core.fr.dead[w] = true;
                 let went_down = self.fleet.crash(core, w);
                 debug_assert!(went_down, "a booting worker can crash");
-                self.mark(now, w, WorkerState::Crashed);
+                self.mark(now, w);
                 self.redistribute(w, now);
                 self.maybe_shed(now);
             } else {
@@ -648,7 +658,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         }
         core.fr.boot_failures[w] = 0;
         self.fleet.boot_complete(w);
-        self.mark(now, w, WorkerState::Idle);
+        self.mark(now, w);
         self.start_next_job(w, now);
     }
 
@@ -760,7 +770,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             flight.cancel(&mut core.queue);
             self.requeue(flight.job, w, now);
         }
-        self.mark(now, w, WorkerState::Crashed);
+        self.mark(now, w);
         let at = now + DETECTION_DELAY;
         self.core.queue.schedule(at, Event::Recover(w));
         self.maybe_shed(now);
@@ -770,8 +780,8 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
         if self.core.fr.dead[w] || !self.fleet.crashed(w) {
             return;
         }
-        let (state, window) = self.fleet.recover(w);
-        self.mark(now, w, state);
+        let window = self.fleet.recover(w);
+        self.mark(now, w);
         let core = &mut self.core;
         core.with_metrics(|m, h| m.inc(h.boots));
         core.boot_pending[w] = Some(core.queue.schedule(now + window, Event::BootDone(w)));
@@ -890,7 +900,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
             return;
         }
         self.fleet.finish_job(w);
-        self.mark(now, w, WorkerState::Rebooting);
+        self.mark(now, w);
         let core = &mut self.core;
         if N::REBOOT_IS_A_BOOT {
             core.with_metrics(|m, h| m.inc(h.boots));
@@ -955,7 +965,7 @@ impl<'a, 'b, N: NodeClass> ClusterSim<'a, 'b, N> {
                 worker: w,
             },
         );
-        self.mark(now, w, WorkerState::Executing);
+        self.mark(now, w);
         let core = &mut self.core;
         let exec = self
             .fleet

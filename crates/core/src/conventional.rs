@@ -19,7 +19,7 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use microfaas_energy::{ChannelId, EnergyMeter};
-use microfaas_hw::server::{RackServer, VmState};
+use microfaas_hw::server::RackServer;
 use microfaas_net::LinkSpec;
 use microfaas_sched::{GovernorKind, PlacementKind};
 use microfaas_sim::faults::FaultPlan;
@@ -108,7 +108,8 @@ impl ConventionalConfig {
 ///
 /// # Panics
 ///
-/// Panics if `vms` is zero.
+/// Panics if `vms` is zero or above [`microfaas_hw::server::MAX_VMS`],
+/// the most VMs the host's RAM admits.
 ///
 /// # Examples
 ///
@@ -162,7 +163,7 @@ pub fn run_conventional_with(
     // The host draws its idle floor before any job exists, and its
     // channel is traced as worker 0 from t = 0.
     let channel = meter.add_channel("rack-server");
-    let watts = server.power().value();
+    let watts = server.power();
     meter.set_power(SimTime::ZERO, channel, watts);
     observer.emit(SimTime::ZERO, TraceEvent::PowerSample { worker: 0, watts });
     let setup = Setup {
@@ -192,12 +193,6 @@ struct VmHost {
     channel: ChannelId,
 }
 
-impl VmHost {
-    fn state(&self, v: usize) -> VmState {
-        self.server.vm(v).state()
-    }
-}
-
 impl NodeClass for VmHost {
     /// VMs schedule no timers of their own.
     type Event = Infallible;
@@ -210,29 +205,18 @@ impl NodeClass for VmHost {
         format!("Conventional ({} VMs)", self.server.vm_count())
     }
 
+    fn state(&self, v: usize) -> WorkerState {
+        self.server.state(v)
+    }
+
     /// The shared host channel, re-read after every VM state change.
     fn power(&self, _v: usize) -> (ChannelId, usize, f64) {
-        (self.channel, 0, self.server.power().value())
-    }
-
-    fn pulling(&self, v: usize) -> bool {
-        matches!(
-            self.state(v),
-            VmState::Executing | VmState::Rebooting | VmState::Crashed
-        )
-    }
-
-    fn returning(&self, _core: &Core<'_, '_, Infallible>, v: usize) -> bool {
-        self.pulling(v)
-    }
-
-    fn crashed(&self, v: usize) -> bool {
-        self.state(v) == VmState::Crashed
+        (self.channel, 0, self.server.power())
     }
 
     /// VMs never power off, so only an idle VM answers a wake.
     fn wake(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize, _: SimTime, _: &str) -> bool {
-        self.state(v) == VmState::Idle
+        self.state(v) == WorkerState::Idle
     }
 
     fn start_job(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize) {
@@ -272,25 +256,20 @@ impl NodeClass for VmHost {
     }
 
     /// The dead VM's CPU share rebalances onto the survivors and the
-    /// host power steps down with the busy-VM count.
+    /// host power steps down with the busy-VM count. A VM already down
+    /// refuses the move.
     fn crash(&mut self, _: &mut Core<'_, '_, Infallible>, v: usize) -> bool {
-        if self.crashed(v) {
-            return false;
-        }
-        self.server.crash_vm(v).expect("vm is running");
-        true
+        self.server.crash_vm(v).is_ok()
     }
 
     /// A fresh VM is spawned in the dead one's slot. A respawn
     /// cold-starts the guest: the boot window stretches beyond the warm
     /// between-jobs reboot, and contention applies.
-    fn recover(&mut self, v: usize) -> (WorkerState, SimDuration) {
+    fn recover(&mut self, v: usize) -> SimDuration {
         self.server.respawn_vm(v).expect("vm crashed");
-        let boot = self
-            .server
+        self.server
             .vm_boot_duration()
-            .mul_f64(RESPAWN_BOOT_PENALTY * self.server.current_slowdown());
-        (WorkerState::Rebooting, boot)
+            .mul_f64(RESPAWN_BOOT_PENALTY * self.server.current_slowdown())
     }
 
     fn on_event(
@@ -307,7 +286,7 @@ impl NodeClass for VmHost {
 /// Average host power with exactly `busy` of the VMs active — the
 /// closed-form behind Fig. 5's VM line.
 pub fn vm_cluster_power(busy: usize) -> f64 {
-    microfaas_hw::ServerPowerModel.draw(busy).value()
+    microfaas_hw::ServerPowerModel.draw(busy)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::gpio::PowerController;
-use microfaas_hw::sbc::{SbcNode, SbcState};
+use microfaas_hw::sbc::SbcNode;
 use microfaas_hw::SbcPowerModel;
 use microfaas_net::LinkSpec;
 use microfaas_sched::{DrainAction, GovernorKind, PlacementKind};
@@ -259,7 +259,7 @@ impl SbcFleet {
     /// Booted-idle workers right now — the governor's "warm pool".
     fn warm_idle_count(&self, core: &Core<'_, '_, SbcTimer>) -> usize {
         (0..self.nodes.len())
-            .filter(|&x| !core.fr.dead[x] && self.nodes[x].state() == SbcState::Idle)
+            .filter(|&x| !core.fr.dead[x] && self.nodes[x].state() == WorkerState::Idle)
             .count()
     }
 
@@ -307,37 +307,30 @@ impl NodeClass for SbcFleet {
         format!("MicroFaaS ({} SBCs)", self.nodes.len())
     }
 
-    fn power(&self, w: usize) -> (ChannelId, usize, f64) {
-        (self.channels[w], w, self.nodes[w].power().value())
+    fn state(&self, w: usize) -> WorkerState {
+        self.nodes[w].state()
     }
 
-    fn pulling(&self, w: usize) -> bool {
-        matches!(
-            self.nodes[w].state(),
-            SbcState::Booting | SbcState::Rebooting | SbcState::Executing | SbcState::Crashed
-        )
+    fn power(&self, w: usize) -> (ChannelId, usize, f64) {
+        (self.channels[w], w, self.nodes[w].power())
     }
 
     fn returning(&self, core: &Core<'_, '_, SbcTimer>, w: usize) -> bool {
-        match self.nodes[w].state() {
+        match self.state(w) {
             // A power-on in the GPIO actuation window boots and pulls.
-            SbcState::Off => core.boot_pending[w].is_some(),
+            WorkerState::Off => core.boot_pending[w].is_some(),
             // An armed idle gate re-checks the queue before gating.
-            SbcState::Idle => self.gate_pending[w].is_some(),
+            WorkerState::Idle => self.gate_pending[w].is_some(),
             _ => true,
         }
     }
 
-    fn crashed(&self, w: usize) -> bool {
-        self.nodes[w].state() == SbcState::Crashed
-    }
-
     fn wake(&mut self, core: SbcCore, w: usize, now: SimTime, reason: &'static str) -> bool {
-        match self.nodes[w].state() {
+        match self.state(w) {
             // A power-on already in the GPIO actuation window will pull
             // the queue when it lands; actuating again would leave a
             // stale PowerEffective firing into the middle of that boot.
-            SbcState::Off if core.boot_pending[w].is_none() => {
+            WorkerState::Off if core.boot_pending[w].is_none() => {
                 core.observer
                     .emit(now, TraceEvent::WakeRequested { worker: w, reason });
                 let effective = self.gpio.power_on(now);
@@ -346,7 +339,7 @@ impl NodeClass for SbcFleet {
                 false
             }
             // A parked (standby) node starts the next job directly.
-            SbcState::Idle => true,
+            WorkerState::Idle => true,
             _ => false,
         }
     }
@@ -409,7 +402,7 @@ impl NodeClass for SbcFleet {
                 if !forced && !self.power_gating {
                     // The gating ablation: model standby as the idle draw
                     // without the FSM round trip; the node is "parked".
-                    let standby = SbcPowerModel.standby().value();
+                    let standby = SbcPowerModel.standby();
                     core.mark(now, w, WorkerState::Idle, (self.channels[w], w, standby));
                 } else {
                     self.gate_off(core, w, now);
@@ -444,18 +437,18 @@ impl NodeClass for SbcFleet {
             .expect("scheduled only while booting");
     }
 
+    /// An off or crashed node has nothing to crash and refuses the move.
     fn crash(&mut self, core: SbcCore, w: usize) -> bool {
-        if matches!(self.nodes[w].state(), SbcState::Off | SbcState::Crashed) {
+        if self.nodes[w].crash().is_err() {
             return false;
         }
         self.cancel_gate(core, w);
-        self.nodes[w].crash().expect("node is powered");
         true
     }
 
-    fn recover(&mut self, w: usize) -> (WorkerState, SimDuration) {
+    fn recover(&mut self, w: usize) -> SimDuration {
         self.nodes[w].recover().expect("node crashed");
-        (WorkerState::Booting, self.boot_window)
+        self.boot_window
     }
 
     fn on_event(&mut self, core: SbcCore, w: usize, timer: SbcTimer, now: SimTime) -> bool {
@@ -472,7 +465,7 @@ impl NodeClass for SbcFleet {
                 self.gate_pending[w] = None;
                 // Stale gates (the worker crashed, died, or started a job
                 // that re-armed nothing) are dropped silently.
-                if core.fr.dead[w] || self.nodes[w].state() != SbcState::Idle {
+                if core.fr.dead[w] || self.state(w) != WorkerState::Idle {
                     return false;
                 }
                 // Work arrived while idle: run it instead of gating.
@@ -515,7 +508,7 @@ pub fn sbc_cluster_power(total: usize, active: usize, power_gating: bool) -> f64
     } else {
         model.standby()
     };
-    active as f64 * model.busy().value() + (total - active) as f64 * idle_draw.value()
+    active as f64 * model.busy() + (total - active) as f64 * idle_draw
 }
 
 #[cfg(test)]

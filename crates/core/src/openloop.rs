@@ -46,8 +46,8 @@ use std::sync::Arc;
 use microfaas_energy::attribution::{Attributor, EnergyLedger, IdlePolicy};
 use microfaas_energy::{ChannelId, EnergyMeter};
 use microfaas_hw::gpio::PowerController;
-use microfaas_hw::sbc::{SbcNode, SbcState};
-use microfaas_hw::{RackServer, VmState};
+use microfaas_hw::sbc::SbcNode;
+use microfaas_hw::RackServer;
 use microfaas_sched::{
     BudgetDecision, DrainAction, GovernorKind, NodeView, PlacementKind, PolicyEngine,
     BUDGET_THROTTLE_FACTOR,
@@ -707,15 +707,18 @@ enum Event<T> {
 const _: () = assert!(std::mem::size_of::<Event<SbcTimer>>() == 8);
 const _: () = assert!(std::mem::size_of::<Event<Infallible>>() == 8);
 
+/// The most nodes (SBCs or VMs) an open-loop run holds: each node's
+/// index travels in a `u32` through the engine's event queue.
+pub const MAX_NODES: usize = u32::MAX as usize;
+
 /// Checks a fleet of `n` nodes before it is built: at least one node,
-/// and every index fits the `u32` an [`Event`] carries, so the
-/// `w as u32` at each schedule never truncates.
+/// and at most [`MAX_NODES`], so the `w as u32` at each [`Event`]
+/// schedule never truncates.
 fn fleet_size(n: usize, node: &str) -> usize {
     assert!(n > 0, "cluster needs at least one {node}");
     assert!(
-        u32::try_from(n).is_ok(),
-        "cluster holds at most {} {node}s, got {n}",
-        u32::MAX
+        n <= MAX_NODES,
+        "cluster holds at most {MAX_NODES} {node}s, got {n}"
     );
     n
 }
@@ -1550,7 +1553,7 @@ enum SbcTimer {
 impl Sbc {
     /// Placement sees a waking node as powered.
     fn powered(&self) -> bool {
-        self.waking || self.node.state() != SbcState::Off
+        self.waking || self.node.state() != WorkerState::Off
     }
 }
 
@@ -1578,7 +1581,7 @@ impl SbcFleet {
         if !self.wants_census {
             return 0;
         }
-        let idle = |n: &&Sbc| n.node.state() == SbcState::Idle;
+        let idle = |n: &&Sbc| n.node.state() == WorkerState::Idle;
         self.nodes.iter().filter(idle).count()
     }
 
@@ -1635,7 +1638,7 @@ impl SbcFleet {
         w: usize,
         now: SimTime,
     ) {
-        if self.nodes[w].node.state() != SbcState::Executing {
+        if self.nodes[w].node.state() != WorkerState::Executing {
             return;
         }
         self.faults_injected += 1;
@@ -1702,7 +1705,7 @@ impl OpenClass for SbcFleet {
     }
 
     fn power(&self, w: usize) -> (usize, f64) {
-        (w, self.nodes[w].node.power().value())
+        (w, self.nodes[w].node.power())
     }
 
     fn queued<O: TraceObserver>(
@@ -1712,12 +1715,12 @@ impl OpenClass for SbcFleet {
         now: SimTime,
     ) -> bool {
         match self.nodes[w].node.state() {
-            SbcState::Off if !self.nodes[w].waking => {
+            WorkerState::Off if !self.nodes[w].waking => {
                 core.with_sched_metrics(|m, h| m.inc(h.cold_boots));
                 self.wake(core, w, now, "dispatch");
                 false
             }
-            SbcState::Idle => {
+            WorkerState::Idle => {
                 // A warm (standby) node absorbs the arrival with no boot
                 // in front of it.
                 core.with_sched_metrics(|m, h| m.inc(h.warm_hits));
@@ -1809,7 +1812,7 @@ impl OpenClass for SbcFleet {
                 // A node holds a gate only while idle, and a job start
                 // cancels it, so the node is still idle.
                 self.nodes[w].slot.timer = None;
-                debug_assert_eq!(self.nodes[w].node.state(), SbcState::Idle);
+                debug_assert_eq!(self.nodes[w].node.state(), WorkerState::Idle);
                 if core.policy.gate_on_idle_expiry(now, self.idle_census()) {
                     self.nodes[w].node.power_off().expect("node was idle");
                     self.gate_off(core, w, now);
@@ -1896,7 +1899,7 @@ impl OpenClass for VmHost {
     /// The idle floor draws from the first instant.
     fn init<O: TraceObserver>(&mut self, core: &mut Core<'_, O, Infallible>) {
         let ch = core.add_channel("rack-server");
-        let watts = self.server.power().value();
+        let watts = self.server.power();
         core.set_power(SimTime::ZERO, (ch, watts));
         let sample = TraceEvent::PowerSample { worker: ch, watts };
         core.observer.emit(SimTime::ZERO, sample);
@@ -1912,7 +1915,7 @@ impl OpenClass for VmHost {
 
     /// The shared host channel, re-read after every VM state change.
     fn power(&self, _: usize) -> (usize, f64) {
-        (0, self.server.power().value())
+        (0, self.server.power())
     }
 
     fn queued<O: TraceObserver>(
@@ -1921,7 +1924,7 @@ impl OpenClass for VmHost {
         v: usize,
         _: SimTime,
     ) -> bool {
-        self.server.vm(v).state() == VmState::Idle
+        self.server.state(v) == WorkerState::Idle
     }
 
     /// CPU contention is sampled at the start: a job's exec stretches by

@@ -281,11 +281,6 @@ impl Attributor {
         }
     }
 
-    /// The configured idle-apportionment policy.
-    pub fn policy(&self) -> IdlePolicy {
-        self.policy
-    }
-
     /// Attaches a power channel (initially 0 W, idle) and returns its
     /// index. Call in the same order as `EnergyMeter::add_channel`.
     pub fn add_channel(&mut self) -> usize {

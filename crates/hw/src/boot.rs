@@ -77,7 +77,7 @@ impl BootStage {
     }
 
     /// Human-readable description.
-    pub fn description(self) -> &'static str {
+    fn description(self) -> &'static str {
         match self {
             BootStage::KernelVersion => "choice of Linux kernel version",
             BootStage::MinimalKernelConfig => "minimal kernel configuration",

@@ -4,10 +4,11 @@
 //!
 //! * [`boot`] — the worker-OS boot-time pipeline of the paper's Fig. 1
 //!   (stages A–I, with the published 1.51 s / 0.96 s endpoints);
-//! * [`power`] — device power models (SBC, rack server, ToR switch) from
-//!   the paper's appendix;
+//! * [`power`] — device power models (SBC, rack server) from the paper's
+//!   appendix, in watts;
 //! * [`sbc`] — the BeagleBone Black worker as a lifecycle state machine
-//!   (off → booting → idle → executing → rebooting);
+//!   (off → booting → idle → executing → rebooting) over the trace's
+//!   `WorkerState`, with the checked step every node model takes;
 //! * [`server`] — the Opteron rack server hosting QEMU microVMs, with CPU
 //!   contention and the utilization→power curve behind Figs. 4 and 5;
 //! * [`gpio`] — the PWR_BUT power-control wiring between the
@@ -26,6 +27,6 @@ pub mod sbc;
 pub mod server;
 
 pub use boot::{BootPlatform, BootProfile, BootStage, BootTime};
-pub use power::{SbcPowerModel, ServerPowerModel, Watts};
-pub use sbc::{SbcNode, SbcState};
-pub use server::{RackServer, VmState, VmWorker};
+pub use power::{SbcPowerModel, ServerPowerModel};
+pub use sbc::SbcNode;
+pub use server::RackServer;

@@ -1,51 +1,37 @@
 //! The single-board-computer worker node: a finite-state machine over the
 //! power states the orchestration plane drives through each worker's
 //! PWR_BUT GPIO pin (modeled by the [`crate::gpio`] module).
+//!
+//! The node runs on the trace's own [`WorkerState`], so the state a node
+//! is in is the state a trace reports. Its edges, each one method:
+//!
+//! | method | from | to |
+//! |---|---|---|
+//! | [`SbcNode::power_on`] | off | booting |
+//! | [`SbcNode::boot_complete`] | booting, rebooting | idle |
+//! | [`SbcNode::start_job`] | idle | executing |
+//! | [`SbcNode::finish_job_and_reboot`] | executing | rebooting |
+//! | [`SbcNode::finish_job_and_power_off`] | executing | off |
+//! | [`SbcNode::finish_job_and_standby`] | executing | idle |
+//! | [`SbcNode::power_off`] | idle | off |
+//! | [`SbcNode::crash`] | booting, idle, executing, rebooting | crashed |
+//! | [`SbcNode::recover`] | crashed | booting |
+//!
+//! Any other move is refused with a [`TransitionError`] and leaves the
+//! node where it was.
 
 use std::fmt;
 
+use microfaas_sim::trace::WorkerState::{self, Booting, Crashed, Executing, Idle, Off, Rebooting};
 use microfaas_sim::SimDuration;
 
 use crate::boot::{BootPlatform, BootTime};
-use crate::power::{SbcPowerModel, Watts};
+use crate::power::SbcPowerModel;
 
-/// The power/lifecycle state of an SBC worker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum SbcState {
-    /// Fully powered down (the energy-proportional default).
-    #[default]
-    Off,
-    /// Booting the worker OS after power-on.
-    Booting,
-    /// Booted and waiting for a job.
-    Idle,
-    /// Running a function to completion (single tenant).
-    Executing,
-    /// Rebooting between jobs to restore the known-clean state.
-    Rebooting,
-    /// Down after a fault; draws nothing until the orchestrator
-    /// power-cycles it back through a full boot.
-    Crashed,
-}
-
-impl fmt::Display for SbcState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            SbcState::Off => "off",
-            SbcState::Booting => "booting",
-            SbcState::Idle => "idle",
-            SbcState::Executing => "executing",
-            SbcState::Rebooting => "rebooting",
-            SbcState::Crashed => "crashed",
-        };
-        write!(f, "{name}")
-    }
-}
-
-/// Error for an illegal lifecycle transition.
+/// Error for an illegal lifecycle transition of an SBC or a VM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransitionError {
-    from: SbcState,
+    from: WorkerState,
     attempted: &'static str,
 }
 
@@ -56,6 +42,27 @@ impl fmt::Display for TransitionError {
 }
 
 impl std::error::Error for TransitionError {}
+
+/// The one checked step every node model takes: moves `state` to `to`
+/// if it is one of `from` and returns the state it left; otherwise
+/// leaves it as it was and names the `attempted` move.
+#[inline]
+pub(crate) fn step(
+    state: &mut WorkerState,
+    from: &[WorkerState],
+    to: WorkerState,
+    attempted: &'static str,
+) -> Result<WorkerState, TransitionError> {
+    let left = *state;
+    if !from.contains(&left) {
+        return Err(TransitionError {
+            from: left,
+            attempted,
+        });
+    }
+    *state = to;
+    Ok(left)
+}
 
 /// One BeagleBone Black worker node: its lifecycle state, one byte. A
 /// node starts powered off ([`SbcNode::default`]).
@@ -69,19 +76,27 @@ impl std::error::Error for TransitionError {}
 /// # Examples
 ///
 /// ```
-/// use microfaas_hw::sbc::{SbcNode, SbcState};
+/// use microfaas_hw::sbc::SbcNode;
+/// use microfaas_sim::trace::WorkerState;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut node = SbcNode::default();
 /// node.power_on()?;
 /// node.boot_complete()?;
-/// assert_eq!(node.state(), SbcState::Idle);
+/// assert_eq!(node.state(), WorkerState::Idle);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SbcNode {
-    state: SbcState,
+    state: WorkerState,
+}
+
+impl Default for SbcNode {
+    /// A powered-off node.
+    fn default() -> Self {
+        SbcNode { state: Off }
+    }
 }
 
 impl SbcNode {
@@ -92,58 +107,50 @@ impl SbcNode {
     }
 
     /// Current lifecycle state.
-    pub fn state(&self) -> SbcState {
+    pub fn state(&self) -> WorkerState {
         self.state
     }
 
-    /// Instantaneous power draw in the current state.
-    pub fn power(&self) -> Watts {
+    /// Instantaneous power draw in the current state, watts.
+    pub fn power(&self) -> f64 {
         match self.state {
-            SbcState::Off | SbcState::Crashed => SbcPowerModel.off(),
-            SbcState::Idle => SbcPowerModel.standby(),
-            SbcState::Booting | SbcState::Executing | SbcState::Rebooting => SbcPowerModel.busy(),
+            Off | Crashed => SbcPowerModel.off(),
+            Idle => SbcPowerModel.standby(),
+            Booting | Executing | Rebooting => SbcPowerModel.busy(),
         }
     }
 
-    /// The orchestrator asserts PWR_BUT: off → booting.
+    #[inline]
+    fn step(
+        &mut self,
+        from: &[WorkerState],
+        to: WorkerState,
+        attempted: &'static str,
+    ) -> Result<(), TransitionError> {
+        step(&mut self.state, from, to, attempted).map(drop)
+    }
+
+    /// The orchestrator asserts PWR_BUT.
     ///
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is off.
     #[inline]
     pub fn power_on(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Off => {
-                self.state = SbcState::Booting;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "power on",
-            }),
-        }
+        self.step(&[Off], Booting, "power on")
     }
 
-    /// The worker OS reaches its first network connection: booting → idle.
+    /// The worker OS reaches its first network connection.
     ///
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is booting or rebooting.
     #[inline]
     pub fn boot_complete(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Booting | SbcState::Rebooting => {
-                self.state = SbcState::Idle;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "complete boot",
-            }),
-        }
+        self.step(&[Booting, Rebooting], Idle, "complete boot")
     }
 
-    /// A job begins executing: idle → executing.
+    /// A job begins executing.
     ///
     /// # Errors
     ///
@@ -151,61 +158,33 @@ impl SbcNode {
     /// run-to-completion guarantee.
     #[inline]
     pub fn start_job(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Idle => {
-                self.state = SbcState::Executing;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "start a job",
-            }),
-        }
+        self.step(&[Idle], Executing, "start a job")
     }
 
     /// The job finishes and the node reboots to a clean state for the
-    /// next one: executing → rebooting.
+    /// next one.
     ///
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is executing.
     #[inline]
     pub fn finish_job_and_reboot(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Executing => {
-                self.state = SbcState::Rebooting;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "finish a job",
-            }),
-        }
+        self.step(&[Executing], Rebooting, "finish a job")
     }
 
-    /// The job finishes and the queue is empty, so the node powers down:
-    /// executing → off.
+    /// The job finishes and the queue is empty, so the node powers down.
     ///
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is executing.
     #[inline]
     pub fn finish_job_and_power_off(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Executing => {
-                self.state = SbcState::Off;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "finish a job",
-            }),
-        }
+        self.step(&[Executing], Off, "finish a job")
     }
 
     /// The job finishes and a power governor holds the node booted at
-    /// standby power instead of gating it: executing → idle. Used by
-    /// the `keep-alive`/`always-on`/`warm-pool` governors (the paper's
+    /// standby power instead of gating it. Used by the
+    /// `keep-alive`/`always-on`/`warm-pool` governors (the paper's
     /// `reboot-per-job` policy never takes this edge).
     ///
     /// # Errors
@@ -213,74 +192,38 @@ impl SbcNode {
     /// Returns [`TransitionError`] unless the node is executing.
     #[inline]
     pub fn finish_job_and_standby(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Executing => {
-                self.state = SbcState::Idle;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "finish a job",
-            }),
-        }
+        self.step(&[Executing], Idle, "finish a job")
     }
 
-    /// The orchestrator powers an idle node down: idle → off.
+    /// The orchestrator powers an idle node down.
     ///
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is idle.
     #[inline]
     pub fn power_off(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Idle => {
-                self.state = SbcState::Off;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "power off",
-            }),
-        }
+        self.step(&[Idle], Off, "power off")
     }
 
-    /// An injected fault drops the node: any powered state → crashed.
-    /// An in-flight job is lost; the orchestrator requeues it.
+    /// An injected fault drops a powered node. An in-flight job is lost;
+    /// the orchestrator requeues it.
     ///
     /// # Errors
     ///
     /// Returns [`TransitionError`] if the node is off or already
     /// crashed (there is nothing left to kill).
     pub fn crash(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Booting | SbcState::Idle | SbcState::Executing | SbcState::Rebooting => {
-                self.state = SbcState::Crashed;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "crash",
-            }),
-        }
+        self.step(&[Booting, Idle, Executing, Rebooting], Crashed, "crash")
     }
 
-    /// The orchestrator power-cycles a crashed node back to life:
-    /// crashed → booting (a full cold boot follows).
+    /// The orchestrator power-cycles a crashed node back to life; a full
+    /// cold boot follows.
     ///
     /// # Errors
     ///
     /// Returns [`TransitionError`] unless the node is crashed.
     pub fn recover(&mut self) -> Result<(), TransitionError> {
-        match self.state {
-            SbcState::Crashed => {
-                self.state = SbcState::Booting;
-                Ok(())
-            }
-            from => Err(TransitionError {
-                from,
-                attempted: "recover",
-            }),
-        }
+        self.step(&[Crashed], Booting, "recover")
     }
 }
 
@@ -291,7 +234,7 @@ mod tests {
     #[test]
     fn full_lifecycle() {
         let mut node = SbcNode::default();
-        assert_eq!(node.state(), SbcState::Off);
+        assert_eq!(node.state(), WorkerState::Off);
         node.power_on().expect("off -> booting");
         node.boot_complete().expect("booting -> idle");
         node.start_job().expect("idle -> executing");
@@ -300,19 +243,19 @@ mod tests {
         node.boot_complete().expect("rebooting -> idle");
         node.start_job().expect("idle -> executing");
         node.finish_job_and_power_off().expect("executing -> off");
-        assert_eq!(node.state(), SbcState::Off);
+        assert_eq!(node.state(), WorkerState::Off);
     }
 
     #[test]
     fn power_follows_state() {
         let mut node = SbcNode::default();
-        assert_eq!(node.power().value(), 0.0);
+        assert_eq!(node.power(), 0.0);
         node.power_on().expect("on");
-        assert_eq!(node.power().value(), 1.96);
+        assert_eq!(node.power(), 1.96);
         node.boot_complete().expect("boot");
-        assert_eq!(node.power().value(), 0.128);
+        assert_eq!(node.power(), 0.128);
         node.start_job().expect("start");
-        assert_eq!(node.power().value(), 1.96);
+        assert_eq!(node.power(), 1.96);
     }
 
     #[test]
@@ -348,11 +291,11 @@ mod tests {
         node.boot_complete().expect("boot");
         node.start_job().expect("start");
         node.crash().expect("executing -> crashed");
-        assert_eq!(node.state(), SbcState::Crashed);
-        assert_eq!(node.power().value(), 0.0, "a crashed node draws nothing");
+        assert_eq!(node.state(), WorkerState::Crashed);
+        assert_eq!(node.power(), 0.0, "a crashed node draws nothing");
         assert!(node.start_job().is_err(), "dead nodes take no work");
         node.recover().expect("crashed -> booting");
-        assert_eq!(node.state(), SbcState::Booting);
+        assert_eq!(node.state(), WorkerState::Booting);
         node.boot_complete().expect("booting -> idle");
     }
 
@@ -363,8 +306,8 @@ mod tests {
         node.boot_complete().expect("boot");
         node.start_job().expect("start");
         node.finish_job_and_standby().expect("executing -> idle");
-        assert_eq!(node.state(), SbcState::Idle);
-        assert_eq!(node.power().value(), 0.128, "standby draw");
+        assert_eq!(node.state(), WorkerState::Idle);
+        assert_eq!(node.power(), 0.128, "standby draw");
         // The warm node takes the next job with no boot in between, and
         // a governor may still gate it from idle.
         node.start_job().expect("idle -> executing");

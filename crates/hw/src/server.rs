@@ -1,13 +1,28 @@
 //! The conventional cluster's hardware: one rack server hosting QEMU
 //! microVM workers, with CPU contention and the linear utilization→power
 //! model of the paper's Fig. 4/5.
+//!
+//! Each VM runs on the trace's own [`WorkerState`], through the same
+//! checked step as an SBC ([`crate::sbc`]). A VM starts idle and is
+//! never off or booting; its edges, each one [`RackServer`] method:
+//!
+//! | method | from | to |
+//! |---|---|---|
+//! | [`RackServer::start_job`] | idle | executing |
+//! | [`RackServer::finish_job`] | executing | rebooting |
+//! | [`RackServer::reboot_complete`] | rebooting | idle |
+//! | [`RackServer::crash_vm`] | idle, executing, rebooting | crashed |
+//! | [`RackServer::respawn_vm`] | crashed | rebooting |
+//!
+//! Any other move is refused with a [`TransitionError`] and leaves the VM
+//! where it was.
 
-use std::fmt;
-
+use microfaas_sim::trace::WorkerState::{self, Crashed, Executing, Idle, Rebooting};
 use microfaas_sim::SimDuration;
 
 use crate::boot::{BootPlatform, BootTime};
-use crate::power::{ServerPowerModel, Watts};
+use crate::power::ServerPowerModel;
+use crate::sbc::{step, TransitionError};
 
 /// CPU cores a busy VM cycle consumes on the host.
 ///
@@ -16,71 +31,23 @@ use crate::power::{ServerPowerModel, Watts};
 /// 16 VMs — which reproduces the paper's ≈16.1 J/function peak efficiency.
 pub const CPU_SHARE_PER_BUSY_VM: f64 = 0.75;
 
-/// Lifecycle state of one microVM worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VmState {
-    /// Waiting for a job (vCPU halted).
-    Idle,
-    /// Running a function.
-    Executing,
-    /// Rebooting its worker OS between jobs.
-    Rebooting,
-    /// The QEMU process died; the VM burns no CPU until respawned.
-    Crashed,
+/// RAM in the evaluation server (16 GB), MB.
+const HOST_MEMORY_MB: usize = 16 * 1024;
+
+/// RAM allocated to each microVM (512 MB, matching the SBC), MB.
+const VM_MEMORY_MB: usize = 512;
+
+/// The most VMs the host's RAM admits once the host OS keeps its ~1 GB.
+pub const MAX_VMS: usize = (HOST_MEMORY_MB - 1024) / VM_MEMORY_MB;
+
+/// Whether a VM in `state` occupies host CPU. A crashed VM's process is
+/// gone, so its CPU share flows back to the survivors.
+fn is_busy(state: WorkerState) -> bool {
+    matches!(state, Executing | Rebooting)
 }
 
-impl fmt::Display for VmState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            VmState::Idle => "idle",
-            VmState::Executing => "executing",
-            VmState::Rebooting => "rebooting",
-            VmState::Crashed => "crashed",
-        };
-        write!(f, "{name}")
-    }
-}
-
-/// One QEMU microVM worker (1 vCPU, 512 MB, bridged virtio NIC).
-#[derive(Debug, Clone)]
-pub struct VmWorker {
-    state: VmState,
-}
-
-impl VmWorker {
-    /// Current state.
-    pub fn state(&self) -> VmState {
-        self.state
-    }
-
-    /// Whether the VM currently occupies host CPU. A crashed VM's
-    /// process is gone, so its CPU share flows back to the survivors.
-    pub fn is_busy(&self) -> bool {
-        !matches!(self.state, VmState::Idle | VmState::Crashed)
-    }
-}
-
-/// Error for an illegal VM transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmTransitionError {
-    vm: usize,
-    from: VmState,
-    attempted: &'static str,
-}
-
-impl fmt::Display for VmTransitionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "vm {} cannot {} while {}",
-            self.vm, self.attempted, self.from
-        )
-    }
-}
-
-impl std::error::Error for VmTransitionError {}
-
-/// The rack server hosting the conventional cluster's VMs.
+/// The rack server hosting the conventional cluster's VMs (1 vCPU,
+/// 512 MB and a bridged virtio NIC each).
 ///
 /// Modeled after the evaluation machine: a Thinkmate RAX with a 12-core
 /// AMD Opteron 6172 and 16 GB of RAM.
@@ -89,7 +56,7 @@ impl std::error::Error for VmTransitionError {}
 /// recomputed: the VMs' boot window is the fully optimized x86 worker OS
 /// of the Fig. 1 profile ([`crate::boot`]), resolved once at
 /// construction, and the busy-VM count behind [`RackServer::power`] and
-/// [`RackServer::current_slowdown`] is updated by each VM transition.
+/// [`RackServer::current_slowdown`] moves with every VM transition.
 ///
 /// # Examples
 ///
@@ -99,13 +66,13 @@ impl std::error::Error for VmTransitionError {}
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut server = RackServer::new(6);
 /// server.start_job(0)?;
-/// assert!(server.power().value() > 60.0, "a busy VM raises draw above idle");
+/// assert!(server.power() > 60.0, "a busy VM raises draw above idle");
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct RackServer {
-    vms: Vec<VmWorker>,
+    vms: Vec<WorkerState>,
     /// VMs executing or rebooting; every transition that enters or
     /// leaves those states updates it.
     busy: usize,
@@ -116,39 +83,21 @@ impl RackServer {
     /// Cores in the evaluation server's Opteron 6172.
     const CORES: f64 = 12.0;
 
-    /// RAM in the evaluation server (16 GB), MB.
-    const HOST_MEMORY_MB: usize = 16 * 1024;
-
-    /// RAM allocated to each microVM (512 MB, matching the SBC), MB.
-    const VM_MEMORY_MB: usize = 512;
-
-    /// The largest VM count the host's RAM admits (the OS keeps ~1 GB).
-    fn max_vms() -> usize {
-        (Self::HOST_MEMORY_MB - 1024) / Self::VM_MEMORY_MB
-    }
-
-    /// Hosts `vm_count` microVMs on the 12-core evaluation server.
+    /// Hosts `vm_count` idle microVMs on the 12-core evaluation server.
     ///
     /// # Panics
     ///
-    /// Panics if `vm_count` is zero or the VMs' combined RAM reservation
-    /// exceeds the host's 16 GB.
+    /// Panics if `vm_count` is zero or above [`MAX_VMS`], where the VMs'
+    /// combined RAM reservation exceeds the host's 16 GB.
     pub fn new(vm_count: usize) -> Self {
         assert!(vm_count > 0, "a cluster needs at least one VM");
         assert!(
-            vm_count <= Self::max_vms(),
-            "{vm_count} VMs x {} MB exceed the host's {} MB (max {})",
-            Self::VM_MEMORY_MB,
-            Self::HOST_MEMORY_MB,
-            Self::max_vms()
+            vm_count <= MAX_VMS,
+            "{vm_count} VMs x {VM_MEMORY_MB} MB exceed the host's {HOST_MEMORY_MB} MB \
+             (max {MAX_VMS})"
         );
         RackServer {
-            vms: vec![
-                VmWorker {
-                    state: VmState::Idle
-                };
-                vm_count
-            ],
+            vms: vec![Idle; vm_count],
             busy: 0,
             vm_boot_window: BootTime::fully_optimized(BootPlatform::X86).real,
         }
@@ -159,20 +108,20 @@ impl RackServer {
         self.vms.len()
     }
 
-    /// Immutable view of one VM.
+    /// The lifecycle state of VM `vm`.
     ///
     /// # Panics
     ///
     /// Panics if `vm` is out of range.
-    pub fn vm(&self, vm: usize) -> &VmWorker {
-        &self.vms[vm]
+    pub fn state(&self, vm: usize) -> WorkerState {
+        self.vms[vm]
     }
 
     /// VMs currently occupying host CPU (executing or rebooting).
     pub fn busy_vms(&self) -> usize {
         debug_assert_eq!(
             self.busy,
-            self.vms.iter().filter(|v| v.is_busy()).count(),
+            self.vms.iter().filter(|&&state| is_busy(state)).count(),
             "the busy-VM count drifted from the VMs' states"
         );
         self.busy
@@ -183,8 +132,8 @@ impl RackServer {
         self.vm_boot_window
     }
 
-    /// Instantaneous host draw for the current busy-VM count.
-    pub fn power(&self) -> Watts {
+    /// Instantaneous host draw for the current busy-VM count, watts.
+    pub fn power(&self) -> f64 {
         ServerPowerModel.draw(self.busy_vms())
     }
 
@@ -201,124 +150,80 @@ impl RackServer {
         self.slowdown(self.busy_vms())
     }
 
-    /// Starts a job on `vm`: idle → executing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmTransitionError`] unless the VM is idle.
+    /// Moves `vm` through [`step`] and the busy count with it.
     ///
     /// # Panics
     ///
     /// Panics if `vm` is out of range.
-    pub fn start_job(&mut self, vm: usize) -> Result<(), VmTransitionError> {
-        let worker = &mut self.vms[vm];
-        match worker.state {
-            VmState::Idle => {
-                worker.state = VmState::Executing;
-                self.busy += 1;
-                Ok(())
-            }
-            from => Err(VmTransitionError {
-                vm,
-                from,
-                attempted: "start a job",
-            }),
-        }
+    #[inline]
+    fn step(
+        &mut self,
+        vm: usize,
+        from: &[WorkerState],
+        to: WorkerState,
+        attempted: &'static str,
+    ) -> Result<(), TransitionError> {
+        let left = step(&mut self.vms[vm], from, to, attempted)?;
+        self.busy = self.busy + usize::from(is_busy(to)) - usize::from(is_busy(left));
+        Ok(())
     }
 
-    /// Finishes a job and begins the between-jobs reboot:
-    /// executing → rebooting.
+    /// Starts a job on `vm`.
     ///
     /// # Errors
     ///
-    /// Returns [`VmTransitionError`] unless the VM is executing.
-    pub fn finish_job(&mut self, vm: usize) -> Result<(), VmTransitionError> {
-        let worker = &mut self.vms[vm];
-        match worker.state {
-            VmState::Executing => {
-                worker.state = VmState::Rebooting;
-                Ok(())
-            }
-            from => Err(VmTransitionError {
-                vm,
-                from,
-                attempted: "finish a job",
-            }),
-        }
-    }
-
-    /// Completes the reboot: rebooting → idle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmTransitionError`] unless the VM is rebooting.
-    pub fn reboot_complete(&mut self, vm: usize) -> Result<(), VmTransitionError> {
-        let worker = &mut self.vms[vm];
-        match worker.state {
-            VmState::Rebooting => {
-                worker.state = VmState::Idle;
-                self.busy -= 1;
-                Ok(())
-            }
-            from => Err(VmTransitionError {
-                vm,
-                from,
-                attempted: "complete a reboot",
-            }),
-        }
-    }
-
-    /// An injected fault kills `vm`'s QEMU process: any live state →
-    /// crashed. An in-flight job is lost (not counted) and the VM's CPU
-    /// share immediately rebalances to the surviving workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmTransitionError`] if the VM is already crashed.
+    /// Returns [`TransitionError`] unless the VM is idle.
     ///
     /// # Panics
     ///
     /// Panics if `vm` is out of range.
-    pub fn crash_vm(&mut self, vm: usize) -> Result<(), VmTransitionError> {
-        let worker = &mut self.vms[vm];
-        match worker.state {
-            VmState::Idle | VmState::Executing | VmState::Rebooting => {
-                if worker.is_busy() {
-                    self.busy -= 1;
-                }
-                worker.state = VmState::Crashed;
-                Ok(())
-            }
-            from => Err(VmTransitionError {
-                vm,
-                from,
-                attempted: "crash",
-            }),
-        }
+    pub fn start_job(&mut self, vm: usize) -> Result<(), TransitionError> {
+        self.step(vm, &[Idle], Executing, "start a job")
+    }
+
+    /// Finishes a job and begins the between-jobs reboot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransitionError`] unless the VM is executing.
+    pub fn finish_job(&mut self, vm: usize) -> Result<(), TransitionError> {
+        self.step(vm, &[Executing], Rebooting, "finish a job")
+    }
+
+    /// Completes the reboot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransitionError`] unless the VM is rebooting.
+    pub fn reboot_complete(&mut self, vm: usize) -> Result<(), TransitionError> {
+        self.step(vm, &[Rebooting], Idle, "complete a reboot")
+    }
+
+    /// An injected fault kills `vm`'s QEMU process. An in-flight job is
+    /// lost (not counted) and the VM's CPU share immediately rebalances
+    /// to the surviving workers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransitionError`] if the VM is already crashed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vm` is out of range.
+    pub fn crash_vm(&mut self, vm: usize) -> Result<(), TransitionError> {
+        self.step(vm, &[Idle, Executing, Rebooting], Crashed, "crash")
     }
 
     /// The orchestrator spawns a replacement QEMU process for a crashed
-    /// VM: crashed → rebooting. The respawn occupies CPU until
-    /// [`RackServer::reboot_complete`], like any other boot — callers
-    /// model the extra process-spawn cost as a longer boot window.
+    /// VM. The respawn occupies CPU until [`RackServer::reboot_complete`],
+    /// like any other boot — callers model the extra process-spawn cost
+    /// as a longer boot window.
     ///
     /// # Errors
     ///
-    /// Returns [`VmTransitionError`] unless the VM is crashed.
-    pub fn respawn_vm(&mut self, vm: usize) -> Result<(), VmTransitionError> {
-        let worker = &mut self.vms[vm];
-        match worker.state {
-            VmState::Crashed => {
-                worker.state = VmState::Rebooting;
-                self.busy += 1;
-                Ok(())
-            }
-            from => Err(VmTransitionError {
-                vm,
-                from,
-                attempted: "respawn",
-            }),
-        }
+    /// Returns [`TransitionError`] unless the VM is crashed.
+    pub fn respawn_vm(&mut self, vm: usize) -> Result<(), TransitionError> {
+        self.step(vm, &[Crashed], Rebooting, "respawn")
     }
 }
 
@@ -329,11 +234,11 @@ mod tests {
     #[test]
     fn power_scales_with_busy_vms() {
         let mut server = RackServer::new(6);
-        assert_eq!(server.power().value(), 60.0);
+        assert_eq!(server.power(), 60.0);
         for vm in 0..6 {
             server.start_job(vm).expect("start");
         }
-        assert!((server.power().value() - 112.8).abs() < 1e-9);
+        assert!((server.power() - 112.8).abs() < 1e-9);
     }
 
     #[test]
@@ -360,14 +265,14 @@ mod tests {
     fn vm_lifecycle_walks_execute_reboot_idle() {
         let mut server = RackServer::new(2);
         server.start_job(0).expect("start");
-        assert_eq!(server.vm(0).state(), VmState::Executing);
+        assert_eq!(server.state(0), WorkerState::Executing);
         server.finish_job(0).expect("finish");
-        assert_eq!(server.vm(0).state(), VmState::Rebooting);
+        assert_eq!(server.state(0), WorkerState::Rebooting);
         server.reboot_complete(0).expect("reboot");
-        assert_eq!(server.vm(0).state(), VmState::Idle);
+        assert_eq!(server.state(0), WorkerState::Idle);
         assert_eq!(
-            server.vm(1).state(),
-            VmState::Idle,
+            server.state(1),
+            WorkerState::Idle,
             "the other VM never moved"
         );
     }
@@ -377,9 +282,9 @@ mod tests {
         let mut server = RackServer::new(1);
         server.start_job(0).expect("start");
         server.finish_job(0).expect("finish");
-        assert_eq!(server.vm(0).state(), VmState::Rebooting);
+        assert_eq!(server.state(0), WorkerState::Rebooting);
         assert_eq!(server.busy_vms(), 1, "reboot burns CPU");
-        assert!(server.power().value() > 60.0);
+        assert!(server.power() > 60.0);
     }
 
     #[test]
@@ -389,7 +294,7 @@ mod tests {
         assert!(server.reboot_complete(0).is_err());
         server.start_job(0).expect("start");
         let err = server.start_job(0).expect_err("busy");
-        assert_eq!(err.to_string(), "vm 0 cannot start a job while executing");
+        assert_eq!(err.to_string(), "cannot start a job while executing");
     }
 
     #[test]
@@ -407,7 +312,7 @@ mod tests {
     #[test]
     fn memory_admits_thirty_vms() {
         // (16 GB - 1 GB host) / 512 MB = 30 VMs.
-        assert_eq!(RackServer::max_vms(), 30);
+        assert_eq!(MAX_VMS, 30);
         let server = RackServer::new(30);
         assert_eq!(server.vm_count(), 30);
     }
@@ -425,7 +330,7 @@ mod tests {
         server.start_job(1).expect("start");
         assert_eq!(server.busy_vms(), 2);
         server.crash_vm(1).expect("crash");
-        assert_eq!(server.vm(1).state(), VmState::Crashed);
+        assert_eq!(server.state(1), WorkerState::Crashed);
         assert_eq!(server.busy_vms(), 1, "dead QEMU burns no CPU");
         assert!(
             server.finish_job(1).is_err(),
@@ -441,9 +346,9 @@ mod tests {
         assert!(server.respawn_vm(0).is_err(), "only crashed VMs respawn");
         server.crash_vm(0).expect("crash idle VM");
         server.respawn_vm(0).expect("respawn");
-        assert_eq!(server.vm(0).state(), VmState::Rebooting);
+        assert_eq!(server.state(0), WorkerState::Rebooting);
         assert_eq!(server.busy_vms(), 1, "the respawn burns CPU like a boot");
         server.reboot_complete(0).expect("respawn finishes");
-        assert_eq!(server.vm(0).state(), VmState::Idle);
+        assert_eq!(server.state(0), WorkerState::Idle);
     }
 }

@@ -6,12 +6,19 @@
 use microfaas_hw::boot::{BootPlatform, BootProfile};
 use microfaas_hw::server::{RackServer, CPU_SHARE_PER_BUSY_VM};
 use microfaas_hw::{SbcNode, ServerPowerModel};
+use microfaas_sim::trace::WorkerState;
 use proptest::prelude::*;
 
-/// The busy count as a scan of every VM.
+/// The busy count as a scan of every VM: a VM occupies host CPU while it
+/// executes or reboots, and not while it is idle or crashed.
 fn scanned_busy(server: &RackServer) -> usize {
     (0..server.vm_count())
-        .filter(|&v| server.vm(v).is_busy())
+        .filter(|&v| {
+            matches!(
+                server.state(v),
+                WorkerState::Executing | WorkerState::Rebooting
+            )
+        })
         .count()
 }
 

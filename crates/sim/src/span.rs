@@ -64,7 +64,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::MetricsRegistry;
 use crate::stats::Samples;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceBuffer, TraceEvent, TraceRecord, WorkerState};
@@ -563,13 +562,6 @@ fn build_span(
     }
 }
 
-/// Upper bucket bounds (seconds) for the exported per-phase latency
-/// histograms: sub-millisecond overheads up to multi-second boot and
-/// queueing tails.
-const PHASE_BUCKETS: [f64; 14] = [
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-];
-
 /// Phase statistics over a set of spans (one scope: a cluster or one
 /// function), retaining exact samples in milliseconds.
 #[derive(Debug, Clone, Default)]
@@ -727,30 +719,6 @@ impl CriticalPath {
             );
         }
         out
-    }
-
-    /// Publishes every phase observation into `metrics` as the
-    /// fixed-bucket histograms `{prefix}_span_phase_seconds{phase=...}`
-    /// plus `{prefix}_span_end_to_end_seconds` and a
-    /// `{prefix}_spans_total` counter, so the breakdown rides the
-    /// existing Prometheus exposition (percentiles recoverable with
-    /// [`MetricsRegistry::histogram_quantile`]).
-    pub fn publish_metrics(&self, metrics: &mut MetricsRegistry, prefix: &str) {
-        for phase in Phase::ALL {
-            let h = metrics.histogram(
-                &format!("{prefix}_span_phase_seconds{{phase=\"{}\"}}", phase.label()),
-                &PHASE_BUCKETS,
-            );
-            for &ms in self.overall.phases[phase.index()].values() {
-                metrics.observe(h, ms / 1e3);
-            }
-        }
-        let e2e = metrics.histogram(&format!("{prefix}_span_end_to_end_seconds"), &PHASE_BUCKETS);
-        for &ms in self.overall.end_to_end.values() {
-            metrics.observe(e2e, ms / 1e3);
-        }
-        let total = metrics.counter(&format!("{prefix}_spans_total"));
-        metrics.add(total, self.overall.jobs() as u64);
     }
 }
 
@@ -1081,7 +1049,7 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_aggregates_and_publishes_histograms() {
+    fn critical_path_aggregates_phases() {
         let tree = SpanTree::from_buffer(&simple_trace());
         let mut cp = CriticalPath::analyze(&tree);
         assert_eq!(cp.overall().jobs(), 1);
@@ -1091,15 +1059,6 @@ mod tests {
         assert!(table.contains("end-to-end"), "{table}");
         let funcs = cp.function_breakdown();
         assert!(funcs.contains("CascSHA"), "{funcs}");
-
-        let mut metrics = MetricsRegistry::new();
-        cp.publish_metrics(&mut metrics, "micro");
-        let expo = metrics.render_prometheus();
-        assert!(
-            expo.contains("micro_span_phase_seconds_bucket{phase=\"exec\",le=\"0.001\"} 1"),
-            "{expo}"
-        );
-        assert!(expo.contains("micro_spans_total 1"), "{expo}");
     }
 
     #[test]

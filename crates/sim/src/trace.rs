@@ -21,7 +21,9 @@ use std::fmt;
 use crate::metrics::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
 
-/// Lifecycle states a traced worker (SBC or VM) can report.
+/// Lifecycle states a traced worker (SBC or VM) can report. The node
+/// models in `microfaas-hw` run on this type, so a worker's state and
+/// the state its trace reports are one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerState {
     /// Power-gated off, drawing nothing.
@@ -588,11 +590,6 @@ impl TraceBuffer {
         self.records.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Count of records overwritten because the buffer was full.
     pub fn dropped(&self) -> u64 {
         self.next_seq - self.records.len() as u64
@@ -791,7 +788,6 @@ mod tests {
             buffer.record(SimTime::from_micros(i), enqueue(i));
         }
         assert_eq!(buffer.len(), 4);
-        assert_eq!(buffer.capacity(), 4);
         assert_eq!(buffer.dropped(), 6);
         let seqs: Vec<u64> = buffer.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use microfaas_services::kvstore::{Command, Reply};
 use microfaas_services::mqueue::Broker;
 use microfaas_services::objstore::ObjectStore;
+use microfaas_sim::trace::WorkerState::{self, Booting, Crashed, Executing, Idle, Off, Rebooting};
 use microfaas_sim::{EventQueue, SimDuration, SimTime, TimeWeighted};
 use microfaas_workloads::algorithms::aes128::{decrypt_cbc, encrypt_cbc};
 use microfaas_workloads::algorithms::deflate::{compress, inflate};
@@ -157,13 +158,26 @@ proptest! {
         prop_assert_eq!(listed, expected);
     }
 
-    /// SBC lifecycle random walk: whatever transition sequence is
-    /// taken, legal transitions succeed and illegal ones are always
-    /// rejected without corrupting state.
+    /// SBC lifecycle random walk over all nine transitions, each judged
+    /// against the edge list written here (not read from the model):
+    /// a legal move lands on its target, an illegal one is rejected and
+    /// leaves the node where it was.
     #[test]
-    fn sbc_fsm_rejects_illegal_transitions(steps in prop::collection::vec(0u8..6, 1..60)) {
-        use microfaas_hw::sbc::{SbcNode, SbcState};
+    fn sbc_fsm_rejects_illegal_transitions(steps in prop::collection::vec(0u8..9, 1..60)) {
+        use microfaas_hw::sbc::SbcNode;
 
+        // Each transition's from-states and target, in `match` order.
+        let edges: [(&[WorkerState], WorkerState); 9] = [
+            (&[Off], Booting),
+            (&[Booting, Rebooting], Idle),
+            (&[Idle], Executing),
+            (&[Executing], Rebooting),
+            (&[Executing], Off),
+            (&[Executing], Idle),
+            (&[Idle], Off),
+            (&[Booting, Idle, Executing, Rebooting], Crashed),
+            (&[Crashed], Booting),
+        ];
         let mut node = SbcNode::default();
         for &step in &steps {
             let before = node.state();
@@ -173,19 +187,53 @@ proptest! {
                 2 => node.start_job(),
                 3 => node.finish_job_and_reboot(),
                 4 => node.finish_job_and_power_off(),
-                _ => node.power_off(),
+                5 => node.finish_job_and_standby(),
+                6 => node.power_off(),
+                7 => node.crash(),
+                _ => node.recover(),
             };
-            let legal = matches!(
-                (before, step),
-                (SbcState::Off, 0)
-                    | (SbcState::Booting | SbcState::Rebooting, 1)
-                    | (SbcState::Idle, 2)
-                    | (SbcState::Executing, 3 | 4)
-                    | (SbcState::Idle, 5)
-            );
+            let (from, to) = edges[step as usize];
+            let legal = from.contains(&before);
             prop_assert_eq!(result.is_ok(), legal, "step {} from {}", step, before);
-            if !legal {
-                prop_assert_eq!(node.state(), before, "failed transition must not move");
+            prop_assert_eq!(node.state(), if legal { to } else { before });
+        }
+    }
+
+    /// The VM twin: a random walk over a rack server's five VM
+    /// transitions, each judged against the edge list written here; only
+    /// the VM a legal move names changes state.
+    #[test]
+    fn vm_fsm_rejects_illegal_transitions(
+        vms in 1usize..=4,
+        steps in prop::collection::vec((0u8..5, any::<usize>()), 1..80),
+    ) {
+        use microfaas_hw::RackServer;
+
+        // Each transition's from-states and target, in `match` order.
+        let edges: [(&[WorkerState], WorkerState); 5] = [
+            (&[Idle], Executing),
+            (&[Executing], Rebooting),
+            (&[Rebooting], Idle),
+            (&[Idle, Executing, Rebooting], Crashed),
+            (&[Crashed], Rebooting),
+        ];
+        let mut server = RackServer::new(vms);
+        for &(step, pick) in &steps {
+            let v = pick % vms;
+            let before: Vec<WorkerState> = (0..vms).map(|x| server.state(x)).collect();
+            let result = match step {
+                0 => server.start_job(v),
+                1 => server.finish_job(v),
+                2 => server.reboot_complete(v),
+                3 => server.crash_vm(v),
+                _ => server.respawn_vm(v),
+            };
+            let (from, to) = edges[step as usize];
+            let legal = from.contains(&before[v]);
+            prop_assert_eq!(result.is_ok(), legal, "step {} on vm {} from {}", step, v, before[v]);
+            for (x, &was) in before.iter().enumerate() {
+                let expected = if x == v && legal { to } else { was };
+                prop_assert_eq!(server.state(x), expected, "vm {} after step {}", x, step);
             }
         }
     }
